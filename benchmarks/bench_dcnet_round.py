@@ -165,13 +165,13 @@ def test_bench_round_envelope_verification_scalar_vs_batched(capsys):
         }
 
     _REPORT["round_envelope_verification"] = {
-        "group": "wide-1536",
+        "group": "modp1536",
         "servers": 3,
         "by_clients": rows,
     }
     with capsys.disabled():
         print()
-        print("per-round envelope verification, 3 servers, wide-1536:")
+        print("per-round envelope verification, 3 servers, modp1536:")
         for n, row in rows.items():
             print(
                 f"  {n:3d} clients ({row['envelopes']} envelopes): "

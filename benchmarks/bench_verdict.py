@@ -113,7 +113,7 @@ def test_batched_verification_speedup_16_clients(capsys):
 
     speedup = per_proof_s / batched_s
     _REPORT["batched_client_verification"] = {
-        "group": "wide-1536",
+        "group": "modp1536",
         "clients": 16,
         "width": 1,
         "per_proof_s": round(per_proof_s, 4),
@@ -124,7 +124,7 @@ def test_batched_verification_speedup_16_clients(capsys):
     with capsys.disabled():
         print()
         print(
-            f"client-proof verification, 16 clients, wide-1536: "
+            f"client-proof verification, 16 clients, modp1536: "
             f"per-proof {per_proof_s*1e3:.0f} ms, batched {batched_s*1e3:.0f} ms "
             f"({speedup:.1f}x)"
         )

@@ -18,8 +18,8 @@ into the server set:
   path collects *all* M votes; a partial certificate (majority quorum)
   is only formed when a vote is withheld past the barrier timeout, and
   the missing signatures name the withholder.
-* A view-change subprotocol (driven by the session engines in
-  :mod:`repro.core.session` and :mod:`repro.net.node`) that survives the
+* A view-change subprotocol (run by :class:`repro.core.engine.RoundEngine`,
+  the one round machine under every driver) that survives the
   three leader failure modes: crash (the barrier timer derived from the
   ``RetryPolicy`` budget fires), stall (same timer), and equivocation —
   two conflicting signed proposals for one ``(round, view)``, which
@@ -39,6 +39,7 @@ sound here.
 from repro.consensus.certificate import (
     EquivocationProof,
     RoundCertificate,
+    adopt_round_evidence,
     output_body_digest,
     proposal_view_digest,
     quorum_size,
@@ -51,6 +52,7 @@ __all__ = [
     "EquivocationProof",
     "LeaderSchedule",
     "RoundCertificate",
+    "adopt_round_evidence",
     "leader_index",
     "output_body_digest",
     "proposal_view_digest",

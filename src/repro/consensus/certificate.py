@@ -26,6 +26,7 @@ protocol emits evidence, not just a timeout.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 
@@ -106,11 +107,9 @@ def find_invalid_votes(
 ) -> list[int]:
     """Server indices whose vote signatures fail — one batched check.
 
-    The networked engine records vote signatures unverified on arrival
-    and authenticates the whole set here at certificate-assembly time:
-    a single batched verification replaces M individual checks (same
-    rejection behaviour, a fraction of the exponentiations), and the
-    rare failure case falls back to pinpointing the bad votes.
+    The round engine records vote signatures unverified on arrival;
+    :func:`adopt_round_evidence` calls this when the certificate it is
+    about to adopt fails to verify, to pinpoint the forged votes.
     """
     body = vote_body(view, digest)
     ordered = sorted(votes.items())
@@ -315,3 +314,95 @@ class EquivocationProof:
             first=decode_envelope(group, fields[3]),
             second=decode_envelope(group, fields[4]),
         )
+
+
+def _authenticated(definition, certificate: RoundCertificate, registry):
+    """``certificate`` once it verifies, forged votes stripped if need be."""
+    try:
+        certificate.verify(definition)
+        return certificate
+    except InvalidSignature:
+        bad = find_invalid_votes(
+            definition,
+            certificate.round_number,
+            certificate.view,
+            certificate.digest,
+            dict(certificate.votes),
+        )
+    registry.counter("session.votes_stripped").inc(len(bad))
+    stripped = dataclasses.replace(
+        certificate,
+        votes=tuple((j, s) for j, s in certificate.votes if j not in bad),
+    )
+    stripped.verify(definition)
+    return stripped
+
+
+def adopt_round_evidence(
+    definition,
+    round_number: int,
+    digest: bytes,
+    certificates: dict,
+    proofs: dict,
+    convicted,
+    registry,
+):
+    """What a coordinator keeps of the servers' reports for one round.
+
+    ``certificates`` and ``proofs`` map a reporting server's index to the
+    :class:`RoundCertificate` / :class:`EquivocationProof` it reported;
+    ``digest`` is the digest of the output every server agreed on.
+    Returns ``(certificate, convictions)``: the one certificate the
+    session archives, and ``(reporter, proof)`` for each verified proof
+    whose leader is not in ``convicted`` yet.  This is the only place a
+    coordinator authenticates control-plane evidence, so every driver
+    counts ``session.votes_stripped`` / ``view_changes_committed`` /
+    ``servers_convicted`` the same way.
+
+    Servers may legitimately report different-but-valid certificates for
+    one round (a full one and a majority one cut at the view timer);
+    candidates are tried strongest-first — most votes, then lowest view,
+    then lowest reporting server.  Engines record vote signatures
+    unverified, so a candidate carrying forged votes is repaired by
+    stripping them: the honest quorum underneath still commits the
+    round, and vote forgery cannot halt the session.  If no quorum
+    survives, the next candidate is tried.
+    """
+    failure: Exception = ProtocolError(
+        f"round {round_number}: no server reported a certificate"
+    )
+    for sender, candidate in sorted(
+        certificates.items(),
+        key=lambda item: (-len(item[1].votes), item[1].view, item[0]),
+    ):
+        if candidate.round_number != round_number:
+            failure = ProtocolError(
+                f"round {round_number}: server {sender} certified round "
+                f"{candidate.round_number}"
+            )
+        elif candidate.digest != digest:
+            failure = ProtocolError(
+                f"round {round_number}: certificate digest does not match "
+                "the round output"
+            )
+        else:
+            try:
+                certificate = _authenticated(definition, candidate, registry)
+                break
+            except (InvalidProof, InvalidSignature) as exc:
+                failure = exc
+    else:
+        raise failure
+    if certificate.view > 0:
+        registry.counter("session.view_changes_committed").inc()
+    known = set(convicted)
+    convictions = []
+    for sender in sorted(proofs):
+        proof = proofs[sender]
+        if proof.leader in known:
+            continue
+        proof.verify(definition)
+        known.add(proof.leader)
+        convictions.append((sender, proof))
+        registry.counter("session.servers_convicted").inc()
+    return certificate, convictions

@@ -25,6 +25,8 @@ chaos harness in all three transport modes:
   timer rotates leadership past it).
 * :class:`VoteWithholdingServer` — never votes (the barrier timer falls
   back to a majority certificate whose absent signature names it).
+* :class:`VoteForgingServer` — votes with a signature that does not
+  verify (the coordinator strips it; the honest quorum still commits).
 
 All adversaries are module-level classes taking keyword knobs on top of
 the honest constructor, so the subprocess transport can respawn them
@@ -33,9 +35,12 @@ from a ``"module:Class"`` spec.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.accusation import TraceDisclosure
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
+from repro.crypto.schnorr import Signature
 from repro.errors import ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, SignedEnvelope, make_envelope
 from repro.util.bytesops import flip_bit
@@ -266,3 +271,20 @@ class VoteWithholdingServer(DissentServer):
         if self.withhold_votes:
             return None
         return super().vote_on_proposal(proposal, output, view=view)
+
+
+class VoteForgingServer(DissentServer):
+    """A server whose votes carry a corrupted signature.
+
+    Engines record vote signatures unverified, so the forgery reaches
+    every certificate; the coordinator's one authentication pass strips
+    it, and the round commits on the honest quorum underneath — forging
+    a vote buys exactly what withholding it does.
+    """
+
+    def vote_on_proposal(self, proposal, output, view: int = 0):
+        vote = super().vote_on_proposal(proposal, output, view=view)
+        if vote is None:
+            return None
+        forged = Signature(vote.signature.t, (vote.signature.s + 1) % self.group.q)
+        return dataclasses.replace(vote, signature=forged)

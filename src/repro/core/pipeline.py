@@ -1,10 +1,12 @@
-"""Pipelined round engine: W rounds in flight, outputs bit-identical.
+"""Pipelined round driver: W rounds in flight, outputs bit-identical.
 
 The lockstep driver (:meth:`repro.core.session.DissentSession.run_round`)
 serializes every phase, so the round period is the *sum* of submit →
 inventory → commit → reveal → certify → output latencies plus the N*M pad
-derivations done inline.  This module keeps a configurable window of W
-rounds in flight end to end:
+derivations done inline.  This module schedules the same per-server
+:class:`~repro.core.engine.RoundEngine` machines differently — it splits a
+round at the submit boundary and keeps a configurable window of W rounds
+in flight end to end:
 
 * clients build and submit rounds ``r+1 .. r+W-1`` while round ``r`` is
   still in its commit/reveal exchanges (servers hold one
@@ -24,14 +26,17 @@ published participation count may cross a §3.7 ``min_participation``
 threshold, and a shuffle request forces an accusation phase.  The engine
 therefore *speculates* — layout unchanged, own slot delivered, threshold
 side unchanged, no shuffle — and validates every assumption when the
-round actually completes (rounds complete strictly in order).  On any
+round actually completes (rounds complete strictly in order, each one
+through the lockstep driver's own ``complete_round``, so certificates,
+view changes and convictions are lockstep's too).  On any
 violation it **drains to a barrier**: all younger in-flight rounds are
 discarded, every client is rolled back to its pre-build snapshot (RNG
 state included), the outcome is applied exactly as the lockstep engine
 would, and the pipeline refills.  Client randomness is consumed only by
 round builds and signatures use deterministic nonces, so a replayed build
 emits byte-identical envelopes — which is what makes certified outputs,
-round records, and §3.7/§3.9 failure, blame, and expulsion semantics
+round records and certificates, and §3.7/§3.9 failure, blame, and
+expulsion semantics
 *bit-identical* to lockstep for every window size (property-tested in
 ``tests/test_pipeline.py``).
 """
@@ -43,7 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.client import _SentRecord
-from repro.core.rounds import RoundOutput, RoundRecord, RoundStatus
+from repro.core.rounds import RoundRecord
 from repro.core.schedule import RoundLayout
 from repro.core.session import DissentSession
 from repro.crypto.prng import PadPrefetcher
@@ -109,12 +114,18 @@ class _InFlight:
     applied_at_snapshot: int
     #: Speculatively confirmed sent records, validated at completion.
     sent_records: dict[int, _SentRecord] = field(default_factory=dict)
+    #: Engine effects held at the submit boundary (the inventories): a
+    #: server digests one round's exchanges at a time, oldest first, so
+    #: they are routed only when this round completes.
+    pending: list = field(default_factory=list)
     #: Virtual end time of this round's submit phase.
     submit_end: float = 0.0
 
 
 class PipelinedSession:
     """Drives a :class:`DissentSession` with up to ``window`` rounds in flight.
+
+    Records — certificates included — equal the lockstep driver's.
 
     Args:
         session: a scheduled (or about-to-be-scheduled) core XOR session.
@@ -130,8 +141,6 @@ class PipelinedSession:
             the shared cache also halves total pad work — a deployment
             runs one prefetcher per machine instead.
     """
-
-    PHASE_NAMES = ("submit", "inventory", "commit", "reveal", "certify", "output")
 
     def __init__(
         self,
@@ -231,8 +240,11 @@ class PipelinedSession:
             record = self._complete(entry)
             reason = self._validate(entry, record, inflight)
             if reason is None:
-                for client in session.clients:
-                    client.handle_output(record.output)
+                with self.tracer.span(
+                    "phase", name="output", round=record.round_number
+                ):
+                    for client in session.clients:
+                        client.handle_output(record.output)
                 self._applied.append(("output", record.output))
             else:
                 self._drain(entry, record, inflight)
@@ -260,10 +272,7 @@ class PipelinedSession:
 
     def _issue(self, round_number: int, online: set[int] | None) -> _InFlight:
         session = self.session
-        definition = session.definition
-        if online is None:
-            online = set(range(definition.num_clients))
-        submitters = sorted(i for i in online if i not in session.expelled)
+        submitters = session.submitters(online)
         layout = session.servers[0].scheduler.current_layout()
         with self.tracer.span("phase", name="build", round=round_number):
             if self.prefetcher is not None:
@@ -280,21 +289,15 @@ class PipelinedSession:
                 )
             snapshots = [client.snapshot_state() for client in session.clients]
             applied_at = self._applied_offset + len(self._applied)
-            for server in session.servers:
-                server.open_round(round_number)
-            batches: list[list] = [[] for _ in range(definition.num_servers)]
+            envelopes = {}
             sent_records: dict[int, _SentRecord] = {}
             for i in submitters:
-                batches[definition.upstream_server(i)].append(
-                    session.clients[i].produce_ciphertext(round_number)
-                )
+                envelopes[i] = session.clients[i].produce_ciphertext(round_number)
                 record = session.clients[i].speculate_delivery(round_number)
                 if record is not None:
                     sent_records[i] = record
         with self.tracer.span("phase", name="submit", round=round_number):
-            for upstream, batch in zip(session.servers, batches):
-                if batch:
-                    upstream.accept_ciphertexts(batch)
+            pending = session.submit(round_number, envelopes)
         # Virtual clock: the submit lane serializes round issues, gated by
         # the window (round r cannot enter submission before round r-W
         # fully completed) and any drain barrier.
@@ -311,6 +314,7 @@ class PipelinedSession:
             snapshots=snapshots,
             applied_at_snapshot=applied_at,
             sent_records=sent_records,
+            pending=pending,
             submit_end=submit_end,
         )
 
@@ -319,64 +323,11 @@ class PipelinedSession:
     # ------------------------------------------------------------------
 
     def _complete(self, entry: _InFlight) -> RoundRecord:
-        session = self.session
-        servers = session.servers
         r = entry.round_number
         with self.tracer.span("round", round=r) as round_span:
-            with round_span.child("phase", name="inventory"):
-                inventories = [server.make_inventory(r) for server in servers]
-                participations = {
-                    server.receive_inventories(inventories) for server in servers
-                }
-                if len(participations) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the participation count"
-                    )
-                participation = participations.pop()
-                participation_ok = all(
-                    server.participation_ok(r) for server in servers
-                )
-
-            if not participation_ok:
-                for server in servers:
-                    server.abandon_round(r)
-                self._charge(entry, failed=True)
-                return RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-
-            with round_span.child("phase", name="commit"):
-                commitments = [server.compute_ciphertext(r) for server in servers]
-                for server in servers:
-                    server.receive_commitments(commitments)
-            with round_span.child("phase", name="reveal"):
-                reveals = [server.reveal_ciphertext(r) for server in servers]
-                cleartexts = {server.receive_reveals(reveals) for server in servers}
-                if len(cleartexts) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the combined cleartext"
-                    )
-            with round_span.child("phase", name="verify"):
-                signatures = [server.sign_output(r) for server in servers]
-                outputs = [server.assemble_output(signatures) for server in servers]
-                output = outputs[0]
-            with round_span.child("phase", name="output"):
-                shuffle_requested = False
-                for server in servers:
-                    for content in server.finish_round(output):
-                        if content.shuffle_request:
-                            shuffle_requested = True
-        self._charge(entry, failed=False)
-        return RoundRecord(
-            round_number=r,
-            status=RoundStatus.COMPLETED,
-            participation=participation,
-            output=output,
-            shuffle_requested=shuffle_requested,
-        )
+            record = self.session.complete_round(r, entry.pending, round_span)
+        self._charge(entry, failed=not record.completed)
+        return record
 
     def _charge(self, entry: _InFlight, failed: bool) -> None:
         """Advance the virtual pipeline clock through this round's phases."""
@@ -451,8 +402,8 @@ class PipelinedSession:
         self.registry.counter("pipeline.drains").inc()
         self.registry.counter("pipeline.rounds_discarded").inc(len(inflight))
         for stale in inflight:
-            for server in session.servers:
-                server.discard_round(stale.round_number)
+            for engine in session.engines:
+                engine.discard(stale.round_number)
         inflight.clear()
         session.round_number = entry.round_number + 1
         # Roll every client back to its pre-build checkpoint, replay the

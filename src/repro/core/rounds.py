@@ -77,8 +77,8 @@ class RoundRecord:
     participation: int
     output: RoundOutput | None
     shuffle_requested: bool = False
-    #: Quorum certificate from the server control plane (None for failed
-    #: rounds and engines that skip consensus, e.g. the pipelined driver).
+    #: Quorum certificate from the server control plane (None only for
+    #: failed rounds: every driver certifies every completed round).
     #: Excluded from equality: two records describe the same round outcome
     #: whether or not a certificate was archived alongside it.
     certificate: object | None = field(compare=False, default=None)

@@ -2,9 +2,12 @@
 
 :class:`DissentSession` wires client and server objects together through
 signed envelopes, exactly as Algorithms 1 and 2 prescribe, but with method
-calls standing in for sockets.  Every signature, commitment, PRNG stream,
-shuffle proof, and trace step executes for real — this is the object the
-integration tests, property tests, and examples drive.
+calls standing in for sockets: each server runs the same
+:class:`~repro.core.engine.RoundEngine` the networked daemons run, and the
+session routes the engines' envelopes between them in process.  Every
+signature, commitment, PRNG stream, shuffle proof, and trace step executes
+for real — this is the object the integration tests, property tests, and
+examples drive.
 
 Timing is intentionally absent here; the discrete-event simulator in
 :mod:`repro.sim` models latency, bandwidth, and churn for the paper's
@@ -13,8 +16,9 @@ performance figures.
 
 from __future__ import annotations
 
+import collections
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.accusation import (
@@ -35,10 +39,17 @@ from repro.core.keyshuffle import (
 )
 from repro.consensus import (
     EquivocationProof,
-    RoundCertificate,
-    leader_index,
-    proposal_view_digest,
-    quorum_size,
+    adopt_round_evidence,
+    output_body_digest,
+)
+from repro.core.engine import (
+    ArmTimer,
+    Broadcast,
+    Fault,
+    InventoryStatus,
+    PhaseBoundary,
+    RoundDone,
+    RoundEngine,
 )
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.server import DissentServer
@@ -48,7 +59,6 @@ from repro.errors import (
     AccusationError,
     ProtocolError,
     TraceInconclusive,
-    ViewChangeTimeout,
 )
 from repro.obs import (
     NULL_REGISTRY,
@@ -159,6 +169,9 @@ class DissentSession:
         self.definition = definition
         self.servers = list(servers)
         self.clients = list(clients)
+        #: One sans-IO round machine per server; this session only routes
+        #: their effects (see :meth:`complete_round`).
+        self.engines = [RoundEngine(server) for server in self.servers]
         self.rng = rng if rng is not None else random.Random()
         self.round_number = 0
         self.records: list[RoundRecord] = []
@@ -180,6 +193,8 @@ class DissentSession:
         """
         self.registry = MetricsRegistry()
         self.tracer = Tracer(self.registry, clock=clock)
+        for engine in self.engines:
+            engine.registry = self.registry
         return self.registry
 
     def metrics(self) -> dict:
@@ -218,6 +233,11 @@ class DissentSession:
         self.rng.setstate(snapshot["rng_state"])
         for server, state in zip(self.servers, snapshot["servers"]):
             server.restore_state(state)
+        for engine in self.engines:
+            # Snapshots are cut at round barriers; submit() re-seeds the
+            # rotation from the restored proofs.
+            engine.rounds.clear()
+            engine.convicted.clear()
         for client, state in zip(self.clients, snapshot["clients"]):
             client.restore_state(state)
         for index in self.expelled:
@@ -295,7 +315,7 @@ class DissentSession:
         self.scheduled = True
 
     # ------------------------------------------------------------------
-    # One DC-net round (Algorithms 1 + 2 interleaved)
+    # One DC-net round: a synchronous router over the M round engines
     # ------------------------------------------------------------------
 
     def run_round(self, online: set[int] | None = None) -> RoundRecord:
@@ -310,13 +330,7 @@ class DissentSession:
             raise ProtocolError("setup() must run before rounds")
         r = self.round_number
         self.round_number += 1
-        if online is None:
-            online = set(range(self.definition.num_clients))
-        submitters = sorted(
-            i for i in online if i not in self.expelled
-        )
-
-        num_servers = self.definition.num_servers
+        submitters = self.submitters(online)
         # The same trace-id scheme the networked runner uses, so local and
         # distributed runs of one group/round land under one trace name.
         span_attrs = {"round": r, "node": "local"}
@@ -326,189 +340,154 @@ class DissentSession:
             )
         with self.tracer.span("round", **span_attrs) as round_span:
             with round_span.child("phase", name="build"):
-                for server in self.servers:
-                    server.open_round(r)
-                # Each server collects its attached clients' envelopes and
-                # checks all their signatures in one batched multi-exp.
-                batches: list[list] = [[] for _ in range(num_servers)]
-                for i in submitters:
-                    batches[self.definition.upstream_server(i)].append(
-                        self.clients[i].produce_ciphertext(r)
-                    )
+                envelopes = {
+                    i: self.clients[i].produce_ciphertext(r) for i in submitters
+                }
             with round_span.child("phase", name="submit"):
-                for upstream, batch in zip(self.servers, batches):
-                    if batch:
-                        upstream.accept_ciphertexts(batch)
-
-            with round_span.child("phase", name="inventory"):
-                inventories = [server.make_inventory() for server in self.servers]
-                participations = {
-                    server.receive_inventories(inventories)
-                    for server in self.servers
-                }
-                if len(participations) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the participation count"
-                    )
-                participation = participations.pop()
-                participation_ok = all(
-                    server.participation_ok() for server in self.servers
-                )
-
-            if not participation_ok:
-                # §3.7 hard timeout: abandon, publish the fresh count.
-                for server in self.servers:
-                    server.abandon_round()
-                for i, client in enumerate(self.clients):
-                    client.handle_round_failure(r, participation)
-                record = RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-                self.records.append(record)
-                self.registry.counter("session.rounds_failed").inc()
-                return record
-
-            with round_span.child("phase", name="commit"):
-                commitments = [
-                    server.compute_ciphertext() for server in self.servers
-                ]
-                for server in self.servers:
-                    server.receive_commitments(commitments)
-            with round_span.child("phase", name="reveal"):
-                reveals = [server.reveal_ciphertext() for server in self.servers]
-                cleartexts = {
-                    server.receive_reveals(reveals) for server in self.servers
-                }
-                if len(cleartexts) != 1:
-                    raise ProtocolError(
-                        "servers disagree on the combined cleartext"
-                    )
-
-            with round_span.child("phase", name="verify"):
-                signatures = [server.sign_output() for server in self.servers]
-                outputs = [
-                    server.assemble_output(signatures) for server in self.servers
-                ]
-                output = outputs[0]
-
-            with round_span.child("phase", name="certify"):
-                certificate = self._run_consensus(r, outputs)
-
-            with round_span.child("phase", name="output"):
-                shuffle_requested = False
-                for server in self.servers:
-                    contents = server.finish_round(output)
-                    for content in contents:
-                        # The shuffle-request field is outside the masked
-                        # payload on purpose: it must stay readable even when
-                        # the disruptor is corrupting the rest of the slot
-                        # (§3.9).
-                        if content.shuffle_request:
-                            shuffle_requested = True
+                pending = self.submit(r, envelopes)
+            record = self.complete_round(r, pending, round_span)
+            if record.completed:
+                with round_span.child("phase", name="output"):
+                    for client in self.clients:
+                        client.handle_output(record.output)
+            else:
+                # §3.7 hard timeout: publish the fresh count.
                 for client in self.clients:
-                    client.handle_output(output)
-
-        record = RoundRecord(
-            round_number=r,
-            status=RoundStatus.COMPLETED,
-            participation=participation,
-            output=output,
-            shuffle_requested=shuffle_requested,
-            certificate=certificate,
-        )
+                    client.handle_round_failure(r, record.participation)
         self.records.append(record)
-        self.registry.counter("session.rounds_completed").inc()
-        if shuffle_requested:
+        if record.completed:
+            self.registry.counter("session.rounds_completed").inc()
+        else:
+            self.registry.counter("session.rounds_failed").inc()
+        if record.shuffle_requested:
             self.registry.counter("session.shuffle_requests").inc()
         return record
 
-    def _run_consensus(self, r: int, outputs: list) -> RoundCertificate:
-        """Leader-rotation certificate exchange over the assembled outputs.
+    def submitters(self, online: set[int] | None) -> list[int]:
+        """The clients that send a ciphertext this round, in index order."""
+        if online is None:
+            online = range(self.definition.num_clients)
+        return sorted(i for i in online if i not in self.expelled)
 
-        Synchronous counterpart of the networked consensus stage in
-        :mod:`repro.net.node`: the rotation leader proposes the digest of
-        its own assembled output, every server votes only when that
-        digest matches the output *it* assembled from its own envelope
-        batches, and the round commits under the collected votes (all M
-        on the happy path, a majority when votes are withheld).  A
-        stalled/crashed leader (empty proposal list) advances the view to
-        the next server in rotation; an equivocating leader (conflicting
-        proposals) is convicted with a transferable proof and expelled
-        from the rotation on the spot.  Signing is deterministic, so a
-        fault-free exchange leaves every RNG stream — and therefore every
-        round output — bit-identical to a session without this layer.
+    def submit(self, r: int, envelopes: dict) -> list:
+        """Open round ``r`` on every engine and hand each its clients' ciphertexts.
+
+        ``envelopes`` maps each submitting client to its signed ciphertext;
+        a server's last one in lets it batch-verify and take inventory.
+        Returns the ``(server, effect)`` pairs :meth:`complete_round` routes.
         """
-        definition = self.definition
-        num_servers = definition.num_servers
-        group_id = definition.group_id()
-        epoch = len(self.convicted_servers)
-        excluded = set(self.convicted_servers)
-        view = 0
-        last_view = 2 * num_servers + 1
-        while view <= last_view:
-            try:
-                leader = leader_index(
-                    group_id, epoch, r, view, num_servers, excluded
-                )
-            except ProtocolError as exc:
-                raise ViewChangeTimeout(str(exc)) from exc
-            proposals = (
-                self.servers[leader].propose_round(outputs[leader], view=view)
-                or []
-            )
-            by_digest: dict[bytes, object] = {}
-            for envelope in proposals:
-                envelope.verify(definition.server_keys[leader])
-                _, digest = proposal_view_digest(envelope)
-                by_digest.setdefault(digest, envelope)
-            if len(by_digest) > 1:
-                first, second = list(by_digest.values())[:2]
-                proof = EquivocationProof(
-                    round_number=r,
-                    view=view,
-                    leader=leader,
-                    first=first,
-                    second=second,
-                )
-                proof.verify(definition)
-                self.equivocation_proofs.append(proof)
-                self.convicted_servers.add(leader)
-                excluded.add(leader)
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
+        # Engines convict from the proposals they see; a session restored
+        # from a checkpoint re-seeds their rotation from the archived proofs.
+        convicted = {proof.leader for proof in self.equivocation_proofs}
+        pending = []
+        for j, engine in enumerate(self.engines):
+            engine.convicted |= convicted
+            pending += [(j, e) for e in engine.begin_round(r, envelopes)]
+        for i, envelope in envelopes.items():
+            j = self.definition.upstream_server(i)
+            pending += [(j, e) for e in self.engines[j].deliver(envelope)]
+        return pending
+
+    def complete_round(self, r: int, pending: list, round_span) -> RoundRecord:
+        """Route effects between the engines until round ``r`` is decided.
+
+        The session plays network and coordinator at once: a broadcast is
+        delivered to every peer engine, the M inventory statuses gate the
+        commit-go (or abandon the round at the §3.7 floor), and the M
+        ``RoundDone`` reports are reduced to one record by
+        :func:`repro.consensus.adopt_round_evidence`.  Delivery is FIFO,
+        so phases complete in lockstep; when nothing is left to deliver
+        and servers still wait, the lowest-indexed armed view timer
+        expires — the only way time passes here.  Clients are not
+        touched: the caller applies the outcome.
+        """
+        engines = self.engines
+        num_servers = len(engines)
+        queue = collections.deque(pending)
+        statuses: dict[int, InventoryStatus] = {}
+        dones: dict[int, RoundDone] = {}
+        timers: dict[int, int] = {}
+        passed: collections.Counter = collections.Counter()
+        tracer = self.tracer
+        mark = tracer.clock() if tracer.enabled else 0.0
+        while len(dones) < num_servers:
+            if not queue:
+                if not timers:
+                    raise ProtocolError(
+                        f"round {r}: servers wait with nothing in flight"
+                    )
+                j = min(timers)
+                effects = engines[j].view_timer_expired(r, timers.pop(j))
+                queue.extend((j, effect) for effect in effects)
                 continue
-            if not by_digest:
-                # Crash/stall: nothing to vote on, rotate leadership.
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
-                continue
-            proposal = next(iter(by_digest.values()))
-            votes = []
-            for j, server in enumerate(self.servers):
-                vote = server.vote_on_proposal(proposal, outputs[j], view=view)
-                if vote is None:
-                    self.registry.counter("consensus.votes_rejected").inc()
-                    continue
-                votes.append((j, vote.signature))
-            if len(votes) < quorum_size(num_servers):
-                self.registry.counter("consensus.views_changed").inc()
-                view += 1
-                continue
-            certificate = RoundCertificate(
-                round_number=r,
-                view=view,
-                leader=leader,
-                digest=next(iter(by_digest)),
-                votes=tuple(votes),
-            )
-            certificate.verify(definition)
-            self.registry.counter("consensus.certs_formed").inc()
-            return certificate
-        raise ViewChangeTimeout(
-            f"round {r}: no certificate formed after {last_view + 1} views"
+            j, effect = queue.popleft()
+            match effect:
+                case Broadcast(envelope):
+                    for k, engine in enumerate(engines):
+                        if k != j and r in engine.rounds:
+                            queue.extend((k, e) for e in engine.deliver(envelope))
+                case InventoryStatus():
+                    statuses[j] = effect
+                    if len(statuses) < num_servers:
+                        continue
+                    if len({s.participation for s in statuses.values()}) != 1:
+                        raise ProtocolError(
+                            "servers disagree on the participation count"
+                        )
+                    if not all(s.ok for s in statuses.values()):
+                        # §3.7 hard timeout: abandon the round.
+                        for engine in engines:
+                            engine.abandon(r)
+                        return RoundRecord(
+                            round_number=r,
+                            status=RoundStatus.FAILED,
+                            participation=effect.participation,
+                            output=None,
+                        )
+                    for k, engine in enumerate(engines):
+                        queue.extend((k, e) for e in engine.commit_go(r))
+                case ArmTimer(view=view):
+                    timers[j] = view
+                case PhaseBoundary(phase=phase) if phase != "submit":
+                    # A phase ends for the session when its last server
+                    # passes it (the caller times build and submit itself).
+                    passed[phase] += 1
+                    if passed[phase] == num_servers and tracer.enabled:
+                        now = tracer.clock()
+                        tracer.record(
+                            "phase", mark, now, parent_id=round_span.span_id, name=phase
+                        )
+                        mark = now
+                case RoundDone():
+                    dones[j] = effect
+                    timers.pop(j, None)
+                case Fault(error=error):
+                    raise error
+        output = dones[0].output
+        if any(done.output != output for done in dones.values()):
+            raise ProtocolError("servers disagree on the combined cleartext")
+        certificate, convictions = adopt_round_evidence(
+            self.definition,
+            r,
+            output_body_digest(self.definition.group, output),
+            {j: done.certificate for j, done in dones.items()},
+            {j: done.proof for j, done in dones.items() if done.proof is not None},
+            self.convicted_servers,
+            self.registry,
+        )
+        for _reporter, proof in convictions:
+            self.convicted_servers.add(proof.leader)
+            self.equivocation_proofs.append(proof)
+        return RoundRecord(
+            round_number=r,
+            status=RoundStatus.COMPLETED,
+            participation=output.participation,
+            output=output,
+            # The shuffle-request field is outside the masked payload on
+            # purpose: it must stay readable even when the disruptor is
+            # corrupting the rest of the slot (§3.9).
+            shuffle_requested=any(done.shuffle_requested for done in dones.values()),
+            certificate=certificate,
         )
 
     def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:

@@ -569,14 +569,11 @@ def _ec25519_group() -> Group:
 
 
 #: Backend registry: every name a ``GroupDefinition`` or session builder
-#: may select.  The legacy descriptive names and the short backend ids
-#: from the policy surface (``modp1536`` / ``modp2048`` / ``ec25519``)
-#: resolve to the same cached instances, so alias mismatches cannot
-#: produce two distinct groups.
+#: may select — one name per group, the short backend ids of the policy
+#: surface (``modp1536`` / ``modp2048`` / ``ec25519``) plus the toy
+#: test groups.
 GROUP_FACTORIES = {
-    "production-2048": production_group,
     "modp2048": production_group,
-    "wide-1536": wide_group,
     "modp1536": wide_group,
     "test-256": testing_group,
     "test-512": medium_group,

@@ -30,6 +30,7 @@ mode.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import importlib
 import json
 import os
@@ -37,16 +38,18 @@ import random
 import sys
 import time
 
-from repro.consensus import (
-    EquivocationProof,
-    RoundCertificate,
-    leader_index,
-    output_body_digest,
-    proposal_view_digest,
-    quorum_size,
-)
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition
+from repro.core.engine import (
+    ArmTimer,
+    Broadcast,
+    Conviction,
+    Fault,
+    InventoryStatus,
+    PhaseBoundary,
+    RoundDone,
+    RoundEngine,
+)
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import (
@@ -55,7 +58,6 @@ from repro.errors import (
     FrameTooLarge,
     FrameTruncated,
     ProtocolError,
-    ViewChangeTimeout,
     WireDecodeError,
 )
 from repro.net.message import (
@@ -76,7 +78,6 @@ from repro.net.wire import (
     decode_int_list,
     decode_int_pairs,
     decode_routed,
-    decode_view_change_body,
     encode_certificate_body,
     encode_envelope,
     encode_equivocation_proof_body,
@@ -138,10 +139,6 @@ K_SHUTDOWN = "shutdown"
 #: out-of-order arrival is legitimate (a fast peer), unbounded buffering
 #: of unopened rounds is a memory hole.
 _MAX_EARLY_ENVELOPES = 1024
-
-#: Server-to-server control-plane envelopes: routed to the consensus
-#: stage instead of the phase-machine buckets.
-_CONSENSUS_TYPES = (LEADER_PROPOSE, SERVER_VOTE, VIEW_CHANGE)
 
 
 def _unpack_typed(body: bytes, spec: str, what: str) -> list:
@@ -485,68 +482,31 @@ class NodeRuntime:
         )
 
 
-class _NetRound:
-    """A server node's per-round message-collection state (internal)."""
+@dataclasses.dataclass
+class _RoundClock:
+    """One in-flight round's telemetry timestamps (never protocol state).
 
-    def __init__(self, round_number: int, expected: tuple[int, ...]) -> None:
-        self.round_number = round_number
-        self.expected = expected
-        self.ciphertexts: dict[int, SignedEnvelope] = {}
-        self.inventories: dict[int, SignedEnvelope] = {}
-        self.commits: dict[int, SignedEnvelope] = {}
-        self.reveals: dict[int, SignedEnvelope] = {}
-        self.signatures: dict[int, SignedEnvelope] = {}
-        self.inventory_made = False
-        self.inventory_digested = False
-        self.commit_go = False
-        self.committed = False
-        self.commitments_digested = False
-        self.revealed = False
-        self.combined = False
-        self.signed = False
-        # -- consensus stage (leader rotation + round certificate) ------
-        self.consensus_started = False
-        self.output = None
-        self.digest = b""
-        #: Rotation inputs snapshotted at consensus entry; ``excluded``
-        #: grows mid-round when an equivocation conviction lands.
-        self.epoch = 0
-        self.excluded: set[int] = set()
-        self.view = 0
-        self.entered_views: set[int] = set()
-        #: Consensus envelopes that raced our own verify phase; replayed
-        #: in arrival order once the digest is known.
-        self.pending_consensus: list[SignedEnvelope] = []
-        #: view -> sender -> digest -> proposal envelope (two digests from
-        #: one sender at one view is the equivocation evidence).
-        self.proposals: dict[int, dict[int, dict[bytes, SignedEnvelope]]] = {}
-        #: view -> sender -> vote signature, only for our own digest.
-        self.votes: dict[int, dict[int, object]] = {}
-        self.voted_views: set[int] = set()
-        self.view_changes_sent: set[int] = set()
-        self.convicted_now: set[int] = set()
-        #: Views where equivocation was proven: never certified, even if
-        #: the vote set fills afterwards — mirrors the in-process engine,
-        #: which always moves past the view that produced the proof.
-        self.poisoned_views: set[int] = set()
-        self.certificate = None
-        self.proof = None
-        self.timer = None
-        #: Telemetry timestamps (monotonic): round open and the last phase
-        #: boundary; metric-only — never consulted by the phase machine.
-        self.opened_at = 0.0
-        self.last_mark = 0.0
-        #: Distributed-trace state: the coordinator's context, this node's
-        #: round span id, and wall-clock phase boundaries (cross-process
-        #: comparable).  ``trace is None`` ⇒ tracing off for this round.
-        self.trace = None
-        self.span_id = 0
-        self.wall_opened = 0.0
-        self.wall_mark = 0.0
+    Monotonic ``opened_at``/``last_mark`` feed the ``span.*`` histograms;
+    the wall-clock pair and ``trace`` (the coordinator's context, None =
+    tracing off for this round) feed cross-process span records.
+    """
+
+    opened_at: float
+    last_mark: float
+    trace: TraceContext | None = None
+    span_id: int = 0
+    wall_opened: float = 0.0
+    wall_mark: float = 0.0
 
 
 class ServerNode(NodeRuntime):
-    """One anytrust server as a message-driven daemon."""
+    """One anytrust server as a message-driven daemon.
+
+    The round logic lives in :class:`~repro.core.engine.RoundEngine`; this
+    class is its I/O: frames in become engine inputs, engine effects
+    become frames out, ``loop.call_later`` view timers, telemetry marks,
+    flight events and checkpoints.
+    """
 
     role = "server"
 
@@ -562,19 +522,14 @@ class ServerNode(NodeRuntime):
         )
         self.server = server
         self.index = server.index
-        self._rounds: dict[int, _NetRound] = {}
+        self.engine = RoundEngine(server, self.registry)
+        self._clocks: dict[int, _RoundClock] = {}
+        #: round -> armed view timer handle.
+        self._timers: dict[int, asyncio.TimerHandle] = {}
         self._early: dict[int, list[SignedEnvelope]] = {}
         self._early_count = 0
-        #: Servers convicted of equivocation: excluded from the leader
-        #: rotation for the rest of the session (they keep contributing
-        #: DC-net pads, so round outputs stay identical).
-        self._convicted: set[int] = set()
         #: Live view-timeout tasks, referenced so the loop cannot GC them.
         self._timeout_tasks: set = set()
-        #: Rounds at or below this finished or were abandoned; stragglers
-        #: for them are dropped instead of buffered (they can never be
-        #: replayed, so buffering them would only leak the early budget).
-        self._completed_through = -1
         #: Health gauges: highest view entered and the last certified
         #: participation count (the live anonymity set).
         self._last_view = 0
@@ -592,18 +547,12 @@ class ServerNode(NodeRuntime):
             return None
         if kind == K_COMMIT_GO:
             (round_number,) = _unpack_typed(body, "i", "commit-go")
-            state = self._require_round(round_number)
-            state.commit_go = True
-            await self._advance(state)
+            await self._apply(self.engine.commit_go(round_number))
             return None
         if kind == K_ROUND_ABANDON:
             (round_number,) = _unpack_typed(body, "i", "round-abandon")
-            state = self._require_round(round_number)
-            self._cancel_timer(state)
-            self._close_trace(state, "abandoned")
-            self.server.abandon_round(round_number)
-            del self._rounds[round_number]
-            self._mark_completed(round_number)
+            self.engine.abandon(round_number)
+            self._close_round(round_number, "abandoned")
             self._flight_event("abandon", round=round_number)
             self._maybe_checkpoint()
             return b""
@@ -627,95 +576,83 @@ class ServerNode(NodeRuntime):
             return encode_envelope(self.group, envelope)
         return await super().handle(kind, body)
 
-    def _require_round(self, round_number: int) -> _NetRound:
-        state = self._rounds.get(round_number)
-        if state is None:
-            raise ProtocolError(
-                f"{self.name}: round {round_number} is not in progress"
-            )
-        return state
-
     async def _begin_round(self, round_number: int, submitters) -> None:
-        self.server.open_round(round_number)
-        expected = tuple(
-            i
-            for i in sorted(submitters)
-            if self.definition.upstream_server(i) == self.index
-        )
-        state = _NetRound(round_number, expected)
-        state.opened_at = state.last_mark = self._clock()
-        self._open_trace(state)
-        self._rounds[round_number] = state
+        effects = self.engine.begin_round(round_number, submitters)
+        if round_number in self.engine.rounds and round_number not in self._clocks:
+            now = self._clock()
+            clock = self._clocks[round_number] = _RoundClock(now, now)
+            # Continue the coordinator's trace for this round, if any.  The
+            # node's round span id is allocated *now* so phase records can
+            # parent to it as they happen; the round span itself is recorded
+            # once the round closes.  The forwarded context re-parents
+            # outbound envelopes onto this node's span.
+            context = TraceContext.from_bytes(self._inbound_trace)
+            if context is not None and self.tracer.enabled:
+                clock.trace = context
+                clock.span_id = self.tracer.allocate_id()
+                clock.wall_opened = clock.wall_mark = self.tracer.clock()
+                self._round_trace[round_number] = context.child(
+                    self.name, clock.span_id
+                ).to_bytes()
+        await self._apply(effects)
         for envelope in self._early.pop(round_number, []):
             self._early_count -= 1
             self.registry.counter("net.early.flushed").inc()
             # Arrived before the round opened: one-way latency relative to
             # round open clamps to zero.
             self.registry.histogram(f"net.arrival.{envelope.msg_type}").observe(0.0)
-            try:
-                self._store(state, envelope)
-            except DissentError as exc:
-                # One bad buffered envelope must not abort the round.
-                await self._report(exc)
-        await self._advance(state)
+            if round_number in self.engine.rounds:
+                await self._apply(self.engine.deliver(envelope))
 
-    def _open_trace(self, state: _NetRound) -> None:
-        """Continue the coordinator's trace for this round, if any.
+    def _close_round(self, round_number: int, status: str) -> None:
+        """Record this node's round span, drop the round's timer and telemetry
+        state, and count the round done — which purges its early buffers."""
+        self._cancel_timer(round_number)
+        clock = self._clocks.pop(round_number)
+        self._round_trace.pop(round_number, None)
+        if clock.trace is not None:
+            record = self.tracer.record(
+                "round",
+                clock.wall_opened,
+                self.tracer.clock(),
+                span_id=clock.span_id,
+                node=self.name,
+                trace_id=clock.trace.trace_id,
+                round=round_number,
+                parent_ref=clock.trace.span_ref,
+                status=status,
+            )
+            if record is not None:
+                self.flight.record_span(record)
+        self._mark_round_done(round_number)
+        for stale in [r for r in self._early if r < self.rounds_done]:
+            purged = len(self._early.pop(stale))
+            self._early_count -= purged
+            self.registry.counter("net.early.purged").inc(purged)
 
-        The node's round span id is allocated *now* so phase records can
-        parent to it as they happen; the round span itself is recorded
-        once the round closes (:meth:`_close_trace`).  The forwarded
-        context re-parents outbound envelopes onto this node's span.
-        """
-        context = TraceContext.from_bytes(self._inbound_trace)
-        if context is None or not self.tracer.enabled:
-            return
-        state.trace = context
-        state.span_id = self.tracer.allocate_id()
-        state.wall_opened = state.wall_mark = self.tracer.clock()
-        self._round_trace[state.round_number] = context.child(
-            self.name, state.span_id
-        ).to_bytes()
-
-    def _close_trace(self, state: _NetRound, status: str) -> None:
-        """Record this node's round span and drop the forwarded context."""
-        self._round_trace.pop(state.round_number, None)
-        if state.trace is None:
-            return
-        record = self.tracer.record(
-            "round",
-            state.wall_opened,
-            self.tracer.clock(),
-            span_id=state.span_id,
-            node=self.name,
-            trace_id=state.trace.trace_id,
-            round=state.round_number,
-            parent_ref=state.trace.span_ref,
-            status=status,
-        )
-        if record is not None:
-            self.flight.record_span(record)
-
-    def _mark_phase(self, state: _NetRound, phase: str) -> None:
+    def _mark_phase(self, round_number: int, phase: str) -> None:
         """Credit the time since the last boundary to ``phase``."""
+        clock = self._clocks.get(round_number)
+        if clock is None:
+            return  # an effect that outlived its round (timer vs. dispatch)
         now = self._clock()
         self.registry.histogram(f"span.phase.{phase}").observe(
-            now - state.last_mark
+            now - clock.last_mark
         )
-        state.last_mark = now
-        if state.trace is not None:
+        clock.last_mark = now
+        if clock.trace is not None:
             wall = self.tracer.clock()
             record = self.tracer.record(
                 "phase",
-                state.wall_mark,
+                clock.wall_mark,
                 wall,
-                parent_id=state.span_id,
+                parent_id=clock.span_id,
                 name=phase,
                 node=self.name,
-                trace_id=state.trace.trace_id,
-                round=state.round_number,
+                trace_id=clock.trace.trace_id,
+                round=round_number,
             )
-            state.wall_mark = wall
+            clock.wall_mark = wall
             if record is not None:
                 self.flight.record_span(record)
 
@@ -728,15 +665,19 @@ class ServerNode(NodeRuntime):
             SERVER_COMMIT,
             SERVER_REVEAL,
             SERVER_SIGNATURE,
-            *_CONSENSUS_TYPES,
+            LEADER_PROPOSE,
+            SERVER_VOTE,
+            VIEW_CHANGE,
         ):
             raise WireDecodeError(
                 f"{self.name}: unexpected envelope type {envelope.msg_type!r}"
             )
-        state = self._rounds.get(envelope.round_number)
-        if state is None:
-            if envelope.round_number <= self._completed_through:
-                # Straggler for a finished round: harmless, drop.
+        round_number = envelope.round_number
+        if round_number not in self.engine.rounds:
+            if round_number < self.rounds_done:
+                # Straggler for a finished or abandoned round: it can never
+                # be replayed, so buffering it would only leak the early
+                # budget.  Harmless, drop.
                 self.registry.counter("net.stragglers_dropped").inc()
                 return
             # Legitimate out-of-order arrival: a peer (or client) raced our
@@ -745,58 +686,17 @@ class ServerNode(NodeRuntime):
                 self.registry.counter("net.early.dropped").inc()
                 raise ProtocolError(
                     f"{self.name}: early-envelope buffer full, dropping "
-                    f"round {envelope.round_number} {envelope.msg_type}"
+                    f"round {round_number} {envelope.msg_type}"
                 )
-            self._early.setdefault(envelope.round_number, []).append(envelope)
+            self._early.setdefault(round_number, []).append(envelope)
             self._early_count += 1
             self.registry.counter("net.early.buffered").inc()
             self.registry.gauge("net.early.depth").set_max(self._early_count)
             return
         self.registry.histogram(f"net.arrival.{envelope.msg_type}").observe(
-            self._clock() - state.opened_at
+            self._clock() - self._clocks[round_number].opened_at
         )
-        if envelope.msg_type in _CONSENSUS_TYPES:
-            if not state.consensus_started:
-                # Raced our own verify phase; replayed at consensus entry.
-                state.pending_consensus.append(envelope)
-            else:
-                await self._process_consensus(state, envelope)
-            return
-        self._store(state, envelope)
-        await self._advance(state)
-
-    def _store(self, state: _NetRound, envelope: SignedEnvelope) -> None:
-        if envelope.msg_type in _CONSENSUS_TYPES:
-            # Early-buffer flush path: consensus cannot have started for a
-            # round that just opened, so queueing is always correct here.
-            state.pending_consensus.append(envelope)
-            return
-        if envelope.msg_type == CLIENT_CIPHERTEXT:
-            client_index = self.server._client_index(envelope.sender)
-            if client_index is None or client_index not in state.expected:
-                raise ProtocolError(
-                    f"{self.name}: unexpected ciphertext from {envelope.sender} "
-                    f"in round {state.round_number}"
-                )
-            state.ciphertexts.setdefault(client_index, envelope)
-            return
-        server_index = self.server._server_index(envelope.sender)
-        buckets = {
-            SERVER_INVENTORY: state.inventories,
-            SERVER_COMMIT: state.commits,
-            SERVER_REVEAL: state.reveals,
-            SERVER_SIGNATURE: state.signatures,
-        }
-        buckets[envelope.msg_type].setdefault(server_index, envelope)
-
-    def _mark_completed(self, round_number: int) -> None:
-        """Advance the straggler watermark and purge its early buffers."""
-        self._mark_round_done(round_number)
-        self._completed_through = max(self._completed_through, round_number)
-        for stale in [r for r in self._early if r <= self._completed_through]:
-            purged = len(self._early.pop(stale))
-            self._early_count -= purged
-            self.registry.counter("net.early.purged").inc(purged)
+        await self._apply(self.engine.deliver(envelope))
 
     def _snapshot_payload(self) -> dict:
         return {
@@ -805,7 +705,7 @@ class ServerNode(NodeRuntime):
             "rounds_done": self.rounds_done,
             "recv_count": self.recv_count,
             "generation": self.generation,
-            "convicted": sorted(self._convicted),
+            "convicted": sorted(self.engine.convicted),
             "state": encode_server_state(self.server),
         }
 
@@ -822,19 +722,19 @@ class ServerNode(NodeRuntime):
         # process re-accumulates its registry from zero, and the bumped
         # generation tells the coordinator which snapshot supersedes which.
         self.generation = int(payload.get("generation", 0)) + 1
-        self._convicted = {int(i) for i in payload.get("convicted", ())}
         # Checkpoints are cut at round barriers: anything at or below the
         # restored round count already finished, so replayed stragglers
         # for those rounds must drop instead of reopening state.
-        self._rounds = {}
+        self.engine.rounds.clear()
+        self.engine.convicted = {int(i) for i in payload.get("convicted", ())}
+        self._clocks = {}
         self._early = {}
         self._early_count = 0
-        self._completed_through = self.rounds_done - 1
 
     def health_snapshot(self) -> dict:
         health = super().health_snapshot()
         health.update(
-            inflight=len(self._rounds),
+            inflight=len(self.engine.rounds),
             view=self._last_view,
             anonymity_set=self._last_participation,
         )
@@ -873,408 +773,93 @@ class ServerNode(NodeRuntime):
             if status_server is not None:
                 status_server.close()
 
-    async def _broadcast_peers(self, envelope: SignedEnvelope) -> None:
-        for j in range(self.definition.num_servers):
-            if j != self.index:
-                await self._send_envelope(self.definition.server_name(j), envelope)
+    # -- applying engine effects -----------------------------------------
 
-    async def _advance(self, state: _NetRound) -> None:
-        """Run every phase whose gate is satisfied (in order, repeatedly).
+    async def _apply(self, effects: list) -> None:
+        """Carry out what the engine asked for, in order."""
+        for effect in effects:
+            match effect:
+                case Broadcast(envelope):
+                    for j in range(self.definition.num_servers):
+                        if j != self.index:
+                            await self._send_envelope(
+                                self.definition.server_name(j), envelope
+                            )
+                case PhaseBoundary(round_number, phase):
+                    self._mark_phase(round_number, phase)
+                case InventoryStatus(round_number, participation, ok):
+                    self._last_participation = participation
+                    await self._send(
+                        COORDINATOR,
+                        K_INVENTORY_STATUS,
+                        0,
+                        pack_fields(round_number, participation, 1 if ok else 0),
+                    )
+                case ArmTimer(round_number, view):
+                    self._arm_timer(round_number, view)
+                case Conviction(round_number, view, leader):
+                    self._flight_event(
+                        "equivocation", round=round_number, view=view, leader=leader
+                    )
+                case RoundDone():
+                    await self._finish_round(effect)
+                case Fault(error):
+                    await self._report(error)
 
-        Each transition mirrors one orchestrated call of the in-process
-        :class:`~repro.core.session.DissentSession.run_round`, so the
-        phase machine's outputs are bit-identical — only the trigger
-        changed from a method call to message arrival.
-        """
-        num_servers = self.definition.num_servers
-        progress = True
-        while progress and state.round_number in self._rounds:
-            progress = False
-            if not state.inventory_made and all(
-                i in state.ciphertexts for i in state.expected
-            ):
-                batch = [state.ciphertexts[i] for i in state.expected]
-                if batch:
-                    self.server.accept_ciphertexts(batch)
-                own = self.server.make_inventory(state.round_number)
-                state.inventories[self.index] = own
-                state.inventory_made = True
-                self._mark_phase(state, "submit")
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.inventory_made
-                and not state.inventory_digested
-                and len(state.inventories) == num_servers
-            ):
-                ordered = [state.inventories[j] for j in range(num_servers)]
-                participation = self.server.receive_inventories(ordered)
-                ok = self.server.participation_ok()
-                self._last_participation = participation
-                state.inventory_digested = True
-                self._mark_phase(state, "inventory")
-                await self._send(
-                    COORDINATOR,
-                    K_INVENTORY_STATUS,
-                    0,
-                    pack_fields(state.round_number, participation, 1 if ok else 0),
-                )
-                progress = True
-            if state.commit_go and state.inventory_digested and not state.committed:
-                own = self.server.compute_ciphertext(state.round_number)
-                state.commits[self.index] = own
-                state.committed = True
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.committed
-                and not state.commitments_digested
-                and len(state.commits) == num_servers
-            ):
-                ordered = [state.commits[j] for j in range(num_servers)]
-                self.server.receive_commitments(ordered)
-                state.commitments_digested = True
-                self._mark_phase(state, "commit")
-                own = self.server.reveal_ciphertext(state.round_number)
-                state.reveals[self.index] = own
-                state.revealed = True
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.revealed
-                and not state.combined
-                and len(state.reveals) == num_servers
-            ):
-                ordered = [state.reveals[j] for j in range(num_servers)]
-                self.server.receive_reveals(ordered)
-                state.combined = True
-                self._mark_phase(state, "reveal")
-                own = self.server.signature_envelope(state.round_number)
-                state.signatures[self.index] = own
-                state.signed = True
-                await self._broadcast_peers(own)
-                progress = True
-            if (
-                state.signed
-                and not state.consensus_started
-                and len(state.signatures) == num_servers
-                and state.round_number in self._rounds
-            ):
-                ordered = [state.signatures[j] for j in range(num_servers)]
-                output = self.server.receive_signature_envelopes(ordered)
-                self._mark_phase(state, "verify")
-                await self._enter_consensus(state, output)
-                progress = True
+    def _cancel_timer(self, round_number: int) -> None:
+        timer = self._timers.pop(round_number, None)
+        if timer is not None:
+            timer.cancel()
 
-    # -- consensus stage (leader rotation + round certificate) ----------
-
-    async def _enter_consensus(self, state: _NetRound, output) -> None:
-        """Open the certificate exchange once our own output is assembled.
-
-        The rotation epoch and exclusion set are snapshotted here — the
-        same instant the in-process engine samples them — so both
-        runtimes compute identical leader schedules.
-        """
-        state.output = output
-        state.digest = output_body_digest(self.group, output)
-        state.epoch = len(self._convicted)
-        state.excluded = set(self._convicted)
-        state.consensus_started = True
-        await self._enter_view(state, 0)
-        pending, state.pending_consensus = state.pending_consensus, []
-        for envelope in pending:
-            if state.round_number not in self._rounds:
-                break
-            try:
-                await self._process_consensus(state, envelope)
-            except DissentError as exc:
-                # One bad buffered envelope must not abort the round.
-                await self._report(exc)
-
-    def _leader_for(self, state: _NetRound, view: int) -> int:
-        """Rotation leader for ``view`` — recomputed, never cached, so a
-        mid-round conviction immediately redirects pending views."""
-        return leader_index(
-            self.definition.group_id(),
-            state.epoch,
-            state.round_number,
-            view,
-            self.definition.num_servers,
-            state.excluded,
-        )
-
-    def _consensus_timeout(self) -> float:
+    def _arm_timer(self, round_number: int, view: int) -> None:
         """View timer: the retry budget, capped by the barrier knob."""
-        return min(self.retry.budget(), self.definition.policy.barrier_timeout)
-
-    def _cancel_timer(self, state: _NetRound) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-
-    def _arm_timer(self, state: _NetRound, view: int) -> None:
-        self._cancel_timer(state)
-        loop = asyncio.get_running_loop()
-        state.timer = loop.call_later(
-            self._consensus_timeout(),
+        self._cancel_timer(round_number)
+        self._last_view = max(self._last_view, view)
+        if view > 0:
+            self._flight_event("view_change", round=round_number, view=view)
+        self._timers[round_number] = asyncio.get_running_loop().call_later(
+            min(self.retry.budget(), self.definition.policy.barrier_timeout),
             self._view_timer_fired,
-            state.round_number,
+            round_number,
             view,
         )
 
     def _view_timer_fired(self, round_number: int, view: int) -> None:
-        task = asyncio.ensure_future(self._on_view_timeout(round_number, view))
+        task = asyncio.ensure_future(
+            self._apply(self.engine.view_timer_expired(round_number, view))
+        )
         self._timeout_tasks.add(task)
         task.add_done_callback(self._timeout_tasks.discard)
 
-    async def _on_view_timeout(self, round_number: int, view: int) -> None:
-        """Barrier timer expiry: cut a majority certificate or rotate."""
-        state = self._rounds.get(round_number)
-        if (
-            state is None
-            or not state.consensus_started
-            or state.certificate is not None
-            or state.view != view
-        ):
-            return
-        try:
-            votes = state.votes.get(view, {})
-            if view not in state.poisoned_views and len(votes) >= quorum_size(
-                self.definition.num_servers
-            ):
-                # Withheld votes cannot halt the session: commit on the
-                # majority we have; the absent signatures name the holdout.
-                # If deferred authentication rejects enough votes to lose
-                # the quorum, fall through to the view change instead.
-                if await self._certify(state, view):
-                    return
-            if view + 1 > 2 * self.definition.num_servers + 1:
-                raise ViewChangeTimeout(
-                    f"round {round_number}: no certificate formed after "
-                    f"{view + 1} views"
-                )
-            envelope = self.server.view_change_envelope(
-                round_number, view + 1, reason="timeout"
-            )
-            state.view_changes_sent.add(view + 1)
-            await self._broadcast_peers(envelope)
-            await self._enter_view(state, view + 1)
-        except DissentError as exc:
-            await self._report(exc)
-
-    async def _enter_view(self, state: _NetRound, view: int) -> None:
-        """Adopt ``view``: start its timer, propose if we lead, vote."""
-        if state.certificate is not None or view in state.entered_views:
-            return
-        state.entered_views.add(view)
-        state.view = max(state.view, view)
-        self._last_view = max(self._last_view, view)
-        if view > 0:
-            self.registry.counter("consensus.views_changed").inc()
-            self._flight_event(
-                "view_change", round=state.round_number, view=view
-            )
-        leader = self._leader_for(state, view)
-        self._arm_timer(state, view)
-        if leader == self.index:
-            proposals = self.server.propose_round(state.output, view=view) or []
-            for envelope in proposals:
-                await self._broadcast_peers(envelope)
-            for envelope in proposals:
-                if state.round_number not in self._rounds:
-                    return
-                await self._handle_propose(state, envelope)
-        if state.round_number in self._rounds:
-            await self._maybe_vote(state, view)
-
-    async def _process_consensus(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        if envelope.msg_type == LEADER_PROPOSE:
-            await self._handle_propose(state, envelope)
-        elif envelope.msg_type == SERVER_VOTE:
-            await self._handle_vote(state, envelope)
-        else:
-            await self._handle_view_change(state, envelope)
-
-    async def _handle_propose(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        sender = self.definition.server_index_of(envelope.sender)
-        if sender != self.index:
-            envelope.verify(self.definition.server_keys[sender])
-        view, digest = proposal_view_digest(envelope)
-        bucket = state.proposals.setdefault(view, {}).setdefault(sender, {})
-        if digest in bucket:
-            return
-        bucket[digest] = envelope
-        if len(bucket) > 1 and sender not in state.convicted_now:
-            await self._convict(state, view, sender, bucket)
-            return
-        if view > state.view and state.certificate is None:
-            # A validly-signed proposal from the rotation leader of a
-            # later view is itself evidence the view moved on; adopting
-            # early is safe because votes only endorse our own digest.
-            if sender == self._leader_for(state, view):
-                await self._enter_view(state, view)
-            return
-        await self._maybe_vote(state, view)
-
-    async def _maybe_vote(self, state: _NetRound, view: int) -> None:
-        """Vote once per view, only on the rotation leader's proposal."""
-        if (
-            view != state.view
-            or view in state.voted_views
-            or state.certificate is not None
-        ):
-            return
-        leader = self._leader_for(state, view)
-        bucket = state.proposals.get(view, {}).get(leader, {})
-        if len(bucket) != 1:
-            return
-        proposal = next(iter(bucket.values()))
-        state.voted_views.add(view)
-        vote = self.server.vote_on_proposal(proposal, state.output, view=view)
-        if vote is None:
-            self.registry.counter("consensus.votes_rejected").inc()
-            return
-        await self._broadcast_peers(vote)
-        await self._record_vote(state, self.index, view, vote.signature)
-
-    async def _handle_vote(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        # Signature verification is deferred: votes are batch-verified
-        # once at certificate assembly (_certify), which costs a single
-        # multi-exponentiation instead of one exp per arriving vote.
-        sender = self.definition.server_index_of(envelope.sender)
-        view, digest = proposal_view_digest(envelope)
-        if digest != state.digest:
-            self.registry.counter("consensus.votes_rejected").inc()
-            return
-        await self._record_vote(state, sender, view, envelope.signature)
-
-    async def _record_vote(
-        self, state: _NetRound, sender: int, view: int, signature
-    ) -> None:
-        if state.certificate is not None:
-            return
-        bucket = state.votes.setdefault(view, {})
-        bucket.setdefault(sender, signature)
-        if (
-            len(bucket) == self.definition.num_servers
-            and view not in state.poisoned_views
-        ):
-            await self._certify(state, view)
-
-    async def _handle_view_change(
-        self, state: _NetRound, envelope: SignedEnvelope
-    ) -> None:
-        sender = self.definition.server_index_of(envelope.sender)
-        envelope.verify(self.definition.server_keys[sender])
-        new_view, _reason = decode_view_change_body(envelope.body)
-        if state.certificate is not None or new_view <= state.view:
-            return
-        if new_view not in state.view_changes_sent:
-            # Relay our own adoption once so a peer whose timer never
-            # fires (or whose link dropped the original) still converges.
-            state.view_changes_sent.add(new_view)
-            own = self.server.view_change_envelope(
-                state.round_number, new_view, reason="adopt"
-            )
-            await self._broadcast_peers(own)
-        await self._enter_view(state, new_view)
-
-    async def _convict(
-        self, state: _NetRound, view: int, sender: int, bucket: dict
-    ) -> None:
-        """Two conflicting proposals: build the transferable proof,
-        expel the leader from the rotation, and relay the evidence."""
-        first, second = list(bucket.values())[:2]
-        proof = EquivocationProof(
-            round_number=state.round_number,
-            view=view,
-            leader=sender,
-            first=first,
-            second=second,
-        )
-        proof.verify(self.definition)
-        state.convicted_now.add(sender)
-        state.poisoned_views.add(view)
-        self._convicted.add(sender)
-        state.excluded.add(sender)
-        self._flight_event(
-            "equivocation", round=state.round_number, view=view, leader=sender
-        )
-        if state.proof is None:
-            state.proof = proof
-        # Relay both signed proposals: every peer convicts from the same
-        # evidence, so the exclusion set converges without a vote.
-        await self._broadcast_peers(first)
-        await self._broadcast_peers(second)
-        if state.certificate is None and view >= state.view:
-            await self._enter_view(state, max(state.view, view) + 1)
-        elif state.certificate is None:
-            # Conviction for an old view while we are ahead: the exclusion
-            # set changed, so re-evaluate the current view's leadership.
-            await self._maybe_vote(state, state.view)
-
-    async def _certify(self, state: _NetRound, view: int) -> bool:
-        """Assemble the quorum certificate and finish the round.
-
-        Vote signatures are recorded unverified (a voter needs no
-        signature to know the output it computed itself) and the
-        coordinator authenticates the one certificate it adopts, so the
-        happy path spends zero verification exponentiations here.
-        Returns False without committing if the vote set fell short — the
-        armed view timer (or the caller's fallthrough) then rotates.
-        """
-        recorded = state.votes.get(view, {})
-        if len(recorded) < quorum_size(self.definition.num_servers):
-            return False
-        votes = tuple(sorted(recorded.items()))
-        state.certificate = RoundCertificate(
-            round_number=state.round_number,
-            view=view,
-            leader=self._leader_for(state, view),
-            digest=state.digest,
-            votes=votes,
-        )
-        self._cancel_timer(state)
-        self.registry.counter("consensus.certs_formed").inc()
-        self._mark_phase(state, "certify")
-        output = state.output
-        contents = self.server.finish_round(output)
-        shuffle_requested = any(c.shuffle_request for c in contents)
-        out_envelope = self.server.output_envelope(output)
+    async def _finish_round(self, done: RoundDone) -> None:
+        """Push the certified output to our clients and report the round."""
+        round_number = done.round_number
+        out_envelope = self.server.output_envelope(done.output)
         for i in range(self.definition.num_clients):
             if self.definition.upstream_server(i) == self.index:
                 await self._send_envelope(
                     self.definition.client_name(i), out_envelope
                 )
-        self._mark_phase(state, "output")
+        self._mark_phase(round_number, "output")
         self.registry.histogram("span.round").observe(
-            self._clock() - state.opened_at
+            self._clock() - self._clocks[round_number].opened_at
         )
-        self._close_trace(state, "certified")
-        del self._rounds[state.round_number]
-        self._mark_completed(state.round_number)
+        self._close_round(round_number, "certified")
         self._maybe_checkpoint()
         await self._send(
             COORDINATOR,
             K_ROUND_DONE,
             0,
             pack_fields(
-                state.round_number,
-                1 if shuffle_requested else 0,
-                encode_round_output_body(self.group, output),
-                encode_certificate_body(self.group, state.certificate),
-                encode_equivocation_proof_body(self.group, state.proof)
-                if state.proof is not None
+                round_number,
+                1 if done.shuffle_requested else 0,
+                encode_round_output_body(self.group, done.output),
+                encode_certificate_body(self.group, done.certificate),
+                encode_equivocation_proof_body(self.group, done.proof)
+                if done.proof is not None
                 else b"",
             ),
         )
-        return True
 
 
 class ClientNode(NodeRuntime):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -61,7 +60,7 @@ from repro.core.keyshuffle import (
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
-from repro.consensus.certificate import find_invalid_votes
+from repro.consensus import adopt_round_evidence
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import message_vector_width
 from repro.errors import (
@@ -69,8 +68,6 @@ from repro.errors import (
     ConnectionClosed,
     DissentError,
     GroupBackendMismatch,
-    InvalidProof,
-    InvalidSignature,
     PeerUnreachable,
     ProtocolError,
     SessionTimeout,
@@ -1313,8 +1310,39 @@ class NetworkedSession:
                 )
             blob = output_blobs.pop()
             output = decode_round_output_body(definition.group, blob)
-            certificate = self._adopt_certificate(r, blob, certificates)
-            self._adopt_proofs(r, proofs)
+            certificate, convictions = adopt_round_evidence(
+                definition,
+                r,
+                hashlib.sha256(blob).digest(),
+                certificates,
+                proofs,
+                self.convicted_servers,
+                self.registry,
+            )
+            if certificate.view > 0:
+                if self.audit is not None:
+                    self.audit.append(
+                        "view_change",
+                        round=r,
+                        views=certificate.view,
+                        leader=certificate.leader,
+                        votes=len(certificate.votes),
+                    )
+                self._flight_event("view_change", round=r, views=certificate.view)
+            for reporter, proof in convictions:
+                self.convicted_servers.add(proof.leader)
+                self.equivocation_proofs.append(proof)
+                if self.audit is not None:
+                    self.audit.append(
+                        "equivocation",
+                        round=proof.round_number,
+                        view=proof.view,
+                        leader=proof.leader,
+                        reported_by=reporter,
+                    )
+                self._flight_event(
+                    "equivocation", round=proof.round_number, leader=proof.leader
+                )
 
             record = RoundRecord(
                 round_number=r,
@@ -1331,107 +1359,6 @@ class NetworkedSession:
         if shuffle_requested:
             self.registry.counter("session.shuffle_requests").inc()
         return record
-
-    def _adopt_certificate(self, r: int, blob: bytes, certificates: dict):
-        """Pick, verify, and archive one round certificate.
-
-        Servers may legitimately report different-but-valid certificates
-        for one round (a full one and a majority one cut at the barrier
-        timer); the coordinator tries candidates strongest-first — most
-        votes, then lowest view, then lowest reporting server — and
-        adopts the first that verifies against the group definition and
-        certifies exactly the output blob every server agreed on.  A
-        candidate carrying forged votes is repaired by stripping them;
-        if no quorum survives, the next candidate is tried.
-        """
-        if not certificates:
-            raise ProtocolError(f"round {r}: no server reported a certificate")
-        expected = hashlib.sha256(blob).digest()
-        candidates = sorted(
-            certificates.items(),
-            key=lambda item: (-len(item[1].votes), item[1].view, item[0]),
-        )
-        certificate = None
-        failure: DissentError | None = None
-        for sender, candidate in candidates:
-            if candidate.round_number != r:
-                failure = ProtocolError(
-                    f"round {r}: server {sender} certified round "
-                    f"{candidate.round_number}"
-                )
-                continue
-            if candidate.digest != expected:
-                failure = ProtocolError(
-                    f"round {r}: certificate digest does not match the "
-                    "round output"
-                )
-                continue
-            # Nodes record vote signatures unverified (the voter already
-            # knows its own output); the coordinator authenticates the
-            # one certificate the session adopts.  A forged vote is
-            # stripped here — the honest quorum underneath still commits
-            # the round, so vote forgery cannot halt the session.
-            bad = find_invalid_votes(
-                self.definition,
-                candidate.round_number,
-                candidate.view,
-                candidate.digest,
-                dict(candidate.votes),
-            )
-            if bad:
-                self.registry.counter("session.votes_stripped").inc(len(bad))
-                candidate = dataclasses.replace(
-                    candidate,
-                    votes=tuple(
-                        (j, s) for j, s in candidate.votes if j not in bad
-                    ),
-                )
-            try:
-                candidate.verify(self.definition)
-            except (InvalidProof, InvalidSignature) as exc:
-                failure = exc
-                continue
-            certificate = candidate
-            break
-        if certificate is None:
-            assert failure is not None
-            raise failure
-        if certificate.view > 0:
-            self.registry.counter("session.view_changes_committed").inc()
-            if self.audit is not None:
-                self.audit.append(
-                    "view_change",
-                    round=r,
-                    views=certificate.view,
-                    leader=certificate.leader,
-                    votes=len(certificate.votes),
-                )
-            self._flight_event(
-                "view_change", round=r, views=certificate.view
-            )
-        return certificate
-
-    def _adopt_proofs(self, r: int, proofs: dict) -> None:
-        """Verify reported equivocation proofs and convict their leaders."""
-        for sender in sorted(proofs):
-            proof = proofs[sender]
-            if proof.leader in self.convicted_servers:
-                continue
-            proof.verify(self.definition)
-            self.convicted_servers.add(proof.leader)
-            self.equivocation_proofs.append(proof)
-            self.registry.counter("session.servers_convicted").inc()
-            if self.audit is not None:
-                self.audit.append(
-                    "equivocation",
-                    round=proof.round_number,
-                    view=proof.view,
-                    leader=proof.leader,
-                    reported_by=sender,
-                )
-            self._flight_event(
-                "equivocation", round=proof.round_number, leader=proof.leader
-            )
 
     async def _abandon_round_async(self, r: int, reason: str) -> RoundRecord:
         """Give up on a wedged round (§3.7) instead of hanging the group.

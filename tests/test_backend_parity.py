@@ -27,6 +27,7 @@ from repro.crypto.groups import (
     GROUP_FACTORIES,
     default_group_name,
     group_by_name,
+    production_group,
     resolve_group_name,
     wide_group,
 )
@@ -59,9 +60,9 @@ def brng():
 
 
 class TestBackendRegistry:
-    def test_aliases_share_instances(self):
-        assert group_by_name("modp1536") is group_by_name("wide-1536")
-        assert group_by_name("modp2048") is group_by_name("production-2048")
+    def test_names_resolve_to_cached_instances(self):
+        assert group_by_name("modp1536") is wide_group()
+        assert group_by_name("modp2048") is production_group()
         assert group_by_name("ec25519") is ec_group()
 
     def test_backend_names_and_widths(self):
@@ -106,9 +107,9 @@ class TestBackendRegistry:
             make_group_definition(
                 "test-256", keys[:1], keys[1:], Policy(group_backend="ec25519")
             )
-        # Aliases of the same group are consistent, not a mismatch.
+        # A policy naming the definition's own backend is consistent.
         definition = make_group_definition(
-            "wide-1536",
+            "modp1536",
             [PrivateKey.generate(wide_group(), brng).public],
             [PrivateKey.generate(wide_group(), brng).public],
             Policy(group_backend="modp1536"),

@@ -8,6 +8,7 @@ modes: crash/stall (view timer rotates leadership), equivocation
 certificate whose absent signature names the withholder).
 """
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -27,6 +28,7 @@ from repro.consensus import (
 from repro.core.adversary import (
     EquivocatingLeader,
     StallingLeader,
+    VoteForgingServer,
     VoteWithholdingServer,
 )
 from repro.core.config import Policy
@@ -68,6 +70,50 @@ def networked(**kwargs):
     kwargs.setdefault("policy", fast_policy())
     kwargs.setdefault("timeout", 30.0)
     return NetworkedSession.build(**kwargs)
+
+
+@contextlib.contextmanager
+def driver_session(driver, server_factories=None):
+    """The same group (keys, policy, node seeds) under any driver.
+
+    ``"inprocess"`` mirrors ``NetworkedSession.build``'s RNG draws with
+    the fast-view policy, so certificates and proofs are comparable
+    byte for byte with the ``"loopback"`` / ``"tcp"`` runs.
+    """
+    if driver != "inprocess":
+        with networked(mode=driver, server_factories=server_factories) as session:
+            yield session
+        return
+    session = build_matched_inprocess(
+        group_name=None,
+        num_clients=N_CLIENTS,
+        seed=SEED,
+        server_factories=server_factories,
+        policy=fast_policy(),
+    )
+    session.enable_telemetry()
+    yield session
+
+
+CONTROL_COUNTERS = (
+    "session.votes_stripped",
+    "session.servers_convicted",
+    "session.view_changes_committed",
+)
+
+
+def control_plane(session, records):
+    """Everything the control plane decided, in driver-independent form."""
+    counters = session.metrics()["counters"]
+    return SimpleNamespace(
+        certificates=[
+            (r.certificate.view, r.certificate.leader, r.certificate.voters)
+            for r in records
+        ],
+        proofs=list(session.equivocation_proofs),
+        convicted=sorted(session.convicted_servers),
+        counters={name: counters.get(name, 0) for name in CONTROL_COUNTERS},
+    )
 
 
 def drive(session, rounds=ROUNDS):
@@ -418,7 +464,47 @@ class TestNetworkedFaults:
             cert.verify(baseline.definition)
 
 
+class TestVoteForging:
+    @pytest.mark.parametrize("driver", ["inprocess", "loopback"])
+    def test_forged_vote_is_stripped_and_the_round_commits(self, driver, baseline):
+        """A vote with a bad signature must cost the session nothing, in
+        any driver: the coordinator strips it and commits on the honest
+        quorum (the parent's in-process driver died with InvalidSignature)."""
+        forger = 1
+        with driver_session(driver, {forger: (VoteForgingServer, {})}) as session:
+            records, delivered = drive(session, rounds=1)
+            plane = control_plane(session, records)
+        assert records == baseline.records[:1]
+        [certificate] = [r.certificate for r in records]
+        certificate.verify(baseline.definition)
+        assert certificate.voters == tuple(
+            j for j in range(N_SERVERS) if j != forger
+        )
+        assert plane.counters["session.votes_stripped"] == 1
+
+
 class TestCrossModeParity:
+    @pytest.mark.parametrize(
+        "adversary",
+        [EquivocatingLeader, StallingLeader, VoteWithholdingServer, VoteForgingServer],
+    )
+    def test_adversaries_decide_identically_inprocess_and_loopback(
+        self, adversary, baseline
+    ):
+        """One engine under both drivers: the same certificates, proofs,
+        convictions and control-plane counters, whoever misbehaves."""
+        factories = {round0_leader(baseline.definition): (adversary, {})}
+        planes = {}
+        for driver in ("inprocess", "loopback"):
+            with driver_session(driver, factories) as session:
+                records, delivered = drive(session)
+                planes[driver] = control_plane(session, records)
+            assert records == baseline.records
+            assert delivered == baseline.delivered
+        assert planes["inprocess"] == planes["loopback"]
+        for proof in planes["inprocess"].proofs:
+            proof.verify(baseline.definition)
+
     @pytest.mark.parametrize("mode", ["loopback", "tcp"])
     def test_no_fault_certificates_match_inprocess(self, mode):
         # group_name=None on both sides: the DISSENT_GROUP_BACKEND matrix

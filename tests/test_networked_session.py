@@ -30,12 +30,13 @@ def build_matched_inprocess(
     seed=0,
     server_factories=None,
     client_factories=None,
+    policy=None,
 ):
     """A DissentSession whose RNG draws mirror NetworkedSession.build."""
     server_factories = server_factories or {}
     client_factories = client_factories or {}
     rng = random.Random(seed)
-    built = build_keys(group_name, num_servers, num_clients, None, rng)
+    built = build_keys(group_name, num_servers, num_clients, policy, rng)
     servers = []
     for j, key in enumerate(built.server_keys):
         cls, kwargs = server_factories.get(j, (DissentServer, {}))

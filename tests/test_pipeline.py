@@ -5,7 +5,7 @@ Every test builds two sessions from the same seed, drives one with
 :class:`PipelinedSession` at various window sizes, and asserts that every
 observable — certified outputs byte for byte, signatures, round records,
 delivered messages, accusation verdicts, expulsions, client queues — is
-identical.  Drains (schedule changes, disruption, §3.7 failures,
+identical, quorum certificates included.  Drains (schedule changes, disruption, §3.7 failures,
 accusation shuffles) are exercised *mid-window* so speculation rollback
 is covered, not just the happy path.
 """
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core import DissentSession, PhaseLatency, PipelinedSession, Policy
-from repro.core.adversary import DisruptorClient
+from repro.core.adversary import DisruptorClient, StallingLeader
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
@@ -24,9 +24,19 @@ from repro.errors import ProtocolError
 WINDOWS = (1, 2, 4, 8)
 
 
-def _clean_session(seed=11, num_servers=3, num_clients=6, policy=None, messages=4):
+def _clean_session(
+    seed=11, num_servers=3, num_clients=6, policy=None, messages=4, stalling=None
+):
+    def server_factory(definition, index, key, rng):
+        cls = StallingLeader if index == stalling else DissentServer
+        return cls(definition, index, key, rng)
+
     session = DissentSession.build(
-        num_servers=num_servers, num_clients=num_clients, seed=seed, policy=policy
+        num_servers=num_servers,
+        num_clients=num_clients,
+        seed=seed,
+        policy=policy,
+        server_factory=server_factory,
     )
     session.setup()
     for i in range(num_clients):
@@ -60,6 +70,9 @@ def _assert_identical(lock, lock_records, pipe_session, pipe_records):
         assert a.status == b.status
         assert a.participation == b.participation
         assert a.shuffle_requested == b.shuffle_requested
+        # Deterministic signing: the quorum certificates are equal, not
+        # merely both valid (and both None for a failed round).
+        assert a.certificate == b.certificate
         if a.output is None:
             assert b.output is None
         else:
@@ -86,6 +99,20 @@ class TestBitIdenticalOutputs:
         # sizes above must have seen at least one schedule-change drain.
         if window > 1:
             assert pipe.counters.drains >= 1
+
+    def test_stalling_leader_view_changes_identical(self):
+        """The view change runs inside the pipeline exactly as in lockstep:
+        whenever the staller leads, both drivers certify at view 1."""
+        lock = _clean_session(stalling=1)
+        lock_records = lock.run_rounds(8)
+        views = [r.certificate.view for r in lock_records]
+        assert 1 in views and 0 in views
+        pipe_session = _clean_session(stalling=1)
+        pipe_records = PipelinedSession(pipe_session, window=4).run_rounds(8)
+        _assert_identical(lock, lock_records, pipe_session, pipe_records)
+        for record in pipe_records:
+            record.certificate.verify(pipe_session.definition)
+            assert record.certificate.leader != 1
 
     @pytest.mark.parametrize("window", (2, 4))
     def test_without_prefetcher_still_identical(self, window):
