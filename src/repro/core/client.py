@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from repro.core.accusation import Accusation, make_accusation
 from repro.core.config import GroupDefinition
 from repro.core.rounds import RoundOutput, output_digest
-from repro.core.schedule import Scheduler, SlotContent, encode_slot
+from repro.core.schedule import (
+    LENGTH_FIELD_BYTES,
+    Scheduler,
+    SlotContent,
+    encode_slot,
+)
 from repro.crypto import dh, prng, shuffle
 from repro.crypto.groups import hot_bases_within_budget
 from repro.crypto.keys import PrivateKey
@@ -45,6 +50,9 @@ from repro.util.bytesops import get_bit, set_bit, xor_many
 
 #: In-slot message framing: 2-byte length prefix per message, zero sentinel.
 _FRAME_LEN_BYTES = 2
+
+#: Largest capacity a slot header's length field can request for next round.
+_MAX_REQUESTABLE_CAPACITY = (1 << (8 * LENGTH_FIELD_BYTES)) - 1
 
 
 def frame_messages(messages: list[bytes], capacity: int) -> tuple[bytes, list[bytes]]:
@@ -249,9 +257,19 @@ class DissentClient:
         """Queue an anonymous message for transmission in our slot."""
         if not message:
             raise ProtocolError("cannot queue an empty message")
-        if len(message) > self.policy.max_slot_payload - _FRAME_LEN_BYTES:
+        # A message travels in one slot, so the slot must be requestable:
+        # admitting more would wedge the outbox (every later round fails
+        # to encode the capacity wish and the message never leaves).
+        limit = (
+            min(self.policy.max_slot_payload, _MAX_REQUESTABLE_CAPACITY)
+            - _FRAME_LEN_BYTES
+        )
+        if len(message) > limit:
             raise ProtocolError(
-                f"message of {len(message)} bytes exceeds the slot payload cap"
+                f"message of {len(message)} bytes exceeds the largest "
+                f"encodable message ({limit} bytes: slot payload cap "
+                f"{self.policy.max_slot_payload}, {LENGTH_FIELD_BYTES}-byte "
+                f"slot length field)"
             )
         self.outbox.append(message)
 

@@ -59,11 +59,14 @@ def encrypt(key: PublicKey, message_element: int, r: int | None = None) -> Ciphe
     group.require_element(message_element, "plaintext element")
     if r is None:
         r = group.random_scalar()
-    # The generator's fixed-base table always pays off; the public key may
-    # be transient (fresh per-shuffle session keys), so it stays on plain
-    # pow — callers that encrypt many times under one long-lived key (the
-    # verdict DC-net) use group.exp_fixed on it directly.
-    return Ciphertext(group.exp_g(r), group.mul(message_element, group.exp(key.y, r)))
+    # Both bases recur: the generator always, and the key because every
+    # caller encrypts under a roster or combined server key that the
+    # shuffle then re-randomizes and verifies under many times.  The
+    # second component is one product, so the EC backend encodes it once.
+    return Ciphertext(
+        group.exp_g(r),
+        group.multiexp(((message_element, 1), (key.y, r)), hot_bases=(key.y,)),
+    )
 
 
 def decrypt(key: PrivateKey, ct: Ciphertext) -> int:

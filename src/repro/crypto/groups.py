@@ -213,11 +213,12 @@ class Group:
         * the generator and any base listed in ``hot_bases`` go through the
           cached fixed-base window tables (callers pass long-lived keys —
           the combined server key, server publics);
-        * the remaining transient bases run through a Pippenger-style
-          bucket method, sharing one squaring ladder across all of them —
+        * the remaining transient bases share one squaring ladder —
           essential when most exponents are the short random-linear-
           combination coefficients of a batched verification, which only
-          populate the low windows.
+          populate the low windows.  The modp backend buckets them
+          (Pippenger); the EC backend interleaves wNAF digits for small
+          sets and buckets large ones.
 
         Exponents are reduced mod q; callers pass negative exponents freely.
         Bases must already be group elements (callers validate).
@@ -438,6 +439,10 @@ class SchnorrGroup(Group):
                 acc = acc * self.exp_g(exponent) % p
             elif base in hot:
                 acc = acc * self.exp_fixed(base, exponent) % p
+            elif exponent == 1:
+                # A bare factor (the commitment of a scalar signature
+                # check) must not drag the rest onto the bucket ladder.
+                acc = acc * base % p
             else:
                 transient.append((base, exponent))
 

@@ -7,7 +7,7 @@ Fiat-Shamir challenge:
     commit  t = g**k
     c       = H(domain, y, t, message)
     s       = k + c*x  mod q
-    verify  g**s == t * y**c
+    verify  g**s == t * y**c,  i.e.  t * y**c * g**(-s) == 1
 
 Signatures are **commitment form** ``(t, s)`` pairs: carrying the
 commitment instead of the challenge makes the verification equation
@@ -33,7 +33,7 @@ signature individually.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import PrivateKey, PublicKey
@@ -124,20 +124,40 @@ def _structural_ok(key: PublicKey, signature: Signature) -> bool:
     return group.is_element(signature.t)
 
 
-def verify(key: PublicKey, message: bytes, signature: Signature) -> bool:
-    """True iff ``signature`` is valid for ``message`` under ``key``."""
+def verify(
+    key: PublicKey,
+    message: bytes,
+    signature: Signature,
+    hot_bases: Collection[int] = (),
+) -> bool:
+    """True iff ``signature`` is valid for ``message`` under ``key``.
+
+    The one-item case of the equation :func:`batch_verify` checks:
+    ``t * y**c * g**(-s)`` must be the identity, evaluated as a single
+    multi-exponentiation (no coefficient — there is nothing to combine).
+    With ``key.y`` in ``hot_bases`` (pass it for long-lived roster keys
+    only: a table build costs about ten exponentiations) both
+    full-width exponents are fixed-base table walks.
+    """
     group = key.group
     if not _structural_ok(key, signature):
         return False
     c = _challenge(group, key.y, signature.t, message)
-    return group.exp_g(signature.s) == group.mul(
-        signature.t, group.exp(key.y, c)
+    product = group.multiexp(
+        ((signature.t, 1), (key.y, c), (group.g, -signature.s)),
+        hot_bases=hot_bases,
     )
+    return product == group.identity()
 
 
-def require_valid(key: PublicKey, message: bytes, signature: Signature) -> None:
+def require_valid(
+    key: PublicKey,
+    message: bytes,
+    signature: Signature,
+    hot_bases: Collection[int] = (),
+) -> None:
     """Raise :class:`InvalidSignature` unless the signature verifies."""
-    if not verify(key, message, signature):
+    if not verify(key, message, signature, hot_bases):
         raise InvalidSignature("Schnorr signature verification failed")
 
 
@@ -151,12 +171,12 @@ BatchItem = tuple[PublicKey, bytes, Signature]
 
 def batch_verify(
     items: Sequence[BatchItem],
-    hot_bases: Sequence[int] = (),
+    hot_bases: Collection[int] = (),
     rng=None,
 ) -> bool:
     """Check many signatures with one multi-exponentiation.
 
-    Each signature's equation ``g**s == t * y**c`` is raised to an
+    Each signature's equation ``t * y**c * g**(-s) == 1`` is raised to an
     independent short random coefficient and multiplied into one product
     that must equal the identity; a forger passes only by predicting the
     coefficient in advance (probability ``2**-BATCH_COEFF_BITS``, see
@@ -164,8 +184,8 @@ def batch_verify(
     probability — every signature would pass :func:`verify` individually;
     on ``False`` use :func:`find_invalid` to name the exact culprits.
 
-    Empty batches accept; single-item batches take the scalar path (no
-    coefficient needed when there is nothing to combine).
+    Empty batches accept; single-item batches take the scalar path (the
+    same equation with no coefficient).
 
     Args:
         hot_bases: long-lived public-key elements routed through the
@@ -180,7 +200,7 @@ def batch_verify(
         return True
     if len(items) == 1:
         key, message, signature = items[0]
-        return verify(key, message, signature)
+        return verify(key, message, signature, hot_bases)
     group = items[0][0].group
     pairs: list[tuple[int, int]] = []
     g_exponent = 0
@@ -191,20 +211,23 @@ def batch_verify(
             return False
         c = _challenge(group, key.y, signature.t, message)
         alpha = _batch_coefficient(group, rng)
-        # g**(alpha*s) == t**alpha * y**(alpha*c), accumulated per side.
-        # Comparing the two sides directly (rather than folding everything
-        # into one identity-form product) keeps every transient exponent at
-        # coefficient width: a negated exponent reduced mod q would be
-        # full-width and stretch the shared Pippenger ladder by 12x.
+        # t**alpha * y**(alpha*c) * g**(-alpha*s) == 1, summed over the batch.
         g_exponent += alpha * signature.s
         pairs.append((key.y, alpha * c))
         pairs.append((signature.t, alpha))
-    return group.exp_g(g_exponent) == group.multiexp(pairs, hot_bases=hot_bases)
+    # Identity form: the one negated (hence full-width) exponent lands on
+    # the generator, which is always fixed-base, so every transient
+    # exponent stays at coefficient width and the shared doubling ladder
+    # stays 128 long.  Comparing against the identity lets a backend skip
+    # canonical encoding of the product (ristretto: two field
+    # exponentiations saved per valid batch).
+    pairs.append((group.g, -g_exponent))
+    return group.multiexp(pairs, hot_bases=hot_bases) == group.identity()
 
 
 def find_invalid(
     items: Sequence[BatchItem],
-    hot_bases: Sequence[int] = (),
+    hot_bases: Collection[int] = (),
     rng=None,
     known_failed: bool = False,
 ) -> tuple[int, ...]:
@@ -224,7 +247,7 @@ def find_invalid(
         _bisect_invalid(
             list(range(len(items))),
             lambda idx: batch_verify([items[i] for i in idx], hot_bases, rng),
-            lambda i: verify(*items[i]),
+            lambda i: verify(*items[i], hot_bases),
             known_failed,
         )
     )

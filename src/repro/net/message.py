@@ -93,8 +93,17 @@ class SignedEnvelope:
         )
 
     def verify(self, sender_key: PublicKey) -> None:
-        """Raise :class:`InvalidSignature` if the envelope is not authentic."""
-        require_valid(sender_key, self.signed_payload(), self.signature)
+        """Raise :class:`InvalidSignature` if the envelope is not authentic.
+
+        ``sender_key`` is a roster key the verifier meets every round, so
+        it goes through the fixed-base tables like the batched checks.
+        """
+        require_valid(
+            sender_key,
+            self.signed_payload(),
+            self.signature,
+            hot_bases=(sender_key.y,),
+        )
 
 
 def batch_verify_envelopes(

@@ -70,6 +70,36 @@ class TestClientInternals:
         with pytest.raises(ProtocolError):
             session.clients[0].queue_message(b"")
 
+    def test_queue_rejects_message_no_slot_can_request(self):
+        # The slot header's 2-byte length field cannot request more than
+        # 65,535 bytes of capacity; a 70,000-byte message used to be
+        # admitted (the policy cap is 1 MiB), complete round 0, then fail
+        # run_round forever with "requested length 70002 unencodable".
+        session = fresh_session(num_clients=4, seed=76)
+        with pytest.raises(ProtocolError, match="65533"):
+            session.clients[0].queue_message(b"m" * 70_000)
+        assert not session.clients[0].has_pending_traffic
+        for _ in range(3):
+            session.run_round()
+
+    def test_largest_admitted_message_is_delivered(self):
+        session = fresh_session(num_clients=4, seed=77)
+        message = bytes(range(256)) * 255 + b"x" * 253
+        assert len(message) == 65_533
+        session.post(0, message)
+        with pytest.raises(ProtocolError):
+            session.clients[0].queue_message(message + b"y")
+        session.run_until_quiet()
+        assert [m for _, _, m in session.delivered_messages(1)] == [message]
+        session.run_round()
+
+    def test_queue_limit_follows_a_smaller_policy_cap(self):
+        policy = Policy(max_slot_payload=4096)
+        session = fresh_session(num_clients=4, seed=78, policy=policy)
+        session.clients[0].queue_message(b"m" * 4094)
+        with pytest.raises(ProtocolError, match="4094"):
+            session.clients[0].queue_message(b"m" * 4095)
+
     def test_output_signature_checked(self):
         import dataclasses
 

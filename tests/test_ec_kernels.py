@@ -1,0 +1,429 @@
+"""Correctness and work-budget tests for the ristretto255 kernels.
+
+Three contracts:
+
+* ``multiexp`` is *only* a faster way to compute the fold of ``exp`` and
+  ``mul`` — on both sides of the Straus/Pippenger selection, for every
+  exponent shape, with hot, transient and generator bases, and when the
+  product is the identity (where the encode is skipped);
+* the signature paths built on it (``verify``, ``batch_verify``,
+  ``find_invalid``) return exactly the verdicts of the textbook check
+  ``g**s == t * y**c``, on both backends;
+* the work a warm signature check costs, counted in point operations and
+  field exponentiations — counts repeat exactly, so this guards the
+  kernel in tier-1 without a timer.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import ec25519 as ec
+from repro.crypto import schnorr
+from repro.crypto.groups import group_by_name
+from repro.crypto.keys import PrivateKey
+
+GROUP = ec.ec_group()
+L = ec.L
+
+
+# -- references ------------------------------------------------------------
+
+
+def _ref_exp(base: int, e: int) -> int:
+    """Textbook double-and-add on the decoded point (no shared kernel)."""
+    point = ec._decode(base)
+    acc = (0, 1, 1, 0)
+    for bit in bin(e % L)[2:]:
+        acc = ec._dbl(acc)
+        if bit == "1":
+            acc = ec._add(acc, point)
+    return ec._encode(acc)
+
+
+def _fold(group, pairs) -> int:
+    acc = group.identity()
+    for base, e in pairs:
+        acc = group.mul(acc, group.exp(base, e))
+    return acc
+
+
+def _elements(count: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [GROUP.exp_g(rng.randrange(1, L)) for _ in range(count)]
+
+
+def _exponent_shapes(rng: random.Random) -> list[int]:
+    wide = rng.getrandbits(252) | 1 << 252
+    return [
+        0,
+        1,
+        rng.getrandbits(128) | 1 << 127,
+        wide % L,
+        L + rng.getrandbits(200),
+        -rng.getrandbits(128),
+        -(wide % L),
+        L - 1,
+    ]
+
+
+# -- scalar kernels ----------------------------------------------------------
+
+
+class TestScalarKernels:
+    def test_wnaf_digits_recompose_and_are_sparse(self):
+        rng = random.Random(1)
+        for e in [0, 1, 15, 16, 17, 31, 2**128 - 1, L - 1] + [
+            rng.getrandbits(bits) for bits in (5, 64, 128, 253) for _ in range(20)
+        ]:
+            digits = ec._wnaf5(e)
+            assert sum(d << k for k, d in digits) == e
+            assert all(d % 2 == 1 and abs(d) <= 15 for _, d in digits)
+            positions = [k for k, _ in digits]
+            assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exp_matches_double_and_add(self, seed):
+        rng = random.Random(seed)
+        base = _elements(1, seed)[0]
+        for e in _exponent_shapes(rng):
+            assert GROUP.exp(base, e) == _ref_exp(base, e)
+
+    def test_cached_affine_tables_reproduce_exp(self):
+        rng = random.Random(7)
+        group = ec.RistrettoGroup()  # cold tables: exercises the build
+        for base in [group.g] + _elements(2, 8):
+            for e in _exponent_shapes(rng) + [rng.randrange(L) for _ in range(8)]:
+                assert group.exp_fixed(base, e) == _ref_exp(base, e)
+
+    def test_table_entries_are_three_field_elements(self):
+        table = GROUP._window_table(GROUP.g)
+        assert len(table) == -(-L.bit_length() // 5)
+        assert all(len(row) == 32 and row[0] is None for row in table)
+        assert all(len(entry) == 3 for row in table for entry in row[1:])
+
+    def test_cached_affine_matches_pointwise_normalisation(self):
+        points = [ec._decode(x) for x in _elements(5, 11)]
+        points = [ec._dbl(ec._add(p, points[0])) for p in points]  # Z != 1
+        for point, (y_plus_x, y_minus_x, t2d) in zip(
+            points, ec._cached_affine(points)
+        ):
+            x, y, z, _ = point
+            z_inv = pow(z, -1, ec.P)
+            x, y = x * z_inv % ec.P, y * z_inv % ec.P
+            assert (y_plus_x, y_minus_x) == ((y + x) % ec.P, (y - x) % ec.P)
+            assert t2d == 2 * ec.D * x * y % ec.P
+            assert ec._encode(ec._madd(points[0], (y_plus_x, y_minus_x, t2d))) == (
+                ec._encode(ec._add(points[0], point))
+            )
+
+
+# -- multiexp against the fold ------------------------------------------------
+
+
+class TestMultiexpMatchesFold:
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2, 3, 11, ec.STRAUS_MAX_POINTS, ec.STRAUS_MAX_POINTS + 1, 150],
+    )
+    def test_both_sides_of_the_kernel_crossover(self, count):
+        rng = random.Random(count)
+        bases = _elements(count, seed=count)
+        pairs = [(base, rng.getrandbits(128)) for base in bases]
+        assert GROUP.multiexp(pairs) == _fold(GROUP, pairs)
+
+    def test_kernels_agree_on_the_same_transient_set(self):
+        rng = random.Random(3)
+        transient = [
+            (ec._decode(x), rng.getrandbits(bits))
+            for x, bits in zip(_elements(12, 3), [1, 5, 64, 128, 200, 253] * 2)
+        ]
+        assert ec._encode(GROUP._straus(transient)) == ec._encode(
+            GROUP._pippenger(transient)
+        )
+
+    def test_exponent_shapes_on_every_base_kind(self):
+        rng = random.Random(21)
+        hot, cold = _elements(2, 21)
+        for e in _exponent_shapes(rng):
+            pairs = [(GROUP.g, e), (hot, e + 1), (cold, e - 1), (cold, 5)]
+            expected = _fold(GROUP, pairs)
+            assert GROUP.multiexp(pairs, hot_bases=(hot,)) == expected
+            assert GROUP.multiexp(pairs) == expected
+            assert GROUP.multiexp(pairs, hot_bases=(hot, cold)) == expected
+
+    def test_duplicate_bases_merge(self):
+        a, b = _elements(2, 31)
+        pairs = [(a, 7), (b, 2**127), (a, L - 3), (b, 9), (a, 2**128)]
+        assert GROUP.multiexp(pairs) == _fold(GROUP, pairs)
+        assert GROUP.multiexp(pairs, hot_bases=(a,)) == _fold(GROUP, pairs)
+
+    def test_identity_base_and_empty_product(self):
+        (a,) = _elements(1, 41)
+        assert GROUP.multiexp([]) == GROUP.identity()
+        assert GROUP.multiexp([(GROUP.identity(), 99)]) == GROUP.identity()
+        assert GROUP.multiexp([(a, 0), (GROUP.identity(), 5)]) == GROUP.identity()
+        assert GROUP.multiexp([(GROUP.identity(), 5), (a, 3)]) == GROUP.exp(a, 3)
+
+    @pytest.mark.parametrize("hot", [False, True])
+    def test_products_that_are_the_identity(self, hot):
+        a, b = _elements(2, 51)
+        e = random.Random(51).getrandbits(128)
+        cancelling = [
+            [(a, e), (a, -e)],  # merges to exponent zero
+            [(a, e), (GROUP.inv(a), e)],  # cancels inside the kernel
+            [(a, e), (b, 3), (GROUP.exp(a, e), -1), (GROUP.inv(b), 3)],
+            [(GROUP.g, e), (GROUP.exp_g(e), L - 1)],
+        ]
+        for pairs in cancelling:
+            hot_bases = (a,) if hot else ()
+            assert GROUP.multiexp(pairs, hot_bases=hot_bases) == 0
+            assert _fold(GROUP, pairs) == 0
+
+    def test_every_identity_coset_representative_returns_zero(self, monkeypatch):
+        # ristretto equality with the neutral element is X == 0 or Y == 0:
+        # the four 4-torsion points.  Plant a torsion-shifted decoding of
+        # an element (same ristretto element, different Edwards point) so
+        # the accumulator of a cancelling product lands on each of them.
+        torsion = [
+            (0, 1, 1, 0),
+            (0, ec.P - 1, 1, 0),
+            (ec.SQRT_M1, 0, 1, 0),
+            (ec.P - ec.SQRT_M1, 0, 1, 0),
+        ]
+        (x,) = _elements(1, 61)
+        for shift in torsion:
+            assert ec._encode(shift) == 0
+            group = ec.RistrettoGroup()
+            shifted = ec._add(ec._decode(x), shift)
+            assert ec._encode(shifted) == x
+            group._decoded.put(x, shifted)
+            inverse = group.inv(x)
+            group._decoded.put(x, shifted)  # inv() re-seeded the plain point
+            assert ec._encode(ec._add(shifted, ec._neg(ec._decode(x)))) == 0
+            with monkeypatch.context() as patched:
+                patched.setattr(ec, "_encode", None)  # must not be reached
+                assert group.multiexp([(x, 1), (inverse, 1)]) == 0
+
+    def test_non_identity_results_still_encode_canonically(self):
+        a, b = _elements(2, 71)
+        product = GROUP.multiexp([(a, 1), (b, 1)])
+        assert product == GROUP.mul(a, b) != 0
+        assert GROUP.is_element(product)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.one_of(
+                    st.integers(-(2**130), 2**130),
+                    st.integers(0, 2 * L),
+                    st.sampled_from([0, 1, -1, L, L - 1, L + 1]),
+                ),
+            ),
+            max_size=9,
+        ),
+        st.sets(st.integers(0, 5), max_size=3),
+    )
+    def test_random_pair_lists(self, indexed, hot_indices):
+        bases = [GROUP.g, GROUP.identity()] + _elements(4, 81)
+        pairs = [(bases[i], e) for i, e in indexed]
+        hot_bases = tuple(bases[i] for i in hot_indices if bases[i])
+        assert GROUP.multiexp(pairs, hot_bases=hot_bases) == _fold(GROUP, pairs)
+
+
+# -- signature verdicts against the textbook equation -------------------------
+
+
+def _textbook_verify(key, message, signature) -> bool:
+    group = key.group
+    if not 0 <= signature.s < group.q or not group.is_element(signature.t):
+        return False
+    c = schnorr._challenge(group, key.y, signature.t, message)
+    return group.exp_g(signature.s) == group.mul(signature.t, group.exp(key.y, c))
+
+
+def _non_element(group) -> int:
+    """An int of element width that is not a canonical group element."""
+    if group.name == "ec25519":
+        return int.from_bytes((ec.P + 1).to_bytes(32, "little"), "big")
+    return group.p - 1  # order 2: outside the prime-order subgroup
+
+
+@pytest.fixture(params=["ec25519", "test-256"])
+def signed(request):
+    """``(group, keys, items)``: eleven valid (key, message, signature)."""
+    group = group_by_name(request.param)
+    rng = random.Random(2012)
+    keys = [PrivateKey.generate(group, rng) for _ in range(11)]
+    items = [
+        (key.public, b"message %d" % i, schnorr.sign(key, b"message %d" % i))
+        for i, key in enumerate(keys)
+    ]
+    return group, keys, items
+
+
+def _mutations(group, keys, item):
+    """Named bad variants of one valid item."""
+    key, message, signature = item
+    other = next(k.public for k in keys if k.y != key.y)
+    return {
+        "forged-s": (key, message, dataclasses.replace(signature, s=(signature.s + 1) % group.q)),
+        "forged-t": (key, message, dataclasses.replace(signature, t=group.mul(signature.t, group.g))),
+        "wrong-key": (other, message, signature),
+        "wrong-message": (key, message + b"!", signature),
+        "out-of-range-s": (key, message, dataclasses.replace(signature, s=signature.s + group.q)),
+        "negative-s": (key, message, dataclasses.replace(signature, s=signature.s - group.q)),
+        "non-canonical-t": (key, message, dataclasses.replace(signature, t=_non_element(group))),
+        "identity-t": (key, message, dataclasses.replace(signature, t=group.identity())),
+    }
+
+
+class TestSignatureVerdicts:
+    def test_valid_signatures_accept_everywhere(self, signed):
+        group, _, items = signed
+        hot = tuple(key.y for key, _, _ in items)
+        for item in items:
+            assert _textbook_verify(*item)
+            assert schnorr.verify(*item)
+            assert schnorr.verify(*item, hot_bases=(item[0].y,))
+        for size in (1, 2, 3, 11):
+            assert schnorr.batch_verify(items[:size])
+            assert schnorr.batch_verify(items[:size], hot_bases=hot)
+            assert schnorr.find_invalid(items[:size], hot_bases=hot) == ()
+
+    def test_each_mutation_matches_the_textbook_verdict(self, signed):
+        group, keys, items = signed
+        for name, bad in _mutations(group, keys, items[0]).items():
+            assert not _textbook_verify(*bad), name
+            assert not schnorr.verify(*bad), name
+            assert not schnorr.verify(*bad, hot_bases=(bad[0].y,)), name
+            assert not schnorr.batch_verify([bad]), name
+
+    @pytest.mark.parametrize("size,position", [(3, 1), (11, 0), (11, 10), (11, 6)])
+    def test_forgery_inside_a_batch_is_named_exactly(self, signed, size, position):
+        group, keys, items = signed
+        hot = tuple(key.y for key, _, _ in items)
+        for name, bad in _mutations(group, keys, items[position]).items():
+            batch = list(items[:size])
+            batch[position] = bad
+            for hot_bases in ((), hot):
+                assert not schnorr.batch_verify(batch, hot_bases=hot_bases), name
+                assert schnorr.find_invalid(batch, hot_bases=hot_bases) == (
+                    position,
+                ), name
+            assert [i for i, item in enumerate(batch) if not _textbook_verify(*item)] == [
+                position
+            ]
+
+    def test_several_forgeries_all_named(self, signed):
+        group, keys, items = signed
+        batch = list(items)
+        variants = _mutations(group, keys, items[2])
+        batch[2] = variants["forged-s"]
+        batch[7] = _mutations(group, keys, items[7])["forged-t"]
+        batch[9] = _mutations(group, keys, items[9])["non-canonical-t"]
+        assert schnorr.find_invalid(batch) == (2, 7, 9)
+
+    def test_swapped_signatures_do_not_cancel(self, signed):
+        # Two individually invalid items whose errors would cancel under
+        # equal coefficients must still fail under random ones.
+        _, _, items = signed
+        (k0, m0, s0), (k1, m1, s1) = items[0], items[1]
+        batch = [(k0, m0, s1), (k1, m1, s0)] + list(items[2:5])
+        assert not schnorr.batch_verify(batch)
+        assert schnorr.find_invalid(batch) == (0, 1)
+
+    def test_coefficients_stay_128_bits(self):
+        from repro.crypto import proofs
+
+        assert proofs.BATCH_COEFF_BITS == 128
+
+
+# -- deterministic work gate --------------------------------------------------
+
+
+class _Work:
+    """Counts point operations and field exponentiations in ``ec25519``."""
+
+    def __init__(self, monkeypatch):
+        self.counts = dict.fromkeys(("_add", "_madd", "_dbl", "pow"), 0)
+        for name in ("_add", "_madd", "_dbl"):
+            monkeypatch.setattr(ec, name, self._counting(name, getattr(ec, name)))
+        # A module global shadows the builtin for every lookup in ec25519.
+        monkeypatch.setattr(ec, "pow", self._counting("pow", pow), raising=False)
+
+    def _counting(self, name, fn):
+        def counted(*args):
+            self.counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    def measure(self, fn) -> tuple[int, int]:
+        """(point operations, field exponentiations) of one ``fn()`` call."""
+        before = dict(self.counts)
+        assert fn() is True
+        spent = {name: self.counts[name] - before[name] for name in before}
+        return spent["_add"] + spent["_madd"] + spent["_dbl"], spent["pow"]
+
+
+class TestWorkBudget:
+    """Parent commit: 566 + 2, 1,382 + 2 and 370 + 3 (point ops + pows)."""
+
+    @pytest.fixture
+    def warm(self):
+        group = ec.RistrettoGroup()
+        rng = random.Random(13)
+        keys = [PrivateKey.generate(group, rng) for _ in range(11)]
+        items = [
+            (key.public, b"output %d" % i, schnorr.sign(key, b"output %d" % i))
+            for i, key in enumerate(keys)
+        ]
+        hot = tuple(key.y for key in keys)
+        assert schnorr.batch_verify(items, hot_bases=hot)  # builds every table
+        return items, hot
+
+    @pytest.mark.parametrize(
+        "size,budget", [(3, 430), (11, 1090)], ids=["3-signatures", "11-signatures"]
+    )
+    def test_hot_key_batch(self, warm, monkeypatch, size, budget):
+        items, hot = warm
+        work = _Work(monkeypatch)
+
+        def check():
+            return schnorr.batch_verify(
+                items[:size], hot_bases=hot, rng=random.Random(5)
+            )
+
+        operations, exponentiations = work.measure(check)
+        assert exponentiations == 0
+        assert 0 < operations <= budget
+        assert work.measure(check) == (operations, 0)  # counts repeat exactly
+
+    def test_scalar_verify(self, warm, monkeypatch):
+        items, hot = warm
+        work = _Work(monkeypatch)
+        key, message, signature = items[0]
+
+        def check():
+            return schnorr.verify(key, message, signature, hot_bases=(key.y,))
+
+        operations, exponentiations = work.measure(check)
+        assert exponentiations == 0
+        assert 0 < operations <= 115
+        assert work.measure(check) == (operations, 0)
+
+    def test_invalid_batch_still_encodes_and_fails(self, warm, monkeypatch):
+        items, hot = warm
+        key, message, signature = items[1]
+        forged = dataclasses.replace(signature, s=(signature.s + 1) % L)
+        batch = [items[0], (key, message, forged), items[2]]
+        work = _Work(monkeypatch)
+        before = work.counts["pow"]
+        assert not schnorr.batch_verify(batch, hot_bases=hot, rng=random.Random(5))
+        assert work.counts["pow"] - before == 1  # the product's encode
