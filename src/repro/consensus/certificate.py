@@ -10,7 +10,7 @@ it cannot substitute a value no honest server computed.
 
 Votes are ordinary :class:`~repro.net.message.SignedEnvelope` signatures:
 the envelope's Schnorr signature already binds ``(msg_type, sender,
-group_id, round, body)`` and the vote body carries ``(view, digest)``,
+group_id, round, sha256(body))`` and the vote body carries ``(view, digest)``,
 so the certificate only needs to store ``(server_index, signature)``
 pairs and a verifier reconstructs each envelope payload from public
 data.  Certificates are therefore compact, deterministic (signing is
@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 from repro.crypto import schnorr
 from repro.errors import InvalidProof, InvalidSignature, ProtocolError
-from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, SignedEnvelope
+from repro.net.message import (
+    LEADER_PROPOSE,
+    SERVER_VOTE,
+    SignedEnvelope,
+    envelope_signed_payload,
+)
 from repro.util.serialization import pack_fields, unpack_fields
 
 _DIGEST_BYTES = 32
@@ -89,11 +94,9 @@ def proposal_view_digest(envelope: SignedEnvelope) -> tuple[int, bytes]:
 
 
 def _vote_signed_payload(definition, server_index: int, round_number: int, body: bytes) -> bytes:
-    # Must match SignedEnvelope.signed_payload for a SERVER_VOTE envelope
-    # exactly — certificates store only the signature, the payload is
-    # rebuilt from public data at verification time.
-    return pack_fields(
-        "dissent.envelope.v1",
+    # Certificates store only the signature; the SERVER_VOTE envelope's
+    # payload is rebuilt from public data at verification time.
+    return envelope_signed_payload(
         SERVER_VOTE,
         definition.server_name(server_index),
         definition.group_id(),

@@ -24,6 +24,7 @@ accusation process can reopen any recent round.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -444,16 +445,20 @@ class DissentServer:
             if self.prefetcher is not None
             else prng.pair_stream
         )
-        streams = [
+        # A generator: one pad alive at a time, not all N (N x 500 KiB on
+        # a bulk round), as ``DissentClient.produce_ciphertext`` does.
+        streams = (
             fetch(self.secrets[i], state.round_number, length)
             for i in state.final_list
-        ]
-        own_blobs = [
+        )
+        own_blobs = (
             state.received[i].body
             for i in state.final_list
             if state.assignment[i] == self.index and i in state.received
-        ]
-        state.own_ciphertext = xor_many([*streams, *own_blobs], length=length)
+        )
+        state.own_ciphertext = xor_many(
+            itertools.chain(streams, own_blobs), length=length
+        )
         state.phase = Phase.COMMITTED
         return make_envelope(
             self.key,
@@ -512,12 +517,17 @@ class DissentServer:
             raise ProtocolError("need exactly one reveal per server")
         blobs: list[bytes] = [b""] * self.definition.num_servers
         indices = []
+        # Metadata first, as in ``accept_ciphertexts``: a mistyped, stale,
+        # unattributable or wrong-length reveal is rejected before any
+        # signature or hash work is spent on its body.
         for envelope in envelopes:
             if envelope.msg_type != SERVER_REVEAL:
                 raise ProtocolError("non-reveal envelope in combining phase")
             if envelope.round_number != state.round_number:
                 raise ProtocolError("reveal for a different round")
             indices.append(self._server_index(envelope.sender))
+            if len(envelope.body) != state.layout.total_bytes:
+                raise ProtocolError("revealed ciphertext has the wrong length")
         self._verify_peer_batch(envelopes, indices)
         for envelope, server_index in zip(envelopes, indices):
             if not verify_commit(state.commitments[server_index], envelope.body):
@@ -525,8 +535,6 @@ class DissentServer:
                     f"server {server_index} revealed a ciphertext that does not "
                     "match its commitment"
                 )
-            if len(envelope.body) != state.layout.total_bytes:
-                raise ProtocolError("revealed ciphertext has the wrong length")
             blobs[server_index] = envelope.body
         state.reveals = {j: blob for j, blob in enumerate(blobs)}
         state.cleartext = xor_many(blobs, length=state.layout.total_bytes)

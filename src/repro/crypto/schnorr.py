@@ -25,6 +25,16 @@ broken system RNG — the classic Schnorr/ECDSA key-extraction footgun.
 Signing is therefore a pure function: the same key and message always
 produce the same signature.
 
+Both hashes absorb the whole ``message`` — twice to sign (nonce, then
+challenge), once per check — so message length is this module's cost
+model.  Callers with large content sign a digest of it: a
+:class:`~repro.net.message.SignedEnvelope` hands in ~150 bytes (its
+header fields and ``sha256(body)``,
+:func:`repro.net.message.envelope_signed_payload`), so the nonce no
+longer sees a 500 KiB bulk body, let alone twice.  Signatures stay
+deterministic — the digest is a function of the body — and nothing here
+hashes on a caller's behalf: ``message`` is signed as given.
+
 When a batch fails, :func:`find_invalid` isolates the exact forged
 signatures by bisection with per-signature rechecks at the leaves, so
 accept/reject decisions and blame stay bit-identical to verifying every

@@ -74,6 +74,7 @@ from repro.net.message import (
 )
 from repro.net.transport import RetryPolicy, Transport, connect_tcp
 from repro.net.wire import (
+    ENVELOPE_KIND,
     decode_envelope,
     decode_int_list,
     decode_int_pairs,
@@ -84,6 +85,8 @@ from repro.net.wire import (
     encode_evidence,
     encode_rebuttal,
     encode_round_output_body,
+    encode_routed,
+    encode_routed_envelope,
     encode_telemetry_body,
 )
 from repro.obs import metrics as _obs
@@ -105,7 +108,7 @@ COORDINATOR = "coord"
 # Control-frame kinds (coordinator <-> node plumbing; protocol content
 # always travels as signed envelopes inside ``K_ENVELOPE`` frames).
 K_HELLO = "hello"
-K_ENVELOPE = "envelope"
+K_ENVELOPE = ENVELOPE_KIND
 K_REPLY = "reply"
 K_REPLY_ERROR = "reply-error"
 K_NODE_ERROR = "node-error"
@@ -230,9 +233,9 @@ class NodeRuntime:
     async def _send(
         self, to: str, kind: str, seq: int, body: bytes, trace: bytes = b""
     ) -> None:
-        from repro.net.wire import encode_routed
+        await self._send_payload(encode_routed(to, self.name, kind, seq, body, trace))
 
-        payload = encode_routed(to, self.name, kind, seq, body, trace)
+    async def _send_payload(self, payload: bytes) -> None:
         self.registry.counter("net.sent.frames.total").inc()
         self.registry.counter("net.sent.bytes.total").inc(len(payload))
         try:
@@ -244,17 +247,20 @@ class NodeRuntime:
             self._unsent.append(payload)
 
     async def _send_envelope(self, to: str, envelope: SignedEnvelope) -> None:
-        body = encode_envelope(self.group, envelope)
         self.registry.counter(f"net.sent.frames.{envelope.msg_type}").inc()
-        self.registry.counter(f"net.sent.bytes.{envelope.msg_type}").inc(len(body))
+        self.registry.counter(f"net.sent.bytes.{envelope.msg_type}").inc(
+            len(envelope.body)
+        )
         # The round's trace context rides outside the signed body, so
         # receivers that ignore it still verify the envelope unchanged.
-        await self._send(
-            to,
-            K_ENVELOPE,
-            0,
-            body,
-            trace=self._round_trace.get(envelope.round_number, b""),
+        await self._send_payload(
+            encode_routed_envelope(
+                self.group,
+                to,
+                self.name,
+                envelope,
+                trace=self._round_trace.get(envelope.round_number, b""),
+            )
         )
 
     async def _report(self, exc: Exception) -> None:
@@ -415,7 +421,7 @@ class NodeRuntime:
             envelope = decode_envelope(self.group, body)
             self.registry.counter(f"net.recv.frames.{envelope.msg_type}").inc()
             self.registry.counter(f"net.recv.bytes.{envelope.msg_type}").inc(
-                len(body)
+                len(envelope.body)
             )
             await self.handle_envelope(envelope)
             return None

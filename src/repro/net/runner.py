@@ -428,7 +428,9 @@ class _Hub:
                     )
                     continue
                 # Forward the payload bytes untouched: the hub relays
-                # signed envelopes, it never reconstructs them.
+                # signed envelopes, it never reconstructs them — and for
+                # an envelope frame ``decode_routed`` left the body a view,
+                # so routing a 500 KiB frame copied none of it.
                 await self.deliver(routed.to, payload)
         except (ConnectionClosed, WireError, OSError):
             pass

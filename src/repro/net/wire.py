@@ -30,6 +30,24 @@ view-change         :func:`encode_view_change_body`
 Decoding raises typed errors (:class:`~repro.errors.WireDecodeError` and
 subclasses) — never bare ``ValueError``/``KeyError`` — so a node's
 dispatch loop can reject adversarial bytes without crashing.
+
+**Who copies a large body.**  A bulk round moves ~500 KiB envelope
+bodies, so the envelope path is laid out to copy one exactly once per
+hop:
+
+* *send* — :func:`encode_routed_envelope` writes the routed frame, the
+  envelope inside it and the body inside that with a single join (the
+  bytes are identical to ``encode_routed(..., encode_envelope(...))``,
+  which copies the body at each level);
+* *relay* — :func:`decode_routed` parses the routing header in place; for
+  an ``envelope`` frame, :attr:`RoutedFrame.body` is a zero-copy
+  ``memoryview`` into the received payload, so the hub learns ``to`` and
+  forwards the payload it was handed without materialising anything;
+* *receive* — :func:`decode_envelope` accepts that view and materialises
+  ``envelope.body`` straight from it: the one copy, owned by the
+  envelope.  Every other field it returns, and every other frame kind's
+  ``RoutedFrame.body``, is plain ``bytes``; no view outlives
+  :func:`decode_envelope`.
 """
 
 from __future__ import annotations
@@ -52,7 +70,13 @@ from repro.errors import (
     WireDecodeError,
 )
 from repro.net.message import SignedEnvelope, is_known_type
-from repro.util.serialization import pack_fields, unpack_fields
+from repro.util.serialization import (
+    bytes_field_header,
+    bytes_field_span,
+    pack_fields,
+    unpack_fields,
+    unpack_prefix,
+)
 
 #: Hard cap on one frame's payload.  Large enough for a full round vector
 #: (slots are clamped at ``Policy.max_slot_payload`` = 1 MiB) plus codec
@@ -62,8 +86,19 @@ MAX_FRAME_BYTES = 1 << 24
 
 _LEN_BYTES = 4
 
-_ENVELOPE_MAGIC = "dissent.wire-envelope.v1"
+# v2: the signature inside covers sha256(body) (repro.net.message); a v1
+# peer is refused here, by magic, not by a failed signature check later.
+_ENVELOPE_MAGIC = "dissent.wire-envelope.v2"
 _ROUTED_MAGIC = "dissent.wire-routed.v1"
+
+#: The routed-frame kind whose body is a serialized envelope — the one
+#: kind :func:`decode_routed` hands over as a view instead of ``bytes``.
+ENVELOPE_KIND = "envelope"
+
+# The constant stretches of an envelope frame, packed once.
+_ENVELOPE_PREFIX = pack_fields(_ENVELOPE_MAGIC)
+_ROUTED_PREFIX = pack_fields(_ROUTED_MAGIC)
+_ENVELOPE_KIND_SEQ0 = pack_fields(ENVELOPE_KIND, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +106,18 @@ _ROUTED_MAGIC = "dissent.wire-routed.v1"
 # ---------------------------------------------------------------------------
 
 
+def encode_frame_prefix(length: int, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """The length prefix for a ``length``-byte payload, enforcing the cap."""
+    if length > max_frame_bytes:
+        raise FrameTooLarge(
+            f"frame of {length} bytes exceeds the {max_frame_bytes}-byte cap"
+        )
+    return length.to_bytes(_LEN_BYTES, "big")
+
+
 def encode_frame(payload: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Wrap ``payload`` in a length prefix, enforcing the cap on send too."""
-    if len(payload) > max_frame_bytes:
-        raise FrameTooLarge(
-            f"frame of {len(payload)} bytes exceeds the {max_frame_bytes}-byte cap"
-        )
-    return len(payload).to_bytes(_LEN_BYTES, "big") + payload
+    return encode_frame_prefix(len(payload), max_frame_bytes) + payload
 
 
 class FrameDecoder:
@@ -136,7 +176,7 @@ def iter_frames(data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> Iterator
 # ---------------------------------------------------------------------------
 
 
-def _unpack(data: bytes, what: str) -> list:
+def _unpack(data: bytes | memoryview, what: str) -> list:
     try:
         return unpack_fields(data)
     except ValueError as exc:
@@ -160,21 +200,36 @@ def _take(fields: list, index: int, kind: type, what: str):
 # ---------------------------------------------------------------------------
 
 
-def encode_envelope(group: Group, envelope: SignedEnvelope) -> bytes:
-    """Canonical byte encoding of one signed envelope."""
-    return pack_fields(
-        _ENVELOPE_MAGIC,
-        envelope.msg_type,
-        envelope.sender,
-        envelope.group_id,
-        envelope.round_number,
+def _envelope_parts(group: Group, envelope: SignedEnvelope) -> tuple[bytes, ...]:
+    """The canonical envelope encoding, un-joined: the body is not copied."""
+    signature = envelope.signature.to_bytes(group)
+    return (
+        _ENVELOPE_PREFIX,
+        pack_fields(
+            envelope.msg_type,
+            envelope.sender,
+            envelope.group_id,
+            envelope.round_number,
+        ),
+        bytes_field_header(len(envelope.body)),
         envelope.body,
-        envelope.signature.to_bytes(group),
+        bytes_field_header(len(signature)),
+        signature,
     )
 
 
-def decode_envelope(group: Group, data: bytes) -> SignedEnvelope:
+def encode_envelope(group: Group, envelope: SignedEnvelope) -> bytes:
+    """Canonical byte encoding of one signed envelope (seven packed fields:
+    magic, type, sender, group id, round, body, signature)."""
+    return b"".join(_envelope_parts(group, envelope))
+
+
+def decode_envelope(group: Group, data: bytes | memoryview) -> SignedEnvelope:
     """Invert :func:`encode_envelope` with full structural validation.
+
+    ``data`` may be the view :func:`decode_routed` returns for an envelope
+    frame; the envelope's fields are always ``bytes``/``str``/``int``
+    owned by the envelope.
 
     Raises:
         UnknownMessageType: the type tag is outside the protocol — peers
@@ -231,7 +286,7 @@ class RoutedFrame:
     sender: str
     kind: str
     seq: int
-    body: bytes
+    body: bytes | memoryview
     trace: bytes = b""
 
 
@@ -246,23 +301,57 @@ def encode_routed(
     return pack_fields(_ROUTED_MAGIC, to, sender, kind, seq, body, trace)
 
 
-def decode_routed(data: bytes) -> RoutedFrame:
-    fields = _unpack(data, "routed frame")
-    if len(fields) not in (6, 7):
-        raise WireDecodeError(
-            f"routed frame has {len(fields)} fields, expected 6 or 7"
+def encode_routed_envelope(
+    group: Group, to: str, sender: str, envelope: SignedEnvelope, trace: bytes = b""
+) -> bytes:
+    """``encode_routed(to, sender, "envelope", 0, encode_envelope(...), trace)``
+    byte for byte, with the envelope body copied once instead of three times."""
+    inner = _envelope_parts(group, envelope)
+    return b"".join(
+        (
+            _ROUTED_PREFIX,
+            pack_fields(to, sender),
+            _ENVELOPE_KIND_SEQ0,
+            bytes_field_header(sum(map(len, inner))),
+            *inner,
+            pack_fields(trace) if trace else b"",
         )
-    magic = _take(fields, 0, str, "routed frame")
+    )
+
+
+def decode_routed(data: bytes) -> RoutedFrame:
+    """Parse one routed frame; the body of an envelope frame stays a view.
+
+    The five routing fields are decoded in place and the body field is
+    only *located*: for :data:`ENVELOPE_KIND` it comes back as a
+    ``memoryview`` into ``data`` (the hub forwards ``data`` itself and
+    never looks inside; a node hands the view to :func:`decode_envelope`),
+    for every other kind as ``bytes``, exactly as before.
+    """
+    what = "routed frame"
+    try:
+        fields, offset = unpack_prefix(data, 5)
+        start, end = bytes_field_span(data, offset)
+        rest = unpack_fields(data[end:]) if end < len(data) else ()
+    except ValueError as exc:
+        raise WireDecodeError(f"malformed {what}: {exc}") from exc
+    if len(rest) > 1:
+        raise WireDecodeError(
+            f"routed frame has {6 + len(rest)} fields, expected 6 or 7"
+        )
+    magic = _take(fields, 0, str, what)
     if magic != _ROUTED_MAGIC:
         raise WireDecodeError(f"routed frame magic {magic!r} unsupported")
-    return RoutedFrame(
-        to=_take(fields, 1, str, "routed frame"),
-        sender=_take(fields, 2, str, "routed frame"),
-        kind=_take(fields, 3, str, "routed frame"),
-        seq=_take(fields, 4, int, "routed frame"),
-        body=_take(fields, 5, bytes, "routed frame"),
-        trace=_take(fields, 6, bytes, "routed frame") if len(fields) == 7 else b"",
-    )
+    to = _take(fields, 1, str, what)
+    sender = _take(fields, 2, str, what)
+    kind = _take(fields, 3, str, what)
+    seq = _take(fields, 4, int, what)
+    trace = _take(rest, 0, bytes, what) if rest else b""
+    if kind == ENVELOPE_KIND:
+        body = memoryview(data)[start:end]
+    else:
+        body = data[start:end]
+    return RoutedFrame(to, sender, kind, seq, body, trace)
 
 
 # ---------------------------------------------------------------------------

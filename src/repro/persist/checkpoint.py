@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 1, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 2, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -23,7 +23,9 @@ import time
 from repro.errors import CheckpointError
 from repro.util.serialization import canonical_json
 
-CHECKPOINT_VERSION = 1
+# 2: archived envelopes and evidence carry v2 signatures (over sha256(body),
+# repro.net.message); a version-1 file would only fail them one by one.
+CHECKPOINT_VERSION = 2
 
 
 def _payload_digest(payload: dict) -> str:

@@ -8,6 +8,9 @@ identically on every node, so we define one small canonical encoding:
   thousands of bits).
 * ``pack_fields`` / ``unpack_fields``: a length-prefixed concatenation of
   heterogeneous fields (bytes, int, str), each tagged with a one-byte type.
+  ``bytes_field_header`` / ``bytes_field_span`` and ``unpack_prefix`` are
+  the pieces the wire codec needs to nest and parse large bodies without
+  copying them once per level (:mod:`repro.net.wire`).
 * ``canonical_json``: sorted-key, no-whitespace JSON for human-inspectable
   structures such as group definitions (whose SHA-256 becomes the group's
   self-certifying identifier, paper §3.2).
@@ -20,6 +23,8 @@ import json
 _TAG_BYTES = b"B"
 _TAG_INT = b"I"
 _TAG_STR = b"S"
+# The same tags as indexing a buffer yields them (ints), for the decoder.
+_BYTES, _INT, _STR = _TAG_BYTES[0], _TAG_INT[0], _TAG_STR[0]
 
 Field = bytes | int | str
 
@@ -76,30 +81,78 @@ def pack_fields(*fields: Field) -> bytes:
     return b"".join(parts)
 
 
-def unpack_fields(data: bytes) -> list[Field]:
-    """Invert :func:`pack_fields`."""
+def bytes_field_header(length: int) -> bytes:
+    """The five bytes :func:`pack_fields` puts in front of a ``bytes`` field.
+
+    Lets a caller nesting one packed structure inside another (a routed
+    frame around an envelope around a 500 KiB body) lay the large body
+    down once, in a single join, instead of once per level.
+    """
+    return _TAG_BYTES + length.to_bytes(4, "big")
+
+
+def bytes_field_span(data: bytes | memoryview, offset: int) -> tuple[int, int]:
+    """``(start, end)`` of the ``bytes`` field whose header sits at ``offset``.
+
+    The decoding counterpart of :func:`bytes_field_header`: the field is
+    located, not copied, so the caller decides whether to slice it, view
+    it or skip it.
+
+    Raises:
+        ValueError: no complete ``bytes`` field starts at ``offset``.
+    """
+    start = offset + 5
+    if start > len(data):
+        raise ValueError("truncated field header")
+    if data[offset] != _BYTES:
+        raise ValueError("expected a bytes field")
+    end = start + int.from_bytes(data[offset + 1 : start], "big")
+    if end > len(data):
+        raise ValueError("truncated field body")
+    return start, end
+
+
+def unpack_prefix(data: bytes | memoryview, count: int) -> tuple[list[Field], int]:
+    """Decode the first ``count`` fields of ``data`` (all of them if negative).
+
+    Returns ``(fields, next_offset)``.  ``data`` may be a ``memoryview``:
+    field headers are read in place and a ``bytes`` field is materialised
+    exactly once, straight from the view, so parsing a structure nested in
+    a larger buffer never copies it whole first.  Slicing ``bytes`` input
+    costs what it always did (``bytes(b)`` of a ``bytes`` object is that
+    object).
+
+    Raises:
+        ValueError: truncated header or body, unknown tag, invalid UTF-8.
+    """
     fields: list[Field] = []
     offset = 0
     n = len(data)
-    while offset < n:
-        if offset + 5 > n:
-            raise ValueError("truncated field header")
-        tag = data[offset : offset + 1]
-        body_len = int.from_bytes(data[offset + 1 : offset + 5], "big")
+    while offset < n and count:
         start = offset + 5
-        if start + body_len > n:
+        if start > n:
+            raise ValueError("truncated field header")
+        tag = data[offset]
+        end = start + int.from_bytes(data[offset + 1 : start], "big")
+        if end > n:
             raise ValueError("truncated field body")
-        body = data[start : start + body_len]
-        if tag == _TAG_BYTES:
-            fields.append(body)
-        elif tag == _TAG_INT:
+        body = data[start:end]
+        if tag == _BYTES:
+            fields.append(bytes(body))
+        elif tag == _INT:
             fields.append(int.from_bytes(body, "big"))
-        elif tag == _TAG_STR:
-            fields.append(body.decode("utf-8"))
+        elif tag == _STR:
+            fields.append(str(body, "utf-8"))
         else:
-            raise ValueError(f"unknown field tag {tag!r}")
-        offset = start + body_len
-    return fields
+            raise ValueError(f"unknown field tag {bytes((tag,))!r}")
+        offset = end
+        count -= 1
+    return fields, offset
+
+
+def unpack_fields(data: bytes | memoryview) -> list[Field]:
+    """Invert :func:`pack_fields`."""
+    return unpack_prefix(data, -1)[0]
 
 
 def canonical_json(obj: object) -> bytes:
