@@ -426,6 +426,10 @@ class RistrettoGroup(Group):
                 continue
             if base == self._g_int or base in hot:
                 fixed.append((base, exponent))
+            elif exponent == L - 1:
+                # A bare inverse (the b/b' quotient of a strip check) is a
+                # sign flip, not a full-width ladder.
+                transient.append((_neg(self._point(base)), 1))
             else:
                 transient.append((self._point(base), exponent))
 

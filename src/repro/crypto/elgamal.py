@@ -11,8 +11,14 @@ peels one layer while shuffling.  Two constructions are provided:
   have stripped, the plaintext element remains.  Any single honest server's
   layer keeps the plaintext hidden from the rest — the anytrust property.
 
-Re-randomization (``rerandomize_layered``) lets each mix hop refresh the
+Re-randomization (``rerandomize``) lets each mix hop refresh the
 ciphertexts so input/output pairs cannot be linked by inspection.
+
+Every operation here forms each published component as *one*
+``Group.multiexp`` product: the bases that recur (the generator, the
+roster or combined key) walk their fixed-base tables, and the EC backend
+encodes each component once.  ``rerandomize(..., fixed_base=False)``
+keeps the two generic ladders for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -71,9 +77,7 @@ def encrypt(key: PublicKey, message_element: int, r: int | None = None) -> Ciphe
 
 def decrypt(key: PrivateKey, ct: Ciphertext) -> int:
     """Recover the plaintext group element."""
-    group = key.group
-    ct.validate(group)
-    return group.mul(ct.b, group.inv(group.exp(ct.a, key.x)))
+    return strip_layer(key, ct).b
 
 
 def combined_key(keys: Sequence[PublicKey]) -> PublicKey:
@@ -100,7 +104,7 @@ def strip_layer(key: PrivateKey, ct: Ciphertext) -> Ciphertext:
     """Remove one server's layer: b := b * a**(-x_j).  The a component stays."""
     group = key.group
     ct.validate(group)
-    return Ciphertext(ct.a, group.mul(ct.b, group.inv(group.exp(ct.a, key.x))))
+    return Ciphertext(ct.a, group.multiexp(((ct.b, 1), (ct.a, -key.x))))
 
 
 def final_plaintext(group: Group, ct: Ciphertext) -> int:
@@ -110,21 +114,39 @@ def final_plaintext(group: Group, ct: Ciphertext) -> int:
 
 
 def rerandomize(
-    key: PublicKey, ct: Ciphertext, r: int | None = None
+    key: PublicKey,
+    ct: Ciphertext,
+    r: int | None = None,
+    fixed_base: bool = True,
 ) -> tuple[Ciphertext, int]:
     """Refresh a ciphertext under (possibly combined) key without decrypting.
 
     Returns the new ciphertext and the randomness used (the shuffle's
     cut-and-choose argument must be able to reveal it).
+
+    Both exponentiated bases recur — the generator always, the key across
+    every ciphertext of a shuffle step and its bridges — so by default each
+    component is a bare factor plus one fixed-base table walk.
+    ``fixed_base=False`` raises both on the generic ladder instead: the same
+    elements at about four times the work.  Its one caller, and why, is
+    :func:`repro.core.keyshuffle.run_message_shuffle`.
     """
     group = key.group
     ct.validate(group)
     if r is None:
         r = group.random_scalar()
+    if not fixed_base:
+        return (
+            Ciphertext(
+                group.mul(ct.a, group.exp(group.g, r)),
+                group.mul(ct.b, group.exp(key.y, r)),
+            ),
+            r,
+        )
     return (
         Ciphertext(
-            group.mul(ct.a, group.exp(group.g, r)),
-            group.mul(ct.b, group.exp(key.y, r)),
+            group.multiexp(((ct.a, 1), (group.g, r))),
+            group.multiexp(((ct.b, 1), (key.y, r)), hot_bases=(key.y,)),
         ),
         r,
     )

@@ -205,7 +205,7 @@ class Group:
         """Simultaneous multi-exponentiation: ``prod base**exp``.
 
         The workhorse of batched proof verification.  Every backend
-        implements the same three cost savers:
+        implements the same cost savers:
 
         * duplicate bases are merged by summing their exponents mod q, so a
           base shared by every proof in a round (a slot key, a combined
@@ -218,7 +218,10 @@ class Group:
           combination coefficients of a batched verification, which only
           populate the low windows.  The modp backend buckets them
           (Pippenger); the EC backend interleaves wNAF digits for small
-          sets and buckets large ones.
+          sets and buckets large ones;
+        * an exponent of 1 or -1 (``q - 1``) is a bare factor or a bare
+          inverse — one group operation, never a ladder — so callers write
+          ``b * y**r`` and ``b / b'`` as products and pay for one result.
 
         Exponents are reduced mod q; callers pass negative exponents freely.
         Bases must already be group elements (callers validate).
@@ -443,6 +446,10 @@ class SchnorrGroup(Group):
                 # A bare factor (the commitment of a scalar signature
                 # check) must not drag the rest onto the bucket ladder.
                 acc = acc * base % p
+            elif exponent == q - 1:
+                # A bare inverse (the b/b' quotient of a strip check) is
+                # one extended GCD, not a full-width exponentiation.
+                acc = acc * pow(base, -1, p) % p
             else:
                 transient.append((base, exponent))
 

@@ -177,6 +177,7 @@ def _permuted_rerandomization(
     remaining_key: PublicKey,
     inputs: Sequence[CipherVector],
     rng: random.Random | None,
+    fixed_base: bool,
 ) -> _Bridge:
     """Apply a fresh uniform permutation + re-randomization to ``inputs``."""
     group = remaining_key.group
@@ -194,7 +195,7 @@ def _permuted_rerandomization(
         fresh: list[Ciphertext] = []
         for ct in inputs[order[k]]:
             r = group.random_scalar(rng)
-            new_ct, _ = elgamal.rerandomize(remaining_key, ct, r)
+            new_ct, _ = elgamal.rerandomize(remaining_key, ct, r, fixed_base)
             fresh.append(new_ct)
             randomness.append(r)
         bridge.vectors.append(tuple(fresh))
@@ -210,6 +211,7 @@ def shuffle_step(
     soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
     context: bytes = b"",
     rng: random.Random | None = None,
+    fixed_base: bool = True,
 ) -> ShuffleStep:
     """Run one server's cascade turn and emit its public step record.
 
@@ -223,6 +225,9 @@ def shuffle_step(
         context: domain-separation bytes binding the run (group id, round,
             shuffle purpose) into the Fiat-Shamir challenge.
         rng: deterministic randomness for tests; None uses the OS CSPRNG.
+        fixed_base: re-randomize on the fixed-base tables (see
+            :func:`repro.crypto.elgamal.rerandomize`); the published step
+            is the same either way.
     """
     group = server_key.group
     if not remaining_keys or remaining_keys[0].y != server_key.y:
@@ -236,11 +241,11 @@ def shuffle_step(
             ct.validate(group)
 
     # Step 1: the real permutation + re-randomization.
-    main = _permuted_rerandomization(remaining_key, inputs, rng)
+    main = _permuted_rerandomization(remaining_key, inputs, rng, fixed_base)
 
     # Step 2: bridge shuffles for the cut-and-choose argument.
     bridges = [
-        _permuted_rerandomization(remaining_key, inputs, rng)
+        _permuted_rerandomization(remaining_key, inputs, rng, fixed_base)
         for _ in range(soundness_bits)
     ]
     bits = _challenge_bits(
@@ -334,6 +339,25 @@ def _link_equations(
     return equations
 
 
+def _all_elements(group: Group, *published: Sequence[CipherVector]) -> bool:
+    """True iff every ciphertext component in ``published`` is a group element.
+
+    ``Group.is_element`` is a Jacobi symbol on modp and a cached point
+    decode on ec25519; a value that recurs is tested once.
+    """
+    checked: set[int] = set()
+    for vectors in published:
+        for vector in vectors:
+            for ct in vector:
+                for value in (ct.a, ct.b):
+                    if value in checked:
+                        continue
+                    if not group.is_element(value):
+                        return False
+                    checked.add(value)
+    return True
+
+
 def _batch_verify_links(
     remaining_key: PublicKey,
     equations: Sequence[_LinkEquation],
@@ -349,19 +373,12 @@ def _batch_verify_links(
     cut-and-choose argument with ``lam`` bridges costs one multi-exp
     instead of ``2*lam*N*W`` exponentiations.
 
-    Every element is first checked for subgroup membership (Legendre-fast):
-    outside the order-q subgroup, small-order components could cancel a
-    random linear combination with noticeable probability.
+    The caller has screened every element for membership
+    (:func:`_all_elements`): outside the order-q subgroup, small-order
+    components could cancel a random linear combination with noticeable
+    probability.
     """
     group = remaining_key.group
-    checked: set[int] = set()
-    for src, tgt, _ in equations:
-        for value in (src.a, src.b, tgt.a, tgt.b):
-            if value in checked:
-                continue
-            if not group.is_element(value):
-                return False
-            checked.add(value)
     left: list[tuple[int, int]] = []
     right: list[tuple[int, int]] = []
     g_exponent = 0
@@ -418,6 +435,12 @@ def verify_step(
         return False
     if len(step.argument.bridges) < max(1, soundness_bits):
         return False
+    # Everything below hashes and does group algebra on published values;
+    # a non-element anywhere must be a rejection, not an exception.
+    if not _all_elements(
+        group, inputs, step.permuted, step.stripped, *step.argument.bridges
+    ):
+        return False
     remaining_key = elgamal.combined_key(remaining_keys)
 
     bits = _challenge_bits(group, context, inputs, step.permuted, step.argument.bridges)
@@ -456,7 +479,7 @@ def verify_step(
         for ct, out, proof in zip(vector, out_vector, proof_vector):
             if out.a != ct.a:
                 return False
-            quotient = group.mul(ct.b, group.inv(out.b))
+            quotient = group.multiexp(((ct.b, 1), (out.b, -1)))
             items.append(
                 (server_public.y, ct.a, quotient, proof, context + b"|strip")
             )
@@ -469,6 +492,7 @@ def run_cascade(
     soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
     context: bytes = b"",
     rng: random.Random | None = None,
+    fixed_base: bool = True,
 ) -> ShuffleTranscript:
     """Drive the full cascade through every server in order (trusted driver).
 
@@ -489,6 +513,7 @@ def run_cascade(
             soundness_bits=soundness_bits,
             context=context,
             rng=rng,
+            fixed_base=fixed_base,
         )
         steps.append(step)
         current = step.stripped

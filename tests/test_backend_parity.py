@@ -204,6 +204,21 @@ class TestGroupContract:
         assert g.multiexp(pairs, hot_bases=[pairs[0][0]]) == expected
         assert g.multiexp([]) == g.identity()
 
+    def test_multiexp_bare_factor_and_bare_inverse(self, bgroup, brng):
+        # Exponents 1 and -1 skip the ladder on both backends; alone, with
+        # a ladder beside them, and on the generator and a hot base.
+        g = bgroup
+        a, b, c = (g.random_element(brng) for _ in range(3))
+        e = brng.randrange(2, g.q - 1)
+        quotient = g.mul(a, g.inv(b))
+        assert g.multiexp(((a, 1), (b, -1))) == quotient
+        assert g.multiexp(((a, 1), (b, g.q - 1))) == quotient
+        assert g.multiexp(((b, -1),)) == g.inv(b)
+        assert g.multiexp(((a, 1), (b, -1), (c, e))) == g.mul(quotient, g.exp(c, e))
+        assert g.multiexp(((a, 1), (g.g, -1))) == g.mul(a, g.inv(g.g))
+        assert g.multiexp(((a, 1), (b, -1)), hot_bases=(b,)) == quotient
+        assert g.multiexp(((a, 1), (a, -1))) == g.identity()
+
     def test_element_bytes_roundtrip(self, bgroup, brng):
         g = bgroup
         x = g.random_element(brng)

@@ -9,20 +9,21 @@ Three contracts:
 * the signature paths built on it (``verify``, ``batch_verify``,
   ``find_invalid``) return exactly the verdicts of the textbook check
   ``g**s == t * y**c``, on both backends;
-* the work a warm signature check costs, counted in point operations and
-  field exponentiations — counts repeat exactly, so this guards the
-  kernel in tier-1 without a timer.
+* the work a warm signature check and a warm shuffle step cost, counted
+  in point operations and field exponentiations — counts repeat exactly,
+  so this guards the kernel in tier-1 without a timer.
 """
 
 import dataclasses
 import random
+import secrets
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ec25519 as ec
-from repro.crypto import schnorr
+from repro.crypto import schnorr, shuffle
 from repro.crypto.groups import group_by_name
 from repro.crypto.keys import PrivateKey
 
@@ -427,3 +428,51 @@ class TestWorkBudget:
         before = work.counts["pow"]
         assert not schnorr.batch_verify(batch, hot_bases=hot, rng=random.Random(5))
         assert work.counts["pow"] - before == 1  # the product's encode
+
+    def test_shuffle_step_and_its_verification(self, monkeypatch):
+        """Parent commit: 89,446 + 603 to mix, 10,532 + 21 to verify.
+
+        Every re-randomization is two fixed-base walks (about 51 mixed
+        additions each) and two encodes; what is left of the doublings is
+        the strip proofs' transient ``a**x`` and ``a**k``.
+        """
+        group = ec.RistrettoGroup()
+        rng = random.Random(13)
+        servers = [PrivateKey.generate(group, rng) for _ in range(3)]
+        publics = [key.public for key in servers]
+        inputs = [
+            shuffle.prepare_element_input(publics, group.random_element(rng), rng)
+            for _ in range(8)
+        ]
+        steps = []
+
+        def mix():
+            # Proof nonces and batch coefficients come from the OS; seeded
+            # here so the counts repeat exactly.
+            monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
+            steps.append(
+                shuffle.shuffle_step(
+                    servers[0], publics, inputs, 0, 16, b"work", random.Random(5)
+                )
+            )
+            return True
+
+        def check():
+            monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
+            return shuffle.verify_step(
+                publics[0], publics, inputs, steps[0], b"work", 16
+            )
+
+        assert mix() and check()  # builds the generator and combined-key tables
+        work = _Work(monkeypatch)
+
+        operations, exponentiations = work.measure(mix)
+        assert 0 < operations <= 23_000
+        assert 0 < exponentiations <= 340
+        assert work.measure(mix) == (operations, exponentiations)
+        assert steps[1] == steps[2] == steps[0]
+
+        operations, exponentiations = work.measure(check)
+        assert 0 < operations <= 12_500
+        assert exponentiations <= 13  # one encode a quotient, not two
+        assert work.measure(check) == (operations, exponentiations)
