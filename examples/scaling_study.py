@@ -2,7 +2,8 @@
 """Paper-scale performance study: regenerate all six evaluation figures.
 
 Runs the simulated-mode experiment behind every figure in the paper's §5
-and prints the tables EXPERIMENTS.md records.  Takes a couple of minutes.
+and prints its table; ``tests/test_bench_figures.py`` holds each to the
+paper's shape.  Takes a couple of minutes.
 """
 
 import argparse

@@ -1,9 +1,9 @@
 """Experiment harness: one module per paper figure, plus ablations.
 
 Each module's ``run()`` returns a :class:`~repro.bench.harness.FigureResult`
-that renders the same rows/series the paper reports; the ``benchmarks/``
-directory wraps these in pytest-benchmark entry points, and EXPERIMENTS.md
-records paper-vs-measured values.
+that renders the same rows/series the paper reports;
+``examples/scaling_study.py`` prints every table and
+``tests/test_bench_figures.py`` holds each to the paper's shape.
 """
 
 from repro.bench.harness import FigureResult, fmt_seconds

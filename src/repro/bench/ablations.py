@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices the paper argues for.
 
 Not figures from the paper, but quantifications of its two central design
 arguments (§3.4-3.6):

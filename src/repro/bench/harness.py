@@ -1,8 +1,8 @@
 """Shared experiment-harness utilities: result tables and formatting.
 
 Every figure module returns a :class:`FigureResult` — named series of
-(x, value) rows — which renders as the fixed-width table the benchmark
-runs print and EXPERIMENTS.md records.
+(x, value) rows — which renders as the fixed-width table
+``examples/scaling_study.py`` prints.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Public surface:
   (§3.7, §5.1).
 * :mod:`~repro.core.keyshuffle` — scheduling via verifiable shuffles (§3.10).
 * :mod:`~repro.core.accusation` — the blame protocol (§3.9).
-* :mod:`~repro.core.adversary` — byzantine node models for tests/demos.
+* :mod:`~repro.core.adversary` — byzantine node models for tests and demos.
 * :class:`~repro.core.pipeline.PipelinedSession` — W rounds in flight with
   bit-identical outputs; drains to a barrier on failure/blame/schedule/
   membership events.

@@ -41,7 +41,9 @@ to
 
     detect → replay (N·W proven chunks) → trace
 
-which :mod:`benchmarks.bench_verdict` measures head to head.
+``tests/test_verdict.py`` asserts the second path runs no accusation
+shuffle, and the end-to-end benchmark's ``blame-recover-inproc-12``
+workload times the first (``benchmarks/e2e/README.md``).
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ modes: crash/stall (view timer rotates leadership), equivocation
 certificate whose absent signature names the withholder).
 """
 
+import collections
 import contextlib
 import dataclasses
 import json
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -32,8 +34,10 @@ from repro.core.adversary import (
     VoteWithholdingServer,
 )
 from repro.core.config import Policy
-from repro.core.session import build_keys
+from repro.core.session import DissentSession, build_keys
+from repro.crypto import schnorr
 from repro.errors import ConfigError, InvalidProof, InvalidSignature, ProtocolError
+from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, make_envelope
 from repro.net.runner import NetworkedSession
 from repro.persist import read_audit_log
 from repro.persist.codec import (
@@ -203,6 +207,22 @@ class TestRotation:
         assert bumped.leader(0) == leader_index(self.GID, 1, 0, 0, 4, {2})
 
 
+def count_calls(monkeypatch, target, key=lambda *args: None):
+    """Tally calls to a function in every module ``from x import f`` bound it."""
+    tally = collections.Counter()
+
+    def counted(*args, **kwargs):
+        tally[key(*args)] += 1
+        return target(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is target:
+                    monkeypatch.setattr(module, attr, counted)
+    return tally
+
+
 class TestInProcessConsensus:
     def test_honest_rounds_carry_full_view0_certificates(self):
         session = build_matched_inprocess(num_clients=N_CLIENTS, seed=SEED)
@@ -221,6 +241,34 @@ class TestInProcessConsensus:
         # Certificates are audit metadata: record equality is unaffected,
         # so fault-run records can be compared against no-fault baselines.
         assert dataclasses.replace(record, certificate=None) == record
+
+    @pytest.mark.parametrize("num_clients", [8, 32])
+    def test_signature_work_of_a_certified_round(self, monkeypatch, num_clients):
+        """What certificates cost, as work: 27 signatures at 8 clients, 51 at 32.
+
+        A round is N + 6M + 1 signatures: each client's ciphertext; each
+        server's inventory, commit, reveal, output signature, its envelope
+        and a vote; one proposal.  M + 1 of them, and the proposal's M - 1
+        scalar checks, are the certificate exchange.
+        """
+        session = DissentSession.build(
+            num_servers=N_SERVERS,
+            num_clients=num_clients,
+            seed=SEED,
+            policy=Policy(shuffle_soundness_bits=1),  # set-up is not the subject
+        )
+        session.setup()
+        session.post(0, b"certify me")
+        signed = count_calls(monkeypatch, schnorr.sign)
+        checked = count_calls(monkeypatch, schnorr.verify)
+        made = count_calls(
+            monkeypatch, make_envelope, key=lambda key, msg_type, *rest: msg_type
+        )
+        certificate = session.run_round().certificate
+        assert certificate.view == 0 and certificate.is_full(N_SERVERS)
+        assert signed[None] == num_clients + 6 * N_SERVERS + 1
+        assert made[LEADER_PROPOSE] + made[SERVER_VOTE] == N_SERVERS + 1
+        assert checked[None] == N_SERVERS - 1
 
     def test_equivocating_leader_convicted_and_rotated_out(self):
         probe = build_matched_inprocess(num_clients=N_CLIENTS, seed=SEED)

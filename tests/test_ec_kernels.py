@@ -9,9 +9,11 @@ Three contracts:
 * the signature paths built on it (``verify``, ``batch_verify``,
   ``find_invalid``) return exactly the verdicts of the textbook check
   ``g**s == t * y**c``, on both backends;
-* the work a warm signature check and a warm shuffle step cost, counted
-  in point operations and field exponentiations — counts repeat exactly,
-  so this guards the kernel in tier-1 without a timer.
+* the work a warm signature check and a warm shuffle step cost, and what
+  batching a round's envelopes or Verdict client proofs saves over
+  checking them one at a time, counted in point operations and field
+  exponentiations — counts repeat exactly, so this guards the kernel and
+  the batching claims in tier-1 without a timer.
 """
 
 import dataclasses
@@ -23,9 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ec25519 as ec
-from repro.crypto import schnorr, shuffle
+from repro.crypto import elgamal, schnorr, shuffle
 from repro.crypto.groups import group_by_name
 from repro.crypto.keys import PrivateKey
+from repro.net import message
+from repro.verdict import ciphertext as verdict
 
 GROUP = ec.ec_group()
 L = ec.L
@@ -476,3 +480,78 @@ class TestWorkBudget:
         assert 0 < operations <= 12_500
         assert exponentiations <= 13  # one encode a quotient, not two
         assert work.measure(check) == (operations, exponentiations)
+
+    @staticmethod
+    def _batch_saves(monkeypatch, one_at_a_time, batched, factor, budget):
+        """One batch costs at most ``1 / factor`` of the loop, and no pows."""
+        assert batched()  # builds every table
+        work = _Work(monkeypatch)
+        scalar, _ = work.measure(one_at_a_time)
+        operations, exponentiations = work.measure(batched)
+        assert exponentiations == 0
+        assert 0 < factor * operations <= scalar
+        assert operations <= budget
+        assert work.measure(batched) == (operations, 0)  # counts repeat exactly
+
+    def test_round_of_envelopes_batched_against_one_at_a_time(self, monkeypatch):
+        """Measured: 14,259 one at a time, 3,115 batched (4.6x), no pows.
+
+        A 32-client / 3-server round carries N ciphertexts and 3M peer
+        messages, 41 signed envelopes.  The baseline is the textbook check
+        with no key tables; the batch keeps the roster keys on theirs.
+        """
+        group = ec.RistrettoGroup()
+        rng = random.Random(9)
+        clients = [PrivateKey.generate(group, rng) for _ in range(32)]
+        servers = [PrivateKey.generate(group, rng) for _ in range(3)]
+        peers = (message.SERVER_INVENTORY, message.SERVER_COMMIT, message.SERVER_REVEAL)
+        signers = [(key, message.CLIENT_CIPHERTEXT) for key in clients]
+        signers += [(key, kind) for key in servers for kind in peers]
+        items = []
+        for key, kind in signers:
+            body = rng.randbytes(96)
+            envelope = message.make_envelope(key, kind, "node", b"gid", 7, body)
+            items.append((envelope, key.public))
+        hot = tuple(key.y for key in clients + servers)
+
+        def one_at_a_time():
+            for envelope, key in items:
+                schnorr.require_valid(key, envelope.signed_payload(), envelope.signature)
+            return True
+
+        def batched():
+            return not message.batch_verify_envelopes(
+                items, hot_bases=hot, rng=random.Random(5)
+            )
+
+        self._batch_saves(monkeypatch, one_at_a_time, batched, factor=3, budget=3_300)
+
+    def test_verdict_client_proofs_batched_against_one_at_a_time(self, monkeypatch):
+        """Measured: 30,306 + 192 one at a time, 3,494 + 0 batched (8.7x)."""
+        group = ec.RistrettoGroup()
+        rng = random.Random(7)
+        servers = [PrivateKey.generate(group, rng) for _ in range(3)]
+        combined = elgamal.combined_key([key.public for key in servers])
+        slot = PrivateKey.generate(group, rng)
+        statement = (group, combined, slot.y, b"sid", 5, 0, 1)
+        submissions = [
+            verdict.make_client_ciphertext(
+                group, combined, slot.y, i, b"sid", 5, 0, 1,
+                payload=None if i else b"q" * 8,
+                slot_private=None if i else slot,
+                rng=rng,
+            )
+            for i in range(16)
+        ]
+
+        def one_at_a_time():
+            return all(
+                verdict.verify_client_ciphertext(*statement, s) for s in submissions
+            )
+
+        def batched():
+            return not verdict.batch_verify_client_ciphertexts(
+                *statement, submissions, rng=random.Random(5)
+            )
+
+        self._batch_saves(monkeypatch, one_at_a_time, batched, factor=2, budget=3_700)

@@ -240,6 +240,29 @@ class TestVirtualClock:
         expected = latency.total + 11 * 0.01
         assert pipe.virtual_elapsed == pytest.approx(expected)
 
+    def test_four_rounds_in_flight_at_least_double_lockstep_throughput(self):
+        """Measured: 12 rounds take 1.68 s lockstep, 0.78 s at W = 4 (2.15x).
+
+        LAN-like exchange latencies with the submission window slowest:
+        lockstep pays the 140 ms sum every round, a deep pipeline
+        approaches the 40 ms maximum.  Pads are derived ahead of need, so
+        no round squeezes SHAKE between submission and certified output.
+        """
+        # submit, inventory, commit, reveal, certify, output
+        latency = PhaseLatency(0.040, 0.015, 0.015, 0.025, 0.015, 0.030)
+
+        def run(window):
+            session = _clean_session(seed=5, messages=12)
+            pipe = PipelinedSession(session, window=window, latency=latency)
+            return pipe, [r.output.cleartext for r in pipe.run_rounds(12)]
+
+        lockstep, reference = run(1)
+        pipelined, cleartexts = run(4)
+        assert cleartexts == reference
+        assert lockstep.virtual_elapsed == pytest.approx(12 * latency.total)
+        assert pipelined.virtual_elapsed <= lockstep.virtual_elapsed / 2
+        assert pipelined.prefetcher.hit_rate == 1.0
+
     def test_drain_resets_the_pipeline_clock(self):
         latency = PhaseLatency.uniform(0.01)
         lock_like = _clean_session(seed=52)

@@ -1,6 +1,7 @@
 """Unit tests for the round timing simulator and cost model."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -104,6 +105,23 @@ class TestSimulateRound:
         )
         assert packed.client_submission > free.client_submission
 
+    def test_batched_signature_checks_shorten_the_round(self):
+        one_at_a_time = replace(DEFAULT_COST_MODEL, batched_signatures=False)
+        batched = simulate_round(self._config(n=1024), random.Random(5))
+        scalar = simulate_round(
+            self._config(n=1024, cost=one_at_a_time), random.Random(5)
+        )
+        assert batched.total < scalar.total
+
+    def test_pipeline_period_falls_with_depth(self):
+        periods = [
+            simulate_round(
+                self._config(n=1024, m=32, pipeline_depth=depth), random.Random(5)
+            ).pipeline_period
+            for depth in (1, 2, 4, 8)
+        ]
+        assert periods[0] > periods[1] >= periods[2] >= periods[3]
+
     def test_mean_timing(self):
         timings = simulate_rounds(self._config(), 5, seed=3)
         mean = mean_timing(timings)
@@ -155,6 +173,18 @@ class TestDisruptionRecoveryModel:
             batched.verifiable_overhead_per_round
             < unbatched.verifiable_overhead_per_round
         )
+
+    def test_hybrid_names_a_disruptor_ten_times_sooner_than_xor(self):
+        from repro.sim.roundsim import simulate_disruption_recovery
+
+        xor, hybrid, verifiable = (
+            simulate_disruption_recovery(1024, 8, mode)
+            for mode in ("xor", "hybrid", "verifiable")
+        )
+        assert hybrid.time_to_blame < xor.time_to_blame / 10
+        # Proactive mode names the disruptor in the round and pays every round.
+        assert verifiable.blame == 0.0
+        assert verifiable.verifiable_overhead_per_round > 0
 
     def test_xor_model_ignores_batching_flag(self):
         from repro.sim.roundsim import simulate_disruption_recovery
