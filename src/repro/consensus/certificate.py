@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto import schnorr
+from repro.crypto.groups import hot_bases_within_budget
 from repro.errors import InvalidProof, InvalidSignature, ProtocolError
 from repro.net.message import (
     LEADER_PROPOSE,
@@ -105,6 +106,29 @@ def _vote_signed_payload(definition, server_index: int, round_number: int, body:
     )
 
 
+def _invalid_vote_positions(
+    definition, round_number: int, view: int, digest: bytes, votes
+) -> tuple[int, ...]:
+    """Positions in ``votes`` — ``(server index, signature)`` pairs — that fail.
+
+    One batched check against the roster keys' fixed-base tables; only a
+    failing batch bisects.
+    """
+    body = vote_body(view, digest)
+    items = [
+        (
+            definition.server_keys[index],
+            _vote_signed_payload(definition, index, round_number, body),
+            signature,
+        )
+        for index, signature in votes
+    ]
+    hot = hot_bases_within_budget(key.y for key in definition.server_keys)
+    if schnorr.batch_verify(items, hot_bases=hot):
+        return ()
+    return schnorr.find_invalid(items, hot_bases=hot, known_failed=True)
+
+
 def find_invalid_votes(
     definition, round_number: int, view: int, digest: bytes, votes: dict
 ) -> list[int]:
@@ -114,19 +138,13 @@ def find_invalid_votes(
     :func:`adopt_round_evidence` calls this when the certificate it is
     about to adopt fails to verify, to pinpoint the forged votes.
     """
-    body = vote_body(view, digest)
     ordered = sorted(votes.items())
-    items = [
-        (
-            definition.server_keys[index],
-            _vote_signed_payload(definition, index, round_number, body),
-            signature,
+    return [
+        ordered[i][0]
+        for i in _invalid_vote_positions(
+            definition, round_number, view, digest, ordered
         )
-        for index, signature in ordered
     ]
-    if not items or schnorr.batch_verify(items):
-        return []
-    return [ordered[i][0] for i in schnorr.find_invalid(items, known_failed=True)]
 
 
 @dataclass(frozen=True)
@@ -172,17 +190,10 @@ class RoundCertificate:
                 f"certificate has {len(indices)} votes, quorum is "
                 f"{quorum_size(num_servers)} of {num_servers}"
             )
-        body = vote_body(self.view, self.digest)
-        items = [
-            (
-                definition.server_keys[index],
-                _vote_signed_payload(definition, index, self.round_number, body),
-                signature,
-            )
-            for index, signature in self.votes
-        ]
-        if not schnorr.batch_verify(items):
-            bad = schnorr.find_invalid(items, known_failed=True)
+        bad = _invalid_vote_positions(
+            definition, self.round_number, self.view, self.digest, self.votes
+        )
+        if bad:
             names = ", ".join(definition.server_name(indices[i]) for i in bad)
             raise InvalidSignature(f"certificate vote signature invalid from: {names}")
 

@@ -397,9 +397,14 @@ class DissentClient:
     def verify_output(self, output: RoundOutput) -> None:
         """Check all M server signatures before trusting a round output.
 
-        One multi-exponentiation covers the whole signature set (the
-        server keys are this client's hottest recurring bases); verdicts
-        are identical to checking each signature individually.
+        Algorithm 1 step 3, once per client.  The server keys are this
+        client's hottest recurring bases, so the set goes through
+        :func:`repro.crypto.schnorr.batch_verify` on their fixed-base
+        tables: M equations one at a time up to ``HOT_BATCH_MAX`` servers,
+        one multi-exponentiation above.  The first client a process hosts
+        pays for that; the clients beside it submit the same M signatures
+        and are answered by the accepted-signature memo.  Verdicts are
+        identical to checking each signature individually.
         """
         if len(output.signatures) != self.definition.num_servers:
             raise InvalidSignature("round output must carry one signature per server")
@@ -441,7 +446,10 @@ class DissentClient:
         ``round-output`` envelope; we authenticate the carrier before
         decoding, then :meth:`handle_output` re-verifies all M output
         signatures — behaviour from here on is bit-identical to receiving
-        the :class:`RoundOutput` object directly.
+        the :class:`RoundOutput` object directly.  Clients attached to the
+        same server receive the same carrier; co-hosted, the first one's
+        check of it is remembered (:mod:`repro.crypto.schnorr`) and the
+        rest hash the body they decoded and find it accepted.
         """
         from repro.net.wire import decode_round_output_body
 

@@ -402,7 +402,7 @@ class DissentServer:
     def _verify_peer_batch(
         self, envelopes: list[SignedEnvelope], indices: list[int]
     ) -> None:
-        """Check all peer-server signatures with one multi-exponentiation.
+        """Check all peer-server signatures in one batch.
 
         Peer long-term keys recur every round, so they ride the cached
         fixed-base tables.  A failing batch bisects to the forging peers

@@ -16,7 +16,30 @@ worth of envelope signatures can be checked with one random-linear-
 combination multi-exponentiation (:func:`batch_verify`) — the same trick
 Verdict applies to its proofs, and the reason the earlier challenge-form
 ``(c, s)`` encoding was retired.  Soundness is unchanged: the hash binds
-the transmitted commitment exactly as the challenge form did.
+the transmitted commitment exactly as the challenge form did.  A batch of
+at most :data:`HOT_BATCH_MAX` signatures whose keys all have fixed-base
+tables is cheaper one equation at a time (nothing is left for a shared
+ladder to save), and :func:`batch_verify` checks it that way.
+
+**Each distinct signature is evaluated once per process.**  The paper has
+every client check all M server signatures on a round's output and every
+server check its peers' envelopes; deployed, those are N + M machines'
+work, but a process that hosts several members (every test, example and
+benchmark workload here hosts all of them) would pay for the same
+equation N times on one core.  :func:`verify` and :func:`batch_verify`
+keep a bounded memo of *accepted* ``(group, y, message, t, s)`` tuples —
+the exact values the equation reads, no digest of them — and accept a
+tuple found there without evaluating it; a batch builds its product over
+the items not yet accepted.  Only a completed verification writes an
+entry: :func:`sign` never does (a process that signs and then verifies
+still verifies), and a rejection never does, so a forged signature is
+evaluated every time it is presented and :func:`find_invalid` names
+culprits exactly as before.  The memo is process-wide rather than
+per-session because its point is what co-hosted members share;
+:func:`forget_accepted` empties it and
+:func:`repro.core.session.build_keys` calls that for every new group.
+With one member per process (``NetworkedSession`` in ``mode="subprocess"``)
+nothing repeats and the memo answers nothing.
 
 Nonces are **deterministic** (RFC 6979 in spirit): ``k`` is derived by
 hashing the private scalar together with the message, so nonce reuse
@@ -26,7 +49,7 @@ Signing is therefore a pure function: the same key and message always
 produce the same signature.
 
 Both hashes absorb the whole ``message`` — twice to sign (nonce, then
-challenge), once per check — so message length is this module's cost
+challenge), once per evaluated check — so message length is this module's cost
 model.  Callers with large content sign a digest of it: a
 :class:`~repro.net.message.SignedEnvelope` hands in ~150 bytes (its
 header fields and ``sha256(body)``,
@@ -43,14 +66,35 @@ signature individually.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+import threading
+from collections import OrderedDict
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import InvalidSignature
+from repro.obs import metrics as _metrics
 
 _DOMAIN = b"dissent.schnorr-sig.v2"
 _DOMAIN_NONCE = b"dissent.schnorr-nonce.v1"
+
+#: Accepted signatures the process remembers, oldest evicted first.  A
+#: 32-client / 3-server round signs 54 messages, so this is some 75 rounds;
+#: an entry is the exact 5-tuple over a ~150-byte payload, about 0.5 KiB
+#: on ec25519 and 1 KiB on modp2048 — 2 to 4 MiB when full.
+ACCEPTED_MEMO_ENTRIES = 4096
+
+#: Largest batch of hot-key signatures :func:`batch_verify` checks one
+#: equation at a time.  Per signature that is two fixed-base table walks;
+#: the random-linear-combination batch saves one walk a signature (the
+#: generator terms merge) but pays a 128-doubling ladder plus digit
+#: additions to raise every transient commitment to its coefficient.
+#: Counted warm, one at a time against batched: ec25519 297 / 414 point
+#: operations at three signatures, 789 / 801 at eight, 889 / 879 at nine;
+#: modp1536 1,794 / 1,812 modular multiplications at three, 2,393 / 2,195
+#: at four.  Three is the largest size at which neither does more work
+#: one at a time (modp2048 crosses between two and three: 2,382 / 2,203).
+HOT_BATCH_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -134,6 +178,50 @@ def _structural_ok(key: PublicKey, signature: Signature) -> bool:
     return group.is_element(signature.t)
 
 
+# ---------------------------------------------------------------------------
+# The accepted-signature memo: one verification per signature per process
+# ---------------------------------------------------------------------------
+
+_accepted: OrderedDict[tuple, None] = OrderedDict()
+_accepted_lock = threading.Lock()
+
+
+def _memo_key(key: PublicKey, message: bytes, signature: Signature) -> tuple:
+    """Everything the verification equation reads, exactly.
+
+    The group goes in by name, which is its identity everywhere else too
+    (the registry, the hello, the Fiat-Shamir domain of the challenge).
+    """
+    return (key.group.name, key.y, bytes(message), signature.t, signature.s)
+
+
+def _remember(memo_keys: Iterable[tuple]) -> None:
+    # Insert-then-evict is compound and two threads verify (the tcp
+    # session's caller and its loop); lookups are single dict reads.
+    with _accepted_lock:
+        for memo_key in memo_keys:
+            _accepted[memo_key] = None
+        while len(_accepted) > ACCEPTED_MEMO_ENTRIES:
+            _accepted.popitem(last=False)
+
+
+def forget_accepted() -> None:
+    """Empty the memo: every signature is evaluated afresh from here on.
+
+    :func:`repro.core.session.build_keys` calls this for every group it
+    makes.  Signatures are deterministic, so a second session built from
+    the same seed in one interpreter would otherwise find all of its
+    set-up and rounds already answered.
+    """
+    with _accepted_lock:
+        _accepted.clear()
+
+
+def _count(name: str, amount: int) -> None:
+    if amount and _metrics.GLOBAL.enabled:
+        _metrics.GLOBAL.counter(f"crypto.schnorr.{name}").inc(amount)
+
+
 def verify(
     key: PublicKey,
     message: bytes,
@@ -148,7 +236,15 @@ def verify(
     With ``key.y`` in ``hot_bases`` (pass it for long-lived roster keys
     only: a table build costs about ten exponentiations) both
     full-width exponents are fixed-base table walks.
+
+    A signature this process has already accepted — the same group, key,
+    message, ``t`` and ``s`` — is accepted again without evaluating
+    anything; a rejected one is evaluated every time it is presented.
     """
+    memo_key = _memo_key(key, message, signature)
+    if memo_key in _accepted:
+        _count("memo_hits", 1)
+        return True
     group = key.group
     if not _structural_ok(key, signature):
         return False
@@ -157,7 +253,11 @@ def verify(
         ((signature.t, 1), (key.y, c), (group.g, -signature.s)),
         hot_bases=hot_bases,
     )
-    return product == group.identity()
+    _count("checks", 1)
+    if product != group.identity():
+        return False
+    _remember((memo_key,))
+    return True
 
 
 def require_valid(
@@ -172,7 +272,7 @@ def require_valid(
 
 
 # ---------------------------------------------------------------------------
-# Batched verification: one multi-exponentiation for a whole round
+# Batched verification: one multi-exponentiation for what is new in a round
 # ---------------------------------------------------------------------------
 
 #: One signature check for batching: ``(public key, message, signature)``.
@@ -184,18 +284,24 @@ def batch_verify(
     hot_bases: Collection[int] = (),
     rng=None,
 ) -> bool:
-    """Check many signatures with one multi-exponentiation.
+    """Check many signatures, evaluating only those not accepted before.
 
-    Each signature's equation ``t * y**c * g**(-s) == 1`` is raised to an
-    independent short random coefficient and multiplied into one product
-    that must equal the identity; a forger passes only by predicting the
-    coefficient in advance (probability ``2**-BATCH_COEFF_BITS``, see
+    Items the process has already accepted (see :func:`verify`) are
+    skipped.  Of the rest, each signature's equation
+    ``t * y**c * g**(-s) == 1`` is raised to an independent short random
+    coefficient and multiplied into one product that must equal the
+    identity; a forger passes only by predicting the coefficient in
+    advance (probability ``2**-BATCH_COEFF_BITS``, see
     :mod:`repro.crypto.proofs`).  Accepts iff — with overwhelming
     probability — every signature would pass :func:`verify` individually;
     on ``False`` use :func:`find_invalid` to name the exact culprits.
+    Nothing is remembered from a batch that fails.
 
-    Empty batches accept; single-item batches take the scalar path (the
-    same equation with no coefficient).
+    Empty batches accept.  A single pending item, or at most
+    :data:`HOT_BATCH_MAX` pending items whose keys are all in
+    ``hot_bases``, goes through :func:`verify` one at a time: with every
+    full-width exponent on a table there is no ladder to share, and the
+    coefficients would only add one.
 
     Args:
         hot_bases: long-lived public-key elements routed through the
@@ -203,20 +309,31 @@ def batch_verify(
             caller verifies every round (servers' peers, a server's
             attached clients) so each full-width ``y**c`` costs a table
             walk instead of a fresh exponentiation.
+        rng: source of the batch coefficients (tests seed it); one is
+            drawn per signature that enters the product.
     """
     from repro.crypto.proofs import _batch_coefficient
 
     if not items:
         return True
-    if len(items) == 1:
-        key, message, signature = items[0]
-        return verify(key, message, signature, hot_bases)
     group = items[0][0].group
-    pairs: list[tuple[int, int]] = []
-    g_exponent = 0
-    for key, message, signature in items:
+    pending: list[tuple[tuple, BatchItem]] = []
+    for item in items:
+        key = item[0]
         if key.group is not group and key.group != group:
             raise InvalidSignature("batched signatures must share one group")
+        memo_key = _memo_key(*item)
+        if memo_key not in _accepted:
+            pending.append((memo_key, item))
+    _count("memo_hits", len(items) - len(pending))
+    if len(pending) == 1 or (
+        len(pending) <= HOT_BATCH_MAX
+        and all(key.y in hot_bases for _, (key, _, _) in pending)
+    ):
+        return all(verify(*item, hot_bases) for _, item in pending)
+    pairs: list[tuple[int, int]] = []
+    g_exponent = 0
+    for _, (key, message, signature) in pending:
         if not _structural_ok(key, signature):
             return False
         c = _challenge(group, key.y, signature.t, message)
@@ -232,7 +349,12 @@ def batch_verify(
     # canonical encoding of the product (ristretto: two field
     # exponentiations saved per valid batch).
     pairs.append((group.g, -g_exponent))
-    return group.multiexp(pairs, hot_bases=hot_bases) == group.identity()
+    product = group.multiexp(pairs, hot_bases=hot_bases)
+    _count("checks", len(pending))
+    if product != group.identity():
+        return False
+    _remember(memo_key for memo_key, _ in pending)
+    return True
 
 
 def find_invalid(

@@ -5,14 +5,14 @@
 :class:`SignedEnvelope`: a type tag, the sender's name, the group's
 self-certifying id, a round number, and an opaque body — all covered by a
 commitment-form Schnorr signature under the sender's long-term key (the
-commitment form is what lets a verifier fold a whole round's envelopes
-into one multi-exponentiation, see :func:`batch_verify_envelopes`).
+commitment form is what lets a verifier fold a whole round's new
+envelopes into one multi-exponentiation, see :func:`batch_verify_envelopes`).
 
 **What the signature covers** (envelope v2, :func:`envelope_signed_payload`):
 the four header fields and the *SHA-256 of the body*, never the body
 itself.  A bulk round moves ~500 KiB bodies, and a Schnorr signature
 hashes its message twice to sign (nonce, then challenge) and once per
-check; signing the digest makes every large body cost one SHA-256 pass
+evaluated check; signing the digest makes every large body cost one SHA-256 pass
 per holder, and hands :mod:`repro.crypto.schnorr` ~150 bytes whatever
 the body size.  This is how the original Dissent bulk protocol
 authenticated bulk data (members sign descriptors carrying hashes of the
@@ -151,15 +151,20 @@ def batch_verify_envelopes(
     hot_bases: Sequence[int] = (),
     rng=None,
 ) -> tuple[int, ...]:
-    """Indices of envelopes whose signatures fail, via one multi-exponentiation.
+    """Indices of envelopes whose signatures fail, batched.
 
     The per-round verification workhorse: a server checking N client
     ciphertexts (or M peer commits/reveals/inventories, or a client
-    checking M output signatures) passes all of them here and pays one
-    random-linear-combination multi-exponentiation when everything is
-    authentic — the common case.  A failing batch bisects down to scalar
-    :func:`repro.crypto.schnorr.verify` calls, so the returned culprit
-    set is exactly what per-envelope verification would reject.
+    checking M output signatures) passes all of them here.  When
+    everything is authentic — the common case — the envelopes this
+    process has not accepted before cost one random-linear-combination
+    multi-exponentiation (or, for a handful of roster keys, one
+    fixed-base equation each; see :func:`repro.crypto.schnorr.batch_verify`)
+    and the ones it has cost nothing: three co-hosted servers each
+    handed the same three inventories evaluate them once.  A failing
+    batch bisects down to scalar :func:`repro.crypto.schnorr.verify`
+    calls, so the returned culprit set is exactly what per-envelope
+    verification would reject, whatever was accepted beforehand.
 
     Callers screen structural fields (type, round, group id, body length)
     *before* batching: a stale or mistyped envelope must be rejected by

@@ -8,13 +8,16 @@ batch sizes alike.
 
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tests.helpers import fresh_session
+from tests.helpers import crypto_counters, fresh_session
 from repro.crypto import schnorr
-from repro.crypto.groups import testing_group as toy_group
-from repro.crypto.keys import PrivateKey
+from repro.crypto.groups import default_group_name, group_by_name
+from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import InvalidSignature, ShuffleError
 from repro.net.message import (
     CLIENT_CIPHERTEXT,
@@ -24,9 +27,14 @@ from repro.net.message import (
 )
 
 
+def session_group():
+    """The group sessions default to: CI's modp1536 leg runs this file on it."""
+    return group_by_name(default_group_name())
+
+
 def _envelope_batch(count, seed=5):
     """``count`` well-signed client envelopes under distinct keys."""
-    group = toy_group()
+    group = session_group()
     rng = random.Random(seed)
     keys = [PrivateKey.generate(group, rng) for _ in range(count)]
     items = []
@@ -36,6 +44,14 @@ def _envelope_batch(count, seed=5):
         )
         items.append((envelope, key.public))
     return items
+
+
+def _signature_checks(items):
+    """The ``schnorr`` batch items behind ``(envelope, key)`` pairs."""
+    return [
+        (key, envelope.signed_payload(), envelope.signature)
+        for envelope, key in items
+    ]
 
 
 class TestBatchVerifyEnvelopes:
@@ -92,6 +108,205 @@ class TestBatchVerifyEnvelopes:
         items[3] = (dataclasses.replace(envelope, body=b"evil"), key)
         with pytest.raises(InvalidSignature, match="client-3"):
             require_envelopes_valid(items)
+
+
+class CountingRandom(random.Random):
+    """Counts the batch coefficients drawn from it."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.fixture
+def counters():
+    """``read(name)`` of the ``crypto.schnorr.*`` counters while the test runs."""
+    with crypto_counters() as read:
+        yield lambda name: read(f"schnorr.{name}")
+
+
+class TestAcceptedMemo:
+    """Remembering what was accepted changes no verdict, only the work."""
+
+    ITEMS = 12
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return _envelope_batch(self.ITEMS, seed=23)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seen=st.sets(st.integers(0, ITEMS - 1)),
+        bad=st.sets(st.integers(0, ITEMS - 1), max_size=4),
+        hot=st.booleans(),
+    )
+    def test_culprits_are_the_scalar_culprits_whatever_was_seen_before(
+        self, batch, seen, bad, hot
+    ):
+        items = [
+            (dataclasses.replace(envelope, round_number=9), key) if i in bad
+            else (envelope, key)
+            for i, (envelope, key) in enumerate(batch)
+        ]  # fmt: skip
+        hot_bases = tuple(key.y for _, key in items) if hot else ()
+        schnorr.forget_accepted()
+        scalar = tuple(
+            i
+            for i, (envelope, key) in enumerate(items)
+            if not schnorr.verify(key, envelope.signed_payload(), envelope.signature)
+        )
+        assert scalar == tuple(sorted(bad))
+        schnorr.forget_accepted()
+        for i in sorted(seen):
+            envelope, key = items[i]
+            assert schnorr.verify(
+                key, envelope.signed_payload(), envelope.signature
+            ) == (i not in bad)
+        assert batch_verify_envelopes(items, hot_bases=hot_bases) == scalar
+        assert batch_verify_envelopes(items, hot_bases=hot_bases) == scalar
+
+    def test_nothing_but_the_exact_tuple_is_remembered(self, batch):
+        (envelope, key), (_, other_key) = batch[:2]
+        message, signature = envelope.signed_payload(), envelope.signature
+        schnorr.forget_accepted()
+        assert schnorr.verify(key, message, signature)
+        assert schnorr.verify(key, message, signature)
+        group = key.group
+        assert not schnorr.verify(other_key, message, signature)
+        assert not schnorr.verify(key, message + b"!", signature)
+        for forged in (
+            dataclasses.replace(signature, s=(signature.s + 1) % group.q),
+            dataclasses.replace(signature, t=group.mul(signature.t, group.g)),
+        ):
+            assert not schnorr.verify(key, message, forged)
+            assert batch_verify_envelopes(
+                [(dataclasses.replace(envelope, signature=forged), key), batch[1]]
+            ) == (0,)
+
+    def test_a_signature_remembered_in_one_group_is_not_valid_in_another(self):
+        group = session_group()
+        wider = next(
+            candidate
+            for candidate in map(group_by_name, ("test-512", "modp2048"))
+            if candidate.element_bytes > group.element_bytes
+        )
+        rng = random.Random(77)
+        # A key and commitment that are also elements of the wider group,
+        # so over there the equation itself is what says no.
+        while True:
+            key = PrivateKey.generate(group, rng)
+            signature = schnorr.sign(key, b"here only")
+            if wider.is_element(key.y) and wider.is_element(signature.t):
+                break
+        schnorr.forget_accepted()
+        assert schnorr.verify(key.public, b"here only", signature)
+        assert not schnorr.verify(PublicKey(wider, key.y), b"here only", signature)
+
+    def test_rejections_are_evaluated_every_time_and_signing_records_nothing(
+        self, counters
+    ):
+        key = PrivateKey.generate(session_group(), random.Random(3))
+        schnorr.forget_accepted()
+        signature = schnorr.sign(key, b"signed here")
+        forged = dataclasses.replace(signature, s=(signature.s + 1) % key.group.q)
+        for attempt in range(1, 4):
+            assert not schnorr.verify(key.public, b"signed here", forged)
+            assert (counters("checks"), counters("memo_hits")) == (attempt, 0)
+        # The signer's own process still pays for the first verification.
+        for hits in range(3):
+            assert schnorr.verify(key.public, b"signed here", signature)
+            assert (counters("checks"), counters("memo_hits")) == (4, hits)
+
+    def test_the_memo_is_bounded_and_evicts_oldest_first(self, monkeypatch, counters):
+        monkeypatch.setattr(schnorr, "ACCEPTED_MEMO_ENTRIES", 8)
+        key = PrivateKey.generate(session_group(), random.Random(4))
+        signed = [
+            (key.public, b"message %d" % i, schnorr.sign(key, b"message %d" % i))
+            for i in range(20)
+        ]
+        schnorr.forget_accepted()
+        assert schnorr.batch_verify(signed[:13])
+        for item in signed[13:]:
+            assert schnorr.verify(*item)
+        assert (counters("checks"), counters("memo_hits")) == (20, 0)
+        # Newest first: the eight newest are held; the ninth is a miss whose
+        # own entry pushes out the oldest survivor, and so on down.
+        for item in reversed(signed):
+            assert schnorr.verify(*item)
+        assert (counters("checks"), counters("memo_hits")) == (32, 8)
+
+    def test_threads_on_overlapping_items_agree_and_raise_nothing(self, monkeypatch):
+        monkeypatch.setattr(schnorr, "ACCEPTED_MEMO_ENTRIES", 4)  # evict constantly
+        key = PrivateKey.generate(session_group(), random.Random(6))
+        work = []
+        for i in range(10):
+            signature = schnorr.sign(key, b"shared %d" % i)
+            if i % 3 == 0:
+                signature = dataclasses.replace(
+                    signature, s=(signature.s + 1) % key.group.q
+                )
+            work.append((key.public, b"shared %d" % i, signature, i % 3 != 0))
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(60):
+                    public, message, signature, valid = work[(offset + step) % 10]
+                    if schnorr.verify(public, message, signature) != valid:
+                        errors.append((offset, step))
+                    if step % 7 == offset:
+                        schnorr.batch_verify([item[:3] for item in work[1:3]])
+                    if step % 20 == offset:
+                        schnorr.forget_accepted()
+            except Exception as exc:  # the assertion below reports it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_one_coefficient_per_signature_that_enters_the_product(self, batch):
+        sig_items = _signature_checks(batch[:8])
+        schnorr.forget_accepted()
+        assert schnorr.batch_verify(sig_items[:3])
+        rng = CountingRandom(5)
+        assert schnorr.batch_verify(sig_items, rng=rng)
+        assert rng.draws == 5
+        assert schnorr.batch_verify(sig_items, rng=rng)
+        assert rng.draws == 5
+
+    def test_small_hot_batches_draw_no_coefficient_at_all(self, batch):
+        """Up to ``HOT_BATCH_MAX`` pending hot-key items are checked one
+        equation at a time; one more, or one cold key, and it is a product."""
+        limit = schnorr.HOT_BATCH_MAX
+        sig_items = _signature_checks(batch[: limit + 1])
+        hot = tuple(key.y for key, _, _ in sig_items)
+        for size, hot_bases, draws in (
+            (limit, hot, 0),
+            (limit + 1, hot, limit + 1),
+            (limit, hot[1:], limit),
+        ):
+            schnorr.forget_accepted()
+            rng = CountingRandom(5)
+            assert schnorr.batch_verify(sig_items[:size], hot_bases=hot_bases, rng=rng)
+            assert rng.draws == draws
+        # What matters is how many are pending, not how many were handed in.
+        rng = CountingRandom(5)
+        schnorr.forget_accepted()
+        assert schnorr.verify(*sig_items[0])
+        assert schnorr.batch_verify(sig_items, hot_bases=hot, rng=rng)
+        assert rng.draws == 0
 
 
 class TestServerBatchAccept:

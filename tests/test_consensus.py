@@ -46,6 +46,7 @@ from repro.persist.codec import (
     encode_certificate,
     encode_equivocation_proof,
 )
+from tests.helpers import crypto_counters
 from tests.test_networked_session import build_matched_inprocess
 
 SEED = 2012
@@ -223,6 +224,22 @@ def count_calls(monkeypatch, target, key=lambda *args: None):
     return tally
 
 
+def submitted_signatures(monkeypatch) -> set:
+    """Every distinct signature check handed to ``schnorr`` from here on."""
+    distinct = set()
+
+    def one(key, message, signature, *rest):
+        distinct.add((key.y, message, signature))
+
+    def many(items, *rest):
+        for item in items:
+            one(*item)
+
+    count_calls(monkeypatch, schnorr.verify, key=one)
+    count_calls(monkeypatch, schnorr.batch_verify, key=many)
+    return distinct
+
+
 class TestInProcessConsensus:
     def test_honest_rounds_carry_full_view0_certificates(self):
         session = build_matched_inprocess(num_clients=N_CLIENTS, seed=SEED)
@@ -248,8 +265,13 @@ class TestInProcessConsensus:
 
         A round is N + 6M + 1 signatures: each client's ciphertext; each
         server's inventory, commit, reveal, output signature, its envelope
-        and a vote; one proposal.  M + 1 of them, and the proposal's M - 1
-        scalar checks, are the certificate exchange.
+        and a vote; one proposal.  M + 1 of them are the certificate
+        exchange.  Every one is evaluated once — all but the M
+        ``round-output`` carriers, which nobody opens in process — and
+        every other check of it is answered from the memo: each of N
+        clients re-checking the M output signatures, each of M servers
+        re-checking four kinds of peer envelope, the proposal's second
+        reader and the certificate's second verification.
         """
         session = DissentSession.build(
             num_servers=N_SERVERS,
@@ -260,15 +282,67 @@ class TestInProcessConsensus:
         session.setup()
         session.post(0, b"certify me")
         signed = count_calls(monkeypatch, schnorr.sign)
-        checked = count_calls(monkeypatch, schnorr.verify)
         made = count_calls(
             monkeypatch, make_envelope, key=lambda key, msg_type, *rest: msg_type
         )
-        certificate = session.run_round().certificate
+        with crypto_counters() as count:
+            certificate = session.run_round().certificate
         assert certificate.view == 0 and certificate.is_full(N_SERVERS)
         assert signed[None] == num_clients + 6 * N_SERVERS + 1
         assert made[LEADER_PROPOSE] + made[SERVER_VOTE] == N_SERVERS + 1
-        assert checked[None] == N_SERVERS - 1
+        assert count("schnorr.checks") == signed[None] - N_SERVERS
+        assert count("schnorr.memo_hits") == (
+            N_SERVERS * (num_clients - 1)
+            + 4 * N_SERVERS * (N_SERVERS - 1)
+            + (N_SERVERS - 2)
+            + N_SERVERS
+        )
+
+    def test_no_signature_is_evaluated_twice_in_process(self, monkeypatch):
+        session = DissentSession.build(
+            num_servers=N_SERVERS,
+            num_clients=32,
+            seed=SEED,
+            policy=Policy(shuffle_soundness_bits=1),
+        )
+        submitted = submitted_signatures(monkeypatch)
+        with crypto_counters() as count:
+            session.setup()
+            session.post(0, b"once each")
+            session.run_rounds(3)
+        assert count("schnorr.checks") == len(submitted) > 3 * 32
+        assert count("schnorr.memo_hits") > 2 * count("schnorr.checks")
+
+    def test_no_signature_is_evaluated_twice_over_loopback(self, monkeypatch):
+        submitted = submitted_signatures(monkeypatch)
+        with crypto_counters() as count, NetworkedSession.build(
+            num_servers=N_SERVERS, num_clients=8, seed=SEED
+        ) as session:
+            session.setup()
+            session.post(0, b"once each")
+            session.run_rounds(3)
+        assert count("schnorr.checks") == len(submitted) > 3 * 8
+        assert count("schnorr.memo_hits") > count("schnorr.checks")
+
+    def test_a_second_build_with_the_same_seed_pays_full_price(self, monkeypatch):
+        """Same seed, same keys, same (deterministic) signatures: without
+        the reset in ``build_keys`` the second set-up would verify nothing."""
+        spent = []
+        for _ in range(2):
+            with crypto_counters() as count:
+                session = DissentSession.build(
+                    num_servers=N_SERVERS,
+                    num_clients=8,
+                    seed=SEED,
+                    policy=Policy(shuffle_soundness_bits=1),
+                )
+                session.setup()
+                session.run_round()
+            spent.append(
+                (count("multiexp.calls"), count("schnorr.checks"), count("schnorr.memo_hits"))
+            )
+        assert spent[0] == spent[1]
+        assert spent[0][0] > spent[0][1] > 0
 
     def test_equivocating_leader_convicted_and_rotated_out(self):
         probe = build_matched_inprocess(num_clients=N_CLIENTS, seed=SEED)
