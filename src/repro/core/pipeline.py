@@ -248,14 +248,12 @@ class PipelinedSession:
                 self._applied.append(("output", record.output))
             else:
                 self._drain(entry, record, inflight)
-            session.records.append(record)
+            # complete_round filed the record in session.records and counted it.
             records.append(record)
             if record.completed:
                 self.counters.rounds_completed += 1
-                self.registry.counter("session.rounds_completed").inc()
             else:
                 self.counters.rounds_failed += 1
-                self.registry.counter("session.rounds_failed").inc()
             if record.shuffle_requested:
                 # Same position as the lockstep driver: the accusation
                 # shuffle runs right after the requesting round (with the

@@ -1,13 +1,16 @@
 """In-process real-mode session: full protocol with actual cryptography.
 
-:class:`DissentSession` wires client and server objects together through
-signed envelopes, exactly as Algorithms 1 and 2 prescribe, but with method
-calls standing in for sockets: each server runs the same
+:class:`DissentSession` is the in-process way of answering the
+:class:`~repro.core.coordinator.Coordinator`: set-up, the per-round
+go/abandon and certification decisions, blame and the session state are
+the coordinator's, and this class supplies what they ask of the members
+with method calls on the client and server objects it holds.  It also
+plays the network for the round itself: each server runs the same
 :class:`~repro.core.engine.RoundEngine` the networked daemons run, and the
-session routes the engines' envelopes between them in process.  Every
-signature, commitment, PRNG stream, shuffle proof, and trace step executes
-for real — this is the object the integration tests, property tests, and
-examples drive.
+session routes the engines' signed envelopes between them, exactly as
+Algorithms 1 and 2 prescribe.  Every signature, commitment, PRNG stream,
+shuffle proof, and trace step executes for real — this is the object the
+integration tests, property tests, and examples drive.
 
 Timing is intentionally absent here; the discrete-event simulator in
 :mod:`repro.sim` models latency, bandwidth, and churn for the paper's
@@ -21,27 +24,9 @@ import random
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.accusation import (
-    Accusation,
-    TraceVerdict,
-    accusation_max_bytes,
-    trace_accusation,
-)
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
-from repro.core.keyshuffle import (
-    make_session_key,
-    open_shuffle_submissions,
-    run_key_shuffle,
-    run_message_shuffle,
-    shuffle_run_id,
-    verify_session_keys,
-)
-from repro.consensus import (
-    EquivocationProof,
-    adopt_round_evidence,
-    output_body_digest,
-)
+from repro.core.coordinator import Coordinator
 from repro.core.engine import (
     ArmTimer,
     Broadcast,
@@ -51,18 +36,11 @@ from repro.core.engine import (
     RoundDone,
     RoundEngine,
 )
-from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
+from repro.core.rounds import RoundRecord
 from repro.core.server import DissentServer
-from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.shuffle import message_vector_width
-from repro.errors import (
-    AccusationError,
-    ProtocolError,
-    TraceInconclusive,
-)
+from repro.crypto.keys import PrivateKey
+from repro.errors import AccusationError, ProtocolError
 from repro.obs import (
-    NULL_REGISTRY,
-    NULL_TRACER,
     MetricsRegistry,
     Tracer,
     round_trace_id,
@@ -153,7 +131,7 @@ def build_session(
     return DissentSession.build(group_name, num_servers, num_clients, policy, seed)
 
 
-class DissentSession:
+class DissentSession(Coordinator):
     """Drives one Dissent group end to end, in process.
 
     Args:
@@ -174,23 +152,16 @@ class DissentSession:
             raise ProtocolError("server list does not match the definition")
         if len(clients) != definition.num_clients:
             raise ProtocolError("client list does not match the definition")
-        self.definition = definition
+        super().__init__(
+            definition,
+            [server.key for server in servers],
+            rng if rng is not None else random.Random(),
+        )
         self.servers = list(servers)
         self.clients = list(clients)
         #: One sans-IO round machine per server; this session only routes
         #: their effects (see :meth:`complete_round`).
         self.engines = [RoundEngine(server) for server in self.servers]
-        self.rng = rng if rng is not None else random.Random()
-        self.round_number = 0
-        self.records: list[RoundRecord] = []
-        self.expelled: set[int] = set()
-        self.convicted_servers: set[int] = set()
-        self.equivocation_proofs: list[EquivocationProof] = []
-        self.scheduled = False
-        # Telemetry is disabled (null sinks) until enable_telemetry();
-        # instrumented paths record unconditionally and the nulls discard.
-        self.registry = NULL_REGISTRY
-        self.tracer = NULL_TRACER
 
     def enable_telemetry(self, clock=None) -> MetricsRegistry:
         """Attach a live metrics registry and span tracer to this session.
@@ -212,49 +183,27 @@ class DissentSession:
     def snapshot_state(self) -> dict:
         """Capture all mutable session state at a round barrier.
 
-        Covers the driver (round counter, records, membership, RNG) and
-        every node's own snapshot; long-lived identity (keys, definition)
-        is excluded — a restore re-attaches state to freshly-built nodes
-        holding the same keys.  JSON-durable form lives in
-        :mod:`repro.persist`.
+        The coordinator's state plus every node's, in the JSON-native form
+        :func:`repro.persist.save_session` writes to disk; long-lived
+        identity (keys, definition) is excluded — a restore re-attaches
+        state to freshly-built nodes holding the same keys.
         """
-        return {
-            "round_number": self.round_number,
-            "records": tuple(self.records),
-            "expelled": set(self.expelled),
-            "convicted_servers": set(self.convicted_servers),
-            "equivocation_proofs": tuple(self.equivocation_proofs),
-            "scheduled": self.scheduled,
-            "rng_state": self.rng.getstate(),
-            "servers": [server.snapshot_state() for server in self.servers],
-            "clients": [client.snapshot_state() for client in self.clients],
-        }
+        from repro.persist.codec import encode_session_state
+
+        return encode_session_state(self)
 
     def restore_state(self, snapshot: dict) -> None:
         """Adopt a snapshot taken by :meth:`snapshot_state`."""
-        self.round_number = snapshot["round_number"]
-        self.records = list(snapshot["records"])
-        self.expelled = set(snapshot["expelled"])
-        self.convicted_servers = set(snapshot["convicted_servers"])
-        self.equivocation_proofs = list(snapshot.get("equivocation_proofs", ()))
-        self.scheduled = snapshot["scheduled"]
-        self.rng.setstate(snapshot["rng_state"])
-        for server, state in zip(self.servers, snapshot["servers"]):
-            server.restore_state(state)
+        from repro.persist.codec import decode_session_state
+
+        decode_session_state(self, snapshot)
         for engine in self.engines:
             # Snapshots are cut at round barriers; submit() re-seeds the
             # rotation from the restored proofs.
             engine.rounds.clear()
             engine.convicted.clear()
-        for client, state in zip(self.clients, snapshot["clients"]):
-            client.restore_state(state)
         for index in self.expelled:
-            for server in self.servers:
-                server.expel_client(index)
-
-    # ------------------------------------------------------------------
-    # Setup: the key shuffle establishes the slot schedule
-    # ------------------------------------------------------------------
+            self._expel_member(index)
 
     @classmethod
     def build(
@@ -289,38 +238,52 @@ class DissentSession:
             session.enable_telemetry()
         return session
 
-    def setup(self) -> None:
-        """Run the scheduling key shuffle and distribute slot assignments."""
-        if self.scheduled:
-            raise ProtocolError("session already scheduled")
-        purpose = b"dissent.key-shuffle|" + self.definition.group_id()
-        privates = []
-        session_keys = []
-        for j, server in enumerate(self.servers):
-            private, session_key = make_session_key(server.key, j, purpose, self.rng)
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(self.definition, session_keys, purpose)
-        # Clients sign their onion-encrypted submissions (bound to this
-        # run's ephemeral mix keys, so they cannot be replayed into a
-        # later session); one batched multi-exponentiation authenticates
-        # the whole set before the cascade spends any mixing work on it.
-        envelopes = [
+    # ------------------------------------------------------------------
+    # What the coordinator asks of the members: here, method calls
+    # ------------------------------------------------------------------
+
+    def _scheduling_submissions(self, purpose, publics):
+        return [
             client.signed_scheduling_submission(publics, purpose)
             for client in self.clients
         ]
-        submissions = open_shuffle_submissions(
-            self.definition, envelopes, shuffle_run_id(purpose, publics)
-        )
-        result = run_key_shuffle(
-            self.definition, privates, submissions, context=purpose, rng=self.rng
-        )
-        elements = list(result.slot_elements)
-        for client in self.clients:
-            client.learn_schedule(elements)
+
+    def _learn_schedule(self, elements):
+        for node in (*self.clients, *self.servers):
+            node.learn_schedule(elements)
+
+    def _accusation_submissions(self, participants, publics, width):
+        return [
+            self.clients[i].accusation_submission(publics, width)
+            for i in participants
+        ]
+
+    def _accusation_outcome(self, participants, handled):
+        for i in participants:
+            self.clients[i].accusation_outcome(handled)
+
+    def _trace_evidence(self, verifier, round_number, bit_index):
+        archive = self.servers[verifier].archive.get(round_number)
+        if archive is None:
+            raise AccusationError(f"round {round_number} is no longer archived")
+        return archive.to_evidence(), [
+            server.trace_disclosure(round_number, bit_index)
+            for server in self.servers
+        ]
+
+    def _rebuttal(self, client_index, round_number, bit_index, claimed):
+        return self.clients[client_index].rebut(round_number, bit_index, dict(claimed))
+
+    def _expel_member(self, client_index):
         for server in self.servers:
-            server.learn_schedule(elements)
-        self.scheduled = True
+            server.expel_client(client_index)
+
+    def _pending_traffic(self):
+        return any(
+            client.has_pending_traffic or client.pending_accusation
+            for i, client in enumerate(self.clients)
+            if i not in self.expelled
+        )
 
     # ------------------------------------------------------------------
     # One DC-net round: a synchronous router over the M round engines
@@ -362,20 +325,7 @@ class DissentSession:
                 # §3.7 hard timeout: publish the fresh count.
                 for client in self.clients:
                     client.handle_round_failure(r, record.participation)
-        self.records.append(record)
-        if record.completed:
-            self.registry.counter("session.rounds_completed").inc()
-        else:
-            self.registry.counter("session.rounds_failed").inc()
-        if record.shuffle_requested:
-            self.registry.counter("session.shuffle_requests").inc()
         return record
-
-    def submitters(self, online: set[int] | None) -> list[int]:
-        """The clients that send a ciphertext this round, in index order."""
-        if online is None:
-            online = range(self.definition.num_clients)
-        return sorted(i for i in online if i not in self.expelled)
 
     def submit(self, r: int, envelopes: dict) -> list:
         """Open round ``r`` on every engine and hand each its clients' ciphertexts.
@@ -399,11 +349,11 @@ class DissentSession:
     def complete_round(self, r: int, pending: list, round_span) -> RoundRecord:
         """Route effects between the engines until round ``r`` is decided.
 
-        The session plays network and coordinator at once: a broadcast is
-        delivered to every peer engine, the M inventory statuses gate the
-        commit-go (or abandon the round at the §3.7 floor), and the M
-        ``RoundDone`` reports are reduced to one record by
-        :func:`repro.consensus.adopt_round_evidence`.  Delivery is FIFO,
+        The session plays the network: a broadcast is delivered to every
+        peer engine, the M inventory statuses are put to the coordinator's
+        :meth:`inventory_decision` (commit-go, or abandon the round at the
+        §3.7 floor), and the M ``RoundDone`` reports to its
+        :meth:`certified_round`.  Delivery is FIFO,
         so phases complete in lockstep; when nothing is left to deliver
         and servers still wait, the lowest-indexed armed view timer
         expires — the only way time passes here.  Clients are not
@@ -438,20 +388,11 @@ class DissentSession:
                     statuses[j] = effect
                     if len(statuses) < num_servers:
                         continue
-                    if len({s.participation for s in statuses.values()}) != 1:
-                        raise ProtocolError(
-                            "servers disagree on the participation count"
-                        )
-                    if not all(s.ok for s in statuses.values()):
-                        # §3.7 hard timeout: abandon the round.
+                    participation, go = self.inventory_decision(statuses.values())
+                    if not go:
                         for engine in engines:
                             engine.abandon(r)
-                        return RoundRecord(
-                            round_number=r,
-                            status=RoundStatus.FAILED,
-                            participation=effect.participation,
-                            output=None,
-                        )
+                        return self.failed_round(r, participation)
                     for k, engine in enumerate(engines):
                         queue.extend((k, e) for e in engine.commit_go(r))
                 case ArmTimer(view=view):
@@ -471,141 +412,7 @@ class DissentSession:
                     timers.pop(j, None)
                 case Fault(error=error):
                     raise error
-        output = dones[0].output
-        if any(done.output != output for done in dones.values()):
-            raise ProtocolError("servers disagree on the combined cleartext")
-        certificate, convictions = adopt_round_evidence(
-            self.definition,
-            r,
-            output_body_digest(self.definition.group, output),
-            {j: done.certificate for j, done in dones.items()},
-            {j: done.proof for j, done in dones.items() if done.proof is not None},
-            self.convicted_servers,
-            self.registry,
-        )
-        for _reporter, proof in convictions:
-            self.convicted_servers.add(proof.leader)
-            self.equivocation_proofs.append(proof)
-        return RoundRecord(
-            round_number=r,
-            status=RoundStatus.COMPLETED,
-            participation=output.participation,
-            output=output,
-            # The shuffle-request field is outside the masked payload on
-            # purpose: it must stay readable even when the disruptor is
-            # corrupting the rest of the slot (§3.9).
-            shuffle_requested=any(done.shuffle_requested for done in dones.values()),
-            certificate=certificate,
-        )
-
-    def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
-        """Run several rounds; accusation shuffles fire automatically."""
-        records = []
-        for _ in range(count):
-            record = self.run_round(online)
-            records.append(record)
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return records
-
-    # ------------------------------------------------------------------
-    # Accusation phase (§3.9)
-    # ------------------------------------------------------------------
-
-    def run_accusation_phase(self) -> list[TraceVerdict]:
-        """Run an accusation shuffle, trace valid accusations, expel."""
-        with self.tracer.span("phase", name="blame"):
-            verdicts = self._run_accusation_shuffle()
-        self.registry.counter("session.accusation_phases").inc()
-        self.registry.counter("session.trace_verdicts").inc(len(verdicts))
-        return verdicts
-
-    def _run_accusation_shuffle(self) -> list[TraceVerdict]:
-        purpose = b"dissent.accusation-shuffle|" + self.definition.group_id()
-        privates = []
-        session_keys = []
-        for j, server in enumerate(self.servers):
-            private, session_key = make_session_key(server.key, j, purpose, self.rng)
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(self.definition, session_keys, purpose)
-        width = message_vector_width(
-            self.definition.group, accusation_max_bytes(self.definition.group)
-        )
-        participants = [
-            i for i in range(self.definition.num_clients) if i not in self.expelled
-        ]
-        submissions = [
-            self.clients[i].accusation_submission(publics, width)
-            for i in participants
-        ]
-        result = run_message_shuffle(
-            self.definition, privates, submissions, context=purpose, rng=self.rng
-        )
-        verdicts: list[TraceVerdict] = []
-        for message in result.messages:
-            if not message:
-                continue
-            try:
-                accusation = Accusation.from_bytes(self.definition.group, message)
-            except AccusationError:
-                continue
-            try:
-                verdicts.extend(self.trace(accusation))
-            except (AccusationError, TraceInconclusive):
-                continue
-        for verdict in verdicts:
-            if verdict.culprit_kind == "client":
-                self.expel(verdict.culprit_index)
-            else:
-                self.convicted_servers.add(verdict.culprit_index)
-        handled = bool(verdicts)
-        for i in participants:
-            self.clients[i].accusation_outcome(handled)
-        return verdicts
-
-    def trace(self, accusation: Accusation, verifier: int = 0) -> list[TraceVerdict]:
-        """Trace one accusation from an honest server's perspective."""
-        server = self.servers[verifier]
-        archive = server.archive.get(accusation.round_number)
-        if archive is None:
-            raise AccusationError(
-                f"round {accusation.round_number} is no longer archived"
-            )
-        evidence = archive.to_evidence()
-        disclosures = [
-            s.trace_disclosure(accusation.round_number, accusation.bit_index)
-            for s in self.servers
-        ]
-        slot_keys = [
-            PublicKey(self.definition.group, element) for element in server.slot_keys
-        ]
-
-        def rebut(client_index: int, round_number: int, bit_index: int, claimed):
-            return self.clients[client_index].rebut(round_number, bit_index, dict(claimed))
-
-        return trace_accusation(
-            self.definition.group,
-            list(self.definition.client_keys),
-            list(self.definition.server_keys),
-            slot_keys,
-            self.definition.group_id(),
-            evidence,
-            accusation,
-            disclosures,
-            rebut,
-        )
-
-    # ------------------------------------------------------------------
-    # Membership management
-    # ------------------------------------------------------------------
-
-    def expel(self, client_index: int) -> None:
-        """Expel a convicted disruptor from every server's roster."""
-        self.expelled.add(client_index)
-        for server in self.servers:
-            server.expel_client(client_index)
-        self.registry.counter("session.expulsions").inc()
+        return self.certified_round(r, dones)
 
     # ------------------------------------------------------------------
     # Convenience for applications and tests
@@ -618,25 +425,3 @@ class DissentSession:
     def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
         """(round, slot, message) triples as observed by one client."""
         return list(self.clients[client_index].received)
-
-    def run_until_quiet(self, max_rounds: int = 32) -> QuietOutcome:
-        """Run rounds until no client has pending traffic.
-
-        Returns a :class:`QuietOutcome` whose ``drained`` flag distinguishes
-        traffic draining on the final allowed round from running out of
-        rounds with messages still queued.
-        """
-        def quiet() -> bool:
-            return not any(
-                c.has_pending_traffic or c.pending_accusation
-                for i, c in enumerate(self.clients)
-                if i not in self.expelled
-            )
-
-        for used in range(max_rounds):
-            if quiet():
-                return QuietOutcome(used, True)
-            record = self.run_round()
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return QuietOutcome(max_rounds, quiet())

@@ -50,9 +50,11 @@ from repro.core.engine import (
     RoundDone,
     RoundEngine,
 )
+from repro.core.keyshuffle import pack_cipher_vector
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import (
+    AccusationError,
     ConnectionClosed,
     DissentError,
     FrameTooLarge,
@@ -79,12 +81,10 @@ from repro.net.wire import (
     decode_int_list,
     decode_int_pairs,
     decode_routed,
-    encode_certificate_body,
     encode_envelope,
-    encode_equivocation_proof_body,
     encode_evidence,
     encode_rebuttal,
-    encode_round_output_body,
+    encode_round_done_body,
     encode_routed,
     encode_routed_envelope,
     encode_telemetry_body,
@@ -570,8 +570,6 @@ class ServerNode(NodeRuntime):
             (round_number,) = _unpack_typed(body, "i", "evidence-request")
             archive = self.server.archive.get(round_number)
             if archive is None:
-                from repro.errors import AccusationError
-
                 raise AccusationError(
                     f"round {round_number} is no longer archived"
                 )
@@ -856,15 +854,7 @@ class ServerNode(NodeRuntime):
             COORDINATOR,
             K_ROUND_DONE,
             0,
-            pack_fields(
-                round_number,
-                1 if done.shuffle_requested else 0,
-                encode_round_output_body(self.group, done.output),
-                encode_certificate_body(self.group, done.certificate),
-                encode_equivocation_proof_body(self.group, done.proof)
-                if done.proof is not None
-                else b"",
-            ),
+            encode_round_done_body(self.group, done),
         )
 
 
@@ -980,8 +970,6 @@ class ClientNode(NodeRuntime):
             width, publics = fields[0], [
                 PublicKey.from_bytes(self.group, data) for data in fields[1:]
             ]
-            from repro.core.keyshuffle import pack_cipher_vector
-
             vector = self.client.accusation_submission(publics, width)
             return pack_cipher_vector(self.group, vector)
         if kind == K_ACC_OUTCOME:

@@ -1,14 +1,19 @@
 """`NetworkedSession`: the Dissent protocol over real transports.
 
-Matches the :class:`~repro.core.session.DissentSession` surface
-(``setup`` / ``run_round`` / ``run_rounds`` / ``post`` /
-``delivered_messages`` / ``run_until_quiet`` / ``run_accusation_phase``)
-but executes rounds by passing **only signed envelopes over transports**:
-clients submit ciphertexts to their upstream server, servers exchange
+The networked way of answering the
+:class:`~repro.core.coordinator.Coordinator`: set-up, the per-round
+go/abandon and certification decisions, blame and the session state are
+the coordinator's — the same code :class:`~repro.core.session.DissentSession`
+runs — and this class supplies what they ask of the members by passing
+**only signed envelopes and control frames over transports**: clients
+submit ciphertexts to their upstream server, servers exchange
 inventories/commits/reveals/signatures peer to peer, outputs broadcast
-back, and accusation reveals cross the wire as signed envelopes.  Outputs,
-records, and blame verdicts are bit-identical to the in-process session
-for the same seed.
+back, shuffle submissions and accusation reveals cross the wire signed.
+Each question the coordinator asks is one blocking request/reply barrier
+from the caller's thread; the shuffles and the trace run on that thread,
+never on the event loop.  Outputs, records, blame verdicts and the
+coordinator's checkpointed state are bit-identical to the in-process
+session for the same seed.
 
 Three modes:
 
@@ -21,16 +26,13 @@ Three modes:
 
 Topology is hub-and-spoke: each node holds one transport to the session
 hub, which routes frames by destination name (the coordinator relays but
-cannot forge — every protocol message is signed end to end).  The
-coordinator replaces :class:`DissentSession`'s direct method calls with
-control barriers; all protocol content rides signed envelopes.
+cannot forge — every protocol message is signed end to end).
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
-import hashlib
 import json
 import os
 import random
@@ -40,29 +42,15 @@ import threading
 import time
 from collections.abc import Mapping, Sequence
 
-from repro.core.accusation import (
-    Accusation,
-    TraceVerdict,
-    accusation_max_bytes,
-    trace_accusation,
-)
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
-from repro.core.keyshuffle import (
-    make_session_key,
-    open_shuffle_submissions,
-    run_key_shuffle,
-    run_message_shuffle,
-    shuffle_run_id,
-    unpack_cipher_vector,
-    verify_session_keys,
-)
-from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
+from repro.core.coordinator import Coordinator
+from repro.core.engine import InventoryStatus, RoundDone
+from repro.core.keyshuffle import unpack_cipher_vector
+from repro.core.rounds import RoundRecord
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
-from repro.consensus import adopt_round_evidence
-from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.shuffle import message_vector_width
+from repro.crypto.keys import PrivateKey
 from repro.errors import (
     AccusationError,
     ConnectionClosed,
@@ -71,7 +59,6 @@ from repro.errors import (
     PeerUnreachable,
     ProtocolError,
     SessionTimeout,
-    TraceInconclusive,
     WireError,
 )
 import repro.errors as _errors_module
@@ -120,11 +107,10 @@ from repro.net.transport import (
 from repro.net.wire import (
     RoutedFrame,
     decode_accusation_reveal_body,
-    decode_certificate_body,
     decode_envelope,
-    decode_equivocation_proof_body,
+    decode_evidence,
     decode_rebuttal,
-    decode_round_output_body,
+    decode_round_done_body,
     decode_routed,
     decode_telemetry_body,
     encode_int_list,
@@ -141,14 +127,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.propagate import TraceContext, round_trace_id, span_ref
 from repro.persist.audit import AuditLog
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.persist.codec import (
-    decode_equivocation_proof,
-    decode_record,
-    decode_rng_state,
-    encode_equivocation_proof,
-    encode_record,
-    encode_rng_state,
-)
+from repro.persist.codec import decode_coordinator_state, encode_coordinator_state
 from repro.util.serialization import canonical_json, pack_fields, unpack_fields
 
 #: Fallback for the coordinator barrier wait, matching the
@@ -485,7 +464,7 @@ def _raise_remote(body: bytes) -> None:
     raise ProtocolError(f"remote {name}: {message}")
 
 
-class NetworkedSession:
+class NetworkedSession(Coordinator):
     """Drives one Dissent group end to end over real transports.
 
     Build with :meth:`build` (same signature spirit as
@@ -514,9 +493,8 @@ class NetworkedSession:
     ) -> None:
         if mode not in MODES:
             raise ProtocolError(f"mode must be one of {MODES}, got {mode!r}")
-        self.definition = definition
+        super().__init__(definition, server_keys, rng)
         self.mode = mode
-        self.rng = rng
         # None picks up the serialized policy knob, so a restored session
         # waits exactly as long as the one that wrote the checkpoint.
         self.timeout = (
@@ -548,15 +526,6 @@ class NetworkedSession:
             clock=time.time,
         )
         self.flight_dir = flight_dir
-        self.round_number = 0
-        self.records: list[RoundRecord] = []
-        self.expelled: set[int] = set()
-        self.convicted_servers: set[int] = set()
-        #: Transferable equivocation proofs collected from round barriers;
-        #: archived in checkpoints so a conviction survives a restart.
-        self.equivocation_proofs: list = []
-        self.scheduled = False
-        self._server_keys = list(server_keys)
         self._client_keys = list(client_keys)
         self._server_seeds = list(
             server_seeds
@@ -570,7 +539,6 @@ class NetworkedSession:
         )
         self._server_factories = dict(server_factories or {})
         self._client_factories = dict(client_factories or {})
-        self._slot_elements: list[int] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._hub: _Hub | None = None
@@ -680,14 +648,20 @@ class NetworkedSession:
             timeout if timeout is not None else 6 * self.timeout + 30
         )
 
+    def _ask(self, names: Sequence[str], kind: str, body: bytes) -> list[bytes]:
+        """One barrier from the caller's thread: the same request to every
+        named node at once, their replies in ``names`` order."""
+        self._ensure_started()
+
+        async def barrier() -> list[bytes]:
+            return await asyncio.gather(
+                *[self._request(name, kind, body) for name in names]
+            )
+
+        return self._call(barrier())
+
     def _node_names(self) -> list[str]:
-        return [
-            self.definition.server_name(j)
-            for j in range(self.definition.num_servers)
-        ] + [
-            self.definition.client_name(i)
-            for i in range(self.definition.num_clients)
-        ]
+        return self._server_names() + self._client_names()
 
     def _make_server(self, j: int) -> DissentServer:
         factory, kwargs = self._server_factories.get(j, (DissentServer, {}))
@@ -741,10 +715,17 @@ class NetworkedSession:
             )
             self._resume_payloads = None
 
+    def _event(self, event: str, **fields) -> None:
+        """Chain a decision into the audit log; the control-plane ones are
+        flight-recorder triggers too."""
+        if self.audit is not None:
+            self.audit.append(event, **fields)
+        if event in ("view_change", "equivocation"):
+            self._flight_event(event, **fields)
+
     def _note_resume(self, name: str, replayed: int) -> None:
         """Hub callback: one peer completed the resume handshake."""
-        if self.audit is not None:
-            self.audit.append("resume", node=name, replayed=replayed)
+        self._event("resume", node=name, replayed=replayed)
 
     def _note_dark(self, name: str) -> None:
         """Hub callback: one peer's link was just lost."""
@@ -767,8 +748,8 @@ class NetworkedSession:
             dumped = self.flight.dump(path, event)
         except OSError:
             return
-        if dumped and self.audit is not None:
-            self.audit.append("flight_dump", path=dumped, reason=event)
+        if dumped:
+            self._event("flight_dump", path=dumped, reason=event)
 
     def _checkpoint_path_for(self, role: str, index: int) -> str | None:
         if self.checkpoint_dir is None:
@@ -1096,65 +1077,80 @@ class NetworkedSession:
             for j in range(self.definition.num_servers)
         ]
 
-    def _client_names(self) -> list[str]:
-        return [
-            self.definition.client_name(i)
-            for i in range(self.definition.num_clients)
-        ]
+    def _client_names(self, indices: Sequence[int] | None = None) -> list[str]:
+        if indices is None:
+            indices = range(self.definition.num_clients)
+        return [self.definition.client_name(i) for i in indices]
 
     # ------------------------------------------------------------------
-    # Setup: the key shuffle establishes the slot schedule
+    # What the coordinator asks of the members: here, request frames
     # ------------------------------------------------------------------
 
-    def setup(self) -> None:
-        """Run the scheduling key shuffle over the wire.
-
-        Session-key generation and the mix cascade run on the coordinator
-        (exactly as the in-process driver runs them — and in the same RNG
-        order, which is what keeps slots bit-identical), while every
-        client's signed scheduling submission crosses the wire as a real
-        ``shuffle-submission`` envelope.
-        """
-        if self.scheduled:
-            raise ProtocolError("session already scheduled")
-        self._ensure_started()
-        self._call(self._setup_async())
-        self.scheduled = True
-
-    async def _setup_async(self) -> None:
-        definition = self.definition
-        purpose = b"dissent.key-shuffle|" + definition.group_id()
-        privates = []
-        session_keys = []
-        for j in range(definition.num_servers):
-            private, session_key = make_session_key(
-                self._server_keys[j], j, purpose, self.rng
-            )
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(definition, session_keys, purpose)
+    def _scheduling_submissions(self, purpose, publics):
         body = pack_fields(purpose, *[public.to_bytes() for public in publics])
-        replies = await asyncio.gather(
-            *[
-                self._request(definition.client_name(i), K_SCHED_REQUEST, body)
-                for i in range(definition.num_clients)
-            ]
+        replies = self._ask(self._client_names(), K_SCHED_REQUEST, body)
+        return [decode_envelope(self.definition.group, reply) for reply in replies]
+
+    def _learn_schedule(self, elements):
+        self._ask(self._node_names(), K_SCHEDULE, encode_int_list(elements))
+
+    def _accusation_submissions(self, participants, publics, width):
+        body = pack_fields(width, *[public.to_bytes() for public in publics])
+        replies = self._ask(self._client_names(participants), K_ACC_REQUEST, body)
+        return [unpack_cipher_vector(self.definition.group, reply) for reply in replies]
+
+    def _accusation_outcome(self, participants, handled):
+        self._ask(
+            self._client_names(participants),
+            K_ACC_OUTCOME,
+            pack_fields(1 if handled else 0),
         )
-        envelopes = [decode_envelope(definition.group, reply) for reply in replies]
-        submissions = open_shuffle_submissions(
-            definition, envelopes, shuffle_run_id(purpose, publics)
+
+    def _trace_evidence(self, verifier, round_number, bit_index):
+        definition = self.definition
+        group = definition.group
+        [evidence] = self._ask(
+            [definition.server_name(verifier)],
+            K_EVIDENCE_REQUEST,
+            pack_fields(round_number),
         )
-        result = run_key_shuffle(
-            definition, privates, submissions, context=purpose, rng=self.rng
+        disclosures = []
+        for j, reply in enumerate(
+            self._ask(
+                self._server_names(),
+                K_DISCLOSURE_REQUEST,
+                pack_fields(round_number, bit_index),
+            )
+        ):
+            envelope = decode_envelope(group, reply)
+            # The reveal is signed: equivocation here is attributable.
+            envelope.verify(definition.server_keys[j])
+            if envelope.round_number != round_number:
+                raise AccusationError(f"server {j} revealed the wrong round")
+            revealed_bit, disclosure = decode_accusation_reveal_body(
+                group, envelope.body
+            )
+            if revealed_bit != bit_index or disclosure.server_index != j:
+                raise AccusationError(f"server {j} revealed the wrong position")
+            disclosures.append(disclosure)
+        return decode_evidence(evidence), disclosures
+
+    def _rebuttal(self, client_index, round_number, bit_index, claimed):
+        [reply] = self._ask(
+            self._client_names([client_index]),
+            K_REBUT_REQUEST,
+            pack_fields(round_number, bit_index, encode_int_pairs(dict(claimed))),
         )
-        self._slot_elements = list(result.slot_elements)
-        schedule_body = encode_int_list(self._slot_elements)
-        await asyncio.gather(
-            *[
-                self._request(name, K_SCHEDULE, schedule_body)
-                for name in self._server_names() + self._client_names()
-            ]
+        return decode_rebuttal(self.definition.group, reply)
+
+    def _expel_member(self, client_index):
+        self._ask(self._server_names(), K_EXPEL, pack_fields(client_index))
+
+    def _pending_traffic(self):
+        replies = self._ask(
+            self._client_names(self.submitters(None)), K_STATUS_REQUEST, b""
         )
+        return any(any(unpack_fields(reply)) for reply in replies)
 
     # ------------------------------------------------------------------
     # One DC-net round, message-driven
@@ -1165,20 +1161,21 @@ class NetworkedSession:
         if not self.scheduled:
             raise ProtocolError("setup() must run before rounds")
         self._ensure_started()
-        return self._call(self._run_round_async(online))
+        # Membership re-forms before the round: clients dark past the
+        # retry budget are expelled (§3.7) instead of wedging every
+        # subsequent round — and again after a failed one, before anything
+        # else is asked of them.
+        self._expel_dark()
+        record = self._call(self._run_round_async(online))
+        if not record.completed:
+            self._expel_dark()
+        return record
 
     async def _run_round_async(self, online: set[int] | None) -> RoundRecord:
         definition = self.definition
-        # Membership re-forms before the round: clients dark past the
-        # retry budget are expelled (§3.7) instead of wedging every
-        # subsequent round.
-        await self._expel_dark_async()
         r = self.round_number
         self.round_number += 1
-        if online is None:
-            online = set(range(definition.num_clients))
-        submitters = sorted(i for i in online if i not in self.expelled)
-        begin_body = pack_fields(r, encode_int_list(submitters))
+        begin_body = pack_fields(r, encode_int_list(self.submitters(online)))
         trace_id = (
             round_trace_id(definition.group_id(), r)
             if self._trace_enabled
@@ -1217,19 +1214,10 @@ class NetworkedSession:
                 # A submitter (or server) stayed dark through the whole
                 # barrier: abandon the round rather than hang the group.
                 return await self._abandon_round_async(r, str(exc))
-            participations = set()
-            all_ok = True
-            for frame in statuses:
-                _, participation, ok = unpack_fields(frame.body)
-                participations.add(participation)
-                all_ok = all_ok and bool(ok)
-            if len(participations) != 1:
-                raise ProtocolError(
-                    "servers disagree on the participation count"
-                )
-            participation = participations.pop()
-
-            if not all_ok:
+            participation, go = self.inventory_decision(
+                [InventoryStatus(*unpack_fields(frame.body)) for frame in statuses]
+            )
+            if not go:
                 # §3.7 hard timeout: abandon, publish the fresh count.
                 abandon_body = pack_fields(r)
                 await asyncio.gather(
@@ -1245,21 +1233,7 @@ class NetworkedSession:
                         for name in self._client_names()
                     ]
                 )
-                record = RoundRecord(
-                    round_number=r,
-                    status=RoundStatus.FAILED,
-                    participation=participation,
-                    output=None,
-                )
-                self.records.append(record)
-                self.registry.counter("session.rounds_failed").inc()
-                if self.audit is not None:
-                    self.audit.append(
-                        "abandon",
-                        round=r,
-                        reason="participation below floor",
-                        participation=participation,
-                    )
+                record = self.failed_round(r, participation)
                 self._flight_event(
                     "round_failure", round=r, participation=participation
                 )
@@ -1285,81 +1259,17 @@ class NetworkedSession:
                 # certified (every server reported done), so the laggard
                 # catches up via replay rather than failing the round.
                 self.registry.counter("session.applied_timeouts").inc()
-
-            output_blobs = set()
-            shuffle_requested = False
-            certificates: dict[int, object] = {}
-            proofs: dict[int, object] = {}
-            for frame in dones:
-                fields = unpack_fields(frame.body)
-                if len(fields) < 3:
-                    raise ProtocolError("round-done frame is missing fields")
-                _, flag, blob = fields[:3]
-                shuffle_requested = shuffle_requested or bool(flag)
-                output_blobs.add(blob)
-                sender = definition.server_index_of(frame.sender)
-                if len(fields) > 3 and fields[3]:
-                    certificates[sender] = decode_certificate_body(
-                        definition.group, fields[3]
-                    )
-                if len(fields) > 4 and fields[4]:
-                    proofs[sender] = decode_equivocation_proof_body(
-                        definition.group, fields[4]
-                    )
-            if len(output_blobs) != 1:
-                raise ProtocolError(
-                    "servers disagree on the combined cleartext"
-                )
-            blob = output_blobs.pop()
-            output = decode_round_output_body(definition.group, blob)
-            certificate, convictions = adopt_round_evidence(
-                definition,
+            record = self.certified_round(
                 r,
-                hashlib.sha256(blob).digest(),
-                certificates,
-                proofs,
-                self.convicted_servers,
-                self.registry,
-            )
-            if certificate.view > 0:
-                if self.audit is not None:
-                    self.audit.append(
-                        "view_change",
-                        round=r,
-                        views=certificate.view,
-                        leader=certificate.leader,
-                        votes=len(certificate.votes),
+                {
+                    definition.server_index_of(frame.sender): RoundDone(
+                        *decode_round_done_body(definition.group, frame.body)
                     )
-                self._flight_event("view_change", round=r, views=certificate.view)
-            for reporter, proof in convictions:
-                self.convicted_servers.add(proof.leader)
-                self.equivocation_proofs.append(proof)
-                if self.audit is not None:
-                    self.audit.append(
-                        "equivocation",
-                        round=proof.round_number,
-                        view=proof.view,
-                        leader=proof.leader,
-                        reported_by=reporter,
-                    )
-                self._flight_event(
-                    "equivocation", round=proof.round_number, leader=proof.leader
-                )
-
-            record = RoundRecord(
-                round_number=r,
-                status=RoundStatus.COMPLETED,
-                participation=participation,
-                output=output,
-                shuffle_requested=shuffle_requested,
-                certificate=certificate,
+                    for frame in dones
+                },
             )
-            self.records.append(record)
         if self.tracer.enabled and self.tracer.events:
             self.flight.record_span(self.tracer.events[-1])
-        self.registry.counter("session.rounds_completed").inc()
-        if shuffle_requested:
-            self.registry.counter("session.shuffle_requests").inc()
         return record
 
     async def _abandon_round_async(self, r: int, reason: str) -> RoundRecord:
@@ -1367,8 +1277,8 @@ class NetworkedSession:
 
         Live servers roll the round back, live clients learn the failure
         immediately, dark clients find it in their replay queue when (if)
-        they resume, and the membership check runs so a peer past its
-        retry budget is expelled before the next round forms.
+        they resume; :meth:`run_round` then runs the membership check, so a
+        peer past its retry budget is expelled before the next round forms.
         """
         assert self._hub is not None
         abandon_body = pack_fields(r)
@@ -1397,236 +1307,31 @@ class NetworkedSession:
                 await self._request(name, K_ROUND_FAILED, failed_body)
             except DissentError:
                 continue
-        record = RoundRecord(
-            round_number=r,
-            status=RoundStatus.FAILED,
-            participation=participation,
-            output=None,
-        )
-        self.records.append(record)
-        self.registry.counter("session.rounds_failed").inc()
+        record = self.failed_round(r, participation, reason)
         self.registry.counter("session.rounds_abandoned").inc()
-        if self.audit is not None:
-            self.audit.append(
-                "abandon", round=r, reason=reason, participation=participation
-            )
         self._flight_event("abandon", round=r, reason=reason)
-        await self._expel_dark_async()
         return record
 
-    async def _expel_dark_async(self) -> list[int]:
+    def _expel_dark(self) -> None:
         """Expel clients that stayed dark past the reconnect budget."""
-        assert self._hub is not None
+        assert self._hub is not None and self._loop is not None
         budget = self.retry.budget()
-        now = asyncio.get_running_loop().time()
-        expelled = []
-        for i in range(self.definition.num_clients):
-            if i in self.expelled:
-                continue
+        now = self._loop.time()
+        for i in self.submitters(None):
             name = self.definition.client_name(i)
             since = self._hub.dark_since(name)
             if (
                 self._hub.is_dark(name)
                 and since is not None
                 and now - since > budget
+                and self.expel(i)
             ):
-                await self._expel_async(i)
-                expelled.append(i)
-                if self.audit is not None:
-                    self.audit.append(
-                        "expulsion",
-                        client=i,
-                        reason="unreachable past retry budget",
-                        dark_seconds=now - since,
-                    )
-        return expelled
-
-    def run_rounds(
-        self, count: int, online: set[int] | None = None
-    ) -> list[RoundRecord]:
-        """Run several rounds; accusation shuffles fire automatically."""
-        records = []
-        for _ in range(count):
-            record = self.run_round(online)
-            records.append(record)
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return records
-
-    # ------------------------------------------------------------------
-    # Accusation phase (§3.9) over the wire
-    # ------------------------------------------------------------------
-
-    def run_accusation_phase(self) -> list[TraceVerdict]:
-        """Accusation shuffle + trace; reveals cross the wire signed."""
-        self._ensure_started()
-        return self._call(self._run_accusation_async())
-
-    async def _run_accusation_async(self) -> list[TraceVerdict]:
-        with self.tracer.span("phase", name="blame"):
-            verdicts = await self._run_accusation_shuffle()
-        self.registry.counter("session.accusation_phases").inc()
-        self.registry.counter("session.trace_verdicts").inc(len(verdicts))
-        return verdicts
-
-    async def _run_accusation_shuffle(self) -> list[TraceVerdict]:
-        definition = self.definition
-        purpose = b"dissent.accusation-shuffle|" + definition.group_id()
-        privates = []
-        session_keys = []
-        for j in range(definition.num_servers):
-            private, session_key = make_session_key(
-                self._server_keys[j], j, purpose, self.rng
-            )
-            privates.append(private)
-            session_keys.append(session_key)
-        publics = verify_session_keys(definition, session_keys, purpose)
-        width = message_vector_width(
-            definition.group, accusation_max_bytes(definition.group)
-        )
-        participants = [
-            i for i in range(definition.num_clients) if i not in self.expelled
-        ]
-        body = pack_fields(width, *[public.to_bytes() for public in publics])
-        replies = await asyncio.gather(
-            *[
-                self._request(definition.client_name(i), K_ACC_REQUEST, body)
-                for i in participants
-            ]
-        )
-        submissions = [
-            unpack_cipher_vector(definition.group, reply) for reply in replies
-        ]
-        result = run_message_shuffle(
-            definition, privates, submissions, context=purpose, rng=self.rng
-        )
-        verdicts: list[TraceVerdict] = []
-        for message in result.messages:
-            if not message:
-                continue
-            try:
-                accusation = Accusation.from_bytes(definition.group, message)
-            except AccusationError:
-                continue
-            try:
-                verdicts.extend(await self._trace_async(accusation))
-            except (AccusationError, TraceInconclusive):
-                continue
-        for verdict in verdicts:
-            if self.audit is not None:
-                self.audit.append(
-                    "blame",
-                    culprit_kind=verdict.culprit_kind,
-                    culprit=verdict.culprit_index,
+                self._event(
+                    "expulsion",
+                    client=i,
+                    reason="unreachable past retry budget",
+                    dark_seconds=now - since,
                 )
-            if verdict.culprit_kind == "client":
-                await self._expel_async(verdict.culprit_index)
-                if self.audit is not None:
-                    self.audit.append(
-                        "expulsion",
-                        client=verdict.culprit_index,
-                        reason="blame verdict",
-                    )
-            else:
-                self.convicted_servers.add(verdict.culprit_index)
-        handled = bool(verdicts)
-        outcome_body = pack_fields(1 if handled else 0)
-        await asyncio.gather(
-            *[
-                self._request(definition.client_name(i), K_ACC_OUTCOME, outcome_body)
-                for i in participants
-            ]
-        )
-        return verdicts
-
-    async def _trace_async(
-        self, accusation: Accusation, verifier: int = 0
-    ) -> list[TraceVerdict]:
-        """Gather evidence and signed reveals over the wire, then trace.
-
-        The trace itself (pure verification) runs on a worker thread; its
-        rebuttal oracle performs live ``rebut-request`` round-trips back
-        through the event loop — in a deployment that is exactly a network
-        RPC to the client.
-        """
-        definition = self.definition
-        group = definition.group
-        r = accusation.round_number
-        from repro.net.wire import decode_evidence
-
-        evidence_blob = await self._request(
-            definition.server_name(verifier), K_EVIDENCE_REQUEST, pack_fields(r)
-        )
-        evidence = decode_evidence(evidence_blob)
-        disclosures = []
-        reveal_body = pack_fields(r, accusation.bit_index)
-        for j in range(definition.num_servers):
-            reply = await self._request(
-                definition.server_name(j), K_DISCLOSURE_REQUEST, reveal_body
-            )
-            envelope = decode_envelope(group, reply)
-            # The reveal is signed: equivocation here is attributable.
-            envelope.verify(definition.server_keys[j])
-            if envelope.round_number != r:
-                raise AccusationError(f"server {j} revealed the wrong round")
-            bit_index, disclosure = decode_accusation_reveal_body(
-                group, envelope.body
-            )
-            if bit_index != accusation.bit_index or disclosure.server_index != j:
-                raise AccusationError(f"server {j} revealed the wrong position")
-            disclosures.append(disclosure)
-        slot_keys = [
-            PublicKey(group, element) for element in self._slot_elements
-        ]
-        loop = asyncio.get_running_loop()
-
-        def rebut(client_index: int, round_number: int, bit_index: int, claimed):
-            request = self._request(
-                definition.client_name(client_index),
-                K_REBUT_REQUEST,
-                pack_fields(
-                    round_number, bit_index, encode_int_pairs(dict(claimed))
-                ),
-            )
-            reply = asyncio.run_coroutine_threadsafe(request, loop).result(
-                self.timeout
-            )
-            return decode_rebuttal(group, reply)
-
-        return await loop.run_in_executor(
-            None,
-            lambda: trace_accusation(
-                group,
-                list(definition.client_keys),
-                list(definition.server_keys),
-                slot_keys,
-                definition.group_id(),
-                evidence,
-                accusation,
-                disclosures,
-                rebut,
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Membership management
-    # ------------------------------------------------------------------
-
-    def expel(self, client_index: int) -> None:
-        """Expel a convicted disruptor from every server's roster."""
-        self._ensure_started()
-        self._call(self._expel_async(client_index))
-
-    async def _expel_async(self, client_index: int) -> None:
-        self.expelled.add(client_index)
-        self.registry.counter("session.expulsions").inc()
-        body = pack_fields(client_index)
-        await asyncio.gather(
-            *[
-                self._request(name, K_EXPEL, body)
-                for name in self._server_names()
-            ]
-        )
 
     # ------------------------------------------------------------------
     # Durable checkpoints and restart-from-checkpoint
@@ -1635,20 +1340,14 @@ class NetworkedSession:
     def checkpoint(self, path: str | os.PathLike) -> int:
         """Durably checkpoint the whole session at a round barrier.
 
-        Captures the coordinator's view (records, membership, RNG, slot
-        schedule) plus every node's phase-machine state (gathered over
-        ``snapshot`` control frames), as one versioned, checksummed,
+        Captures the coordinator's state (the section an in-process
+        checkpoint shares) plus every node's phase-machine state (gathered
+        over ``snapshot`` control frames), as one versioned, checksummed,
         atomically-replaced file.  Returns the bytes written.
         """
-        self._ensure_started()
-        return self._call(self._checkpoint_async(os.fspath(path)))
-
-    async def _checkpoint_async(self, path: str) -> int:
-        group = self.definition.group
-        nodes = {}
-        for name in self._node_names():
-            blob = await self._request(name, K_SNAPSHOT, b"")
-            nodes[name] = json.loads(blob.decode("utf-8"))
+        path = os.fspath(path)
+        names = self._node_names()
+        blobs = self._ask(names, K_SNAPSHOT, b"")
         payload = {
             "definition": self.definition.canonical_bytes().hex(),
             "mode": self.mode,
@@ -1656,29 +1355,16 @@ class NetworkedSession:
             "client_keys": [format(key.x, "x") for key in self._client_keys],
             "server_seeds": list(self._server_seeds),
             "client_seeds": list(self._client_seeds),
-            "round_number": self.round_number,
-            "records": [encode_record(group, record) for record in self.records],
-            "expelled": sorted(self.expelled),
-            "convicted_servers": sorted(self.convicted_servers),
-            "equivocation_proofs": [
-                encode_equivocation_proof(group, proof)
-                for proof in self.equivocation_proofs
-            ],
-            "scheduled": self.scheduled,
-            "slot_elements": [format(e, "x") for e in self._slot_elements],
-            "rng_state": encode_rng_state(self.rng.getstate()),
-            "nodes": nodes,
+            "coordinator": encode_coordinator_state(self),
+            "nodes": {
+                name: json.loads(blob.decode("utf-8"))
+                for name, blob in zip(names, blobs)
+            },
         }
         written = write_checkpoint(
             path, payload, kind="net-session", registry=self.registry
         )
-        if self.audit is not None:
-            self.audit.append(
-                "checkpoint",
-                path=path,
-                round=self.round_number,
-                bytes=written,
-            )
+        self._event("checkpoint", path=path, round=self.round_number, bytes=written)
         return written
 
     @classmethod
@@ -1709,13 +1395,11 @@ class NetworkedSession:
         client_keys = [
             PrivateKey(group, int(value, 16)) for value in payload["client_keys"]
         ]
-        rng = random.Random()
-        rng.setstate(decode_rng_state(payload["rng_state"]))
         session = cls(
             definition,
             server_keys,
             client_keys,
-            rng,
+            random.Random(),
             mode=mode if mode is not None else payload["mode"],
             server_seeds=payload["server_seeds"],
             client_seeds=payload["client_seeds"],
@@ -1725,23 +1409,9 @@ class NetworkedSession:
             checkpoint_dir=checkpoint_dir,
             audit_path=audit_path,
         )
-        session.round_number = int(payload["round_number"])
-        session.records = [
-            decode_record(group, record) for record in payload["records"]
-        ]
-        session.expelled = set(payload["expelled"])
-        session.convicted_servers = set(payload["convicted_servers"])
-        session.equivocation_proofs = [
-            decode_equivocation_proof(group, blob)
-            for blob in payload.get("equivocation_proofs", ())
-        ]
-        session.scheduled = bool(payload["scheduled"])
-        session._slot_elements = [int(value, 16) for value in payload["slot_elements"]]
+        decode_coordinator_state(session, payload["coordinator"])
         session._resume_payloads = dict(payload["nodes"])
-        if session.audit is not None:
-            session.audit.append(
-                "resume", node=COORDINATOR, round=session.round_number
-            )
+        session._event("resume", node=COORDINATOR, round=session.round_number)
         return session
 
     # ------------------------------------------------------------------
@@ -1858,6 +1528,13 @@ class NetworkedSession:
     # Convenience for applications and tests
     # ------------------------------------------------------------------
 
+    def _ask_live(self, kind: str) -> list[bytes]:
+        """Ask every node whose link is up.  Dark peers cannot answer (a
+        dead process took its state with it); skipping them beats stalling."""
+        self._ensure_started()
+        live = [name for name in self._node_names() if not self._hub.is_dark(name)]
+        return self._ask(live, kind, b"")
+
     def metrics(self) -> dict:
         """Merged telemetry snapshot across the coordinator and all nodes.
 
@@ -1867,24 +1544,10 @@ class NetworkedSession:
         disabled this returns the coordinator's empty snapshot without
         touching the wire.
         """
-        self._ensure_started()
-        return self._call(self._metrics_async())
-
-    async def _metrics_async(self) -> dict:
         merged = MetricsRegistry()
         merged.merge_snapshot(self.registry.snapshot())
         if self.telemetry:
-            # Dark peers cannot answer (a dead process took its counters
-            # with it); skip them instead of stalling the whole snapshot.
-            live = [
-                name
-                for name in self._node_names()
-                if self._hub is None or not self._hub.is_dark(name)
-            ]
-            replies = await asyncio.gather(
-                *[self._request(name, K_TELEMETRY, b"") for name in live]
-            )
-            decoded = [decode_telemetry_body(reply) for reply in replies]
+            decoded = [decode_telemetry_body(r) for r in self._ask_live(K_TELEMETRY)]
             for snapshot in dedupe_telemetry_replies(decoded):
                 merged.merge_snapshot(snapshot)
         return merged.snapshot()
@@ -1897,114 +1560,30 @@ class NetworkedSession:
         :func:`repro.obs.critical.assemble_traces` can stitch one round's
         spans from every process into a single causal trace.
         """
-        self._ensure_started()
-        return self._call(self._trace_events_async())
-
-    async def _trace_events_async(self) -> list[dict]:
         events = [e.as_dict() for e in self.tracer.events]
         if self._trace_enabled:
-            live = [
-                name
-                for name in self._node_names()
-                if self._hub is None or not self._hub.is_dark(name)
-            ]
-            replies = await asyncio.gather(
-                *[self._request(name, K_TRACE, b"") for name in live]
-            )
-            for reply in replies:
+            for reply in self._ask_live(K_TRACE):
                 events.extend(json.loads(reply.decode("utf-8")))
         return events
 
     def health(self) -> list[dict]:
         """One health snapshot per live node (servers and clients)."""
-        self._ensure_started()
-        return self._call(self._health_async())
-
-    async def _health_async(self) -> list[dict]:
-        live = [
-            name
-            for name in self._node_names()
-            if self._hub is None or not self._hub.is_dark(name)
-        ]
-        replies = await asyncio.gather(
-            *[self._request(name, K_HEALTH, b"") for name in live]
-        )
-        return [json.loads(reply.decode("utf-8")) for reply in replies]
+        return [json.loads(r.decode("utf-8")) for r in self._ask_live(K_HEALTH)]
 
     def flight_dumps(self) -> list[str]:
         """Current flight-recorder contents, coordinator first, as NDJSON."""
-        self._ensure_started()
-        return self._call(self._flight_dumps_async())
-
-    async def _flight_dumps_async(self) -> list[str]:
-        dumps = []
-        if self.flight.enabled:
-            dumps.append(self.flight.ndjson("manual"))
-        live = [
-            name
-            for name in self._node_names()
-            if self._hub is None or not self._hub.is_dark(name)
-        ]
-        replies = await asyncio.gather(
-            *[self._request(name, K_FLIGHT, b"") for name in live]
-        )
-        dumps.extend(reply.decode("utf-8") for reply in replies)
-        return dumps
+        dumps = [self.flight.ndjson("manual")] if self.flight.enabled else []
+        return dumps + [r.decode("utf-8") for r in self._ask_live(K_FLIGHT)]
 
     def post(self, client_index: int, message: bytes) -> None:
         """Queue an anonymous message from one client."""
-        self._ensure_started()
-        self._call(
-            self._request(
-                self.definition.client_name(client_index),
-                K_POST,
-                pack_fields(message),
-            )
-        )
+        self._ask(self._client_names([client_index]), K_POST, pack_fields(message))
 
     def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
         """(round, slot, message) triples as observed by one client."""
-        self._ensure_started()
-        blob = self._call(
-            self._request(
-                self.definition.client_name(client_index),
-                K_DELIVERED_REQUEST,
-                pack_fields(0),
-            )
+        [blob] = self._ask(
+            self._client_names([client_index]), K_DELIVERED_REQUEST, pack_fields(0)
         )
         if not blob:
             return []
-        triples = []
-        for item in unpack_fields(blob):
-            round_number, slot, message = unpack_fields(item)
-            triples.append((round_number, slot, message))
-        return triples
-
-    def _pending_traffic(self) -> bool:
-        async def query() -> bool:
-            replies = await asyncio.gather(
-                *[
-                    self._request(
-                        self.definition.client_name(i), K_STATUS_REQUEST, b""
-                    )
-                    for i in range(self.definition.num_clients)
-                    if i not in self.expelled
-                ]
-            )
-            for reply in replies:
-                pending, accusation = unpack_fields(reply)
-                if pending or accusation:
-                    return True
-            return False
-
-        return self._call(query())
-
-    def run_until_quiet(self, max_rounds: int = 32) -> QuietOutcome:
-        """Run rounds until no client has pending traffic."""
-        for used in range(max_rounds):
-            if not self._pending_traffic():
-                return QuietOutcome(used, True)
-            record = self.run_round()
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return QuietOutcome(max_rounds, not self._pending_traffic())
+        return [tuple(unpack_fields(item)) for item in unpack_fields(blob)]

@@ -492,6 +492,37 @@ def decode_equivocation_proof_body(group: Group, body: bytes):
         raise WireDecodeError(f"equivocation proof: {exc}") from exc
 
 
+def encode_round_done_body(group: Group, done) -> bytes:
+    """Body of a ``round-done`` control frame: one server's report of a
+    certified round (a :class:`repro.core.engine.RoundDone`)."""
+    return pack_fields(
+        done.round_number,
+        1 if done.shuffle_requested else 0,
+        encode_round_output_body(group, done.output),
+        encode_certificate_body(group, done.certificate),
+        encode_equivocation_proof_body(group, done.proof)
+        if done.proof is not None
+        else b"",
+    )
+
+
+def decode_round_done_body(group: Group, body: bytes) -> tuple:
+    """The fields of a :class:`repro.core.engine.RoundDone`, in its order:
+    ``(round_number, output, certificate, proof or None, shuffle_requested)``."""
+    what = "round-done"
+    fields = _unpack(body, what)
+    if len(fields) != 5:
+        raise WireDecodeError(f"{what} needs exactly 5 fields, got {len(fields)}")
+    proof = _take(fields, 4, bytes, what)
+    return (
+        _take(fields, 0, int, what),
+        decode_round_output_body(group, _take(fields, 2, bytes, what)),
+        decode_certificate_body(group, _take(fields, 3, bytes, what)),
+        decode_equivocation_proof_body(group, proof) if proof else None,
+        bool(_take(fields, 1, int, what)),
+    )
+
+
 def encode_shuffle_submission_body(
     group: Group, run_id: bytes, vector
 ) -> bytes:

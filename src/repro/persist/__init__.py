@@ -12,8 +12,9 @@ Three layers, composable from the bottom up:
 
 :func:`save_session` / :func:`restore_session` tie them together for the
 in-process :class:`~repro.core.session.DissentSession`; the networked
-runtime builds its own coordinator checkpoints on the same codecs (see
-:meth:`repro.net.runner.NetworkedSession.checkpoint`).
+runtime's checkpoints hold the same ``coordinator`` section
+(:func:`~repro.persist.codec.encode_coordinator_state`) beside its nodes'
+states (see :meth:`repro.net.runner.NetworkedSession.checkpoint`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.persist.codec import (
     decode_archive,
     decode_certificate,
     decode_client_state,
+    decode_coordinator_state,
     decode_equivocation_proof,
     decode_record,
     decode_rng_state,
@@ -37,6 +39,7 @@ from repro.persist.codec import (
     encode_archive,
     encode_certificate,
     encode_client_state,
+    encode_coordinator_state,
     encode_equivocation_proof,
     encode_record,
     encode_rng_state,
@@ -56,6 +59,7 @@ __all__ = [
     "decode_archive",
     "decode_certificate",
     "decode_client_state",
+    "decode_coordinator_state",
     "decode_equivocation_proof",
     "decode_record",
     "decode_rng_state",
@@ -65,6 +69,7 @@ __all__ = [
     "encode_archive",
     "encode_certificate",
     "encode_client_state",
+    "encode_coordinator_state",
     "encode_equivocation_proof",
     "encode_record",
     "encode_rng_state",
@@ -77,16 +82,10 @@ __all__ = [
 def save_session(session, path) -> int:
     """Checkpoint a :class:`DissentSession` at a round barrier."""
     return write_checkpoint(
-        path,
-        encode_session_state(session),
-        kind="session",
-        registry=session.registry,
+        path, session.snapshot_state(), kind="session", registry=session.registry
     )
 
 
 def restore_session(session, path) -> None:
     """Restore a freshly-built session (same keys/definition) from disk."""
-    decode_session_state(session, read_checkpoint(path, kind="session"))
-    for index in session.expelled:
-        for server in session.servers:
-            server.expel_client(index)
+    session.restore_state(read_checkpoint(path, kind="session"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 
 from repro.errors import CheckpointError
 from repro.util.serialization import canonical_json
@@ -53,6 +54,9 @@ class AuditLog:
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self.entries: list[dict] = []
+        # A networked session appends from two threads: the caller's (blame,
+        # expulsions, checkpoints) and its event loop's (rounds, resumes).
+        self._lock = threading.Lock()
         if os.path.exists(self.path):
             self.entries = read_audit_log(self.path)
 
@@ -66,18 +70,19 @@ class AuditLog:
             raise CheckpointError(
                 f"unknown audit event {event!r}; expected one of {EVENT_TYPES}"
             )
-        entry = {
-            "index": len(self.entries),
-            "event": event,
-            "data": data,
-            "prev": self.head,
-        }
-        entry["hash"] = _entry_digest(entry)
-        line = canonical_json(entry) + b"\n"
-        with open(self.path, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-        self.entries.append(entry)
+        with self._lock:
+            entry = {
+                "index": len(self.entries),
+                "event": event,
+                "data": data,
+                "prev": self.head,
+            }
+            entry["hash"] = _entry_digest(entry)
+            line = canonical_json(entry) + b"\n"
+            with open(self.path, "ab") as handle:
+                handle.write(line)
+                handle.flush()
+            self.entries.append(entry)
         return entry
 
 

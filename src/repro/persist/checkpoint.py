@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 2, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 3, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -25,7 +25,9 @@ from repro.util.serialization import canonical_json
 
 # 2: archived envelopes and evidence carry v2 signatures (over sha256(body),
 # repro.net.message); a version-1 file would only fail them one by one.
-CHECKPOINT_VERSION = 2
+# 3: ``session`` and ``net-session`` payloads keep the control plane's state
+# in one shared ``coordinator`` section (repro.persist.codec).
+CHECKPOINT_VERSION = 3
 
 
 def _payload_digest(payload: dict) -> str:

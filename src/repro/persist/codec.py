@@ -232,6 +232,33 @@ def decode_archive(group: Group, data: dict) -> RoundArchive:
 # ---------------------------------------------------------------------------
 
 
+def encode_sent_records(records: dict) -> dict:
+    """round -> what a client put in its slot (None: it sent nothing)."""
+    return {
+        str(r): None
+        if record is None
+        else {
+            "slot_bytes": record.slot_bytes.hex(),
+            "slot_bit_start": record.slot_bit_start,
+            "payload_messages": [m.hex() for m in record.payload_messages],
+        }
+        for r, record in records.items()
+    }
+
+
+def decode_sent_records(data: dict) -> dict:
+    return {
+        int(r): None
+        if record is None
+        else _SentRecord(
+            slot_bytes=bytes.fromhex(record["slot_bytes"]),
+            slot_bit_start=int(record["slot_bit_start"]),
+            payload_messages=[bytes.fromhex(m) for m in record["payload_messages"]],
+        )
+        for r, record in data.items()
+    }
+
+
 def encode_client_state(client: DissentClient) -> dict:
     """Full durable client state (identity key excluded, pseudonym included)."""
     return {
@@ -248,14 +275,7 @@ def encode_client_state(client: DissentClient) -> dict:
         ],
         "last_participation": client.last_participation,
         "request_attempted": client._request_attempted,
-        "sent": {
-            str(r): {
-                "slot_bytes": record.slot_bytes.hex(),
-                "slot_bit_start": record.slot_bit_start,
-                "payload_messages": [m.hex() for m in record.payload_messages],
-            }
-            for r, record in client._sent.items()
-        },
+        "sent": encode_sent_records(client._sent),
         "pending_accusation": (
             client.pending_accusation.to_bytes(client.group).hex()
             if client.pending_accusation is not None
@@ -299,14 +319,7 @@ def decode_client_state(client: DissentClient, data: dict) -> None:
     ]
     client.last_participation = data.get("last_participation")
     client._request_attempted = bool(data.get("request_attempted", False))
-    client._sent = {
-        int(r): _SentRecord(
-            slot_bytes=bytes.fromhex(record["slot_bytes"]),
-            slot_bit_start=int(record["slot_bit_start"]),
-            payload_messages=[bytes.fromhex(m) for m in record["payload_messages"]],
-        )
-        for r, record in _require(data, "sent", "client").items()
-    }
+    client._sent = decode_sent_records(_require(data, "sent", "client"))
     accusation_hex = data.get("pending_accusation")
     if accusation_hex is not None:
         try:
@@ -378,20 +391,58 @@ def decode_server_state(server: DissentServer, data: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def encode_session_state(session) -> dict:
-    """Durable form of :meth:`DissentSession.snapshot_state` (JSON-native)."""
-    group = session.definition.group
+def encode_coordinator_state(coordinator) -> dict:
+    """The :class:`~repro.core.coordinator.Coordinator`'s whole mutable state.
+
+    The one section an in-process ``session`` checkpoint and a networked
+    ``net-session`` checkpoint share, byte for byte.
+    """
+    group = coordinator.definition.group
     return {
-        "round_number": session.round_number,
-        "records": [encode_record(group, record) for record in session.records],
-        "expelled": sorted(session.expelled),
-        "convicted_servers": sorted(session.convicted_servers),
+        "round_number": coordinator.round_number,
+        "records": [encode_record(group, record) for record in coordinator.records],
+        "expelled": sorted(coordinator.expelled),
+        "convicted_servers": sorted(coordinator.convicted_servers),
         "equivocation_proofs": [
             encode_equivocation_proof(group, proof)
-            for proof in getattr(session, "equivocation_proofs", ())
+            for proof in coordinator.equivocation_proofs
         ],
-        "scheduled": session.scheduled,
-        "rng_state": encode_rng_state(session.rng.getstate()),
+        "scheduled": coordinator.scheduled,
+        "slot_elements": [format(y, "x") for y in coordinator.slot_elements],
+        "rng_state": encode_rng_state(coordinator.rng.getstate()),
+    }
+
+
+def decode_coordinator_state(coordinator, data: dict) -> None:
+    """Apply an encoded coordinator state to a freshly-built driver in place."""
+    group = coordinator.definition.group
+    what = "coordinator"
+    coordinator.round_number = int(_require(data, "round_number", what))
+    coordinator.records = [
+        decode_record(group, record) for record in _require(data, "records", what)
+    ]
+    coordinator.expelled = {int(i) for i in _require(data, "expelled", what)}
+    coordinator.convicted_servers = {
+        int(i) for i in _require(data, "convicted_servers", what)
+    }
+    coordinator.equivocation_proofs = [
+        decode_equivocation_proof(group, blob)
+        for blob in _require(data, "equivocation_proofs", what)
+    ]
+    coordinator.scheduled = bool(_require(data, "scheduled", what))
+    try:
+        coordinator.slot_elements = [
+            int(value, 16) for value in _require(data, "slot_elements", what)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed slot schedule: {exc}") from exc
+    restore_rng(coordinator.rng, _require(data, "rng_state", what))
+
+
+def encode_session_state(session) -> dict:
+    """What :meth:`DissentSession.snapshot_state` returns (JSON-native)."""
+    return {
+        "coordinator": encode_coordinator_state(session),
         "servers": [encode_server_state(server) for server in session.servers],
         "clients": [encode_client_state(client) for client in session.clients],
     }
@@ -399,28 +450,13 @@ def encode_session_state(session) -> dict:
 
 def decode_session_state(session, data: dict) -> None:
     """Apply an encoded session state to a freshly-built session in place."""
-    group = session.definition.group
-    session.round_number = int(_require(data, "round_number", "session"))
-    session.records = [
-        decode_record(group, record)
-        for record in _require(data, "records", "session")
-    ]
-    session.expelled = {int(i) for i in _require(data, "expelled", "session")}
-    session.convicted_servers = {
-        int(i) for i in _require(data, "convicted_servers", "session")
-    }
-    session.equivocation_proofs = [
-        decode_equivocation_proof(group, blob)
-        for blob in data.get("equivocation_proofs", ())
-    ]
-    session.scheduled = bool(_require(data, "scheduled", "session"))
-    restore_rng(session.rng, _require(data, "rng_state", "session"))
     server_states = _require(data, "servers", "session")
     client_states = _require(data, "clients", "session")
     if len(server_states) != len(session.servers) or len(client_states) != len(
         session.clients
     ):
         raise CheckpointError("session checkpoint does not match the group size")
+    decode_coordinator_state(session, _require(data, "coordinator", "session"))
     for server, state in zip(session.servers, server_states):
         decode_server_state(server, state)
     for client, state in zip(session.clients, client_states):

@@ -51,14 +51,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.accusation import run_trace, TraceVerdict
+from repro.core.accusation import TraceVerdict
 from repro.core.client import DissentClient
-from repro.core.schedule import Scheduler
 from repro.core.session import DissentSession
 from repro.crypto import elgamal, prng
 from repro.crypto.hashing import merkle_root, sha256
 from repro.crypto.keys import PublicKey
-from repro.errors import ProtocolError
+from repro.errors import CheckpointError, ProtocolError
+from repro.persist.codec import decode_sent_records, encode_sent_records
 from repro.util.bytesops import get_bit
 from repro.util.serialization import pack_fields
 from repro.verdict.ciphertext import (
@@ -346,10 +346,49 @@ class HybridSession(DissentSession):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.monitor = Scheduler(self.definition.num_clients, self.definition.policy)
         self.blames: list[HybridBlameRecord] = []
-        self.pad_archive: dict[int, dict[int, tuple[bytes, ...]]] = {}
+        self.pad_archive: dict[int, dict[int, HybridPadCommitment]] = {}
         self.hybrid_counters = HybridCostCounters()
+
+    def snapshot_state(self) -> dict:
+        """The XOR session's durable state plus hybrid mode's blame evidence:
+        the archived pad commitments and each client's sent history."""
+        snapshot = super().snapshot_state()
+        snapshot["hybrid"] = {
+            "pad_archive": {
+                str(r): {
+                    str(i): [c.root.hex(), [leaf.hex() for leaf in c.leaves]]
+                    for i, c in commitments.items()
+                }
+                for r, commitments in self.pad_archive.items()
+            },
+            "sent_history": {
+                str(i): encode_sent_records(client.sent_history)
+                for i, client in enumerate(self.clients)
+                if isinstance(client, HybridClient)
+            },
+        }
+        return snapshot
+
+    def restore_state(self, snapshot: dict) -> None:
+        super().restore_state(snapshot)
+        try:
+            evidence = snapshot["hybrid"]
+            self.pad_archive = {
+                int(r): {
+                    int(i): HybridPadCommitment(
+                        bytes.fromhex(root), tuple(bytes.fromhex(x) for x in leaves)
+                    )
+                    for i, (root, leaves) in commitments.items()
+                }
+                for r, commitments in evidence["pad_archive"].items()
+            }
+            for i, records in evidence["sent_history"].items():
+                self.clients[int(i)].sent_history = decode_sent_records(records)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint lacks hybrid blame evidence: {exc!r}"
+            ) from exc
 
     @classmethod
     def build(
@@ -380,13 +419,16 @@ class HybridSession(DissentSession):
 
     def run_round(self, online: set[int] | None = None):
         r = self.round_number
-        length = self.monitor.current_layout().total_bytes
-        self._collect_pad_commitments(r, length, online)
+        # Every server's scheduler holds the round's layout (and is in every
+        # checkpoint); a copy decodes the output's slots as the servers will.
+        monitor = self.servers[0].scheduler.clone()
+        self._collect_pad_commitments(
+            r, monitor.current_layout().total_bytes, online
+        )
         record = super().run_round(online)
         if record.completed:
             self.hybrid_counters.fast_rounds += 1
-            contents = self.monitor.advance(record.output.cleartext)
-            for content in contents:
+            for content in monitor.advance(record.output.cleartext):
                 if content.is_corrupted:
                     self.hybrid_counters.corrupted_rounds += 1
                     self._handle_disruption(r, content.slot_index)
@@ -450,8 +492,7 @@ class HybridSession(DissentSession):
         blame = self.replay_blame(round_number, slot_index)
         self.blames.append(blame)
         for culprit in blame.client_culprits:
-            if culprit not in self.expelled:
-                self.expel(culprit)
+            self.expel(culprit)
         for culprit in blame.server_culprits:
             self.convicted_servers.add(culprit)
         # The replay replaces the accusation path: clear any pending
@@ -657,7 +698,7 @@ class HybridSession(DissentSession):
                 total_chunks=total_chunks,
             )
 
-        verdicts = self._trace_witness(round_number, witness, archive)
+        verdicts = self.trace_witness(round_number, witness)
         status = "blamed" if (rejected or verdicts) else "no-witness"
         return HybridBlameRecord(
             round_number,
@@ -669,30 +710,6 @@ class HybridSession(DissentSession):
             true_bytes,
             chunks_replayed=chunks_replayed,
             total_chunks=total_chunks,
-        )
-
-    def _trace_witness(
-        self, round_number: int, witness_bit: int, archive
-    ) -> list[TraceVerdict]:
-        """Run the archived-evidence trace directly at a public witness bit."""
-        evidence = archive.to_evidence()
-        disclosures = [
-            server.trace_disclosure(round_number, witness_bit)
-            for server in self.servers
-        ]
-
-        def rebut(client_index: int, r: int, bit_index: int, claimed):
-            return self.clients[client_index].rebut(r, bit_index, dict(claimed))
-
-        return run_trace(
-            self.definition.group,
-            list(self.definition.client_keys),
-            list(self.definition.server_keys),
-            self.definition.group_id(),
-            evidence,
-            witness_bit,
-            disclosures,
-            rebut,
         )
 
     # ------------------------------------------------------------------

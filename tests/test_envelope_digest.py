@@ -307,14 +307,17 @@ class TestVersionRefusal:
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    def test_v1_checkpoint_refused_by_version(self, tmp_path):
+    @pytest.mark.parametrize("old", [1, 2])
+    def test_old_checkpoint_refused_by_version(self, tmp_path, old):
+        # 1: v1 signatures; 2: control-plane state outside the shared
+        # ``coordinator`` section.  Neither layout is read any more.
         path = tmp_path / "old.ckpt"
         write_checkpoint(path, {"round": 3}, kind="session")
         document = json.loads(path.read_text())
-        assert document["version"] == 2
-        document["version"] = 1
+        assert document["version"] == 3
+        document["version"] = old
         path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=f"version {old}"):
             read_checkpoint(path)
 
 

@@ -131,7 +131,7 @@ class TestMergedMetrics:
 class TestTracingParity:
     @pytest.mark.parametrize("mode", ["loopback", "tcp"])
     def test_bit_identical_tracing_on_vs_off(self, mode):
-        expected = drive_honest(build_matched_inprocess(seed=2012))
+        expected = drive_honest(build_matched_inprocess(None, seed=2012))
         results = {}
         for telemetry in (False, True):
             with NetworkedSession.build(

@@ -21,6 +21,8 @@ from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.net.runner import NetworkedSession
+from repro.persist import encode_coordinator_state
+from repro.util.serialization import canonical_json
 
 
 def build_matched_inprocess(
@@ -32,7 +34,12 @@ def build_matched_inprocess(
     client_factories=None,
     policy=None,
 ):
-    """A DissentSession whose RNG draws mirror NetworkedSession.build."""
+    """A DissentSession whose RNG draws mirror NetworkedSession.build.
+
+    Pass ``group_name=None`` to follow ``DISSENT_GROUP_BACKEND`` as
+    ``NetworkedSession.build`` does (this module's parity tests do: CI's
+    chaos job runs them on modp1536 and ec25519).
+    """
     server_factories = server_factories or {}
     client_factories = client_factories or {}
     rng = random.Random(seed)
@@ -92,12 +99,16 @@ def drive_blame(session, victim=2, rounds=14):
         sorted(session.convicted_servers),
         outcome,
         session.delivered_messages(0),
+        # All eight fields of the coordinator's state as a checkpoint would
+        # hold them: round counter, records with their certificates,
+        # membership, convictions, proofs, slot schedule and the RNG.
+        canonical_json(encode_coordinator_state(session)),
     )
 
 
 class TestLoopbackParity:
     def test_honest_session_bit_identical(self):
-        expected = drive_honest(build_matched_inprocess(seed=2012))
+        expected = drive_honest(build_matched_inprocess(None, seed=2012))
         with NetworkedSession.build(
             num_servers=3, num_clients=8, seed=2012, mode="loopback"
         ) as session:
@@ -107,7 +118,7 @@ class TestLoopbackParity:
         assert not expected[0][1].completed
 
     def test_run_until_quiet_parity(self):
-        inproc = build_matched_inprocess(num_clients=5, seed=44)
+        inproc = build_matched_inprocess(None, num_clients=5, seed=44)
         inproc.setup()
         inproc.post(1, b"drain me")
         expected = inproc.run_until_quiet()
@@ -134,7 +145,7 @@ class TestLoopbackParity:
         }
         expected = drive_blame(
             build_matched_inprocess(
-                num_clients=6, seed=seed, server_factories=factories
+                None, num_clients=6, seed=seed, server_factories=factories
             )
         )
         with NetworkedSession.build(
@@ -155,7 +166,7 @@ class TestTcpParity:
         slot = victim_slot_for(seed)
         factories = {5: (DisruptorClient, {"target_slot": slot})}
         expected = drive_blame(
-            build_matched_inprocess(seed=seed, client_factories=factories)
+            build_matched_inprocess(None, seed=seed, client_factories=factories)
         )
         with NetworkedSession.build(
             num_servers=3, num_clients=8, seed=seed, mode="tcp",
@@ -163,7 +174,8 @@ class TestTcpParity:
         ) as session:
             actual = drive_blame(session)
         assert actual == expected
-        records, verdicts, expelled, convicted, outcome, delivered = expected
+        records, verdicts, expelled, convicted, outcome, delivered, state = expected
+        assert b'"slot_elements"' in state and b'"rng_state"' in state
         assert expelled == [5] and convicted == []
         assert verdicts[0].culprit_kind == "client"
         assert outcome.drained
@@ -179,7 +191,7 @@ class TestSubprocessParity:
         slot = victim_slot_for(seed)
         factories = {5: (DisruptorClient, {"target_slot": slot})}
         expected = drive_blame(
-            build_matched_inprocess(seed=seed, client_factories=factories)
+            build_matched_inprocess(None, seed=seed, client_factories=factories)
         )
         with NetworkedSession.build(
             num_servers=3, num_clients=8, seed=seed, mode="subprocess",
@@ -209,6 +221,56 @@ class TestSurface:
         ) as session:
             with pytest.raises(ProtocolError):
                 session.run_round()
+
+    def test_legacy_three_field_round_done_is_a_typed_error(self, monkeypatch):
+        """No sender has packed a certificate-less ``round-done`` since the
+        round engine; the coordinator refuses one instead of defaulting."""
+        from repro.errors import WireDecodeError
+        from repro.net import node
+        from repro.util.serialization import pack_fields, unpack_fields
+
+        modern = node.encode_round_done_body
+        monkeypatch.setattr(
+            node,
+            "encode_round_done_body",
+            lambda group, done: pack_fields(*unpack_fields(modern(group, done))[:3]),
+        )
+        with NetworkedSession.build(
+            num_servers=2, num_clients=3, seed=1, mode="loopback"
+        ) as session:
+            session.setup()
+            with pytest.raises(WireDecodeError, match="exactly 5 fields"):
+                session.run_round()
+
+    def test_two_verdicts_naming_one_client_expel_it_once(self, tmp_path):
+        """Two victims of one disruptor mean two accusations and two
+        verdicts; the expulsion, its counter and its audit entry happen
+        once, on either driver."""
+        from repro.core.accusation import TraceVerdict
+        from repro.persist import read_audit_log
+
+        verdicts = [
+            TraceVerdict("client", 2, "first victim's accusation"),
+            TraceVerdict("client", 2, "second victim's accusation"),
+        ]
+        inproc = DissentSession.build(
+            num_servers=2, num_clients=4, seed=9, telemetry=True
+        )
+        inproc.apply_verdicts(verdicts)
+        assert inproc.expelled == {2}
+        assert inproc.metrics()["counters"]["session.expulsions"] == 1
+
+        audit = tmp_path / "audit.ndjson"
+        with NetworkedSession.build(
+            num_servers=2, num_clients=4, seed=9, mode="loopback",
+            audit_path=str(audit),
+        ) as session:
+            session.apply_verdicts(verdicts)
+            assert session.expelled == {2}
+            assert session.metrics()["counters"]["session.expulsions"] == 1
+        events = [entry["event"] for entry in read_audit_log(audit)]
+        assert events.count("blame") == 2
+        assert events.count("expulsion") == 1
 
     def test_close_is_idempotent(self):
         session = NetworkedSession.build(

@@ -117,6 +117,38 @@ class TestAuditLog:
         assert entries[1]["index"] == 1
         assert entries[1]["prev"] == entries[0]["hash"]
 
+    def test_appends_from_racing_threads_keep_one_chain(self, tmp_path):
+        """A networked session audits from its caller's thread and from its
+        event loop; an unlocked append would hand two entries one index."""
+        import sys
+        import threading
+
+        path = tmp_path / "audit.ndjson"
+        log = AuditLog(path)
+        workers, each = 6, 40
+
+        def hammer(worker):
+            for n in range(each):
+                log.append("resume", node=f"client-{worker}", replayed=n)
+
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        entries = read_audit_log(path)  # verifies every index and hash link
+        assert len(entries) == workers * each
+        for worker in range(workers):
+            mine = [e["data"]["replayed"] for e in entries
+                    if e["data"]["node"] == f"client-{worker}"]
+            assert mine == list(range(each))
+
     def test_tampering_breaks_the_chain(self, tmp_path):
         path = tmp_path / "audit.ndjson"
         log = AuditLog(path)
@@ -198,9 +230,84 @@ class TestSessionRoundTrip:
         document = json.loads(path.read_text())
         assert document["kind"] == "session"
         payload = document["payload"]
-        assert payload["round_number"] == 1
+        assert payload["coordinator"]["round_number"] == 1
         assert len(payload["servers"]) == 2
         assert len(payload["clients"]) == 3
+
+
+class TestHybridRoundTrip:
+    """Verdict's hybrid mode keeps blame evidence the XOR path does not —
+    the session's pad commitments and each client's sent history — and
+    reads its slot layout off a scheduler; all of it must survive a file."""
+
+    @pytest.mark.parametrize("group_name", BACKENDS)
+    def test_restored_hybrid_session_runs_on(self, tmp_path, group_name):
+        from repro.core import Policy, build_session
+
+        def build():
+            session = build_session(
+                group_name, 3, 6, Policy(dcnet_mode="hybrid"), seed=5
+            )
+            session.setup()
+            return session
+
+        path = tmp_path / "hybrid.ckpt"
+        session = build()
+        for n in range(4):
+            session.post(n, f"post {n}".encode())
+            session.run_round()
+        session.post(5, b"queued across the barrier")
+        save_session(session, path)
+        fresh = build()
+        restore_session(fresh, path)
+        assert fresh.pad_archive == session.pad_archive
+        assert [c.sent_history for c in fresh.clients] == [
+            c.sent_history for c in session.clients
+        ]
+        continued = session.run_rounds(3)
+        restored = fresh.run_rounds(3)
+        assert [r.output.cleartext for r in restored] == [
+            r.output.cleartext for r in continued
+        ]
+        assert fresh.delivered_messages(0) == session.delivered_messages(0)
+        assert fresh.delivered_messages(0)[-1][2] == b"queued across the barrier"
+
+    def test_blame_after_a_restore_matches_the_uninterrupted_run(self, tmp_path):
+        from repro.verdict.hybrid import build_hybrid_with_disruptor
+
+        def drive(session, rounds):
+            # The round after the expulsion falls below the alpha floor
+            # (5 of 6) and fails; its record has no output.
+            records = [session.run_round() for _ in range(rounds)]
+            return [r.output.cleartext if r.output else None for r in records]
+
+        # Seed 30: the jammed slot shows no witness bit in rounds 1-4 and
+        # the disruptor is named in round 5.
+        whole, slot = build_hybrid_with_disruptor(seed=30)
+        whole.post(1, b"jam target")
+        expected = drive(whole, 8)
+        assert [(b.round_number, b.status) for b in whole.blames] == [
+            (1, "no-witness"), (2, "no-witness"), (3, "no-witness"),
+            (4, "no-witness"), (5, "blamed"),
+        ]  # fmt: skip
+
+        path = tmp_path / "jammed.ckpt"
+        first, _ = build_hybrid_with_disruptor(seed=30)
+        first.post(1, b"jam target")
+        before = drive(first, 3)
+        save_session(first, path)
+        restored, _ = build_hybrid_with_disruptor(seed=30)
+        restore_session(restored, path)
+        assert before + drive(restored, 5) == expected
+        assert restored.blames == whole.blames[2:]
+        assert restored.blames[-1].client_culprits == (4,)
+        assert restored.expelled == whole.expelled == {4}
+        assert restored.delivered_messages(0) == whole.delivered_messages(0)
+        # Round 2 ran before the checkpoint: replaying it now needs the
+        # archived pad commitments and the victim's own sent record.
+        reverified = restored.hybrid_counters.pad_chunks_reverified
+        assert restored.replay_blame(2, slot) == whole.blames[1]
+        assert restored.hybrid_counters.pad_chunks_reverified > reverified
 
 
 class TestModpWideBackend:

@@ -78,6 +78,8 @@ def _assert_identical(lock, lock_records, pipe_session, pipe_records):
         else:
             assert a.output.cleartext == b.output.cleartext
             assert a.output.signatures == b.output.signatures
+    # The session's own transcript: each round filed once, in order.
+    assert pipe_session.records == lock.records
     assert lock.expelled == pipe_session.expelled
     assert lock.convicted_servers == pipe_session.convicted_servers
     for lc, pc in zip(lock.clients, pipe_session.clients):

@@ -24,7 +24,15 @@ from repro.crypto.groups import resolve_group_name
 from repro.errors import PeerUnreachable, SessionTimeout
 from repro.net.runner import NetworkedSession
 from repro.net.transport import FaultSchedule, RetryPolicy, connect_tcp
-from repro.persist import read_audit_log
+from repro.persist import (
+    encode_coordinator_state,
+    read_audit_log,
+    read_checkpoint,
+    restore_session,
+    save_session,
+)
+from repro.util.serialization import canonical_json
+from tests.test_networked_session import build_matched_inprocess
 
 #: Sessions here leave ``group_name`` unset, so ``DISSENT_GROUP_BACKEND``
 #: steers the whole chaos suite (the CI chaos job runs it under both
@@ -299,5 +307,35 @@ class TestCoordinatorRestore:
         document = json.loads(path.read_text())
         assert document["kind"] == "net-session"
         payload = document["payload"]
-        assert payload["round_number"] == 1
+        assert payload["coordinator"]["round_number"] == 1
         assert len(payload["nodes"]) == 5  # 2 servers + 3 clients
+
+    def test_coordinator_section_is_the_in_process_one(self, tmp_path):
+        """A networked and an in-process checkpoint cut at the same barrier
+        hold byte-equal ``coordinator`` sections — round counter, records
+        and certificates, membership, convictions, proofs, slot schedule,
+        RNG — and still do one round after both are restored."""
+        inproc = build_matched_inprocess(GROUP, 2, 3, seed=31)
+        drive(inproc, 2)
+        save_session(inproc, tmp_path / "inproc.ckpt")
+        with chaos_session(seed=31, mode="loopback") as session:
+            drive(session, 2)
+            session.checkpoint(tmp_path / "net.ckpt")
+
+        def section(name, kind):
+            payload = read_checkpoint(tmp_path / name, kind=kind)
+            return canonical_json(payload["coordinator"])
+
+        shared = section("net.ckpt", "net-session")
+        assert shared == section("inproc.ckpt", "session")
+        assert len(json.loads(shared)) == 8
+
+        fresh = build_matched_inprocess(GROUP, 2, 3, seed=31)
+        restore_session(fresh, tmp_path / "inproc.ckpt")
+        fresh.run_round()
+        with NetworkedSession.restore(tmp_path / "net.ckpt") as restored:
+            restored.run_round()
+            assert canonical_json(encode_coordinator_state(restored)) == (
+                canonical_json(encode_coordinator_state(fresh))
+            )
+        assert fresh.round_number == 3

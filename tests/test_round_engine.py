@@ -8,14 +8,23 @@ reaches the output and certificate the lockstep driver produces.
 """
 
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus import leader_index, quorum_size
-from repro.core import DissentSession, engine as engine_module
+from repro.core import (
+    DissentSession,
+    coordinator as coordinator_module,
+    engine as engine_module,
+)
+from repro.core.accusation import make_accusation
 from repro.core.adversary import VoteWithholdingServer
+from repro.core.client import DissentClient
+from repro.core.coordinator import Coordinator
 from repro.core.engine import (
     ArmTimer,
     Broadcast,
@@ -24,8 +33,12 @@ from repro.core.engine import (
     RoundDone,
     RoundEngine,
 )
+from repro.core.keyshuffle import make_session_key, run_key_shuffle
 from repro.core.server import DissentServer
-from repro.errors import ProtocolError
+from repro.core.session import build_keys
+from repro.crypto.keys import PrivateKey
+from repro.crypto.shuffle import prepare_element_input, prepare_message_input
+from repro.errors import AccusationError, ProtocolError, TraceInconclusive
 from repro.net.message import SERVER_SIGNATURE
 
 M = 3
@@ -194,7 +207,8 @@ def test_a_rejected_input_is_an_effect_and_leaves_the_round_usable():
     assert not engine.rounds and not session.servers[0].rounds_in_flight
 
 
-def test_engine_module_imports_nothing_that_does_io():
+@pytest.mark.parametrize("module", [engine_module, coordinator_module])
+def test_sans_io_module_imports_nothing_that_does_io(module):
     banned = (
         "asyncio",
         "socket",
@@ -207,7 +221,7 @@ def test_engine_module_imports_nothing_that_does_io():
         "repro.net.runner",
     )
     imported = set()
-    for node in ast.walk(ast.parse(Path(engine_module.__file__).read_text())):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -220,3 +234,190 @@ def test_engine_module_imports_nothing_that_does_io():
         if name == module or name.startswith(module + ".")
     }
     assert not offending
+
+
+def test_the_control_plane_has_one_copy_of_each_step():
+    """Set-up, blame and the round reduction are written once: under
+    ``src/repro`` each of these is called from exactly one place, the
+    coordinator (``run_trace`` also from ``trace_accusation``)."""
+    once = (
+        "make_session_key",
+        "verify_session_keys",
+        "open_shuffle_submissions",
+        "run_key_shuffle",
+        "run_message_shuffle",
+        "trace_accusation",
+        "adopt_round_evidence",
+    )
+    sites = {name: [] for name in (*once, "run_trace")}
+    root = Path(coordinator_module.__file__).parents[1]
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in sites:
+                sites[called].append(f"{path.relative_to(root)}:{node.lineno}")
+    for name in once:
+        assert len(sites[name]) == 1, (name, sites[name])
+        assert sites[name][0].startswith("core/coordinator.py"), (name, sites[name])
+    assert sorted(site.split(":")[0] for site in sites["run_trace"]) == [
+        "core/accusation.py",
+        "core/coordinator.py",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The coordinator with a scripted member port: no session, no sockets
+# ---------------------------------------------------------------------------
+
+
+class ScriptedMembers(Coordinator):
+    """Answers the coordinator from a script and logs what it was asked.
+
+    Clients are bare :class:`DissentClient` objects (someone has to sign a
+    key-shuffle submission); there are no servers, engines or transports.
+    """
+
+    def __init__(self, seed=5, num_servers=2, num_clients=4):
+        rng = random.Random(seed)
+        built = build_keys(None, num_servers, num_clients, None, rng)
+        super().__init__(built.definition, built.server_keys, rng)
+        self.clients = [
+            DissentClient(built.definition, i, key, random.Random(i))
+            for i, key in enumerate(built.client_keys)
+        ]
+        self.asked = []
+        #: client -> bytes it puts into the accusation shuffle (cover: b"").
+        self.accusation_bodies = {}
+        #: round -> exception ``_trace_evidence`` raises for it.
+        self.trace_failures = {}
+        self.events = []
+
+    def _event(self, event, **fields):
+        self.events.append((event, fields))
+
+    def _scheduling_submissions(self, purpose, publics):
+        self.asked.append(("scheduling", [public.y for public in publics]))
+        return [c.signed_scheduling_submission(publics, purpose) for c in self.clients]
+
+    def _learn_schedule(self, elements):
+        self.asked.append(("schedule", list(elements)))
+
+    def _accusation_submissions(self, participants, publics, width):
+        self.asked.append(("accusations", list(participants)))
+        return [
+            prepare_message_input(
+                publics, self.accusation_bodies.get(i, b""), width, random.Random(i)
+            )
+            for i in participants
+        ]
+
+    def _accusation_outcome(self, participants, handled):
+        self.asked.append(("outcome", list(participants), handled))
+
+    def _trace_evidence(self, verifier, round_number, bit_index):
+        self.asked.append(("evidence", round_number, bit_index))
+        raise self.trace_failures[round_number]
+
+    def _expel_member(self, client_index):
+        self.asked.append(("expel", client_index))
+
+
+def test_setup_draws_one_mix_key_per_server_then_runs_the_cascade():
+    """The documented RNG order, which is what keeps every driver's slots
+    identical: M mix keys in server order, then the cascade — and nothing
+    else of the session RNG."""
+    members = ScriptedMembers(seed=5)
+    mirror = random.Random(5)
+    built = build_keys(None, 2, 4, None, mirror)
+    purpose = b"dissent.key-shuffle|" + built.definition.group_id()
+    pairs = [
+        make_session_key(key, j, purpose, mirror)
+        for j, key in enumerate(built.server_keys)
+    ]
+    members.setup()
+    kind, publics = members.asked[0]
+    assert kind == "scheduling"
+    assert publics == [session_key.public.y for _, session_key in pairs]
+    submissions = [
+        prepare_element_input(
+            [session_key.public for _, session_key in pairs],
+            client.pseudonym.y,
+            random.Random(0),
+        )
+        for client in members.clients
+    ]
+    # The cascade's own draws: replay it on the mirror and both RNGs agree.
+    run_key_shuffle(
+        built.definition,
+        [private for private, _ in pairs],
+        submissions,
+        context=purpose,
+        rng=mirror,
+    )
+    assert members.rng.getstate() == mirror.getstate()
+    assert members.scheduled
+    assert members.asked[1] == ("schedule", members.slot_elements)
+    assert sorted(members.slot_elements) == sorted(
+        client.pseudonym.y for client in members.clients
+    )
+
+
+def test_statuses_below_the_floor_abandon_with_the_published_count():
+    members = ScriptedMembers()
+    statuses = [InventoryStatus(3, 2, True), InventoryStatus(3, 2, False)]
+    assert members.inventory_decision(statuses) == (2, False)
+    record = members.failed_round(3, 2)
+    assert (record.completed, record.participation, record.output) == (False, 2, None)
+    assert members.records == [record]
+    published = {"round": 3, "reason": "participation below floor", "participation": 2}
+    assert members.events == [("abandon", published)]
+    assert members.inventory_decision([InventoryStatus(4, 4, True)] * 2) == (4, True)
+
+
+def test_disagreeing_servers_are_a_protocol_error():
+    members = ScriptedMembers()
+    with pytest.raises(ProtocolError, match="participation count"):
+        members.inventory_decision(
+            [InventoryStatus(0, 4, True), InventoryStatus(0, 3, True)]
+        )
+    network = Network(scheduled_session())
+    random.Random(1).shuffle(network.bag)
+    network.run()
+    dones = dict(network.dones)
+    forged = dataclasses.replace(
+        dones[1].output, cleartext=bytes(len(dones[1].output.cleartext))
+    )
+    dones[1] = dataclasses.replace(dones[1], output=forged)
+    with pytest.raises(ProtocolError, match="combined cleartext"):
+        members.certified_round(0, dones)
+    assert members.records == []
+
+
+def test_untraceable_accusations_are_skipped_not_fatal():
+    members = ScriptedMembers()
+    group = members.definition.group
+    members.expelled.add(3)
+    pseudonym = PrivateKey.generate(group, random.Random(1))
+    inconclusive = make_accusation(pseudonym, group, 7, 0, 5)
+    evicted = make_accusation(pseudonym, group, 2, 1, 9)
+    members.accusation_bodies = {
+        0: b"\x00not an accusation",
+        1: inconclusive.to_bytes(group),
+        2: evicted.to_bytes(group),
+    }
+    members.trace_failures = {
+        7: TraceInconclusive("all disclosed bits consistent"),
+        2: AccusationError("round 2 is no longer archived"),
+    }
+    assert members.run_accusation_phase() == []
+    # Both well-formed accusations were traced, in whatever order the
+    # shuffle put them; the malformed one never got that far.
+    assert sorted(q for q in members.asked if q[0] == "evidence") == [
+        ("evidence", 2, 9),
+        ("evidence", 7, 5),
+    ]
+    assert members.asked[0] == ("accusations", [0, 1, 2])
+    assert members.asked[-1] == ("outcome", [0, 1, 2], False)
+    assert members.expelled == {3} and not members.events

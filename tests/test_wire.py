@@ -205,6 +205,52 @@ class TestBodyCodecs:
         assert decoded == output
         assert isinstance(decoded, RoundOutput)
 
+    def test_round_done_roundtrip_and_strictness(self):
+        """``round-done`` is five typed fields, always: the three-field
+        frame of the pre-engine servers (no certificate) and every other
+        misshapen body is a typed error, never a tolerated default."""
+        from repro.core import DissentSession
+        from repro.core.engine import RoundDone
+        from repro.util.serialization import pack_fields, unpack_fields
+
+        reports = {}
+
+        class Capturing(DissentSession):
+            def certified_round(self, r, dones):
+                reports.update(dones)
+                return super().certified_round(r, dones)
+
+        session = Capturing.build("test-256", 2, 3, seed=5)
+        session.setup()
+        session.run_round()
+        group, done = session.definition.group, reports[1]
+        body = wire.encode_round_done_body(group, done)
+        assert RoundDone(*wire.decode_round_done_body(group, body)) == done
+        assert done.proof is None and done.certificate is not None
+
+        fields = unpack_fields(body)
+        assert len(fields) == 5
+        hostile = {
+            "three-field legacy frame": fields[:3],
+            "four fields": fields[:4],
+            "six fields": [*fields, b""],
+            "round as bytes": [b"0", *fields[1:]],
+            "flag as bytes": [fields[0], b"\x01", *fields[2:]],
+            "output as int": [*fields[:2], 7, *fields[3:]],
+            "certificate as int": [*fields[:3], 7, fields[4]],
+            "proof as int": [*fields[:4], 0],
+            "empty certificate": [*fields[:3], b"", fields[4]],
+            "garbage certificate": [*fields[:3], b"\x00garbage", fields[4]],
+            "garbage proof": [*fields[:4], b"\x00garbage"],
+            "truncated output": [*fields[:2], fields[2][:-5], *fields[3:]],
+        }
+        for label, bad in hostile.items():
+            with pytest.raises(WireDecodeError):
+                wire.decode_round_done_body(group, pack_fields(*bad))
+                pytest.fail(f"{label} was accepted")
+        with pytest.raises(WireDecodeError):
+            wire.decode_round_done_body(group, body[:-1])
+
     def test_shuffle_submission_roundtrip(self, round_artifacts):
         group = round_artifacts["group"]
         envelope, _ = round_artifacts["envelopes"][SHUFFLE_SUBMISSION]
