@@ -400,8 +400,9 @@ class DissentClient:
         Algorithm 1 step 3, once per client.  The server keys are this
         client's hottest recurring bases, so the set goes through
         :func:`repro.crypto.schnorr.batch_verify` on their fixed-base
-        tables: M equations one at a time up to ``HOT_BATCH_MAX`` servers,
-        one multi-exponentiation above.  The first client a process hosts
+        tables: M equations one at a time up to the backend's
+        ``hot_batch_max`` servers (3 on modp, any number on ec25519), one
+        multi-exponentiation above.  The first client a process hosts
         pays for that; the clients beside it submit the same M signatures
         and are answered by the accepted-signature memo.  Verdicts are
         identical to checking each signature individually.

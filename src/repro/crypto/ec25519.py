@@ -24,9 +24,24 @@ Kernels, sized for what the protocol issues (a steady-state round is
 blame verify shuffle links by the hundreds):
 
 * **fixed bases** (the generator, roster keys, combined shuffle keys)
-  walk a cached window table held in *cached-affine* form
-  ``(y+x, y-x, 2dxy)`` — three field elements an entry, added with the
-  7-multiplication :func:`_madd`;
+  walk a cached signed fixed-window table (:class:`_Comb`) held in
+  *cached-affine* form ``(y+x, y-x, 2dxy)`` — three field elements an
+  entry, one 7-multiplication :func:`_madd` a row, a negative digit being
+  the stored entry with two coordinates swapped and one negated.  The
+  generator's table is 9 bits wide (29 additions an exponentiation,
+  7,424 entries, built once per process in ~60 ms), every other base's 6
+  (43 additions, 1,376 entries, ~10 ms to build — about eight ladder
+  exponentiations); which one a base gets follows from whether it is the
+  generator, nothing a caller chooses;
+* a product made **only of table walks** — ``exp_fixed``, so every
+  signature's commitment, and any ``multiexp`` without a transient base —
+  and the single ladder of ``exp`` raise to *half* of each exponent and
+  encode the *double* of what they accumulate (:func:`_encode_double`):
+  the same canonical 32 bytes for one field inversion (~9 us) where the
+  encoding of a general point takes an inverse square root (~120 us).
+  Halving costs a walk nothing and a full-width ladder nothing; it would
+  widen a 128-bit batch coefficient or a bare factor to 252 bits, so a
+  product with a transient base keeps its exponents and :func:`_encode`;
 * **transient bases** share one doubling ladder.  Up to
   :data:`STRAUS_MAX_POINTS` of them run interleaved width-5 wNAF
   (:meth:`RistrettoGroup._straus`: an 8-entry odd-multiples table and
@@ -36,6 +51,11 @@ blame verify shuffle links by the hundreds):
 * a product that is the **identity** — every valid batched verification —
   is recognised from its coordinates (RFC 9496 §4.5) and returned as
   ``0`` without the field exponentiation an encode costs.
+
+With these a warm ``schnorr.sign`` is 29 mixed additions, one doubling
+and one inversion, and a warm hot-key ``verify`` 70 point operations and
+no field exponentiation at all (``tests/test_ec_kernels.py`` holds both
+to their counts).
 
 Message embedding uses try-and-increment over a trailing counter byte:
 a framed message is placed in the high bytes of a candidate encoding and
@@ -47,15 +67,12 @@ out of the encoding integer, so decoding is exact and costless.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Collection, Iterable
 from functools import lru_cache
 
-from repro.crypto.groups import (
-    FIXED_BASE_WINDOW,
-    Group,
-    _multiexp_window,
-)
+from repro.crypto.groups import Group, _multiexp_window
 from repro.errors import CryptoError
 
 # -- field and curve constants (derived, not transcribed) -----------------
@@ -75,6 +92,18 @@ if SQRT_M1 * SQRT_M1 % P != P - 1:
     raise RuntimeError("ec25519 self-check failed: SQRT_M1**2 != -1")
 
 _IDENTITY = (0, 1, 1, 0)
+
+#: ``2**-1 mod L``.  Where the group knows every exponent of a product it
+#: raises to half of each and encodes the double (:func:`_encode_double`).
+_HALF = (L + 1) // 2
+
+#: Digit width of the generator's table: 29 rows of 256 entries, built
+#: once per process, one mixed addition a row.
+GENERATOR_COMB_WIDTH = 9
+
+#: Digit width of every other fixed base (roster keys, combined shuffle
+#: keys): 43 rows of 32 entries, cheap enough to build per key.
+FIXED_BASE_COMB_WIDTH = 6
 
 #: Largest transient set the interleaved-wNAF kernel takes; above it the
 #: Pippenger bucket method wins.  Measured crossover with 128-bit batch
@@ -198,6 +227,58 @@ def _cached_affine(points):
     return entries
 
 
+class _Comb:
+    """Signed fixed-window table of one base: a mixed addition a row.
+
+    Row ``i`` holds ``d * 2**(w*i) * base`` for ``d`` in ``1..2**(w-1)``
+    as cached-affine ``(y+x, y-x, 2dxy)`` triples (one inversion
+    normalises the whole table).  Adding ``offset`` — ``2**(w-1)`` in every
+    window — to an exponent turns each window into ``digit + 2**(w-1)``
+    with no carries between windows, so the digits lie in
+    ``-2**(w-1) .. 2**(w-1)-1`` and a negative one is the stored entry with
+    its first two coordinates swapped and the third negated: half the
+    entries of an unsigned table of the same width.
+    """
+
+    __slots__ = ("width", "offset", "rows")
+
+    def __init__(self, point, width: int) -> None:
+        half = 1 << (width - 1)
+        count = -(-L.bit_length() // width)
+        multiples = []
+        for _ in range(count):
+            multiple = point
+            multiples.append(multiple)
+            for _ in range(half - 1):
+                multiple = _add(multiple, point)
+                multiples.append(multiple)
+            point = _dbl(multiple)  # 2 * 2**(w-1): the next row's base
+        entries = _cached_affine(multiples)
+        self.width = width
+        self.offset = sum(half << (width * i) for i in range(count))
+        self.rows = tuple(
+            tuple(entries[i : i + half]) for i in range(0, len(entries), half)
+        )
+        if (L + self.offset) >> (width * count):
+            raise RuntimeError(f"ec25519 self-check failed: comb width {width}")
+
+    def walk(self, acc, e: int):
+        """``acc + e * base`` for ``0 <= e < L``."""
+        width = self.width
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        e += self.offset
+        for row in self.rows:
+            digit = (e & mask) - half
+            if digit > 0:
+                acc = _madd(acc, row[digit - 1])
+            elif digit:
+                y_plus_x, y_minus_x, t2d = row[-digit - 1]
+                acc = _madd(acc, (y_minus_x, y_plus_x, -t2d))
+            e >>= width
+        return acc
+
+
 def _wnaf5(e: int) -> list[tuple[int, int]]:
     """Width-5 NAF of ``e >= 0`` as ``(bit position, odd digit in ±1..±15)``.
 
@@ -272,6 +353,43 @@ def _encode(point) -> int:
     return int.from_bytes(s.to_bytes(32, "little"), "big")
 
 
+def _encode_double(point) -> int:
+    """``_encode(_dbl(point))`` for one field inversion and no square root.
+
+    The double of ``(X : Y : Z : T)`` is ``(e/f, g/h)`` with ``e = 2XY``,
+    ``f = Z² + dT²``, ``g = Y² + X²``, ``h = Z² − dT²``; written in those
+    four, the inverse square root the encoding of a general point needs is
+    a ratio of products already at hand, so ``1/(eg·fh)`` is the only
+    expensive step (curve25519-dalek's ``double_and_compress_batch``).
+    ``eg·fh`` vanishes only when the double lies in the identity coset;
+    that case takes the reference route.
+    """
+    x0, y0, z0, t0 = point
+    zz = z0 * z0 % P
+    dtt = t0 * t0 % P * D % P
+    e = 2 * x0 * y0 % P
+    f = zz + dtt
+    g = (y0 * y0 + x0 * x0) % P
+    h = zz - dtt
+    eg = e * g % P
+    fh = f * h % P
+    efgh = eg * fh % P
+    if efgh == 0:
+        return _encode(_dbl(point))
+    inverse = pow(efgh, -1, P)
+    z_inv = eg * inverse % P
+    t_inv = fh * inverse % P
+    if _is_negative(eg * z_inv % P):
+        e, g, h = g, -e, f * SQRT_M1 % P
+        magic = SQRT_M1
+    else:
+        magic = INVSQRT_A_MINUS_D
+    if _is_negative(h * e % P * z_inv % P):
+        g = -g
+    s = _abs((h - g) * magic % P * g % P * t_inv % P)
+    return int.from_bytes(s.to_bytes(32, "little"), "big")
+
+
 def _basepoint():
     """The edwards25519 basepoint (y = 4/5, x even), as an extended point."""
     y = 4 * pow(5, -1, P) % P
@@ -324,15 +442,24 @@ class RistrettoGroup(Group):
     name = "ec25519"
     is_toy = False
 
+    #: A hot-key signature costs the same walks either way (29 generator
+    #: rows + 43 key rows one at a time; 43 key rows + ~30 additions to
+    #: raise the commitment to its coefficient in a product) and the
+    #: product adds a 128-doubling ladder on top.  Counted warm in point
+    #: operations, one at a time / one product: 209 / 369 at three
+    #: signatures, 766 / 935 at eleven, 2,875 / 3,086 at 41.
+    hot_batch_max = math.inf
+
     #: Decode cache size: a round's working set is client keys + server
     #: keys + per-proof statements; 4096 covers paper-scale batches while
     #: bounding residency (5 ints per entry: the encoding and the four
     #: extended coordinates) to a few megabytes.
     DECODE_CACHE = 4096
 
-    #: Fixed-base table cache entries (matches the modp LRU bound).  One
-    #: table is 51 windows x 31 cached-affine entries of 3 ints — about
-    #: 0.4 MB, so a full cache stays under 40 MB.
+    #: Fixed-base table cache entries (matches the modp LRU bound).  A
+    #: key's table is 43 rows x 32 cached-affine entries of 3 ints — about
+    #: 0.35 MB — and the generator's 29 x 256, 1.9 MB, so a full cache
+    #: stays under 36 MB.
     TABLE_CACHE = 96
 
     def __init__(self) -> None:
@@ -378,6 +505,12 @@ class RistrettoGroup(Group):
         self._decoded.put(x, point)
         return x
 
+    def _encode_double_cached(self, point) -> int:
+        """Encode ``2 * point`` — what a product of halved exponents owes."""
+        x = _encode_double(point)
+        self._decoded.put(x, _dbl(point))
+        return x
+
     # -- membership and arithmetic ----------------------------------------
 
     def is_element(self, x: int) -> bool:
@@ -398,11 +531,16 @@ class RistrettoGroup(Group):
         return self._encode_cached(_add(self._point(a), self._point(b)))
 
     def exp(self, base: int, e: int) -> int:
-        return self._encode_cached(self._straus(((self._point(base), e % L),)))
+        # Every caller's exponent is a key, a nonce or a challenge: full
+        # width already, so its half costs the ladder nothing more.
+        half = e * _HALF % L
+        return self._encode_double_cached(self._straus(((self._point(base), half),)))
 
     def exp_fixed(self, base: int, e: int) -> int:
         self._count_fixed_base()
-        return self._encode_cached(self._fixed_walk(_IDENTITY, base, e))
+        return self._encode_double_cached(
+            self._comb(base).walk(_IDENTITY, e * _HALF % L)
+        )
 
     def multiexp(
         self,
@@ -433,15 +571,25 @@ class RistrettoGroup(Group):
             else:
                 transient.append((self._point(base), exponent))
 
-        if not transient:
+        if transient:
+            if len(transient) <= STRAUS_MAX_POINTS:
+                acc = self._straus(transient)
+            else:
+                acc = self._pippenger(transient)
+        elif fixed:
+            # Nothing but table walks, whose cost does not depend on the
+            # exponent: walk half of each and encode the double.  With a
+            # transient base this would widen a 128-bit batch coefficient
+            # or a bare factor to a full ladder.
+            fixed = [(base, exponent * _HALF % L) for base, exponent in fixed]
             acc = _IDENTITY
-        elif len(transient) <= STRAUS_MAX_POINTS:
-            acc = self._straus(transient)
         else:
-            acc = self._pippenger(transient)
+            return 0
         for base, exponent in fixed:
             self._count_fixed_base()
-            acc = self._fixed_walk(acc, base, exponent)
+            acc = self._comb(base).walk(acc, exponent)
+        if not transient:
+            return self._encode_double_cached(acc)
         # RFC 9496 §4.5 equality against the neutral element: the identity
         # coset is exactly the points with X == 0 or Y == 0, all of which
         # encode to 0 — so a product that is the identity (every valid
@@ -460,52 +608,24 @@ class RistrettoGroup(Group):
 
     # -- scalar multiplication kernels ------------------------------------
 
-    def _window_table(self, base: int):
-        """``table[i][d] = (d * 2**(w*i)) * base``, cached-affine, LRU-cached.
+    def _comb(self, base: int) -> _Comb:
+        """The signed fixed-window table of ``base``, LRU-cached.
 
-        Rows are built in extended coordinates and normalised together
-        (one inversion per table) to ``(y+x, y-x, 2dxy)`` triples — three
-        field elements an entry instead of four, walked with
-        :func:`_madd`.  ``table[i][0]`` is unused.
+        The width follows from what the base is: the generator serves
+        every signature and commitment of the process and takes the wide
+        table; any other base takes the one that is cheap to build.
         """
-        table = self._tables.get(base)
-        if table is not None:
-            return table
-        self._count_table_build()
-        per_row = (1 << FIXED_BASE_WINDOW) - 1
-        blocks = -(-L.bit_length() // FIXED_BASE_WINDOW)
-        point = self._point(base)
-        multiples = []
-        for _ in range(blocks):
-            multiple = point
-            multiples.append(multiple)
-            for _ in range(per_row - 1):
-                multiple = _add(multiple, point)
-                multiples.append(multiple)
-            # (2**w - 1) * point + point: the next block's base in one add.
-            point = _add(multiple, point)
-        entries = _cached_affine(multiples)
-        table = tuple(
-            (None, *entries[i : i + per_row])
-            for i in range(0, len(entries), per_row)
-        )
-        self._tables.put(base, table)
-        return table
-
-    def _fixed_walk(self, acc, base: int, e: int):
-        """``acc + e * base`` through the window table of ``base``."""
-        table = self._window_table(base)
-        e %= L
-        i = 0
-        w = FIXED_BASE_WINDOW
-        mask = (1 << w) - 1
-        while e:
-            d = e & mask
-            if d:
-                acc = _madd(acc, table[i][d])
-            e >>= w
-            i += 1
-        return acc
+        comb = self._tables.get(base)
+        if comb is None:
+            self._count_table_build()
+            width = (
+                GENERATOR_COMB_WIDTH
+                if base == self._g_int
+                else FIXED_BASE_COMB_WIDTH
+            )
+            comb = _Comb(self._point(base), width)
+            self._tables.put(base, comb)
+        return comb
 
     @staticmethod
     def _straus(transient):

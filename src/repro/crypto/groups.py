@@ -43,16 +43,18 @@ from repro.crypto.hashing import challenge_scalar
 from repro.errors import ConfigError, CryptoError
 from repro.obs import metrics as _metrics
 
-#: Window width (bits) for fixed-base precomputation.  Measured in CPython:
-#: w=5 gives ~4x over ``pow`` for both 256-bit and 2048-bit moduli while the
-#: table build amortizes after roughly ten exponentiations.
+#: Window width (bits) for the modp backend's fixed-base precomputation.
+#: Measured in CPython: w=5 gives ~5x over ``pow`` at 1536 and 2048 bits
+#: while the table build costs 7.5 plain exponentiations.  (The ec25519
+#: backend sizes its own signed tables: :mod:`repro.crypto.ec25519`.)
 FIXED_BASE_WINDOW = 5
 
 #: Most distinct bases one batched verification should mark hot.  The
 #: fixed-base table LRU below holds 96 entries; a caller routing more
 #: recurring keys than this through :meth:`Group.exp_fixed` would
-#: build-and-evict tables (~10 plain exponentiations each) instead of
-#: amortizing them, ending up slower than the shared Pippenger ladder.
+#: build-and-evict tables (measured: 7.5 plain exponentiations each on
+#: modp1536 and modp2048, 8 on ec25519) instead of amortizing them,
+#: ending up slower than the shared ladder.
 #: The budget must leave room for one full client batch *plus* the
 #: generator and a paper-scale peer-key set (up to 32 servers) to stay
 #: resident together: 48 + 32 + 1 <= 96, with headroom to spare.
@@ -129,7 +131,12 @@ class Group:
       batching machinery (duplicate-base merging, Pippenger buckets,
       fixed-base hot-key tables) batched verification is built on;
     * :meth:`encode_message` / :meth:`decode_message` — invertible
-      embedding of short byte strings into elements.
+      embedding of short byte strings into elements;
+    * ``hot_batch_max`` — the largest batch of signatures under fixed-base
+      keys that costs no more checked one equation at a time than as one
+      random-linear-combination product (``math.inf``: every size).  A
+      counted fact about the backend's kernels, read by
+      :func:`repro.crypto.schnorr.batch_verify` and set by nobody else.
 
     Shared helpers (byte codecs, randomness, hash-to-scalar domain
     separation) are implemented here once, in terms of the contract.
@@ -142,6 +149,8 @@ class Group:
     #: modp backend, a property on the EC backend.  Annotation only: a
     #: base-class property here would shadow subclass dataclass fields.
     g: int
+
+    hot_batch_max: float
 
     # -- sizes and constants (backend contract) ---------------------------
 
@@ -190,10 +199,10 @@ class Group:
         """Fixed-base exponentiation through a cached window table.
 
         Several times faster than :meth:`exp` once the table for ``base``
-        is built, but the build itself costs about ten plain
-        exponentiations — only use this for bases that recur (the
-        generator, server public keys, combined shuffle keys), not for
-        per-proof transient values.
+        is built (5x on modp1536, 7x on ec25519), but the build itself
+        costs about eight plain exponentiations — only use this for
+        bases that recur (the generator, server public keys, combined
+        shuffle keys), not for per-proof transient values.
         """
         raise NotImplementedError
 
@@ -363,6 +372,17 @@ class SchnorrGroup(Group):
     g: int
     is_toy: bool = False
     name: str = ""
+
+    #: One at a time is two fixed-base walks a signature; the product
+    #: saves one walk a signature (the generator terms merge) and pays a
+    #: 128-squaring bucket ladder for the commitments.  Counted warm in
+    #: modular reductions, one at a time / one product: modp1536 1,806 /
+    #: 1,822 at three signatures and 2,409 / 2,208 at four (recounted in
+    #: ``tests/test_ec_kernels.py``); modp2048 crosses between two and
+    #: three (1,592 / 1,722 and 2,394 / 2,213), so at exactly three it
+    #: does 8% more work than it could.  Not a dataclass field: the number
+    #: follows from the kernels below, no caller sets it.
+    hot_batch_max = 3
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -8,8 +8,11 @@ endpoints.  Correctness of the whole system is the statement that each such
 string is XORed into the round an even number of times.
 
 We build the stream from SHAKE-256 (an XOF), domain-separated by purpose,
-pair secret, and round number.  SHAKE gives ~170 MB/s in CPython, ample for
-functional tests; large-scale timing runs use the simulator's cost model.
+pair secret, and round number.  ``hashlib``'s SHAKE-256 squeezes 512 KiB
+in 1.1 ms on the development box (~470 MB/s) and holds the GIL while it
+does (``digest`` never releases it), so pads for several pairs do not
+overlap on threads; this is the stdlib floor under the bulk workload's
+``crypto.prng.pad_ms``.
 
 Per-pair secrets never change within a session, so the domain, length
 prefix, and secret are absorbed **once** into a cached SHAKE state; each

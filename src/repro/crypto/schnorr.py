@@ -16,10 +16,11 @@ worth of envelope signatures can be checked with one random-linear-
 combination multi-exponentiation (:func:`batch_verify`) — the same trick
 Verdict applies to its proofs, and the reason the earlier challenge-form
 ``(c, s)`` encoding was retired.  Soundness is unchanged: the hash binds
-the transmitted commitment exactly as the challenge form did.  A batch of
-at most :data:`HOT_BATCH_MAX` signatures whose keys all have fixed-base
-tables is cheaper one equation at a time (nothing is left for a shared
-ladder to save), and :func:`batch_verify` checks it that way.
+the transmitted commitment exactly as the challenge form did.  A batch
+whose keys all have fixed-base tables leaves a shared ladder nothing to
+save; up to the backend's :attr:`~repro.crypto.groups.Group.hot_batch_max`
+signatures it is cheaper one equation at a time, and :func:`batch_verify`
+checks it that way.
 
 **Each distinct signature is evaluated once per process.**  The paper has
 every client check all M server signatures on a round's output and every
@@ -83,18 +84,6 @@ _DOMAIN_NONCE = b"dissent.schnorr-nonce.v1"
 #: an entry is the exact 5-tuple over a ~150-byte payload, about 0.5 KiB
 #: on ec25519 and 1 KiB on modp2048 — 2 to 4 MiB when full.
 ACCEPTED_MEMO_ENTRIES = 4096
-
-#: Largest batch of hot-key signatures :func:`batch_verify` checks one
-#: equation at a time.  Per signature that is two fixed-base table walks;
-#: the random-linear-combination batch saves one walk a signature (the
-#: generator terms merge) but pays a 128-doubling ladder plus digit
-#: additions to raise every transient commitment to its coefficient.
-#: Counted warm, one at a time against batched: ec25519 297 / 414 point
-#: operations at three signatures, 789 / 801 at eight, 889 / 879 at nine;
-#: modp1536 1,794 / 1,812 modular multiplications at three, 2,393 / 2,195
-#: at four.  Three is the largest size at which neither does more work
-#: one at a time (modp2048 crosses between two and three: 2,382 / 2,203).
-HOT_BATCH_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -234,8 +223,9 @@ def verify(
     ``t * y**c * g**(-s)`` must be the identity, evaluated as a single
     multi-exponentiation (no coefficient — there is nothing to combine).
     With ``key.y`` in ``hot_bases`` (pass it for long-lived roster keys
-    only: a table build costs about ten exponentiations) both
-    full-width exponents are fixed-base table walks.
+    only: a table build costs about eight exponentiations, measured 7.5
+    on modp1536 and 8.1 on ec25519) both full-width exponents are
+    fixed-base table walks.
 
     A signature this process has already accepted — the same group, key,
     message, ``t`` and ``s`` — is accepted again without evaluating
@@ -298,7 +288,7 @@ def batch_verify(
     Nothing is remembered from a batch that fails.
 
     Empty batches accept.  A single pending item, or at most
-    :data:`HOT_BATCH_MAX` pending items whose keys are all in
+    ``group.hot_batch_max`` pending items whose keys are all in
     ``hot_bases``, goes through :func:`verify` one at a time: with every
     full-width exponent on a table there is no ladder to share, and the
     coefficients would only add one.
@@ -327,7 +317,7 @@ def batch_verify(
             pending.append((memo_key, item))
     _count("memo_hits", len(items) - len(pending))
     if len(pending) == 1 or (
-        len(pending) <= HOT_BATCH_MAX
+        len(pending) <= group.hot_batch_max
         and all(key.y in hot_bases for _, (key, _, _) in pending)
     ):
         return all(verify(*item, hot_bases) for _, item in pending)

@@ -8,13 +8,17 @@ bit-identical run-to-run *within* a backend, and deliver identical
 cleartexts *across* backends for the same seed.
 
 Also home to the backend registry/selection tests, the ristretto test
-vectors, the EC-sized wire-frame regression (satellite of the audit for
+vectors, the per-backend pin of signature and ElGamal / DLEQ bytes (an
+optimisation may change how an element is computed, never which), the
+EC-sized wire-frame regression (satellite of the audit for
 hardcoded 1536-bit size assumptions), the hello backend handshake, and
 the per-backend crypto counters.
 """
 
 import asyncio
+import hashlib
 import random
+import secrets
 
 import pytest
 
@@ -139,7 +143,48 @@ class TestBackendRegistry:
 # ---------------------------------------------------------------------------
 
 
+#: RFC 9496 appendix A.1: the encodings of 0*B .. 15*B.
+RFC9496_GENERATOR_MULTIPLES = (
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
+    "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
+    "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
+    "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
+    "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
+    "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
+    "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
+    "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
+    "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
+    "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
+    "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
+    "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
+    "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
+    "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
+    "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
+)
+
+
 class TestRistrettoVectors:
+    def test_generator_multiples_through_every_exponentiation(self):
+        # The fixed-base walk halves the exponent and encodes the double;
+        # the vectors pin that 2 * (k/2 mod L) * B is still k * B, on the
+        # generator's table, on the table a roster key would get, on the
+        # ladder and in a product of walks.
+        ec = ec_group()
+        two = ec.exp_g(2)
+        for k, expected in enumerate(RFC9496_GENERATOR_MULTIPLES):
+            for element in (
+                ec.exp_g(k),
+                ec.exp_fixed(ec.g, k),
+                ec.exp(ec.g, k),
+                ec.multiexp([(ec.g, k % 2), (two, k // 2)], hot_bases=(two,)),
+            ):
+                assert ec.element_to_bytes(element).hex() == expected
+        for k in range(0, 16, 2):
+            assert ec.element_to_bytes(ec.exp_fixed(two, k // 2)).hex() == (
+                RFC9496_GENERATOR_MULTIPLES[k]
+            )
+
     def test_basepoint_encoding(self):
         ec = ec_group()
         assert ec.element_to_bytes(ec.g).hex() == (
@@ -324,6 +369,65 @@ class TestSchnorrParity:
         for key in reversed(servers):
             ct = elgamal.strip_layer(key, ct)
         assert elgamal.final_plaintext(g, ct) == plain
+
+
+#: SHA-256 over (nine signatures, one ElGamal / DLEQ transcript) of
+#: :func:`_pinned_bytes`, recorded at commit 3f5a487 — before ec25519's
+#: fixed-base exponentiation encoded a double of a half.  Signatures are
+#: deterministic, so a wrong half-exponent or table digit is a changed ``t``.
+PINNED_BYTES = {
+    "test-256": (
+        "11934888abe302eff07420efeede9b554b3d2cec1ef630abc5bdc6ad45eacf9f",
+        "f8e5bbebeec2c7173743f31a352380d3eecbbc74e0a30a3d0aa70ea928fde171",
+    ),
+    "ec25519": (
+        "6b315439cb8e0ed12f9827f23410fb9aeb78e16cfae3660bb7697da5986a9a64",
+        "fb39d720e9b172114d21e4eef76d32e11425560f6d6ec7510160a729738d8e51",
+    ),
+    "modp1536": (
+        "3c45e036af4fd4569d81ba94d81f4b13184f9fc30b2531f956b97a937f146b3c",
+        "52fae11aa95ce95e2738fe671e59bed31efa859de41e5f8d6a65d48d3947b4e5",
+    ),
+}
+
+
+def _pinned_bytes(group, monkeypatch) -> tuple[str, str]:
+    """Digests of everything a seeded sign / encrypt / mix / strip publishes."""
+    rng = random.Random(2012)
+    keys = [PrivateKey.generate(group, rng) for _ in range(3)]
+    signed = hashlib.sha256()
+    for key in keys:
+        for message in (b"", b"round 7", b"\x00" * 150):
+            signed.update(schnorr.sign(key, message).to_bytes(group))
+    publics = [key.public for key in keys]
+    combined = elgamal.combined_key(publics)
+    plain = group.exp_g(rng.randrange(1, group.q))
+    ct = elgamal.encrypt_layered(publics, plain, rng.randrange(1, group.q))
+    published = [combined.y, ct.a, ct.b]
+    for fixed_base in (True, False):
+        ct, _ = elgamal.rerandomize(combined, ct, rng.randrange(1, group.q), fixed_base)
+        published += [ct.a, ct.b]
+    # The proofs draw their nonces from the OS; seed that too.
+    monkeypatch.setattr(secrets, "randbelow", random.Random(1210).randrange)
+    for key in keys:
+        stripped = elgamal.strip_layer(key, ct)
+        proof = proofs.prove_dleq(group, key.x, ct.a, b"pinned")
+        share = group.exp(ct.a, key.x)
+        assert proofs.verify_dleq(group, key.y, ct.a, share, proof, b"pinned")
+        # The response is a scalar: it goes in through the generator walk.
+        published += [stripped.b, share, proof.t1, proof.t2, group.exp_g(proof.s)]
+        ct = stripped
+    assert ct.b == plain
+    transcript = hashlib.sha256(b"".join(map(group.element_to_bytes, published)))
+    return signed.hexdigest(), transcript.hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_signatures_and_elgamal_transcript_equal_the_recorded_bytes(
+        self, monkeypatch, name
+    ):
+        assert _pinned_bytes(group_by_name(name), monkeypatch) == PINNED_BYTES[name]
 
 
 class TestShuffleParity:

@@ -3,13 +3,18 @@
 Every repository path cited by the READMEs, the CI workflow and the
 docstrings under ``examples/`` and ``src/`` is resolved against the
 checkout, so a deleted module or a never-written file cannot live on in
-prose; and ``setup.py`` must describe the ``repro`` package.
+prose; ``setup.py`` must describe the ``repro`` package, and its promise
+of no third-party runtime dependency must hold in a fresh interpreter.
 """
 
 import ast
 import glob
+import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import setuptools
@@ -62,3 +67,44 @@ def test_setup_metadata_names_the_repro_package(monkeypatch):
     assert metadata["name"] == "repro" and metadata["version"]
     assert metadata["package_dir"] == {"": "src"}
     assert {"repro", "repro.core", "repro.net"} <= set(metadata["packages"])
+
+
+#: Every driver, both session families, persistence, the report CLI, the
+#: simulator and a paper figure: between them they import all of ``src/``
+#: that a benchmark workload or an example loads.
+ENTRY_MODULES = (
+    "repro.net.runner",
+    "repro.core.session",
+    "repro.verdict.session",
+    "repro.persist",
+    "repro.obs.report",
+    "repro.sim.roundsim",
+    "repro.bench.fig7",
+)
+
+
+def test_importing_the_library_loads_no_third_party_module():
+    # The benchmark's ``warm_rss_mib`` bound (10%) rests on this: ``numpy``
+    # and ``cryptography`` are installed beside the interpreter on the
+    # development box, and importing ``numpy`` alone costs more resident
+    # memory than the bound allows a microblog workload.  A gated
+    # ``try: import numpy`` would pass wherever it is absent, so the check
+    # runs where site-packages is visible and looks at what got loaded.
+    probe = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(loaded - sys.stdlib_module_names - {'repro'})))\n"
+    )
+    environment = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
