@@ -46,7 +46,7 @@ from repro.net.message import (
     SignedEnvelope,
     make_envelope,
 )
-from repro.util.bytesops import get_bit, set_bit, xor_many
+from repro.util.bytesops import set_bit, xor_many
 
 #: In-slot message framing: 2-byte length prefix per message, zero sentinel.
 _FRAME_LEN_BYTES = 2
@@ -528,16 +528,21 @@ class DissentClient:
                 bit_index=witness,
             )
 
-    def _find_witness_bit(self, record: _SentRecord, observed: bytes) -> int | None:
-        """First bit we sent as 0 that came out 1 (§3.9 witness bit)."""
-        if len(observed) != len(record.slot_bytes):
+    @staticmethod
+    def _find_witness_bit(record: _SentRecord, observed: bytes) -> int | None:
+        """First bit we sent as 0 that came out 1 (§3.9 witness bit).
+
+        One integer pass, as :func:`repro.util.bytesops.first_difference`
+        does: the witnesses are the bits set in ``observed`` and clear in
+        what we sent, and the first of them (MSB-first) is the highest.
+        """
+        sent = record.slot_bytes
+        if len(observed) != len(sent):
             return None
-        for offset in range(8 * len(record.slot_bytes)):
-            sent = get_bit(record.slot_bytes, offset)
-            got = get_bit(observed, offset)
-            if sent == 0 and got == 1:
-                return record.slot_bit_start + offset
-        return None
+        witnesses = int.from_bytes(observed, "big") & ~int.from_bytes(sent, "big")
+        if not witnesses:
+            return None
+        return record.slot_bit_start + 8 * len(sent) - witnesses.bit_length()
 
     # ------------------------------------------------------------------
     # Accusation shuffle participation (§3.9)

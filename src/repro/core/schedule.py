@@ -30,20 +30,48 @@ Layout evolution rules (applied by every node to the round output):
   0 closes the slot.
 * open slot, corrupted        → capacity unchanged (disruption must not
   wedge scheduling; the accusation mechanism handles the disruptor).
+
+**Each distinct step is computed once per process.**  A step is a pure
+function of ``(slot count, policy, per-slot (capacity, idle rounds),
+cleartext)`` and all N + M nodes take the same one each round: side by
+side on N + M machines when deployed, but one after another in a process
+that hosts them all (every test, example and benchmark workload here),
+each unmasking every open slot's padding — a SHAKE-256 pad, an XOR and a
+SHA-256 check.  :meth:`Scheduler.advance` keeps a bounded memo keyed by
+those exact inputs (no digest of them) and valued by the frozen
+:class:`SlotContent` tuple and the next states — the rules
+:mod:`repro.crypto.schnorr` follows for accepted signatures.  Each node
+still hands in its own states and cleartext, gets a fresh list and sets
+its own states, so a node in another state (a client catching up after
+resume) takes its own step; a step that raises records nothing.
+:func:`forget_steps` empties the memo and
+:func:`repro.core.session.build_keys` calls it for every new group; with
+one node per process (``mode="subprocess"``) it never answers.
+Footprint: :data:`STEP_MEMO_ENTRIES` entries, each the cleartext (usually
+the object a server archives anyway) plus its open slots' raw bytes and
+payloads — about 1 MiB at 16 bulk slots of 32 KB, a few KiB for microblog.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.config import Policy
 from repro.crypto import padding
-from repro.errors import ProtocolError
+from repro.errors import PaddingError, ProtocolError
+from repro.obs import metrics as _metrics
 from repro.util.bytesops import get_bit
 
 #: Wire overhead of an open slot before the padded payload.
 SLOT_HEADER_BYTES = 3
 LENGTH_FIELD_BYTES = 2
+
+#: Completed steps the process remembers, oldest evicted first.  Nodes
+#: step rounds in order, so one entry answers a lockstep round; four cover
+#: a default pipeline window and a scheduler that lags a few rounds.
+STEP_MEMO_ENTRIES = 4
 
 #: Total wire bytes for an open slot with payload capacity L.
 def open_slot_bytes(payload_capacity: int) -> int:
@@ -66,17 +94,18 @@ class SlotContent:
     payload: bytes | None
 
 
-@dataclass
-class _SlotState:
-    """Mutable per-slot scheduling state (internal)."""
-
-    capacity: int = 0  # 0 = closed
-    idle_rounds: int = 0
+#: Per-slot ``(capacity, idle_rounds)`` (capacity 0 = closed): the state a
+#: step reads and writes, immutable so schedulers can share it.
+SlotStates = tuple[tuple[int, int], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundLayout:
-    """The byte/bit map of one DC-net round, identical on every node."""
+    """The byte/bit map of one DC-net round, identical on every node.
+
+    Every slot's byte range and the total are laid out once, at
+    construction, so a step that reads all N slots is O(N), not O(N²).
+    """
 
     num_slots: int
     capacities: tuple[int, ...]
@@ -84,6 +113,15 @@ class RoundLayout:
     def __post_init__(self) -> None:
         if len(self.capacities) != self.num_slots:
             raise ProtocolError("capacity list does not match slot count")
+        offset = self.request_region_bytes
+        ranges = []
+        for cap in self.capacities:
+            start = offset
+            if cap:
+                offset += open_slot_bytes(cap)
+            ranges.append((start, offset))
+        object.__setattr__(self, "_ranges", tuple(ranges))
+        object.__setattr__(self, "_total", offset)
 
     @property
     def request_region_bytes(self) -> int:
@@ -91,11 +129,7 @@ class RoundLayout:
 
     @property
     def total_bytes(self) -> int:
-        total = self.request_region_bytes
-        for cap in self.capacities:
-            if cap:
-                total += open_slot_bytes(cap)
-        return total
+        return self._total
 
     def request_bit_index(self, slot: int) -> int:
         """Absolute bit index of a slot's request bit."""
@@ -111,11 +145,7 @@ class RoundLayout:
         self._check_slot(slot)
         if not self.capacities[slot]:
             raise ProtocolError(f"slot {slot} is closed this round")
-        offset = self.request_region_bytes
-        for s in range(slot):
-            if self.capacities[s]:
-                offset += open_slot_bytes(self.capacities[s])
-        return offset, offset + open_slot_bytes(self.capacities[slot])
+        return self._ranges[slot]
 
     def slot_bit_range(self, slot: int) -> tuple[int, int]:
         """[start, end) absolute bit offsets of an open slot."""
@@ -177,6 +207,9 @@ def decode_slot(
 
     Never raises on corruption: disrupted slots come back with
     ``is_corrupted=True`` so scheduling can continue deterministically.
+    Only a :class:`PaddingError` means corruption; anything else
+    ``padding.decode`` raises is a bug and propagates (a step that
+    raises is never remembered, so no node is handed its answer).
     """
     start, end = layout.slot_byte_range(slot)
     raw = cleartext[start:end]
@@ -199,7 +232,7 @@ def decode_slot(
     body = raw[SLOT_HEADER_BYTES:]
     try:
         payload = padding.decode(body)
-    except Exception:
+    except PaddingError:
         return SlotContent(
             slot_index=slot,
             raw=raw,
@@ -220,6 +253,63 @@ def decode_slot(
     )
 
 
+def _step(
+    num_slots: int, policy: Policy, states: SlotStates, cleartext: bytes
+) -> tuple[tuple[SlotContent, ...], SlotStates]:
+    """One schedule step: the open slots' contents and the next states."""
+    layout = RoundLayout(num_slots, tuple(capacity for capacity, _ in states))
+    if len(cleartext) != layout.total_bytes:
+        raise ProtocolError(
+            f"round output is {len(cleartext)} bytes; layout expects "
+            f"{layout.total_bytes}"
+        )
+    contents: list[SlotContent] = []
+    next_states: list[tuple[int, int]] = []
+    for slot, (capacity, idle_rounds) in enumerate(states):
+        if capacity == 0:
+            if get_bit(cleartext, layout.request_bit_index(slot)):
+                capacity, idle_rounds = policy.initial_slot_payload, 0
+        else:
+            content = decode_slot(layout, policy, slot, cleartext)
+            contents.append(content)
+            if content.is_silent:
+                idle_rounds += 1
+                if idle_rounds >= policy.idle_close_rounds:
+                    capacity, idle_rounds = 0, 0
+            elif content.is_corrupted:
+                idle_rounds = 0
+            else:
+                idle_rounds = 0
+                capacity = min(content.requested_length, policy.max_slot_payload)
+        next_states.append((capacity, idle_rounds))
+    return tuple(contents), tuple(next_states)
+
+
+# ---------------------------------------------------------------------------
+# The step memo: one schedule step per distinct round output per process
+# ---------------------------------------------------------------------------
+
+_steps: OrderedDict[tuple, tuple[tuple[SlotContent, ...], SlotStates]] = OrderedDict()
+_steps_lock = threading.Lock()
+
+
+def forget_steps() -> None:
+    """Empty the memo: every step is computed afresh from here on.
+
+    :func:`repro.core.session.build_keys` calls this for every group it
+    makes, beside :func:`repro.crypto.schnorr.forget_accepted`: a second
+    session built from the same seed would otherwise find its rounds'
+    steps already taken.
+    """
+    with _steps_lock:
+        _steps.clear()
+
+
+def _count(name: str) -> None:
+    if _metrics.GLOBAL.enabled:
+        _metrics.GLOBAL.counter(f"core.schedule.{name}").inc()
+
+
 @dataclass
 class Scheduler:
     """The shared layout state machine every node advances in lockstep.
@@ -230,70 +320,55 @@ class Scheduler:
 
     num_slots: int
     policy: Policy
-    _states: list[_SlotState] = field(init=False)
+    _states: SlotStates = field(init=False)
     round_number: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
             raise ProtocolError("scheduler needs at least one slot")
-        self._states = [_SlotState() for _ in range(self.num_slots)]
+        self._states = ((0, 0),) * self.num_slots
 
     def current_layout(self) -> RoundLayout:
         return RoundLayout(
-            self.num_slots, tuple(state.capacity for state in self._states)
+            self.num_slots, tuple(capacity for capacity, _ in self._states)
         )
 
     def clone(self) -> "Scheduler":
         """Independent copy of the scheduling state (pipeline snapshots).
 
         Much cheaper than ``copy.deepcopy``: the policy is frozen and the
-        per-slot states are two small ints each.
+        per-slot states are an immutable tuple, shared rather than copied.
         """
         dup = Scheduler(self.num_slots, self.policy)
-        dup._states = [
-            _SlotState(state.capacity, state.idle_rounds)
-            for state in self._states
-        ]
+        dup._states = self._states
         dup.round_number = self.round_number
         return dup
 
     def slot_capacity(self, slot: int) -> int:
-        return self._states[slot].capacity
+        return self._states[slot][0]
 
     def advance(self, cleartext: bytes) -> list[SlotContent]:
         """Digest a round's output and evolve every slot's state.
 
         Returns the decoded slot contents (for app delivery) in slot order;
-        closed slots are omitted.
+        closed slots are omitted.  A step another scheduler in this
+        process already took from the same states and cleartext is read
+        from the memo (see the module docstring) instead of recomputed.
         """
-        layout = self.current_layout()
-        if len(cleartext) != layout.total_bytes:
-            raise ProtocolError(
-                f"round output is {len(cleartext)} bytes; layout expects "
-                f"{layout.total_bytes}"
-            )
-        contents: list[SlotContent] = []
-        for slot in range(self.num_slots):
-            state = self._states[slot]
-            if state.capacity == 0:
-                if get_bit(cleartext, layout.request_bit_index(slot)):
-                    state.capacity = self.policy.initial_slot_payload
-                    state.idle_rounds = 0
-                continue
-            content = decode_slot(layout, self.policy, slot, cleartext)
-            contents.append(content)
-            if content.is_silent:
-                state.idle_rounds += 1
-                if state.idle_rounds >= self.policy.idle_close_rounds:
-                    state.capacity = 0
-                    state.idle_rounds = 0
-            elif content.is_corrupted:
-                state.idle_rounds = 0
-            else:
-                state.idle_rounds = 0
-                requested = min(
-                    content.requested_length, self.policy.max_slot_payload
-                )
-                state.capacity = requested
+        cleartext = bytes(cleartext)
+        memo_key = (self.num_slots, self.policy, self._states, cleartext)
+        step = _steps.get(memo_key)
+        if step is None:
+            step = _step(self.num_slots, self.policy, self._states, cleartext)
+            _count("steps")
+            # Insert-then-evict is compound and two threads step (the tcp
+            # session's caller and its loop); lookups are single dict reads.
+            with _steps_lock:
+                _steps[memo_key] = step
+                while len(_steps) > STEP_MEMO_ENTRIES:
+                    _steps.popitem(last=False)
+        else:
+            _count("step_hits")
+        contents, self._states = step
         self.round_number += 1
-        return contents
+        return list(contents)

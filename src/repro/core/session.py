@@ -70,17 +70,21 @@ def build_keys(
     ``DISSENT_GROUP_BACKEND`` environment variable (in that order) — the
     hook CI's backend matrix uses to steer every builder at once.
 
-    A new group starts with no signature verified: the process-wide memo
-    of accepted signatures (:mod:`repro.crypto.schnorr`) is emptied here.
-    A second group built from the same seed has the same keys and, signing
-    being deterministic, the same signatures; it pays for its own set-up
-    and rounds instead of finding the first group's answers.
+    A new group starts with no signature verified and no schedule step
+    taken: the process-wide memos of accepted signatures
+    (:mod:`repro.crypto.schnorr`) and of schedule steps
+    (:mod:`repro.core.schedule`) are emptied here.  A second group built
+    from the same seed has the same keys and, signing being deterministic,
+    the same signatures and round outputs; it pays for its own set-up and
+    rounds instead of finding the first group's answers.
     """
+    from repro.core import schedule
     from repro.core.config import make_group_definition, _GROUP_NAMES
     from repro.crypto import schnorr
     from repro.crypto.groups import resolve_group_name
 
     schnorr.forget_accepted()
+    schedule.forget_steps()
     group_name = resolve_group_name(group_name, policy)
     group = _GROUP_NAMES[group_name]()
     server_keys = [PrivateKey.generate(group, rng) for _ in range(num_servers)]

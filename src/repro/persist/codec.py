@@ -24,7 +24,7 @@ from collections import deque
 from repro.core.client import DissentClient, _SentRecord
 from repro.core.config import Policy
 from repro.core.rounds import RoundOutput, RoundRecord, RoundStatus
-from repro.core.schedule import RoundLayout, Scheduler, _SlotState
+from repro.core.schedule import RoundLayout, Scheduler
 from repro.core.server import DissentServer, RoundArchive
 from repro.crypto.groups import Group
 from repro.crypto.keys import PrivateKey
@@ -67,9 +67,7 @@ def encode_scheduler(scheduler: Scheduler) -> dict:
     return {
         "num_slots": scheduler.num_slots,
         "round_number": scheduler.round_number,
-        "states": [
-            [state.capacity, state.idle_rounds] for state in scheduler._states
-        ],
+        "states": [list(state) for state in scheduler._states],
     }
 
 
@@ -78,9 +76,9 @@ def decode_scheduler(data: dict, policy: Policy) -> Scheduler:
     states = _require(data, "states", "scheduler")
     if len(states) != scheduler.num_slots:
         raise CheckpointError("scheduler state count does not match slot count")
-    scheduler._states = [
-        _SlotState(int(capacity), int(idle)) for capacity, idle in states
-    ]
+    scheduler._states = tuple(
+        (int(capacity), int(idle)) for capacity, idle in states
+    )
     scheduler.round_number = int(_require(data, "round_number", "scheduler"))
     return scheduler
 

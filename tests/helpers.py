@@ -16,15 +16,21 @@ def fresh_session(num_servers=3, num_clients=5, seed=7, policy=None):
 
 
 @contextlib.contextmanager
-def crypto_counters():
-    """Record the ``crypto.*`` counters of the block; yields ``read(name)``.
+def global_counters(prefix):
+    """Record the ``{prefix}.*`` counters of the block; yields ``read(name)``.
 
-    The crypto layer has no session to hang a registry on and counts into
-    the process-global one, which is off unless something installs it.
+    The crypto layer and the slot schedule have no session to hang a
+    registry on and count into the process-global one, which is off unless
+    something installs it.
     """
     registry = metrics.MetricsRegistry()
     old = metrics.set_global_registry(registry)
     try:
-        yield lambda name: registry.counter(f"crypto.{name}").value
+        yield lambda name: registry.counter(f"{prefix}.{name}").value
     finally:
         metrics.set_global_registry(old)
+
+
+def crypto_counters():
+    """:func:`global_counters` of the ``crypto.*`` layer."""
+    return global_counters("crypto")

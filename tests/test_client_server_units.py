@@ -1,13 +1,21 @@
 """Unit-level tests of client/server internals not covered by integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import fresh_session
 from repro.core import Policy
-from repro.core.client import frame_messages, unframe_messages
+from repro.core.client import (
+    DissentClient,
+    _SentRecord,
+    frame_messages,
+    unframe_messages,
+)
 from repro.core.server import Phase
 from repro.errors import CommitmentMismatch, ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, make_envelope
+from repro.util.bytesops import get_bit
 
 
 class TestMessageFraming:
@@ -47,8 +55,6 @@ class TestClientInternals:
         assert client.build_cleartext(0) == bytes(layout.total_bytes)
 
     def test_request_bit_set_when_traffic_queued(self):
-        from repro.util.bytesops import get_bit
-
         session = fresh_session(seed=72)
         client = session.clients[1]
         client.queue_message(b"data")
@@ -123,6 +129,55 @@ class TestClientInternals:
 
         with pytest.raises(InvalidSignature):
             session.clients[0].verify_output(bad)
+
+
+def _witness_by_bit_loop(record, observed):
+    """The §3.9 witness search one bit at a time: the reference."""
+    if len(observed) != len(record.slot_bytes):
+        return None
+    for offset in range(8 * len(record.slot_bytes)):
+        sent = get_bit(record.slot_bytes, offset)
+        if sent == 0 and get_bit(observed, offset) == 1:
+            return record.slot_bit_start + offset
+    return None
+
+
+class TestWitnessSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sent=st.binary(max_size=40),
+        start=st.integers(0, 1 << 20),
+        data=st.data(),
+    )
+    def test_matches_the_bit_loop(self, sent, start, data):
+        observed = data.draw(
+            st.one_of(
+                st.binary(min_size=len(sent), max_size=len(sent)),
+                # Only 1s cleared: something changed, no witness exists.
+                st.builds(
+                    lambda mask: bytes(a & b for a, b in zip(sent, mask)),
+                    st.binary(min_size=len(sent), max_size=len(sent)),
+                ),
+                # Only 0s raised: every difference is a witness.
+                st.builds(
+                    lambda mask: bytes(a | b for a, b in zip(sent, mask)),
+                    st.binary(min_size=len(sent), max_size=len(sent)),
+                ),
+                st.binary(max_size=41),  # usually a length mismatch
+            )
+        )
+        record = _SentRecord(sent, start, [])
+        assert DissentClient._find_witness_bit(record, observed) == (
+            _witness_by_bit_loop(record, observed)
+        )
+
+    def test_no_witness_and_length_mismatch(self):
+        record = _SentRecord(b"\xff\x0f", 16, [])
+        assert DissentClient._find_witness_bit(record, b"\x0f\x0f") is None
+        assert DissentClient._find_witness_bit(record, b"\xff\x0f") is None
+        assert DissentClient._find_witness_bit(record, b"\xff\x1f") == 16 + 11
+        assert DissentClient._find_witness_bit(record, b"\xff\x1f\x00") is None
+        assert DissentClient._find_witness_bit(record, b"\xff") is None
 
 
 class TestServerInternals:

@@ -35,7 +35,7 @@ from repro.core.adversary import (
 )
 from repro.core.config import Policy
 from repro.core.session import DissentSession, build_keys
-from repro.crypto import schnorr
+from repro.crypto import padding, schnorr
 from repro.errors import ConfigError, InvalidProof, InvalidSignature, ProtocolError
 from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, make_envelope
 from repro.net.runner import NetworkedSession
@@ -46,7 +46,7 @@ from repro.persist.codec import (
     encode_certificate,
     encode_equivocation_proof,
 )
-from tests.helpers import crypto_counters
+from tests.helpers import crypto_counters, global_counters
 from tests.test_networked_session import build_matched_inprocess
 
 SEED = 2012
@@ -297,6 +297,38 @@ class TestInProcessConsensus:
             + (N_SERVERS - 2)
             + N_SERVERS
         )
+
+    @pytest.mark.parametrize(
+        "driver, num_clients", [("inprocess", 32), ("loopback", 8)]
+    )
+    def test_schedule_work_of_a_certified_round(
+        self, monkeypatch, driver, num_clients
+    ):
+        """Every one of the N + M members steps the slot schedule over the
+        round's output; the process takes that step once and unmasks each
+        open slot's padding once, not N + M times."""
+        build = DissentSession.build if driver == "inprocess" else NetworkedSession.build
+        session = build(
+            num_servers=N_SERVERS,
+            num_clients=num_clients,
+            seed=SEED,
+            policy=Policy(shuffle_soundness_bits=1),
+        )
+        try:
+            session.setup()
+            for i in range(num_clients):
+                session.post(i, b"slot %d" % i)
+            session.run_round()  # every request bit set: all N slots open
+            decoded = count_calls(monkeypatch, padding.decode)
+            with global_counters("core.schedule") as count:
+                record = session.run_round()
+            assert record.certificate.is_full(N_SERVERS)
+            assert count("steps") == 1
+            assert count("step_hits") == num_clients + N_SERVERS - 1
+            assert decoded[None] == num_clients
+        finally:
+            if driver != "inprocess":
+                session.close()
 
     def test_no_signature_is_evaluated_twice_in_process(self, monkeypatch):
         session = DissentSession.build(
