@@ -27,7 +27,6 @@ protocol emits evidence, not just a timeout.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 
 from repro.crypto import schnorr
@@ -37,6 +36,7 @@ from repro.net.message import (
     LEADER_PROPOSE,
     SERVER_VOTE,
     SignedEnvelope,
+    body_digest,
     envelope_signed_payload,
 )
 from repro.util.serialization import pack_fields, unpack_fields
@@ -57,10 +57,24 @@ def quorum_size(num_servers: int) -> int:
 
 
 def output_body_digest(group, output) -> bytes:
-    """SHA-256 of the canonical round-output body — the certified value."""
+    """SHA-256 of the canonical round-output body — the certified value.
+
+    Also the body digest of the ``round-output`` envelope that carries the
+    output to clients, so a server encodes and hashes its ~round-length
+    output body once however many steps ask (consensus entry, proposal,
+    vote, output envelope).  Computed once per frozen
+    :class:`~repro.core.rounds.RoundOutput` and kept in its ``__dict__``,
+    as :meth:`SignedEnvelope.body_digest` is: out of ``==``, ``repr`` and
+    the codecs, and ``dataclasses.replace`` builds an object without it.
+    """
     from repro.net.wire import encode_round_output_body
 
-    return hashlib.sha256(encode_round_output_body(group, output)).digest()
+    digest = output.__dict__.get("_body_digest")
+    if digest is None:
+        digest = output.__dict__["_body_digest"] = body_digest(
+            encode_round_output_body(group, output)
+        )
+    return digest
 
 
 def vote_body(view: int, digest: bytes) -> bytes:
@@ -102,7 +116,7 @@ def _vote_signed_payload(definition, server_index: int, round_number: int, body:
         definition.server_name(server_index),
         definition.group_id(),
         round_number,
-        body,
+        body_digest(body),
     )
 
 

@@ -135,17 +135,7 @@ class DisruptingServer(DissentServer):
         bit = self.rng.randrange(start, end)
         state.own_ciphertext = flip_bit(state.own_ciphertext, bit)
         self.flipped_bits[state.round_number] = bit
-        from repro.crypto.hashing import commit as hash_commit
-        from repro.net.message import SERVER_COMMIT
-
-        return make_envelope(
-            self.key,
-            SERVER_COMMIT,
-            self.name,
-            self.group_id,
-            state.round_number,
-            hash_commit(state.own_ciphertext),
-        )
+        return self._commit_envelope(state)
 
 
 class EquivocatingServer(DissentServer):

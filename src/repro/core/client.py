@@ -5,10 +5,10 @@ A client's life cycle:
 1. **Scheduling** — create a fresh pseudonym key pair, submit the public
    element through the verifiable key shuffle, and locate its own key in
    the shuffled output to learn its secret slot index pi(i).
-2. **Submission** — each round, build the cleartext vector ``m_i`` (zeros
-   except its own request bit and slot content), XOR the M pair streams
-   ``PRNG(K_ij)`` over it, sign the result, and hand it to an upstream
-   server.
+2. **Submission** — each round, place its own request bit and slot
+   content in the cleartext vector ``m_i`` (zeros elsewhere), XOR the M
+   pair streams ``PRNG(K_ij)`` over it, sign the result, and hand it to an
+   upstream server.
 3. **Output** — verify all M server signatures on the round output, decode
    every open slot, detect disruption of its own slot, and evolve the slot
    schedule exactly as every other node does.
@@ -21,6 +21,7 @@ witness bit proves disruption.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from repro.net.message import (
     SignedEnvelope,
     make_envelope,
 )
-from repro.util.bytesops import set_bit, xor_many
+from repro.util.bytesops import Placed, xor_many
 
 #: In-slot message framing: 2-byte length prefix per message, zero sentinel.
 _FRAME_LEN_BYTES = 2
@@ -298,22 +299,34 @@ class DissentClient:
         return self.rng.getrandbits(1)
 
     def build_cleartext(self, round_number: int) -> bytes:
-        """Our message vector m_i: zeros except request bit + slot content."""
+        """Our message vector m_i: zeros except request bit + slot content.
+
+        The materialised view of :meth:`message_pieces`, which is what
+        :meth:`produce_ciphertext` masks.
+        """
+        length, pieces = self.message_pieces(round_number)
+        return xor_many(pieces, length=length)
+
+    def message_pieces(self, round_number: int) -> tuple[int, list[Placed]]:
+        """Our message vector m_i in sparse form: its length, and the
+        ``(offset, bytes)`` pieces placed in it — the request bit's byte or
+        the slot content, if either is set.  Everything else is zero.
+
+        Draws this round's randomness and records what was sent, so it is
+        called once per round.
+        """
         layout = self.scheduler.current_layout()
-        message = bytearray(layout.total_bytes)
+        length = layout.total_bytes
         if self.slot is None:
-            return bytes(message)
+            return length, []
 
         slot_open = layout.is_open(self.slot)
         if not slot_open:
             self._sent.pop(round_number, None)
-            if self._wants_slot_open():
-                bit = self._request_bit_value()
-                if bit:
-                    message = bytearray(
-                        set_bit(bytes(message), layout.request_bit_index(self.slot), 1)
-                    )
-            return bytes(message)
+            if self._wants_slot_open() and self._request_bit_value():
+                bit = layout.request_bit_index(self.slot)
+                return length, [(bit // 8, bytes((0x80 >> (bit % 8),)))]
+            return length, []
 
         self._request_attempted = False
         capacity = layout.capacities[self.slot]
@@ -335,7 +348,7 @@ class DissentClient:
             # Nothing to say: a null (all-zero) slot costs nothing to build
             # and is how silent participation looks on the wire.
             self._sent.pop(round_number, None)
-            return bytes(message)
+            return length, []
 
         slot_bytes = encode_slot(
             layout,
@@ -346,14 +359,13 @@ class DissentClient:
             shuffle_request=shuffle_request,
             pad_seed=self.rng.randbytes(16),
         )
-        start, end = layout.slot_byte_range(self.slot)
-        message[start:end] = slot_bytes
+        start, _ = layout.slot_byte_range(self.slot)
         self._sent[round_number] = _SentRecord(
             slot_bytes=slot_bytes,
             slot_bit_start=8 * start,
             payload_messages=sent_messages,
         )
-        return bytes(message)
+        return length, [(start, slot_bytes)]
 
     def _next_capacity_wish(self, leftovers: list[bytes], capacity: int) -> int:
         """Length-field value: grow for queued traffic, shrink when idle."""
@@ -367,20 +379,20 @@ class DissentClient:
         return min(wish, self.policy.max_slot_payload)
 
     def produce_ciphertext(self, round_number: int) -> SignedEnvelope:
-        """Algorithm 1 step 2: mask our cleartext with all M pair streams."""
-        cleartext = self.build_cleartext(round_number)
+        """Algorithm 1 step 2: mask our cleartext with all M pair streams.
+
+        Only the placed pieces of the cleartext are XORed in, so the
+        mostly-zero round-length vector is never built or converted; the
+        M pads are the only round-length operands.
+        """
+        length, pieces = self.message_pieces(round_number)
         fetch = (
             self.prefetcher.pair_stream
             if self.prefetcher is not None
             else prng.pair_stream
         )
-        streams = (
-            fetch(secret, round_number, len(cleartext))
-            for secret in self.secrets
-        )
-        ciphertext = xor_many(
-            [cleartext, *streams], length=len(cleartext)
-        )
+        streams = (fetch(secret, round_number, length) for secret in self.secrets)
+        ciphertext = xor_many(itertools.chain(pieces, streams), length=length)
         return make_envelope(
             self.key,
             CLIENT_CIPHERTEXT,

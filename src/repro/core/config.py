@@ -329,8 +329,20 @@ class GroupDefinition:
         )
 
     def group_id(self) -> bytes:
-        """Self-certifying identifier: hash of the canonical definition."""
-        return group_definition_id(self.canonical_bytes())
+        """Self-certifying identifier: hash of the canonical definition.
+
+        Computed once per object: the definition is frozen, so the id is a
+        pure function of its fields.  It is kept in the instance
+        ``__dict__`` — not a dataclass field, so it stays out of ``==``,
+        ``hash``, ``repr`` and the codecs, and ``dataclasses.replace``
+        builds an object without it.
+        """
+        group_id = self.__dict__.get("_group_id")
+        if group_id is None:
+            group_id = self.__dict__["_group_id"] = group_definition_id(
+                self.canonical_bytes()
+            )
+        return group_id
 
     @classmethod
     def from_canonical_bytes(cls, data: bytes) -> "GroupDefinition":

@@ -9,7 +9,8 @@ Per round, a server moves through six phases:
 3. **Commitment** — given all inventories, deterministically deduplicate
    clients who submitted to several servers, form the composite list l,
    check the participation floor, XOR pair streams for every client in l
-   with the directly-received ciphertexts, and broadcast ``HASH(s_j)``.
+   with the directly-received ciphertexts, and broadcast a commitment to
+   ``sha256(s_j)`` (:func:`repro.crypto.hashing.commit`).
 4. **Combining** — after all commitments arrive, reveal ``s_j``.
 5. **Certification** — verify every reveal against its commitment, XOR all
    server ciphertexts into the cleartext, and sign it.
@@ -51,6 +52,7 @@ from repro.net.message import (
     VIEW_CHANGE,
     SignedEnvelope,
     batch_verify_envelopes,
+    body_digest,
     make_envelope,
     require_envelopes_valid,
 )
@@ -116,9 +118,13 @@ class _RoundState:
     final_list: tuple[int, ...] = ()
     assignment: dict[int, int] = field(default_factory=dict)
     own_ciphertext: bytes = b""
+    #: ``sha256(own_ciphertext)``: committed to, and signed in the reveal.
+    own_digest: bytes = b""
     commitments: dict[int, bytes] = field(default_factory=dict)
     reveals: dict[int, bytes] = field(default_factory=dict)
     cleartext: bytes = b""
+    #: What this server signed to certify the output (``output_digest``).
+    output_digest: bytes = b""
     signatures: dict[int, Signature] = field(default_factory=dict)
     participation: int = 0
 
@@ -460,13 +466,19 @@ class DissentServer:
             itertools.chain(streams, own_blobs), length=length
         )
         state.phase = Phase.COMMITTED
+        return self._commit_envelope(state)
+
+    def _commit_envelope(self, state: _RoundState) -> SignedEnvelope:
+        """Hash ``s_j`` — the one pass this server makes over it — and sign
+        the commitment to that digest; the reveal signs the same digest."""
+        state.own_digest = body_digest(state.own_ciphertext)
         return make_envelope(
             self.key,
             SERVER_COMMIT,
             self.name,
             self.group_id,
             state.round_number,
-            hash_commit(state.own_ciphertext),
+            hash_commit(state.own_digest),
         )
 
     def receive_commitments(self, envelopes: list[SignedEnvelope]) -> None:
@@ -506,6 +518,7 @@ class DissentServer:
             self.group_id,
             state.round_number,
             state.own_ciphertext,
+            digest=state.own_digest,
         )
 
     def receive_reveals(self, envelopes: list[SignedEnvelope]) -> bytes:
@@ -530,7 +543,11 @@ class DissentServer:
                 raise ProtocolError("revealed ciphertext has the wrong length")
         self._verify_peer_batch(envelopes, indices)
         for envelope, server_index in zip(envelopes, indices):
-            if not verify_commit(state.commitments[server_index], envelope.body):
+            # The digest the signature check just computed opens the
+            # commitment: each reveal is hashed once.
+            if not verify_commit(
+                state.commitments[server_index], envelope.body_digest()
+            ):
                 raise CommitmentMismatch(
                     f"server {server_index} revealed a ciphertext that does not "
                     "match its commitment"
@@ -552,10 +569,10 @@ class DissentServer:
         if not state.cleartext and state.layout.total_bytes:
             raise ProtocolError("cannot sign before combining")
         state.phase = Phase.CERTIFIED
-        digest = output_digest(
+        state.output_digest = output_digest(
             self.group_id, state.round_number, state.cleartext, state.participation
         )
-        return schnorr_sign(self.key, digest)
+        return schnorr_sign(self.key, state.output_digest)
 
     def signature_envelope(self, round_number: int | None = None) -> SignedEnvelope:
         """Envelope entry point for the certification phase.
@@ -609,7 +626,12 @@ class DissentServer:
         return self.assemble_output([sig for sig in signatures if sig is not None])
 
     def output_envelope(self, output: RoundOutput) -> SignedEnvelope:
-        """Wrap a certified round output for broadcast to attached clients."""
+        """Wrap a certified round output for broadcast to attached clients.
+
+        The envelope signs the certified digest: it is ``sha256`` of this
+        very body, already computed when the round entered consensus.
+        """
+        from repro.consensus.certificate import output_body_digest
         from repro.net.wire import encode_round_output_body
 
         return make_envelope(
@@ -619,6 +641,7 @@ class DissentServer:
             self.group_id,
             output.round_number,
             encode_round_output_body(self.group, output),
+            digest=output_body_digest(self.group, output),
         )
 
     def propose_round(self, output: RoundOutput, view: int = 0) -> list[SignedEnvelope]:
@@ -703,13 +726,10 @@ class DissentServer:
             raise ProtocolError(f"assembly out of order in phase {state.phase}")
         if len(signatures) != self.definition.num_servers:
             raise ProtocolError("need exactly one signature per server")
-        digest = output_digest(
-            self.group_id, state.round_number, state.cleartext, state.participation
-        )
-        # All M output signatures cover the same digest: one multi-exp.
+        # All M output signatures cover the digest we signed: one multi-exp.
         if not schnorr.batch_verify(
             [
-                (server_key, digest, signature)
+                (server_key, state.output_digest, signature)
                 for server_key, signature in zip(
                     self.definition.server_keys, signatures
                 )

@@ -3,8 +3,13 @@
 Three uses in the protocol:
 
 * **Commitments** (server phase 3, Algorithm 2): each server publishes
-  ``HASH(s_j)`` before revealing its ciphertext ``s_j``, preventing a
-  dishonest server from choosing its ciphertext after seeing others'.
+  ``C_j = H("dissent.commit.v2" ‖ sha256(s_j))`` before revealing its
+  ciphertext ``s_j``, preventing a dishonest server from choosing its
+  ciphertext after seeing others'.  The commitment binds the body digest
+  that the reveal envelope's signature already covers
+  (:mod:`repro.net.message`), so every node that holds an ``s_j`` hashes
+  its ~round-length bytes once: the committer for the commitment and its
+  reveal, each peer for the reveal's signature check and the opening.
 * **Self-certifying identifiers** (§3.2): the SHA-256 of the canonical
   group definition names the group, avoiding membership consensus.
 * **Fiat-Shamir challenges**: non-interactive variants of the Schnorr /
@@ -27,19 +32,22 @@ def sha256(*parts: bytes) -> bytes:
     return h.digest()
 
 
-def commit(payload: bytes) -> bytes:
-    """Commitment to ``payload`` (plain hash; payloads here have high entropy).
+def commit(payload_digest: bytes) -> bytes:
+    """Commitment to a payload, given its SHA-256 ``payload_digest``.
 
     Server DC-net ciphertexts are XORs of PRNG streams and are unpredictable
     to other parties, so a bare hash binds and hides adequately for the
-    protocol's needs, matching the paper's ``C_j = HASH(s_j)``.
+    protocol's needs, matching the paper's ``C_j = HASH(s_j)``; hashing the
+    digest again binds the payload through SHA-256's collision resistance,
+    which envelope signatures already rest on.
     """
-    return sha256(b"dissent.commit.v1", payload)
+    return sha256(b"dissent.commit.v2", payload_digest)
 
 
-def verify_commit(commitment: bytes, payload: bytes) -> bool:
-    """Constant-time check that ``payload`` opens ``commitment``."""
-    return hmac.compare_digest(commitment, commit(payload))
+def verify_commit(commitment: bytes, payload_digest: bytes) -> bool:
+    """Constant-time check that the payload with ``payload_digest`` opens
+    ``commitment``."""
+    return hmac.compare_digest(commitment, commit(payload_digest))
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:

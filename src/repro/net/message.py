@@ -21,7 +21,12 @@ ciphertexts) and how this repo's output signatures always worked
 commitments, certificate digests and the group id already assume.  The
 rule has no size threshold: small bodies are hashed too, so there is one
 signing path.  A verifier recomputes the digest from the bytes it holds —
-it is not a wire field.
+it is not a wire field — once per envelope object
+(:meth:`SignedEnvelope.body_digest`), and protocol steps that need a hash
+of the same body reuse it instead of hashing again: a server's commitment
+to ``s_j`` binds its reveal's body digest
+(:func:`repro.crypto.hashing.commit`), and the round-output envelope signs
+the digest the certificate already certified.
 
 Bodies are built with the canonical field packer so signatures are
 deterministic and unambiguous across nodes.
@@ -79,23 +84,22 @@ def require_known_type(msg_type: str) -> None:
         raise ProtocolError(f"unknown message type {msg_type!r}")
 
 
+def body_digest(body: bytes) -> bytes:
+    """``sha256(body)``: the one pass over an envelope body its signature needs."""
+    return hashlib.sha256(body).digest()
+
+
 def envelope_signed_payload(
-    msg_type: str, sender: str, group_id: bytes, round_number: int, body: bytes
+    msg_type: str, sender: str, group_id: bytes, round_number: int, digest: bytes
 ) -> bytes:
     """The exact bytes an envelope's signature covers — the one definition.
 
     Signing, scalar and batched verification, and certificate checks
     (which rebuild a vote's payload from public data) all come through
-    here.  This is the only place an envelope body is hashed for a
-    signature: one SHA-256 pass per call.
+    here, with ``digest`` the body's :func:`body_digest`.
     """
     return pack_fields(
-        "dissent.envelope.v2",
-        msg_type,
-        sender,
-        group_id,
-        round_number,
-        hashlib.sha256(body).digest(),
+        "dissent.envelope.v2", msg_type, sender, group_id, round_number, digest
     )
 
 
@@ -117,20 +121,28 @@ class SignedEnvelope:
         # :func:`make_envelope`, which a remote sender never runs locally.
         require_known_type(self.msg_type)
 
-    def signed_payload(self) -> bytes:
-        """The exact bytes the signature covers, computed once per object.
+    def body_digest(self) -> bytes:
+        """``sha256(body)``, computed once per object.
 
-        The envelope is frozen, so the payload is a pure function of its
-        fields; it is kept in the instance ``__dict__`` — not a dataclass
+        The envelope is frozen, so the digest is a pure function of its
+        body; it is kept in the instance ``__dict__`` — not a dataclass
         field, so it stays out of ``==``, ``repr`` and the codecs, and
         ``dataclasses.replace`` builds a fresh object without it.
         """
-        payload = self.__dict__.get("_signed_payload")
-        if payload is None:
-            payload = self.__dict__["_signed_payload"] = envelope_signed_payload(
-                self.msg_type, self.sender, self.group_id, self.round_number, self.body
-            )
-        return payload
+        digest = self.__dict__.get("_body_digest")
+        if digest is None:
+            digest = self.__dict__["_body_digest"] = body_digest(self.body)
+        return digest
+
+    def signed_payload(self) -> bytes:
+        """The exact bytes the signature covers (from :meth:`body_digest`)."""
+        return envelope_signed_payload(
+            self.msg_type,
+            self.sender,
+            self.group_id,
+            self.round_number,
+            self.body_digest(),
+        )
 
     def verify(self, sender_key: PublicKey) -> None:
         """Raise :class:`InvalidSignature` if the envelope is not authentic.
@@ -205,19 +217,29 @@ def make_envelope(
     group_id: bytes,
     round_number: int,
     body: bytes,
+    digest: bytes | None = None,
 ) -> SignedEnvelope:
-    """Sign and wrap a message body."""
+    """Sign and wrap a message body.
+
+    ``digest`` is the body's :func:`body_digest` when the maker already
+    holds it (a server's committed ``s_j``, a certified round output), so
+    the body is not hashed a second time.
+    """
     require_known_type(msg_type)
-    payload = envelope_signed_payload(msg_type, sender, group_id, round_number, body)
+    if digest is None:
+        digest = body_digest(body)
     envelope = SignedEnvelope(
         msg_type=msg_type,
         sender=sender,
         group_id=group_id,
         round_number=round_number,
         body=body,
-        signature=sign(key, payload),
+        signature=sign(
+            key,
+            envelope_signed_payload(msg_type, sender, group_id, round_number, digest),
+        ),
     )
-    # The maker has just hashed the body; a holder of this same object
-    # (an in-process peer, the maker checking its own batch) need not.
-    envelope.__dict__["_signed_payload"] = payload
+    # The maker has hashed the body; a holder of this same object (an
+    # in-process peer, the maker checking its own batch) need not.
+    envelope.__dict__["_body_digest"] = digest
     return envelope

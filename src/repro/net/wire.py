@@ -86,9 +86,13 @@ MAX_FRAME_BYTES = 1 << 24
 
 _LEN_BYTES = 4
 
-# v2: the signature inside covers sha256(body) (repro.net.message); a v1
-# peer is refused here, by magic, not by a failed signature check later.
-_ENVELOPE_MAGIC = "dissent.wire-envelope.v2"
+# v2: the signature inside covers sha256(body) (repro.net.message).
+# v3: pair pads are SHAKE-128 (repro.crypto.prng) and commitments bind the
+# body digest (repro.crypto.hashing).  An older peer is refused here, by
+# magic, not by a failed signature or commitment check later — its pads
+# would not cancel, which reads as disruption and could blame an honest
+# member.
+_ENVELOPE_MAGIC = "dissent.wire-envelope.v3"
 _ROUTED_MAGIC = "dissent.wire-routed.v1"
 
 #: The routed-frame kind whose body is a serialized envelope — the one

@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 3, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 4, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -27,7 +27,10 @@ from repro.util.serialization import canonical_json
 # repro.net.message); a version-1 file would only fail them one by one.
 # 3: ``session`` and ``net-session`` payloads keep the control plane's state
 # in one shared ``coordinator`` section (repro.persist.codec).
-CHECKPOINT_VERSION = 3
+# 4: archived rounds hold ciphertexts masked with SHAKE-128 pair pads
+# (repro.crypto.prng); a version-3 file's rounds would not trace against
+# today's pads and could blame an honest member.
+CHECKPOINT_VERSION = 4
 
 
 def _payload_digest(payload: dict) -> str:

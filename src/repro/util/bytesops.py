@@ -11,18 +11,25 @@ natural order when reading a transmission left to right.  The accusation
 protocol (witness bits) and the slot scheduler both rely on this order.
 
 XOR is implemented via Python's arbitrary-precision integers.  The XOR
-itself is the cheap part — 0.03 ms for 512 KiB on the development box —
-and the conversions around it are not: ``int.from_bytes`` 0.35 ms and
-``to_bytes`` 0.36 ms for the same 512 KiB.  :func:`xor_many` converts each
-operand once and the result once, so it is conversion-bound at about
-1.2-1.5 GB/s of operand; that is the stdlib floor under the bulk
-workload's ``util.bytesops.xor_ms`` (the library imports nothing outside
-the standard library, so there is no numpy path to compare).
+itself is the cheap part — 0.03-0.12 ms for 512 KiB on a 2-vCPU x86-64
+VM — and the conversions around it are not: ``int.from_bytes`` 0.37 ms
+and ``to_bytes`` 0.40 ms for the same 512 KiB.  :func:`xor_many` converts
+each operand once and the result once, so it is conversion-bound at about
+1.2-1.5 GB/s of full-length operand; that is the stdlib floor under the
+bulk workload's ``util.bytesops.xor_ms`` (the library imports nothing
+outside the standard library, so there is no numpy path to compare).
+The one way under that floor is to convert fewer bytes: a *placed*
+operand (a short piece at an offset, zeros elsewhere) costs the
+conversion of the piece and one shift, not of the round it stands for —
+which is how a client masks a cleartext that is zero outside its own slot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+
+#: A piece of a longer, otherwise all-zero operand: ``(byte offset, piece)``.
+Placed = tuple[int, bytes]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -39,13 +46,18 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
-def xor_many(operands: Iterable[bytes], length: int | None = None) -> bytes:
+def xor_many(
+    operands: Iterable[bytes | Placed], length: int | None = None
+) -> bytes:
     """XOR any number of equal-length byte strings.
 
     Args:
-        operands: byte strings to combine.  May be empty if ``length`` given.
+        operands: byte strings to combine, each either the full length or
+            placed: an ``(offset, piece)`` pair standing for ``piece`` at
+            byte ``offset`` and zeros everywhere else.  May be empty if
+            ``length`` given.
         length: expected operand length; inferred from the first operand if
-            omitted.
+            omitted (a placed operand needs it given or inferred first).
 
     Returns:
         The XOR of all operands (all-zero string when ``operands`` is empty).
@@ -53,6 +65,17 @@ def xor_many(operands: Iterable[bytes], length: int | None = None) -> bytes:
     acc = 0
     n = length
     for op in operands:
+        if type(op) is tuple:
+            offset, piece = op
+            if n is None:
+                raise ValueError("xor_many needs a length before a placed operand")
+            end = offset + len(piece)
+            if not 0 <= offset <= end <= n:
+                raise ValueError(
+                    f"xor_many placed operand [{offset}, {end}) outside {n} bytes"
+                )
+            acc ^= int.from_bytes(piece, "big") << (8 * (n - end))
+            continue
         if n is None:
             n = len(op)
         elif len(op) != n:

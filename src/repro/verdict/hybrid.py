@@ -170,11 +170,11 @@ class HybridClient(DissentClient):
         super().restore_state(snapshot)
         self.sent_history = snapshot["sent_history"]
 
-    def build_cleartext(self, round_number: int) -> bytes:
-        cleartext = super().build_cleartext(round_number)
+    def message_pieces(self, round_number: int):
+        placed = super().message_pieces(round_number)
         # _sent is popped when the output arrives; blame needs it later.
         self.sent_history[round_number] = self._sent.get(round_number)
-        return cleartext
+        return placed
 
     def pad_commitment(self, round_number: int, length: int) -> bytes:
         """Commit to the pair pad shared with this client's upstream server.

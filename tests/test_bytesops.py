@@ -53,6 +53,29 @@ class TestXorMany:
     def test_generator_input(self):
         assert B.xor_many(bytes([i]) for i in range(4)) == bytes([0 ^ 1 ^ 2 ^ 3])
 
+    @pytest.mark.parametrize(
+        "offset, piece",
+        [(0, b"\x81"), (3, b"\x0f\xf0"), (5, b"\x01\x02\x03"), (8, b""), (2, b"")],
+    )
+    def test_placed_operand_is_the_piece_padded_with_zeros(self, offset, piece):
+        full = bytearray(8)
+        full[offset : offset + len(piece)] = piece
+        pad = bytes(range(0x10, 0x18))
+        assert B.xor_many([(offset, piece)], length=8) == bytes(full)
+        assert B.xor_many([pad, (offset, piece)]) == B.xor_bytes(pad, bytes(full))
+
+    def test_placed_operands_overlap_by_xor(self):
+        assert B.xor_many([(1, b"\xff\x0f"), (2, b"\xff")], length=4) == b"\x00\xff\xf0\x00"
+
+    @pytest.mark.parametrize("offset, piece", [(-1, b"\x00"), (7, b"\x00\x00"), (9, b"")])
+    def test_placed_operand_outside_the_length_raises(self, offset, piece):
+        with pytest.raises(ValueError, match="outside"):
+            B.xor_many([(offset, piece)], length=8)
+
+    def test_placed_operand_needs_a_length(self):
+        with pytest.raises(ValueError, match="length"):
+            B.xor_many([(0, b"\x01"), b"\x00\x00"])
+
 
 class TestBitOps:
     def test_get_bit_msb_first(self):

@@ -13,9 +13,10 @@ from repro.core.client import (
     unframe_messages,
 )
 from repro.core.server import Phase
+from repro.crypto import prng
 from repro.errors import CommitmentMismatch, ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, make_envelope
-from repro.util.bytesops import get_bit
+from repro.util.bytesops import get_bit, xor_many
 
 
 class TestMessageFraming:
@@ -61,6 +62,33 @@ class TestClientInternals:
         cleartext = client.build_cleartext(0)
         layout = client.scheduler.current_layout()
         assert get_bit(cleartext, layout.request_bit_index(client.slot)) == 1
+
+    @pytest.mark.parametrize(
+        "post, rounds_before, sends",
+        [(False, 0, "nothing"), (True, 0, "request"), (True, 1, "slot")],
+    )
+    def test_ciphertext_masks_exactly_the_materialised_cleartext(
+        self, post, rounds_before, sends
+    ):
+        # produce_ciphertext XORs only the placed pieces; build_cleartext
+        # is their materialised view.  Same seed, same randomness drawn:
+        # the vector a client masks is the cleartext, bit for bit.
+        sparse, dense = (fresh_session(num_clients=4, seed=79) for _ in range(2))
+        for session in (sparse, dense):
+            if post:
+                session.post(1, b"open my slot")
+            for _ in range(rounds_before):
+                session.run_round()
+        r = sparse.round_number
+        sent = sparse.clients[1].produce_ciphertext(r).body
+        client = dense.clients[1]
+        cleartext = client.build_cleartext(r)
+        pads = [prng.pair_stream(s, r, len(cleartext)) for s in client.secrets]
+        assert sent == xor_many([cleartext, *pads])
+        assert sparse.clients[1].rng.getstate() == client.rng.getstate()
+        assert sparse.clients[1]._sent == client._sent
+        assert any(cleartext) == (sends != "nothing")
+        assert (r in client._sent) == (sends == "slot")
 
     def test_request_bit_randomized_on_retry(self):
         session = fresh_session(seed=73)

@@ -1,5 +1,7 @@
 """Unit tests for group definitions and policy validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import GroupDefinition, Policy, make_group_definition
@@ -82,6 +84,24 @@ class TestGroupDefinition:
         a = _definition(keys)
         b = _definition(keys, Policy(alpha=0.5))
         assert a.group_id() != b.group_id()
+
+    def test_id_is_hashed_once_and_invisible(self, keys, monkeypatch):
+        from repro.core import config
+
+        calls = []
+        real = config.group_definition_id
+        monkeypatch.setattr(
+            config, "group_definition_id", lambda data: calls.append(1) or real(data)
+        )
+        warm, cold = _definition(keys), _definition(keys)
+        ids = {warm.group_id() for _ in range(5)}
+        assert ids == {real(warm.canonical_bytes())} and len(calls) == 1
+        # The cached id stays out of equality, hashing, repr and the
+        # canonical encoding, and a replaced definition derives its own.
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert warm.canonical_bytes() == cold.canonical_bytes()
+        changed = dataclasses.replace(warm, policy=Policy(alpha=0.5))
+        assert changed.group_id() != warm.group_id() and len(calls) == 2
 
     def test_canonical_roundtrip(self, keys):
         definition = _definition(keys, Policy(alpha=0.75))

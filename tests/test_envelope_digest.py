@@ -7,18 +7,21 @@ involved:
   when the signature covered the whole body is accepted now, scalar,
   batched or inside a certificate, and the per-object payload cache can
   never go stale;
-* **version hygiene** — a v1 envelope or checkpoint is refused by its
+* **version hygiene** — an older envelope or checkpoint is refused by its
   version tag, not by a signature failure three layers later;
 * the **work gates** — deterministic counts (message bytes reaching
-  Schnorr, SHA-256 passes over bodies, bytes allocated per codec call)
-  that guard the bulk path in tier-1 without a timer.
+  Schnorr, SHA-256 passes over bodies, bytes allocated per codec call,
+  pad squeezes and integer conversions per bulk byte) that guard the bulk
+  path in tier-1 without a timer.
 """
 
 import asyncio
+import collections
 import dataclasses
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -28,10 +31,13 @@ from tests.helpers import fresh_session
 from repro.consensus.certificate import (
     RoundCertificate,
     find_invalid_votes,
+    output_body_digest,
     vote_body,
 )
+from repro.core.client import DissentClient
+from repro.core.server import DissentServer
 from repro.core.session import build_keys
-from repro.crypto import schnorr
+from repro.crypto import prng, schnorr
 from repro.crypto.groups import group_by_name
 from repro.crypto.keys import PrivateKey
 from repro.errors import (
@@ -55,10 +61,11 @@ from repro.net.runner import NetworkedSession, _Hub
 from repro.net.transport import loopback_pair
 from repro.persist import codec as persist_codec
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
+from repro.util import bytesops
 from repro.util.serialization import pack_fields
 
 BACKENDS = ("test-256", "ec25519")
-_CACHE = "_signed_payload"
+_CACHE = "_body_digest"
 
 
 @pytest.fixture(params=BACKENDS)
@@ -228,7 +235,7 @@ class TestPayloadCache:
         cold = wire.decode_envelope(backend, wire.encode_envelope(backend, envelope))
         assert _CACHE in envelope.__dict__ and _CACHE not in cold.__dict__
         assert cold == envelope and hash(cold) == hash(envelope)
-        assert repr(cold) == repr(envelope) and "payload" not in repr(envelope)
+        assert repr(cold) == repr(envelope) and _CACHE not in repr(envelope)
         assert dataclasses.asdict(cold).keys() == dataclasses.asdict(envelope).keys()
         assert wire.encode_envelope(backend, cold) == wire.encode_envelope(
             backend, envelope
@@ -248,12 +255,35 @@ class TestPayloadCache:
         for envelope in archive.received_envelopes.values():
             envelope.signed_payload()
         encoded = persist_codec.encode_archive(group, archive)
-        assert "payload" not in json.dumps(encoded)
+        assert _CACHE not in json.dumps(encoded)
         restored = persist_codec.decode_archive(group, encoded)
         assert restored.received_envelopes == archive.received_envelopes
         for index, envelope in restored.received_envelopes.items():
             assert _CACHE not in envelope.__dict__
             envelope.verify(session.definition.client_keys[index])
+
+    def test_output_digest_is_cached_invisibly_and_signed_by_its_envelope(self):
+        session = fresh_session(seed=17)
+        session.post(1, b"certified")
+        output = session.run_round().output
+        group = session.definition.group
+        body = wire.encode_round_output_body(group, output)
+        digest = output_body_digest(group, output)
+        assert digest == hashlib.sha256(body).digest() == output.__dict__[_CACHE]
+        cold = wire.decode_round_output_body(group, body)
+        assert _CACHE not in cold.__dict__
+        assert cold == output and repr(cold) == repr(output)
+        assert persist_codec.encode_round_output(group, cold) == body.hex()
+        changed = dataclasses.replace(output, participation=output.participation - 1)
+        assert _CACHE not in changed.__dict__
+        assert output_body_digest(group, changed) != digest
+        # The round-output envelope signs the certified digest, and a
+        # client that receives it recomputes the same one.
+        envelope = session.servers[0].output_envelope(output)
+        assert envelope.body == body and envelope.body_digest() == digest
+        received = wire.decode_envelope(group, wire.encode_envelope(group, envelope))
+        received.verify(session.definition.server_keys[0])
+        assert received.body_digest() == digest
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -288,10 +318,16 @@ class TestPayloadCache:
 
 
 class TestVersionRefusal:
-    def test_v1_envelope_refused_by_magic(self, group):
+    # v1: signatures over the whole body; v2: SHAKE-256 pair pads and
+    # commitments over the whole ciphertext.  A v2 peer's pads would not
+    # cancel against ours, which must not read as disruption.
+    @pytest.mark.parametrize("old", ["v1", "v2"])
+    def test_old_envelope_refused_by_magic(self, group, old):
         (envelope, _), = _batch(group, 1)
-        v1 = pack_fields(
-            "dissent.wire-envelope.v1",
+        encoded = wire.encode_envelope(group, envelope)
+        assert wire.decode_envelope(group, encoded) == envelope
+        stale = pack_fields(
+            f"dissent.wire-envelope.{old}",
             envelope.msg_type,
             envelope.sender,
             envelope.group_id,
@@ -300,21 +336,22 @@ class TestVersionRefusal:
             envelope.signature.to_bytes(group),
         )
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
-            wire.decode_envelope(group, v1)
+            wire.decode_envelope(group, stale)
         frame = wire.decode_routed(
-            wire.encode_routed("server-0", "client-0", "envelope", 0, v1)
+            wire.encode_routed("server-0", "client-0", "envelope", 0, stale)
         )
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3])
     def test_old_checkpoint_refused_by_version(self, tmp_path, old):
         # 1: v1 signatures; 2: control-plane state outside the shared
-        # ``coordinator`` section.  Neither layout is read any more.
+        # ``coordinator`` section; 3: archived rounds masked with SHAKE-256
+        # pair pads, which a trace today would recompute differently.
         path = tmp_path / "old.ckpt"
         write_checkpoint(path, {"round": 3}, kind="session")
         document = json.loads(path.read_text())
-        assert document["version"] == 3
+        assert document["version"] == 4
         document["version"] = old
         path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match=f"version {old}"):
@@ -531,7 +568,7 @@ class TestMessageSizeGate:
         posts, every node in this process over loopback)."""
         messages, passes, made, checked = [], [], [], {}
         real_challenge = schnorr._challenge
-        real_payload = message.envelope_signed_payload
+        real_digest = message.body_digest
         real_sign = message.sign
         real_signed_payload = SignedEnvelope.signed_payload
 
@@ -540,9 +577,9 @@ class TestMessageSizeGate:
             messages.append(len(msg))
             return real_challenge(group, y, t, msg)
 
-        def payload(*fields):
-            passes.append(len(fields[-1]))
-            return real_payload(*fields)
+        def body_digest(body):
+            passes.append(len(body))
+            return real_digest(body)
 
         def sign(key, msg):
             made.append(len(msg))
@@ -550,7 +587,7 @@ class TestMessageSizeGate:
 
         def signed_payload(envelope):
             # Keep the object alive so ids stay unique; remember whether it
-            # arrived with the maker's payload (made here) or cold (decoded).
+            # arrived with the maker's digest (made here) or cold (decoded).
             checked.setdefault(id(envelope), (envelope, _CACHE in envelope.__dict__))
             return real_signed_payload(envelope)
 
@@ -570,7 +607,7 @@ class TestMessageSizeGate:
                     session.post(i, bytes([i]) * 2000)
                 with monkeypatch.context() as patch:
                     patch.setattr(schnorr, "_challenge", challenge)
-                    patch.setattr(message, "envelope_signed_payload", payload)
+                    patch.setattr(message, "body_digest", body_digest)
                     patch.setattr(message, "sign", sign)
                     patch.setattr(SignedEnvelope, "signed_payload", signed_payload)
                     session.run_round()
@@ -579,7 +616,124 @@ class TestMessageSizeGate:
                 assert max(messages) <= 256
                 assert max(passes) >= 4 * 2000  # real bulk bodies went through
                 # One SHA-256 pass per envelope made plus one per received
-                # envelope verified — however many times each is checked.
-                assert len(passes) == len(made) + cold
+                # envelope verified — however many times each is checked —
+                # less each server's reveal and round-output envelope, which
+                # are signed over digests their maker already holds (its
+                # commitment's and the certified one).
+                assert len(passes) == len(made) + cold - 2 * 3
                 assert cold > 0 and len(made) > 0
         assert per_round[0] == per_round[1]
+
+
+def _holder() -> str:
+    """The node whose code is running: the first ``self`` up the stack that
+    is, or drives, a server or a client; anything else is the coordinator."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        owner = frame.f_locals.get("self")
+        for node in (owner, *(getattr(owner, a, None) for a in ("server", "client"))):
+            if isinstance(node, (DissentServer, DissentClient)):
+                return node.name
+        frame = frame.f_back
+    return "coordinator"
+
+
+class TestBulkWorkGate:
+    """Byte work of one quick-shape round (toy group, M = 3 servers, N = 4
+    clients all posting 2,000 bytes, every node in this process over
+    loopback), filed under the node that holds the bytes.  Each bulk byte
+    costs one pad squeeze, one integer conversion per XOR operand and one
+    SHA-256 pass per node holding it."""
+
+    N, M = 4, 3
+
+    def test_one_pass_per_bulk_byte_per_holder(self, monkeypatch):
+        N, M = self.N, self.M
+        squeezes, pads, hashed, converted = [], set(), [], []
+        real_stream = prng.pair_stream
+        real_sha256 = hashlib.sha256
+
+        def pair_stream(secret, round_number, length):
+            pad = real_stream(secret, round_number, length)
+            squeezes.append(length)
+            pads.add(pad)
+            return pad
+
+        class Sha256:
+            """``hashlib.sha256`` as the library uses it: bytes in, digest out."""
+
+            def __init__(self, data=b""):
+                self._hash, self._length = real_sha256(data), len(data)
+
+            def update(self, data):
+                self._hash.update(data)
+                self._length += len(data)
+
+            def digest(self):
+                digest = self._hash.digest()
+                hashed.append((_holder(), self._length, digest))
+                return digest
+
+            def hexdigest(self):
+                return self.digest().hex()
+
+        class Int(int):
+            # Every DC-net buffer is converted in repro.util.bytesops.
+            @classmethod
+            def from_bytes(cls, data, *args, **kwargs):
+                converted.append((_holder(), len(data), data in pads))
+                return int.from_bytes(data, *args, **kwargs)
+
+        with NetworkedSession.build(
+            num_servers=M, num_clients=N, seed=2012, mode="loopback"
+        ) as session:
+            session.setup()
+            for i in range(N):
+                session.post(i, bytes([i]) * 2000)
+            session.run_rounds(3)  # slots open and grow to carry the posts
+            for i in range(N):
+                session.post(i, bytes([i]) * 2000)
+            with monkeypatch.context() as patch:
+                patch.setattr(prng, "pair_stream", pair_stream)
+                patch.setattr(hashlib, "sha256", Sha256)
+                patch.setattr(bytesops, "int", Int, raising=False)
+                assert session.run_round().completed
+            definition = session.definition
+            attached = collections.Counter(
+                definition.server_name(definition.upstream_server(i)) for i in range(N)
+            )
+
+        # Each client squeezes its M pads and each server its N: 2·N·M
+        # round-length pads, the pad bytes of the round.
+        (length,) = set(squeezes)
+        assert length > N * 2000
+        assert len(squeezes) == 2 * N * M
+
+        clients = [f"client-{i}" for i in range(N)]
+        servers = [f"server-{j}" for j in range(M)]
+        passes = collections.Counter(h for h, n, _ in hashed if n >= length)
+        per_buffer = collections.Counter((h, d) for h, n, d in hashed if n >= length)
+        # No node hashes the same round-length bytes twice ...
+        assert set(per_buffer.values()) == {1}
+        # ... a client hashes its ciphertext, the round-output envelope and
+        # the cleartext the M output signatures cover; a server its
+        # attached clients' ciphertexts, s_j, the M - 1 peer reveals, the
+        # cleartext and the output body; the coordinator the output body
+        # the servers reported.
+        assert passes == {
+            **{c: 3 for c in clients},
+            **{s: attached[s] + M + 2 for s in servers},
+            "coordinator": 1,
+        }
+
+        conversions = collections.Counter(h for h, n, _ in converted if n >= length)
+        # A client converts its M pads and no full-length cleartext ...
+        for holder, n, is_pad in converted:
+            if holder in clients and n >= length:
+                assert is_pad
+        # ... a server its N pads, its attached clients' ciphertexts and the
+        # M reveals it combines.
+        assert conversions == {
+            **{c: M for c in clients},
+            **{s: N + attached[s] + M for s in servers},
+        }

@@ -7,21 +7,30 @@ from repro.crypto import hashing as H
 
 class TestCommit:
     def test_verify_roundtrip(self):
-        payload = b"server ciphertext bytes"
-        assert H.verify_commit(H.commit(payload), payload)
+        digest = H.sha256(b"server ciphertext bytes")
+        assert H.verify_commit(H.commit(digest), digest)
 
     def test_wrong_payload_fails(self):
-        commitment = H.commit(b"original")
-        assert not H.verify_commit(commitment, b"tampered")
+        commitment = H.commit(H.sha256(b"original"))
+        assert not H.verify_commit(commitment, H.sha256(b"tampered"))
 
     def test_commit_deterministic(self):
-        assert H.commit(b"x") == H.commit(b"x")
+        assert H.commit(H.sha256(b"x")) == H.commit(H.sha256(b"x"))
 
     def test_commit_digest_width(self):
-        assert len(H.commit(b"anything")) == H.DIGEST_BYTES
+        assert len(H.commit(H.sha256(b"anything"))) == H.DIGEST_BYTES
 
     def test_domain_separated_from_plain_hash(self):
-        assert H.commit(b"data") != H.sha256(b"data")
+        digest = H.sha256(b"data")
+        assert H.commit(digest) != H.sha256(digest)
+
+    def test_binds_the_payload_digest(self):
+        # C_j = H("dissent.commit.v2" || sha256(s_j)): the digest a reveal
+        # envelope's signature covers opens the commitment.
+        payload = b"s_j" * 1000
+        assert H.commit(H.sha256(payload)) == H.sha256(
+            b"dissent.commit.v2", H.sha256(payload)
+        )
 
 
 class TestChallengeScalar:

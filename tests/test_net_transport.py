@@ -72,7 +72,7 @@ class TestEnvelopeDecodeRejection:
         # the decoder must refuse to materialize it for dispatch.
         signature = Signature(1, 1)
         encoded = pack_fields(
-            "dissent.wire-envelope.v2",
+            "dissent.wire-envelope.v3",
             "evil-type",
             "client-0",
             b"gid",
@@ -98,7 +98,7 @@ class TestEnvelopeDecodeRejection:
 
     def test_wrong_field_types_rejected(self, group):
         encoded = pack_fields(
-            "dissent.wire-envelope.v2",
+            "dissent.wire-envelope.v3",
             "client-ciphertext",
             7,  # sender must be a string
             b"gid",
@@ -269,7 +269,7 @@ class TestDispatchLoopSurvival:
             )
 
         bogus_envelope = pack_fields(
-            "dissent.wire-envelope.v2",
+            "dissent.wire-envelope.v3",
             "evil-type",
             "client-9",
             b"gid",

@@ -9,13 +9,37 @@ from repro.util.bytesops import get_bit
 
 
 def _reference_pair_stream(secret: bytes, round_number: int, length: int) -> bytes:
-    """The pre-cache derivation: absorb everything into a fresh XOF."""
-    xof = hashlib.shake_256()
-    xof.update(b"dissent.pair-stream.v1")
+    """The pre-cache derivation: absorb everything into a fresh SHAKE-128."""
+    xof = hashlib.shake_128()
+    xof.update(b"dissent.pair-stream.v2")
     xof.update(len(secret).to_bytes(4, "big"))
     xof.update(secret)
     xof.update(round_number.to_bytes(8, "big"))
     return xof.digest(length)
+
+
+class TestKnownAnswers:
+    def test_pair_stream_vector(self):
+        # Pins the XOF and the domain tag: a change here changes every
+        # ciphertext, and needs the wire and checkpoint versions bumped.
+        assert prng.pair_stream(b"\x01" * 32, 7, 48).hex() == (
+            "7a44ce050c5ad8e3c9fdb70c77722abc98e90b20"
+            "da46d870f73fb77da992bcce43068f6449c92d0a"
+            "272b719fc45cd89b"
+        )
+
+    def test_seeded_stream_is_unchanged(self):
+        # The §3.9 padding stream is part of every cleartext: these bytes
+        # were recorded before pair pads moved to SHAKE-128 and must never
+        # move with them.
+        assert prng.seeded_stream(b"dissent padding seed", 48).hex() == (
+            "b1a6c144eca06c2a3691f6f999157bf08b07c49c"
+            "69f6c41defc4bebb806ecd5816d9212936bfb764"
+            "f508d0efb27278d6"
+        )
+        assert hashlib.sha256(prng.seeded_stream(b"\x00" * 16, 1 << 16)).hexdigest() == (
+            "6abd633501470d84ed8dd092e93f5df09e3936555ec1c3c5761b9a347184e779"
+        )
 
 
 class TestPairStream:
@@ -50,8 +74,8 @@ class TestPairStream:
         assert 0.45 < ones / (8 * 4096) < 0.55
 
     def test_cached_state_matches_fresh_absorption(self):
-        # The pre-absorbed per-secret SHAKE state (copied per round) must
-        # reproduce the original absorb-everything derivation exactly.
+        # The pre-absorbed per-secret SHAKE-128 state (copied per round)
+        # must reproduce the absorb-everything derivation exactly.
         secrets = [b"\x00" * 32, b"k" * 32, b"", b"short", b"x" * 131]
         for secret in secrets:
             for round_number in (0, 1, 7, 2**40):
