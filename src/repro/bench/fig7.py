@@ -75,7 +75,8 @@ def run(
     batched_signatures=False)`` to reproduce the paper prototype's
     one-at-a-time verification.  ``pipeline_depth > 1`` adds the
     steady-state pipelined-period series for the microblog/DeterLab
-    scenario (W rounds in flight, pads prefetched off the critical path).
+    scenario (W rounds in flight, modelled by
+    :meth:`repro.sim.costmodel.CostModel.pipeline_period`).
     """
     result = FigureResult(
         figure="Figure 7",

@@ -43,8 +43,6 @@ from repro.consensus.certificate import (
     output_body_digest,
     proposal_view_digest,
     quorum_size,
-    view_change_payload,
-    vote_body,
 )
 from repro.consensus.rotation import LeaderSchedule, leader_index, rotation_base
 
@@ -58,6 +56,4 @@ __all__ = [
     "proposal_view_digest",
     "quorum_size",
     "rotation_base",
-    "view_change_payload",
-    "vote_body",
 ]

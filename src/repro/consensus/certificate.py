@@ -77,19 +77,10 @@ def output_body_digest(group, output) -> bytes:
     return digest
 
 
-def vote_body(view: int, digest: bytes) -> bytes:
-    """Envelope body for a ``SERVER_VOTE`` (identical layout to a proposal)."""
-    return pack_fields(view, digest)
-
-
-def view_change_payload(new_view: int, reason: str) -> bytes:
-    """Envelope body for a ``VIEW_CHANGE`` announcement."""
-    return pack_fields(new_view, reason)
-
-
 def proposal_view_digest(envelope: SignedEnvelope) -> tuple[int, bytes]:
     """Parse ``(view, digest)`` out of a proposal or vote body.
 
+    The one decoder of :func:`repro.net.wire.encode_consensus_body`.
     Structural validation only — the caller checks the signature; this
     rejects malformed bodies from a Byzantine sender with a typed error
     instead of an unpack crash.
@@ -128,7 +119,9 @@ def _invalid_vote_positions(
     One batched check against the roster keys' fixed-base tables; only a
     failing batch bisects.
     """
-    body = vote_body(view, digest)
+    from repro.net.wire import encode_consensus_body
+
+    body = encode_consensus_body(view, digest)
     items = [
         (
             definition.server_keys[index],

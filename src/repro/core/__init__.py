@@ -16,14 +16,15 @@ Public surface:
 * :mod:`~repro.core.adversary` — byzantine node models for tests and demos.
 * :class:`~repro.core.pipeline.PipelinedSession` — W rounds in flight with
   bit-identical outputs; drains to a barrier on failure/blame/schedule/
-  membership events.
+  membership events.  The overlap it buys a deployment is modelled in
+  :mod:`repro.sim` (``RoundSimConfig.pipeline_depth``), not timed here.
 """
 
 from repro.core.config import GroupDefinition, Policy, make_group_definition
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import DissentSession, build_keys, build_session
-from repro.core.pipeline import PhaseLatency, PipelinedSession
+from repro.core.pipeline import PipelinedSession
 from repro.core.rounds import QuietOutcome, RoundOutput, RoundRecord, RoundStatus
 from repro.core.policy import (
     FractionMultiplierPolicy,
@@ -42,7 +43,6 @@ __all__ = [
     "DissentSession",
     "build_keys",
     "build_session",
-    "PhaseLatency",
     "PipelinedSession",
     "QuietOutcome",
     "RoundOutput",

@@ -151,10 +151,6 @@ class DissentClient:
         self.pending_accusation: Accusation | None = None
         self._accusation_submitted = False
         self.disruption_detected = False
-        #: Optional :class:`repro.crypto.prng.PadPrefetcher`; when set,
-        #: :meth:`produce_ciphertext` reads the M pair pads from its cache
-        #: instead of squeezing SHAKE on the critical path.
-        self.prefetcher = None
 
     def snapshot_state(self) -> dict:
         """Capture the mutable round state (pipeline checkpointing).
@@ -165,8 +161,8 @@ class DissentClient:
         :class:`_SentRecord` instances) are never mutated in place, only
         replaced — and the RNG state is captured so a replayed build draws
         the exact values the discarded speculative build consumed.
-        Long-lived identity (keys, slot, definition) and the shared
-        prefetcher are deliberately excluded.
+        Long-lived identity (keys, slot, definition) is deliberately
+        excluded.
         """
         return {
             "scheduler": self.scheduler.clone(),
@@ -386,12 +382,9 @@ class DissentClient:
         M pads are the only round-length operands.
         """
         length, pieces = self.message_pieces(round_number)
-        fetch = (
-            self.prefetcher.pair_stream
-            if self.prefetcher is not None
-            else prng.pair_stream
+        streams = (
+            prng.pair_stream(secret, round_number, length) for secret in self.secrets
         )
-        streams = (fetch(secret, round_number, length) for secret in self.secrets)
         ciphertext = xor_many(itertools.chain(pieces, streams), length=length)
         return make_envelope(
             self.key,

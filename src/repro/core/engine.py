@@ -12,9 +12,10 @@ to arm, a phase boundary for telemetry, a conviction, the
 finished round — and nothing else leaves the engine: it opens no socket,
 reads no clock and knows no event loop, so the same object runs under a
 synchronous router (:class:`~repro.core.session.DissentSession`), a
-windowed one (:class:`~repro.core.pipeline.PipelinedSession`) and a
-message-driven daemon (:class:`repro.net.node.ServerNode`), and behaves
-identically under all three.
+windowed one that holds up to W rounds per engine
+(:class:`~repro.core.pipeline.PipelinedSession`) and a message-driven
+daemon (:class:`repro.net.node.ServerNode`, one round at a time), and
+behaves identically under all three.
 
 Per round the engine gates the server's phase methods on message arrival
 (collect → inventory → commit → reveal → sign), then runs the

@@ -2,22 +2,17 @@
 
 The lockstep driver (:meth:`repro.core.session.DissentSession.run_round`)
 serializes every phase, so the round period is the *sum* of submit →
-inventory → commit → reveal → certify → output latencies plus the N*M pad
-derivations done inline.  This module schedules the same per-server
-:class:`~repro.core.engine.RoundEngine` machines differently — it splits a
-round at the submit boundary and keeps a configurable window of W rounds
-in flight end to end:
-
-* clients build and submit rounds ``r+1 .. r+W-1`` while round ``r`` is
-  still in its commit/reveal exchanges (servers hold one
-  ``_RoundState`` per in-flight round and batch-verify future rounds'
-  envelopes on arrival);
-* a shared :class:`~repro.crypto.prng.PadPrefetcher` derives each round's
-  pair pads at issue time, so ``produce_ciphertext`` and
-  ``compute_ciphertext`` do zero SHAKE work on the critical path;
-* a virtual pipeline clock models the overlap: with homogeneous phases
-  the steady-state period collapses from the sum of the phase latencies
-  to their max.
+inventory → commit → reveal → certify → output latencies.  This module
+schedules the same per-server :class:`~repro.core.engine.RoundEngine`
+machines differently — it splits a round at the submit boundary and keeps
+a configurable window of W rounds in flight end to end: clients build and
+submit rounds ``r+1 .. r+W-1`` while round ``r`` is still in its
+commit/reveal exchanges (servers hold one ``_RoundState`` per in-flight
+round and batch-verify future rounds' envelopes on arrival).  Every node
+still derives its own pair pads when it needs them, exactly as lockstep
+does.  In process the phases run one after another either way; the
+overlap a deployment would get is modelled by
+:meth:`repro.sim.costmodel.CostModel.pipeline_period`.
 
 **Speculation and the drain barrier.**  Round ``r+1``'s client cleartexts
 depend on round ``r``'s output in exactly four ways: the slot layout may
@@ -51,54 +46,7 @@ from repro.core.client import _SentRecord
 from repro.core.rounds import RoundRecord
 from repro.core.schedule import RoundLayout
 from repro.core.session import DissentSession
-from repro.crypto.prng import PadPrefetcher
 from repro.errors import ProtocolError
-
-
-@dataclass(frozen=True)
-class PhaseLatency:
-    """Modeled per-phase network/turnaround latencies (seconds).
-
-    The driver's real work is in-process and sequential; these constants
-    feed the virtual pipeline clock that accounts for the overlap a
-    deployment would get (``virtual_elapsed``).  All-zero latencies (the
-    default) reduce the clock to zero and leave only wall-clock effects.
-    """
-
-    submit: float = 0.0
-    inventory: float = 0.0
-    commit: float = 0.0
-    reveal: float = 0.0
-    certify: float = 0.0
-    output: float = 0.0
-
-    @classmethod
-    def uniform(cls, seconds: float) -> "PhaseLatency":
-        return cls(*([seconds] * 6))
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.submit,
-            self.inventory,
-            self.commit,
-            self.reveal,
-            self.certify,
-            self.output,
-        )
-
-    @property
-    def total(self) -> float:
-        return sum(self.as_tuple())
-
-
-@dataclass
-class PipelineCounters:
-    """Work and drain accounting for one pipelined run."""
-
-    rounds_completed: int = 0
-    rounds_failed: int = 0
-    drains: int = 0
-    speculative_rounds_discarded: int = 0
 
 
 @dataclass
@@ -118,8 +66,6 @@ class _InFlight:
     #: server digests one round's exchanges at a time, oldest first, so
     #: they are routed only when this round completes.
     pending: list = field(default_factory=list)
-    #: Virtual end time of this round's submit phase.
-    submit_end: float = 0.0
 
 
 class PipelinedSession:
@@ -135,20 +81,13 @@ class PipelinedSession:
         window: W, the maximum rounds in flight.  ``window=1`` degrades to
             lockstep behaviour exactly (and is bit-identical like every
             other W).
-        latency: phase latencies for the virtual pipeline clock.
-        prefetch: attach a shared :class:`PadPrefetcher` to every node.
-            In process, both endpoints of a pair derive identical pads, so
-            the shared cache also halves total pad work — a deployment
-            runs one prefetcher per machine instead.
+
+    Drains, discarded speculative rounds and completed/failed rounds are
+    counted on the session's registry (``pipeline.drains``,
+    ``pipeline.rounds_discarded``, ``session.rounds_{completed,failed}``).
     """
 
-    def __init__(
-        self,
-        session: DissentSession,
-        window: int = 4,
-        latency: PhaseLatency | None = None,
-        prefetch: bool = True,
-    ) -> None:
+    def __init__(self, session: DissentSession, window: int = 4) -> None:
         if type(session).run_round is not DissentSession.run_round:
             raise ProtocolError(
                 "the pipelined engine drives the core XOR round path; "
@@ -159,47 +98,17 @@ class PipelinedSession:
             raise ProtocolError("pipeline window must be at least 1")
         self.session = session
         self.window = window
-        self.latency = latency or PhaseLatency()
-        self.counters = PipelineCounters()
         # Telemetry rides on the session's registry/tracer (null sinks when
         # the session has telemetry disabled).
         self.registry = session.registry
         self.tracer = session.tracer
         self.registry.gauge("pipeline.window").set_max(window)
-        self.prefetcher: PadPrefetcher | None = None
-        if prefetch:
-            pairs = session.definition.num_clients * session.definition.num_servers
-            # Share the session registry when live so pad stats land in the
-            # merged view; the prefetcher falls back to a private registry
-            # otherwise (its hit/miss counts must work regardless).
-            self.prefetcher = PadPrefetcher(
-                window=window,
-                max_entries=max(4096, 2 * window * pairs),
-                registry=session.registry if session.registry.enabled else None,
-            )
-        for node in (*session.clients, *session.servers):
-            node.prefetcher = self.prefetcher
         for server in session.servers:
             server.max_rounds_in_flight = window
         #: Outcomes applied to clients, in round order, for drain replay:
         #: ("output", RoundOutput) or ("failure", (round, participation)).
         self._applied: list[tuple[str, object]] = []
         self._applied_offset = 0
-        # Virtual pipeline clock.
-        self.virtual_elapsed = 0.0
-        self._barrier = 0.0
-        self._prev_submit_end = 0.0
-        self._last_phase_ends = [0.0] * 6
-        self._completions: deque[float] = deque()
-
-    def detach(self) -> None:
-        """Restore the session's nodes to lockstep configuration."""
-        for node in (*self.session.clients, *self.session.servers):
-            node.prefetcher = None
-        for server in self.session.servers:
-            server.max_rounds_in_flight = 1
-        if self.prefetcher is not None:
-            self.prefetcher.clear()
 
     # ------------------------------------------------------------------
     # Public driving surface
@@ -250,18 +159,12 @@ class PipelinedSession:
                 self._drain(entry, record, inflight)
             # complete_round filed the record in session.records and counted it.
             records.append(record)
-            if record.completed:
-                self.counters.rounds_completed += 1
-            else:
-                self.counters.rounds_failed += 1
             if record.shuffle_requested:
                 # Same position as the lockstep driver: the accusation
                 # shuffle runs right after the requesting round (with the
                 # pipeline already drained to the barrier).
                 session.run_accusation_phase()
             self._prune_applied(inflight)
-            if self.prefetcher is not None:
-                self.prefetcher.discard_before(record.round_number + 1)
         return records
 
     # ------------------------------------------------------------------
@@ -273,18 +176,6 @@ class PipelinedSession:
         submitters = session.submitters(online)
         layout = session.servers[0].scheduler.current_layout()
         with self.tracer.span("phase", name="build", round=round_number):
-            if self.prefetcher is not None:
-                # Ahead-of-need derivation: this runs while older rounds are
-                # still mid-exchange, so the produce/compute calls below (and
-                # the servers' later compute phases) are pure cache hits.
-                secrets = {
-                    secret
-                    for i in submitters
-                    for secret in session.clients[i].secrets
-                }
-                self.prefetcher.prefetch(
-                    secrets, round_number, layout.total_bytes, rounds=1
-                )
             snapshots = [client.snapshot_state() for client in session.clients]
             applied_at = self._applied_offset + len(self._applied)
             envelopes = {}
@@ -296,15 +187,6 @@ class PipelinedSession:
                     sent_records[i] = record
         with self.tracer.span("phase", name="submit", round=round_number):
             pending = session.submit(round_number, envelopes)
-        # Virtual clock: the submit lane serializes round issues, gated by
-        # the window (round r cannot enter submission before round r-W
-        # fully completed) and any drain barrier.
-        gate = self._barrier
-        if len(self._completions) >= self.window:
-            gate = max(gate, self._completions[-self.window])
-        start = max(self._prev_submit_end, gate)
-        submit_end = start + self.latency.submit
-        self._prev_submit_end = submit_end
         return _InFlight(
             round_number=round_number,
             submitters=submitters,
@@ -313,7 +195,6 @@ class PipelinedSession:
             applied_at_snapshot=applied_at,
             sent_records=sent_records,
             pending=pending,
-            submit_end=submit_end,
         )
 
     # ------------------------------------------------------------------
@@ -323,27 +204,7 @@ class PipelinedSession:
     def _complete(self, entry: _InFlight) -> RoundRecord:
         r = entry.round_number
         with self.tracer.span("round", round=r) as round_span:
-            record = self.session.complete_round(r, entry.pending, round_span)
-        self._charge(entry, failed=not record.completed)
-        return record
-
-    def _charge(self, entry: _InFlight, failed: bool) -> None:
-        """Advance the virtual pipeline clock through this round's phases."""
-        lat = self.latency
-        durations = (
-            [lat.inventory]
-            if failed
-            else [lat.inventory, lat.commit, lat.reveal, lat.certify, lat.output]
-        )
-        ends = [entry.submit_end]
-        for k, duration in enumerate(durations, start=1):
-            start = max(ends[-1], self._last_phase_ends[k])
-            ends.append(start + duration)
-        self._last_phase_ends = ends + [ends[-1]] * (6 - len(ends))
-        self._completions.append(ends[-1])
-        while len(self._completions) > self.window:
-            self._completions.popleft()
-        self.virtual_elapsed = ends[-1]
+            return self.session.complete_round(r, entry.pending, round_span)
 
     # ------------------------------------------------------------------
     # Validation of the speculation + the drain barrier
@@ -395,8 +256,6 @@ class PipelinedSession:
     ) -> None:
         """Discard speculative rounds and re-apply round r the lockstep way."""
         session = self.session
-        self.counters.drains += 1
-        self.counters.speculative_rounds_discarded += len(inflight)
         self.registry.counter("pipeline.drains").inc()
         self.registry.counter("pipeline.rounds_discarded").inc(len(inflight))
         for stale in inflight:
@@ -435,11 +294,6 @@ class PipelinedSession:
             self._applied.append(
                 ("failure", (record.round_number, record.participation))
             )
-        # Virtual barrier: every lane restarts after this round's end.
-        self._barrier = self.virtual_elapsed
-        self._prev_submit_end = self.virtual_elapsed
-        self._last_phase_ends = [self.virtual_elapsed] * 6
-        self._completions.clear()
 
     def _prune_applied(self, inflight: deque[_InFlight]) -> None:
         """Drop replay entries no outstanding snapshot can still need."""

@@ -164,10 +164,6 @@ class DissentServer:
         #: holds up to ``max_rounds_in_flight``.
         self._rounds: dict[int, _RoundState] = {}
         self.max_rounds_in_flight = 1
-        #: Optional :class:`repro.crypto.prng.PadPrefetcher`; when set,
-        #: :meth:`compute_ciphertext` draws pair pads from its cache and
-        #: does zero SHAKE work on the critical path.
-        self.prefetcher = None
 
     def snapshot_state(self) -> dict:
         """Capture mutable barrier state (checkpointing / rollback).
@@ -436,25 +432,15 @@ class DissentServer:
     # ------------------------------------------------------------------
 
     def compute_ciphertext(self, round_number: int | None = None) -> SignedEnvelope:
-        """Form s_j and broadcast its commitment.
-
-        With a :attr:`prefetcher` attached the N pair pads come out of its
-        cache (derived ahead of need by the pipeline driver), so this
-        phase does no SHAKE squeezing on the critical path.
-        """
+        """Form s_j and broadcast its commitment."""
         state = self._resolve(round_number)
         if state.phase is not Phase.INVENTORY:
             raise ProtocolError(f"commitment out of order in phase {state.phase}")
         length = state.layout.total_bytes
-        fetch = (
-            self.prefetcher.pair_stream
-            if self.prefetcher is not None
-            else prng.pair_stream
-        )
         # A generator: one pad alive at a time, not all N (N x 500 KiB on
         # a bulk round), as ``DissentClient.produce_ciphertext`` does.
         streams = (
-            fetch(self.secrets[i], state.round_number, length)
+            prng.pair_stream(self.secrets[i], state.round_number, length)
             for i in state.final_list
         )
         own_blobs = (

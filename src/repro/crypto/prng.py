@@ -36,8 +36,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 
-from repro.obs import metrics as _metrics
-
 _DOMAIN_PAIR = b"dissent.pair-stream.v2"
 _DOMAIN_SEED = b"dissent.seed-stream.v1"
 
@@ -104,143 +102,6 @@ def pair_stream_bit(shared_secret: bytes, round_number: int, bit_index: int) -> 
         raise ValueError("bit index must be non-negative")
     prefix = pair_stream(shared_secret, round_number, bit_index // 8 + 1)
     return (prefix[bit_index // 8] >> (7 - (bit_index % 8))) & 1
-
-
-class PadPrefetcher:
-    """Derives pair streams *ahead of need* so round hot paths only copy.
-
-    The pipelined round engine keeps a window of W rounds in flight; the
-    N*M SHAKE squeezes for rounds ``r+1 .. r+W-1`` can therefore run while
-    round ``r`` is still in its commit/reveal exchanges.  A prefetcher is
-    a bounded cache in front of :func:`pair_stream`:
-
-    * :meth:`prefetch` derives and caches the pads for the next ``window``
-      rounds of a set of pair secrets (charged off the critical path by
-      the pipeline driver);
-    * :meth:`pair_stream` is a drop-in replacement for the module-level
-      function — byte-for-byte identical output, served from the cache
-      when prefetched (``hits``) and derived on the spot otherwise
-      (``misses``).
-
-    A cached pad longer than the requested length serves any shorter
-    request: SHAKE-128 is an XOF, so ``digest(n)`` is a prefix of
-    ``digest(m)`` for ``n <= m``.
-
-    One prefetcher serves one node.  In-process sessions may share a
-    single instance across all nodes — both endpoints of a pair derive
-    the *same* bytes, so sharing additionally halves total pad work; a
-    deployment would run one per machine.  Like the pair-state cache
-    above, cached pads keep key-derived material in memory until evicted:
-    call :meth:`clear` on session teardown.
-    """
-
-    def __init__(
-        self, window: int = 4, max_entries: int = 4096, registry=None
-    ) -> None:
-        if window < 1:
-            raise ValueError("prefetch window must be at least 1")
-        if max_entries < 1:
-            raise ValueError("pad cache needs at least one entry")
-        self.window = window
-        self.max_entries = max_entries
-        self._pads: OrderedDict[tuple[bytes, int], bytes] = OrderedDict()
-        # Counts live on a metrics registry (``prng.pads.*``); a private
-        # registry when none is shared, so ``hits``/``misses`` below count
-        # even with session telemetry disabled (benchmarks rely on them).
-        if registry is None:
-            registry = _metrics.MetricsRegistry()
-        self.registry = registry
-        self._hits = registry.counter("prng.pads.hits")
-        self._misses = registry.counter("prng.pads.misses")
-        self._prefetched = registry.counter("prng.pads.prefetched")
-        self._cached_gauge = registry.gauge("prng.pads.cached")
-
-    def prefetch(
-        self,
-        secrets,
-        round_number: int,
-        length: int,
-        rounds: int | None = None,
-    ) -> int:
-        """Derive pads for ``rounds`` rounds starting at ``round_number``.
-
-        Returns how many pads were newly derived (already-cached pads with
-        sufficient length are skipped).
-        """
-        derived = 0
-        count = self.window if rounds is None else rounds
-        if count < 0:
-            raise ValueError("prefetch round count must be non-negative")
-        for r in range(round_number, round_number + count):
-            for secret in secrets:
-                key = (secret, r)
-                cached = self._pads.get(key)
-                if cached is not None and len(cached) >= length:
-                    continue
-                self._store(key, pair_stream(secret, r, length))
-                derived += 1
-        self._prefetched.inc(derived)
-        return derived
-
-    def pair_stream(self, shared_secret: bytes, round_number: int, length: int) -> bytes:
-        """Drop-in for :func:`pair_stream`; cache-served when prefetched."""
-        key = (shared_secret, round_number)
-        cached = self._pads.get(key)
-        if cached is not None and len(cached) >= length:
-            self._hits.inc()
-            self._pads.move_to_end(key)
-            return cached[:length]
-        self._misses.inc()
-        pad = pair_stream(shared_secret, round_number, length)
-        self._store(key, pad)
-        return pad
-
-    def _store(self, key: tuple[bytes, int], pad: bytes) -> None:
-        self._pads[key] = pad
-        self._pads.move_to_end(key)
-        while len(self._pads) > self.max_entries:
-            self._pads.popitem(last=False)
-        self._cached_gauge.set_max(len(self._pads))
-
-    def discard_before(self, round_number: int) -> None:
-        """Drop pads for rounds older than ``round_number`` (completed)."""
-        stale = [key for key in self._pads if key[1] < round_number]
-        for key in stale:
-            del self._pads[key]
-
-    def clear(self) -> None:
-        """Drop every cached pad (session teardown hygiene)."""
-        self._pads.clear()
-
-    # Read-through views of the registry counters, preserving the original
-    # plain-attribute API (``fetcher.hits`` etc.).
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def prefetched(self) -> int:
-        return self._prefetched.value
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        """Counters for benchmarks and logs."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "prefetched": self.prefetched,
-            "hit_rate": round(self.hit_rate, 4),
-            "cached": len(self._pads),
-        }
 
 
 def seeded_stream(seed: bytes, length: int) -> bytes:

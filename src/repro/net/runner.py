@@ -218,24 +218,16 @@ class _Hub:
     def _parse_hello(body: bytes):
         """(backend, width, session id, rounds done, high water) or None.
 
-        The first two fields are the original hello; the trailing three
-        are the resume handshake and default to "fresh node" when a peer
-        speaks the short form.
+        Exactly the five fields :meth:`repro.net.node.NodeRuntime._hello`
+        sends; any other body is not a hello.
         """
         try:
             fields = unpack_fields(body)
         except ValueError:
             return None
-        if (
-            len(fields) < 2
-            or not isinstance(fields[0], str)
-            or not isinstance(fields[1], int)
-        ):
+        if tuple(map(type, fields)) != (str, int, bytes, int, int):
             return None
-        session_id = fields[2] if len(fields) > 2 and isinstance(fields[2], bytes) else b""
-        rounds_done = fields[3] if len(fields) > 3 and isinstance(fields[3], int) else 0
-        high_water = fields[4] if len(fields) > 4 and isinstance(fields[4], int) else 0
-        return (fields[0], fields[1], session_id, rounds_done, high_water)
+        return tuple(fields)
 
     def _check_ready(self) -> None:
         if self._expected and self._expected <= set(self.transports):
@@ -329,22 +321,21 @@ class _Hub:
         except (WireError, ConnectionClosed):
             await transport.aclose()
             return
-        if frame.kind != K_HELLO or not frame.sender:
+        announced = self._parse_hello(frame.body) if frame.kind == K_HELLO else None
+        if announced is None or not frame.sender:
             await transport.aclose()
             return
-        announced = self._parse_hello(frame.body) if frame.body else None
-        if self._backend is not None and announced is not None:
-            if announced[:2] != self._backend:
-                self._fail(
-                    GroupBackendMismatch(
-                        f"node {frame.sender!r} runs group backend "
-                        f"{announced[0]!r} ({announced[1]}-byte elements); "
-                        f"this session requires {self._backend[0]!r} "
-                        f"({self._backend[1]}-byte elements)"
-                    )
+        if self._backend is not None and announced[:2] != self._backend:
+            self._fail(
+                GroupBackendMismatch(
+                    f"node {frame.sender!r} runs group backend "
+                    f"{announced[0]!r} ({announced[1]}-byte elements); "
+                    f"this session requires {self._backend[0]!r} "
+                    f"({self._backend[1]}-byte elements)"
                 )
-                await transport.aclose()
-                return
+            )
+            await transport.aclose()
+            return
         name = frame.sender
         if name == COORDINATOR:
             await transport.aclose()
@@ -361,8 +352,7 @@ class _Hub:
             # A name we know: only a resume handshake carrying this
             # session's id may take over the link — anything else is a
             # hijack attempt and is refused exactly as before.
-            resume_id = announced[2] if announced else b""
-            if not self._session_id or resume_id != self._session_id:
+            if not self._session_id or announced[2] != self._session_id:
                 await transport.aclose()
                 return
             if not await self._resume(link, transport, announced[4]):
@@ -436,20 +426,22 @@ def dedupe_telemetry_replies(decoded: list[dict]) -> list[dict]:
     the same ``(node, generation)`` — counting both would double every
     counter.  Keep the first reply per identity; replies from a *new*
     generation (a restore bumps it) are genuinely fresh registries and
-    merge normally.  Legacy bare snapshots (no wrapper) pass through
-    untouched.
+    merge normally.  A reply without the wrapper cannot be attributed and
+    raises :class:`ProtocolError`.
     """
     seen: set[tuple[str, int]] = set()
     snapshots: list[dict] = []
     for reply in decoded:
-        if "snapshot" in reply and "node" in reply:
-            identity = (str(reply["node"]), int(reply.get("generation", 0)))
-            if identity in seen:
-                continue
-            seen.add(identity)
-            snapshots.append(reply["snapshot"])
-        else:
-            snapshots.append(reply)
+        if not {"node", "generation", "snapshot"} <= reply.keys():
+            raise ProtocolError(
+                "telemetry reply needs node, generation and snapshot; "
+                f"got {sorted(reply)}"
+            )
+        identity = (str(reply["node"]), int(reply["generation"]))
+        if identity in seen:
+            continue
+        seen.add(identity)
+        snapshots.append(reply["snapshot"])
     return snapshots
 
 

@@ -433,22 +433,10 @@ def encode_consensus_body(view: int, digest: bytes) -> bytes:
     Proposals and votes deliberately share one layout — ``(view,
     digest)`` — because a vote is the voter's counter-signature over the
     same statement the leader proposed.  The envelope's type tag and
-    sender (both signature-covered) disambiguate the role.
+    sender (both signature-covered) disambiguate the role.  The one
+    decoder is :func:`repro.consensus.certificate.proposal_view_digest`.
     """
     return pack_fields(view, digest)
-
-
-def decode_consensus_body(body: bytes) -> tuple[int, bytes]:
-    fields = _unpack(body, "consensus body")
-    if len(fields) != 2:
-        raise WireDecodeError("consensus body needs exactly 2 fields")
-    view = _take(fields, 0, int, "consensus body")
-    digest = _take(fields, 1, bytes, "consensus body")
-    if len(digest) != 32:
-        raise WireDecodeError(
-            f"consensus digest must be 32 bytes, got {len(digest)}"
-        )
-    return view, digest
 
 
 def encode_view_change_body(new_view: int, reason: str) -> bytes:

@@ -200,9 +200,10 @@ class CostModel:
         engine overlaps successive rounds' phases, so with enough rounds
         in flight the steady-state period collapses to the *slowest
         phase*; a shallow window is issue-limited at ``sum / depth``.
-        Matches the real engine in :mod:`repro.core.pipeline`: with phase
-        times of 40/15/15/25/15/30 ms its virtual clock read 7.1 rounds/s
-        at depth 1 and 17.7 at depth 4 (commit ce8486a).
+        This is the repository's one model of overlap: the in-process
+        :class:`repro.core.pipeline.PipelinedSession` keeps the window and
+        its drain semantics but runs every phase in one process, so it
+        measures no overlap of its own.
         """
         phases = list(phase_times)
         if depth < 1:

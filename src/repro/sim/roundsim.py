@@ -76,12 +76,12 @@ class RoundTiming:
     included_clients: int
     round_bytes: int
     #: Per-phase times (submission, inventory, compute, commit, reveal,
-    #: certify, output [, pad-prefetch lane]) backing the pipeline model.
+    #: certify, output [, pad lane]) backing the pipeline model.
     phase_times: tuple[float, ...] = ()
     #: Steady-state round period at the configured pipeline depth: equals
     #: :attr:`total` for lockstep (depth 1); with W rounds in flight the
-    #: period is ``max(max(phase), total / W)`` and the pad derivations
-    #: move off the critical path into their own prefetch lane.
+    #: period is ``max(max(phase), total / W)`` and each server's pad
+    #: derivations are modelled as their own lane.
     pipeline_period: float = 0.0
 
     @property
@@ -109,11 +109,12 @@ class RoundSimConfig:
     #: clients); colocated processes contend for the CPU, slowing each
     #: client's per-round compute proportionally.  None = one per machine.
     client_machines: int | None = None
-    #: Rounds kept in flight by the pipelined engine
-    #: (:mod:`repro.core.pipeline`).  1 = lockstep; with W > 1 the
-    #: steady-state round period is the pipeline period (max of the phase
-    #: times once the window is deep enough) and the N*M pad derivations
-    #: are prefetched off the critical path.
+    #: Rounds kept in flight, as :mod:`repro.core.pipeline` keeps them.
+    #: 1 = lockstep; with W > 1 the steady-state round period is the
+    #: pipeline period (max of the phase times once the window is deep
+    #: enough), with each server deriving its own N pads for round r+1
+    #: while round r's exchanges are in flight.  A modelled deployment:
+    #: the in-process engine derives every pad when it is needed.
     pipeline_depth: int = 1
 
 
@@ -221,8 +222,8 @@ def simulate_round(config: RoundSimConfig, rng: random.Random) -> RoundTiming:
         t_output,
     )
     if config.pipeline_depth > 1:
-        # Pads prefetched off the critical path: the server's N pair
-        # streams for round r+1 derive while round r's exchanges are in
+        # Modelled deployment: the server's N pair streams for round r+1
+        # derive on its own machine while round r's exchanges are in
         # flight, so stream generation leaves the compute phase and
         # becomes its own overlapped lane (it still bounds the period —
         # a lane slower than every exchange would become the bottleneck).

@@ -186,17 +186,12 @@ class HybridClient(DissentClient):
         server could check.)
         """
         upstream = self.definition.upstream_server(self.index)
-        fetch = (
-            self.prefetcher.pair_stream
-            if self.prefetcher is not None
-            else prng.pair_stream
-        )
         return pad_commitment_digest(
             self.group_id,
             round_number,
             self.index,
             upstream,
-            fetch(self.secrets[upstream], round_number, length),
+            prng.pair_stream(self.secrets[upstream], round_number, length),
         )
 
     def replay_submission(

@@ -622,7 +622,7 @@ class TestHelloBackendHandshake:
             sender,
             "hello",
             0,
-            pack_fields(group.name, group.element_bytes),
+            pack_fields(group.name, group.element_bytes, b"", 0, 0),
         )
 
     def test_mismatched_backend_fails_fast_with_typed_error(self):
@@ -656,6 +656,50 @@ class TestHelloBackendHandshake:
             assert "server-0" in hub.transports
             await theirs.aclose()
             await task
+
+        asyncio.run(scenario())
+
+    def test_parse_hello_takes_exactly_the_node_form(self):
+        from repro.net.runner import _Hub
+        from repro.util.serialization import pack_fields
+
+        announced = ("ec25519", 32, b"sid", 3, 4)
+        assert _Hub._parse_hello(pack_fields(*announced)) == announced
+        for fields in (
+            announced[:2],
+            announced + (5,),
+            (32, "ec25519", b"sid", 3, 4),
+            ("ec25519", 32, "sid", 3, 4),
+        ):
+            assert _Hub._parse_hello(pack_fields(*fields)) is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"", b"\xff\x00", "short-form"],
+        ids=["empty", "unparseable", "two-field"],
+    )
+    def test_malformed_hello_never_registers(self, body):
+        """A hello that skips the backend check is no hello at all."""
+        from repro.net.runner import _Hub
+        from repro.net.transport import loopback_pair
+        from repro.net.wire import encode_routed
+        from repro.util.serialization import pack_fields
+
+        group = ec_group()
+        if body == "short-form":
+            body = pack_fields(group.name, group.element_bytes)
+
+        async def scenario():
+            hub = _Hub(group=group)
+            hub.expect(["server-0"])
+            ours, theirs = loopback_pair()
+            task = asyncio.ensure_future(hub.attach(ours))
+            await theirs.send(encode_routed("coord", "server-0", "hello", 0, body))
+            # The hub hangs up instead of serving the link.
+            await asyncio.wait_for(task, timeout=5.0)
+            assert "server-0" not in hub.transports
+            assert "server-0" not in hub.links
+            await theirs.aclose()
 
         asyncio.run(scenario())
 

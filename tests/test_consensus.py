@@ -24,6 +24,7 @@ from repro.consensus import (
     RoundCertificate,
     leader_index,
     output_body_digest,
+    proposal_view_digest,
     quorum_size,
     rotation_base,
 )
@@ -36,9 +37,12 @@ from repro.core.adversary import (
 from repro.core.config import Policy
 from repro.core.session import DissentSession, build_keys
 from repro.crypto import padding, schnorr
+from repro.crypto.groups import group_by_name
+from repro.crypto.keys import PrivateKey
 from repro.errors import ConfigError, InvalidProof, InvalidSignature, ProtocolError
 from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, make_envelope
 from repro.net.runner import NetworkedSession
+from repro.net.wire import encode_consensus_body
 from repro.persist import read_audit_log
 from repro.persist.codec import (
     decode_certificate,
@@ -46,6 +50,7 @@ from repro.persist.codec import (
     encode_certificate,
     encode_equivocation_proof,
 )
+from repro.util.serialization import pack_fields
 from tests.helpers import crypto_counters, global_counters
 from tests.test_networked_session import build_matched_inprocess
 
@@ -475,6 +480,44 @@ class TestCertificateCodec:
             )
         with pytest.raises(InvalidProof):
             RoundCertificate.from_wire(definition.group, b"garbage")
+
+
+def consensus_envelope(msg_type, body):
+    key = PrivateKey.generate(group_by_name("test-256"), random.Random(7))
+    return make_envelope(key, msg_type, "server-0", b"gid", 3, body)
+
+
+class TestConsensusBody:
+    DIGEST = bytes(range(32))
+
+    def test_bytes_are_pinned(self):
+        # Every vote signature covers these bytes: a change here
+        # invalidates every stored certificate.
+        assert encode_consensus_body(2, self.DIGEST).hex() == (
+            "4900000001024200000020"
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+        )
+
+    @pytest.mark.parametrize("msg_type", [LEADER_PROPOSE, SERVER_VOTE])
+    def test_one_codec_for_proposals_and_votes(self, msg_type):
+        body = encode_consensus_body(5, self.DIGEST)
+        envelope = consensus_envelope(msg_type, body)
+        assert proposal_view_digest(envelope) == (5, self.DIGEST)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xff",
+            pack_fields(5),
+            pack_fields(5, DIGEST, 6),
+            pack_fields("5", DIGEST),
+            pack_fields(5, DIGEST[:31]),
+        ],
+        ids=["unparseable", "one-field", "three-field", "text-view", "short-digest"],
+    )
+    def test_malformed_bodies_rejected(self, body):
+        with pytest.raises(ProtocolError, match="consensus"):
+            proposal_view_digest(consensus_envelope(SERVER_VOTE, body))
 
 
 class TestEquivocationProof:

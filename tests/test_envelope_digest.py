@@ -32,7 +32,6 @@ from repro.consensus.certificate import (
     RoundCertificate,
     find_invalid_votes,
     output_body_digest,
-    vote_body,
 )
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
@@ -185,7 +184,7 @@ class TestForgeryMatrix:
                 definition.server_name(j),
                 definition.group_id(),
                 6,
-                vote_body(0, d),
+                wire.encode_consensus_body(0, d),
             ).signature
 
         honest = RoundCertificate(6, 0, 0, digest, tuple((j, vote(j, digest)) for j in range(3)))
@@ -471,7 +470,7 @@ class TestViewPathTotality:
                 asyncio.ensure_future(hub.attach(ours)),
                 asyncio.ensure_future(hub.attach(sink_ours)),
             ]
-            hello = pack_fields(group.name, group.element_bytes)
+            hello = pack_fields(group.name, group.element_bytes, b"", 0, 0)
             await theirs.send(wire.encode_routed(COORDINATOR, "server-1", K_HELLO, 0, hello))
             await sink_theirs.send(
                 wire.encode_routed(COORDINATOR, "client-0", K_HELLO, 0, hello)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import GroupDefinition, Policy
 from repro.core.session import DissentSession
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.net.runner import COORDINATOR, NetworkedSession, dedupe_telemetry_replies
 from repro.obs.critical import (
     assemble_traces,
@@ -147,9 +147,16 @@ class TestTelemetryDedup:
         ]
         assert len(dedupe_telemetry_replies(replies)) == 2
 
-    def test_legacy_bare_snapshots_pass_through(self):
-        bare = {"counters": {"c": 2}, "gauges": {}, "histograms": {}}
-        assert dedupe_telemetry_replies([bare, bare]) == [bare, bare]
+    @pytest.mark.parametrize("missing", [None, "node", "generation", "snapshot"])
+    def test_unwrapped_replies_rejected(self, missing):
+        snap = {"counters": {"c": 2}, "gauges": {}, "histograms": {}}
+        reply = {"node": "server-0", "generation": 0, "snapshot": snap}
+        if missing is None:
+            reply = snap  # a bare snapshot
+        else:
+            del reply[missing]
+        with pytest.raises(ProtocolError, match="telemetry reply"):
+            dedupe_telemetry_replies([reply])
 
     def test_restarted_node_generation_bumps_in_health(self, tmp_path):
         with NetworkedSession.build(

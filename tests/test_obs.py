@@ -2,8 +2,8 @@
 
 Covers the ISSUE-mandated invariants: histogram bucket-edge semantics
 and cross-process merge, deterministic span logs under a fake clock,
-read-through compatibility of the migrated PadPrefetcher / VerdictCounters
-counters, and bit-identical session outputs with tracing on vs off.
+read-through compatibility of the migrated VerdictCounters counters, and
+bit-identical session outputs with tracing on vs off.
 """
 
 import json
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.core.session import DissentSession
-from repro.crypto.prng import PadPrefetcher
 from repro.obs import (
     LATENCY_EDGES_S,
     NULL_REGISTRY,
@@ -302,21 +301,6 @@ class TestReportCli:
 
 
 class TestCounterMigration:
-    def test_pad_prefetcher_read_through(self):
-        registry = MetricsRegistry()
-        fetcher = PadPrefetcher(registry=registry)
-        assert fetcher.hits == 0 and fetcher.misses == 0
-        assert fetcher.prefetched == 0
-        snap = registry.snapshot()
-        assert "prng.pads.hits" in snap["counters"]
-        assert "prng.pads.misses" in snap["counters"]
-        assert "prng.pads.prefetched" in snap["counters"]
-
-    def test_pad_prefetcher_counts_without_registry(self):
-        # No registry: a private one keeps stats() working as before.
-        fetcher = PadPrefetcher()
-        assert fetcher.stats()["hits"] == 0
-
     def test_verdict_counters_read_through_and_increment(self):
         registry = MetricsRegistry()
         counters = VerdictCounters(registry=registry)

@@ -7,25 +7,34 @@ observable — certified outputs byte for byte, signatures, round records,
 delivered messages, accusation verdicts, expulsions, client queues — is
 identical, quorum certificates included.  Drains (schedule changes, disruption, §3.7 failures,
 accusation shuffles) are exercised *mid-window* so speculation rollback
-is covered, not just the happy path.
+is covered, not just the happy path.  Drain counts are read from the
+session's metrics registry.
 """
 
+import collections
 import random
 
 import pytest
 
-from repro.core import DissentSession, PhaseLatency, PipelinedSession, Policy
+from repro.core import DissentSession, PipelinedSession, Policy
 from repro.core.adversary import DisruptorClient, StallingLeader
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
+from repro.crypto import prng
 from repro.errors import ProtocolError
 
 WINDOWS = (1, 2, 4, 8)
 
 
 def _clean_session(
-    seed=11, num_servers=3, num_clients=6, policy=None, messages=4, stalling=None
+    seed=11,
+    num_servers=3,
+    num_clients=6,
+    policy=None,
+    messages=4,
+    stalling=None,
+    telemetry=False,
 ):
     def server_factory(definition, index, key, rng):
         cls = StallingLeader if index == stalling else DissentServer
@@ -37,6 +46,7 @@ def _clean_session(
         seed=seed,
         policy=policy,
         server_factory=server_factory,
+        telemetry=telemetry,
     )
     session.setup()
     for i in range(num_clients):
@@ -45,7 +55,7 @@ def _clean_session(
     return session
 
 
-def _disruptor_session(seed=11, victim=2, disruptor=4):
+def _disruptor_session(seed=11, victim=2, disruptor=4, telemetry=False):
     rng = random.Random(seed)
     built = build_keys("test-256", 3, 5, None, rng)
     servers = [
@@ -57,10 +67,17 @@ def _disruptor_session(seed=11, victim=2, disruptor=4):
         cls = DisruptorClient if i == disruptor else DissentClient
         clients.append(cls(built.definition, i, key, random.Random(100 + i)))
     session = DissentSession(built.definition, servers, clients, rng)
+    if telemetry:
+        session.enable_telemetry()
     session.setup()
     session.clients[disruptor].target_slot = session.clients[victim].slot
     session.post(victim, b"the dissident message")
     return session
+
+
+def _count(session, name):
+    """A counter from the session's registry (0 if never bumped)."""
+    return session.registry.snapshot()["counters"].get(name, 0)
 
 
 def _assert_identical(lock, lock_records, pipe_session, pipe_records):
@@ -93,14 +110,14 @@ class TestBitIdenticalOutputs:
     def test_clean_traffic_all_windows(self, window):
         lock = _clean_session()
         lock_records = lock.run_rounds(10)
-        pipe_session = _clean_session()
+        pipe_session = _clean_session(telemetry=True)
         pipe = PipelinedSession(pipe_session, window=window)
         pipe_records = pipe.run_rounds(10)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         # Slots open at round 1 and drain when queues empty: the window
         # sizes above must have seen at least one schedule-change drain.
         if window > 1:
-            assert pipe.counters.drains >= 1
+            assert _count(pipe_session, "pipeline.drains") >= 1
 
     def test_stalling_leader_view_changes_identical(self):
         """The view change runs inside the pipeline exactly as in lockstep:
@@ -116,21 +133,38 @@ class TestBitIdenticalOutputs:
             record.certificate.verify(pipe_session.definition)
             assert record.certificate.leader != 1
 
-    @pytest.mark.parametrize("window", (2, 4))
-    def test_without_prefetcher_still_identical(self, window):
-        lock = _clean_session(seed=23)
-        lock_records = lock.run_rounds(6)
-        pipe_session = _clean_session(seed=23)
-        pipe = PipelinedSession(pipe_session, window=window, prefetch=False)
-        pipe_records = pipe.run_rounds(6)
-        _assert_identical(lock, lock_records, pipe_session, pipe_records)
 
-    def test_prefetcher_serves_every_critical_path_fetch(self):
-        pipe_session = _clean_session(seed=31)
-        pipe = PipelinedSession(pipe_session, window=4)
-        pipe.run_rounds(6)
-        assert pipe.prefetcher.misses == 0
-        assert pipe.prefetcher.hits > 0
+class TestPadWork:
+    @pytest.mark.parametrize(
+        "window", (None, *WINDOWS), ids=("lockstep", *(f"W{w}" for w in WINDOWS))
+    )
+    def test_every_endpoint_squeezes_its_own_pads(self, window, monkeypatch):
+        """2·N·M pair pads a round on every driver: each client derives its
+        M pads and each server its N, as on separate machines; a window
+        overlaps rounds, it never shares one endpoint's pad with the other."""
+        num_clients, num_servers = 6, 3
+        session = _clean_session(
+            num_clients=num_clients,
+            num_servers=num_servers,
+            messages=0,
+            telemetry=True,
+        )
+        squeezes = collections.Counter()
+        pair_stream = prng.pair_stream
+
+        def counting(secret, round_number, length):
+            squeezes[round_number] += 1
+            return pair_stream(secret, round_number, length)
+
+        monkeypatch.setattr(prng, "pair_stream", counting)
+        first = session.round_number
+        if window is None:
+            session.run_rounds(8)
+        else:
+            PipelinedSession(session, window=window).run_rounds(8)
+        assert _count(session, "pipeline.drains") == 0
+        per_round = 2 * num_clients * num_servers
+        assert squeezes == {r: per_round for r in range(first, first + 8)}
 
 
 class TestDisruptionMidPipeline:
@@ -141,21 +175,20 @@ class TestDisruptionMidPipeline:
         lock_records = lock.run_rounds(12)
         assert lock.expelled == {4}  # the lockstep baseline convicts
 
-        pipe_session = _disruptor_session()
+        pipe_session = _disruptor_session(telemetry=True)
         pipe = PipelinedSession(pipe_session, window=window)
         pipe_records = pipe.run_rounds(12)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
-        assert pipe.counters.drains >= 1
+        assert _count(pipe_session, "pipeline.drains") >= 1
         # Disruption detection state must match too (the victim saw it).
         for lc, pc in zip(lock.clients, pipe_session.clients):
             assert lc.disruption_detected == pc.disruption_detected
             assert (lc.pending_accusation is None) == (pc.pending_accusation is None)
 
     def test_speculative_rounds_discarded_on_drain(self):
-        pipe_session = _disruptor_session()
-        pipe = PipelinedSession(pipe_session, window=4)
-        pipe.run_rounds(12)
-        assert pipe.counters.speculative_rounds_discarded >= 1
+        pipe_session = _disruptor_session(telemetry=True)
+        PipelinedSession(pipe_session, window=4).run_rounds(12)
+        assert _count(pipe_session, "pipeline.rounds_discarded") >= 1
 
 
 class TestChurnAndFailure:
@@ -181,12 +214,12 @@ class TestChurnAndFailure:
         assert any(not r.completed for r in lock_records)  # the floor fired
 
         pipe_session = _clean_session(
-            seed=21, num_clients=8, policy=policy, messages=1
+            seed=21, num_clients=8, policy=policy, messages=1, telemetry=True
         )
         pipe = PipelinedSession(pipe_session, window=window)
         pipe_records = pipe.run_schedule(plan)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
-        assert pipe.counters.rounds_failed == sum(
+        assert _count(pipe_session, "session.rounds_failed") == sum(
             1 for r in lock_records if not r.completed
         )
 
@@ -220,59 +253,6 @@ class TestChurnAndFailure:
         pipe = PipelinedSession(pipe_session, window=window)
         pipe_records = pipe.run_schedule(plan)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
-
-
-class TestVirtualClock:
-    def test_lockstep_window_pays_the_sum(self):
-        latency = PhaseLatency.uniform(0.01)
-        session = _clean_session(seed=51, messages=0)
-        pipe = PipelinedSession(session, window=1, latency=latency)
-        pipe.run_rounds(5)
-        assert pipe.virtual_elapsed == pytest.approx(5 * latency.total)
-
-    def test_deep_window_approaches_the_max_phase(self):
-        latency = PhaseLatency.uniform(0.01)
-        session = _clean_session(seed=51, messages=0)
-        pipe = PipelinedSession(session, window=8, latency=latency)
-        pipe.run_rounds(12)
-        # All-silent rounds never change the schedule: zero drains, so the
-        # steady-state period is one phase latency per round (plus the
-        # first round's fill).
-        assert pipe.counters.drains == 0
-        expected = latency.total + 11 * 0.01
-        assert pipe.virtual_elapsed == pytest.approx(expected)
-
-    def test_four_rounds_in_flight_at_least_double_lockstep_throughput(self):
-        """Measured: 12 rounds take 1.68 s lockstep, 0.78 s at W = 4 (2.15x).
-
-        LAN-like exchange latencies with the submission window slowest:
-        lockstep pays the 140 ms sum every round, a deep pipeline
-        approaches the 40 ms maximum.  Pads are derived ahead of need, so
-        no round squeezes SHAKE between submission and certified output.
-        """
-        # submit, inventory, commit, reveal, certify, output
-        latency = PhaseLatency(0.040, 0.015, 0.015, 0.025, 0.015, 0.030)
-
-        def run(window):
-            session = _clean_session(seed=5, messages=12)
-            pipe = PipelinedSession(session, window=window, latency=latency)
-            return pipe, [r.output.cleartext for r in pipe.run_rounds(12)]
-
-        lockstep, reference = run(1)
-        pipelined, cleartexts = run(4)
-        assert cleartexts == reference
-        assert lockstep.virtual_elapsed == pytest.approx(12 * latency.total)
-        assert pipelined.virtual_elapsed <= lockstep.virtual_elapsed / 2
-        assert pipelined.prefetcher.hit_rate == 1.0
-
-    def test_drain_resets_the_pipeline_clock(self):
-        latency = PhaseLatency.uniform(0.01)
-        lock_like = _clean_session(seed=52)
-        pipe = PipelinedSession(lock_like, window=4, latency=latency)
-        pipe.run_rounds(6)
-        assert pipe.counters.drains >= 1
-        # Clock must stay monotonic and beyond one lockstep round.
-        assert pipe.virtual_elapsed > latency.total
 
 
 class TestEngineGuards:
@@ -309,14 +289,22 @@ class TestEngineGuards:
         with pytest.raises(ProtocolError):
             server.open_round(1)  # out of order
 
-    def test_detach_restores_lockstep_configuration(self):
-        session = _clean_session(seed=55)
-        pipe = PipelinedSession(session, window=4)
-        pipe.run_rounds(3)
-        pipe.detach()
+    def test_servers_hold_one_round_by_default(self):
+        """Lockstep servers refuse a second round-begin until the first ends."""
+        session = _clean_session(seed=56)
         assert all(s.max_rounds_in_flight == 1 for s in session.servers)
-        assert all(c.prefetcher is None for c in session.clients)
-        session.run_rounds(2)  # lockstep continues where the pipeline left off
+        server = session.servers[0]
+        server.open_round(0)
+        with pytest.raises(ProtocolError):
+            server.open_round(1)
+
+    def test_lockstep_continues_where_the_pipeline_left_off(self):
+        lock = _clean_session(seed=55)
+        lock_records = lock.run_rounds(5)
+        pipe_session = _clean_session(seed=55)
+        pipe_records = PipelinedSession(pipe_session, window=4).run_rounds(3)
+        pipe_records += pipe_session.run_rounds(2)
+        _assert_identical(lock, lock_records, pipe_session, pipe_records)
 
 
 class TestArchiveBounds:

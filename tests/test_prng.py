@@ -137,65 +137,3 @@ class TestCacheHygiene:
         assert not prng._pair_states
         assert prng.pair_stream(s, 1, 32) == before  # re-derives identically
 
-
-class TestPadPrefetcher:
-    def test_byte_identical_to_pair_stream(self):
-        fetcher = prng.PadPrefetcher(window=4)
-        secrets = [bytes([i]) * 32 for i in range(3)]
-        fetcher.prefetch(secrets, 0, 96)
-        for r in range(6):  # rounds 4/5 never prefetched: miss path
-            for s in secrets:
-                assert fetcher.pair_stream(s, r, 96) == prng.pair_stream(s, r, 96)
-
-    def test_longer_cached_pad_serves_shorter_request(self):
-        fetcher = prng.PadPrefetcher()
-        s = b"\x07" * 32
-        fetcher.prefetch([s], 1, 256, rounds=1)
-        assert fetcher.pair_stream(s, 1, 64) == prng.pair_stream(s, 1, 64)
-        assert fetcher.hits == 1 and fetcher.misses == 0
-
-    def test_shorter_cached_pad_rederives(self):
-        fetcher = prng.PadPrefetcher()
-        s = b"\x07" * 32
-        fetcher.prefetch([s], 1, 16, rounds=1)
-        assert fetcher.pair_stream(s, 1, 64) == prng.pair_stream(s, 1, 64)
-        assert fetcher.misses == 1
-
-    def test_hit_miss_and_prefetch_counters(self):
-        fetcher = prng.PadPrefetcher(window=2)
-        secrets = [b"\x01" * 32, b"\x02" * 32]
-        assert fetcher.prefetch(secrets, 0, 32) == 4  # 2 secrets x 2 rounds
-        assert fetcher.prefetch(secrets, 0, 32) == 0  # already cached
-        fetcher.pair_stream(secrets[0], 0, 32)
-        fetcher.pair_stream(secrets[0], 9, 32)
-        assert (fetcher.hits, fetcher.misses, fetcher.prefetched) == (1, 1, 4)
-        assert fetcher.hit_rate == 0.5
-
-    def test_bounded_cache_evicts_lru(self):
-        fetcher = prng.PadPrefetcher(window=1, max_entries=2)
-        secrets = [bytes([i]) * 32 for i in range(3)]
-        fetcher.prefetch(secrets, 0, 16)
-        # Only two entries survive; the oldest secret was evicted but the
-        # stream it serves is still byte-identical (re-derived).
-        assert len(fetcher._pads) == 2
-        assert fetcher.pair_stream(secrets[0], 0, 16) == prng.pair_stream(
-            secrets[0], 0, 16
-        )
-
-    def test_discard_before_drops_completed_rounds(self):
-        fetcher = prng.PadPrefetcher(window=4)
-        fetcher.prefetch([b"\x05" * 32], 0, 16)
-        fetcher.discard_before(2)
-        assert sorted(r for _, r in fetcher._pads) == [2, 3]
-
-    def test_clear_drops_everything(self):
-        fetcher = prng.PadPrefetcher()
-        fetcher.prefetch([b"\x05" * 32], 0, 16)
-        fetcher.clear()
-        assert len(fetcher._pads) == 0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            prng.PadPrefetcher(window=0)
-        with pytest.raises(ValueError):
-            prng.PadPrefetcher(max_entries=0)

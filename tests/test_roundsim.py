@@ -68,6 +68,36 @@ class TestCostModel:
         assert slow.sign_seconds == pytest.approx(2 * DEFAULT_COST_MODEL.sign_seconds)
 
 
+class TestPipelinePeriod:
+    """``CostModel.pipeline_period``: the one model of round overlap."""
+
+    # submit, inventory, commit, reveal, certify, output: LAN-like
+    # exchanges with the submission window slowest.
+    PHASES = (0.040, 0.015, 0.015, 0.025, 0.015, 0.030)
+
+    def test_lockstep_pays_the_sum(self):
+        period = DEFAULT_COST_MODEL.pipeline_period(self.PHASES, 1)
+        assert period == pytest.approx(sum(self.PHASES))
+
+    def test_shallow_window_is_issue_limited(self):
+        period = DEFAULT_COST_MODEL.pipeline_period(self.PHASES, 2)
+        assert period == pytest.approx(sum(self.PHASES) / 2)
+
+    def test_deep_window_approaches_the_slowest_phase(self):
+        for depth in (8, 64):
+            period = DEFAULT_COST_MODEL.pipeline_period(self.PHASES, depth)
+            assert period == pytest.approx(max(self.PHASES))
+
+    def test_four_rounds_in_flight_at_least_double_lockstep_throughput(self):
+        lockstep = DEFAULT_COST_MODEL.pipeline_period(self.PHASES, 1)
+        pipelined = DEFAULT_COST_MODEL.pipeline_period(self.PHASES, 4)
+        assert pipelined <= lockstep / 2
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            DEFAULT_COST_MODEL.pipeline_period(self.PHASES, 0)
+
+
 class TestSimulateRound:
     def _config(self, n=100, m=8, workload=None, **kwargs):
         return RoundSimConfig(
