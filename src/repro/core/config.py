@@ -21,7 +21,7 @@ from repro.crypto.groups import (
 )
 from repro.crypto.hashing import group_definition_id
 from repro.crypto.keys import PublicKey
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CryptoError
 from repro.util.serialization import canonical_json
 
 #: Backend/group registry — one shared table in :mod:`repro.crypto.groups`;
@@ -32,6 +32,11 @@ _GROUP_NAMES = GROUP_FACTORIES
 #: Values ``Policy.group_backend`` accepts: any registered backend name,
 #: or ``"auto"`` to defer to DISSENT_GROUP_BACKEND / the built-in default.
 GROUP_BACKENDS = frozenset(GROUP_FACTORIES) | {"auto"}
+
+#: Version of :meth:`GroupDefinition.canonical_bytes`.  2: the policy lost
+#: its cut-and-choose soundness knob when the shuffle's proof stopped
+#: taking one, so a version-1 policy would be refused for an unknown key.
+DEFINITION_VERSION = 2
 
 #: DC-net operating modes a group policy may select (see Policy.dcnet_mode).
 DCNET_MODES = frozenset({"xor", "verifiable", "hybrid"})
@@ -73,8 +78,6 @@ class Policy:
             policy chosen in the paper).
         hard_deadline: seconds after which a round closes regardless (120 s
             in the paper's trace experiment).
-        shuffle_soundness_bits: cut-and-choose soundness for the verifiable
-            shuffle.
         archive_rounds: how many past rounds servers retain for accusation
             tracing.
         dcnet_mode: which DC-net pipeline the group runs (Verdict's three
@@ -129,7 +132,6 @@ class Policy:
     window_fraction: float = 0.95
     window_multiplier: float = 1.1
     hard_deadline: float = 120.0
-    shuffle_soundness_bits: int = 16
     archive_rounds: int = 8
     dcnet_mode: str = "xor"
     group_backend: str = "auto"
@@ -159,8 +161,6 @@ class Policy:
             raise ConfigError("window_multiplier must be >= 1")
         if self.hard_deadline <= 0:
             raise ConfigError("hard_deadline must be positive")
-        if self.shuffle_soundness_bits < 1:
-            raise ConfigError("shuffle_soundness_bits must be positive")
         if self.archive_rounds < 1:
             raise ConfigError("archive_rounds must be positive")
         if self.dcnet_mode not in DCNET_MODES:
@@ -198,7 +198,6 @@ class Policy:
             "window_fraction": self.window_fraction,
             "window_multiplier": self.window_multiplier,
             "hard_deadline": self.hard_deadline,
-            "shuffle_soundness_bits": self.shuffle_soundness_bits,
             "archive_rounds": self.archive_rounds,
             "dcnet_mode": self.dcnet_mode,
             "group_backend": self.group_backend,
@@ -225,7 +224,16 @@ class Policy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Policy":
-        return cls(**data)
+        """Parse :meth:`to_dict` output; any malformed input is a ConfigError.
+
+        A missing field takes its default; an unknown one is refused.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("policy must be a JSON object")
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigError(f"malformed policy: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -320,7 +328,7 @@ class GroupDefinition:
         """Deterministic encoding whose hash is the group identifier."""
         return canonical_json(
             {
-                "version": 1,
+                "version": DEFINITION_VERSION,
                 "group": self.group_name,
                 "servers": [key.to_bytes().hex() for key in self.server_keys],
                 "clients": [key.to_bytes().hex() for key in self.client_keys],
@@ -353,19 +361,23 @@ class GroupDefinition:
             obj = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"unparseable group definition: {exc}") from exc
-        if obj.get("version") != 1:
+        if not isinstance(obj, dict):
+            raise ConfigError("group definition must be a JSON object")
+        if obj.get("version") != DEFINITION_VERSION:
             raise ConfigError("unsupported group definition version")
-        group_name = obj["group"]
-        if group_name not in _GROUP_NAMES:
-            raise ConfigError(f"unknown group {group_name!r}")
-        group = _GROUP_NAMES[group_name]()
-        servers = tuple(
-            PublicKey.from_bytes(group, bytes.fromhex(h)) for h in obj["servers"]
-        )
-        clients = tuple(
-            PublicKey.from_bytes(group, bytes.fromhex(h)) for h in obj["clients"]
-        )
-        return cls(group_name, servers, clients, Policy.from_dict(obj["policy"]))
+        try:
+            group_name = obj["group"]
+            if group_name not in _GROUP_NAMES:
+                raise ConfigError(f"unknown group {group_name!r}")
+            group = _GROUP_NAMES[group_name]()
+            servers, clients = (
+                tuple(PublicKey.from_bytes(group, bytes.fromhex(h)) for h in obj[role])
+                for role in ("servers", "clients")
+            )
+            policy = Policy.from_dict(obj["policy"])
+        except (KeyError, TypeError, ValueError, CryptoError) as exc:
+            raise ConfigError(f"malformed group definition: {exc!r}") from exc
+        return cls(group_name, servers, clients, policy)
 
 
 def make_group_definition(

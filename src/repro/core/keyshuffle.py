@@ -25,7 +25,7 @@ from repro.crypto.groups import Group, hot_bases_within_budget
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.schnorr import Signature, sign as schnorr_sign
 from repro.crypto.shuffle import CipherVector, ShuffleTranscript
-from repro.errors import ShuffleError
+from repro.errors import CryptoError, ShuffleError
 from repro.net.message import (
     SHUFFLE_SUBMISSION,
     SignedEnvelope,
@@ -256,19 +256,10 @@ def run_key_shuffle(
     if len(submissions) == 0:
         raise ShuffleError("key shuffle needs at least one submission")
     transcript = shuffle.run_cascade(
-        list(shuffle_privates),
-        list(submissions),
-        soundness_bits=definition.policy.shuffle_soundness_bits,
-        context=context,
-        rng=rng,
+        list(shuffle_privates), list(submissions), context=context, rng=rng
     )
     publics = [key.public for key in shuffle_privates]
-    if not shuffle.verify_transcript(
-        publics,
-        transcript,
-        context=context,
-        soundness_bits=definition.policy.shuffle_soundness_bits,
-    ):
+    if not shuffle.verify_transcript(publics, transcript, context=context):
         raise ShuffleError("key shuffle transcript failed verification")
     elements = transcript.outputs(definition.group)
     return KeyShuffleResult(slot_elements=tuple(elements), transcript=transcript)
@@ -293,38 +284,20 @@ def run_message_shuffle(
 
     Undecodable outputs (a malformed submission) come back as empty
     messages rather than aborting the whole shuffle — one bad client must
-    not suppress everyone else's accusations.
-
-    Unlike the key shuffle, this cascade still re-randomizes on the generic
-    ladders (``fixed_base=False``), which is what it cost before PR 15.
-    The table walk publishes the same bytes in about 40% of the time, but
-    it takes time-to-blame under the 10 s window of the repo's
-    ``blame-recover-inproc-12`` benchmark, whose throughput then counts
-    "restore cycles that fit in the rest" and spreads too widely for the
-    benchmark gate to resolve.  Drop the argument once that workload has a
-    fixed-work window (ROADMAP "Spend the budget").
+    not suppress everyone else's accusations.  Only a decoding failure
+    reads that way; any other exception is a bug and propagates.
     """
     transcript = shuffle.run_cascade(
-        list(shuffle_privates),
-        list(submissions),
-        soundness_bits=definition.policy.shuffle_soundness_bits,
-        context=context,
-        rng=rng,
-        fixed_base=False,
+        list(shuffle_privates), list(submissions), context=context, rng=rng
     )
     publics = [key.public for key in shuffle_privates]
-    if not shuffle.verify_transcript(
-        publics,
-        transcript,
-        context=context,
-        soundness_bits=definition.policy.shuffle_soundness_bits,
-    ):
+    if not shuffle.verify_transcript(publics, transcript, context=context):
         raise ShuffleError("message shuffle transcript failed verification")
     group = definition.group
     messages: list[bytes] = []
     for vector in transcript.output_vectors(group):
         try:
             messages.append(shuffle.decode_message_output(group, vector))
-        except Exception:
+        except (ShuffleError, CryptoError):
             messages.append(b"")
     return MessageShuffleResult(messages=tuple(messages), transcript=transcript)

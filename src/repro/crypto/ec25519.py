@@ -73,6 +73,7 @@ from collections.abc import Collection, Iterable
 from functools import lru_cache
 
 from repro.crypto.groups import Group, _multiexp_window
+from repro.crypto.hashing import sha256
 from repro.errors import CryptoError
 
 # -- field and curve constants (derived, not transcribed) -----------------
@@ -731,6 +732,19 @@ class RistrettoGroup(Group):
         if not raw or raw[0] != 0x01:
             raise CryptoError("element does not carry an embedded message")
         return raw[1:]
+
+    def hash_to_element(self, label: bytes) -> int:
+        """Try-and-increment: decode SHA-256 candidates, sign and top bit
+        of the field value cleared, until one is a point (about half are)."""
+        for counter in range(256):
+            digest = sha256(b"dissent.hash-to-element.v1", label, bytes([counter]))
+            data = bytearray(digest)
+            data[0] &= 0xFE
+            data[31] &= 0x7F
+            candidate = int.from_bytes(data, "big")
+            if candidate and self.is_element(candidate):
+                return candidate
+        raise CryptoError("hash to element found no candidate")
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,7 @@ ciphertexts so input/output pairs cannot be linked by inspection.
 Every operation here forms each published component as *one*
 ``Group.multiexp`` product: the bases that recur (the generator, the
 roster or combined key) walk their fixed-base tables, and the EC backend
-encodes each component once.  ``rerandomize(..., fixed_base=False)``
-keeps the two generic ladders for callers that ask for them.
+encodes each component once.
 """
 
 from __future__ import annotations
@@ -114,35 +113,21 @@ def final_plaintext(group: Group, ct: Ciphertext) -> int:
 
 
 def rerandomize(
-    key: PublicKey,
-    ct: Ciphertext,
-    r: int | None = None,
-    fixed_base: bool = True,
+    key: PublicKey, ct: Ciphertext, r: int | None = None
 ) -> tuple[Ciphertext, int]:
     """Refresh a ciphertext under (possibly combined) key without decrypting.
 
     Returns the new ciphertext and the randomness used (the shuffle's
-    cut-and-choose argument must be able to reveal it).
+    proof is built from it).
 
     Both exponentiated bases recur — the generator always, the key across
-    every ciphertext of a shuffle step and its bridges — so by default each
-    component is a bare factor plus one fixed-base table walk.
-    ``fixed_base=False`` raises both on the generic ladder instead: the same
-    elements at about four times the work.  Its one caller, and why, is
-    :func:`repro.core.keyshuffle.run_message_shuffle`.
+    every ciphertext of a shuffle step — so each component is a bare
+    factor plus one fixed-base table walk.
     """
     group = key.group
     ct.validate(group)
     if r is None:
         r = group.random_scalar()
-    if not fixed_base:
-        return (
-            Ciphertext(
-                group.mul(ct.a, group.exp(group.g, r)),
-                group.mul(ct.b, group.exp(key.y, r)),
-            ),
-            r,
-        )
     return (
         Ciphertext(
             group.multiexp(((ct.a, 1), (group.g, r))),

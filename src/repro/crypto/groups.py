@@ -131,7 +131,8 @@ class Group:
       batching machinery (duplicate-base merging, Pippenger buckets,
       fixed-base hot-key tables) batched verification is built on;
     * :meth:`encode_message` / :meth:`decode_message` — invertible
-      embedding of short byte strings into elements;
+      embedding of short byte strings into elements; :meth:`hash_to_element`
+      — an element nobody knows the discrete log of;
     * ``hot_batch_max`` — the largest batch of signatures under fixed-base
       keys that costs no more checked one equation at a time than as one
       random-linear-combination product (``math.inf``: every size).  A
@@ -253,6 +254,11 @@ class Group:
 
     def decode_message(self, element: int) -> bytes:
         """Invert :meth:`encode_message`."""
+        raise NotImplementedError
+
+    def hash_to_element(self, label: bytes) -> int:
+        """An element hashed from ``label``: never the identity, never
+        computed as a power of ``g`` (a Pedersen commitment generator)."""
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------
@@ -551,6 +557,17 @@ class SchnorrGroup(Group):
         if not raw or raw[0] != 0x01:
             raise CryptoError("element does not carry an embedded message")
         return raw[1:]
+
+    def hash_to_element(self, label: bytes) -> int:
+        """The cofactor power ``H(label)**((p-1)/q)`` of a hashed residue."""
+        for counter in range(256):
+            hashed = challenge_scalar(
+                self.p, b"dissent.hash-to-element.v1", label, bytes([counter])
+            )
+            element = pow(hashed, (self.p - 1) // self.q, self.p)
+            if element > 1:  # 0, 1 and p - 1 land on 0 or the identity
+                return element
+        raise CryptoError("hash to element found no candidate")
 
 
 @lru_cache(maxsize=None)

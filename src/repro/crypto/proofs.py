@@ -137,15 +137,17 @@ def _dleq_challenge(
 
 
 def prove_dleq(
-    group: Group, x: int, h: int, context: bytes = b""
+    group: Group, x: int, h: int, context: bytes = b"", v: int | None = None
 ) -> DleqProof:
     """Prove ``log_g(g**x) == log_h(h**x)`` for a second base ``h``.
 
     The prover knows ``x``; the verifier sees ``u = g**x`` and ``v = h**x``.
+    A caller that already raised ``h`` to ``x`` passes it as ``v``.
     """
     group.require_element(h, "DLEQ base h")
     u = group.exp_g(x)
-    v = group.exp(h, x)
+    if v is None:
+        v = group.exp(h, x)
     k = group.random_scalar()
     t1 = group.exp_g(k)
     t2 = group.exp(h, k)

@@ -8,16 +8,32 @@ implementation details, so many shuffle algorithms should be usable".
 
 We implement a mix cascade with per-server verifiability:
 
-1. **Permute + re-randomize.**  Server j draws a secret permutation pi and
-   re-randomizes every input under the *remaining* combined key (its own
-   and all later servers').  Correctness is attested by a cut-and-choose
-   argument: ``lam`` independent bridge shuffles are published, and a
-   Fiat-Shamir challenge bit per bridge opens either the input→bridge link
-   or the bridge→output link — never both, so pi stays secret, while a
-   cheating server survives with probability at most ``2**-lam``.
+1. **Permute + re-randomize.**  Server j draws a secret permutation psi,
+   re-randomizes every input once under the *remaining* combined key (its
+   own and all later servers') and proves it with the Terelius–Wikström
+   proof of shuffle (Terelius and Wikström, "Proofs of Restricted
+   Shuffles", AFRICACRYPT 2010), as GenShuffleProof / CheckShuffleProof of
+   Haenni, Locher, Koenig and Dubuis, "Pseudo-Code Algorithms for
+   Verifiable Re-Encryption Mix-Nets" (FC 2017) write it out: Pedersen
+   commitments ``c_j = g**r_j * h_i`` to the permutation (output i carries
+   input j), a commitment chain from ``h_0`` showing that the committed
+   matrix permutes challenges ``u_j`` hashed from the statement, and one
+   Fiat–Shamir challenge over the chain and every ``t`` tying it to the
+   re-encryption.  Width-W vectors share the one permutation commitment
+   and get one ``(t4, s4)`` pair per component.  A mix that does not know
+   a permutation and re-encryption of its inputs passes with probability
+   about ``N * 2**-128`` (Schwartz–Zippel over the 128-bit ``u_j``) — the
+   cut-and-choose argument this replaced allowed ``2**-16``.
 2. **Strip.**  Server j then removes its ElGamal layer position-wise,
    attaching a Chaum-Pedersen DLEQ proof per ciphertext that the quotient
    ``b/b'`` equals ``a**x_j`` for the server's published key.
+
+A verifier folds every equation of the proof into one
+:meth:`Group.multiexp` with 128-bit random coefficients, and every strip
+proof into a second.  The generators ``h_0 … h_N`` come from
+:meth:`Group.hash_to_element` over a fixed domain and their index, so
+nobody knows a discrete log between them and ``g``; they are derived once
+per :func:`run_cascade` and once per :func:`verify_transcript`.
 
 After the last server, the ``b`` components are bare plaintext elements.
 Anytrust holds: one honest server's unrevealed permutation unlinks inputs
@@ -27,26 +43,25 @@ Shuffle units are **vectors** of ciphertexts so that general messages
 longer than one group element can travel through the mix (the paper's
 "general message shuffle"; §3.10 notes such messages must be embedded in
 group elements, which is why key shuffles — width-1 vectors of bare key
-elements — are the cheap case).
-
-Complexity per server is ``O(lam * N * W)`` exponentiations for N inputs
-of width W — like Neff's shuffle, linear in N with a constant factor set
-by the soundness level.
+elements — are the cheap case).  Per server and N inputs of width W,
+proving is one re-randomization of the N·W inputs, O(N) fixed-base walks
+and 1 + 2W multi-exponentiations over N bases.
 """
 
 from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass, field
-from collections.abc import Sequence
+from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 
 from repro.crypto import elgamal
 from repro.crypto.elgamal import Ciphertext
 from repro.crypto.groups import Group
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import challenge_scalar, sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.proofs import (
+    BATCH_COEFF_BITS,
     DleqProof,
     _batch_coefficient,
     batch_verify_dleq,
@@ -54,35 +69,37 @@ from repro.crypto.proofs import (
 )
 from repro.errors import ShuffleError
 
-#: Statistical soundness parameter: a dishonest mix survives verification
-#: with probability 2**-DEFAULT_SOUNDNESS_BITS.
-DEFAULT_SOUNDNESS_BITS = 16
+_GENERATOR_DOMAIN = b"dissent.shuffle-generator.v1"
+_PROOF_DOMAIN = b"dissent.shuffle-proof.v1"
 
 #: One shuffle unit: a fixed-width tuple of ElGamal ciphertexts.
 CipherVector = tuple[Ciphertext, ...]
 
 
 @dataclass(frozen=True)
-class BridgeReveal:
-    """One opened branch of the cut-and-choose argument.
+class ShuffleProof:
+    """Terelius–Wikström proof that a step's outputs re-encrypt a
+    permutation of its inputs (Haenni et al.'s names).
 
-    ``side`` 0 opens the input→bridge link; 1 opens bridge→output.
-    ``permutation[k]`` is the source index feeding position ``k`` and
-    ``randomness[k][w]`` the re-randomization exponent applied to
-    component ``w`` at position ``k``.
+    ``commitments[j]`` commits to the output position input ``j`` went to,
+    ``chain`` is ``ĉ_1 … ĉ_N``; ``t1``–``t3``, ``t4`` (one pair a vector
+    component: on the ``a`` and the ``b`` side) and ``t_hat`` are the
+    prover's commitments, the ``s`` fields its responses.
     """
 
-    side: int
-    permutation: tuple[int, ...]
-    randomness: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ShuffleArgument:
-    """Cut-and-choose transcript for one permute+re-randomize step."""
-
-    bridges: tuple[tuple[CipherVector, ...], ...]
-    reveals: tuple[BridgeReveal, ...]
+    commitments: tuple[int, ...]
+    chain: tuple[int, ...]
+    t1: int
+    t2: int
+    t3: int
+    t4: tuple[tuple[int, int], ...]
+    t_hat: tuple[int, ...]
+    s1: int
+    s2: int
+    s3: int
+    s4: tuple[int, ...]
+    s_hat: tuple[int, ...]
+    s_prime: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,7 @@ class ShuffleStep:
 
     server_index: int
     permuted: tuple[CipherVector, ...]
-    argument: ShuffleArgument
+    proof: ShuffleProof
     stripped: tuple[CipherVector, ...]
     decryption_proofs: tuple[tuple[DleqProof, ...], ...]
 
@@ -121,15 +138,6 @@ class ShuffleTranscript:
         return [vector[0] for vector in vectors]
 
 
-@dataclass
-class _Bridge:
-    """Prover-side bookkeeping for one bridge shuffle (never published)."""
-
-    vectors: list[CipherVector] = field(default_factory=list)
-    permutation: list[int] = field(default_factory=list)
-    randomness: list[tuple[int, ...]] = field(default_factory=list)
-
-
 def _vector_width(inputs: Sequence[CipherVector]) -> int:
     if not inputs:
         raise ShuffleError("shuffle needs at least one input")
@@ -142,65 +150,130 @@ def _vector_width(inputs: Sequence[CipherVector]) -> int:
     return width
 
 
+def _generators(group: Group, count: int) -> list[int]:
+    """``h_0 … h_(count-1)``: independent generators of unknown discrete log."""
+    return [
+        group.hash_to_element(_GENERATOR_DOMAIN + index.to_bytes(4, "big"))
+        for index in range(count)
+    ]
+
+
 def _hash_vectors(group: Group, vectors: Sequence[CipherVector]) -> bytes:
-    parts = [ct.to_bytes(group) for vector in vectors for ct in vector]
-    return sha256(*parts) if parts else sha256(b"empty")
+    return sha256(*(ct.to_bytes(group) for vector in vectors for ct in vector))
 
 
-def _challenge_bits(
+def _statement(
     group: Group,
     context: bytes,
+    key: PublicKey,
     inputs: Sequence[CipherVector],
     outputs: Sequence[CipherVector],
-    bridges: Sequence[Sequence[CipherVector]],
-) -> list[int]:
-    """Fiat-Shamir challenge: one bit per bridge, bound to the whole step."""
+    commitments: Sequence[int],
+) -> tuple[bytes, list[int]]:
+    """Digest of the statement and the ``u_j`` hashed from it, clamped to
+    ``[1, 2**bits)`` exactly as a batch coefficient is."""
     digest = sha256(
-        b"dissent.shuffle-challenge.v2",
-        context,
+        _PROOF_DOMAIN,
+        sha256(context),
+        key.to_bytes(),
         _hash_vectors(group, inputs),
         _hash_vectors(group, outputs),
-        *(_hash_vectors(group, bridge) for bridge in bridges),
+        sha256(*map(group.element_to_bytes, commitments)),
     )
-    bits: list[int] = []
-    while len(bits) < len(bridges):
-        for byte in digest:
-            for shift in range(8):
-                bits.append((byte >> shift) & 1)
-                if len(bits) == len(bridges):
-                    return bits
-        digest = sha256(digest)
-    return bits
+    bound = (1 << min(BATCH_COEFF_BITS, group.q.bit_length() - 1)) - 1
+    return digest, [
+        1 + challenge_scalar(bound, digest, j.to_bytes(4, "big"))
+        for j in range(len(inputs))
+    ]
 
 
-def _permuted_rerandomization(
-    remaining_key: PublicKey,
+def _challenge(group: Group, digest: bytes, proof_elements: Iterable[int]) -> int:
+    """The main Fiat–Shamir challenge: the statement, the chain, every ``t``."""
+    return group.hash_to_scalar(
+        _PROOF_DOMAIN, digest, b"".join(map(group.element_to_bytes, proof_elements))
+    )
+
+
+def _chain_and_ts(chain, t1, t2, t3, t4, t_hat) -> list[int]:
+    return [*chain, t1, t2, t3, *(value for pair in t4 for value in pair), *t_hat]
+
+
+def _prove(
+    group: Group,
+    key: PublicKey,
+    h: Sequence[int],
     inputs: Sequence[CipherVector],
+    outputs: Sequence[CipherVector],
+    psi: Sequence[int],
+    rerandomizers: Sequence[Sequence[int]],
+    context: bytes,
     rng: random.Random | None,
-    fixed_base: bool,
-) -> _Bridge:
-    """Apply a fresh uniform permutation + re-randomization to ``inputs``."""
-    group = remaining_key.group
-    n = len(inputs)
-    order = list(range(n))
-    if rng is None:
-        for i in range(n - 1, 0, -1):
-            j = secrets.randbelow(i + 1)
-            order[i], order[j] = order[j], order[i]
-    else:
-        rng.shuffle(order)
-    bridge = _Bridge(permutation=order)
-    for k in range(n):
-        randomness: list[int] = []
-        fresh: list[Ciphertext] = []
-        for ct in inputs[order[k]]:
-            r = group.random_scalar(rng)
-            new_ct, _ = elgamal.rerandomize(remaining_key, ct, r, fixed_base)
-            fresh.append(new_ct)
-            randomness.append(r)
-        bridge.vectors.append(tuple(fresh))
-        bridge.randomness.append(tuple(randomness))
-    return bridge
+) -> ShuffleProof:
+    """GenShuffleProof: output ``i`` is input ``psi[i]`` re-randomized by
+    ``rerandomizers[i]`` under ``key``; ``h`` is ``h_0 … h_N``."""
+    q, g, h0 = group.q, group.g, h[0]
+    n, width = len(inputs), len(inputs[0])
+
+    def scalars(count: int) -> list[int]:
+        return [group.random_scalar(rng) for _ in range(count)]
+
+    # Column j of the permutation matrix: the output positions fed by input
+    # j (exactly one for a permutation).
+    r = scalars(n)
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for i, j in enumerate(psi):
+        columns[j].append(i)
+    commitments = tuple(
+        group.multiexp(((g, r[j]), *((h[i + 1], 1) for i in columns[j])))
+        for j in range(n)
+    )
+    digest, u = _statement(group, context, key, inputs, outputs, commitments)
+    u_out = [u[j] for j in psi]
+
+    # The chain from h_0: the prover knows each link as g**R * h_0**U, so a
+    # link and its t_hat are two table walks instead of a ladder on ĉ_(i-1).
+    r_hat, omega_hat, omega_prime = scalars(n), scalars(n), scalars(n)
+    big_r, big_u = 0, 1
+    chain, t_hat = [], []
+    for i in range(n):
+        # t_hat_i = g**omega_hat_i * ĉ_(i-1)**omega'_i
+        g_part = omega_hat[i] + omega_prime[i] * big_r
+        t_hat.append(
+            group.multiexp(((g, g_part), (h0, omega_prime[i] * big_u)), hot_bases=(h0,))
+        )
+        big_r = (r_hat[i] + u_out[i] * big_r) % q
+        big_u = big_u * u_out[i] % q
+        chain.append(group.multiexp(((g, big_r), (h0, big_u)), hot_bases=(h0,)))
+
+    omega1, omega2, omega3, *omega4 = scalars(3 + width)
+    t3 = group.multiexp(((g, omega3), *zip(h[1:], omega_prime)))
+    t4 = tuple(
+        (
+            group.multiexp(
+                ((g, -o), *((row[w].a, x) for row, x in zip(outputs, omega_prime)))
+            ),
+            group.multiexp(
+                ((key.y, -o), *((row[w].b, x) for row, x in zip(outputs, omega_prime))),
+                hot_bases=(key.y,),
+            ),
+        )
+        for w, o in enumerate(omega4)
+    )
+    t1, t2 = group.exp_g(omega1), group.exp_g(omega2)
+    c = _challenge(group, digest, _chain_and_ts(chain, t1, t2, t3, t4, t_hat))
+    s4 = tuple(
+        (o + c * sum(row[w] * x for row, x in zip(rerandomizers, u_out))) % q
+        for w, o in enumerate(omega4)
+    )
+    return ShuffleProof(
+        commitments, tuple(chain), t1, t2, t3, t4, tuple(t_hat),
+        (omega1 + c * sum(r)) % q,
+        (omega2 + c * big_r) % q,
+        (omega3 + c * sum(rj * uj for rj, uj in zip(r, u))) % q,
+        s4,
+        tuple((o + c * x) % q for o, x in zip(omega_hat, r_hat)),
+        tuple((o + c * x) % q for o, x in zip(omega_prime, u_out)),
+    )  # fmt: skip
 
 
 def shuffle_step(
@@ -208,10 +281,9 @@ def shuffle_step(
     remaining_keys: Sequence[PublicKey],
     inputs: Sequence[CipherVector],
     server_index: int,
-    soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
     context: bytes = b"",
     rng: random.Random | None = None,
-    fixed_base: bool = True,
+    generators: Sequence[int] | None = None,
 ) -> ShuffleStep:
     """Run one server's cascade turn and emit its public step record.
 
@@ -221,186 +293,125 @@ def shuffle_step(
             the layers still wrapped around the inputs.
         inputs: ciphertext vectors from the previous server (or clients).
         server_index: position in the cascade (recorded in the transcript).
-        soundness_bits: number of cut-and-choose bridges (``lam``).
         context: domain-separation bytes binding the run (group id, round,
-            shuffle purpose) into the Fiat-Shamir challenge.
-        rng: deterministic randomness for tests; None uses the OS CSPRNG.
-        fixed_base: re-randomize on the fixed-base tables (see
-            :func:`repro.crypto.elgamal.rerandomize`); the published step
-            is the same either way.
+            shuffle purpose) into the Fiat-Shamir challenges.
+        rng: deterministic randomness for tests — the permutation, the
+            re-randomization and the proof's nonces; None uses the OS CSPRNG.
+        generators: ``h_0 … h_N`` for ``N = len(inputs)``, when the caller
+            already derived them.
     """
     group = server_key.group
     if not remaining_keys or remaining_keys[0].y != server_key.y:
         raise ShuffleError("remaining_keys must start with this server's own key")
-    if soundness_bits < 1:
-        raise ShuffleError("soundness_bits must be at least 1")
-    _vector_width(inputs)
-    remaining_key = elgamal.combined_key(remaining_keys)
+    width = _vector_width(inputs)
+    n = len(inputs)
+    key = elgamal.combined_key(remaining_keys)
     for vector in inputs:
         for ct in vector:
             ct.validate(group)
 
-    # Step 1: the real permutation + re-randomization.
-    main = _permuted_rerandomization(remaining_key, inputs, rng, fixed_base)
-
-    # Step 2: bridge shuffles for the cut-and-choose argument.
-    bridges = [
-        _permuted_rerandomization(remaining_key, inputs, rng, fixed_base)
-        for _ in range(soundness_bits)
-    ]
-    bits = _challenge_bits(
-        group, context, inputs, main.vectors, [b.vectors for b in bridges]
+    # Step 1: the permutation (output i carries input psi[i]) and one
+    # re-randomization of every component, proven in zero knowledge.
+    psi = list(range(n))
+    (rng or secrets.SystemRandom()).shuffle(psi)
+    rerandomizers = [[group.random_scalar(rng) for _ in range(width)] for _ in range(n)]
+    permuted = tuple(
+        tuple(
+            elgamal.rerandomize(key, ct, r)[0]
+            for ct, r in zip(inputs[j], rerandomizers[i])
+        )
+        for i, j in enumerate(psi)
     )
+    proof = _prove(
+        group, key, generators or _generators(group, n + 1), inputs, permuted, psi,
+        rerandomizers, context, rng,
+    )  # fmt: skip
 
-    reveals: list[BridgeReveal] = []
-    for bridge, bit in zip(bridges, bits):
-        if bit == 0:
-            # Open input -> bridge: the bridge's own permutation/randomness.
-            reveals.append(
-                BridgeReveal(
-                    0, tuple(bridge.permutation), tuple(bridge.randomness)
-                )
+    # Step 2: position-preserving verifiable decryption of our own layer.
+    # ``a**x`` is both the stripped ``b``'s divisor and the proof's ``v``.
+    stripped, proofs = [], []
+    for vector in permuted:
+        shares = [group.exp(ct.a, server_key.x) for ct in vector]
+        stripped.append(
+            tuple(
+                Ciphertext(ct.a, group.multiexp(((ct.b, 1), (v, -1))))
+                for ct, v in zip(vector, shares)
             )
-        else:
-            # Open bridge -> output: rho maps each output position to the
-            # bridge position carrying the same plaintext; the randomness
-            # delta completes the re-randomization chain.
-            inverse = [0] * len(bridge.permutation)
-            for position, source in enumerate(bridge.permutation):
-                inverse[source] = position
-            rho = [inverse[source] for source in main.permutation]
-            delta = [
-                tuple(
-                    (main_r - bridge_r) % group.q
-                    for main_r, bridge_r in zip(
-                        main.randomness[k], bridge.randomness[rho[k]]
-                    )
-                )
-                for k in range(len(inputs))
-            ]
-            reveals.append(BridgeReveal(1, tuple(rho), tuple(delta)))
-
-    argument = ShuffleArgument(
-        bridges=tuple(tuple(b.vectors) for b in bridges),
-        reveals=tuple(reveals),
-    )
-
-    # Step 3: position-preserving verifiable decryption of our own layer.
-    stripped: list[CipherVector] = []
-    proofs: list[tuple[DleqProof, ...]] = []
-    for vector in main.vectors:
-        out_vector: list[Ciphertext] = []
-        proof_vector: list[DleqProof] = []
-        for ct in vector:
-            out_vector.append(elgamal.strip_layer(server_key, ct))
-            proof_vector.append(
-                prove_dleq(group, server_key.x, ct.a, context=context + b"|strip")
+        )
+        proofs.append(
+            tuple(
+                prove_dleq(group, server_key.x, ct.a, context + b"|strip", v=v)
+                for ct, v in zip(vector, shares)
             )
-        stripped.append(tuple(out_vector))
-        proofs.append(tuple(proof_vector))
-
-    return ShuffleStep(
-        server_index=server_index,
-        permuted=tuple(main.vectors),
-        argument=argument,
-        stripped=tuple(stripped),
-        decryption_proofs=tuple(proofs),
-    )
+        )
+    return ShuffleStep(server_index, permuted, proof, tuple(stripped), tuple(proofs))
 
 
-#: One re-randomization link equation: target == source rerandomized by r.
-_LinkEquation = tuple[Ciphertext, Ciphertext, int]
-
-
-def _link_equations(
-    source: Sequence[CipherVector],
-    target: Sequence[CipherVector],
-    permutation: Sequence[int],
-    randomness: Sequence[Sequence[int]],
-) -> list[_LinkEquation] | None:
-    """Structural screen of one opened branch; returns its link equations.
-
-    Checks target[k] == rerandomize(source[permutation[k]], randomness[k])
-    *shape-wise* (permutation validity, vector widths) and emits one
-    ``(src, tgt, r)`` triple per ciphertext component for the batched
-    algebra check.  Returns None when the shape itself is wrong.
-    """
-    n = len(source)
-    if sorted(permutation) != list(range(n)) or len(randomness) != n:
-        return None
-    equations: list[_LinkEquation] = []
-    for k in range(n):
-        src_vector = source[permutation[k]]
-        tgt_vector = target[k]
-        r_vector = randomness[k]
-        if len(src_vector) != len(tgt_vector) or len(r_vector) != len(src_vector):
-            return None
-        equations.extend(zip(src_vector, tgt_vector, r_vector))
-    return equations
-
-
-def _all_elements(group: Group, *published: Sequence[CipherVector]) -> bool:
-    """True iff every ciphertext component in ``published`` is a group element.
+def _all_elements(group: Group, values: Iterable[int]) -> bool:
+    """True iff every value is a group element.
 
     ``Group.is_element`` is a Jacobi symbol on modp and a cached point
     decode on ec25519; a value that recurs is tested once.
     """
     checked: set[int] = set()
-    for vectors in published:
-        for vector in vectors:
-            for ct in vector:
-                for value in (ct.a, ct.b):
-                    if value in checked:
-                        continue
-                    if not group.is_element(value):
-                        return False
-                    checked.add(value)
+    for value in values:
+        if value not in checked:
+            if not group.is_element(value):
+                return False
+            checked.add(value)
     return True
 
 
-def _batch_verify_links(
-    remaining_key: PublicKey,
-    equations: Sequence[_LinkEquation],
-    rng=None,
+def _verify_proof(
+    group: Group,
+    key: PublicKey,
+    h: Sequence[int],
+    inputs: Sequence[CipherVector],
+    outputs: Sequence[CipherVector],
+    proof: ShuffleProof,
+    proof_elements: Sequence[int],
+    context: bytes,
 ) -> bool:
-    """Check every opened re-randomization link with one multi-exponentiation.
+    """CheckShuffleProof, every equation folded into one multi-exponentiation.
 
-    Each equation pair ``tgt.a == src.a * g**r`` / ``tgt.b == src.b * y**r``
-    is raised to independent short random coefficients and folded into a
-    single product that must equal the identity — exactly how the strip
-    proofs batch.  The generator and the remaining combined key absorb all
-    the full-width exponent mass through their fixed-base tables, so a
-    cut-and-choose argument with ``lam`` bridges costs one multi-exp
-    instead of ``2*lam*N*W`` exponentiations.
-
-    The caller has screened every element for membership
-    (:func:`_all_elements`): outside the order-q subgroup, small-order
-    components could cancel a random linear combination with noticeable
-    probability.
+    Each equation ``t == t'`` is raised to its own short random coefficient
+    — kept by ``t``, negated on everything else — so the product is the
+    identity iff (but for probability ``2**-128``) each holds.  The caller
+    has screened every element for membership: outside the order-q
+    subgroup, small-order components could cancel a random combination.
     """
-    group = remaining_key.group
-    left: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    g_exponent = 0
-    y_exponent = 0
-    for src, tgt, r in equations:
-        alpha = _batch_coefficient(group, rng)
-        beta = _batch_coefficient(group, rng)
-        # (src.a * g**r)**alpha * (src.b * y**r)**beta == tgt.a**alpha * tgt.b**beta
-        # The sides are compared directly so every transient exponent stays
-        # at coefficient width (negating one side mod q would make its
-        # exponents full-width and stretch the shared Pippenger ladder).
-        g_exponent += alpha * r
-        y_exponent += beta * r
-        left.append((src.a, alpha))
-        left.append((src.b, beta))
-        right.append((tgt.a, alpha))
-        right.append((tgt.b, beta))
-    left.append((group.g, g_exponent))
-    left.append((remaining_key.y, y_exponent))
-    return group.multiexp(left, hot_bases=(remaining_key.y,)) == group.multiexp(
-        right
-    )
+    q, g, h0 = group.q, group.g, h[0]
+    n, width = len(inputs), len(inputs[0])
+    digest, u = _statement(group, context, key, inputs, outputs, proof.commitments)
+    c = _challenge(group, digest, proof_elements[n:])
+    alpha1, alpha2, alpha3 = (_batch_coefficient(group) for _ in range(3))
+    pairs = [(proof.t1, alpha1), (proof.t2, alpha2), (proof.t3, alpha3)]
+    g_exponent = -(alpha1 * proof.s1 + alpha2 * proof.s2 + alpha3 * proof.s3)
+    key_exponent = 0
+    for w, ((t4a, t4b), s4) in enumerate(zip(proof.t4, proof.s4)):
+        beta, gamma = _batch_coefficient(group), _batch_coefficient(group)
+        pairs += [(t4a, beta), (t4b, gamma)]
+        g_exponent += beta * s4
+        key_exponent += gamma * s4
+        for source, target, u_j, s in zip(inputs, outputs, u, proof.s_prime):
+            pairs += [(source[w].a, c * u_j * beta), (source[w].b, c * u_j * gamma)]
+            pairs += [(target[w].a, -beta * s), (target[w].b, -gamma * s)]
+    u_product = 1
+    for j in range(n):
+        u_product = u_product * u[j] % q
+        pairs.append((proof.commitments[j], c * (alpha1 + alpha3 * u[j])))
+        pairs.append((h[j + 1], -(c * alpha1 + alpha3 * proof.s_prime[j])))
+    pairs += [(h0, -alpha2 * c * u_product), (proof.chain[-1], alpha2 * c)]
+    previous = h0
+    for link, t_hat, s_hat, s_prime in zip(
+        proof.chain, proof.t_hat, proof.s_hat, proof.s_prime
+    ):
+        delta = _batch_coefficient(group)
+        g_exponent -= delta * s_hat
+        pairs += [(t_hat, delta), (link, c * delta), (previous, -delta * s_prime)]
+        previous = link
+    pairs += [(g, g_exponent), (key.y, key_exponent)]
+    return group.multiexp(pairs, hot_bases=(key.y,)) == group.identity()
 
 
 def verify_step(
@@ -409,90 +420,75 @@ def verify_step(
     inputs: Sequence[CipherVector],
     step: ShuffleStep,
     context: bytes = b"",
-    soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
+    generators: Sequence[int] | None = None,
 ) -> bool:
     """Verify one server's published cascade step.
 
-    Checks the cut-and-choose argument (every opened branch must verify and
-    match the Fiat-Shamir challenge bits) and every decryption proof.
-    ``soundness_bits`` is the *verifier's* requirement: a step publishing
-    fewer bridges than demanded is rejected outright — the prover must not
-    get to choose its own cheating probability (an empty argument would
-    otherwise verify vacuously).
-
-    All ``lam`` opened branches' re-randomization links collapse into one
-    multi-exponentiation (:func:`_batch_verify_links`), and all strip
-    proofs into a second — the whole step costs two multi-exps regardless
-    of the soundness parameter.  Culprit granularity is the step itself
-    (one server published it), so plain accept/reject suffices and the
-    verdict matches checking every link and proof individually.
+    Checks the proof of shuffle and every decryption proof: two
+    multi-exponentiations, one for each.  Culprit granularity is the step
+    itself (one server published it), so plain accept/reject suffices and
+    the verdict matches checking every equation and proof individually.
+    A malformed step — wrong lengths, a non-element, a scalar out of range
+    — is a rejection, never an exception.
     """
     group = server_public.group
-    n = len(inputs)
-    if len(step.permuted) != n or len(step.stripped) != n:
+    proof = step.proof
+    n, width = len(inputs), len(inputs[0]) if inputs else 0
+    # Every published sequence has the length the statement fixes.
+    expected = (
+        (n, (step.permuted, step.stripped, step.decryption_proofs, proof.commitments)),
+        (n, (proof.chain, proof.t_hat, proof.s_hat, proof.s_prime)),
+        (width, (proof.t4, proof.s4, *inputs, *step.permuted, *step.stripped)),
+        (width, step.decryption_proofs),
+        (2, proof.t4),
+    )
+    if not n or any(len(row) != size for size, rows in expected for row in rows):
         return False
-    if len(step.decryption_proofs) != n:
-        return False
-    if len(step.argument.bridges) < max(1, soundness_bits):
+    scalars = (proof.s1, proof.s2, proof.s3, *proof.s4, *proof.s_hat, *proof.s_prime)
+    if not all(0 <= s < group.q for s in scalars):
         return False
     # Everything below hashes and does group algebra on published values;
     # a non-element anywhere must be a rejection, not an exception.
-    if not _all_elements(
-        group, inputs, step.permuted, step.stripped, *step.argument.bridges
+    proof_elements = [
+        *proof.commitments,
+        *_chain_and_ts(
+            proof.chain, proof.t1, proof.t2, proof.t3, proof.t4, proof.t_hat
+        ),
+    ]
+    components = (
+        value
+        for rows in (inputs, step.permuted, step.stripped)
+        for row in rows
+        for ct in row
+        for value in (ct.a, ct.b)
+    )
+    if not _all_elements(group, (*components, *proof_elements)):
+        return False
+    key = elgamal.combined_key(remaining_keys)
+    h = generators or _generators(group, n + 1)
+    if not _verify_proof(
+        group, key, h, inputs, step.permuted, proof, proof_elements, context
     ):
-        return False
-    remaining_key = elgamal.combined_key(remaining_keys)
-
-    bits = _challenge_bits(group, context, inputs, step.permuted, step.argument.bridges)
-    if len(step.argument.reveals) != len(step.argument.bridges):
-        return False
-    link_equations: list[_LinkEquation] = []
-    for bridge, reveal, bit in zip(step.argument.bridges, step.argument.reveals, bits):
-        if reveal.side != bit:
-            return False
-        if len(bridge) != n:
-            return False
-        if bit == 0:
-            equations = _link_equations(
-                inputs, bridge, reveal.permutation, reveal.randomness
-            )
-        else:
-            equations = _link_equations(
-                bridge, step.permuted, reveal.permutation, reveal.randomness
-            )
-        if equations is None:
-            return False
-        link_equations.extend(equations)
-    if not _batch_verify_links(remaining_key, link_equations):
         return False
 
     # Verifiable decryption: componentwise b/b' == a**x_j, a unchanged.
-    # One batched multi-exponentiation covers every strip proof of the
-    # step; culprit granularity is the whole step (one server published
-    # it), so a plain accept/reject batch suffices — no bisection needed.
     items = []
     for vector, out_vector, proof_vector in zip(
         step.permuted, step.stripped, step.decryption_proofs
     ):
-        if len(out_vector) != len(vector) or len(proof_vector) != len(vector):
-            return False
-        for ct, out, proof in zip(vector, out_vector, proof_vector):
+        for ct, out, dleq in zip(vector, out_vector, proof_vector):
             if out.a != ct.a:
                 return False
             quotient = group.multiexp(((ct.b, 1), (out.b, -1)))
-            items.append(
-                (server_public.y, ct.a, quotient, proof, context + b"|strip")
-            )
+            items.append((server_public.y, ct.a, quotient, dleq, context + b"|strip"))
     return batch_verify_dleq(group, items, hot_bases=(server_public.y,))
 
 
 def run_cascade(
     server_keys: Sequence[PrivateKey],
     inputs: Sequence[CipherVector],
-    soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
     context: bytes = b"",
     rng: random.Random | None = None,
-    fixed_base: bool = True,
 ) -> ShuffleTranscript:
     """Drive the full cascade through every server in order (trusted driver).
 
@@ -501,20 +497,13 @@ def run_cascade(
     """
     if not server_keys:
         raise ShuffleError("cascade needs at least one server")
+    _vector_width(inputs)
+    generators = _generators(server_keys[0].group, len(inputs) + 1)
     publics = [key.public for key in server_keys]
     current: Sequence[CipherVector] = tuple(inputs)
     steps: list[ShuffleStep] = []
     for j, key in enumerate(server_keys):
-        step = shuffle_step(
-            key,
-            publics[j:],
-            current,
-            server_index=j,
-            soundness_bits=soundness_bits,
-            context=context,
-            rng=rng,
-            fixed_base=fixed_base,
-        )
+        step = shuffle_step(key, publics[j:], current, j, context, rng, generators)
         steps.append(step)
         current = step.stripped
     return ShuffleTranscript(inputs=tuple(inputs), steps=tuple(steps))
@@ -524,26 +513,19 @@ def verify_transcript(
     server_publics: Sequence[PublicKey],
     transcript: ShuffleTranscript,
     context: bytes = b"",
-    soundness_bits: int = DEFAULT_SOUNDNESS_BITS,
 ) -> bool:
-    """Verify a full cascade transcript against the server public keys.
-
-    Every step must carry at least ``soundness_bits`` cut-and-choose
-    bridges; protocol callers pass their policy's requirement.
-    """
+    """Verify a full cascade transcript against the server public keys."""
+    if not server_publics or not transcript.inputs:
+        return False
     if len(transcript.steps) != len(server_publics):
         return False
+    generators = _generators(server_publics[0].group, len(transcript.inputs) + 1)
     current: Sequence[CipherVector] = transcript.inputs
     for j, (public, step) in enumerate(zip(server_publics, transcript.steps)):
         if step.server_index != j:
             return False
         if not verify_step(
-            public,
-            server_publics[j:],
-            current,
-            step,
-            context,
-            soundness_bits=soundness_bits,
+            public, server_publics[j:], current, step, context, generators
         ):
             return False
         current = step.stripped

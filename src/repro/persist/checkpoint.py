@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 4, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 5, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -30,7 +30,9 @@ from repro.util.serialization import canonical_json
 # 4: archived rounds hold ciphertexts masked with SHAKE-128 pair pads
 # (repro.crypto.prng); a version-3 file's rounds would not trace against
 # today's pads and could blame an honest member.
-CHECKPOINT_VERSION = 4
+# 5: the group definition inside is version 2 (repro.core.config), whose
+# policy no longer carries a shuffle soundness knob.
+CHECKPOINT_VERSION = 5
 
 
 def _payload_digest(payload: dict) -> str:

@@ -14,6 +14,13 @@ nodes, EC2 m1.large):
   message (accusation) shuffles (§3.10, Figure 9);
 * signatures ~1 ms.
 
+The shuffle formulas charge a cut-and-choose shuffle with ``lam``
+repetitions: the cost shape behind the paper's Figure 9 constants, which
+the figures reproduce.  The implementation's own proof of shuffle
+(:mod:`repro.crypto.shuffle`, Terelius–Wikström) is one re-randomized
+shuffle plus O(N·W) proof work at any soundness; its measured cost is
+``setup_s`` and ``time_to_blame_s`` of the end-to-end benchmark.
+
 Every constant is a dataclass field, so sensitivity analyses and ablations
 can re-run any figure under different hardware assumptions.  The
 reproduction target is the *shape* of each figure, not absolute numbers.
@@ -142,21 +149,21 @@ class CostModel:
     # -- shuffle cost model (Figure 9) ------------------------------------
 
     def shuffle_prove_time(
-        self, num_inputs: int, width: int, per_exp: float, soundness_bits: int
+        self, num_inputs: int, width: int, per_exp: float, lam: int
     ) -> float:
         """One server's proving turn: O(lam * N * W) exponentiations."""
-        exps = 2 * (soundness_bits + 1) * num_inputs * width + 2 * num_inputs * width
+        exps = 2 * (lam + 1) * num_inputs * width + 2 * num_inputs * width
         return exps * per_exp / max(1, self.server_cores)
 
     def shuffle_verify_time(
-        self, num_inputs: int, width: int, per_exp: float, soundness_bits: int
+        self, num_inputs: int, width: int, per_exp: float, lam: int
     ) -> float:
         """One verifier's check of one step (same asymptotics as proving)."""
-        exps = 2 * soundness_bits * num_inputs * width + 4 * num_inputs * width
+        exps = 2 * lam * num_inputs * width + 4 * num_inputs * width
         return exps * per_exp / max(1, self.server_cores)
 
     def key_shuffle_time(
-        self, num_clients: int, num_servers: int, soundness_bits: int = 80
+        self, num_clients: int, num_servers: int, lam: int = 80
     ) -> float:
         """Full serial cascade: each server proves, every other verifies.
 
@@ -164,9 +171,9 @@ class CostModel:
         servers, so a cascade turn costs prove + one verify.
         """
         per_turn = self.shuffle_prove_time(
-            num_clients, 1, self.key_exp_seconds, soundness_bits
+            num_clients, 1, self.key_exp_seconds, lam
         ) + self.shuffle_verify_time(
-            num_clients, 1, self.key_exp_seconds, soundness_bits
+            num_clients, 1, self.key_exp_seconds, lam
         )
         return num_servers * per_turn
 
@@ -175,13 +182,13 @@ class CostModel:
         num_clients: int,
         num_servers: int,
         width: int = 1,
-        soundness_bits: int = 80,
+        lam: int = 80,
     ) -> float:
         """Accusation (general message) shuffle: embedding group, width W."""
         per_turn = self.shuffle_prove_time(
-            num_clients, width, self.msg_exp_seconds, soundness_bits
+            num_clients, width, self.msg_exp_seconds, lam
         ) + self.shuffle_verify_time(
-            num_clients, width, self.msg_exp_seconds, soundness_bits
+            num_clients, width, self.msg_exp_seconds, lam
         )
         return num_servers * per_turn
 

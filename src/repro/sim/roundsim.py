@@ -338,7 +338,7 @@ def simulate_disruption_recovery(
     message_bytes: int = 128,
     topology: Topology | None = None,
     cost: CostModel = DEFAULT_COST_MODEL,
-    soundness_bits: int = 64,
+    lam: int = 64,
     chunk_bytes: int = 96,
     batched: bool = True,
     seed: int = 0,
@@ -383,10 +383,10 @@ def simulate_disruption_recovery(
         # ~1.004 rounds; charge one).
         detection = 2 * round_time
         blame_shuffle = (
-            cost.message_shuffle_time(num_clients, num_servers, 1, soundness_bits)
+            cost.message_shuffle_time(num_clients, num_servers, 1, lam)
             + num_servers
             * topo.server_broadcast_time(
-                num_servers, num_clients * element_bytes * (soundness_bits + 1)
+                num_servers, num_clients * element_bytes * (lam + 1)
             )
             + topo.clients_to_server_time(
                 max(1, num_clients // num_servers), element_bytes
@@ -558,7 +558,7 @@ def simulate_full_protocol(
     message_bytes: int = 128,
     topology: Topology | None = None,
     cost: CostModel = DEFAULT_COST_MODEL,
-    soundness_bits: int = 64,
+    lam: int = 64,
     pipeline_depth: int = 1,
     seed: int = 0,
 ) -> ProtocolStageTimes:
@@ -582,17 +582,17 @@ def simulate_full_protocol(
 
     def cascade_network(element_bytes: int) -> float:
         # Each cascade turn forwards all N vectors to the next server and
-        # broadcasts the step transcript (≈ soundness_bits bridges) for
+        # broadcasts the step transcript (≈ lam cut-and-choose shuffles) for
         # verification.
         per_turn = topo.server_link.transfer_time(
             num_clients * element_bytes
         ) + topo.server_broadcast_time(
-            num_servers, num_clients * element_bytes * (soundness_bits + 1)
+            num_servers, num_clients * element_bytes * (lam + 1)
         )
         return num_servers * per_turn
 
     key_shuffle = (
-        cost.key_shuffle_time(num_clients, num_servers, soundness_bits)
+        cost.key_shuffle_time(num_clients, num_servers, lam)
         + cascade_network(key_element_bytes)
         # Clients submit their encrypted pseudonym keys first.
         + topo.clients_to_server_time(
@@ -614,7 +614,7 @@ def simulate_full_protocol(
     dcnet_round = simulate_round(config, rng).pipeline_period
 
     blame_shuffle = (
-        cost.message_shuffle_time(num_clients, num_servers, 1, soundness_bits)
+        cost.message_shuffle_time(num_clients, num_servers, 1, lam)
         + cascade_network(msg_element_bytes)
         + topo.clients_to_server_time(
             max(1, num_clients // num_servers), msg_element_bytes

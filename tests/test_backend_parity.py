@@ -16,6 +16,7 @@ the per-backend crypto counters.
 """
 
 import asyncio
+import collections
 import hashlib
 import random
 import secrets
@@ -44,8 +45,6 @@ from repro.obs import metrics as _metrics
 #: the fast modp representative (same code path as modp1536/modp2048,
 #: shorter modulus); ``ec25519`` is the ristretto255 backend.
 BACKENDS = ("test-256", "ec25519")
-
-SOUNDNESS = 4  # cut-and-choose bits; small for speed
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -404,8 +403,8 @@ def _pinned_bytes(group, monkeypatch) -> tuple[str, str]:
     plain = group.exp_g(rng.randrange(1, group.q))
     ct = elgamal.encrypt_layered(publics, plain, rng.randrange(1, group.q))
     published = [combined.y, ct.a, ct.b]
-    for fixed_base in (True, False):
-        ct, _ = elgamal.rerandomize(combined, ct, rng.randrange(1, group.q), fixed_base)
+    for _ in range(2):
+        ct, _ = elgamal.rerandomize(combined, ct, rng.randrange(1, group.q))
         published += [ct.a, ct.b]
     # The proofs draw their nonces from the OS; seed that too.
     monkeypatch.setattr(secrets, "randbelow", random.Random(1210).randrange)
@@ -429,6 +428,22 @@ class TestPinnedBytes:
     ):
         assert _pinned_bytes(group_by_name(name), monkeypatch) == PINNED_BYTES[name]
 
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_a_dleq_proof_handed_its_share_is_the_same_proof(self, monkeypatch, name):
+        # The shuffle's strip raises ``a`` to ``x`` once and hands the
+        # result to the proof as ``v``.
+        group = group_by_name(name)
+        rng = random.Random(7)
+        key = PrivateKey.generate(group, rng)
+        h = group.exp_g(rng.randrange(1, group.q))
+        share = group.exp(h, key.x)
+        made = []
+        for v in (None, share):
+            monkeypatch.setattr(secrets, "randbelow", random.Random(1210).randrange)
+            made.append(proofs.prove_dleq(group, key.x, h, b"strip", v=v))
+        assert made[0] == made[1]
+        assert proofs.verify_dleq(group, key.y, h, share, made[1], b"strip")
+
 
 class TestShuffleParity:
     def test_transcript_verifies_and_binds_context(self, bgroup, brng):
@@ -439,10 +454,10 @@ class TestShuffleParity:
         inputs = [
             shuffle.prepare_element_input(publics, e, brng) for e in elements
         ]
-        transcript = shuffle.run_cascade(servers, inputs, SOUNDNESS, b"ctx", brng)
-        assert shuffle.verify_transcript(publics, transcript, b"ctx", SOUNDNESS)
+        transcript = shuffle.run_cascade(servers, inputs, b"ctx", brng)
+        assert shuffle.verify_transcript(publics, transcript, b"ctx")
         assert not shuffle.verify_transcript(
-            publics, transcript, b"other", SOUNDNESS
+            publics, transcript, b"other"
         )
         assert sorted(transcript.outputs(g)) == sorted(elements)
 
@@ -458,8 +473,8 @@ class TestShuffleParity:
             shuffle.prepare_message_input(publics, m, width, brng)
             for m in messages
         ]
-        transcript = shuffle.run_cascade(servers, inputs, SOUNDNESS, b"m", brng)
-        assert shuffle.verify_transcript(publics, transcript, b"m", SOUNDNESS)
+        transcript = shuffle.run_cascade(servers, inputs, b"m", brng)
+        assert shuffle.verify_transcript(publics, transcript, b"m")
         decoded = sorted(
             shuffle.decode_message_output(g, vector)
             for vector in transcript.output_vectors(g)
@@ -474,11 +489,7 @@ class TestShuffleParity:
 
 def _run_lockstep(backend: str, seed: int = 77):
     session = DissentSession.build(
-        group_name=backend,
-        num_servers=2,
-        num_clients=3,
-        policy=Policy(shuffle_soundness_bits=SOUNDNESS),
-        seed=seed,
+        group_name=backend, num_servers=2, num_clients=3, seed=seed
     )
     session.setup()
     session.post(0, b"alpha")
@@ -502,12 +513,22 @@ class TestSessionParity:
         second = _run_lockstep(backend)
         assert first == second
 
-    def test_same_cleartexts_across_backends(self):
-        modp_delivered, modp_digest = _run_lockstep(BACKENDS[0])
-        ec_delivered, ec_digest = _run_lockstep(BACKENDS[1])
-        assert modp_delivered == ec_delivered
+    @pytest.mark.parametrize("seed", [1, 2, 3, 77])
+    def test_same_cleartexts_across_backends(self, seed):
+        # Slot order is a random permutation whose draws depend on the
+        # backend, so slots are compared as sets: each side's are distinct
+        # and every round delivers the same messages.
+        runs = [_run_lockstep(backend, seed) for backend in BACKENDS]
+        for delivered, _ in runs:
+            assert len({slot for _, slot, _ in delivered}) == len(delivered)
+        (modp_delivered, modp_digest), (ec_delivered, ec_digest) = runs
+        assert collections.Counter(
+            (round_number, body) for round_number, _, body in modp_delivered
+        ) == collections.Counter(
+            (round_number, body) for round_number, _, body in ec_delivered
+        )
         assert [d[:2] for d in modp_digest] == [d[:2] for d in ec_digest]
-        assert b"alpha" in b"".join(body for _, _, body in modp_delivered)
+        assert {b"alpha", b"bravo"} <= {body for _, _, body in modp_delivered}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_verdict_session_round(self, backend):

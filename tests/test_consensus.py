@@ -282,7 +282,6 @@ class TestInProcessConsensus:
             num_servers=N_SERVERS,
             num_clients=num_clients,
             seed=SEED,
-            policy=Policy(shuffle_soundness_bits=1),  # set-up is not the subject
         )
         session.setup()
         session.post(0, b"certify me")
@@ -317,7 +316,6 @@ class TestInProcessConsensus:
             num_servers=N_SERVERS,
             num_clients=num_clients,
             seed=SEED,
-            policy=Policy(shuffle_soundness_bits=1),
         )
         try:
             session.setup()
@@ -340,7 +338,6 @@ class TestInProcessConsensus:
             num_servers=N_SERVERS,
             num_clients=32,
             seed=SEED,
-            policy=Policy(shuffle_soundness_bits=1),
         )
         submitted = submitted_signatures(monkeypatch)
         with crypto_counters() as count:
@@ -371,7 +368,6 @@ class TestInProcessConsensus:
                     num_servers=N_SERVERS,
                     num_clients=8,
                     seed=SEED,
-                    policy=Policy(shuffle_soundness_bits=1),
                 )
                 session.setup()
                 session.run_round()

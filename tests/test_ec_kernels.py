@@ -689,16 +689,20 @@ class TestWorkBudget:
             assert work.counts["inv"] == before["inv"]
 
     def test_shuffle_step_and_its_verification(self, monkeypatch):
-        """Measured: 17,198 point operations + 283 field exponentiations +
-        32 inversions to mix, 10,473 + 13 + 0 to verify (on the 5-bit
-        tables 21,300 + 315 and 10,532 + 13).
+        """Measured: 9,277 point operations + 38 field exponentiations + 50
+        inversions to mix, 5,234 + 11 + 0 to verify (under the cut-and-choose
+        argument with 16 bridges 17,198 + 283 + 32 and 10,473 + 13 + 0).
 
-        Every re-randomization is two fixed-base walks — 29 mixed
-        additions on the generator, 43 on the combined key — and two
-        square-root encodes, because the component it multiplies into is a
-        transient bare factor; the inversions are the products that are
-        walks only.  What is left of the doublings is the strip proofs'
-        transient ``a**x`` and ``a**k``.
+        Every input is re-randomized once: two fixed-base walks and two
+        square-root encodes.  Each link of the proof's commitment chain and
+        its ``t_hat`` are walks on the generator's and ``h_0``'s tables —
+        the prover knows both exponents — encoded with an inversion, which
+        is where the extra inversions come from.  What is left of the
+        doublings is the strip proofs' transient ``a**x`` (once a
+        component: it is both the stripped divisor and the proof's ``v``)
+        and ``a**k``, and the verifier's one multi-exponentiation.  The
+        generators are derived once, outside the step, as
+        :func:`repro.crypto.shuffle.run_cascade` does.
         """
         group = ec.RistrettoGroup()
         rng = random.Random(13)
@@ -708,15 +712,17 @@ class TestWorkBudget:
             shuffle.prepare_element_input(publics, group.random_element(rng), rng)
             for _ in range(8)
         ]
+        generators = shuffle._generators(group, len(inputs) + 1)
         steps = []
 
         def mix():
-            # Proof nonces and batch coefficients come from the OS; seeded
-            # here so the counts repeat exactly.
+            # Strip-proof nonces and batch coefficients come from the OS;
+            # seeded here so the counts repeat exactly.
             monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
+            rng = random.Random(5)
             steps.append(
                 shuffle.shuffle_step(
-                    servers[0], publics, inputs, 0, 16, b"work", random.Random(5)
+                    servers[0], publics, inputs, 0, b"work", rng, generators
                 )
             )
             return True
@@ -724,22 +730,22 @@ class TestWorkBudget:
         def check():
             monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
             return shuffle.verify_step(
-                publics[0], publics, inputs, steps[0], b"work", 16
+                publics[0], publics, inputs, steps[0], b"work", generators
             )
 
-        assert mix() and check()  # builds the generator and combined-key tables
+        assert mix() and check()  # builds the generator, h_0 and combined-key tables
         work = _Work(monkeypatch)
 
         spent = operations, exponentiations, inversions = work.measure(mix)
-        assert 0 < operations <= 18_500
-        assert 0 < exponentiations <= 300
-        assert 0 < inversions <= 40
+        assert 0 < operations <= 9_500
+        assert 0 < exponentiations <= 40
+        assert 0 < inversions <= 50
         assert work.measure(mix) == spent
         assert steps[1] == steps[2] == steps[0]
 
         spent = operations, exponentiations, inversions = work.measure(check)
-        assert 0 < operations <= 11_500
-        assert exponentiations <= 13  # one encode a quotient, not two
+        assert 0 < operations <= 5_500
+        assert exponentiations <= 11  # a quotient's encode each, 3 for the key
         assert inversions == 0
         assert work.measure(check) == spent
 

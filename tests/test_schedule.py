@@ -461,7 +461,6 @@ class TestStepMemo:
                     num_servers=2,
                     num_clients=4,
                     seed=2012,
-                    policy=Policy(shuffle_soundness_bits=1),
                 )
                 session.setup()
                 session.post(0, b"again")
