@@ -36,10 +36,11 @@ def verifiable_demo(num_servers: int, num_clients: int) -> None:
     assert outcome.drained
     for round_number, slot, message in session.delivered_messages(0):
         print(f"  round {round_number}, slot {slot}: {message.decode()}")
-    counters = session.total_counters()
-    print(f"proofs made: {counters.client_proofs_made}, checked: "
-          f"{counters.client_proofs_checked} (one batched multi-exp per "
-          f"round), rejected submissions: {counters.rejected_submissions}")
+    counters = session.metrics()["counters"]
+    print(f"proofs made: {counters['verdict.client_proofs_made']}, checked: "
+          f"{counters['verdict.client_proofs_checked']} (one batched "
+          "multi-exp per server per round), rejected submissions: "
+          f"{counters['verdict.rejected_submissions']}")
 
 
 def hybrid_demo(num_servers: int, num_clients: int) -> None:
@@ -54,6 +55,7 @@ def hybrid_demo(num_servers: int, num_clients: int) -> None:
         seed=33,
         flips_per_round=3,
     )
+    session.enable_telemetry()  # the hybrid.* and session.* counters
     print(f"disruptor client-{num_clients - 2} jams slot {victim_slot} "
           "(owned, unknowably to it, by client-1)")
     session.post(1, b"the hybrid path protects this")
@@ -70,10 +72,12 @@ def hybrid_demo(num_servers: int, num_clients: int) -> None:
     session.run_until_quiet()
     delivered = [m for (_, _, m) in session.delivered_messages(0)]
     print("delivered after expulsion:", delivered[-1].decode())
-    counters = session.hybrid_counters
-    print(f"fast rounds: {counters.fast_rounds}, corrupted: "
-          f"{counters.corrupted_rounds}, accusation shuffles: "
-          f"{counters.accusation_shuffles}")
+    counters = session.metrics()["counters"]
+    print(f"fast rounds: {counters.get('hybrid.fast_rounds', 0)}, corrupted: "
+          f"{counters.get('hybrid.corrupted_rounds', 0)}, replay chunks "
+          f"opened: {counters.get('hybrid.replay_chunks_opened', 0)}, "
+          "accusation shuffles: "
+          f"{counters.get('session.accusation_phases', 0)}")
 
 
 def main(argv: list[str] | None = None) -> int:

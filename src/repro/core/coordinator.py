@@ -238,8 +238,6 @@ class Coordinator:
         self.records.append(record)
         outcome = "completed" if record.completed else "failed"
         self.registry.counter(f"session.rounds_{outcome}").inc()
-        if record.shuffle_requested:
-            self.registry.counter("session.shuffle_requests").inc()
         return record
 
     def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
@@ -299,7 +297,6 @@ class Coordinator:
             self.apply_verdicts(verdicts)
             self._accusation_outcome(participants, bool(verdicts))
         self.registry.counter("session.accusation_phases").inc()
-        self.registry.counter("session.trace_verdicts").inc(len(verdicts))
         return verdicts
 
     def trace(self, accusation: Accusation, verifier: int = 0) -> list[TraceVerdict]:

@@ -345,8 +345,6 @@ class NodeRuntime:
             # is "frames beyond the high-water mark were never seen", and
             # a frame that crashes its handler was still seen.
             self.recv_count += 1
-            self.registry.counter("net.recv.frames.total").inc()
-            self.registry.counter("net.recv.bytes.total").inc(len(payload))
             try:
                 frame = decode_routed(payload)
             except WireDecodeError as exc:
@@ -411,12 +409,7 @@ class NodeRuntime:
             self._restore_payload(payload)
             return b""
         if kind == K_ENVELOPE:
-            envelope = decode_envelope(self.group, body)
-            self.registry.counter(f"net.recv.frames.{envelope.msg_type}").inc()
-            self.registry.counter(f"net.recv.bytes.{envelope.msg_type}").inc(
-                len(envelope.body)
-            )
-            await self.handle_envelope(envelope)
+            await self.handle_envelope(decode_envelope(self.group, body))
             return None
         raise WireDecodeError(f"{self.name}: unhandled frame kind {kind!r}")
 

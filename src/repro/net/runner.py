@@ -1191,32 +1191,20 @@ class NetworkedSession(Coordinator):
                 )
             except SessionTimeout as exc:
                 # A submitter (or server) stayed dark through the whole
-                # barrier: abandon the round rather than hang the group.
-                return await self._abandon_round_async(r, str(exc))
+                # barrier: abandon the round rather than hang the group,
+                # publishing how many clients are still reachable.
+                live = sum(
+                    1
+                    for i in self.submitters(None)
+                    if not self._hub.is_dark(definition.client_name(i))
+                )
+                return await self._abandon_round_async(r, live, str(exc))
             participation, go = self.inventory_decision(
                 [InventoryStatus(*unpack_fields(frame.body)) for frame in statuses]
             )
             if not go:
                 # §3.7 hard timeout: abandon, publish the fresh count.
-                abandon_body = pack_fields(r)
-                await asyncio.gather(
-                    *[
-                        self._request(name, K_ROUND_ABANDON, abandon_body)
-                        for name in self._server_names()
-                    ]
-                )
-                failed_body = pack_fields(r, participation)
-                await asyncio.gather(
-                    *[
-                        self._request(name, K_ROUND_FAILED, failed_body)
-                        for name in self._client_names()
-                    ]
-                )
-                record = self.failed_round(r, participation)
-                self._flight_event(
-                    "round_failure", round=r, participation=participation
-                )
-                return record
+                return await self._abandon_round_async(r, participation)
 
             await self._broadcast(
                 self._server_names(), K_COMMIT_GO, pack_fields(r)
@@ -1237,7 +1225,7 @@ class NetworkedSession(Coordinator):
                 # A client died inside the barrier; the round itself is
                 # certified (every server reported done), so the laggard
                 # catches up via replay rather than failing the round.
-                self.registry.counter("session.applied_timeouts").inc()
+                pass
             record = self.certified_round(
                 r,
                 {
@@ -1251,44 +1239,54 @@ class NetworkedSession(Coordinator):
             self.flight.record_span(self.tracer.events[-1])
         return record
 
-    async def _abandon_round_async(self, r: int, reason: str) -> RoundRecord:
-        """Give up on a wedged round (§3.7) instead of hanging the group.
+    async def _abandon_round_async(
+        self, r: int, participation: int, timeout: str | None = None
+    ) -> RoundRecord:
+        """File round ``r`` as failed and tell every member (§3.7).
 
-        Live servers roll the round back, live clients learn the failure
-        immediately, dark clients find it in their replay queue when (if)
-        they resume; :meth:`run_round` then runs the membership check, so a
-        peer past its retry budget is expelled before the next round forms.
+        ``participation`` is the count the record publishes; ``timeout``
+        names the barrier that expired when the round is abandoned for a
+        dark peer rather than failed on the participation floor.  Live
+        servers roll the round back and live clients learn the failure,
+        expelled ones included (as in process); a dark member finds its
+        frame in the replay queue when (if) it resumes, and nobody waits
+        on it.  :meth:`run_round` then runs the membership check, so a
+        peer past its retry budget is expelled before the next round.
         """
         assert self._hub is not None
-        abandon_body = pack_fields(r)
-        for name in self._server_names():
-            try:
-                await self._request(name, K_ROUND_ABANDON, abandon_body)
-            except DissentError:
-                continue
-        live = [
-            i
-            for i in range(self.definition.num_clients)
-            if i not in self.expelled
-            and not self._hub.is_dark(self.definition.client_name(i))
-        ]
-        participation = len(live)
-        failed_body = pack_fields(r, participation)
-        for i in range(self.definition.num_clients):
-            if i in self.expelled:
-                continue
-            name = self.definition.client_name(i)
+
+        async def tell(name: str, kind: str, body: bytes) -> None:
             if self._hub.is_dark(name):
-                # Fire-and-forget: queues in the outbox for resume replay.
-                await self._send(name, K_ROUND_FAILED, 0, failed_body)
-                continue
+                await self._send(name, kind, 0, body)
+                return
             try:
-                await self._request(name, K_ROUND_FAILED, failed_body)
+                await self._request(name, kind, body)
             except DissentError:
-                continue
-        record = self.failed_round(r, participation, reason)
+                pass
+
+        abandon_body = pack_fields(r)
+        await asyncio.gather(
+            *[
+                tell(name, K_ROUND_ABANDON, abandon_body)
+                for name in self._server_names()
+            ]
+        )
+        failed_body = pack_fields(r, participation)
+        await asyncio.gather(
+            *[
+                tell(name, K_ROUND_FAILED, failed_body)
+                for name in self._client_names()
+            ]
+        )
+        if timeout is None:
+            record = self.failed_round(r, participation)
+            self._flight_event(
+                "round_failure", round=r, participation=participation
+            )
+            return record
+        record = self.failed_round(r, participation, timeout)
         self.registry.counter("session.rounds_abandoned").inc()
-        self._flight_event("abandon", round=r, reason=reason)
+        self._flight_event("abandon", round=r, reason=timeout)
         return record
 
     def _expel_dark(self) -> None:
@@ -1440,7 +1438,6 @@ class NetworkedSession(Coordinator):
                 await node.transport.aclose()
 
         self._call(kill())
-        self.registry.counter("chaos.nodes_killed").inc()
 
     def restart_node(
         self, role: str, index: int, resume_from: str | None = None
@@ -1467,7 +1464,6 @@ class NetworkedSession(Coordinator):
             )
 
         self._call(restart())
-        self.registry.counter("chaos.nodes_restarted").inc()
 
     def wait_dark(self, name: str, timeout: float = 10.0) -> None:
         """Block until the hub notices a peer's link is gone."""

@@ -8,6 +8,13 @@ Two operating modes layered on the existing crypto stack:
   untouched; a corrupted round is replayed in verifiable mode to name the
   disruptor without the §3.9 accusation shuffle.
 
+Both modes open a slot through one function,
+:func:`~repro.verdict.session.verifiable_round`: every
+:class:`~repro.verdict.session.VerdictServer` checks every client proof
+and every decryption share before the product opens.  Work is counted
+on metrics registries: ``verdict.*`` on each node's (merged by
+:meth:`VerdictSession.metrics`), ``hybrid.*`` on the hybrid session's.
+
 See *Proactively Accountable Anonymous Messaging in Verdict*
 (Corrigan-Gibbs, Wolinsky, Ford) in PAPERS.md.
 """

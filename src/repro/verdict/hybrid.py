@@ -48,8 +48,7 @@ workload times the first (``benchmarks/e2e/README.md``).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.accusation import TraceVerdict
 from repro.core.client import DissentClient
@@ -61,16 +60,8 @@ from repro.errors import CheckpointError, ProtocolError
 from repro.persist.codec import decode_sent_records, encode_sent_records
 from repro.util.bytesops import get_bit
 from repro.util.serialization import pack_fields
-from repro.verdict.ciphertext import (
-    batch_verify_client_ciphertexts,
-    batch_verify_server_shares,
-    chunk_count,
-    combine_client_ciphertexts,
-    decode_round,
-    make_client_ciphertext,
-    make_server_share,
-    open_round,
-)
+from repro.verdict.ciphertext import chunk_count, make_client_ciphertext
+from repro.verdict.session import VerdictServer, verifiable_round
 
 _PAD_COMMIT_DOMAIN = "dissent.verdict.pad-commit.v2"
 _REPLAY_DOMAIN = b"dissent.verdict.hybrid-replay.v1"
@@ -312,24 +303,6 @@ class HybridBlameRecord:
         )
 
 
-@dataclass
-class HybridCostCounters:
-    """Blame-path accounting (compared against accusation shuffles)."""
-
-    fast_rounds: int = 0
-    corrupted_rounds: int = 0
-    replay_proofs_checked: int = 0
-    accusation_shuffles: int = 0  # stays zero: the point of hybrid mode
-    #: Merkle-scoped pad re-verification: leaves actually re-checked and
-    #: pad bytes actually re-derived during replays (vs. the pre-Merkle
-    #: cost of one full round-length pad per participant per replay).
-    pad_chunks_reverified: int = 0
-    pad_bytes_rederived: int = 0
-    #: Slot chunks opened across all replays (lazy replay stops at the
-    #: first witness chunk).
-    replay_chunks_opened: int = 0
-
-
 class HybridSession(DissentSession):
     """A Dissent session in Verdict hybrid mode.
 
@@ -337,13 +310,18 @@ class HybridSession(DissentSession):
     signatures).  Corrupted rounds trigger a verifiable replay instead of
     the §3.9 accusation shuffle; :meth:`run_accusation_phase` is never
     invoked by this class.
+
+    Blame-path work is counted on the session registry (build with
+    ``telemetry=True``): ``hybrid.{fast_rounds,corrupted_rounds}`` per
+    round; per replay, ``hybrid.replay_proofs_checked`` (one per replayed
+    chunk proof), ``hybrid.replay_chunks_opened``, and the Merkle-scoped
+    pad re-check's ``hybrid.{pad_chunks_reverified,pad_bytes_rederived}``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.blames: list[HybridBlameRecord] = []
         self.pad_archive: dict[int, dict[int, HybridPadCommitment]] = {}
-        self.hybrid_counters = HybridCostCounters()
 
     def snapshot_state(self) -> dict:
         """The XOR session's durable state plus hybrid mode's blame evidence:
@@ -422,10 +400,10 @@ class HybridSession(DissentSession):
         )
         record = super().run_round(online)
         if record.completed:
-            self.hybrid_counters.fast_rounds += 1
+            self.registry.counter("hybrid.fast_rounds").inc()
             for content in monitor.advance(record.output.cleartext):
                 if content.is_corrupted:
-                    self.hybrid_counters.corrupted_rounds += 1
+                    self.registry.counter("hybrid.corrupted_rounds").inc()
                     self._handle_disruption(r, content.slot_index)
         self._trim_hybrid_archives()
         return record
@@ -511,23 +489,38 @@ class HybridSession(DissentSession):
           leaves and re-fold the leaves into the root), instead of
           re-deriving every participant's full round-length pad.
         * **Lazy chunk replay** — the slot is re-opened one ElGamal chunk
-          at a time, each chunk one batched multi-exponentiation; the walk
+          at a time, each chunk one batched check per server; the walk
           stops at the first chunk whose verified bytes expose a witness
           position, so only the corrupted chunk (plus any clean prefix
           before it) ever pays for proofs.
+
+        Each chunk is one :func:`~repro.verdict.session.verifiable_round`
+        in which every server checks every replay proof and every share.
         """
         group = self.definition.group
-        counters = self.hybrid_counters
-        verifier = self.servers[0]
-        archive = verifier.archive.get(round_number)
+        registry = self.registry
+        archive = self.servers[0].archive.get(round_number)
         if archive is None:
             raise ProtocolError(f"round {round_number} is no longer archived")
         start, end = archive.layout.slot_byte_range(slot_index)
         slot_len = end - start
         total_chunks = chunk_count(group, slot_len)
-        slot_key_element = verifier.slot_keys[slot_index]
-        combined = elgamal.combined_key(list(self.definition.server_keys))
+        server_publics = list(self.definition.server_keys)
+        combined = elgamal.combined_key(server_publics)
         session_id = sha256(_REPLAY_DOMAIN, self.definition.group_id())
+        verifiers = [
+            VerdictServer(
+                group,
+                j,
+                server.key,
+                server_publics,
+                server.slot_keys,
+                combined,
+                session_id,
+            )
+            for j, server in enumerate(self.servers)
+        ]
+        slot_key_element = verifiers[0].slot_keys[slot_index]
 
         participants = [
             i for i in archive.final_list if i not in self.expelled
@@ -550,7 +543,7 @@ class HybridSession(DissentSession):
             pad_prefix = prng.pair_stream(
                 self.servers[upstream].secrets[i], round_number, derive_len
             )
-            counters.pad_bytes_rederived += derive_len
+            registry.counter("hybrid.pad_bytes_rederived").inc(derive_len)
             ok = len(commitment.leaves) > last_leaf and merkle_root(
                 list(commitment.leaves)
             ) == commitment.root
@@ -559,7 +552,7 @@ class HybridSession(DissentSession):
                     self.definition.group_id(), round_number, i, upstream, pad_prefix
                 )
                 for k in range(first_leaf, last_leaf + 1):
-                    counters.pad_chunks_reverified += 1
+                    registry.counter("hybrid.pad_chunks_reverified").inc()
                     if expected[k] != commitment.leaves[k]:
                         ok = False
                         break
@@ -587,52 +580,13 @@ class HybridSession(DissentSession):
                 )
                 for i in participants
             ]
-            counters.replay_proofs_checked += len(replays)
-            # One multi-exponentiation checks the chunk's replay; a
-            # failing batch falls back to bisection so the named set
-            # matches per-proof checks.
-            bad_replays = batch_verify_client_ciphertexts(
-                group,
-                combined,
-                slot_key_element,
-                session_id,
-                round_number,
-                slot_index,
-                1,
-                replays,
-                chunk_start=k,
+            registry.counter("hybrid.replay_proofs_checked").inc(len(replays))
+            bad_replays, bad_share_servers, chunk_payload = verifiable_round(
+                verifiers, round_number, slot_index, 1, replays, chunk_start=k
             )
             for i in sorted(bad_replays):
                 rejected.append(i)
                 participants.remove(i)
-            submissions = [
-                s for s in replays if s.client_index not in bad_replays
-            ]
-
-            a_parts, b_parts = combine_client_ciphertexts(group, submissions, 1)
-            shares = [
-                make_server_share(
-                    group,
-                    server.key,
-                    server.index,
-                    a_parts,
-                    session_id,
-                    round_number,
-                    slot_index,
-                    chunk_start=k,
-                )
-                for server in self.servers
-            ]
-            bad_share_servers = batch_verify_server_shares(
-                group,
-                list(self.definition.server_keys),
-                a_parts,
-                session_id,
-                round_number,
-                slot_index,
-                shares,
-                chunk_start=k,
-            )
             if bad_share_servers:
                 bad_servers = [
                     TraceVerdict("server", j, "invalid replay share")
@@ -650,8 +604,7 @@ class HybridSession(DissentSession):
                     total_chunks=total_chunks,
                 )
 
-            chunk_payload = decode_round(group, open_round(group, b_parts, shares))
-            counters.replay_chunks_opened += 1
+            registry.counter("hybrid.replay_chunks_opened").inc()
             chunks_replayed += 1
             if not chunk_payload:
                 chunk_payload = bytes(hi - lo)  # silent chunk: all zeros
@@ -713,7 +666,6 @@ class HybridSession(DissentSession):
 
     def run_accusation_phase(self):
         """Hybrid mode replaces the accusation shuffle with the replay."""
-        self.hybrid_counters.accusation_shuffles += 1
         raise ProtocolError(
             "hybrid mode handles disruption by verifiable replay; "
             "the accusation shuffle should never be invoked"
@@ -735,22 +687,19 @@ def build_hybrid_with_disruptor(
     the victim's slot index; the disruptor starts jamming as soon as that
     slot opens.
     """
-    from repro.core.server import DissentServer
-    from repro.core.session import build_keys
 
-    rng = random.Random(seed)
-    built = build_keys("test-256", num_servers, num_clients, policy, rng)
-    servers = [
-        DissentServer(built.definition, j, key, random.Random(rng.getrandbits(64)))
-        for j, key in enumerate(built.server_keys)
-    ]
-    clients = []
-    for i, key in enumerate(built.client_keys):
-        factory = HybridDisruptorClient if i == disruptor_index else HybridClient
-        clients.append(
-            factory(built.definition, i, key, random.Random(rng.getrandbits(64)))
-        )
-    session = HybridSession(built.definition, servers, clients, rng)
+    def client_factory(definition, index, key, rng):
+        cls = HybridDisruptorClient if index == disruptor_index else HybridClient
+        return cls(definition, index, key, rng)
+
+    session = HybridSession.build(
+        "test-256",
+        num_servers,
+        num_clients,
+        policy,
+        seed,
+        client_factory=client_factory,
+    )
     session.setup()
     victim_slot = session.clients[victim_index].slot
     disruptor = session.clients[disruptor_index]

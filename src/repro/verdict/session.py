@@ -15,6 +15,10 @@ proven well-formed before servers combine anything:
 4. Servers publish proven decryption shares; a bad share equally names the
    server.  The surviving product opens to the slot payload.
 
+Steps 3 and 4 are :func:`verifiable_round`, written once: the hybrid
+replay (:mod:`repro.verdict.hybrid`) opens each corrupted chunk through
+the same function and the same :class:`VerdictServer` checks.
+
 The slot permutation stands in for the verifiable key shuffle of
 :mod:`repro.core.keyshuffle` (which the core pipeline already implements
 and tests); a deployment would feed the shuffled pseudonym schedule in
@@ -25,15 +29,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.rounds import QuietOutcome
 from repro.crypto import elgamal
-from repro.crypto.groups import Group
+from repro.crypto.groups import Group, group_by_name, resolve_group_name
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import ProtocolError
-from repro.obs import metrics as _metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.verdict.ciphertext import (
     VerdictClientCiphertext,
     VerdictServerShare,
@@ -45,92 +50,7 @@ from repro.verdict.ciphertext import (
     make_client_ciphertext,
     make_server_share,
     open_round,
-    verify_server_share,
 )
-
-_GROUP_NAMES = None  # populated lazily to avoid importing core at module load
-
-
-def _resolve_group(group_name: str | None) -> Group:
-    global _GROUP_NAMES
-    if _GROUP_NAMES is None:
-        from repro.core.config import _GROUP_NAMES as names
-
-        _GROUP_NAMES = names
-    from repro.crypto.groups import resolve_group_name
-
-    group_name = resolve_group_name(group_name)
-    if group_name not in _GROUP_NAMES:
-        raise ProtocolError(f"unknown group {group_name!r}")
-    return _GROUP_NAMES[group_name]()
-
-
-class VerdictCounters:
-    """Work accounting for the XOR-vs-verifiable benchmark comparisons.
-
-    ``client_proofs_made`` accrues on clients (one per chunk proof built in
-    :meth:`VerdictClient.submit`); the other three accrue on servers.
-    :meth:`VerdictSession.total_counters` sums both sides.
-
-    The counts live on a :class:`repro.obs.MetricsRegistry` under
-    ``verdict.*`` names; the original plain-int attributes remain as
-    read/write properties over those counters, so existing ``+=`` call
-    sites and assertions work unchanged.  Each node keeps a private
-    registry by default so per-node counts stay per-node;
-    :meth:`VerdictSession.metrics` merges them into one snapshot.
-    """
-
-    __slots__ = ("registry",)
-
-    _FIELDS = (
-        "client_proofs_made",
-        "client_proofs_checked",
-        "share_proofs_checked",
-        "rejected_submissions",
-    )
-
-    def __init__(self, registry=None) -> None:
-        if registry is None or not registry.enabled:
-            registry = _metrics.MetricsRegistry()
-        self.registry = registry
-        for field in self._FIELDS:
-            registry.counter(f"verdict.{field}")
-
-    @property
-    def client_proofs_made(self) -> int:
-        return self.registry.counter("verdict.client_proofs_made").value
-
-    @client_proofs_made.setter
-    def client_proofs_made(self, value: int) -> None:
-        self.registry.counter("verdict.client_proofs_made").value = value
-
-    @property
-    def client_proofs_checked(self) -> int:
-        return self.registry.counter("verdict.client_proofs_checked").value
-
-    @client_proofs_checked.setter
-    def client_proofs_checked(self, value: int) -> None:
-        self.registry.counter("verdict.client_proofs_checked").value = value
-
-    @property
-    def share_proofs_checked(self) -> int:
-        return self.registry.counter("verdict.share_proofs_checked").value
-
-    @share_proofs_checked.setter
-    def share_proofs_checked(self, value: int) -> None:
-        self.registry.counter("verdict.share_proofs_checked").value = value
-
-    @property
-    def rejected_submissions(self) -> int:
-        return self.registry.counter("verdict.rejected_submissions").value
-
-    @rejected_submissions.setter
-    def rejected_submissions(self, value: int) -> None:
-        self.registry.counter("verdict.rejected_submissions").value = value
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)}" for f in self._FIELDS)
-        return f"VerdictCounters({fields})"
 
 
 class VerdictClient:
@@ -157,7 +77,9 @@ class VerdictClient:
         self.rng = rng if rng is not None else random.Random()
         self.outbox: deque[bytes] = deque()
         self.received: list[tuple[int, int, bytes]] = []
-        self.counters = VerdictCounters()
+        #: Per-node ``verdict.*`` counts; :meth:`VerdictSession.metrics`
+        #: merges every node's registry into one view.
+        self.registry = MetricsRegistry()
 
     def queue_message(self, message: bytes) -> None:
         if not message:
@@ -179,7 +101,7 @@ class VerdictClient:
             if len(self.outbox[0]) <= capacity:
                 payload = self.outbox[0]
                 slot_private = self.slot_private
-        self.counters.client_proofs_made += width
+        self.registry.counter("verdict.client_proofs_made").inc(width)
         return make_client_ciphertext(
             self.group,
             self.combined_key,
@@ -236,7 +158,12 @@ class DisruptingVerdictClient(VerdictClient):
 
 
 class VerdictServer:
-    """One anytrust server of the verifiable DC-net."""
+    """One anytrust server of the verifiable DC-net.
+
+    Every method takes a ``chunk_start``: a hybrid replay re-opens one
+    chunk of a corrupted slot at a time, and proofs stay bound to their
+    absolute chunk positions.
+    """
 
     def __init__(
         self,
@@ -255,7 +182,7 @@ class VerdictServer:
         self.slot_keys = slot_keys
         self.combined_key = combined_key
         self.session_id = session_id
-        self.counters = VerdictCounters()
+        self.registry = MetricsRegistry()
 
     def verify_submissions(
         self,
@@ -272,12 +199,10 @@ class VerdictServer:
         servers' bit-for-bit agreement) are identical to checking each
         submission individually — see
         :func:`repro.verdict.ciphertext.batch_verify_client_ciphertexts`.
-        ``chunk_start`` supports partial-range rounds (hybrid replays that
-        re-open only a corrupted chunk span): proofs stay bound to their
-        absolute chunk positions.
         """
-        for submission in submissions:
-            self.counters.client_proofs_checked += submission.width
+        self.registry.counter("verdict.client_proofs_checked").inc(
+            sum(submission.width for submission in submissions)
+        )
         rejected = batch_verify_client_ciphertexts(
             self.group,
             self.combined_key,
@@ -289,7 +214,7 @@ class VerdictServer:
             submissions,
             chunk_start=chunk_start,
         )
-        self.counters.rejected_submissions += len(rejected)
+        self.registry.counter("verdict.rejected_submissions").inc(len(rejected))
         return rejected
 
     def make_share(
@@ -310,26 +235,6 @@ class VerdictServer:
             chunk_start=chunk_start,
         )
 
-    def verify_share(
-        self,
-        round_number: int,
-        slot_index: int,
-        a_parts: list[int],
-        share: VerdictServerShare,
-        chunk_start: int = 0,
-    ) -> bool:
-        self.counters.share_proofs_checked += len(a_parts)
-        return verify_server_share(
-            self.group,
-            self.server_publics[share.server_index],
-            a_parts,
-            self.session_id,
-            round_number,
-            slot_index,
-            share,
-            chunk_start=chunk_start,
-        )
-
     def verify_shares(
         self,
         round_number: int,
@@ -342,9 +247,11 @@ class VerdictServer:
 
         All M shares' chunk proofs collapse into one batched
         multi-exponentiation (the blamed set matches per-share
-        :meth:`verify_share` exactly).
+        :func:`repro.verdict.ciphertext.verify_server_share` exactly).
         """
-        self.counters.share_proofs_checked += len(a_parts) * len(shares)
+        self.registry.counter("verdict.share_proofs_checked").inc(
+            len(a_parts) * len(shares)
+        )
         return tuple(
             sorted(
                 batch_verify_server_shares(
@@ -359,6 +266,51 @@ class VerdictServer:
                 )
             )
         )
+
+
+def verifiable_round(
+    servers: Sequence[VerdictServer],
+    round_number: int,
+    slot_index: int,
+    width: int,
+    submissions: list[VerdictClientCiphertext],
+    chunk_start: int = 0,
+) -> tuple[set[int], tuple[int, ...], bytes]:
+    """Verify, combine, share, verify shares, open: one verifiable round.
+
+    Every server checks every client proof and every decryption share — a
+    single designated verifier could frame or shield servers — and honest
+    servers agree bit for bit, so disagreement raises.  Returns the
+    rejected client indices, the blamed server indices and the opened
+    payload (empty when a server is blamed: its share cannot open the
+    slot).
+    """
+    group = servers[0].group
+    rejections = [
+        server.verify_submissions(
+            round_number, slot_index, width, submissions, chunk_start
+        )
+        for server in servers
+    ]
+    rejected = rejections[0]
+    if any(other != rejected for other in rejections[1:]):
+        raise ProtocolError("honest servers disagree on proof verification")
+    accepted = [s for s in submissions if s.client_index not in rejected]
+    a_parts, b_parts = combine_client_ciphertexts(group, accepted, width)
+    shares = [
+        server.make_share(round_number, slot_index, a_parts, chunk_start)
+        for server in servers
+    ]
+    votes = [
+        server.verify_shares(round_number, slot_index, a_parts, shares, chunk_start)
+        for server in servers
+    ]
+    blamed = votes[0]
+    if any(vote != blamed for vote in votes[1:]):
+        raise ProtocolError("honest servers disagree on share verification")
+    if blamed:
+        return rejected, blamed, b""
+    return rejected, blamed, decode_round(group, open_round(group, b_parts, shares))
 
 
 @dataclass(frozen=True)
@@ -417,7 +369,7 @@ class VerdictSession:
                 variants for tests and demos; use ``functools.partial`` to
                 bind extra keywords like ``target_slot``).
         """
-        group = _resolve_group(group_name)
+        group = group_by_name(resolve_group_name(group_name))
         rng = random.Random(seed) if seed is not None else random.Random()
         server_keys = [PrivateKey.generate(group, rng) for _ in range(num_servers)]
         server_publics = [key.public for key in server_keys]
@@ -488,37 +440,11 @@ class VerdictSession:
             for i, client in enumerate(self.clients)
             if i not in self.expelled
         ]
-        # Every server checks every proof; honest servers agree bit-for-bit.
-        rejections = [
-            server.verify_submissions(r, slot_index, self.width, submissions)
-            for server in self.servers
-        ]
-        rejected = rejections[0]
-        if any(other != rejected for other in rejections[1:]):
-            raise ProtocolError("honest servers disagree on proof verification")
-        accepted = [s for s in submissions if s.client_index not in rejected]
-        self.expelled |= rejected
-
-        a_parts, b_parts = combine_client_ciphertexts(
-            self.group, accepted, self.width
+        rejected, blamed_servers, payload = verifiable_round(
+            self.servers, r, slot_index, self.width, submissions
         )
-        shares = [
-            server.make_share(r, slot_index, a_parts) for server in self.servers
-        ]
-        # Every server checks every share — a single designated verifier
-        # could frame or shield servers.  Honest servers agree bit-for-bit,
-        # exactly as they do on submission rejections above.
-        share_votes = [
-            server.verify_shares(r, slot_index, a_parts, shares)
-            for server in self.servers
-        ]
-        blamed_servers = share_votes[0]
-        if any(vote != blamed_servers for vote in share_votes[1:]):
-            raise ProtocolError("honest servers disagree on share verification")
-        payload = b""
+        self.expelled |= rejected
         if not blamed_servers:
-            elements = open_round(self.group, b_parts, shares)
-            payload = decode_round(self.group, elements)
             for i, client in enumerate(self.clients):
                 if i not in self.expelled:
                     client.handle_output(r, slot_index, payload)
@@ -556,19 +482,9 @@ class VerdictSession:
     def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
         return list(self.clients[client_index].received)
 
-    def total_counters(self) -> VerdictCounters:
-        total = VerdictCounters()
-        for client in self.clients:
-            total.client_proofs_made += client.counters.client_proofs_made
-        for server in self.servers:
-            total.client_proofs_checked += server.counters.client_proofs_checked
-            total.share_proofs_checked += server.counters.share_proofs_checked
-            total.rejected_submissions += server.counters.rejected_submissions
-        return total
-
     def metrics(self) -> dict:
         """Merged ``verdict.*`` registry snapshot across every node."""
-        merged = _metrics.MetricsRegistry()
+        merged = MetricsRegistry()
         for node in (*self.clients, *self.servers):
-            merged.merge_snapshot(node.counters.registry.snapshot())
+            merged.merge_snapshot(node.registry.snapshot())
         return merged.snapshot()

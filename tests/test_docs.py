@@ -5,6 +5,7 @@ docstrings under ``examples/`` and ``src/`` is resolved against the
 checkout, so a deleted module or a never-written file cannot live on in
 prose; ``setup.py`` must describe the ``repro`` package, and its promise
 of no third-party runtime dependency must hold in a fresh interpreter.
+README's Observability table names exactly the metrics ``src/`` records.
 """
 
 import ast
@@ -108,3 +109,92 @@ def test_importing_the_library_loads_no_third_party_module():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+#: The registry calls whose first argument names a metric.
+INSTRUMENTS = ("counter", "gauge", "histogram")
+
+
+def _emitted_metric_names() -> set[str]:
+    """Every metric name ``src/repro`` passes to a registry instrument.
+
+    A string literal is taken whole; an f-string by its literal prefix,
+    marked with a trailing ``*``.  A name held in a variable is forwarded,
+    not emitted (``merge_snapshot``, the tracer's span histograms), and is
+    skipped.
+    """
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in INSTRUMENTS
+                and node.args
+            ):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                names.add(name.value)
+            elif isinstance(name, ast.JoinedStr):
+                prefix = ""
+                for part in name.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    prefix += part.value
+                names.add(prefix + "*")
+    return names
+
+
+def _documented_metric_patterns() -> list[str]:
+    """The names in README's Observability table, braces expanded.
+
+    Rows served as OpenMetrics gauges are computed by ``obs/health.py``
+    from a health snapshot, not recorded on a registry, and are left out.
+    """
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Observability\n", 1)[1].split("\n## ", 1)[0]
+    patterns = []
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) < 4 or not cells[1].strip().startswith("`"):
+            continue
+        if "OpenMetrics" in cells[2]:
+            continue
+        for cited in re.findall(r"`([^`]+)`", cells[1]):
+            expanded = [""]
+            for literal, choices in re.findall(r"([^{]*)(?:\{([^}]*)\})?", cited):
+                options = choices.split(",") if choices else [""]
+                expanded = [e + literal + o for e in expanded for o in options]
+            patterns.extend(expanded)
+    return patterns
+
+
+def _matches(emitted: str, pattern: str) -> bool:
+    """Whether an emitted name (or f-string prefix) can be the row ``pattern``,
+    whose ``<...>`` parts stand for any text."""
+    head = pattern.split("<", 1)[0]
+    if emitted.endswith("*"):
+        prefix = emitted[:-1]
+        return head.startswith(prefix) or (head != pattern and prefix.startswith(head))
+    regex = ".+".join(map(re.escape, re.split(r"<[^>]*>", pattern)))
+    return re.fullmatch(regex, emitted) is not None
+
+
+def test_every_metric_has_a_readme_row_and_every_row_a_metric():
+    emitted = _emitted_metric_names()
+    documented = _documented_metric_patterns()
+    undocumented = sorted(
+        name for name in emitted if not any(_matches(name, p) for p in documented)
+    )
+    # A ``span.*`` histogram is named by the tracer from a span record
+    # (``Span.metric_key``), not at a registry call, so only emitted span
+    # names are checked against the table.
+    unemitted = sorted(
+        pattern
+        for pattern in documented
+        if not pattern.startswith("span.")
+        and not any(_matches(name, pattern) for name in emitted)
+    )
+    assert not undocumented, f"metrics with no README row: {undocumented}"
+    assert not unemitted, f"README rows nothing emits: {unemitted}"

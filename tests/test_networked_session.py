@@ -272,6 +272,30 @@ class TestSurface:
         assert events.count("blame") == 2
         assert events.count("expulsion") == 1
 
+    def test_floor_failure_with_a_dark_client_is_filed(self):
+        """A round below the §3.7 floor is filed FAILED, as in process, even
+        while a client is dark: its round-failed frame waits in the replay
+        queue instead of being awaited until the request times out."""
+        from repro.core.rounds import RoundStatus
+
+        inproc = DissentSession.build(num_servers=2, num_clients=6, seed=4)
+        inproc.setup()
+        inproc.run_round()
+        expected = inproc.run_round(online={0, 1, 2})
+        assert expected.status is RoundStatus.FAILED
+
+        with NetworkedSession.build(
+            num_servers=2, num_clients=6, seed=4, mode="loopback", timeout=2.0
+        ) as session:
+            session.setup()
+            assert session.run_round().completed
+            session.kill_node("client", 5)
+            session.wait_dark(session.node_name("client", 5), timeout=10.0)
+            record = session.run_round(online={0, 1, 2})
+            assert record.status is RoundStatus.FAILED
+            assert record.participation == expected.participation == 3
+            assert [r.round_number for r in session.records] == [0, 1]
+
     def test_close_is_idempotent(self):
         session = NetworkedSession.build(
             num_servers=2, num_clients=3, seed=1, mode="loopback"

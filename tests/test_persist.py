@@ -373,6 +373,7 @@ class TestHybridRoundTrip:
         save_session(first, path)
         restored, _ = build_hybrid_with_disruptor(seed=30)
         restore_session(restored, path)
+        restored.enable_telemetry()
         assert before + drive(restored, 5) == expected
         assert restored.blames == whole.blames[2:]
         assert restored.blames[-1].client_culprits == (4,)
@@ -380,9 +381,11 @@ class TestHybridRoundTrip:
         assert restored.delivered_messages(0) == whole.delivered_messages(0)
         # Round 2 ran before the checkpoint: replaying it now needs the
         # archived pad commitments and the victim's own sent record.
-        reverified = restored.hybrid_counters.pad_chunks_reverified
+        counters = restored.metrics()["counters"]
+        reverified = counters.get("hybrid.pad_chunks_reverified", 0)
         assert restored.replay_blame(2, slot) == whole.blames[1]
-        assert restored.hybrid_counters.pad_chunks_reverified > reverified
+        counters = restored.metrics()["counters"]
+        assert counters["hybrid.pad_chunks_reverified"] > reverified
 
 
 class TestModpWideBackend:

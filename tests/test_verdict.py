@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -13,10 +14,11 @@ from repro.core.session import build_session
 from repro.crypto import elgamal
 from repro.crypto.groups import testing_group as make_test_group
 from repro.crypto.keys import PrivateKey
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.persist import write_checkpoint
 from repro.verdict.ciphertext import (
     VerdictClientCiphertext,
+    batch_verify_server_shares,
     chunk_count,
     combine_client_ciphertexts,
     decode_round,
@@ -36,6 +38,11 @@ from repro.verdict.session import (
     DisruptingVerdictClient,
     VerdictSession,
 )
+
+
+def _count(session, name):
+    """A counter from the session's registry (0 if never bumped)."""
+    return session.metrics()["counters"].get(name, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ class TestVerdictSession:
         assert any(
             m == b"important message" for _, _, m in session.delivered_messages(0)
         )
-        assert session.total_counters().rejected_submissions >= 1
+        assert session.metrics()["counters"]["verdict.rejected_submissions"] >= 1
 
     def test_oversized_message_rejected_at_post(self):
         session = VerdictSession.build(
@@ -215,6 +222,10 @@ class TestVerdictSession:
             for _, _, m in session.delivered_messages(1)
         )
 
+    def test_unknown_group_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown group"):
+            VerdictSession.build(group_name="nope")
+
     def test_honest_servers_agree_on_rejection(self):
         session = VerdictSession.build(
             num_servers=2,
@@ -224,7 +235,10 @@ class TestVerdictSession:
             client_factories={0: partial(DisruptingVerdictClient)},
         )
         session.run_round()
-        counts = {s.counters.rejected_submissions for s in session.servers}
+        counts = {
+            s.registry.snapshot()["counters"]["verdict.rejected_submissions"]
+            for s in session.servers
+        }
         assert counts == {1}
 
 
@@ -254,6 +268,7 @@ class TestHybridMode:
         session, _ = build_hybrid_with_disruptor(
             seed=33, disruptor_index=4, victim_index=1, flips_per_round=3
         )
+        session.enable_telemetry()
         session.post(1, b"the disruptor will jam this")
         for _ in range(12):
             session.run_round()
@@ -263,7 +278,7 @@ class TestHybridMode:
         assert blame.client_culprits == (4,)
         assert 4 in session.expelled
         # The whole point: zero accusation shuffles ran.
-        assert session.hybrid_counters.accusation_shuffles == 0
+        assert _count(session, "session.accusation_phases") == 0
         # The replay reconstructed the victim's true slot bytes: the
         # witness bit really was flipped 0 -> 1 in the archived output.
         archive = session.servers[0].archive[blame.round_number]
@@ -336,10 +351,11 @@ class TestHybridMode:
 
     def test_accusation_phase_is_refused(self):
         session = HybridSession.build(num_servers=2, num_clients=3, seed=3)
+        session.enable_telemetry()
         session.setup()
         with pytest.raises(ProtocolError):
             session.run_accusation_phase()
-        assert session.hybrid_counters.accusation_shuffles == 1
+        assert _count(session, "session.accusation_phases") == 0
 
     def test_merkle_root_binds_leaves(self):
         from repro.crypto.hashing import merkle_root, sha256
@@ -370,6 +386,7 @@ class TestHybridMode:
             seed=34,
             policy=Policy(initial_slot_payload=96),
         )
+        session.enable_telemetry()
         # Every client posts, so all six slots open and the round spans
         # several pad chunks — the corrupted slot covers only some.
         for i in range(6):
@@ -396,7 +413,6 @@ class TestHybridMode:
             end - start, blame.chunks_replayed * group.message_bytes
         )
 
-        counters = session.hybrid_counters
         length = archive.layout.total_bytes
         first_leaf = start // PAD_CHUNK_BYTES
         last_leaf = (end - 1) // PAD_CHUNK_BYTES
@@ -411,12 +427,15 @@ class TestHybridMode:
         # Pad re-verification was scoped to the slot's leaf span, and the
         # SHAKE re-derivation stopped at the slot's last chunk instead of
         # the full round length.
-        assert counters.pad_chunks_reverified == span * participants
-        assert counters.pad_chunks_reverified < total_leaves * participants
+        reverified = _count(session, "hybrid.pad_chunks_reverified")
+        assert reverified == span * participants
+        assert reverified < total_leaves * participants
         derive_len = min(length, (last_leaf + 1) * PAD_CHUNK_BYTES)
-        assert counters.pad_bytes_rederived == derive_len * participants
+        assert _count(session, "hybrid.pad_bytes_rederived") == (
+            derive_len * participants
+        )
         # Proof work tracked per chunk actually opened.
-        assert counters.replay_chunks_opened == blame.chunks_replayed
+        assert _count(session, "hybrid.replay_chunks_opened") == blame.chunks_replayed
 
     def test_full_slot_replayed_when_corruption_is_in_last_chunk(self):
         """Worst case for the lazy walk: every chunk opens, same verdicts
@@ -584,8 +603,8 @@ class TestBatchedVerdictPaths:
         liar = session.servers[1]
         honest_make = liar.make_share
 
-        def lying_make(round_number, slot_index, a_parts):
-            share = honest_make(round_number, slot_index, a_parts)
+        def lying_make(*args):
+            share = honest_make(*args)
             garbled = tuple(
                 liar.group.mul(s, liar.group.g) for s in share.shares
             )
@@ -600,7 +619,8 @@ class TestBatchedVerdictPaths:
         # cross-checks agreement; disagreement raises ProtocolError) and
         # did the share-checking work.
         for server in session.servers:
-            assert server.counters.share_proofs_checked == 3 * session.width
+            checked = server.registry.snapshot()["counters"]
+            assert checked["verdict.share_proofs_checked"] == 3 * session.width
 
     def test_share_vote_agreement_is_per_server(self):
         """Each server's verify_shares names the same culprit directly."""
@@ -627,6 +647,43 @@ class TestBatchedVerdictPaths:
         assert votes == [(2,), (2,), (2,)]
 
 
+class TestOneVerifiableRound:
+    def test_every_server_checks_every_replayed_chunk(self, monkeypatch):
+        """The hybrid replay opens each chunk through the same verifiable
+        round as VerdictSession: all M servers check the chunk's shares,
+        each bound to the chunk's absolute position."""
+        real = batch_verify_server_shares
+        calls = []
+
+        def counting(*args, chunk_start=0, **kwargs):
+            calls.append(chunk_start)
+            return real(*args, chunk_start=chunk_start, **kwargs)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and (
+                getattr(module, "batch_verify_server_shares", None) is real
+            ):
+                monkeypatch.setattr(module, "batch_verify_server_shares", counting)
+
+        session, _ = build_hybrid_with_disruptor(
+            num_servers=3,
+            num_clients=6,
+            seed=34,
+            policy=Policy(initial_slot_payload=96),
+        )
+        for i in range(6):
+            session.post(i, bytes([i + 1]) * 90)
+        for _ in range(4):
+            session.run_round()
+            if session.blames:
+                break
+        (blame,) = session.blames
+        assert blame.status == "blamed"
+        assert blame.chunks_replayed > 1
+        assert calls == [k for k in range(blame.chunks_replayed) for _ in range(3)]
+
+
 class TestVerdictCounters:
     def test_client_proofs_made_wired_and_summed(self):
         session = VerdictSession.build(
@@ -634,12 +691,13 @@ class TestVerdictCounters:
         )
         session.post(0, b"count me")
         session.run_round()
-        total = session.total_counters()
-        assert total.client_proofs_made == 3 * session.width
+        total = session.metrics()["counters"]
+        assert total["verdict.client_proofs_made"] == 3 * session.width
         # Both servers checked every made proof.
-        assert total.client_proofs_checked == 2 * total.client_proofs_made
+        assert total["verdict.client_proofs_checked"] == 2 * 3 * session.width
         session.run_round()
-        assert session.total_counters().client_proofs_made == 6 * session.width
+        total = session.metrics()["counters"]
+        assert total["verdict.client_proofs_made"] == 6 * session.width
 
 
 class TestRunUntilQuietOutcome:
@@ -696,6 +754,7 @@ class TestHybridEverywhere:
             policy=Policy(alpha=0.5, dcnet_mode="hybrid"),
         )
         assert isinstance(session, HybridSession)
+        session.enable_telemetry()
         session.setup()
         feed = MicroblogFeed(session)
         churn_rng = random.Random(42)
@@ -709,7 +768,7 @@ class TestHybridEverywhere:
         texts = [post.text for post in feed.timeline()]
         assert "hybrid post one" in texts
         assert "hybrid post two" in texts
-        assert session.hybrid_counters.accusation_shuffles == 0
+        assert _count(session, "session.accusation_phases") == 0
 
     def test_filesharing_runs_unchanged_over_hybrid(self):
         from repro.apps.filesharing import FileSharingApp, file_digest
@@ -721,6 +780,7 @@ class TestHybridEverywhere:
             policy=Policy(dcnet_mode="hybrid"),
         )
         assert isinstance(session, HybridSession)
+        session.enable_telemetry()
         session.setup()
         app = FileSharingApp(session, chunk_payload=200)
         data = bytes(range(256)) * 3
@@ -728,7 +788,7 @@ class TestHybridEverywhere:
         result = app.run_until_complete(file_id, max_rounds=48)
         assert result == data
         assert file_digest(result) == file_digest(data)
-        assert session.hybrid_counters.fast_rounds > 0
+        assert _count(session, "hybrid.fast_rounds") > 0
 
     def test_hybrid_session_in_churn_scenario(self):
         from repro.sim.churn import SessionChurnModel, drive_session_under_churn
@@ -736,6 +796,7 @@ class TestHybridEverywhere:
         session, _ = build_hybrid_with_disruptor(
             seed=33, flips_per_round=3, policy=Policy(alpha=0.2)
         )
+        session.enable_telemetry()
         session.post(1, b"churned target")
         model = SessionChurnModel(
             mean_session_rounds=8.0, mean_offline_rounds=3.0
@@ -747,7 +808,7 @@ class TestHybridEverywhere:
         assert session.round_number == 16
         # The hybrid invariant holds under churn too: disruption (if any
         # surfaced) is handled by replay, never by an accusation shuffle.
-        assert session.hybrid_counters.accusation_shuffles == 0
+        assert _count(session, "session.accusation_phases") == 0
         for blame in session.blames:
             if blame.status == "blamed":
                 assert blame.client_culprits == (4,)
