@@ -264,8 +264,8 @@ class GroupDefinition:
         """Which server a client submits its ciphertexts to.
 
         The single source of truth for the client → upstream-server
-        topology: the real session driver, the pipelined engine, hybrid
-        pad commitments/replays, and the timing simulator all route
+        topology: the real session driver, the pipelined engine, the
+        network nodes and the timing simulator all route
         through here (or :func:`upstream_server` where no definition
         exists), so an alternative assignment changes every layer at once
         instead of skewing them silently.

@@ -15,20 +15,23 @@ overlap a deployment would get is modelled by
 :meth:`repro.sim.costmodel.CostModel.pipeline_period`.
 
 **Speculation and the drain barrier.**  Round ``r+1``'s client cleartexts
-depend on round ``r``'s output in exactly four ways: the slot layout may
+depend on round ``r``'s output in exactly five ways: the slot layout may
 evolve, the client's own slot may have been disrupted (retransmit), the
 published participation count may cross a §3.7 ``min_participation``
-threshold, and a shuffle request forces an accusation phase.  The engine
+threshold, a shuffle request forces an accusation phase, and in hybrid
+mode a corrupted slot forces a verifiable replay
+(:meth:`~repro.core.session.DissentSession.after_output`).  The engine
 therefore *speculates* — layout unchanged, own slot delivered, threshold
-side unchanged, no shuffle — and validates every assumption when the
-round actually completes (rounds complete strictly in order, each one
-through the lockstep driver's own ``complete_round``, so certificates,
-view changes and convictions are lockstep's too).  On any
+side unchanged, no shuffle, no replay — and validates every assumption
+when the round actually completes (rounds complete strictly in order,
+each one through the lockstep driver's own ``complete_round``, so
+certificates, view changes and convictions are lockstep's too).  On any
 violation it **drains to a barrier**: all younger in-flight rounds are
 discarded, every client is rolled back to its pre-build snapshot (RNG
 state included), the outcome is applied exactly as the lockstep engine
 would, and the pipeline refills.  Client randomness is consumed only by
-round builds and signatures use deterministic nonces, so a replayed build
+round builds and by hybrid replays, which run at a barrier, and
+signatures use deterministic nonces, so a replayed build
 emits byte-identical envelopes — which is what makes certified outputs,
 round records and certificates, and §3.7/§3.9 failure, blame, and
 expulsion semantics
@@ -74,10 +77,10 @@ class PipelinedSession:
     Records — certificates included — equal the lockstep driver's.
 
     Args:
-        session: a scheduled (or about-to-be-scheduled) core XOR session.
-            Subclasses that override ``run_round`` (hybrid/verdict modes
-            hook per-round work there) are rejected — their hooks would be
-            bypassed.
+        session: a scheduled (or about-to-be-scheduled)
+            :class:`DissentSession`, XOR or hybrid mode; its
+            :meth:`~DissentSession.after_output` step runs after each
+            round, as in lockstep.  A ``VerdictSession`` is rejected.
         window: W, the maximum rounds in flight.  ``window=1`` degrades to
             lockstep behaviour exactly (and is bit-identical like every
             other W).
@@ -88,11 +91,10 @@ class PipelinedSession:
     """
 
     def __init__(self, session: DissentSession, window: int = 4) -> None:
-        if type(session).run_round is not DissentSession.run_round:
+        if not isinstance(session, DissentSession):
             raise ProtocolError(
-                "the pipelined engine drives the core XOR round path; "
-                f"{type(session).__name__} overrides run_round, whose "
-                "per-round hooks a pipeline would silently bypass"
+                "the pipelined engine drives the in-process DC-net round; "
+                f"{type(session).__name__} is not a DissentSession"
             )
         if window < 1:
             raise ProtocolError("pipeline window must be at least 1")
@@ -157,6 +159,9 @@ class PipelinedSession:
                 self._applied.append(("output", record.output))
             else:
                 self._drain(entry, record, inflight)
+            # Lockstep's step after the output; a round it replays has
+            # drained above, so the replay sees no speculative build.
+            session.after_output(record)
             # complete_round filed the record in session.records and counted it.
             records.append(record)
             if record.shuffle_requested:
@@ -228,6 +233,9 @@ class PipelinedSession:
             observed = output.cleartext[start : start + len(rec.slot_bytes)]
             if observed != rec.slot_bytes:
                 return f"client {i}'s slot was disrupted"
+        if session.replayed_slots(output, entry.layout):
+            # Hybrid blame replays the round and may expel a member.
+            return "a corrupted slot is replayed"
         if record.shuffle_requested:
             # The accusation shuffle (and any expulsion it produces) must
             # land before the next round, exactly as in lockstep.

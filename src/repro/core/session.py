@@ -36,7 +36,8 @@ from repro.core.engine import (
     RoundDone,
     RoundEngine,
 )
-from repro.core.rounds import RoundRecord
+from repro.core.rounds import RoundOutput, RoundRecord
+from repro.core.schedule import RoundLayout
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey
 from repro.errors import AccusationError, ProtocolError
@@ -329,7 +330,24 @@ class DissentSession(Coordinator):
                 # §3.7 hard timeout: publish the fresh count.
                 for client in self.clients:
                     client.handle_round_failure(r, record.participation)
+            self.after_output(record)
         return record
+
+    def replayed_slots(self, output: RoundOutput, layout: RoundLayout) -> list[int]:
+        """The slots of a certified round that :meth:`after_output` blames.
+
+        None in XOR mode, whose blame starts with a shuffle request in a
+        later round (§3.9).  The pipelined driver drains to a barrier
+        before a round that has any, as blame may expel a member.
+        """
+        return []
+
+    def after_output(self, record: RoundRecord) -> None:
+        """The step that runs once a round's outcome reached the clients.
+
+        Both in-process drivers call it, lockstep and pipelined; XOR mode
+        has nothing to do here.
+        """
 
     def submit(self, r: int, envelopes: dict) -> list:
         """Open round ``r`` on every engine and hand each its clients' ciphertexts.

@@ -50,28 +50,6 @@ def verify_commit(commitment: bytes, payload_digest: bytes) -> bool:
     return hmac.compare_digest(commitment, commit(payload_digest))
 
 
-def merkle_root(leaves: list[bytes]) -> bytes:
-    """Root of a binary Merkle tree over ``leaves`` (last leaf duplicated
-    on odd levels).
-
-    Used by hybrid-mode pad commitments: committing to per-chunk leaf
-    digests under one root lets a verifiable replay re-derive and
-    re-check only the chunks overlapping a corrupted slot while the root
-    still binds the whole pad.
-    """
-    if not leaves:
-        return sha256(b"dissent.merkle.empty.v1")
-    level = list(leaves)
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        level = [
-            sha256(b"dissent.merkle.node.v1", level[i], level[i + 1])
-            for i in range(0, len(level), 2)
-        ]
-    return level[0]
-
-
 def challenge_scalar(order: int, *parts: bytes) -> int:
     """Fiat-Shamir challenge reduced into [0, order).
 

@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 6, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 7, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -35,7 +35,9 @@ from repro.util.serialization import canonical_json
 # 6: the group definition inside is version 3, whose policy lost the six
 # fields no member had to agree on (window closure, outbox size, trace
 # sampling, flight-recorder capacity).
-CHECKPOINT_VERSION = 6
+# 7: a hybrid session's ``hybrid`` section holds only the clients' sent
+# history; its per-round pad commitments are gone.
+CHECKPOINT_VERSION = 7
 
 
 def _payload_digest(payload: dict) -> str:

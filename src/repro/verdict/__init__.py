@@ -39,10 +39,7 @@ from repro.verdict.hybrid import (
     HybridBlameRecord,
     HybridClient,
     HybridDisruptorClient,
-    HybridPadCommitment,
     HybridSession,
-    pad_chunk_leaves,
-    pad_commitment_digest,
 )
 
 __all__ = [
@@ -61,8 +58,5 @@ __all__ = [
     "HybridBlameRecord",
     "HybridClient",
     "HybridDisruptorClient",
-    "HybridPadCommitment",
     "HybridSession",
-    "pad_chunk_leaves",
-    "pad_commitment_digest",
 ]

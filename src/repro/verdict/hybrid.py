@@ -5,12 +5,13 @@ crypto per chunk per member; the XOR pipeline pays hash-speed PRNG per
 byte.  Verdict's hybrid mode keeps the cheap path hot and reserves the
 expensive machinery for the (rare) disrupted round:
 
-* **Fast path** — rounds run on the *unmodified* core pipeline
-  (:class:`repro.core.session.DissentSession`).  The only addition rides
-  alongside each submission: a commitment to the PRNG pads the client
-  XORed in (one digest per server, each verifiable for free by the server
-  that shares the pad's seed, since it derives the same pad when combining).
-  Miscommitting is caught at submission time.
+* **Fast path** — rounds are the *unmodified* XOR round of
+  :class:`repro.core.session.DissentSession`, driven in lockstep or by
+  :class:`repro.core.pipeline.PipelinedSession`: no extra message and no
+  extra pad.  Nothing is committed beside a submission; a pair pad is
+  one both its endpoints derive from their shared secret, and the
+  witness-bit trace below, with its DLEQ rebuttals, is what holds a
+  client (or a server) to it.
 
 * **Disruption detection** — corruption is *publicly* visible: the
   randomized padding check (§3.9) fails for everyone decoding the slot,
@@ -48,94 +49,24 @@ workload times the first (``benchmarks/e2e/README.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.accusation import TraceVerdict
+from repro.core.adversary import DisruptorClient
 from repro.core.client import DissentClient
+from repro.core.rounds import RoundOutput, RoundRecord
+from repro.core.schedule import RoundLayout, decode_slot
 from repro.core.session import DissentSession
-from repro.crypto import elgamal, prng
-from repro.crypto.hashing import merkle_root, sha256
+from repro.crypto import elgamal
+from repro.crypto.hashing import sha256
 from repro.crypto.keys import PublicKey
 from repro.errors import CheckpointError, ProtocolError
 from repro.persist.codec import decode_sent_records, encode_sent_records
 from repro.util.bytesops import get_bit
-from repro.util.serialization import pack_fields
 from repro.verdict.ciphertext import chunk_count, make_client_ciphertext
 from repro.verdict.session import VerdictServer, verifiable_round
 
-_PAD_COMMIT_DOMAIN = "dissent.verdict.pad-commit.v2"
 _REPLAY_DOMAIN = b"dissent.verdict.hybrid-replay.v1"
-
-#: Pad bytes per Merkle leaf.  A corrupted round's replay re-derives and
-#: re-verifies only the leaves overlapping the corrupted slot instead of
-#: the whole round-length pad; 128 bytes keeps leaf counts small for
-#: paper-size rounds while still splitting multi-slot rounds finely.
-PAD_CHUNK_BYTES = 128
-
-
-def pad_chunk_leaves(
-    group_id: bytes,
-    round_number: int,
-    client_index: int,
-    server_index: int,
-    pad: bytes,
-) -> tuple[bytes, ...]:
-    """Per-chunk leaf digests of one client's pair pad for one round.
-
-    Leaf ``k`` binds the pad bytes ``[k*PAD_CHUNK_BYTES, (k+1)*...)``
-    together with their absolute position, so a replay can check any
-    chunk subset against the archived leaves without re-deriving the
-    rest of the pad.
-    """
-    leaves = []
-    for k in range(0, max(1, -(-len(pad) // PAD_CHUNK_BYTES))):
-        chunk = pad[k * PAD_CHUNK_BYTES : (k + 1) * PAD_CHUNK_BYTES]
-        leaves.append(
-            sha256(
-                pack_fields(
-                    _PAD_COMMIT_DOMAIN,
-                    group_id,
-                    round_number,
-                    client_index,
-                    server_index,
-                    k,
-                ),
-                chunk,
-            )
-        )
-    return tuple(leaves)
-
-
-def pad_commitment_digest(
-    group_id: bytes,
-    round_number: int,
-    client_index: int,
-    server_index: int,
-    pad: bytes,
-) -> bytes:
-    """Merkle root binding one client's pair pad for one round and server.
-
-    The commitment a client ships with its submission: the root over
-    :func:`pad_chunk_leaves`.  The upstream server re-derives the same
-    pad when combining, so checking it costs only hashing — and archiving
-    the *leaves* beside the root means a later replay re-verifies only
-    the corrupted chunk span.
-    """
-    return merkle_root(
-        list(
-            pad_chunk_leaves(
-                group_id, round_number, client_index, server_index, pad
-            )
-        )
-    )
-
-
-@dataclass(frozen=True)
-class HybridPadCommitment:
-    """One archived pad commitment: the root plus its verified leaves."""
-
-    root: bytes
-    leaves: tuple[bytes, ...]
 
 
 class HybridClient(DissentClient):
@@ -144,8 +75,7 @@ class HybridClient(DissentClient):
     Behaviourally identical to :class:`DissentClient` on the wire (same
     randomness consumption, same ciphertexts — clean hybrid rounds are
     bit-for-bit the XOR fast path); additionally retains its sent slot
-    records past output handling and can commit to its pads and replay a
-    round verifiably.
+    records past output handling and can replay a round verifiably.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -166,24 +96,6 @@ class HybridClient(DissentClient):
         # _sent is popped when the output arrives; blame needs it later.
         self.sent_history[round_number] = self._sent.get(round_number)
         return placed
-
-    def pad_commitment(self, round_number: int, length: int) -> bytes:
-        """Commit to the pair pad shared with this client's upstream server.
-
-        One Merkle root over the pad's chunk digests: the upstream server
-        re-derives the same pad when combining, so the check costs it only
-        hashing — the fast path stays fast.  (Committing to all M pads
-        would double the client's per-round PRNG work for digests no
-        server could check.)
-        """
-        upstream = self.definition.upstream_server(self.index)
-        return pad_commitment_digest(
-            self.group_id,
-            round_number,
-            self.index,
-            upstream,
-            prng.pair_stream(self.secrets[upstream], round_number, length),
-        )
 
     def replay_submission(
         self,
@@ -226,43 +138,15 @@ class HybridClient(DissentClient):
         )
 
 
-class HybridDisruptorClient(HybridClient):
+class HybridDisruptorClient(DisruptorClient, HybridClient):
     """A hybrid-mode member that jams another slot (the §3.9 attack).
 
-    Identical on the wire to :class:`repro.core.adversary.DisruptorClient`
-    but retains hybrid evidence; during the verifiable replay it claims an
-    all-zero contribution (an honestly proven identity encryption — lying
-    about the *content* is the only move left), which the witness-bit trace
-    then contradicts with its own signed ciphertext.
+    :class:`repro.core.adversary.DisruptorClient` keeping hybrid evidence;
+    during the verifiable replay it claims an all-zero contribution (an
+    honestly proven identity encryption — lying about the *content* is the
+    only move left), which the witness-bit trace then contradicts with its
+    own signed ciphertext.
     """
-
-    def __init__(
-        self, *args, target_slot: int | None = None, flips_per_round: int = 1, **kwargs
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.target_slot = target_slot
-        self.flips_per_round = flips_per_round
-
-    def produce_ciphertext(self, round_number: int):
-        from repro.net.message import CLIENT_CIPHERTEXT, make_envelope
-        from repro.util.bytesops import flip_bit
-
-        envelope = super().produce_ciphertext(round_number)
-        layout = self.scheduler.current_layout()
-        if self.target_slot is None or not layout.is_open(self.target_slot):
-            return envelope
-        start, end = layout.slot_bit_range(self.target_slot)
-        body = envelope.body
-        for _ in range(self.flips_per_round):
-            body = flip_bit(body, self.rng.randrange(start, end))
-        return make_envelope(
-            self.key,
-            CLIENT_CIPHERTEXT,
-            self.name,
-            self.group_id,
-            round_number,
-            body,
-        )
 
 
 @dataclass(frozen=True)
@@ -306,35 +190,26 @@ class HybridBlameRecord:
 class HybridSession(DissentSession):
     """A Dissent session in Verdict hybrid mode.
 
-    Clean rounds are exactly the XOR fast path (same bytes, same
-    signatures).  Corrupted rounds trigger a verifiable replay instead of
-    the §3.9 accusation shuffle; :meth:`run_accusation_phase` is never
-    invoked by this class.
+    Rounds are exactly the XOR fast path (same bytes, same signatures),
+    driven by either in-process driver.  A corrupted round triggers a
+    verifiable replay in :meth:`after_output` instead of the §3.9
+    accusation shuffle; no record asks for :meth:`run_accusation_phase`.
 
-    Blame-path work is counted on the session registry (build with
-    ``telemetry=True``): ``hybrid.{fast_rounds,corrupted_rounds}`` per
+    Blame-path work is counted on the session registry (call
+    :meth:`enable_telemetry`): ``hybrid.{fast_rounds,corrupted_rounds}`` per
     round; per replay, ``hybrid.replay_proofs_checked`` (one per replayed
-    chunk proof), ``hybrid.replay_chunks_opened``, and the Merkle-scoped
-    pad re-check's ``hybrid.{pad_chunks_reverified,pad_bytes_rederived}``.
+    chunk proof) and ``hybrid.replay_chunks_opened``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.blames: list[HybridBlameRecord] = []
-        self.pad_archive: dict[int, dict[int, HybridPadCommitment]] = {}
 
     def snapshot_state(self) -> dict:
         """The XOR session's durable state plus hybrid mode's blame evidence:
-        the archived pad commitments and each client's sent history."""
+        each client's sent history."""
         snapshot = super().snapshot_state()
         snapshot["hybrid"] = {
-            "pad_archive": {
-                str(r): {
-                    str(i): [c.root.hex(), [leaf.hex() for leaf in c.leaves]]
-                    for i, c in commitments.items()
-                }
-                for r, commitments in self.pad_archive.items()
-            },
             "sent_history": {
                 str(i): encode_sent_records(client.sent_history)
                 for i, client in enumerate(self.clients)
@@ -346,17 +221,7 @@ class HybridSession(DissentSession):
     def restore_state(self, snapshot: dict) -> None:
         super().restore_state(snapshot)
         try:
-            evidence = snapshot["hybrid"]
-            self.pad_archive = {
-                int(r): {
-                    int(i): HybridPadCommitment(
-                        bytes.fromhex(root), tuple(bytes.fromhex(x) for x in leaves)
-                    )
-                    for i, (root, leaves) in commitments.items()
-                }
-                for r, commitments in evidence["pad_archive"].items()
-            }
-            for i, records in evidence["sent_history"].items():
+            for i, records in snapshot["hybrid"]["sent_history"].items():
                 self.clients[int(i)].sent_history = decode_sent_records(records)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -387,91 +252,66 @@ class HybridSession(DissentSession):
         )
 
     # ------------------------------------------------------------------
-    # Fast path + detection
+    # Detection: the step after each round's output
     # ------------------------------------------------------------------
 
-    def run_round(self, online: set[int] | None = None):
-        r = self.round_number
-        # Every server's scheduler holds the round's layout (and is in every
-        # checkpoint); a copy decodes the output's slots as the servers will.
-        monitor = self.servers[0].scheduler.clone()
-        self._collect_pad_commitments(
-            r, monitor.current_layout().total_bytes, online
+    def replayed_slots(self, output: RoundOutput, layout: RoundLayout) -> list[int]:
+        """The open slots whose padding check fails: everyone decoding the
+        output sees the corruption, so no accusation is needed to say so."""
+        policy = self.definition.policy
+        return [
+            slot
+            for slot in range(layout.num_slots)
+            if layout.is_open(slot)
+            and decode_slot(layout, policy, slot, output.cleartext).is_corrupted
+        ]
+
+    def certified_round(self, r: int, dones) -> RoundRecord:
+        """The XOR record, never asking for the accusation shuffle.
+
+        A corrupted slot's shuffle-request field is noise, and blame here
+        is the replay in :meth:`after_output`; a record that asked would
+        send every driver into :meth:`run_accusation_phase`, which refuses.
+        """
+        return super().certified_round(
+            r,
+            {
+                j: replace(done, shuffle_requested=False)
+                for j, done in dones.items()
+            },
         )
-        record = super().run_round(online)
+
+    def after_output(self, record: RoundRecord) -> None:
+        """Replay each corrupted slot of a certified round, then drop sent
+        records no replay can reach."""
+        r = record.round_number
         if record.completed:
             self.registry.counter("hybrid.fast_rounds").inc()
-            for content in monitor.advance(record.output.cleartext):
-                if content.is_corrupted:
-                    self.registry.counter("hybrid.corrupted_rounds").inc()
-                    self._handle_disruption(r, content.slot_index)
-        self._trim_hybrid_archives()
-        return record
-
-    def _collect_pad_commitments(
-        self, round_number: int, length: int, online: set[int] | None
-    ) -> None:
-        """Each client commits to its upstream pad; the server spot-checks.
-
-        In a deployment the commitment rides the submission envelope; the
-        upstream server verifies it against the pad it derives anyway when
-        combining, so the check is one extra hash.  The digests are
-        archived alongside the round and re-checked by the verifiable
-        replay, binding the replayed round to the pads actually used.
-        """
-        if online is None:
-            online = set(range(self.definition.num_clients))
-        archive: dict[int, HybridPadCommitment] = {}
-        for i in sorted(online - self.expelled):
-            client = self.clients[i]
-            if not isinstance(client, HybridClient):
-                continue
-            digest = client.pad_commitment(round_number, length)
-            upstream = self.definition.upstream_server(i)
-            leaves = pad_chunk_leaves(
-                self.servers[upstream].group_id,
-                round_number,
-                i,
-                upstream,
-                prng.pair_stream(
-                    self.servers[upstream].secrets[i], round_number, length
-                ),
-            )
-            if digest != merkle_root(list(leaves)):
-                # Proactive rejection: a miscommitting client is named
-                # before the round even runs.
-                self.expel(i)
-                continue
-            # Archive the verified *leaves* beside the root: a replay can
-            # then re-check any chunk span against 32-byte digests instead
-            # of re-deriving whole round-length pads.
-            archive[i] = HybridPadCommitment(root=digest, leaves=leaves)
-        self.pad_archive[round_number] = archive
-
-    def _trim_hybrid_archives(self) -> None:
-        """Blame can only reach archived rounds; drop evidence past that."""
-        keep = self.definition.policy.archive_rounds
-        # Rounds insert in ascending order, so first-key eviction is both
-        # oldest-first and O(1) (same fix as DissentServer._trim_archive).
-        while len(self.pad_archive) > keep:
-            del self.pad_archive[next(iter(self.pad_archive))]
+            layout = self.servers[0].archive[r].layout
+            slots = self.replayed_slots(record.output, layout)
+            for slot in slots:
+                self.registry.counter("hybrid.corrupted_rounds").inc()
+                blame = self.replay_blame(r, slot)
+                self.blames.append(blame)
+                rejected = [
+                    TraceVerdict("client", i, "invalid replay proof")
+                    for i in blame.rejected_replays
+                ]
+                self.apply_verdicts(rejected + list(blame.verdicts))
+            if slots:
+                # The replay replaces the accusation path: clear any pending
+                # pseudonym accusations so no shuffle request goes on the wire.
+                for client in self.clients:
+                    client.reset_accusation()
+        # Blame can only reach archived rounds; drop evidence older than
+        # that.  By round number, not count: a pipeline's clients already
+        # hold the speculative rounds after r.
+        oldest = next(iter(self.servers[0].archive), r + 1)
         for client in self.clients:
             if isinstance(client, HybridClient):
                 history = client.sent_history
-                while len(history) > keep:
+                while history and next(iter(history)) < oldest:
                     del history[next(iter(history))]
-
-    def _handle_disruption(self, round_number: int, slot_index: int) -> None:
-        blame = self.replay_blame(round_number, slot_index)
-        self.blames.append(blame)
-        for culprit in blame.client_culprits:
-            self.expel(culprit)
-        for culprit in blame.server_culprits:
-            self.convicted_servers.add(culprit)
-        # The replay replaces the accusation path: clear any pending
-        # pseudonym accusations so no shuffle request goes on the wire.
-        for client in self.clients:
-            client.reset_accusation()
 
     # ------------------------------------------------------------------
     # Verifiable replay (the blame path)
@@ -480,22 +320,12 @@ class HybridSession(DissentSession):
     def replay_blame(self, round_number: int, slot_index: int) -> HybridBlameRecord:
         """Replay one corrupted slot in verifiable mode and name the culprit.
 
-        Two amortizations keep the blame path narrow:
-
-        * **Merkle-scoped pad re-verification** — the archived pad
-          commitments are re-checked only over the pad chunks overlapping
-          the corrupted slot (derive the SHAKE prefix up to the slot's
-          last chunk, hash those chunks, compare against the archived
-          leaves and re-fold the leaves into the root), instead of
-          re-deriving every participant's full round-length pad.
-        * **Lazy chunk replay** — the slot is re-opened one ElGamal chunk
-          at a time, each chunk one batched check per server; the walk
-          stops at the first chunk whose verified bytes expose a witness
-          position, so only the corrupted chunk (plus any clean prefix
-          before it) ever pays for proofs.
-
-        Each chunk is one :func:`~repro.verdict.session.verifiable_round`
+        The replay is lazy: the slot is re-opened one ElGamal chunk at a
+        time, each chunk one :func:`~repro.verdict.session.verifiable_round`
         in which every server checks every replay proof and every share.
+        The walk stops at the first chunk whose verified bytes expose a
+        witness position, so only the corrupted chunk (plus any clean
+        prefix before it) ever pays for proofs.
         """
         group = self.definition.group
         registry = self.registry
@@ -525,41 +355,7 @@ class HybridSession(DissentSession):
         participants = [
             i for i in archive.final_list if i not in self.expelled
         ]
-        # Re-check the archived pad commitments for the corrupted round —
-        # the replay is only meaningful against the pads the trace will
-        # disclose, and the commitment is what binds the two — scoped to
-        # the chunk span the corrupted slot occupies.
-        committed = self.pad_archive.get(round_number, {})
-        length = archive.layout.total_bytes
-        first_leaf = start // PAD_CHUNK_BYTES
-        last_leaf = max(first_leaf, (end - 1) // PAD_CHUNK_BYTES)
-        derive_len = min(length, (last_leaf + 1) * PAD_CHUNK_BYTES)
         rejected: list[int] = []
-        for i in list(participants):
-            commitment = committed.get(i)
-            if commitment is None:
-                continue  # non-hybrid client or pre-archive round
-            upstream = self.definition.upstream_server(i)
-            pad_prefix = prng.pair_stream(
-                self.servers[upstream].secrets[i], round_number, derive_len
-            )
-            registry.counter("hybrid.pad_bytes_rederived").inc(derive_len)
-            ok = len(commitment.leaves) > last_leaf and merkle_root(
-                list(commitment.leaves)
-            ) == commitment.root
-            if ok:
-                expected = pad_chunk_leaves(
-                    self.definition.group_id(), round_number, i, upstream, pad_prefix
-                )
-                for k in range(first_leaf, last_leaf + 1):
-                    registry.counter("hybrid.pad_chunks_reverified").inc()
-                    if expected[k] != commitment.leaves[k]:
-                        ok = False
-                        break
-            if not ok:
-                rejected.append(i)
-                participants.remove(i)
-
         corrupted = archive.cleartext[start:end]
         chunk_bytes = group.message_bytes
         true_parts: list[bytes] = []

@@ -431,9 +431,13 @@ class VerdictSession:
             slot_index: the scheduled slot; None rotates round-robin.
         """
         r = self.round_number
-        self.round_number += 1
         if slot_index is None:
             slot_index = r % len(self.slot_keys)
+        if slot_index not in range(len(self.slot_keys)):
+            raise ProtocolError(
+                f"slot {slot_index} is not one of the {len(self.slot_keys)} slots"
+            )
+        self.round_number += 1
 
         submissions = [
             client.submit(r, slot_index, self.width)

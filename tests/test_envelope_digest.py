@@ -342,17 +342,18 @@ class TestVersionRefusal:
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6])
     def test_old_checkpoint_refused_by_version(self, tmp_path, old):
         # 1: v1 signatures; 2: control-plane state outside the shared
         # ``coordinator`` section; 3: archived rounds masked with SHAKE-256
         # pair pads, which a trace today would recompute differently; 4
         # and 5: a version-1 or version-2 group definition, whose policy
-        # carries knobs this build's policy no longer has.
+        # carries knobs this build's policy no longer has; 6: a hybrid
+        # section carrying pad commitments.
         path = tmp_path / "old.ckpt"
         write_checkpoint(path, {"round": 3}, kind="session")
         document = json.loads(path.read_text())
-        assert document["version"] == 6
+        assert document["version"] == 7
         document["version"] = old
         path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match=f"version {old}"):

@@ -23,6 +23,8 @@ from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.crypto import prng
 from repro.errors import ProtocolError
+from repro.verdict.hybrid import HybridSession, build_hybrid_with_disruptor
+from repro.verdict.session import VerdictSession
 
 WINDOWS = (1, 2, 4, 8)
 
@@ -35,23 +37,33 @@ def _clean_session(
     messages=4,
     stalling=None,
     telemetry=False,
+    session_cls=DissentSession,
 ):
     def server_factory(definition, index, key, rng):
         cls = StallingLeader if index == stalling else DissentServer
         return cls(definition, index, key, rng)
 
-    session = DissentSession.build(
+    session = session_cls.build(
         num_servers=num_servers,
         num_clients=num_clients,
         seed=seed,
         policy=policy,
         server_factory=server_factory,
-        telemetry=telemetry,
     )
+    if telemetry:
+        session.enable_telemetry()
     session.setup()
     for i in range(num_clients):
         for k in range(messages):
             session.post(i, f"msg-{i}-{k}".encode())
+    return session
+
+
+def _hybrid_disruptor_session(telemetry=False):
+    session, _ = build_hybrid_with_disruptor(seed=33)
+    if telemetry:
+        session.enable_telemetry()
+    session.post(1, b"the dissident message")
     return session
 
 
@@ -135,19 +147,24 @@ class TestBitIdenticalOutputs:
 
 
 class TestPadWork:
+    @pytest.mark.parametrize("session_cls", (DissentSession, HybridSession))
     @pytest.mark.parametrize(
         "window", (None, *WINDOWS), ids=("lockstep", *(f"W{w}" for w in WINDOWS))
     )
-    def test_every_endpoint_squeezes_its_own_pads(self, window, monkeypatch):
-        """2·N·M pair pads a round on every driver: each client derives its
-        M pads and each server its N, as on separate machines; a window
-        overlaps rounds, it never shares one endpoint's pad with the other."""
+    def test_every_endpoint_squeezes_its_own_pads(
+        self, window, session_cls, monkeypatch
+    ):
+        """2·N·M pair pads a round on every driver and in both modes: each
+        client derives its M pads and each server its N, as on separate
+        machines; a window overlaps rounds, it never shares one endpoint's
+        pad with the other, and hybrid mode adds no pad of its own."""
         num_clients, num_servers = 6, 3
         session = _clean_session(
             num_clients=num_clients,
             num_servers=num_servers,
             messages=0,
             telemetry=True,
+            session_cls=session_cls,
         )
         squeezes = collections.Counter()
         pair_stream = prng.pair_stream
@@ -168,22 +185,61 @@ class TestPadWork:
 
 
 class TestDisruptionMidPipeline:
+    @pytest.mark.parametrize(
+        "build", (_disruptor_session, _hybrid_disruptor_session), ids=("xor", "hybrid")
+    )
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_blame_verdicts_identical(self, window):
-        """A disrupted round mid-window drains and still blames identically."""
-        lock = _disruptor_session()
+    def test_blame_verdicts_identical(self, window, build):
+        """A disrupted round mid-window drains and still blames identically:
+        by the accusation shuffle in XOR mode, by the replay in hybrid."""
+        lock = build()
         lock_records = lock.run_rounds(12)
         assert lock.expelled == {4}  # the lockstep baseline convicts
 
-        pipe_session = _disruptor_session(telemetry=True)
+        pipe_session = build(telemetry=True)
         pipe = PipelinedSession(pipe_session, window=window)
         pipe_records = pipe.run_rounds(12)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
+        assert getattr(lock, "blames", None) == getattr(pipe_session, "blames", None)
         assert _count(pipe_session, "pipeline.drains") >= 1
         # Disruption detection state must match too (the victim saw it).
         for lc, pc in zip(lock.clients, pipe_session.clients):
             assert lc.disruption_detected == pc.disruption_detected
             assert (lc.pending_accusation is None) == (pc.pending_accusation is None)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_replaying_an_absent_owners_slot_drains(self, window):
+        """Hybrid blame needs no owner: the victim asks for a slot, then
+        goes offline, and the jammed slot is replayed with no sent record
+        for the pipeline to find disrupted.  The replay expels the
+        disruptor, so the rounds built past it must be discarded."""
+        victim_offline = set(range(6)) - {1}
+        plan = [None] + [victim_offline] * 5
+
+        def build(telemetry=False):
+            session, _ = build_hybrid_with_disruptor(
+                seed=33, policy=Policy(alpha=0.0)
+            )
+            if telemetry:
+                session.enable_telemetry()
+            session.post(1, b"asked for a slot, then left")
+            # Traffic in the other slots draws client randomness every
+            # round, as the replay does.
+            for i in (0, 2, 3, 5):
+                for k in range(6):
+                    session.post(i, bytes([k]) * 120)
+            return session
+
+        lock = build()
+        lock_records = [lock.run_round(online) for online in plan]
+        assert lock.expelled == {4}
+        assert 1 not in lock.servers[0].archive[lock.blames[0].round_number].final_list
+
+        pipe_session = build(telemetry=True)
+        pipe_records = PipelinedSession(pipe_session, window=window).run_schedule(plan)
+        _assert_identical(lock, lock_records, pipe_session, pipe_records)
+        assert pipe_session.blames == lock.blames
+        assert _count(pipe_session, "pipeline.drains") >= 1
 
     def test_speculative_rounds_discarded_on_drain(self):
         pipe_session = _disruptor_session(telemetry=True)
@@ -256,10 +312,8 @@ class TestChurnAndFailure:
 
 
 class TestEngineGuards:
-    def test_hybrid_sessions_rejected(self):
-        from repro.verdict.hybrid import HybridSession
-
-        session = HybridSession.build(num_servers=2, num_clients=3, seed=5)
+    def test_verdict_sessions_rejected(self):
+        session = VerdictSession.build(num_servers=2, num_clients=3, seed=5)
         with pytest.raises(ProtocolError):
             PipelinedSession(session)
 
@@ -339,3 +393,29 @@ class TestArchiveBounds:
             assert list(ls.archive) == list(ps.archive)
             for r in ls.archive:
                 assert ls.archive[r].cleartext == ps.archive[r].cleartext
+
+    @pytest.mark.parametrize("window", (1, 8))
+    def test_hybrid_evidence_covers_the_archive(self, window):
+        """Hybrid blame can replay any archived round, so every client keeps
+        its sent record of each; a window's speculative builds evict none."""
+        policy = Policy(archive_rounds=4)
+        session = _clean_session(
+            seed=63, policy=policy, messages=6, session_cls=HybridSession
+        )
+        covered = []
+        after_output = session.after_output
+
+        def checked(record):
+            after_output(record)
+            archived = set(session.servers[0].archive)
+            covered.append(
+                all(archived <= set(c.sent_history) for c in session.clients)
+            )
+
+        session.after_output = checked
+        PipelinedSession(session, window=window).run_rounds(16)
+        assert covered == [True] * 16
+        archived = list(session.servers[0].archive)
+        assert len(archived) == policy.archive_rounds
+        for client in session.clients:
+            assert list(client.sent_history) == archived

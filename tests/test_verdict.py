@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import DissentSession
 from repro.core.config import GroupDefinition, Policy
+from repro.core.server import DissentServer
 from repro.core.session import build_session
 from repro.crypto import elgamal
 from repro.crypto.groups import testing_group as make_test_group
@@ -29,11 +30,7 @@ from repro.verdict.ciphertext import (
     verify_client_ciphertext,
     verify_server_share,
 )
-from repro.verdict.hybrid import (
-    HybridSession,
-    build_hybrid_with_disruptor,
-    pad_commitment_digest,
-)
+from repro.verdict.hybrid import HybridSession, build_hybrid_with_disruptor
 from repro.verdict.session import (
     DisruptingVerdictClient,
     VerdictSession,
@@ -226,6 +223,17 @@ class TestVerdictSession:
         with pytest.raises(ConfigError, match="unknown group"):
             VerdictSession.build(group_name="nope")
 
+    @pytest.mark.parametrize("slot_index", (-1, 3, 99))
+    def test_slot_outside_the_schedule_rejected(self, slot_index):
+        session = VerdictSession.build(
+            num_servers=2, num_clients=3, seed=1, slot_payload=24
+        )
+        with pytest.raises(ProtocolError, match="slot"):
+            session.run_round(slot_index)
+        # The refused call used no round; the last real slot still runs.
+        assert session.round_number == 0 and not session.records
+        assert session.run_round(2).round_number == 0
+
     def test_honest_servers_agree_on_rejection(self):
         session = VerdictSession.build(
             num_servers=2,
@@ -311,41 +319,12 @@ class TestHybridMode:
         assert blame.rejected_replays == ()
         assert blame.verdicts and blame.verdicts[0].culprit_kind == "client"
 
-    def test_pad_commitments_archived_and_verifiable(self):
-        session = HybridSession.build(num_servers=3, num_clients=4, seed=8)
-        session.setup()
-        session.post(0, b"x")
-        record = session.run_round()
-        commitments = session.pad_archive[record.round_number]
-        assert set(commitments) == set(range(4))
-        # The upstream server can re-derive each Merkle root from the pad
-        # it already computes when combining, and the archived leaves must
-        # open the archived root.
-        from repro.crypto import prng
-        from repro.crypto.hashing import merkle_root
-        from repro.verdict.hybrid import pad_chunk_leaves
-
-        length = len(record.output.cleartext)
-        for i in range(4):
-            upstream = i % 3
-            server = session.servers[upstream]
-            pad = prng.pair_stream(server.secrets[i], record.round_number, length)
-            expected = pad_commitment_digest(
-                server.group_id, record.round_number, i, upstream, pad
-            )
-            assert commitments[i].root == expected
-            assert commitments[i].leaves == pad_chunk_leaves(
-                server.group_id, record.round_number, i, upstream, pad
-            )
-            assert merkle_root(list(commitments[i].leaves)) == expected
-
     def test_hybrid_archives_stay_bounded(self):
         session = HybridSession.build(num_servers=2, num_clients=3, seed=12)
         session.setup()
         keep = session.definition.policy.archive_rounds
         for _ in range(3 * keep):
             session.run_round()
-        assert len(session.pad_archive) <= keep
         for client in session.clients:
             assert len(client.sent_history) <= keep
 
@@ -357,28 +336,10 @@ class TestHybridMode:
             session.run_accusation_phase()
         assert _count(session, "session.accusation_phases") == 0
 
-    def test_merkle_root_binds_leaves(self):
-        from repro.crypto.hashing import merkle_root, sha256
-
-        leaves = [sha256(bytes([i])) for i in range(5)]
-        root = merkle_root(list(leaves))
-        assert merkle_root(list(leaves)) == root
-        tampered = list(leaves)
-        tampered[3] = sha256(b"forged")
-        assert merkle_root(tampered) != root
-        assert merkle_root(leaves[:4]) != root
-        assert merkle_root([]) == merkle_root([])
-
     def test_replay_reverifies_only_the_corrupted_chunk_span(self):
-        """The Merkle satellite's acceptance property: a corrupted round's
-        replay re-derives/re-checks pads only over the corrupted slot's
-        chunk span, and opens slot chunks lazily up to the witness chunk —
-        not the whole slot."""
+        """A corrupted round's replay opens slot chunks lazily, up to the
+        witness chunk — not the whole slot."""
         from repro.core.config import Policy
-        from repro.verdict.hybrid import (
-            PAD_CHUNK_BYTES,
-            build_hybrid_with_disruptor,
-        )
 
         session, victim_slot = build_hybrid_with_disruptor(
             num_servers=3,
@@ -387,8 +348,8 @@ class TestHybridMode:
             policy=Policy(initial_slot_payload=96),
         )
         session.enable_telemetry()
-        # Every client posts, so all six slots open and the round spans
-        # several pad chunks — the corrupted slot covers only some.
+        # Every client posts, so all six slots open and the corrupted slot
+        # spans several ElGamal chunks.
         for i in range(6):
             session.post(i, bytes([i + 1]) * 90)
         for _ in range(4):
@@ -413,26 +374,11 @@ class TestHybridMode:
             end - start, blame.chunks_replayed * group.message_bytes
         )
 
-        length = archive.layout.total_bytes
-        first_leaf = start // PAD_CHUNK_BYTES
-        last_leaf = (end - 1) // PAD_CHUNK_BYTES
-        span = last_leaf - first_leaf + 1
         # First blame of the session: nobody was expelled before the
-        # replay ran, so every final-list member re-checked its pads.
+        # replay ran, so every final-list member proved each opened chunk.
         participants = len(archive.final_list)
-        total_leaves = -(-length // PAD_CHUNK_BYTES)
-        # Precondition for the scoping claim: the corrupted slot must not
-        # span the whole round (seed-dependent; fails loudly on drift).
-        assert span < total_leaves
-        # Pad re-verification was scoped to the slot's leaf span, and the
-        # SHAKE re-derivation stopped at the slot's last chunk instead of
-        # the full round length.
-        reverified = _count(session, "hybrid.pad_chunks_reverified")
-        assert reverified == span * participants
-        assert reverified < total_leaves * participants
-        derive_len = min(length, (last_leaf + 1) * PAD_CHUNK_BYTES)
-        assert _count(session, "hybrid.pad_bytes_rederived") == (
-            derive_len * participants
+        assert _count(session, "hybrid.replay_proofs_checked") == (
+            blame.chunks_replayed * participants
         )
         # Proof work tracked per chunk actually opened.
         assert _count(session, "hybrid.replay_chunks_opened") == blame.chunks_replayed
@@ -460,6 +406,38 @@ class TestHybridMode:
         assert blame.status == "blamed"
         assert 3 in blame.client_culprits
         assert 1 <= blame.chunks_replayed <= blame.total_chunks
+
+
+class _WrongSecretServer(DissentServer):
+    """Masks client 1's submissions with a pad the client never derives:
+    it overwrites their shared secret once the schedule is known."""
+
+    def learn_schedule(self, elements):
+        super().learn_schedule(elements)
+        self.secrets[1] = bytes(32)
+
+
+class TestFaultyUpstreamServer:
+    @pytest.mark.parametrize("mode", ("xor", "hybrid"))
+    def test_the_server_is_convicted_and_no_client_expelled(self, mode):
+        """A disruption convicts its author, never an honest member: server
+        1 garbles every round through client 1, whose upstream it is."""
+
+        def server_factory(definition, index, key, rng):
+            cls = _WrongSecretServer if index == 1 else DissentServer
+            return cls(definition, index, key, rng)
+
+        cls = HybridSession if mode == "hybrid" else DissentSession
+        session = cls.build(
+            num_servers=3, num_clients=6, seed=5, server_factory=server_factory
+        )
+        session.setup()
+        assert session.definition.upstream_server(1) == 1
+        for i in range(6):
+            session.post(i, f"hello {i}".encode())
+        session.run_rounds(10)
+        assert 1 in session.convicted_servers
+        assert session.expelled == set()
 
 
 # ---------------------------------------------------------------------------
