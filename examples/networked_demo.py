@@ -17,8 +17,7 @@ import os
 
 from repro.net.runner import NetworkedSession
 from repro.obs.critical import chrome_trace_json, trace_table
-from repro.obs.export import phase_table, snapshot_json
-from repro.obs.flight import parse_flight_dump
+from repro.obs.export import parse_flight_dump, phase_table, snapshot_json
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--flight-out",
         metavar="DIR",
-        help="write each node's flight-recorder ring as NDJSON into DIR",
+        help="write the tail of each node's event log as NDJSON into DIR",
     )
     args = parser.parse_args(argv)
 
@@ -82,15 +81,10 @@ def main(argv: list[str] | None = None) -> int:
 
         print(f"\n{'round':>5} {'status':>10} {'participants':>13} {'latency':>9}")
         for _ in range(args.rounds):
-            before = len(tracer.events)
             record = session.run_round()
             # The coordinator tracer timed the round span for us.
-            round_spans = [
-                event
-                for event in tracer.events[before:]
-                if event.name == "round"
-            ]
-            latency_ms = round_spans[-1].duration * 1e3
+            round_span = next(e for e in reversed(tracer.events) if e.name == "round")
+            latency_ms = round_span.duration * 1e3
             print(
                 f"{record.round_number:>5} {record.status.value:>10} "
                 f"{record.participation:>13} {latency_ms:>7.1f}ms"

@@ -10,7 +10,7 @@ on the member list and policy, with no PKI or consensus protocol.
 
 Because every policy field is hashed into the id, changing any field
 changes every signature, so :class:`Policy` holds only what members must
-agree on.  Per-node observability (tracing, the flight recorder's ring)
+agree on.  Per-node observability (tracing and its flight dumps)
 rides the session's telemetry switch instead, and the §5.1 window-closure
 policies are :mod:`repro.core.policy` objects carrying their own fields.
 """

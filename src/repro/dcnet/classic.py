@@ -169,16 +169,6 @@ class ClassicDcNet:
                 participants=tuple(sorted(active)),
             )
 
-    def total_counters(self) -> CostCounters:
-        """Aggregate cost across all members."""
-        total = CostCounters()
-        for member in self.members:
-            total.prng_bytes += member.counters.prng_bytes
-            total.messages_sent += member.counters.messages_sent
-            total.bytes_sent += member.counters.bytes_sent
-            total.restarts += member.counters.restarts
-        return total
-
 
 def analytic_costs(num_members: int, round_bytes: int) -> CostCounters:
     """Closed-form per-round cost of the all-pairs design (for benches)."""

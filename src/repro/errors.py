@@ -45,10 +45,6 @@ class CommitmentMismatch(ProtocolError):
     """A server's revealed ciphertext does not match its commitment."""
 
 
-class RoundFailed(ProtocolError):
-    """A round was abandoned (hard timeout / insufficient participation)."""
-
-
 class WireError(ProtocolError):
     """Base class for network wire-format and transport failures."""
 
@@ -113,20 +109,6 @@ class PeerUnreachable(SessionTimeout):
     for timeouts still catch it, but callers that care can tell "the
     whole barrier was slow" from "this one peer is gone".
     """
-
-
-class LeaderEquivocation(ProtocolError):
-    """The round leader signed two conflicting proposals for one view.
-
-    Carries the transferable :class:`repro.consensus.EquivocationProof`
-    when raised locally; the proof does not survive remote error
-    re-raising (``proof`` stays ``None``), which is fine — the proof
-    itself travels in round barriers and the audit log, not in errors.
-    """
-
-    def __init__(self, message: str, *, proof=None) -> None:
-        super().__init__(message)
-        self.proof = proof
 
 
 class ViewChangeTimeout(SessionTimeout):

@@ -89,7 +89,7 @@ from repro.net.wire import (
     encode_telemetry_body,
 )
 from repro.obs import metrics as _obs
-from repro.obs.flight import FlightRecorder
+from repro.obs.export import flight_ndjson, write_flight_dump
 from repro.obs.propagate import TraceContext
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
@@ -191,19 +191,20 @@ class NodeRuntime:
         #: When set, the node checkpoints its own state here at every
         #: round barrier; a restarted process resumes from that file.
         self.checkpoint_path = checkpoint_path
-        #: The node's one timer: a wall-clock tracer (timestamps comparable
-        #: across processes) whose every record also feeds the registry's
-        #: ``span.*`` histograms.  Null when telemetry is off.
+        #: The node's one timer and one event log: a wall-clock tracer
+        #: (timestamps comparable across processes) whose every record also
+        #: feeds the registry's ``span.*`` histograms, and whose tail is the
+        #: node's flight dump.  Null when telemetry is off.
         self.tracer = (
             Tracer(registry=self.registry, clock=time.time)
             if self.registry.enabled
             else NULL_TRACER
         )
-        #: Flight recorder: the last spans/events, dumped on failure triggers.
-        self.flight = FlightRecorder(node=name, clock=time.time)
-        #: Directory for automatic flight dumps; None keeps the ring
-        #: in-memory only (still pullable via the ``flight`` control frame).
+        #: Directory for automatic flight dumps; None keeps them in memory
+        #: only (still pullable via the ``flight`` control frame).
         self.flight_dir: str | None = None
+        #: Flight dumps written so far: the index in the next file name.
+        self.flight_dumps = 0
         #: Restore generation, bumped on every crash-recovery restore so
         #: the coordinator can deduplicate re-shipped telemetry snapshots.
         self.generation = 0
@@ -333,7 +334,7 @@ class NodeRuntime:
             try:
                 payload = await self.transport.recv()
             except ConnectionClosed:
-                self.flight.trigger("link_loss", self.flight_dir)
+                self._trigger("link_loss")
                 if await self._try_reconnect():
                     continue
                 break
@@ -396,7 +397,9 @@ class NodeRuntime:
         if kind == K_TRACE:
             return canonical_json([e.as_dict() for e in self.tracer.events])
         if kind == K_FLIGHT:
-            return self.flight.ndjson("manual").encode("utf-8")
+            return flight_ndjson(self.name, "manual", self.tracer.events).encode(
+                "utf-8"
+            )
         if kind == K_HEALTH:
             return canonical_json(self.health_snapshot())
         if kind == K_SNAPSHOT:
@@ -436,7 +439,7 @@ class NodeRuntime:
             "reconnects": self.registry.counter("net.reconnect.successes").value,
         }
 
-    def _record_span(
+    def _log_span(
         self,
         name: str,
         start: float,
@@ -446,7 +449,7 @@ class NodeRuntime:
         parent_id: int | None = None,
         **attrs,
     ):
-        """Record one span on the tracer (and so the registry) and the ring.
+        """Record one span on the tracer (and so the registry).
 
         A trace context, when the coordinator sent one, only adds the
         trace id — and, for a span with no local parent, the remote parent
@@ -456,12 +459,17 @@ class NodeRuntime:
             attrs["trace_id"] = trace.trace_id
             if parent_id is None:
                 attrs["parent_ref"] = trace.span_ref
-        record = self.tracer.record(
+        return self.tracer.record(
             name, start, end, parent_id=parent_id, node=self.name, **attrs
         )
-        if record is not None:
-            self.flight.record_span(record)
-        return record
+
+    def _trigger(self, event: str, /, **attrs) -> None:
+        """Note a failure trigger, then dump the log's tail into ``flight_dir``."""
+        self.tracer.note(event, node=self.name, **attrs)
+        if write_flight_dump(
+            self.flight_dir, self.name, self.flight_dumps, event, self.tracer.events
+        ):
+            self.flight_dumps += 1
 
     # -- durable state --------------------------------------------------
 
@@ -556,7 +564,7 @@ class ServerNode(NodeRuntime):
             (round_number,) = _unpack_typed(body, "i", "round-abandon")
             self.engine.abandon(round_number)
             self._close_round(round_number, "abandoned")
-            self.flight.trigger("abandon", self.flight_dir, round=round_number)
+            self._trigger("abandon", round=round_number)
             self._maybe_checkpoint()
             return b""
         if kind == K_EXPEL:
@@ -609,7 +617,7 @@ class ServerNode(NodeRuntime):
         self._cancel_timer(round_number)
         clock = self._clocks.pop(round_number)
         self._round_trace.pop(round_number, None)
-        self._record_span(
+        self._log_span(
             "round",
             clock.opened,
             time.time(),
@@ -630,7 +638,7 @@ class ServerNode(NodeRuntime):
         if clock is None:
             return  # an effect that outlived its round (timer vs. dispatch)
         now = time.time()
-        self._record_span(
+        self._log_span(
             "phase",
             clock.mark,
             now,
@@ -783,9 +791,8 @@ class ServerNode(NodeRuntime):
                 case ArmTimer(round_number, view):
                     self._arm_timer(round_number, view)
                 case Conviction(round_number, view, leader):
-                    self.flight.trigger(
+                    self._trigger(
                         "equivocation",
-                        self.flight_dir,
                         round=round_number,
                         view=view,
                         leader=leader,
@@ -805,9 +812,7 @@ class ServerNode(NodeRuntime):
         self._cancel_timer(round_number)
         self._last_view = max(self._last_view, view)
         if view > 0:
-            self.flight.trigger(
-                "view_change", self.flight_dir, round=round_number, view=view
-            )
+            self._trigger("view_change", round=round_number, view=view)
         self._timers[round_number] = asyncio.get_running_loop().call_later(
             min(self.retry.budget(), self.definition.policy.barrier_timeout),
             self._view_timer_fired,
@@ -886,7 +891,7 @@ class ClientNode(NodeRuntime):
                 )
                 started = time.time()
                 envelope = self.client.produce_ciphertext(round_number)
-                record = self._record_span(
+                record = self._log_span(
                     "phase",
                     started,
                     time.time(),
@@ -910,9 +915,8 @@ class ClientNode(NodeRuntime):
             round_number, participation = _unpack_typed(body, "ii", "round-failed")
             self.client.handle_round_failure(round_number, participation)
             self._mark_round_done(round_number)
-            self.flight.trigger(
+            self._trigger(
                 "round_failure",
-                self.flight_dir,
                 round=round_number,
                 participation=participation,
             )

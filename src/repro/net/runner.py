@@ -124,7 +124,7 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
 )
-from repro.obs.flight import FlightRecorder
+from repro.obs.export import flight_ndjson, write_flight_dump
 from repro.obs.propagate import TraceContext, round_trace_id, span_ref
 from repro.persist.audit import AuditLog
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
@@ -431,18 +431,21 @@ def dedupe_telemetry_replies(decoded: list[dict]) -> list[dict]:
     the same ``(node, generation)`` — counting both would double every
     counter.  Keep the first reply per identity; replies from a *new*
     generation (a restore bumps it) are genuinely fresh registries and
-    merge normally.  A reply without the wrapper cannot be attributed and
-    raises :class:`ProtocolError`.
+    merge normally.  A reply without the wrapper, or whose generation is
+    no integer, cannot be attributed and raises :class:`ProtocolError`.
     """
     seen: set[tuple[str, int]] = set()
     snapshots: list[dict] = []
     for reply in decoded:
-        if not {"node", "generation", "snapshot"} <= reply.keys():
+        if not (
+            isinstance(reply, Mapping)
+            and {"node", "generation", "snapshot"} <= reply.keys()
+            and type(reply["generation"]) is int
+        ):
             raise ProtocolError(
-                "telemetry reply needs node, generation and snapshot; "
-                f"got {sorted(reply)}"
+                "telemetry reply needs node, an integer generation and snapshot"
             )
-        identity = (str(reply["node"]), int(reply["generation"]))
+        identity = (str(reply["node"]), reply["generation"])
         if identity in seen:
             continue
         seen.add(identity)
@@ -517,10 +520,10 @@ class NetworkedSession(Coordinator):
         else:
             self.registry = NULL_REGISTRY
             self.tracer = NULL_TRACER
-        #: Coordinator-side flight recorder plus the dump directory shared
-        #: with the nodes (subprocess nodes dump into it themselves).
-        self.flight = FlightRecorder(node=COORDINATOR, clock=time.time)
+        #: The flight-dump directory shared with the nodes (subprocess
+        #: nodes dump into it themselves), and the coordinator's dump index.
         self.flight_dir = flight_dir
+        self._flight_dumps = 0
         self._client_keys = list(client_keys)
         self._server_seeds = list(
             server_seeds
@@ -722,14 +725,21 @@ class NetworkedSession(Coordinator):
         self._event("resume", node=name, replayed=replayed)
 
     def _note_dark(self, name: str) -> None:
-        """Hub callback: one peer's link was just lost."""
-        self._flight_event("link_loss", node=name)
+        """Hub callback: one peer's link was just lost.  A closing session
+        shuts every link down on purpose, which is no failure."""
+        if not self._closed:
+            self._flight_event("link_loss", peer=name)
 
     def _flight_event(self, event: str, **data) -> None:
-        """Fire a flight trigger; every automatic dump is chained into the
-        audit log, so the hash-chained history names the file explaining it."""
-        dumped = self.flight.trigger(event, self.flight_dir, **data)
+        """Note a failure trigger and dump the log's tail; every automatic
+        dump is chained into the audit log, so the hash-chained history
+        names the file explaining it."""
+        self.tracer.note(event, node=COORDINATOR, **data)
+        dumped = write_flight_dump(
+            self.flight_dir, COORDINATOR, self._flight_dumps, event, self.tracer.events
+        )
         if dumped:
+            self._flight_dumps += 1
             self._event("flight_dump", path=dumped, reason=event)
 
     def _checkpoint_path_for(self, role: str, index: int) -> str | None:
@@ -1235,8 +1245,6 @@ class NetworkedSession(Coordinator):
                     for frame in dones
                 },
             )
-        if self.tracer.enabled and self.tracer.events:
-            self.flight.record_span(self.tracer.events[-1])
         return record
 
     async def _abandon_round_async(
@@ -1526,7 +1534,10 @@ class NetworkedSession(Coordinator):
         if self.telemetry:
             decoded = [decode_telemetry_body(r) for r in self._ask_live(K_TELEMETRY)]
             for snapshot in dedupe_telemetry_replies(decoded):
-                merged.merge_snapshot(snapshot)
+                try:
+                    merged.merge_snapshot(snapshot)
+                except ValueError as exc:
+                    raise ProtocolError(f"telemetry snapshot: {exc}") from None
         return merged.snapshot()
 
     def trace_events(self) -> list[dict]:
@@ -1548,8 +1559,9 @@ class NetworkedSession(Coordinator):
         return [json.loads(r.decode("utf-8")) for r in self._ask_live(K_HEALTH)]
 
     def flight_dumps(self) -> list[str]:
-        """Current flight-recorder contents, coordinator first, as NDJSON."""
-        return [self.flight.ndjson("manual")] + [
+        """The tail of every live process's event log, coordinator first,
+        as flight-dump NDJSON."""
+        return [flight_ndjson(COORDINATOR, "manual", self.tracer.events)] + [
             r.decode("utf-8") for r in self._ask_live(K_FLIGHT)
         ]
 

@@ -3,6 +3,11 @@
 Dependency-free (standard library only; imports nothing from the rest of
 ``repro``), zero-cost when disabled (null variants), and deterministic
 (injectable clocks, no RNG) — recording can never perturb protocol bytes.
+
+A process keeps one event log, its tracer's ring of span records
+(``Tracer.events``, the newest records kept); failure triggers are
+zero-length notes in it, and a flight dump is its tail
+(:func:`~repro.obs.export.flight_ndjson`).
 """
 
 from .metrics import (
@@ -27,8 +32,12 @@ from .trace import (
     Tracer,
 )
 from .export import (
+    FLIGHT_EVENTS,
     PHASE_ORDER,
     events_ndjson,
+    flight_ndjson,
+    flight_table,
+    parse_flight_dump,
     phase_table,
     render_table,
     snapshot_json,
@@ -46,12 +55,6 @@ from .critical import (
     phase_breakdown,
     trace_table,
 )
-from .flight import (
-    DUMP_REASONS,
-    FlightRecorder,
-    flight_table,
-    parse_flight_dump,
-)
 from .health import (
     health_table,
     merge_health,
@@ -60,6 +63,7 @@ from .health import (
 )
 
 __all__ = [
+    "FLIGHT_EVENTS",
     "LATENCY_EDGES_S",
     "NULL_REGISTRY",
     "NULL_SPAN",
@@ -75,14 +79,13 @@ __all__ = [
     "Span",
     "SpanRecord",
     "Tracer",
-    "DUMP_REASONS",
-    "FlightRecorder",
     "TraceContext",
     "assemble_traces",
     "chrome_trace_json",
     "context_bytes",
     "critical_path",
     "events_ndjson",
+    "flight_ndjson",
     "flight_table",
     "global_registry",
     "health_table",

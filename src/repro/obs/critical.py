@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 
-from .export import _render_rows
+from .export import _render_rows, span_event
 from .propagate import span_ref
 
 #: Spans shorter than this (seconds) are dropped from critical-path
@@ -37,23 +37,25 @@ MIN_SEGMENT_S = 0.0
 
 
 def _normalize(event: Mapping) -> dict:
-    """One span dict → the flat form assembly works on."""
-    attrs = dict(event.get("attrs") or {})
+    """One span dict → the flat form assembly works on (:class:`ValueError`
+    for anything that is not a span dict)."""
+    span = span_event(event)
+    attrs = span["attrs"]
     node = str(attrs.get("node", "local"))
-    span_id = int(event.get("span_id", 0))
-    parent_id = event.get("parent_id")
+    parent_id = span["parent_id"]
     parent = span_ref(node, parent_id) if parent_id is not None else None
+    trace_id = attrs.get("trace_id")
     return {
-        "ref": span_ref(node, span_id),
+        "ref": span_ref(node, span["span_id"]),
         "parent": parent,
         "parent_ref": attrs.get("parent_ref"),
         "node": node,
-        "name": str(event.get("name", "")),
-        "phase": str(attrs.get("name", event.get("name", ""))),
-        "trace_id": attrs.get("trace_id"),
+        "name": span["name"],
+        "phase": str(attrs.get("name", span["name"])),
+        "trace_id": None if trace_id is None else str(trace_id),
         "round": attrs.get("round"),
-        "start": float(event.get("start", 0.0)),
-        "end": float(event.get("end", 0.0)),
+        "start": span["start"],
+        "end": span["end"],
     }
 
 

@@ -133,6 +133,19 @@ def render_openmetrics(
     return "\n".join(lines) + "\n"
 
 
+def _health_dicts(snapshots: Iterable[Mapping]) -> list[dict]:
+    """Health snapshots as dicts; :class:`ValueError` for anything else."""
+    nodes = [dict(s) if isinstance(s, Mapping) else None for s in snapshots]
+    for node in nodes:
+        if node is None or not all(
+            isinstance(node.get(key, 0), (int, float))
+            and not isinstance(node.get(key, 0), bool)
+            for key in GAUGE_FIELDS
+        ):
+            raise ValueError("health snapshots must be objects with numeric gauges")
+    return nodes
+
+
 def merge_health(snapshots: Iterable[Mapping]) -> dict:
     """Per-node health dicts → one deployment-level view.
 
@@ -142,7 +155,7 @@ def merge_health(snapshots: Iterable[Mapping]) -> dict:
     conservative reading: the set a client actually gets is the one the
     slowest-converging server will certify.
     """
-    nodes = [dict(s) for s in snapshots]
+    nodes = _health_dicts(snapshots)
     anonymity = [s["anonymity_set"] for s in nodes if "anonymity_set" in s]
     return {
         "nodes": len(nodes),
@@ -160,7 +173,7 @@ def merge_health(snapshots: Iterable[Mapping]) -> dict:
 
 def health_table(snapshots: Iterable[Mapping]) -> str:
     """Render per-node rows plus the merged deployment line."""
-    nodes = [dict(s) for s in snapshots]
+    nodes = _health_dicts(snapshots)
     if not nodes:
         return "(no health snapshots)"
     body = [

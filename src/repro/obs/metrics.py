@@ -24,7 +24,9 @@ Design constraints, in order:
   recording can never perturb protocol bytes or RNG streams.
 
 Snapshots are plain JSON-able dictionaries (see :meth:`MetricsRegistry.snapshot`),
-which is also the body of the ``telemetry`` wire message.
+which is also the body of the ``telemetry`` wire message.  Their readers
+are total: :func:`check_snapshot` raises :class:`ValueError` for any
+other shape before anything is merged or rendered.
 """
 
 from __future__ import annotations
@@ -177,6 +179,37 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.6g})"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_snapshot(snapshot) -> None:
+    """Raise :class:`ValueError` unless ``snapshot`` has the shape
+    :meth:`MetricsRegistry.snapshot` writes; absent sections are empty."""
+    if not isinstance(snapshot, Mapping):
+        raise ValueError(
+            f"registry snapshot must be a JSON object, got {type(snapshot).__name__}"
+        )
+    sections = [snapshot.get(s, {}) for s in ("counters", "gauges", "histograms")]
+    if not all(isinstance(section, Mapping) for section in sections):
+        raise ValueError("snapshot counters, gauges and histograms must be objects")
+    counters, gauges, histograms = sections
+    for name, value in [*counters.items(), *gauges.items()]:
+        if not _is_number(value):
+            raise ValueError(f"metric {name!r}: {value!r} is not a number")
+    for name, state in histograms.items():
+        if not (
+            isinstance(state, Mapping)
+            and isinstance(state.get("edges"), list)
+            and isinstance(state.get("counts"), list)
+            and len(state["counts"]) == len(state["edges"]) + 1
+            and all(map(_is_number, state["edges"] + state["counts"]))
+            and all(_is_number(state.get(key)) for key in ("sum", "count"))
+            and all(state.get(k) is None or _is_number(state[k]) for k in ("min", "max"))
+        ):
+            raise ValueError(f"histogram {name!r}: malformed state {state!r}")
+
+
 class MetricsRegistry:
     """Get-or-create home for named counters, gauges, and histograms."""
 
@@ -223,8 +256,10 @@ class MetricsRegistry:
         """Fold one process's snapshot into this registry.
 
         Counters and histogram buckets add; gauges keep the maximum.
-        An empty mapping (a disabled node's snapshot) merges as a no-op.
+        An empty mapping (a disabled node's snapshot) merges as a no-op;
+        a malformed one raises :class:`ValueError` before anything merges.
         """
+        check_snapshot(snapshot)
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():

@@ -18,9 +18,10 @@ skipped), and control-plane events — ``view_change`` and
 ``--trace-out`` artifact, or a raw JSON list of span dicts) and prints
 each round's stitched critical path plus the per-node phase breakdown.
 ``--health`` reads a JSON list of per-node health snapshots and prints
-the merged deployment view.  ``--flight`` reads one or more NDJSON
-flight-recorder dumps and renders their event rings.  Any of the three
-may be used without a metrics snapshot.
+the merged deployment view.  ``--flight`` reads one or more flight
+dumps (a header line, then the tail of a process's span log as NDJSON)
+and renders their records.  Any of the three may be used without a
+metrics snapshot.  Malformed input exits 1 with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .export import phase_table, render_table
+from .export import flight_table, parse_flight_dump, phase_table, render_table
 
 USAGE = (
     "usage: python -m repro.obs.report [SNAPSHOT.json] [--full] "
@@ -137,12 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv:
             snapshot = _load_json(argv[0])
-            if not isinstance(snapshot, dict):
-                print(
-                    f"error: {argv[0]} is not a registry snapshot",
-                    file=sys.stderr,
-                )
-                return 1
             sections.append(
                 "phase breakdown (§6 style)\n" + phase_table(snapshot)
             )
@@ -164,13 +159,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("expected a JSON list of health snapshots")
             sections.append("node health\n" + health_table(snapshots))
         if flight_paths:
-            from .flight import flight_table, parse_flight_dump
-
             dumps = []
             for path in flight_paths:
                 with open(path, "r", encoding="utf-8") as fh:
                     dumps.append(parse_flight_dump(fh.read()))
-            sections.append("flight recorder dumps\n" + flight_table(dumps))
+            sections.append("flight dumps\n" + flight_table(dumps))
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1

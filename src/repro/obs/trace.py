@@ -6,30 +6,33 @@ A :class:`Tracer` hands out :class:`Span` objects::
         with round_span.child("phase", name="commit"):
             ...
 
-Finished spans append a :class:`SpanRecord` to ``tracer.events`` (a
-bounded, in-order log) and fold their duration into the tracer's
-metrics registry under ``span.<name>`` — or ``span.<name>.<attrs["name"]>``
-when the span carries a ``name`` attribute, so the phase
-children above land in ``span.phase.commit``-style histograms that the
-§6 report renders.
+Finished spans append a :class:`SpanRecord` to ``tracer.events`` and
+fold their duration into the tracer's metrics registry under
+``span.<name>`` — or ``span.<name>.<attrs["name"]>`` when the span
+carries a ``name`` attribute, so the phase children above land in
+``span.phase.commit``-style histograms that the §6 report renders.
+``tracer.events`` is the process's one event log, a ring that keeps the
+newest records; a flight dump is its tail.  :meth:`Tracer.note` records a
+point event (a failure trigger) as a zero-length span.
 
 Determinism: span ids are sequential in creation order and the clock is
 injectable, so two runs driven by the same fake clock produce
 byte-identical event logs.  Tracing reads the clock and appends to a
-list — it never touches protocol bytes or RNG streams.  The
+ring — it never touches protocol bytes or RNG streams.  The
 :data:`NULL_TRACER` variant discards everything for zero-cost-disabled.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .metrics import LATENCY_EDGES_S, NULL_REGISTRY
 
-#: Hard cap on retained span records; beyond it spans still time and
-#: feed the registry, but records are dropped (counted in the registry
-#: under ``trace.events_dropped``) instead of growing without bound.
+#: Records the event log keeps; beyond it each new record evicts the
+#: oldest (counted in the registry under ``trace.events_dropped``), and
+#: every span still feeds the registry.
 DEFAULT_MAX_EVENTS = 65536
 
 
@@ -110,8 +113,7 @@ class Tracer:
                  max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.clock = clock if clock is not None else time.perf_counter
-        self.max_events = max_events
-        self.events: list[SpanRecord] = []
+        self.events: deque[SpanRecord] = deque(maxlen=max_events)
         self._next_id = 1
 
     def span(self, name: str, /, **attrs) -> Span:
@@ -155,14 +157,18 @@ class Tracer:
             start=start,
             end=end,
         )
-        if len(self.events) < self.max_events:
-            self.events.append(record)
-        else:
+        if len(self.events) == self.events.maxlen:
             self.registry.counter("trace.events_dropped").inc()
+        self.events.append(record)
         self.registry.histogram(record.metric_key(), LATENCY_EDGES_S).observe(
             record.duration
         )
         return record
+
+    def note(self, event: str, /, **attrs) -> SpanRecord:
+        """Record a point event: a zero-length span at the current time."""
+        now = self.clock()
+        return self.record(event, now, now, **attrs)
 
     def _start(self, name: str, attrs: dict, parent_id: int | None) -> Span:
         return Span(self, self.allocate_id(), parent_id, name, attrs)
@@ -222,6 +228,9 @@ class NullTracer:
         return 0
 
     def record(self, name, start, end, /, parent_id=None, span_id=None, **attrs):
+        return None
+
+    def note(self, event, /, **attrs):
         return None
 
     def clear(self) -> None:

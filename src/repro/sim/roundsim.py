@@ -471,10 +471,6 @@ class HybridChurnTrace:
         return sum(1 for r in self.rounds if r.corrupted)
 
     @property
-    def mean_round_time(self) -> float:
-        return sum(r.round_time for r in self.rounds) / len(self.rounds)
-
-    @property
     def mean_time_to_blame(self) -> float:
         """Mean detect-to-named latency over the corrupted rounds."""
         blamed = [r for r in self.rounds if r.corrupted]

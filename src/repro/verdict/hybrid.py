@@ -178,14 +178,6 @@ class HybridBlameRecord:
         )
         return tuple(sorted(set(named)))
 
-    @property
-    def server_culprits(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(
-                {v.culprit_index for v in self.verdicts if v.culprit_kind == "server"}
-            )
-        )
-
 
 class HybridSession(DissentSession):
     """A Dissent session in Verdict hybrid mode.

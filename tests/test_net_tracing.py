@@ -2,11 +2,13 @@
 
 Covers the wire-level trace context, cross-process stitching and
 critical paths over every transport and both group backends, fake-clock
-determinism of the Chrome trace export, the flight recorder (unit and
-failure-triggered dumps), one span record per phase boundary on every
-node, OpenMetrics rendering plus the live status endpoint, the telemetry
-dedup fix, the health-port knob, and the report CLI's
---trace/--health/--flight flags.
+determinism of the Chrome trace export, flight dumps (the tail of a
+process's span log: unit, failure-triggered, and none on a clean close
+or with telemetry off), one span record per phase boundary on every
+node and the records a round costs, OpenMetrics rendering plus the live
+status endpoint, the telemetry dedup fix and total telemetry readers,
+the health-port knob, and the report CLI's --trace/--health/--flight
+flags.
 """
 
 import collections
@@ -18,8 +20,9 @@ import pytest
 
 from repro.core.config import GroupDefinition, Policy
 from repro.core.session import DissentSession
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError, DissentError, ProtocolError
 from repro.net.runner import COORDINATOR, NetworkedSession, dedupe_telemetry_replies
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.obs.critical import (
     assemble_traces,
     chrome_trace_json,
@@ -28,11 +31,12 @@ from repro.obs.critical import (
     trace_table,
     trace_root,
 )
-from repro.obs.flight import (
+from repro.obs.export import (
     FLIGHT_EVENTS,
-    FlightRecorder,
+    flight_ndjson,
     flight_table,
     parse_flight_dump,
+    write_flight_dump,
 )
 from repro.obs.health import (
     health_port_for,
@@ -110,6 +114,34 @@ class TestHealthPortKnob:
 # ---------------------------------------------------------------------------
 
 
+#: Registry snapshots no registry writes; every reader raises a typed error.
+MALFORMED_SNAPSHOTS = [
+    pytest.param([1], id="not-an-object"),
+    pytest.param({"counters": [1]}, id="counters-a-list"),
+    pytest.param({"counters": {"c": "7"}}, id="counter-a-string"),
+    pytest.param({"gauges": {"g": None}}, id="gauge-null"),
+    pytest.param({"histograms": {"a": {"edges": [1]}}}, id="histogram-no-counts"),
+    pytest.param({"histograms": {"a": [1]}}, id="histogram-a-list"),
+    pytest.param(
+        {"histograms": {"a": {"edges": [1], "counts": [1], "sum": 0, "count": 1}}},
+        id="histogram-short-counts",
+    ),
+    pytest.param(
+        {"histograms": {"a": {"edges": ["x"], "counts": [0, 0], "sum": 0, "count": 0}}},
+        id="histogram-edge-a-string",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def telemetry_session():
+    with NetworkedSession.build(
+        num_servers=2, num_clients=3, seed=87, mode="loopback"
+    ) as session:
+        session.setup()
+        yield session
+
+
 class TestTelemetryDedup:
     def test_duplicate_node_generation_counted_once(self):
         snap = {"counters": {"c": 5}, "gauges": {}, "histograms": {}}
@@ -143,6 +175,30 @@ class TestTelemetryDedup:
             del reply[missing]
         with pytest.raises(ProtocolError, match="telemetry reply"):
             dedupe_telemetry_replies([reply])
+
+    @pytest.mark.parametrize("generation", ["x", None, 1.5, True])
+    def test_non_integer_generation_rejected(self, generation):
+        reply = {"node": "server-0", "generation": generation, "snapshot": {}}
+        with pytest.raises(ProtocolError, match="telemetry reply"):
+            dedupe_telemetry_replies([reply])
+
+    @pytest.mark.parametrize("snapshot", MALFORMED_SNAPSHOTS)
+    def test_malformed_snapshot_merges_nothing(self, snapshot):
+        registry = MetricsRegistry()
+        registry.counter("kept").inc()
+        with pytest.raises(ValueError):
+            registry.merge_snapshot(snapshot)
+        assert registry.snapshot()["counters"] == {"kept": 1}
+        assert not registry.snapshot()["histograms"]
+
+    @pytest.mark.parametrize("snapshot", MALFORMED_SNAPSHOTS)
+    def test_session_metrics_raise_a_typed_error(
+        self, telemetry_session, monkeypatch, snapshot
+    ):
+        node = telemetry_session._node_objects["server-1"]
+        monkeypatch.setattr(node.registry, "snapshot", lambda: snapshot)
+        with pytest.raises(DissentError, match="telemetry"):
+            telemetry_session.metrics()
 
     def test_restarted_node_generation_bumps_in_health(self, tmp_path):
         with NetworkedSession.build(
@@ -283,61 +339,78 @@ class TestDeterministicExport:
 
 
 class TestFlightRecorder:
+    """A flight dump is the tail of the tracer's log; a trigger is a note."""
+
     def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=3, node="n")
+        tracer = Tracer(max_events=3)
         for i in range(10):
-            recorder.note("tick", i=i)
-        entries = recorder.snapshot()
-        assert len(entries) == 3
-        assert [e["data"]["i"] for e in entries] == [7, 8, 9]
+            tracer.note("tick", i=i)
+        header, events = parse_flight_dump(flight_ndjson("n", "manual", tracer.events))
+        assert header["events"] == 3
+        assert [e["attrs"]["i"] for e in events] == [7, 8, 9]
 
     def test_every_ring_holds_the_same_number_of_events(self):
-        assert FlightRecorder().capacity == FLIGHT_EVENTS == 256
+        tracer = Tracer()
+        for i in range(FLIGHT_EVENTS + 10):
+            tracer.note("tick", i=i)
+        header, events = parse_flight_dump(flight_ndjson("n", "manual", tracer.events))
+        assert header["capacity"] == header["events"] == len(events)
+        assert len(events) == FLIGHT_EVENTS == 256
+        assert events[0]["attrs"]["i"] == 10
 
-    @pytest.mark.parametrize("capacity", [0, -1])
-    def test_capacity_below_one_rejected(self, capacity):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=capacity)
+    def test_note_is_a_zero_length_record(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        record = tracer.note("view_change", round=4, view=1)
+        assert record.duration == 0.0 and record.attrs == {"round": 4, "view": 1}
+        assert list(tracer.events) == [record]
+        assert registry.snapshot()["histograms"]["span.view_change"]["count"] == 1
+        assert NULL_TRACER.note("view_change", view=1) is None
+        assert NULL_TRACER.events == ()
 
     def test_trigger_notes_and_dumps_into_a_directory(self, tmp_path):
-        recorder = FlightRecorder(capacity=4, node="server-1")
-        assert recorder.trigger("view_change", None, view=1) is None
+        tracer = Tracer()
+        tracer.note("view_change", view=1)
+        assert write_flight_dump(None, "server-1", 0, "view_change", tracer.events) is None
+        tracer.note("abandon", round=3)
         dumped = tmp_path / "flight-server-1-0-abandon.ndjson"
-        assert recorder.trigger("abandon", str(tmp_path), round=3) == str(dumped)
+        assert write_flight_dump(
+            str(tmp_path), "server-1", 0, "abandon", tracer.events
+        ) == str(dumped)
         header, events = parse_flight_dump(dumped.read_text())
         assert header["reason"] == "abandon"
-        assert [e["event"] for e in events] == ["view_change", "abandon"]
+        assert [e["name"] for e in events] == ["view_change", "abandon"]
         # A directory that cannot be written is not the caller's problem.
-        assert recorder.trigger("abandon", str(tmp_path / "missing")) is None
+        assert write_flight_dump(
+            str(tmp_path / "missing"), "server-1", 1, "abandon", tracer.events
+        ) is None
 
     def test_ndjson_round_trip(self):
-        recorder = FlightRecorder(capacity=8, node="server-0")
-        recorder.note("view_change", view=2)
-        recorder.record_span(
-            {"span_id": 1, "parent_id": None, "name": "round",
-             "attrs": {"round": 0}, "start": 0.0, "end": 0.5}
-        )
-        header, events = parse_flight_dump(recorder.ndjson("manual"))
-        assert header["flight"] == "server-0"
-        assert header["reason"] == "manual"
-        assert header["events"] == 2
-        assert events[0]["event"] == "view_change"
-        assert events[1]["event"] == "span"
+        ticks = iter(range(1, 100))
+        tracer = Tracer(clock=lambda: next(ticks) * 0.25)
+        tracer.note("view_change", view=2)
+        with tracer.span("round", round=0):
+            pass
+        header, events = parse_flight_dump(flight_ndjson("server-0", "manual", tracer.events))
+        assert header == {
+            "flight": "server-0", "reason": "manual", "events": 2, "capacity": 256,
+        }
+        assert events == [r.as_dict() for r in tracer.events]
+        assert [e["name"] for e in events] == ["view_change", "round"]
+        assert events[1]["end"] - events[1]["start"] == 0.25
 
     def test_dump_skips_empty_ring(self, tmp_path):
-        recorder = FlightRecorder(capacity=4)
-        assert recorder.dump(tmp_path / "nope.ndjson") is None
-        recorder.note("x")
-        path = recorder.dump(tmp_path / "yes.ndjson", "manual")
-        assert path is not None
-        header, events = parse_flight_dump((tmp_path / "yes.ndjson").read_text())
-        assert len(events) == 1
-        assert recorder.dumps == 1
+        assert write_flight_dump(str(tmp_path), "n", 0, "abandon", ()) is None
+        assert not list(tmp_path.iterdir())
+        header, events = parse_flight_dump(flight_ndjson("n", "manual", ()))
+        assert header["events"] == 0 and events == []
 
     def test_flight_table_renders(self):
-        recorder = FlightRecorder(capacity=4, node="c")
-        recorder.note("link_loss", node="client-1")
-        rendered = flight_table([parse_flight_dump(recorder.ndjson("link_loss"))])
+        tracer = Tracer()
+        tracer.note("link_loss", node="c", peer="client-1")
+        rendered = flight_table(
+            [parse_flight_dump(flight_ndjson("c", "link_loss", tracer.events))]
+        )
         assert "link_loss" in rendered
         assert "client-1" in rendered
 
@@ -361,12 +434,12 @@ class TestFlightRecorder:
             dumps = session.flight_dumps()
         files = sorted(p.name for p in flight_dir.iterdir())
         assert any("round_failure" in name for name in files)
-        # The coordinator ring holds the certified round's span lead-up.
+        # The dump holds the certified round's span lead-up.
         header, events = parse_flight_dump(
             (flight_dir / [f for f in files if "round_failure" in f][0]).read_text()
         )
         assert header["reason"] == "round_failure"
-        assert any(e["event"] == "span" for e in events)
+        assert any(e["attrs"].get("round") == 0 for e in events)
         # The dump is chained into the audit log.
         from repro.persist import read_audit_log
 
@@ -393,6 +466,68 @@ class TestFlightRecorder:
         files = sorted(p.name for p in flight_dir.iterdir())
         assert f"flight-{COORDINATOR}-0-round_failure.ndjson" in files
         assert {f"flight-server-{j}-0-abandon.ndjson" for j in (0, 1)} <= set(files)
+
+    @pytest.mark.parametrize("mode", ["loopback", "tcp"])
+    def test_clean_close_dumps_nothing(self, tmp_path, mode):
+        flight_dir = tmp_path / "flight"
+        flight_dir.mkdir()
+        audit_path = tmp_path / "audit.ndjson"
+        with NetworkedSession.build(
+            num_servers=2,
+            num_clients=3,
+            seed=81,
+            mode=mode,
+            flight_dir=str(flight_dir),
+            audit_path=str(audit_path),
+        ) as session:
+            session.setup()
+            for _ in range(3):
+                assert session.run_round().completed
+        from repro.persist import read_audit_log
+
+        assert not list(flight_dir.iterdir())
+        # Nothing to chain: a log with no entries is never created.
+        entries = read_audit_log(audit_path) if audit_path.exists() else []
+        assert not [e for e in entries if e["event"] == "flight_dump"]
+
+    def test_killed_connection_still_dumps(self, tmp_path):
+        flight_dir = tmp_path / "flight"
+        flight_dir.mkdir()
+        with NetworkedSession.build(
+            num_servers=2, num_clients=3, seed=81, mode="loopback",
+            flight_dir=str(flight_dir),
+        ) as session:
+            session.setup()
+            assert session.run_round().completed
+            session.kill_connection(session.node_name("client", 1))
+        coordinator = [
+            p.name for p in flight_dir.iterdir() if p.name.startswith(f"flight-{COORDINATOR}-")
+        ]
+        assert coordinator == [f"flight-{COORDINATOR}-0-link_loss.ndjson"]
+        _, events = parse_flight_dump((flight_dir / coordinator[0]).read_text())
+        assert events[-1]["name"] == "link_loss"
+        assert events[-1]["attrs"]["peer"] == "client-1"
+
+    def test_telemetry_off_means_no_flight_data(self, tmp_path):
+        flight_dir = tmp_path / "flight"
+        flight_dir.mkdir()
+        with NetworkedSession.build(
+            num_servers=2,
+            num_clients=3,
+            seed=81,
+            mode="loopback",
+            telemetry=False,
+            flight_dir=str(flight_dir),
+        ) as session:
+            session.setup()
+            assert session.run_round().completed
+            assert not session.run_round(online={0}).completed
+            dumps = session.flight_dumps()
+        assert not list(flight_dir.iterdir())
+        assert len(dumps) == 1 + 2 + 3
+        for dump in dumps:
+            header, events = parse_flight_dump(dump)
+            assert header["events"] == 0 and events == []
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +568,11 @@ class TestOneRecordPerBoundary:
             }
             records = collections.Counter(r.metric_key() for r in node.tracer.events)
             assert observed == dict(records) and observed, name
+            # Notes (the failure triggers) carry no trace context.
             assert all(
-                ("trace_id" in r.attrs) is traced for r in node.tracer.events
+                ("trace_id" in r.attrs) is traced
+                for r in node.tracer.events
+                if r.name in ("round", "phase")
             ), name
         for j in (0, 1):
             server = nodes[f"server-{j}"]
@@ -448,6 +586,34 @@ class TestOneRecordPerBoundary:
             }
         builds = [r for r in nodes["client-0"].tracer.events if r.name == "phase"]
         assert [r.attrs["name"] for r in builds] == ["build", "build"]
+
+    def test_records_a_certified_round_costs(self):
+        """The telemetry cost of one round as a count: records per log."""
+        with NetworkedSession.build(
+            num_servers=2, num_clients=3, seed=88, mode="loopback"
+        ) as session:
+            session.setup()
+            nodes = dict(session._node_objects)
+            logs = {name: node.tracer.events for name, node in nodes.items()}
+            logs[COORDINATOR] = session.tracer.events
+            before = {name: len(log) for name, log in logs.items()}
+            assert session.run_round().completed
+            grown = {name: len(log) - before[name] for name, log in logs.items()}
+            server_records = [
+                r.attrs.get("name", r.name) for r in list(logs["server-0"])[-8:]
+            ]
+        assert grown == {
+            COORDINATOR: 1,
+            "server-0": 8,
+            "server-1": 8,
+            "client-0": 1,
+            "client-1": 1,
+            "client-2": 1,
+        }
+        assert sorted(server_records) == sorted([
+            "round", "submit", "inventory", "commit", "reveal", "verify",
+            "certify", "output",
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +773,44 @@ class TestReportFlags:
         assert main(["--flight", str(flight_path)]) == 0
         out = capsys.readouterr().out
         assert "flight" in out
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            pytest.param(
+                "--flight",
+                '{"flight":"coord","reason":"manual","events":1,"capacity":256}\n[1,2]\n',
+                id="flight-line-a-list",
+            ),
+            pytest.param(
+                "--flight",
+                '{"flight":"coord"}\n{"name":"round","attrs":{"round":"x"}}\n',
+                id="flight-round-a-string",
+            ),
+            pytest.param("--trace", "[1,2]", id="trace-events-not-objects"),
+            pytest.param(
+                "--trace", '[{"name":"round","start":"soon"}]', id="trace-start-a-string"
+            ),
+            pytest.param("--health", "[1]", id="health-not-objects"),
+            pytest.param(
+                "--health", '[{"node":"s","rounds_per_sec":"fast"}]', id="health-rate-a-string"
+            ),
+            pytest.param(
+                None,
+                '{"histograms":{"span.phase.commit":{"edges":[1],"sum":0,"count":0}}}',
+                id="snapshot-histogram-no-counts",
+            ),
+            pytest.param(None, '{"counters":[1]}', id="snapshot-counters-a-list"),
+        ],
+    )
+    def test_malformed_input_exits_one(self, tmp_path, capsys, flag, text):
+        from repro.obs.report import main
+
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [str(path)] if flag is None else [flag, str(path)]
+        assert main(argv + ["--full"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_usage_errors(self):
         from repro.obs.report import main

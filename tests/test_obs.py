@@ -211,6 +211,8 @@ class TestTracer:
                 pass
         assert len(tracer.events) == 2
         assert registry.counter("trace.events_dropped").value == 3
+        # The log keeps the newest records.
+        assert [r.attrs["round"] for r in tracer.events] == [3, 4]
         # Dropped spans still feed the histogram.
         assert registry.snapshot()["histograms"]["span.round"]["count"] == 5
 
