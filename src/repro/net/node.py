@@ -216,6 +216,9 @@ class NodeRuntime:
         #: Inbound frames processed — the resume high-water mark the hub
         #: uses to replay exactly the frames this node never saw.
         self.recv_count = 0
+        #: ``recv_count`` as of the checkpoint this node last wrote or
+        #: resumed from: the most a checkpointing node may ack.
+        self._durable_count = 0
         #: Rounds fully applied (completed, failed, or abandoned).
         self.rounds_done = 0
         #: Outbound frames a dead transport swallowed; flushed in order
@@ -224,10 +227,22 @@ class NodeRuntime:
 
     # -- plumbing ------------------------------------------------------
 
+    @property
+    def ack(self) -> int:
+        """The ack every outbound frame carries: inbound frames the hub may
+        forget.  A node without a checkpoint acks all it has processed; a
+        checkpointing node acks only what its last checkpoint covers, so a
+        restart from that file still finds the rest of its gap outboxed."""
+        if self.checkpoint_path is None:
+            return self.recv_count
+        return self._durable_count
+
     async def _send(
         self, to: str, kind: str, seq: int, body: bytes, trace: bytes = b""
     ) -> None:
-        await self._send_payload(encode_routed(to, self.name, kind, seq, body, trace))
+        await self._send_payload(
+            encode_routed(to, self.name, kind, seq, body, trace, ack=self.ack)
+        )
 
     async def _send_payload(self, payload: bytes) -> None:
         self.registry.counter("net.sent.frames.total").inc()
@@ -254,6 +269,7 @@ class NodeRuntime:
                 self.name,
                 envelope,
                 trace=self._round_trace.get(envelope.round_number, b""),
+                ack=self.ack,
             )
         )
 
@@ -409,7 +425,11 @@ class NodeRuntime:
                 payload = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as exc:
                 raise WireDecodeError(f"malformed restore payload: {exc}") from exc
+            # The pushed state comes from another session's hub; frames
+            # processed on this one stay this hub's resume position.
+            recv_count = self.recv_count
             self._restore_payload(payload)
+            self.recv_count = recv_count
             return b""
         if kind == K_ENVELOPE:
             await self.handle_envelope(decode_envelope(self.group, body))
@@ -486,12 +506,17 @@ class NodeRuntime:
         """Durably record this node's state at a round barrier."""
         if self.checkpoint_path is None:
             return
+        payload = self._snapshot_payload()
         write_checkpoint(
-            self.checkpoint_path,
-            self._snapshot_payload(),
-            kind="node",
-            registry=self.registry,
+            self.checkpoint_path, payload, kind="node", registry=self.registry
         )
+        self._durable_count = payload["recv_count"]
+
+    def resume_from(self, path: str) -> None:
+        """Rebuild the state the node checkpoint at ``path`` holds; what it
+        covers is durable again."""
+        self._restore_payload(read_checkpoint(path, kind="node"))
+        self._durable_count = self.recv_count
 
 
 @dataclasses.dataclass
@@ -1071,7 +1096,7 @@ def node_from_config(config: dict, transport: Transport):
         # Restart-from-checkpoint: rebuild the phase-machine state the
         # dead process had at its last round barrier, then let the hub's
         # replay close the gap between the checkpoint and the crash.
-        node._restore_payload(read_checkpoint(config["resume_from"], kind="node"))
+        node.resume_from(config["resume_from"])
     return node
 
 

@@ -139,8 +139,9 @@ DEFAULT_TIMEOUT = 120.0
 
 MODES = ("loopback", "tcp", "subprocess")
 
-#: Sent frames the hub keeps per peer for reconnect replay; a node that
-#: falls further behind must restart from a checkpoint instead of resuming.
+#: Unacknowledged frames the hub keeps per peer for reconnect replay; a
+#: node that falls further behind (a dark link past this many frames) must
+#: restart from a checkpoint instead of resuming.
 OUTBOX_FRAMES = 512
 
 
@@ -148,10 +149,13 @@ class _PeerLink:
     """Hub-side delivery state for one named node, across reconnects.
 
     ``seq`` numbers every frame ever addressed to the peer; ``outbox``
-    keeps the most recent ``limit`` of them so a reconnecting node can be
-    replayed exactly the suffix beyond its announced high-water mark.
-    ``transport is None`` means the peer is dark: frames keep queueing
-    and the disconnect timestamp feeds the §3.7 expulsion budget.
+    keeps those the peer has not acknowledged yet — at most ``limit`` of
+    them — so a reconnecting node can be replayed exactly the suffix
+    beyond its announced high-water mark.  Every frame the peer sends
+    carries its ack (:attr:`RoutedFrame.ack`), which never passes what a
+    restart of the peer would resume from.  ``transport is None`` means
+    the peer is dark: frames keep queueing and the disconnect timestamp
+    feeds the §3.7 expulsion budget.
     """
 
     def __init__(self, name: str, limit: int) -> None:
@@ -164,6 +168,12 @@ class _PeerLink:
         #: Frames a FaultSchedule has already judged — carried across
         #: reconnects so "kill at frame k" fires once, not per dial.
         self.fault_cursor = 0
+
+    def acknowledge(self, ack: int) -> None:
+        """Forget every frame the peer acknowledged."""
+        outbox = self.outbox
+        while outbox and outbox[0][0] <= ack:
+            outbox.popleft()
 
 
 class _Hub:
@@ -262,8 +272,10 @@ class _Hub:
 
     async def deliver(self, name: str, payload: bytes) -> None:
         """Send one frame to a peer, durably: every frame gets a sequence
-        number and a bounded outbox slot, so a link that dies under us (or
-        is already dark) turns into replay work instead of silent loss."""
+        number and an outbox slot until the peer acknowledges it, so a link
+        that dies under us (or is already dark) turns into replay work
+        instead of silent loss.  Past ``limit`` unacknowledged frames the
+        oldest is evicted, and a resume below it is refused."""
         link = self.links.get(name)
         if link is None:
             raise ProtocolError(f"no transport registered for {name!r}")
@@ -282,10 +294,13 @@ class _Hub:
     async def _resume(self, link: _PeerLink, transport, high_water: int) -> bool:
         """Adopt a reconnecting peer's transport and replay its gap."""
         old = link.transport
-        missed = [(seq, payload) for seq, payload in link.outbox if seq > high_water]
-        if missed and missed[0][0] != high_water + 1 and link.outbox[0][0] > high_water + 1:
-            # The bounded outbox evicted frames the peer never saw; a
-            # partial replay would corrupt the protocol stream.
+        # An empty outbox is the normal, fully acknowledged state: the gap
+        # is then measured against the link's sequence number itself.
+        first = link.outbox[0][0] if link.outbox else link.seq + 1
+        if first > high_water + 1:
+            # The outbox no longer holds frames the peer never saw (evicted,
+            # or acknowledged by the peer earlier); a partial replay would
+            # corrupt the protocol stream.
             await self.inbox.put(
                 RoutedFrame(
                     to=COORDINATOR,
@@ -295,7 +310,7 @@ class _Hub:
                     body=pack_fields(
                         "ProtocolError",
                         f"{link.name} resumed at frame {high_water} but the "
-                        f"outbox starts at {link.outbox[0][0]}; gap unreplayable",
+                        f"outbox starts at {first}; gap unreplayable",
                     ),
                 )
             )
@@ -306,7 +321,8 @@ class _Hub:
         self.transports[link.name] = transport
         if old is not None:
             await old.aclose()
-        for _seq, payload in missed:
+        missed = [payload for seq, payload in link.outbox if seq > high_water]
+        for payload in missed:
             try:
                 await transport.send(payload)
             except (ConnectionClosed, WireError, OSError):
@@ -384,6 +400,7 @@ class _Hub:
                         )
                     )
                     continue
+                link.acknowledge(routed.ack)
                 if routed.to == COORDINATOR:
                     await self.inbox.put(routed)
                     continue
@@ -801,7 +818,7 @@ class NetworkedSession(Coordinator):
             node = ClientNode(self._make_client(index), transport, **kwargs)
             name = self.definition.client_name(index)
         if resume_from is not None:
-            node._restore_payload(read_checkpoint(resume_from, kind="node"))
+            node.resume_from(resume_from)
         node.flight_dir = self.flight_dir
         task = asyncio.create_task(node.run())
         self._node_tasks.append(task)

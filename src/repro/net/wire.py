@@ -94,7 +94,8 @@ _LEN_BYTES = 4
 # would not cancel, which reads as disruption and could blame an honest
 # member.
 _ENVELOPE_MAGIC = "dissent.wire-envelope.v3"
-_ROUTED_MAGIC = "dissent.wire-routed.v1"
+# v2: the routing header carries the sender's ack (RoutedFrame.ack).
+_ROUTED_MAGIC = "dissent.wire-routed.v2"
 
 #: The routed-frame kind whose body is a serialized envelope — the one
 #: kind :func:`decode_routed` hands over as a view instead of ``bytes``.
@@ -277,6 +278,9 @@ class RoutedFrame:
     Control traffic (round barriers, queries, acks) and serialized
     envelopes both travel as routed frames; ``kind`` selects the handler
     and ``seq`` correlates request/reply pairs (0 = unsolicited).
+    ``ack`` is the count of inbound frames the sender has processed for
+    good — the hub forgets every frame it sent the sender at or below
+    it (0 from the coordinator, which has no outbox).
     ``trace`` is an optional serialized
     :class:`~repro.obs.propagate.TraceContext` riding *outside* the
     signed payload — observability metadata the receiver may ignore,
@@ -289,29 +293,42 @@ class RoutedFrame:
     seq: int
     body: bytes | memoryview
     trace: bytes = b""
+    ack: int = 0
 
 
 def encode_routed(
-    to: str, sender: str, kind: str, seq: int, body: bytes, trace: bytes = b""
+    to: str,
+    sender: str,
+    kind: str,
+    seq: int,
+    body: bytes,
+    trace: bytes = b"",
+    *,
+    ack: int = 0,
 ) -> bytes:
-    # The six-field form is emitted whenever there is no trace context,
-    # so frames with tracing disabled are byte-identical to pre-tracing
-    # builds and old decoders keep working.
+    # The trace field is left out whenever there is no trace context.
     if not trace:
-        return pack_fields(_ROUTED_MAGIC, to, sender, kind, seq, body)
-    return pack_fields(_ROUTED_MAGIC, to, sender, kind, seq, body, trace)
+        return pack_fields(_ROUTED_MAGIC, to, sender, ack, kind, seq, body)
+    return pack_fields(_ROUTED_MAGIC, to, sender, ack, kind, seq, body, trace)
 
 
 def encode_routed_envelope(
-    group: Group, to: str, sender: str, envelope: SignedEnvelope, trace: bytes = b""
+    group: Group,
+    to: str,
+    sender: str,
+    envelope: SignedEnvelope,
+    trace: bytes = b"",
+    *,
+    ack: int = 0,
 ) -> bytes:
-    """``encode_routed(to, sender, "envelope", 0, encode_envelope(...), trace)``
-    byte for byte, with the envelope body copied once instead of three times."""
+    """``encode_routed(to, sender, "envelope", 0, encode_envelope(...), trace,
+    ack=ack)`` byte for byte, with the envelope body copied once instead of
+    three times."""
     inner = _envelope_parts(group, envelope)
     return b"".join(
         (
             _ROUTED_PREFIX,
-            pack_fields(to, sender),
+            pack_fields(to, sender, ack),
             _ENVELOPE_KIND_SEQ0,
             bytes_field_header(sum(map(len, inner))),
             *inner,
@@ -323,36 +340,37 @@ def encode_routed_envelope(
 def decode_routed(data: bytes) -> RoutedFrame:
     """Parse one routed frame; the body of an envelope frame stays a view.
 
-    The five routing fields are decoded in place and the body field is
+    The six header fields are decoded in place and the body field is
     only *located*: for :data:`ENVELOPE_KIND` it comes back as a
     ``memoryview`` into ``data`` (the hub forwards ``data`` itself and
     never looks inside; a node hands the view to :func:`decode_envelope`),
-    for every other kind as ``bytes``, exactly as before.
+    for every other kind as ``bytes``, exactly as before.  A frame of an
+    older format is refused by its magic before anything else is read.
     """
     what = "routed frame"
+    if data[: len(_ROUTED_PREFIX)] != _ROUTED_PREFIX:
+        raise WireDecodeError(f"routed frame magic unsupported: not {_ROUTED_MAGIC!r}")
     try:
-        fields, offset = unpack_prefix(data, 5)
+        fields, offset = unpack_prefix(data, 6)
         start, end = bytes_field_span(data, offset)
         rest = unpack_fields(data[end:]) if end < len(data) else ()
     except ValueError as exc:
         raise WireDecodeError(f"malformed {what}: {exc}") from exc
     if len(rest) > 1:
         raise WireDecodeError(
-            f"routed frame has {6 + len(rest)} fields, expected 6 or 7"
+            f"routed frame has {7 + len(rest)} fields, expected 7 or 8"
         )
-    magic = _take(fields, 0, str, what)
-    if magic != _ROUTED_MAGIC:
-        raise WireDecodeError(f"routed frame magic {magic!r} unsupported")
     to = _take(fields, 1, str, what)
     sender = _take(fields, 2, str, what)
-    kind = _take(fields, 3, str, what)
-    seq = _take(fields, 4, int, what)
+    ack = _take(fields, 3, int, what)
+    kind = _take(fields, 4, str, what)
+    seq = _take(fields, 5, int, what)
     trace = _take(rest, 0, bytes, what) if rest else b""
     if kind == ENVELOPE_KIND:
         body = memoryview(data)[start:end]
     else:
         body = data[start:end]
-    return RoutedFrame(to, sender, kind, seq, body, trace)
+    return RoutedFrame(to, sender, kind, seq, body, trace, ack)
 
 
 # ---------------------------------------------------------------------------

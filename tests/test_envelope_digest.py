@@ -301,11 +301,19 @@ class TestPayloadCache:
             key, CLIENT_CIPHERTEXT, "client-0", b"gid", round_number, body
         )
         assert wire.decode_envelope(group, wire.encode_envelope(group, envelope)) == envelope
-        routed = wire.encode_routed_envelope(group, "server-1", "client-0", envelope)
+        routed = wire.encode_routed_envelope(
+            group, "server-1", "client-0", envelope, ack=round_number
+        )
         assert routed == wire.encode_routed(
-            "server-1", "client-0", "envelope", 0, wire.encode_envelope(group, envelope)
+            "server-1",
+            "client-0",
+            "envelope",
+            0,
+            wire.encode_envelope(group, envelope),
+            ack=round_number,
         )
         frame = wire.decode_routed(routed)
+        assert frame.ack == round_number
         decoded = wire.decode_envelope(group, frame.body)
         assert decoded == envelope and type(decoded.body) is bytes
         decoded.verify(key.public)

@@ -32,10 +32,11 @@ from repro.net.node import (
     K_NODE_ERROR,
     K_REPLY,
     K_REPLY_ERROR,
+    K_ROUND_APPLIED,
     K_STATUS_REQUEST,
     ServerNode,
 )
-from repro.net.runner import _Hub
+from repro.net.runner import NetworkedSession, _Hub
 from repro.net.transport import (
     FaultSchedule,
     TcpTransport,
@@ -44,6 +45,7 @@ from repro.net.transport import (
     serve_tcp,
 )
 from repro.crypto.schnorr import Signature
+from repro.persist.checkpoint import read_checkpoint
 from repro.util.serialization import pack_fields, unpack_fields
 
 
@@ -437,3 +439,208 @@ class TestHubResume:
         assert name == "ProtocolError"
         assert "resumed at frame 1" in message and "outbox starts at 4" in message
         assert hub.is_dark("client-0") and "client-0" not in hub.transports
+
+    def test_acknowledged_gap_is_refused(self, group):
+        """Frames the node acknowledged are gone, so resuming below them is
+        refused like any other unreplayable gap — an empty outbox is not a
+        licence to resume silently."""
+
+        async def scenario():
+            hub, kept = await _hub_after_acks(group, acked=5)
+            hub_side, node_side = loopback_pair()
+            second = asyncio.ensure_future(hub.attach(hub_side))
+            await node_side.send(_hello(group, high_water=2))
+            await asyncio.wait_for(second, 5)
+            with pytest.raises(ConnectionClosed):
+                await asyncio.wait_for(node_side.recv(), 5)
+            return kept, await asyncio.wait_for(hub.inbox.get(), 5), hub
+
+        kept, report, hub = asyncio.run(scenario())
+        assert kept == []
+        assert (report.kind, report.sender) == (K_NODE_ERROR, "client-0")
+        name, message = unpack_fields(report.body)
+        assert name == "ProtocolError"
+        assert "resumed at frame 2" in message and "outbox starts at 6" in message
+        assert hub.is_dark("client-0") and "client-0" not in hub.transports
+
+    def test_resume_replays_only_unacknowledged_frames(self, group):
+        async def scenario():
+            hub, kept = await _hub_after_acks(group, acked=3)
+            hub_side, node_side = loopback_pair()
+            hub.spawn_attach(hub_side)
+            await node_side.send(_hello(group, high_water=3))
+            replayed = [await asyncio.wait_for(node_side.recv(), 5) for _ in kept]
+            live = "client-0" in hub.transports
+            await hub.close()
+            return kept, replayed, live
+
+        kept, replayed, live = asyncio.run(scenario())
+        assert kept == [4, 5]
+        assert replayed == [pack_fields(4), pack_fields(5)] and live
+
+
+_SESSION_ID = b"session-id"
+
+
+def _hello(group, high_water):
+    body = pack_fields(group.name, group.element_bytes, _SESSION_ID, 0, high_water)
+    return wire.encode_routed(COORDINATOR, "client-0", K_HELLO, 0, body)
+
+
+async def _hub_after_acks(group, acked):
+    """A hub that sent client-0 frames 1..5, then heard it ack ``acked``
+    of them before its link dropped; returns (hub, outbox seqs kept)."""
+    hub = _Hub(group=group, session_id=_SESSION_ID)
+    hub.expect(["client-0"])
+    hub_side, node_side = loopback_pair()
+    first = asyncio.ensure_future(hub.attach(hub_side))
+    await node_side.send(_hello(group, high_water=0))
+    await hub.wait_ready(timeout=5.0)
+    for n in range(1, 6):
+        await hub.deliver("client-0", pack_fields(n))
+        await node_side.recv()
+    # The ack rides whatever the node sends next, here a barrier frame.
+    await node_side.send(
+        wire.encode_routed(COORDINATOR, "client-0", K_ROUND_APPLIED, 0, b"", ack=acked)
+    )
+    assert (await asyncio.wait_for(hub.inbox.get(), 5)).kind == K_ROUND_APPLIED
+    kept = [seq for seq, _payload in hub.links["client-0"].outbox]
+    await node_side.aclose()
+    await asyncio.wait_for(first, 5)
+    return hub, kept
+
+
+def _client_node_factory(built, checkpoint_path=None):
+    definition = built.definition
+
+    def factory(transport):
+        client = DissentClient(definition, 0, _client_key(built, 0), random.Random(7))
+        return ClientNode(client, transport, checkpoint_path=checkpoint_path)
+
+    return factory
+
+
+class TestNodeAcks:
+    def test_node_without_checkpoint_acks_every_frame_it_processed(self):
+        built, _ = _small_group()
+        frames = [
+            b"\x00garbage that is not a routed frame",
+            wire.encode_routed("client-0", COORDINATOR, "no-such-kind", 0, b""),
+        ]
+        emitted = asyncio.run(_drive_node(_client_node_factory(built), frames))
+        # Two error reports, then the probe's reply: each acks the frames
+        # processed before it was sent.
+        assert [(f.kind, f.ack) for f in emitted] == [
+            (K_NODE_ERROR, 1),
+            (K_NODE_ERROR, 2),
+            (K_REPLY, 3),
+        ]
+
+    def test_checkpointing_node_acks_its_last_checkpoint(self, tmp_path):
+        """The ack never passes the durable mark: a node restarted from its
+        checkpoint resumes there, so frames after it must stay outboxed."""
+        built, _ = _small_group()
+        path = str(tmp_path / "client-0.ckpt")
+        factory = _client_node_factory(built, checkpoint_path=path)
+
+        async def scenario():
+            hub_side, node_side = loopback_pair()
+            node = factory(node_side)
+            task = asyncio.create_task(node.run())
+
+            async def probe(seq):
+                await hub_side.send(
+                    wire.encode_routed(node.name, COORDINATOR, K_STATUS_REQUEST, seq, b"")
+                )
+                return wire.decode_routed(await hub_side.recv()).ack
+
+            acks = [wire.decode_routed(await hub_side.recv()).ack, await probe(1)]
+            node._maybe_checkpoint()  # a round barrier after frame 1
+            acks += [await probe(2), await probe(3)]
+            processed = node.recv_count
+            await hub_side.aclose()
+            task.cancel()
+
+            hub_side, node_side = loopback_pair()
+            restarted = factory(node_side)
+            restarted.resume_from(path)
+            task = asyncio.create_task(restarted.run())
+            hello = wire.decode_routed(await hub_side.recv())
+            await hub_side.aclose()
+            task.cancel()
+            return acks, processed, hello
+
+        acks, processed, hello = asyncio.run(scenario())
+        assert processed == 3
+        assert read_checkpoint(path, kind="node")["recv_count"] == 1
+        assert acks == [0, 0, 1, 1]
+        # The restarted node resumes from, and acks, that same mark.
+        assert hello.kind == K_HELLO and hello.ack == 1
+        assert unpack_fields(hello.body)[4] == 1
+
+
+    def test_restored_session_acks_frames_of_its_own_hub(self, tmp_path):
+        """State pushed into a restored session's fresh nodes came from
+        another hub; their acks count only the frames this hub sent them,
+        or they would acknowledge frames they never saw."""
+        path = str(tmp_path / "session.ckpt")
+        with NetworkedSession.build(num_servers=2, num_clients=3, seed=11) as session:
+            session.setup()
+            for _ in range(3):
+                session.post(0, b"x" * 100)
+                session.run_round()
+            session.checkpoint(path)
+        with NetworkedSession.restore(path) as session:
+            session.run_rounds(2)
+            counts = {
+                name: (node.recv_count, session._hub.links[name].seq)
+                for name, node in session._node_objects.items()
+            }
+        assert all(processed == sent for processed, sent in counts.values()), counts
+
+
+class TestOutboxPlateau:
+    def test_hub_outboxes_stop_growing(self):
+        """The hub keeps what nodes have not acknowledged, not history.
+
+        Every node's barrier frame acks the round it closes, so the hub's
+        outboxes hold the same after round 12 as after round 4, and no
+        link holds more than one round's frames.  The acks ride frames the
+        nodes send anyway: 54 a certified round, as before acks existed.
+        """
+        with NetworkedSession.build(
+            num_servers=3,
+            num_clients=4,
+            seed=11,
+            mode="loopback",
+            group_name="test-256",
+        ) as session:
+            session.setup()
+            hub = session._hub
+
+            def sent_frames():
+                return sum(
+                    node.registry.counter("net.sent.frames.total").value
+                    for node in session._node_objects.values()
+                )
+
+            totals, frames_per_round = {}, []
+            for round_index in range(1, 13):
+                seqs = {name: link.seq for name, link in hub.links.items()}
+                before = sent_frames()
+                for i in range(4):
+                    session.post(i, bytes([64 + round_index]) * 2000)
+                assert session.run_round().certificate is not None
+                frames_per_round.append(sent_frames() - before)
+                for name, link in hub.links.items():
+                    assert len(link.outbox) <= link.seq - seqs[name], name
+                totals[round_index] = (
+                    sum(len(link.outbox) for link in hub.links.values()),
+                    sum(
+                        len(payload)
+                        for link in hub.links.values()
+                        for _seq, payload in link.outbox
+                    ),
+                )
+        assert totals[12] == totals[4]
+        assert frames_per_round == [54] * 12

@@ -340,20 +340,31 @@ class TestRoutedFrames:
         st.text(min_size=1, max_size=24),
         st.integers(min_value=0, max_value=2**31),
         st.binary(max_size=512),
+        st.integers(min_value=0, max_value=2**40),
     )
-    def test_roundtrip(self, to, sender, kind, seq, body):
-        frame = wire.decode_routed(wire.encode_routed(to, sender, kind, seq, body))
-        assert (frame.to, frame.sender, frame.kind, frame.seq, frame.body) == (
-            to,
-            sender,
-            kind,
-            seq,
-            body,
+    def test_roundtrip(self, to, sender, kind, seq, body, ack):
+        frame = wire.decode_routed(
+            wire.encode_routed(to, sender, kind, seq, body, ack=ack)
         )
+        assert (
+            frame.to,
+            frame.sender,
+            frame.kind,
+            frame.seq,
+            frame.body,
+            frame.ack,
+        ) == (to, sender, kind, seq, body, ack)
 
     def test_garbage_is_typed_error(self):
         with pytest.raises(WireDecodeError):
             wire.decode_routed(b"\x00\x01garbage")
+        with pytest.raises(WireDecodeError):
+            wire.decode_routed(b"")
+
+    def test_older_format_is_refused_by_its_magic(self):
+        old = pack_fields("dissent.wire-routed.v1", "server-0", "client-0", "reply", 3, b"")
+        with pytest.raises(WireDecodeError, match="magic unsupported"):
+            wire.decode_routed(old)
 
 
 class TestFraming:
