@@ -39,9 +39,8 @@ import dataclasses
 
 from repro.core.accusation import TraceDisclosure
 from repro.core.client import DissentClient
-from repro.core.server import DissentServer
+from repro.core.server import DissentServer, RoundState
 from repro.crypto.schnorr import Signature
-from repro.errors import ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, SignedEnvelope, make_envelope
 from repro.util.bytesops import flip_bit
 
@@ -125,10 +124,9 @@ class DisruptingServer(DissentServer):
         self.target_slot = target_slot
         self.flipped_bits: dict[int, int] = {}
 
-    def compute_ciphertext(self, round_number: int | None = None) -> SignedEnvelope:
-        state = self._resolve(round_number)
+    def compute_ciphertext(self, state: RoundState) -> SignedEnvelope:
         layout = state.layout
-        envelope = super().compute_ciphertext(round_number)
+        envelope = super().compute_ciphertext(state)
         if self.target_slot is None or not layout.is_open(self.target_slot):
             return envelope
         start, end = layout.slot_bit_range(self.target_slot)

@@ -17,7 +17,15 @@ windowed one that holds up to W rounds per engine
 daemon (:class:`repro.net.node.ServerNode`, one round at a time), and
 behaves identically under all three.
 
-Per round the engine gates the server's phase methods on message arrival
+The engine's per-round record is the only record of an in-flight round:
+it holds the :class:`~repro.core.server.RoundState` the server's
+``open_round`` returned and hands it to each of the server's steps, and
+its script is the only place that fixes their order.  It also checks the
+three things about rounds as a whole that no single step can: a round is
+begun once, rounds are begun in ascending order, and the oldest round
+finishes first.  How many rounds are in flight is the driver's choice.
+
+Per round the engine gates the server's steps on message arrival
 (collect → inventory → commit → reveal → sign), then runs the
 leader-rotation certificate exchange of :mod:`repro.consensus`: the
 rotation leader proposes the digest of its assembled output, every
@@ -47,7 +55,7 @@ from repro.consensus import (
     quorum_size,
 )
 from repro.core.rounds import RoundOutput
-from repro.core.server import DissentServer
+from repro.core.server import DissentServer, RoundState
 from repro.crypto.schnorr import Signature
 from repro.errors import DissentError, ProtocolError, ViewChangeTimeout
 from repro.net.message import (
@@ -61,7 +69,6 @@ from repro.net.message import (
     VIEW_CHANGE,
     SignedEnvelope,
 )
-from repro.net.wire import decode_view_change_body
 from repro.obs.metrics import NULL_REGISTRY
 
 # ---------------------------------------------------------------------------
@@ -144,9 +151,12 @@ _EXCHANGES = (SERVER_INVENTORY, SERVER_COMMIT, SERVER_REVEAL, SERVER_SIGNATURE)
 
 @dataclass
 class _Round:
-    """One in-flight round's collected messages and consensus state."""
+    """One in-flight round: the server's state of it, the messages
+    collected for it and its consensus state."""
 
     round_number: int
+    #: What the server's steps read and write (``DissentServer.open_round``).
+    held: RoundState
     #: Clients whose ciphertexts this server waits for (its attached submitters).
     expected: tuple[int, ...]
     #: The data plane, suspended at whatever input it is waiting for.
@@ -215,7 +225,8 @@ class RoundEngine:
         self.index = server.index
         self.definition = server.definition
         self.registry = registry
-        #: Rounds begun and not yet done, abandoned or discarded.
+        #: Rounds begun and not yet done, abandoned or discarded, oldest
+        #: first (they are begun in ascending order).
         self.rounds: dict[int, _Round] = {}
         #: Servers this one has convicted of equivocation: out of its
         #: leader rotation for good (they keep contributing DC-net pads,
@@ -228,13 +239,22 @@ class RoundEngine:
     @_input
     def begin_round(self, round_number: int, submitters) -> None:
         """Open ``round_number``; ``submitters`` are the clients sending."""
-        self.server.open_round(round_number)
+        if round_number in self.rounds:
+            raise ProtocolError(
+                f"{self.server.name}: round {round_number} is already open"
+            )
+        if self.rounds and round_number < max(self.rounds):
+            raise ProtocolError(
+                f"{self.server.name}: rounds must be opened in ascending order"
+            )
         expected = tuple(
             i
             for i in sorted(submitters)
             if self.definition.upstream_server(i) == self.index
         )
-        state = self.rounds[round_number] = _Round(round_number, expected)
+        state = self.rounds[round_number] = _Round(
+            round_number, self.server.open_round(round_number), expected
+        )
         state.script = self._data_plane(state)
         next(state.script, None)
 
@@ -273,13 +293,11 @@ class RoundEngine:
 
     def abandon(self, round_number: int) -> None:
         """§3.7: give the round up, publishing its participation count."""
-        self._require(round_number)
-        self.server.abandon_round(round_number)
+        self.server.abandon_round(self._require(round_number).held)
         del self.rounds[round_number]
 
     def discard(self, round_number: int) -> None:
         """Forget a speculatively begun round as if it never ran."""
-        self.server.discard_round(round_number)
         del self.rounds[round_number]
 
     def _require(self, round_number: int) -> _Round:
@@ -298,31 +316,34 @@ class RoundEngine:
         Each ``yield`` waits for more input; the inputs above resume the
         script, which runs every phase whose messages have all arrived.
         """
-        server, r = self.server, state.round_number
+        server, r, held = self.server, state.round_number, state.held
         while len(state.ciphertexts) < len(state.expected):
             yield
         if state.expected:
             # One batched multi-exp checks every attached client.
-            server.accept_ciphertexts([state.ciphertexts[i] for i in state.expected])
-        self._share(state, server.make_inventory(r))
+            server.accept_ciphertexts(
+                held, [state.ciphertexts[i] for i in state.expected]
+            )
+        self._share(state, server.make_inventory(held))
         self._out.append(PhaseBoundary(r, "submit"))
         inventories = yield from self._collect(state, SERVER_INVENTORY)
-        participation = server.receive_inventories(inventories)
+        participation = server.receive_inventories(held, inventories)
         self._out.append(PhaseBoundary(r, "inventory"))
         self._out.append(
-            InventoryStatus(r, participation, server.participation_ok(r))
+            InventoryStatus(r, participation, server.participation_ok(held))
         )
         while not state.commit_go:
             yield
-        self._share(state, server.compute_ciphertext(r))
-        server.receive_commitments((yield from self._collect(state, SERVER_COMMIT)))
+        self._share(state, server.compute_ciphertext(held))
+        commitments = yield from self._collect(state, SERVER_COMMIT)
+        server.receive_commitments(held, commitments)
         self._out.append(PhaseBoundary(r, "commit"))
-        self._share(state, server.reveal_ciphertext(r))
-        server.receive_reveals((yield from self._collect(state, SERVER_REVEAL)))
+        self._share(state, server.reveal_ciphertext(held))
+        server.receive_reveals(held, (yield from self._collect(state, SERVER_REVEAL)))
         self._out.append(PhaseBoundary(r, "reveal"))
-        self._share(state, server.signature_envelope(r))
+        self._share(state, server.signature_envelope(held))
         signatures = yield from self._collect(state, SERVER_SIGNATURE)
-        output = server.receive_signature_envelopes(signatures)
+        output = server.receive_signature_envelopes(held, signatures)
         self._out.append(PhaseBoundary(r, "verify"))
         self._enter_consensus(state, output)
 
@@ -451,6 +472,10 @@ class RoundEngine:
             self._certify(state, view)
 
     def _on_view_change(self, state: _Round, envelope: SignedEnvelope) -> None:
+        # Imported here: ``repro.net.wire`` imports ``repro.core``, and a
+        # module-level import would make ``import repro.net.wire`` cycle.
+        from repro.net.wire import decode_view_change_body
+
         sender = self.definition.server_index_of(envelope.sender)
         envelope.verify(self.definition.server_keys[sender])
         new_view, _reason = decode_view_change_body(envelope.body)
@@ -527,6 +552,10 @@ class RoundEngine:
     def _certify(self, state: _Round, view: int) -> None:
         """Assemble the certificate, archive the round, report it done."""
         r = state.round_number
+        if r != next(iter(self.rounds)):
+            raise ProtocolError(
+                f"{self.server.name}: round {r} cannot finish before older rounds"
+            )
         certificate = RoundCertificate(
             round_number=r,
             view=view,
@@ -537,7 +566,7 @@ class RoundEngine:
         state.done = True
         self.registry.counter("consensus.certs_formed").inc()
         self._out.append(PhaseBoundary(r, "certify"))
-        contents = self.server.finish_round(state.output)
+        contents = self.server.finish_round(state.held, state.output)
         del self.rounds[r]
         self._out.append(
             RoundDone(

@@ -7,8 +7,9 @@ schedules the same per-server :class:`~repro.core.engine.RoundEngine`
 machines differently — it splits a round at the submit boundary and keeps
 a configurable window of W rounds in flight end to end: clients build and
 submit rounds ``r+1 .. r+W-1`` while round ``r`` is still in its
-commit/reveal exchanges (servers hold one ``_RoundState`` per in-flight
-round and batch-verify future rounds' envelopes on arrival).  Every node
+commit/reveal exchanges (each engine holds one record per in-flight round
+and batch-verifies a future round's envelopes on arrival).  The window is
+this driver's alone: no engine or server knows W.  Every node
 still derives its own pair pads when it needs them, exactly as lockstep
 does.  In process the phases run one after another either way; the
 overlap a deployment would get is modelled by
@@ -66,8 +67,8 @@ class _InFlight:
     #: Speculatively confirmed sent records, validated at completion.
     sent_records: dict[int, _SentRecord] = field(default_factory=dict)
     #: Engine effects held at the submit boundary (the inventories): a
-    #: server digests one round's exchanges at a time, oldest first, so
-    #: they are routed only when this round completes.
+    #: round's §3.7 floor compares with the participation the round before
+    #: it published, so they are routed only when this round completes.
     pending: list = field(default_factory=list)
 
 
@@ -105,8 +106,6 @@ class PipelinedSession:
         self.registry = session.registry
         self.tracer = session.tracer
         self.registry.gauge("pipeline.window").set_max(window)
-        for server in session.servers:
-            server.max_rounds_in_flight = window
         #: Outcomes applied to clients, in round order, for drain replay:
         #: ("output", RoundOutput) or ("failure", (round, participation)).
         self._applied: list[tuple[str, object]] = []

@@ -1,6 +1,6 @@
 """The Dissent server protocol (paper Algorithm 2).
 
-Per round, a server moves through six phases:
+Per round, a server takes six steps:
 
 1. **Submission** — collect signed client ciphertexts until its window
    policy closes (window policies live in :mod:`repro.core.policy`; in
@@ -17,14 +17,20 @@ Per round, a server moves through six phases:
 6. **Output** — assemble all signatures and push the certified output to
    attached clients.
 
-The server keeps a bounded archive of past rounds (signed client
-submissions, inventories, server ciphertexts, layout geometry) so the
-accusation process can reopen any recent round.
+A server holds no in-flight round.  :meth:`DissentServer.open_round`
+returns a :class:`RoundState` and every later step takes it as its first
+argument; the caller — :class:`repro.core.engine.RoundEngine` — keeps it,
+and the order of the steps is the engine's script.  The steps still
+check everything a peer sends (type, round, one per server, length,
+signature, commitment); they do not check that the caller ran them in
+order.  What a server keeps is long-lived: the scheduler, the roster, the
+RNG and a bounded archive of past rounds (signed client submissions,
+inventories, server ciphertexts, layout geometry) so the accusation
+process can reopen any recent round.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -60,17 +66,6 @@ from repro.util.bytesops import xor_many
 from repro.util.serialization import pack_fields, unpack_fields
 
 
-class Phase(enum.Enum):
-    """Where a server stands within the current round."""
-
-    IDLE = "idle"
-    COLLECTING = "collecting"
-    INVENTORY = "inventory"
-    COMMITTED = "committed"
-    REVEALED = "revealed"
-    CERTIFIED = "certified"
-
-
 @dataclass
 class RoundArchive:
     """Everything retained for accusation tracing of one past round."""
@@ -102,17 +97,15 @@ class RoundArchive:
 
 
 @dataclass
-class _RoundState:
-    """Mutable state of one in-progress round (internal).
+class RoundState:
+    """What one server holds of one in-flight round.
 
-    The pipelined engine keeps several of these alive at once, so the
-    phase machine lives here rather than on the server: each in-flight
-    round advances through the six phases independently.
+    Made by :meth:`DissentServer.open_round` and handed back to every
+    later step; the server itself keeps none of these.
     """
 
     round_number: int
     layout: RoundLayout
-    phase: Phase = Phase.COLLECTING
     received: dict[int, SignedEnvelope] = field(default_factory=dict)
     inventories: dict[int, tuple[int, ...]] = field(default_factory=dict)
     final_list: tuple[int, ...] = ()
@@ -125,7 +118,6 @@ class _RoundState:
     cleartext: bytes = b""
     #: What this server signed to certify the output (``output_digest``).
     output_digest: bytes = b""
-    signatures: dict[int, Signature] = field(default_factory=dict)
     participation: int = 0
 
 
@@ -158,12 +150,6 @@ class DissentServer:
         self.expelled: set[int] = set()
         self.archive: dict[int, RoundArchive] = {}
         self.last_participation: int | None = None
-        #: In-flight rounds in ascending round order (dict preserves
-        #: insertion order; rounds are always opened oldest-first).  The
-        #: lockstep driver keeps exactly one entry; the pipelined engine
-        #: holds up to ``max_rounds_in_flight``.
-        self._rounds: dict[int, _RoundState] = {}
-        self.max_rounds_in_flight = 1
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -179,100 +165,38 @@ class DissentServer:
     # Phase 1: submission collection
     # ------------------------------------------------------------------
 
-    def open_round(self, round_number: int) -> None:
-        """Begin collecting ciphertexts for a new round.
+    def open_round(self, round_number: int) -> RoundState:
+        """Begin collecting ciphertexts for a new round; returns its state.
 
-        Several rounds may collect concurrently (the pipelined engine
-        opens rounds ``r+1 .. r+W-1`` while round ``r`` is still in its
-        commit/reveal exchanges), bounded by :attr:`max_rounds_in_flight`.
-        Rounds must be opened in ascending order; each new round's layout
-        is the scheduler's current one — the pipeline driver validates
-        that assumption when earlier rounds complete and drains if the
-        schedule actually changed.
+        The round's layout is the scheduler's current one.  A pipelined
+        driver opens rounds ``r+1 .. r+W-1`` before round ``r`` finishes,
+        so it validates that assumption when earlier rounds complete and
+        drains if the schedule actually changed.
         """
-        if round_number in self._rounds:
-            raise ProtocolError(f"round {round_number} is already open")
-        if self._rounds and round_number < max(self._rounds):
-            raise ProtocolError("rounds must be opened in ascending order")
-        if len(self._rounds) >= self.max_rounds_in_flight:
-            raise ProtocolError(
-                f"{len(self._rounds)} rounds already in flight "
-                f"(window is {self.max_rounds_in_flight})"
-            )
-        self._rounds[round_number] = _RoundState(
+        return RoundState(
             round_number=round_number, layout=self.scheduler.current_layout()
         )
 
-    @property
-    def phase(self) -> Phase:
-        """Phase of the oldest in-flight round (IDLE when none)."""
-        if not self._rounds:
-            return Phase.IDLE
-        return next(iter(self._rounds.values())).phase
+    def accept_ciphertexts(
+        self, state: RoundState, envelopes: list[SignedEnvelope]
+    ) -> list[bool]:
+        """Validate and store a batch of client submissions for ``state``.
 
-    @property
-    def rounds_in_flight(self) -> tuple[int, ...]:
-        return tuple(self._rounds)
-
-    @property
-    def state(self) -> _RoundState:
-        """The single in-flight round (lockstep callers and tests)."""
-        return self._resolve(None)
-
-    def _resolve(self, round_number: int | None) -> _RoundState:
-        """Look up a round's state; ``None`` means the oldest in flight.
-
-        Phase work always targets the oldest round (completion is
-        in-order), so lockstep callers never pass an explicit number.
-        """
-        if round_number is None:
-            if not self._rounds:
-                raise ProtocolError("no round in progress")
-            return next(iter(self._rounds.values()))
-        state = self._rounds.get(round_number)
-        if state is None:
-            raise ProtocolError(f"round {round_number} is not in progress")
-        return state
-
-    def discard_round(self, round_number: int) -> None:
-        """Drop a speculatively-opened round (pipeline drain).
-
-        Unlike :meth:`abandon_round` this publishes nothing: the round
-        never ran, so it must leave no trace in the participation basis.
-        """
-        if round_number not in self._rounds:
-            raise ProtocolError(f"round {round_number} is not in progress")
-        del self._rounds[round_number]
-
-    def accept_ciphertext(self, envelope: SignedEnvelope) -> bool:
-        """Validate and store one client submission; False if rejected."""
-        return self.accept_ciphertexts([envelope])[0]
-
-    def accept_ciphertexts(self, envelopes: list[SignedEnvelope]) -> list[bool]:
-        """Validate and store a batch of client submissions.
-
-        Structural screening (phase, type, round, group id, sender, body
-        length) is per envelope and costs no crypto; the surviving
+        Structural screening (type, round, group id, sender, body length)
+        is per envelope and costs no crypto; the surviving
         signatures are then checked with **one** multi-exponentiation
         (:func:`repro.net.message.batch_verify_envelopes`), with the
         clients' long-term keys as hot fixed-base tables.  A failing batch
         bisects to the exact forged envelopes, so the accept/reject vector
         is bit-identical to verifying each submission individually.
-
-        Envelopes route to the in-flight round they name: a mixed batch
-        carrying rounds ``r`` and ``r+1`` lands in both states, which is
-        how the pipelined engine verifies future rounds' submissions while
-        round ``r`` is still mid-exchange.  Envelopes for rounds that are
-        not currently collecting are rejected structurally.
         """
         verdicts = [False] * len(envelopes)
-        # (envelope position, client, target round state)
-        candidates: list[tuple[int, int, _RoundState]] = []
+        # (envelope position, client)
+        candidates: list[tuple[int, int]] = []
         for position, envelope in enumerate(envelopes):
             if envelope.msg_type != CLIENT_CIPHERTEXT:
                 continue
-            state = self._rounds.get(envelope.round_number)
-            if state is None or state.phase is not Phase.COLLECTING:
+            if envelope.round_number != state.round_number:
                 continue
             if envelope.group_id != self.group_id:
                 continue
@@ -281,10 +205,10 @@ class DissentServer:
                 continue
             if len(envelope.body) != state.layout.total_bytes:
                 continue
-            candidates.append((position, client_index, state))
+            candidates.append((position, client_index))
         items = [
             (envelopes[position], self.definition.client_keys[client_index])
-            for position, client_index, _ in candidates
+            for position, client_index in candidates
         ]
         invalid = set(
             batch_verify_envelopes(
@@ -292,7 +216,7 @@ class DissentServer:
                 hot_bases=hot_bases_within_budget(key.y for _, key in items),
             )
         )
-        for slot, (position, client_index, state) in enumerate(candidates):
+        for slot, (position, client_index) in enumerate(candidates):
             if slot in invalid:
                 continue
             state.received[client_index] = envelopes[position]
@@ -314,12 +238,8 @@ class DissentServer:
     # Phase 2: inventory
     # ------------------------------------------------------------------
 
-    def make_inventory(self, round_number: int | None = None) -> SignedEnvelope:
+    def make_inventory(self, state: RoundState) -> SignedEnvelope:
         """Broadcast the sorted list of clients heard from."""
-        state = self._resolve(round_number)
-        if state.phase is not Phase.COLLECTING:
-            raise ProtocolError(f"inventory out of order in phase {state.phase}")
-        state.phase = Phase.INVENTORY
         client_list = sorted(state.received)
         body = pack_fields(*[int(i) for i in client_list]) if client_list else b""
         return make_envelope(
@@ -331,7 +251,9 @@ class DissentServer:
             body,
         )
 
-    def receive_inventories(self, envelopes: list[SignedEnvelope]) -> int:
+    def receive_inventories(
+        self, state: RoundState, envelopes: list[SignedEnvelope]
+    ) -> int:
         """Digest all inventories; returns the composite participation |l|.
 
         Deduplication rule (deterministic on every server): a client that
@@ -339,9 +261,6 @@ class DissentServer:
         server that heard from it; only that server XORs the client's
         ciphertext into its own.
         """
-        state = self._resolve(None)
-        if state.phase is not Phase.INVENTORY:
-            raise ProtocolError(f"inventories out of order in phase {state.phase}")
         if len(envelopes) != self.definition.num_servers:
             raise ProtocolError("need exactly one inventory per server")
         indices = []
@@ -392,22 +311,18 @@ class DissentServer:
             ),
         )
 
-    def participation_ok(self, round_number: int | None = None) -> bool:
+    def participation_ok(self, state: RoundState) -> bool:
         """§3.7 floor: |l| >= alpha * (previous round's participation)."""
         if self.last_participation is None:
             return True
-        floor = self.policy.alpha * self.last_participation
-        return self._resolve(round_number).participation >= floor
+        return state.participation >= self.policy.alpha * self.last_participation
 
     # ------------------------------------------------------------------
     # Phase 3: commitment
     # ------------------------------------------------------------------
 
-    def compute_ciphertext(self, round_number: int | None = None) -> SignedEnvelope:
+    def compute_ciphertext(self, state: RoundState) -> SignedEnvelope:
         """Form s_j and broadcast its commitment."""
-        state = self._resolve(round_number)
-        if state.phase is not Phase.INVENTORY:
-            raise ProtocolError(f"commitment out of order in phase {state.phase}")
         length = state.layout.total_bytes
         # A generator: one pad alive at a time, not all N (N x 500 KiB on
         # a bulk round), as ``DissentClient.produce_ciphertext`` does.
@@ -423,10 +338,9 @@ class DissentServer:
         state.own_ciphertext = xor_many(
             itertools.chain(streams, own_blobs), length=length
         )
-        state.phase = Phase.COMMITTED
         return self._commit_envelope(state)
 
-    def _commit_envelope(self, state: _RoundState) -> SignedEnvelope:
+    def _commit_envelope(self, state: RoundState) -> SignedEnvelope:
         """Hash ``s_j`` — the one pass this server makes over it — and sign
         the commitment to that digest; the reveal signs the same digest."""
         state.own_digest = body_digest(state.own_ciphertext)
@@ -439,11 +353,10 @@ class DissentServer:
             hash_commit(state.own_digest),
         )
 
-    def receive_commitments(self, envelopes: list[SignedEnvelope]) -> None:
+    def receive_commitments(
+        self, state: RoundState, envelopes: list[SignedEnvelope]
+    ) -> None:
         """Store every server's commitment (must precede any reveal)."""
-        state = self._resolve(None)
-        if state.phase is not Phase.COMMITTED:
-            raise ProtocolError(f"commitments out of order in phase {state.phase}")
         if len(envelopes) != self.definition.num_servers:
             raise ProtocolError("need exactly one commitment per server")
         indices = []
@@ -461,14 +374,8 @@ class DissentServer:
     # Phase 4: combining
     # ------------------------------------------------------------------
 
-    def reveal_ciphertext(self, round_number: int | None = None) -> SignedEnvelope:
+    def reveal_ciphertext(self, state: RoundState) -> SignedEnvelope:
         """Share s_j once every commitment is in hand."""
-        state = self._resolve(round_number)
-        if state.phase is not Phase.COMMITTED:
-            raise ProtocolError(f"reveal out of order in phase {state.phase}")
-        if len(state.commitments) != self.definition.num_servers:
-            raise ProtocolError("cannot reveal before all commitments arrive")
-        state.phase = Phase.REVEALED
         return make_envelope(
             self.key,
             SERVER_REVEAL,
@@ -479,11 +386,10 @@ class DissentServer:
             digest=state.own_digest,
         )
 
-    def receive_reveals(self, envelopes: list[SignedEnvelope]) -> bytes:
+    def receive_reveals(
+        self, state: RoundState, envelopes: list[SignedEnvelope]
+    ) -> bytes:
         """Verify reveals against commitments and combine the cleartext."""
-        state = self._resolve(None)
-        if state.phase is not Phase.REVEALED:
-            raise ProtocolError(f"reveals out of order in phase {state.phase}")
         if len(envelopes) != self.definition.num_servers:
             raise ProtocolError("need exactly one reveal per server")
         blobs: list[bytes] = [b""] * self.definition.num_servers
@@ -519,20 +425,14 @@ class DissentServer:
     # Phase 5/6: certification and output
     # ------------------------------------------------------------------
 
-    def sign_output(self, round_number: int | None = None) -> Signature:
+    def sign_output(self, state: RoundState) -> Signature:
         """Certify the combined cleartext and participation count."""
-        state = self._resolve(round_number)
-        if state.phase is not Phase.REVEALED:
-            raise ProtocolError(f"signing out of order in phase {state.phase}")
-        if not state.cleartext and state.layout.total_bytes:
-            raise ProtocolError("cannot sign before combining")
-        state.phase = Phase.CERTIFIED
         state.output_digest = output_digest(
             self.group_id, state.round_number, state.cleartext, state.participation
         )
         return schnorr_sign(self.key, state.output_digest)
 
-    def signature_envelope(self, round_number: int | None = None) -> SignedEnvelope:
+    def signature_envelope(self, state: RoundState) -> SignedEnvelope:
         """Envelope entry point for the certification phase.
 
         Networked peers exchange output signatures as ``server-signature``
@@ -541,8 +441,7 @@ class DissentServer:
         """
         from repro.net.wire import encode_signature_body
 
-        state = self._resolve(round_number)
-        signature = self.sign_output(state.round_number)
+        signature = self.sign_output(state)
         return make_envelope(
             self.key,
             SERVER_SIGNATURE,
@@ -553,7 +452,7 @@ class DissentServer:
         )
 
     def receive_signature_envelopes(
-        self, envelopes: list[SignedEnvelope]
+        self, state: RoundState, envelopes: list[SignedEnvelope]
     ) -> RoundOutput:
         """Assemble the round output from peer ``server-signature`` envelopes.
 
@@ -564,7 +463,6 @@ class DissentServer:
         """
         from repro.net.wire import decode_signature_body
 
-        state = self._resolve(None)
         if len(envelopes) != self.definition.num_servers:
             raise ProtocolError("need exactly one signature envelope per server")
         signatures: list[Signature | None] = [None] * self.definition.num_servers
@@ -581,7 +479,9 @@ class DissentServer:
             signatures[server_index] = decode_signature_body(
                 self.group, envelope.body
             )
-        return self.assemble_output([sig for sig in signatures if sig is not None])
+        return self.assemble_output(
+            state, [sig for sig in signatures if sig is not None]
+        )
 
     def output_envelope(self, output: RoundOutput) -> SignedEnvelope:
         """Wrap a certified round output for broadcast to attached clients.
@@ -677,11 +577,10 @@ class DissentServer:
             encode_view_change_body(new_view, reason),
         )
 
-    def assemble_output(self, signatures: list[Signature]) -> RoundOutput:
+    def assemble_output(
+        self, state: RoundState, signatures: list[Signature]
+    ) -> RoundOutput:
         """Collect all server signatures into a certified round output."""
-        state = self._resolve(None)
-        if state.phase is not Phase.CERTIFIED:
-            raise ProtocolError(f"assembly out of order in phase {state.phase}")
         if len(signatures) != self.definition.num_servers:
             raise ProtocolError("need exactly one signature per server")
         # All M output signatures cover the digest we signed: one multi-exp.
@@ -704,20 +603,12 @@ class DissentServer:
             signatures=tuple(signatures),
         )
 
-    def finish_round(self, output: RoundOutput) -> list[SlotContent]:
-        """Archive the round, advance scheduling, return decoded slots.
-
-        Rounds finish strictly in order — the scheduler advances once per
-        round output, oldest first — so the finished round must be the
-        oldest in flight even when younger rounds are already collecting.
-        """
-        state = self._resolve(output.round_number)
-        if state is not next(iter(self._rounds.values())):
-            raise ProtocolError(
-                f"round {output.round_number} cannot finish before older rounds"
-            )
-        if state.phase is not Phase.CERTIFIED:
-            raise ProtocolError(f"finish out of order in phase {state.phase}")
+    def finish_round(
+        self, state: RoundState, output: RoundOutput
+    ) -> list[SlotContent]:
+        """Archive the certified round, advance scheduling, return decoded
+        slots.  The scheduler advances once per round output, so the caller
+        finishes rounds oldest first."""
         self.archive[state.round_number] = RoundArchive(
             round_number=state.round_number,
             layout=state.layout,
@@ -727,20 +618,16 @@ class DissentServer:
             server_ciphertexts=[
                 state.reveals[j] for j in range(self.definition.num_servers)
             ],
-            cleartext=state.cleartext,
-            participation=state.participation,
+            cleartext=output.cleartext,
+            participation=output.participation,
         )
         self._trim_archive()
-        self.last_participation = state.participation
-        contents = self.scheduler.advance(state.cleartext)
-        del self._rounds[state.round_number]
-        return contents
+        self.last_participation = output.participation
+        return self.scheduler.advance(output.cleartext)
 
-    def abandon_round(self, round_number: int | None = None) -> None:
-        """§3.7 hard timeout: discard everything, publish a fresh basis."""
-        state = self._resolve(round_number)
+    def abandon_round(self, state: RoundState) -> None:
+        """§3.7 hard timeout: discard the round, publish a fresh basis."""
         self.last_participation = state.participation
-        del self._rounds[state.round_number]
 
     def _trim_archive(self) -> None:
         # Rounds finish in ascending order, so insertion order *is* round

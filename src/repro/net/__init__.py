@@ -4,11 +4,12 @@
   signature verification (every protocol message is signed, §3.3).
 * :mod:`repro.net.wire` — canonical serialization for every envelope
   body plus length-prefixed framing with a hard size cap.
-* :mod:`repro.net.transport` — duplex frame transports: asyncio TCP and
-  a deterministic fault-injectable loopback.
+* :mod:`repro.net.transport` — duplex frame transports (asyncio TCP, an
+  in-memory loopback) and ``FaultyTransport``, which applies a
+  deterministic fault schedule to either.
 * :mod:`repro.net.node` — ``ServerNode``/``ClientNode`` daemons that run
-  the phase machines behind inbound envelope dispatch loops (also the
-  ``python -m repro.net.node`` subprocess entry point).
+  the round engine and the client behind inbound envelope dispatch loops
+  (also the ``python -m repro.net.node`` subprocess entry point).
 * :mod:`repro.net.runner` — :class:`NetworkedSession`, the
   ``DissentSession``-surface driver that executes rounds purely by
   passing signed envelopes over transports.

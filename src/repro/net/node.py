@@ -1,9 +1,10 @@
 """Message-driven node daemons: servers and clients behind dispatch loops.
 
-A :class:`ServerNode`/:class:`ClientNode` wraps the existing
-:class:`~repro.core.server.DissentServer`/:class:`~repro.core.client.DissentClient`
-phase machines behind an inbound frame dispatch loop, so the protocol
-runs by **receiving messages** instead of having a driver call methods:
+A :class:`ServerNode`/:class:`ClientNode` wraps a
+:class:`~repro.core.server.DissentServer` (through its
+:class:`~repro.core.engine.RoundEngine`)/:class:`~repro.core.client.DissentClient`
+behind an inbound frame dispatch loop, so the protocol runs by
+**receiving messages** instead of having a driver call methods:
 
 * client ciphertext submission — a signed ``client-ciphertext`` envelope
   sent to the client's upstream server
@@ -211,8 +212,6 @@ class NodeRuntime:
         self.started_at = self._clock()
         #: Trace context carried by the frame currently being dispatched.
         self._inbound_trace = b""
-        #: round -> serialized context this node forwards with envelopes.
-        self._round_trace: dict[int, bytes] = {}
         #: Inbound frames processed — the resume high-water mark the hub
         #: uses to replay exactly the frames this node never saw.
         self.recv_count = 0
@@ -255,7 +254,9 @@ class NodeRuntime:
             # which flushes this buffer after the hello.
             self._unsent.append(payload)
 
-    async def _send_envelope(self, to: str, envelope: SignedEnvelope) -> None:
+    async def _send_envelope(
+        self, to: str, envelope: SignedEnvelope, trace: bytes = b""
+    ) -> None:
         self.registry.counter(f"net.sent.frames.{envelope.msg_type}").inc()
         self.registry.counter(f"net.sent.bytes.{envelope.msg_type}").inc(
             len(envelope.body)
@@ -264,12 +265,7 @@ class NodeRuntime:
         # receivers that ignore it still verify the envelope unchanged.
         await self._send_payload(
             encode_routed_envelope(
-                self.group,
-                to,
-                self.name,
-                envelope,
-                trace=self._round_trace.get(envelope.round_number, b""),
-                ack=self.ack,
+                self.group, to, self.name, envelope, trace=trace, ack=self.ack
             )
         )
 
@@ -376,6 +372,13 @@ class NodeRuntime:
         # the inbound trace context is race-free.
         self._inbound_trace = frame.trace
         try:
+            if frame.kind != K_ENVELOPE and frame.sender != COORDINATOR:
+                # Peers talk only in signed envelopes; every other kind is
+                # the coordinator's to send.
+                raise ProtocolError(
+                    f"{self.name}: {frame.kind!r} frame from {frame.sender!r}; "
+                    "control frames come from the coordinator"
+                )
             result = await self.handle(frame.kind, frame.body)
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
             if isinstance(exc, WireDecodeError):
@@ -521,18 +524,29 @@ class NodeRuntime:
 
 @dataclasses.dataclass
 class _RoundClock:
-    """One in-flight round's span state (never protocol state).
+    """What a server node keeps of one begun round besides the engine's
+    record: its span state, view timer and forwarded trace (never
+    protocol state).
 
     Wall-clock ``opened`` starts the node's round span and ``mark`` the
     phase in progress; ``span_id`` is the round span's id, allocated at
     open so phase records can parent to it; ``trace`` is the coordinator's
-    context for the round, if one arrived.
+    context for the round, if one arrived, and ``forward`` the serialized
+    child context this node's envelopes carry.  ``timer`` is the armed
+    view timer.
     """
 
     opened: float
     mark: float
     span_id: int
     trace: TraceContext | None = None
+    forward: bytes = b""
+    timer: asyncio.TimerHandle | None = None
+
+    def cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 class ServerNode(NodeRuntime):
@@ -559,9 +573,8 @@ class ServerNode(NodeRuntime):
         self.server = server
         self.index = server.index
         self.engine = RoundEngine(server, self.registry)
+        #: One record per begun round, dropped when the round closes.
         self._clocks: dict[int, _RoundClock] = {}
-        #: round -> armed view timer handle.
-        self._timers: dict[int, asyncio.TimerHandle] = {}
         self._early: dict[int, list[SignedEnvelope]] = {}
         self._early_count = 0
         #: Live view-timeout tasks, referenced so the loop cannot GC them.
@@ -623,7 +636,7 @@ class ServerNode(NodeRuntime):
             if self.tracer.enabled:
                 clock.trace = TraceContext.from_bytes(self._inbound_trace)
             if clock.trace is not None:
-                self._round_trace[round_number] = clock.trace.child(
+                clock.forward = clock.trace.child(
                     self.name, clock.span_id
                 ).to_bytes()
         await self._apply(effects)
@@ -637,11 +650,10 @@ class ServerNode(NodeRuntime):
                 await self._apply(self.engine.deliver(envelope))
 
     def _close_round(self, round_number: int, status: str) -> None:
-        """Record this node's round span, drop the round's timer and telemetry
-        state, and count the round done — which purges its early buffers."""
-        self._cancel_timer(round_number)
+        """Record this node's round span, drop the round's record with its
+        timer, and count the round done — which purges its early buffers."""
         clock = self._clocks.pop(round_number)
-        self._round_trace.pop(round_number, None)
+        clock.cancel_timer()
         self._log_span(
             "round",
             clock.opened,
@@ -745,6 +757,8 @@ class ServerNode(NodeRuntime):
         # for those rounds must drop instead of reopening state.
         self.engine.rounds.clear()
         self.engine.convicted = {int(i) for i in payload.get("convicted", ())}
+        for clock in self._clocks.values():
+            clock.cancel_timer()
         self._clocks = {}
         self._early = {}
         self._early_count = 0
@@ -798,10 +812,11 @@ class ServerNode(NodeRuntime):
         for effect in effects:
             match effect:
                 case Broadcast(envelope):
+                    trace = self._forward(envelope.round_number)
                     for j in range(self.definition.num_servers):
                         if j != self.index:
                             await self._send_envelope(
-                                self.definition.server_name(j), envelope
+                                self.definition.server_name(j), envelope, trace
                             )
                 case PhaseBoundary(round_number, phase):
                     self._mark_phase(round_number, phase)
@@ -827,18 +842,21 @@ class ServerNode(NodeRuntime):
                 case Fault(error):
                     await self._report(error)
 
-    def _cancel_timer(self, round_number: int) -> None:
-        timer = self._timers.pop(round_number, None)
-        if timer is not None:
-            timer.cancel()
+    def _forward(self, round_number: int) -> bytes:
+        """The trace context this node's envelopes of the round carry."""
+        clock = self._clocks.get(round_number)
+        return clock.forward if clock is not None else b""
 
     def _arm_timer(self, round_number: int, view: int) -> None:
         """View timer: the retry budget, capped by the barrier knob."""
-        self._cancel_timer(round_number)
         self._last_view = max(self._last_view, view)
         if view > 0:
             self._trigger("view_change", round=round_number, view=view)
-        self._timers[round_number] = asyncio.get_running_loop().call_later(
+        clock = self._clocks.get(round_number)
+        if clock is None:
+            return  # the round closed while a timer task's effects waited
+        clock.cancel_timer()
+        clock.timer = asyncio.get_running_loop().call_later(
             min(self.retry.budget(), self.definition.policy.barrier_timeout),
             self._view_timer_fired,
             round_number,
@@ -856,10 +874,11 @@ class ServerNode(NodeRuntime):
         """Push the certified output to our clients and report the round."""
         round_number = done.round_number
         out_envelope = self.server.output_envelope(done.output)
+        trace = self._forward(round_number)
         for i in range(self.definition.num_clients):
             if self.definition.upstream_server(i) == self.index:
                 await self._send_envelope(
-                    self.definition.client_name(i), out_envelope
+                    self.definition.client_name(i), out_envelope, trace
                 )
         self._mark_phase(round_number, "output")
         self._close_round(round_number, "certified")
@@ -924,17 +943,17 @@ class ClientNode(NodeRuntime):
                     name="build",
                     round=round_number,
                 )
-                if context is not None:
-                    # The ciphertext envelope continues the trace with the
-                    # build span as the upstream server's causal parent.
-                    self._round_trace[round_number] = context.child(
-                        self.name, record.span_id
-                    ).to_bytes()
+                # The ciphertext envelope continues the trace with the
+                # build span as the upstream server's causal parent.
+                trace = (
+                    context.child(self.name, record.span_id).to_bytes()
+                    if context is not None
+                    else b""
+                )
                 upstream = self.definition.upstream_server(self.index)
                 await self._send_envelope(
-                    self.definition.server_name(upstream), envelope
+                    self.definition.server_name(upstream), envelope, trace
                 )
-                self._round_trace.pop(round_number, None)
             return None
         if kind == K_ROUND_FAILED:
             round_number, participation = _unpack_typed(body, "ii", "round-failed")
@@ -1093,7 +1112,7 @@ def node_from_config(config: dict, transport: Transport):
     if config.get("flight_dir"):
         node.flight_dir = config["flight_dir"]
     if config.get("resume_from"):
-        # Restart-from-checkpoint: rebuild the phase-machine state the
+        # Restart-from-checkpoint: rebuild the protocol state the
         # dead process had at its last round barrier, then let the hub's
         # replay close the gap between the checkpoint and the crash.
         node.resume_from(config["resume_from"])

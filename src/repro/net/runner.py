@@ -131,12 +131,6 @@ from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.persist.codec import decode_coordinator_state, encode_coordinator_state
 from repro.util.serialization import canonical_json, pack_fields, unpack_fields
 
-#: Fallback for the coordinator barrier wait, matching the
-#: :class:`~repro.core.config.Policy` default.  The live value is the
-#: ``barrier_timeout`` policy knob — pass ``timeout=None`` (the default)
-#: to :class:`NetworkedSession` to pick it up from the group definition.
-DEFAULT_TIMEOUT = 120.0
-
 MODES = ("loopback", "tcp", "subprocess")
 
 #: Unacknowledged frames the hub keeps per peer for reconnect replay; a
@@ -291,6 +285,18 @@ class _Hub:
         except (ConnectionClosed, WireError, OSError):
             self._mark_dark(name, transport)
 
+    async def _report(self, name: str, error: str, message: str) -> None:
+        """File a ``node-error`` against ``name`` with the coordinator."""
+        await self.inbox.put(
+            RoutedFrame(
+                to=COORDINATOR,
+                sender=name,
+                kind=K_NODE_ERROR,
+                seq=0,
+                body=pack_fields(error, message),
+            )
+        )
+
     async def _resume(self, link: _PeerLink, transport, high_water: int) -> bool:
         """Adopt a reconnecting peer's transport and replay its gap."""
         old = link.transport
@@ -301,18 +307,11 @@ class _Hub:
             # The outbox no longer holds frames the peer never saw (evicted,
             # or acknowledged by the peer earlier); a partial replay would
             # corrupt the protocol stream.
-            await self.inbox.put(
-                RoutedFrame(
-                    to=COORDINATOR,
-                    sender=link.name,
-                    kind=K_NODE_ERROR,
-                    seq=0,
-                    body=pack_fields(
-                        "ProtocolError",
-                        f"{link.name} resumed at frame {high_water} but the "
-                        f"outbox starts at {first}; gap unreplayable",
-                    ),
-                )
+            await self._report(
+                link.name,
+                "ProtocolError",
+                f"{link.name} resumed at frame {high_water} but the "
+                f"outbox starts at {first}; gap unreplayable",
             )
             await transport.aclose()
             return False
@@ -390,14 +389,15 @@ class _Hub:
                 try:
                     routed = decode_routed(payload)
                 except WireError as exc:
-                    await self.inbox.put(
-                        RoutedFrame(
-                            to=COORDINATOR,
-                            sender=name,
-                            kind=K_NODE_ERROR,
-                            seq=0,
-                            body=pack_fields(type(exc).__name__, str(exc)),
-                        )
+                    await self._report(name, type(exc).__name__, str(exc))
+                    continue
+                if routed.sender != name:
+                    # A node speaks only under the name it said hello
+                    # with; anything else is a forgery and goes no further.
+                    await self._report(
+                        name,
+                        "ProtocolError",
+                        f"{name} sent a {routed.kind!r} frame as {routed.sender!r}",
                     )
                     continue
                 link.acknowledge(routed.ack)
@@ -405,18 +405,7 @@ class _Hub:
                     await self.inbox.put(routed)
                     continue
                 if routed.to not in self.links:
-                    await self.inbox.put(
-                        RoutedFrame(
-                            to=COORDINATOR,
-                            sender=name,
-                            kind=K_NODE_ERROR,
-                            seq=0,
-                            body=pack_fields(
-                                "WireError",
-                                f"no route to {routed.to!r}",
-                            ),
-                        )
-                    )
+                    await self._report(name, "WireError", f"no route to {routed.to!r}")
                     continue
                 # Forward the payload bytes untouched: the hub relays
                 # signed envelopes, it never reconstructs them — and for
@@ -562,7 +551,8 @@ class NetworkedSession(Coordinator):
         self._pump_task: asyncio.Task | None = None
         self._processes: dict[str, object] = {}
         self._tmpdir: tempfile.TemporaryDirectory | None = None
-        self._pending: dict[int, asyncio.Future] = {}
+        #: seq -> (the node asked, the future its reply resolves).
+        self._pending: dict[int, tuple[str, asyncio.Future]] = {}
         self._buckets: dict[tuple[str, int], asyncio.Queue] = {}
         self._node_errors: list[str] = []
         self._seq = 0
@@ -964,8 +954,11 @@ class NetworkedSession(Coordinator):
         while True:
             frame = await self._hub.inbox.get()
             if frame.kind in (K_REPLY, K_REPLY_ERROR):
-                future = self._pending.pop(frame.seq, None)
-                if future is not None and not future.done():
+                asked, future = self._pending.get(frame.seq, (None, None))
+                if asked != frame.sender:
+                    continue  # only the node asked may answer
+                del self._pending[frame.seq]
+                if not future.done():
                     if frame.kind == K_REPLY:
                         future.set_result(frame.body)
                     else:
@@ -1008,7 +1001,7 @@ class NetworkedSession(Coordinator):
         self._seq += 1
         seq = self._seq
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[seq] = future
+        self._pending[seq] = (to, future)
         await self._send(to, kind, seq, body)
         try:
             return await asyncio.wait_for(future, self.timeout)
@@ -1032,8 +1025,12 @@ class NetworkedSession(Coordinator):
                 deadline=self.timeout,
             ) from None
 
-    async def _gather(self, kind: str, round_number: int, count: int) -> list:
-        """Collect ``count`` unsolicited frames of one kind for one round.
+    async def _gather(
+        self, kind: str, round_number: int, count: int, senders: Sequence[str]
+    ) -> list:
+        """Collect ``count`` unsolicited frames of one kind for one round,
+        one from each of ``count`` distinct ``senders``; a frame from any
+        other node, or a second from the same one, is dropped.
 
         Node errors reported *before* this barrier started are diagnostics
         only (error isolation: a node that survived a hostile frame keeps
@@ -1042,36 +1039,34 @@ class NetworkedSession(Coordinator):
         usually explain why the expected frame will never come.
         """
         bucket = self._buckets.setdefault((kind, round_number), asyncio.Queue())
-        frames: list[RoutedFrame] = []
+        frames: dict[str, RoutedFrame] = {}
         errors_before = len(self._node_errors)
         deadline = asyncio.get_running_loop().time() + self.timeout
         while len(frames) < count:
             try:
-                frames.append(bucket.get_nowait())
-                continue
+                frame = bucket.get_nowait()
             except asyncio.QueueEmpty:
-                pass
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0 or len(self._node_errors) > errors_before:
-                raise SessionTimeout(
-                    f"waiting for {count} {kind} frames of round {round_number}, "
-                    f"got {len(frames)}; node errors: "
-                    f"{self._node_errors[errors_before:] or self._node_errors}",
-                    kind=kind,
-                    deadline=self.timeout,
-                )
-            try:
-                frames.append(
-                    await asyncio.wait_for(bucket.get(), min(remaining, 0.25))
-                )
-            except asyncio.TimeoutError:
-                continue
+                remaining = deadline - asyncio.get_running_loop().time()
+                if remaining <= 0 or len(self._node_errors) > errors_before:
+                    raise SessionTimeout(
+                        f"waiting for {count} {kind} frames of round "
+                        f"{round_number}, got {len(frames)}; node errors: "
+                        f"{self._node_errors[errors_before:] or self._node_errors}",
+                        kind=kind,
+                        deadline=self.timeout,
+                    )
+                try:
+                    frame = await asyncio.wait_for(bucket.get(), min(remaining, 0.25))
+                except asyncio.TimeoutError:
+                    continue
+            if frame.sender in senders:
+                frames.setdefault(frame.sender, frame)
         if bucket.empty():
             # A round's barrier keys are never gathered again; dropping the
             # drained queue keeps _buckets from growing one entry per round
             # for the session's lifetime.
             self._buckets.pop((kind, round_number), None)
-        return frames
+        return list(frames.values())
 
     async def _broadcast(
         self, names: Sequence[str], kind: str, body: bytes, trace: bytes = b""
@@ -1214,7 +1209,10 @@ class NetworkedSession(Coordinator):
 
             try:
                 statuses = await self._gather(
-                    K_INVENTORY_STATUS, r, definition.num_servers
+                    K_INVENTORY_STATUS,
+                    r,
+                    definition.num_servers,
+                    self._server_names(),
                 )
             except SessionTimeout as exc:
                 # A submitter (or server) stayed dark through the whole
@@ -1236,7 +1234,9 @@ class NetworkedSession(Coordinator):
             await self._broadcast(
                 self._server_names(), K_COMMIT_GO, pack_fields(r)
             )
-            dones = await self._gather(K_ROUND_DONE, r, definition.num_servers)
+            dones = await self._gather(
+                K_ROUND_DONE, r, definition.num_servers, self._server_names()
+            )
             # The output-applied barrier only waits on clients whose link
             # is up: a dark client's output envelope sits in its replay
             # queue and is applied on resume, so waiting for it would
@@ -1247,7 +1247,9 @@ class NetworkedSession(Coordinator):
                 if not self._hub.is_dark(definition.client_name(i))
             )
             try:
-                await self._gather(K_ROUND_APPLIED, r, applied_expected)
+                await self._gather(
+                    K_ROUND_APPLIED, r, applied_expected, self._client_names()
+                )
             except SessionTimeout:
                 # A client died inside the barrier; the round itself is
                 # certified (every server reported done), so the laggard

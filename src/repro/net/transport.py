@@ -7,16 +7,15 @@ both directions.  Two implementations:
   localhost demos, the multi-process runner, and any future multi-machine
   deployment.
 * :class:`LoopbackTransport` — an in-memory pair for tests and
-  single-process sessions, with **injectable fault schedules**: per-frame
-  latency, deterministic index-based drops, duplicates, connection kills,
-  and adjacent-frame reordering, so delivery pathologies are reproducible
-  instead of depending on timing.
+  single-process sessions.
 
-The same :class:`FaultSchedule` drives all transport flavours:
-:class:`FaultyTransport` wraps any transport (TCP included) and applies a
-schedule to its send side, and both :func:`connect_tcp` and
-:func:`serve_tcp` accept fault hooks so a chaos test can inject the same
-deterministic pathologies into loopback, TCP, and subprocess runs.
+Delivery pathologies come from one place: :class:`FaultyTransport` wraps
+any transport and applies a deterministic :class:`FaultSchedule` —
+per-frame latency, index-based drops, duplicates, connection kills and
+adjacent-frame reordering — to its send side.  A session's hub wraps a
+node's link in it (``NetworkedSession(faults=...)``), so the same
+schedule reproduces the same pathology in loopback, TCP and subprocess
+runs.
 
 :class:`RetryPolicy` gives dialers a capped exponential backoff with
 *deterministic* jitter (hash-derived, no global RNG) so reconnect timing
@@ -196,7 +195,6 @@ async def connect_tcp(
     port: int,
     max_frame_bytes: int = MAX_FRAME_BYTES,
     retry: RetryPolicy | None = None,
-    faults: "FaultSchedule | None" = None,
 ) -> Transport:
     """Dial a node/hub listener and wrap the stream in a transport.
 
@@ -204,8 +202,6 @@ async def connect_tcp(
     final failure is a typed :class:`PeerUnreachable` (carrying the
     ``host:port`` peer and the spent budget).  Without it the first
     ``OSError`` propagates unchanged, preserving one-shot semantics.
-    With ``faults``, the returned transport applies the schedule to its
-    send side (see :class:`FaultyTransport`).
     """
     attempts = retry.max_attempts if retry is not None else 1
     last_error: OSError | None = None
@@ -219,10 +215,7 @@ async def connect_tcp(
                 raise
             last_error = exc
             continue
-        transport: Transport = TcpTransport(reader, writer, max_frame_bytes)
-        if faults is not None:
-            transport = FaultyTransport(transport, faults)
-        return transport
+        return TcpTransport(reader, writer, max_frame_bytes)
     raise PeerUnreachable(
         f"could not connect to {host}:{port} after {attempts} attempts: {last_error}",
         peer=f"{host}:{port}",
@@ -236,23 +229,14 @@ async def serve_tcp(
     host: str = "127.0.0.1",
     port: int = 0,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    faults=None,
 ) -> tuple[asyncio.AbstractServer, int]:
     """Listen for transports; ``handler(transport)`` runs per connection.
 
     Returns the server object and the bound port (useful with port 0).
-    ``faults`` may be a :class:`FaultSchedule` applied to every accepted
-    connection's send side, or a callable ``faults(transport) ->
-    FaultSchedule | None`` deciding per connection.
     """
 
     async def on_connection(reader, writer):
-        transport: Transport = TcpTransport(reader, writer, max_frame_bytes)
-        if faults is not None:
-            schedule = faults(transport) if callable(faults) else faults
-            if schedule is not None:
-                transport = FaultyTransport(transport, schedule)
-        await handler(transport)
+        await handler(TcpTransport(reader, writer, max_frame_bytes))
 
     server = await asyncio.start_server(on_connection, host, port)
     bound_port = server.sockets[0].getsockname()[1]
@@ -260,7 +244,76 @@ async def serve_tcp(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic in-memory loopback
+# In-memory loopback
+# ---------------------------------------------------------------------------
+
+
+class _LoopbackEnd:
+    """One direction of a loopback pair (internal)."""
+
+    def __init__(self, max_frame_bytes: int) -> None:
+        self.max_frame_bytes = max_frame_bytes
+        self.queue: asyncio.Queue = asyncio.Queue()
+        self.closed = False
+
+    def push(self, payload: bytes) -> None:
+        if len(payload) > self.max_frame_bytes:
+            raise FrameTooLarge(
+                f"frame of {len(payload)} bytes exceeds the "
+                f"{self.max_frame_bytes}-byte cap"
+            )
+        self.queue.put_nowait(payload)
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self.queue.put_nowait(None)  # EOF sentinel
+
+
+class LoopbackTransport(Transport):
+    """One side of an in-memory transport pair (see :func:`loopback_pair`)."""
+
+    def __init__(self, outgoing: _LoopbackEnd, incoming: _LoopbackEnd, name: str) -> None:
+        self._outgoing = outgoing
+        self._incoming = incoming
+        self._name = name
+
+    async def send(self, payload: bytes) -> None:
+        if self._outgoing.closed:
+            raise ConnectionClosed("transport is closed")
+        self._outgoing.push(payload)
+
+    async def recv(self) -> bytes:
+        payload = await self._incoming.queue.get()
+        if payload is None:
+            self._incoming.queue.put_nowait(None)  # keep EOF sticky
+            raise ConnectionClosed("peer closed the loopback")
+        return payload
+
+    async def aclose(self) -> None:
+        self._outgoing.close()
+        self._incoming.close()
+
+    @property
+    def peername(self) -> str:
+        return self._name
+
+
+def loopback_pair(
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+) -> tuple[LoopbackTransport, LoopbackTransport]:
+    """An in-memory duplex pair; frames arrive in send order."""
+    forward = _LoopbackEnd(max_frame_bytes)
+    backward = _LoopbackEnd(max_frame_bytes)
+    return (
+        LoopbackTransport(forward, backward, "loopback-a"),
+        LoopbackTransport(backward, forward, "loopback-b"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Deterministic fault injection for any transport
 # ---------------------------------------------------------------------------
 
 
@@ -292,113 +345,13 @@ class FaultSchedule:
     kill: frozenset[int] = frozenset()
 
 
-class _LoopbackEnd:
-    """One direction of a loopback pair (internal)."""
-
-    def __init__(self, faults: FaultSchedule, max_frame_bytes: int) -> None:
-        self.faults = faults
-        self.max_frame_bytes = max_frame_bytes
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.sent = 0
-        self.held: bytes | None = None
-        self.closed = False
-
-    async def push(self, payload: bytes) -> None:
-        if len(payload) > self.max_frame_bytes:
-            raise FrameTooLarge(
-                f"frame of {len(payload)} bytes exceeds the "
-                f"{self.max_frame_bytes}-byte cap"
-            )
-        index = self.sent
-        self.sent += 1
-        if index in self.faults.kill:
-            # The frame is lost and the direction dies, like a cut socket.
-            self.close()
-            raise ConnectionClosed(f"fault schedule killed the link at frame {index}")
-        if index in self.faults.drop:
-            return
-        delay = self.faults.latency + self.faults.extra_delay.get(index, 0.0)
-        if delay:
-            await asyncio.sleep(delay)
-        if index in self.faults.swap:
-            # Hold this frame; the next send releases it afterwards.
-            if self.held is not None:
-                self.queue.put_nowait(self.held)
-            self.held = payload
-            return
-        self.queue.put_nowait(payload)
-        if index in self.faults.dup:
-            self.queue.put_nowait(payload)
-        if self.held is not None:
-            self.queue.put_nowait(self.held)
-            self.held = None
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self.held is not None:
-            self.queue.put_nowait(self.held)
-            self.held = None
-        self.queue.put_nowait(None)  # EOF sentinel
-
-
-class LoopbackTransport(Transport):
-    """One side of an in-memory transport pair (see :func:`loopback_pair`)."""
-
-    def __init__(self, outgoing: _LoopbackEnd, incoming: _LoopbackEnd, name: str) -> None:
-        self._outgoing = outgoing
-        self._incoming = incoming
-        self._name = name
-
-    async def send(self, payload: bytes) -> None:
-        if self._outgoing.closed:
-            raise ConnectionClosed("transport is closed")
-        await self._outgoing.push(payload)
-
-    async def recv(self) -> bytes:
-        payload = await self._incoming.queue.get()
-        if payload is None:
-            self._incoming.queue.put_nowait(None)  # keep EOF sticky
-            raise ConnectionClosed("peer closed the loopback")
-        return payload
-
-    async def aclose(self) -> None:
-        self._outgoing.close()
-        self._incoming.close()
-
-    @property
-    def peername(self) -> str:
-        return self._name
-
-
-def loopback_pair(
-    a_to_b: FaultSchedule | None = None,
-    b_to_a: FaultSchedule | None = None,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> tuple[LoopbackTransport, LoopbackTransport]:
-    """An in-memory duplex pair with optional per-direction fault schedules."""
-    forward = _LoopbackEnd(a_to_b or FaultSchedule(), max_frame_bytes)
-    backward = _LoopbackEnd(b_to_a or FaultSchedule(), max_frame_bytes)
-    return (
-        LoopbackTransport(forward, backward, "loopback-a"),
-        LoopbackTransport(backward, forward, "loopback-b"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fault wrapper for arbitrary transports (TCP chaos injection)
-# ---------------------------------------------------------------------------
-
-
 class FaultyTransport(Transport):
     """Apply a :class:`FaultSchedule` to the send side of any transport.
 
-    This is what lets the chaos harness drive the TCP and subprocess
-    modes with the same deterministic schedules the loopback pair always
-    supported: drops, duplicates, adjacent reordering, per-index delays,
-    and mid-stream connection kills — all keyed on the 0-based send
-    index, so runs replay identically.  ``recv`` passes through.
+    Drops, duplicates, adjacent reordering, per-index delays and
+    mid-stream connection kills are all keyed on the 0-based send index,
+    so runs replay identically whatever the transport underneath.
+    ``recv`` passes through.
     """
 
     def __init__(self, inner: Transport, faults: FaultSchedule) -> None:

@@ -386,7 +386,6 @@ def decode_server_state(server: DissentServer, data: dict) -> None:
     }
     server.last_participation = data.get("last_participation")
     restore_rng(server.rng, _require(data, "rng_state", "server"))
-    server._rounds = {}
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ class TestServerBatchAccept:
     def test_forged_submission_rejected_others_kept(self):
         session = fresh_session(seed=41)
         server = session.servers[0]
-        server.open_round(0)
+        state = server.open_round(0)
         envelopes = [
             session.clients[i].produce_ciphertext(0)
             for i in range(session.definition.num_clients)
@@ -321,10 +321,9 @@ class TestServerBatchAccept:
         envelopes[2] = dataclasses.replace(
             envelopes[2], body=bytes(len(envelopes[2].body))
         )
-        verdicts = server.accept_ciphertexts(envelopes)
+        verdicts = server.accept_ciphertexts(state, envelopes)
         assert verdicts == [True, True, False, True, True]
-        assert sorted(server.state.received) == [0, 1, 3, 4]
-        server.abandon_round()
+        assert sorted(state.received) == [0, 1, 3, 4]
 
     def test_replayed_stale_round_envelope_rejected(self):
         # A validly signed envelope from round 0 replayed into round 1 is
@@ -333,33 +332,34 @@ class TestServerBatchAccept:
         session.run_round()
         stale = session.clients[0].produce_ciphertext(0)  # signs round 0
         server = session.servers[0]
-        server.open_round(1)
+        state = server.open_round(1)
         fresh = session.clients[1].produce_ciphertext(1)
-        assert server.accept_ciphertexts([stale, fresh]) == [False, True]
-        assert sorted(server.state.received) == [1]
-        server.abandon_round()
+        assert server.accept_ciphertexts(state, [stale, fresh]) == [False, True]
+        assert sorted(state.received) == [1]
 
     def test_empty_batch_is_noop(self):
         session = fresh_session(seed=43)
         server = session.servers[0]
-        server.open_round(0)
-        assert server.accept_ciphertexts([]) == []
-        assert server.state.received == {}
-        server.abandon_round()
+        state = server.open_round(0)
+        assert server.accept_ciphertexts(state, []) == []
+        assert state.received == {}
 
     def test_forged_peer_commitment_names_server(self):
         session = fresh_session(seed=44)
-        for server in session.servers:
-            server.open_round(0)
+        servers = session.servers
+        states = [s.open_round(0) for s in servers]
+        pairs = list(zip(servers, states))
         for i, client in enumerate(session.clients):
-            session.servers[i % 3].accept_ciphertext(client.produce_ciphertext(0))
-        inventories = [s.make_inventory() for s in session.servers]
-        for s in session.servers:
-            s.receive_inventories(inventories)
-        commits = [s.compute_ciphertext() for s in session.servers]
+            servers[i % 3].accept_ciphertexts(
+                states[i % 3], [client.produce_ciphertext(0)]
+            )
+        inventories = [s.make_inventory(state) for s, state in pairs]
+        for s, state in pairs:
+            s.receive_inventories(state, inventories)
+        commits = [s.compute_ciphertext(state) for s, state in pairs]
         commits[1] = dataclasses.replace(commits[1], body=b"\x00" * 32)
         with pytest.raises(InvalidSignature, match="server-1"):
-            session.servers[0].receive_commitments(commits)
+            servers[0].receive_commitments(states[0], commits)
 
 
 class TestShuffleSubmissionBatch:

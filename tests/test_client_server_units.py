@@ -12,7 +12,6 @@ from repro.core.client import (
     frame_messages,
     unframe_messages,
 )
-from repro.core.server import Phase
 from repro.crypto import prng
 from repro.errors import CommitmentMismatch, ProtocolError
 from repro.net.message import CLIENT_CIPHERTEXT, make_envelope
@@ -209,75 +208,67 @@ class TestWitnessSearch:
 
 
 class TestServerInternals:
-    def test_phase_machine_enforced(self):
-        session = fresh_session(seed=77)
-        server = session.servers[0]
-        with pytest.raises(ProtocolError):
-            server.make_inventory()  # no round open
-        server.open_round(0)
-        with pytest.raises(ProtocolError):
-            server.reveal_ciphertext()  # must commit first
+    """The server's steps driven by hand: each takes the round state
+    ``open_round`` returned, and the test holds it."""
 
     def test_wrong_round_submission_rejected(self):
         session = fresh_session(seed=78)
         server = session.servers[0]
-        server.open_round(0)
+        state = server.open_round(0)
         envelope = session.clients[0].produce_ciphertext(5)  # wrong round
-        assert not server.accept_ciphertext(envelope)
-        server.abandon_round()
+        assert server.accept_ciphertexts(state, [envelope]) == [False]
+        assert not state.received
 
     def test_wrong_length_submission_rejected(self):
         session = fresh_session(seed=79)
         server = session.servers[0]
-        server.open_round(0)
+        state = server.open_round(0)
         client = session.clients[0]
         envelope = make_envelope(
             client.key, CLIENT_CIPHERTEXT, client.name, client.group_id, 0, b"short"
         )
-        assert not server.accept_ciphertext(envelope)
-        server.abandon_round()
+        assert server.accept_ciphertexts(state, [envelope]) == [False]
+        assert not state.received
 
     def test_unknown_sender_rejected(self):
         session = fresh_session(seed=80)
         server = session.servers[0]
-        server.open_round(0)
+        state = server.open_round(0)
         client = session.clients[0]
-        layout = server.scheduler.current_layout()
         envelope = make_envelope(
             client.key, CLIENT_CIPHERTEXT, "client-99", client.group_id, 0,
-            bytes(layout.total_bytes),
+            bytes(state.layout.total_bytes),
         )
-        assert not server.accept_ciphertext(envelope)
-        server.abandon_round()
+        assert server.accept_ciphertexts(state, [envelope]) == [False]
+        assert not state.received
 
     def test_expelled_client_rejected_at_accept(self):
         session = fresh_session(seed=81)
         server = session.servers[0]
         server.expel_client(2)
-        server.open_round(0)
+        state = server.open_round(0)
         envelope = session.clients[2].produce_ciphertext(0)
-        assert not server.accept_ciphertext(envelope)
-        server.abandon_round()
+        assert server.accept_ciphertexts(state, [envelope]) == [False]
+        assert not state.received
 
     def test_commitment_mismatch_detected(self):
-        import dataclasses
-
         session = fresh_session(seed=82)
-        for server in session.servers:
-            server.open_round(0)
+        servers = session.servers
+        states = [s.open_round(0) for s in servers]
+        pairs = list(zip(servers, states))
         for i in range(5):
             envelope = session.clients[i].produce_ciphertext(0)
-            session.servers[i % 3].accept_ciphertext(envelope)
-        inventories = [s.make_inventory() for s in session.servers]
-        for s in session.servers:
-            s.receive_inventories(inventories)
-        commits = [s.compute_ciphertext() for s in session.servers]
-        for s in session.servers:
-            s.receive_commitments(commits)
-        reveals = [s.reveal_ciphertext() for s in session.servers]
+            assert servers[i % 3].accept_ciphertexts(states[i % 3], [envelope])[0]
+        inventories = [s.make_inventory(state) for s, state in pairs]
+        for s, state in pairs:
+            s.receive_inventories(state, inventories)
+        commits = [s.compute_ciphertext(state) for s, state in pairs]
+        for s, state in pairs:
+            s.receive_commitments(state, commits)
+        reveals = [s.reveal_ciphertext(state) for s, state in pairs]
         # Tamper with server 1's reveal: commitment check must fire.
         tampered = make_envelope(
-            session.servers[1].key,
+            servers[1].key,
             reveals[1].msg_type,
             reveals[1].sender,
             reveals[1].group_id,
@@ -286,7 +277,7 @@ class TestServerInternals:
         )
         bad_set = [reveals[0], tampered, reveals[2]]
         with pytest.raises(CommitmentMismatch):
-            session.servers[0].receive_reveals(bad_set)
+            servers[0].receive_reveals(states[0], bad_set)
 
     def test_archive_trimmed_to_policy(self):
         session = fresh_session(seed=83, policy=Policy(archive_rounds=2, alpha=0.0))
@@ -298,31 +289,33 @@ class TestServerInternals:
 
     def test_dedup_assignment_lowest_server_wins(self):
         session = fresh_session(seed=84)
-        for server in session.servers:
-            server.open_round(0)
+        servers = session.servers
+        states = [s.open_round(0) for s in servers]
+        pairs = list(zip(servers, states))
         # Client 0 submits to servers 0 AND 2.
         envelope = session.clients[0].produce_ciphertext(0)
-        session.servers[0].accept_ciphertext(envelope)
-        session.servers[2].accept_ciphertext(envelope)
+        servers[0].accept_ciphertexts(states[0], [envelope])
+        servers[2].accept_ciphertexts(states[2], [envelope])
         for i in range(1, 5):
-            session.servers[i % 3].accept_ciphertext(
-                session.clients[i].produce_ciphertext(0)
+            servers[i % 3].accept_ciphertexts(
+                states[i % 3], [session.clients[i].produce_ciphertext(0)]
             )
-        inventories = [s.make_inventory() for s in session.servers]
-        for s in session.servers:
-            count = s.receive_inventories(inventories)
-        assert count == 5  # not double-counted
-        assert session.servers[0].state.assignment[0] == 0  # lowest index kept
+        inventories = [s.make_inventory(state) for s, state in pairs]
+        counts = {s.receive_inventories(state, inventories) for s, state in pairs}
+        assert counts == {5}  # not double-counted
+        assert states[0].assignment[0] == 0  # lowest index kept
         # XOR correctness with the duplicate: round must still combine.
-        commits = [s.compute_ciphertext() for s in session.servers]
-        for s in session.servers:
-            s.receive_commitments(commits)
-        reveals = [s.reveal_ciphertext() for s in session.servers]
-        cleartexts = {s.receive_reveals(reveals) for s in session.servers}
+        commits = [s.compute_ciphertext(state) for s, state in pairs]
+        for s, state in pairs:
+            s.receive_commitments(state, commits)
+        reveals = [s.reveal_ciphertext(state) for s, state in pairs]
+        cleartexts = {s.receive_reveals(state, reveals) for s, state in pairs}
         assert len(cleartexts) == 1
-        for s in session.servers:
-            s.sign_output()
-            s.abandon_round()
+        signatures = [s.sign_output(state) for s, state in pairs]
+        outputs = {s.assemble_output(state, signatures) for s, state in pairs}
+        assert len(outputs) == 1
+        (output,) = outputs
+        assert output.participation == 5 and output.cleartext in cleartexts
 
 
 class TestKeyShuffleLayer:

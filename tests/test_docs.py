@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import setuptools
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,6 +110,28 @@ def test_importing_the_library_loads_no_third_party_module():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+NET_MODULES = ("repro.net",) + tuple(
+    f"repro.net.{path.stem}"
+    for path in sorted((ROOT / "src" / "repro" / "net").glob("*.py"))
+    if path.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("module", NET_MODULES)
+def test_each_net_module_imports_first_in_a_fresh_interpreter(module):
+    # A script or a node process may import any of these before anything
+    # else of the library; an import cycle through ``repro.core`` shows
+    # only then, never in a suite that imported ``repro.core`` first.
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 #: The registry calls whose first argument names a metric.

@@ -377,16 +377,18 @@ class TestRevealScreening:
     def test_wrong_length_reveal_costs_no_signature_or_hash_work(self, monkeypatch):
         session = fresh_session(seed=23)
         servers, clients = session.servers, session.clients
-        for server in servers:
-            server.open_round(0)
-        servers[0].accept_ciphertexts([c.produce_ciphertext(0) for c in clients])
-        inventories = [server.make_inventory() for server in servers]
-        for server in servers:
-            server.receive_inventories(inventories)
-        commits = [server.compute_ciphertext() for server in servers]
-        for server in servers:
-            server.receive_commitments(commits)
-        reveals = [server.reveal_ciphertext() for server in servers]
+        states = [server.open_round(0) for server in servers]
+        servers[0].accept_ciphertexts(
+            states[0], [c.produce_ciphertext(0) for c in clients]
+        )
+        pairs = list(zip(servers, states))
+        inventories = [server.make_inventory(state) for server, state in pairs]
+        for server, state in pairs:
+            server.receive_inventories(state, inventories)
+        commits = [server.compute_ciphertext(state) for server, state in pairs]
+        for server, state in pairs:
+            server.receive_commitments(state, commits)
+        reveals = [server.reveal_ciphertext(state) for server, state in pairs]
         # Server 2 reveals one byte too many, correctly signed.
         reveals[2] = make_envelope(
             servers[2].key,
@@ -405,7 +407,7 @@ class TestRevealScreening:
             hashlib, "sha256", lambda *a: calls.append("sha256") or real_sha256(*a)
         )
         with pytest.raises(ProtocolError, match="wrong length"):
-            servers[0].receive_reveals(reveals)
+            servers[0].receive_reveals(states[0], reveals)
         assert calls == []
 
 

@@ -8,6 +8,7 @@ keeps serving.
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -27,8 +28,11 @@ from repro.net.message import SignedEnvelope, make_envelope, CLIENT_CIPHERTEXT
 from repro.net.node import (
     COORDINATOR,
     ClientNode,
+    K_DELIVERED_REQUEST,
     K_EVIDENCE_REQUEST,
+    K_EXPEL,
     K_HELLO,
+    K_INVENTORY_STATUS,
     K_NODE_ERROR,
     K_REPLY,
     K_REPLY_ERROR,
@@ -39,6 +43,7 @@ from repro.net.node import (
 from repro.net.runner import NetworkedSession, _Hub
 from repro.net.transport import (
     FaultSchedule,
+    FaultyTransport,
     TcpTransport,
     connect_tcp,
     loopback_pair,
@@ -169,10 +174,16 @@ class TestTcpTransport:
         asyncio.run(scenario())
 
 
+def _faulty_pair(schedule):
+    """A loopback pair whose ``a`` side sends through ``schedule``."""
+    a, b = loopback_pair()
+    return FaultyTransport(a, schedule), b
+
+
 class TestLoopbackFaults:
     def test_drop_schedule_is_deterministic(self):
         async def scenario():
-            a, b = loopback_pair(a_to_b=FaultSchedule(drop=frozenset({1})))
+            a, b = _faulty_pair(FaultSchedule(drop=frozenset({1})))
             for payload in (b"f0", b"f1", b"f2"):
                 await a.send(payload)
             return [await b.recv(), await b.recv()]
@@ -181,7 +192,7 @@ class TestLoopbackFaults:
 
     def test_swap_reorders_adjacent_frames(self):
         async def scenario():
-            a, b = loopback_pair(a_to_b=FaultSchedule(swap=frozenset({0})))
+            a, b = _faulty_pair(FaultSchedule(swap=frozenset({0})))
             await a.send(b"f0")
             await a.send(b"f1")
             await a.send(b"f2")
@@ -191,7 +202,7 @@ class TestLoopbackFaults:
 
     def test_swap_flushes_at_close(self):
         async def scenario():
-            a, b = loopback_pair(a_to_b=FaultSchedule(swap=frozenset({0})))
+            a, b = _faulty_pair(FaultSchedule(swap=frozenset({0})))
             await a.send(b"held")
             await a.aclose()
             return await b.recv()
@@ -200,7 +211,7 @@ class TestLoopbackFaults:
 
     def test_latency_delays_but_preserves_order(self):
         async def scenario():
-            a, b = loopback_pair(a_to_b=FaultSchedule(latency=0.01))
+            a, b = _faulty_pair(FaultSchedule(latency=0.01))
             start = asyncio.get_running_loop().time()
             await a.send(b"f0")
             await a.send(b"f1")
@@ -384,6 +395,32 @@ class TestDispatchLoopSurvival:
         errors = [f for f in emitted if f.kind == K_NODE_ERROR]
         assert errors == []  # buffered silently for the future round
         assert emitted[-1].kind == K_REPLY
+
+
+class TestServerNodeRecord:
+    def test_restore_drops_a_begun_round_with_its_view_timer(self):
+        """A server node keeps one record per begun round, view timer
+        included, so a pushed state that drops the round drops the timer."""
+        built, _ = _small_group()
+
+        async def scenario():
+            _, node_side = loopback_pair()
+            node = ServerNode(
+                DissentServer(
+                    built.definition, 0, _server_key(built, 0), random.Random(3)
+                ),
+                node_side,
+            )
+            barrier = node._snapshot_payload()
+            await node._begin_round(0, [])
+            node._arm_timer(0, 0)
+            timer = node._clocks[0].timer
+            node._restore_payload(barrier)
+            return node, timer
+
+        node, timer = asyncio.run(scenario())
+        assert timer.cancelled()
+        assert node._clocks == {} and node.engine.rounds == {}
 
 
 def _client_key(built, index):
@@ -644,3 +681,111 @@ class TestOutboxPlateau:
                 )
         assert totals[12] == totals[4]
         assert frames_per_round == [54] * 12
+
+
+def _forge(session, as_node, to, kind, seq, body, sender=None):
+    """Send a routed frame down ``as_node``'s own link, under its name or
+    under ``sender``."""
+    node = session._node_objects[as_node]
+    payload = wire.encode_routed(
+        to, sender or as_node, kind, seq, body, ack=node.ack
+    )
+    session._call(node._send_payload(payload))
+
+
+def _wait_for_node_errors(session, count, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while len(session._node_errors) < count:
+        assert time.monotonic() < deadline, session._node_errors
+        time.sleep(0.01)
+    return list(session._node_errors)
+
+
+class TestSenderAuthentication:
+    """Only the coordinator steers nodes, and the coordinator believes a
+    node only about itself: the hub checks every frame's sender against
+    its link, nodes take control frames only from the coordinator, and
+    replies and barrier frames count only from the node they belong to."""
+
+    @staticmethod
+    def _session(num_clients=4):
+        session = NetworkedSession.build(
+            num_servers=2, num_clients=num_clients, seed=7, mode="loopback"
+        )
+        session.setup()
+        return session
+
+    def _assert_full_round(self, session):
+        for name in ("server-0", "server-1"):
+            assert session._node_objects[name].server.expelled == set()
+        assert session.expelled == set()
+        record = session.run_round()
+        assert record.certificate is not None
+        assert record.participation == session.definition.num_clients
+
+    def test_a_client_cannot_expel_another_client(self):
+        with self._session() as session:
+            _forge(session, "client-3", "server-0", K_EXPEL, 0, pack_fields(1))
+            [error] = _wait_for_node_errors(session, 1)
+            assert error.startswith("server-0: ProtocolError")
+            assert "control frames come from the coordinator" in error
+            self._assert_full_round(session)
+
+    def test_the_hub_refuses_a_frame_under_another_name(self):
+        with self._session() as session:
+            _forge(session, "client-3", "server-0", K_EXPEL, 0, pack_fields(1))
+            _forge(
+                session,
+                "client-3",
+                "server-1",
+                K_EXPEL,
+                0,
+                pack_fields(2),
+                sender=COORDINATOR,
+            )
+            errors = _wait_for_node_errors(session, 2)
+            assert any(
+                error.startswith("client-3: ProtocolError")
+                and "as 'coord'" in error
+                for error in errors
+            ), errors
+            self._assert_full_round(session)
+
+    def test_only_servers_report_inventory_status(self):
+        with self._session() as session:
+            r = session.round_number
+            _forge(
+                session,
+                "client-3",
+                COORDINATOR,
+                K_INVENTORY_STATUS,
+                0,
+                pack_fields(r, 1, 1),
+            )
+            self._assert_full_round(session)
+
+    def test_only_the_node_asked_answers_a_request(self):
+        with self._session(num_clients=8) as session:
+            session.post(5, b"for client five")
+            session.run_until_quiet()
+            forged = pack_fields(pack_fields(0, 0, b"forged"))
+
+            async def race():
+                seq = session._seq
+                asks = [
+                    asyncio.ensure_future(
+                        session._request(name, K_DELIVERED_REQUEST, pack_fields(0))
+                    )
+                    for name in ("client-0", "client-5")
+                ]
+                await asyncio.sleep(0)  # both requests are out, both pending
+                client0 = session._node_objects["client-0"]
+                for answered in (seq + 1, seq + 2):
+                    await client0._send(COORDINATOR, K_REPLY, answered, forged)
+                return await asyncio.gather(*asks)
+
+            _, reply = session._call(race())
+            received = session._node_objects["client-5"].client.received
+            assert received
+            assert reply == pack_fields(*[pack_fields(*item) for item in received])
+            assert reply != forged

@@ -328,29 +328,23 @@ class TestEngineGuards:
         with pytest.raises(ProtocolError):
             pipe.run_rounds(1)
 
-    def test_server_window_bound_enforced(self):
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_no_engine_holds_more_rounds_than_the_window(self, window):
+        """The window is the pipeline's alone: it fills every engine to W
+        rounds, never past, and leaves none behind."""
         session = _clean_session(seed=54)
-        server = session.servers[0]
-        server.max_rounds_in_flight = 2
-        server.open_round(0)
-        server.open_round(1)
-        with pytest.raises(ProtocolError):
-            server.open_round(2)
-        with pytest.raises(ProtocolError):
-            server.open_round(1)  # duplicate
-        server.discard_round(1)
-        server.open_round(2)  # freed a slot; ascending order preserved
-        with pytest.raises(ProtocolError):
-            server.open_round(1)  # out of order
+        held = []
+        for engine in session.engines:
 
-    def test_servers_hold_one_round_by_default(self):
-        """Lockstep servers refuse a second round-begin until the first ends."""
-        session = _clean_session(seed=56)
-        assert all(s.max_rounds_in_flight == 1 for s in session.servers)
-        server = session.servers[0]
-        server.open_round(0)
-        with pytest.raises(ProtocolError):
-            server.open_round(1)
+            def begin_round(r, submitters, engine=engine, begin=engine.begin_round):
+                effects = begin(r, submitters)
+                held.append(len(engine.rounds))
+                return effects
+
+            engine.begin_round = begin_round
+        PipelinedSession(session, window=window).run_rounds(8)
+        assert max(held) == window
+        assert not any(engine.rounds for engine in session.engines)
 
     def test_lockstep_continues_where_the_pipeline_left_off(self):
         lock = _clean_session(seed=55)

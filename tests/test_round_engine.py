@@ -30,6 +30,7 @@ from repro.core.engine import (
     Broadcast,
     Fault,
     InventoryStatus,
+    PhaseBoundary,
     RoundDone,
     RoundEngine,
 )
@@ -39,7 +40,7 @@ from repro.core.session import build_keys
 from repro.crypto.keys import PrivateKey
 from repro.crypto.shuffle import prepare_element_input, prepare_message_input
 from repro.errors import AccusationError, ProtocolError, TraceInconclusive
-from repro.net.message import SERVER_SIGNATURE
+from repro.net.message import SERVER_COMMIT, SERVER_REVEAL, SERVER_SIGNATURE
 
 M = 3
 COMMIT_GO = "commit-go"
@@ -74,6 +75,8 @@ class Network:
         self.statuses: dict[int, InventoryStatus] = {}
         self.timers: dict[int, int] = {}
         self.dones: dict[int, RoundDone] = {}
+        #: Every effect each engine emitted, in order.
+        self.effects: dict[int, list] = {j: [] for j in range(M)}
         envelopes = {
             i: client.produce_ciphertext(0)
             for i, client in enumerate(session.clients)
@@ -84,6 +87,7 @@ class Network:
             self.bag.append((session.definition.upstream_server(i), envelope))
 
     def apply(self, j, effects) -> None:
+        self.effects[j].extend(effects)
         for effect in effects:
             match effect:
                 case Broadcast(envelope):
@@ -204,7 +208,92 @@ def test_a_rejected_input_is_an_effect_and_leaves_the_round_usable():
     assert isinstance(fault.error, ProtocolError)
     assert 0 in engine.rounds
     engine.abandon(0)
-    assert not engine.rounds and not session.servers[0].rounds_in_flight
+    assert not engine.rounds
+
+
+def test_commit_phase_input_waits_for_the_inventories_and_commit_go():
+    """Phase order lives in the engine's script alone: a peer's commitment
+    or reveal that arrives before this server has the inventories is only
+    collected, and this server commits once inventories and commit-go are in."""
+    reference = Network(scheduled_session())
+    reference.run()
+    assert_all_match_lockstep(reference)
+    slow = 0
+    early = [
+        effect.envelope
+        for j in range(M)
+        if j != slow
+        for effect in reference.effects[j]
+        if isinstance(effect, Broadcast)
+        and effect.envelope.msg_type in (SERVER_COMMIT, SERVER_REVEAL)
+    ]
+    assert len(early) == 2 * (M - 1)
+
+    network = Network(scheduled_session())
+    engine = network.engines[slow]
+    for envelope in early:
+        assert engine.deliver(envelope) == []
+    network.run(hold=lambda k, item: k == slow and item is COMMIT_GO)
+    # Every inventory is in and every status passed, yet without its
+    # commit-go the slow server has neither committed nor ended a phase
+    # past the inventory — and no peer could reveal without its commitment.
+    assert network.bag == [(slow, COMMIT_GO)]
+    phases = [e.phase for e in network.effects[slow] if isinstance(e, PhaseBoundary)]
+    assert phases == ["submit", "inventory"]
+    for j in range(M):
+        sent = {
+            e.envelope.msg_type
+            for e in network.effects[j]
+            if isinstance(e, Broadcast)
+        }
+        assert SERVER_REVEAL not in sent
+        assert (SERVER_COMMIT in sent) == (j != slow)
+    network.run()
+    assert_all_match_lockstep(network)
+
+
+def test_the_engine_checks_each_round_rule_once():
+    """Begun once, begun in ascending order, finished oldest first: each
+    broken rule is a Fault effect, and the engine keeps its rounds."""
+    session = scheduled_session()
+    engines = [RoundEngine(server) for server in session.servers]
+    for engine in engines:
+        # Round 0 waits for ciphertexts that never come.
+        assert engine.begin_round(0, range(4)) == []
+    queue = [(j, e) for j, engine in enumerate(engines) for e in engine.begin_round(2, ())]
+    for engine in engines:
+        for r in (0, 2):
+            [fault] = engine.begin_round(r, ())
+            assert isinstance(fault, Fault)
+            assert "already open" in str(fault.error)
+        [fault] = engine.begin_round(1, ())
+        assert isinstance(fault, Fault)
+        assert "ascending order" in str(fault.error)
+    # Round 2 has no submitters, so it runs to the certificate on its own.
+    statuses, faults = 0, []
+    while queue:
+        j, effect = queue.pop(0)
+        match effect:
+            case Broadcast(envelope):
+                for k, engine in enumerate(engines):
+                    if k != j:
+                        queue.extend((k, e) for e in engine.deliver(envelope))
+            case InventoryStatus():
+                statuses += 1
+                if statuses == M:
+                    for k, engine in enumerate(engines):
+                        queue.extend((k, e) for e in engine.commit_go(2))
+            case Fault(error=error):
+                faults.append((j, error))
+            case RoundDone():
+                pytest.fail("round 2 finished before round 0")
+    assert sorted({j for j, _ in faults}) == list(range(M))
+    for _, error in faults:
+        assert isinstance(error, ProtocolError)
+        assert "cannot finish before older rounds" in str(error)
+    for server, engine in zip(session.servers, engines):
+        assert sorted(engine.rounds) == [0, 2]
+        assert not server.archive
 
 
 @pytest.mark.parametrize("module", [engine_module, coordinator_module])

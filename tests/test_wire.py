@@ -76,31 +76,31 @@ def round_artifacts():
         node.learn_schedule(elements)
 
     clients[1].queue_message(b"wire round-trip payload")
-    for server in servers:
-        server.open_round(0)
+    states = [server.open_round(0) for server in servers]
+    pairs = list(zip(servers, states))
     ciphertexts = [client.produce_ciphertext(0) for client in clients]
     batches = [[], []]
     for i, envelope in enumerate(ciphertexts):
         batches[built.definition.upstream_server(i)].append(envelope)
-    for server, batch in zip(servers, batches):
+    for (server, state), batch in zip(pairs, batches):
         if batch:
-            server.accept_ciphertexts(batch)
-    inventories = [server.make_inventory() for server in servers]
-    for server in servers:
-        server.receive_inventories(inventories)
-    commits = [server.compute_ciphertext() for server in servers]
-    for server in servers:
-        server.receive_commitments(commits)
-    reveals = [server.reveal_ciphertext() for server in servers]
-    for server in servers:
-        server.receive_reveals(reveals)
-    signature_envelopes = [server.signature_envelope() for server in servers]
+            server.accept_ciphertexts(state, batch)
+    inventories = [server.make_inventory(state) for server, state in pairs]
+    for server, state in pairs:
+        server.receive_inventories(state, inventories)
+    commits = [server.compute_ciphertext(state) for server, state in pairs]
+    for server, state in pairs:
+        server.receive_commitments(state, commits)
+    reveals = [server.reveal_ciphertext(state) for server, state in pairs]
+    for server, state in pairs:
+        server.receive_reveals(state, reveals)
+    signature_envelopes = [server.signature_envelope(state) for server, state in pairs]
     outputs = [
-        server.receive_signature_envelopes(signature_envelopes)
-        for server in servers
+        server.receive_signature_envelopes(state, signature_envelopes)
+        for server, state in pairs
     ]
-    for server in servers:
-        server.finish_round(outputs[0])
+    for server, state in pairs:
+        server.finish_round(state, outputs[0])
     output_envelope = servers[0].output_envelope(outputs[0])
     reveal_envelopes = [server.disclosure_envelope(0, 7) for server in servers]
     return {
