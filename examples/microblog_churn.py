@@ -27,17 +27,20 @@ def main(argv: list[str] | None = None) -> int:
         default="xor",
         help="DC-net pipeline to run the unchanged app over",
     )
+    parser.add_argument(
+        "--clients", type=int, default=12, help="group size (authors wrap around)"
+    )
     args = parser.parse_args(argv)
 
     session = build_session(
         num_servers=3,
-        num_clients=12,
+        num_clients=args.clients,
         seed=7,
         # alpha=0.5: tolerate a 50% participation drop under churn.
         policy=Policy(alpha=0.5, dcnet_mode=args.mode),
     )
     session.setup()
-    print(f"dcnet mode: {args.mode} ({type(session).__name__})")
+    print(f"dcnet mode: {session.definition.policy.dcnet_mode}")
     feed = MicroblogFeed(session)
     rng = random.Random(42)
 
@@ -49,11 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     ]
 
     for author, text in posts:
+        author %= args.clients
         feed.post(author, text)
         # Random churn: each client is online with probability 0.8, but
         # the author stays online to transmit.
         for _ in range(3):
-            online = {i for i in range(12) if rng.random() < 0.8} | {author}
+            online = {i for i in range(args.clients) if rng.random() < 0.8} | {author}
             feed.run_round(online)
         record = session.records[-1]
         print(

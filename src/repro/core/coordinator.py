@@ -228,8 +228,10 @@ class Coordinator:
                 output=output,
                 # The shuffle-request field is outside the masked payload on
                 # purpose: it must stay readable even when the disruptor is
-                # corrupting the rest of the slot (§3.9).
-                shuffle_requested=any(done.shuffle_requested for done in reports),
+                # corrupting the rest of the slot (§3.9).  In hybrid mode a
+                # corrupted slot's field is noise: blame is the replay.
+                shuffle_requested=self.definition.policy.dcnet_mode == "xor"
+                and any(done.shuffle_requested for done in reports),
                 certificate=certificate,
             )
         )
@@ -271,6 +273,11 @@ class Coordinator:
     def run_accusation_phase(self) -> list[TraceVerdict]:
         """Run an accusation shuffle, trace valid accusations, expel."""
         definition = self.definition
+        if definition.policy.dcnet_mode == "hybrid":
+            raise ProtocolError(
+                "hybrid mode handles disruption by verifiable replay; "
+                "the accusation shuffle should never be invoked"
+            )
         with self.tracer.span("phase", name="blame"):
             purpose = b"dissent.accusation-shuffle|" + definition.group_id()
             privates, publics = self._session_keys(purpose)

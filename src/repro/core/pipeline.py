@@ -79,7 +79,8 @@ class PipelinedSession:
 
     Args:
         session: a scheduled (or about-to-be-scheduled)
-            :class:`DissentSession`, XOR or hybrid mode; its
+            :class:`DissentSession`, in whichever mode its policy's
+            ``dcnet_mode`` names (``"xor"`` or ``"hybrid"``); its
             :meth:`~DissentSession.after_output` step runs after each
             round, as in lockstep.  A ``VerdictSession`` is rejected.
         window: W, the maximum rounds in flight.  ``window=1`` degrades to

@@ -37,10 +37,10 @@ from repro.core.engine import (
     RoundEngine,
 )
 from repro.core.rounds import RoundOutput, RoundRecord
-from repro.core.schedule import RoundLayout
+from repro.core.schedule import RoundLayout, decode_slot
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey
-from repro.errors import AccusationError, ProtocolError
+from repro.errors import AccusationError, ConfigError, ProtocolError
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -106,23 +106,18 @@ def build_session(
     policy: Policy | None = None,
     seed: int | None = None,
 ):
-    """Build the session type the policy's ``dcnet_mode`` selects.
+    """Build a session that runs the policy's ``dcnet_mode``.
 
-    ``"xor"`` returns a plain :class:`DissentSession`; ``"hybrid"`` a
-    :class:`repro.verdict.hybrid.HybridSession` (same surface, verifiable
-    blame); ``"verifiable"`` a :class:`repro.verdict.session.VerdictSession`
-    (proactive per-round proofs — a different, slot-per-round surface).
+    ``"xor"`` and ``"hybrid"`` are both a :class:`DissentSession`, which
+    reads the mode off the policy (hybrid blames a corrupted slot by
+    verifiable replay, :mod:`repro.verdict.hybrid`); ``"verifiable"`` is a
+    :class:`repro.verdict.session.VerdictSession` (proactive per-round
+    proofs — a different, slot-per-round surface).
     """
     from repro.crypto.groups import resolve_group_name
 
     policy = policy or Policy()
     group_name = resolve_group_name(group_name, policy)
-    if policy.dcnet_mode == "hybrid":
-        from repro.verdict.hybrid import HybridSession
-
-        return HybridSession.build(
-            group_name, num_servers, num_clients, policy, seed
-        )
     if policy.dcnet_mode == "verifiable":
         from repro.verdict.session import VerdictSession
 
@@ -139,6 +134,8 @@ def build_session(
 class DissentSession(Coordinator):
     """Drives one Dissent group end to end, in process.
 
+    Runs the policy's ``dcnet_mode``, ``"xor"`` or ``"hybrid"``.
+
     Args:
         definition: the static group definition.
         servers: server node objects (honest or adversarial subclasses).
@@ -153,6 +150,8 @@ class DissentSession(Coordinator):
         clients: Sequence[DissentClient],
         rng: random.Random | None = None,
     ) -> None:
+        if definition.policy.dcnet_mode == "verifiable":
+            raise ConfigError("a 'verifiable' group runs as a VerdictSession")
         if len(servers) != definition.num_servers:
             raise ProtocolError("server list does not match the definition")
         if len(clients) != definition.num_clients:
@@ -167,6 +166,8 @@ class DissentSession(Coordinator):
         #: One sans-IO round machine per server; this session only routes
         #: their effects (see :meth:`complete_round`).
         self.engines = [RoundEngine(server) for server in self.servers]
+        #: Hybrid mode's verifiable replays, in order (always empty in XOR).
+        self.blames: list = []
 
     def enable_telemetry(self, clock=None) -> MetricsRegistry:
         """Attach a live metrics registry and span tracer to this session.
@@ -336,18 +337,34 @@ class DissentSession(Coordinator):
     def replayed_slots(self, output: RoundOutput, layout: RoundLayout) -> list[int]:
         """The slots of a certified round that :meth:`after_output` blames.
 
-        None in XOR mode, whose blame starts with a shuffle request in a
-        later round (§3.9).  The pipelined driver drains to a barrier
-        before a round that has any, as blame may expel a member.
+        In hybrid mode, the open slots whose padding check fails: everyone
+        decoding the output sees the corruption, so no accusation is
+        needed to say so.  None in XOR mode, whose blame starts with a
+        shuffle request in a later round (§3.9).  The pipelined driver
+        drains to a barrier before a round that has any, as blame may
+        expel a member.
         """
-        return []
+        policy = self.definition.policy
+        if policy.dcnet_mode != "hybrid":
+            return []
+        return [
+            slot
+            for slot in range(layout.num_slots)
+            if layout.is_open(slot)
+            and decode_slot(layout, policy, slot, output.cleartext).is_corrupted
+        ]
 
     def after_output(self, record: RoundRecord) -> None:
         """The step that runs once a round's outcome reached the clients.
 
-        Both in-process drivers call it, lockstep and pipelined; XOR mode
-        has nothing to do here.
+        Both in-process drivers call it, lockstep and pipelined.  XOR mode
+        has nothing to do here; hybrid mode replays each corrupted slot
+        (:func:`repro.verdict.hybrid.replay_corrupted_slots`).
         """
+        if self.definition.policy.dcnet_mode == "hybrid":
+            from repro.verdict.hybrid import replay_corrupted_slots
+
+            replay_corrupted_slots(self, record)
 
     def submit(self, r: int, envelopes: dict) -> list:
         """Open round ``r`` on every engine and hand each its clients' ciphertexts.

@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 7, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 8, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -37,7 +37,9 @@ from repro.util.serialization import canonical_json
 # sampling, flight-recorder capacity).
 # 7: a hybrid session's ``hybrid`` section holds only the clients' sent
 # history; its per-round pad commitments are gone.
-CHECKPOINT_VERSION = 7
+# 8: a hybrid client's sent history rides in its own client section; the
+# session-level ``hybrid`` section is gone, and every field is required.
+CHECKPOINT_VERSION = 8
 
 
 def _payload_digest(payload: dict) -> str:

@@ -14,12 +14,18 @@ checkpointed: a restore attaches durable state to freshly-built nodes
 that already hold their keys.  The one exception is the client's
 pseudonym key, which is generated during the key shuffle and cannot be
 re-derived, so it rides in the client state.
+
+Decoding is total: every field is required and checked for its JSON
+type (a bool is no integer), so a malformed checkpoint raises
+:class:`~repro.errors.CheckpointError` and never a bare ``TypeError``
+or a half-typed restore (``tests/test_persist.py::TestMutatedCheckpoints``).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from functools import partial
 
 from repro.core.client import DissentClient, _SentRecord
 from repro.core.config import Policy
@@ -37,9 +43,72 @@ _MALFORMED = (DissentError, ValueError, TypeError)
 
 
 def _require(data: dict, key: str, what: str):
+    if type(data) is not dict:
+        raise CheckpointError(f"{what} checkpoint is not an object")
     if key not in data:
         raise CheckpointError(f"{what} checkpoint is missing {key!r}")
     return data[key]
+
+
+def _typed(value, kind: type, what: str, optional: bool = False):
+    """``value`` if it is exactly a ``kind`` (or None, when ``optional``)."""
+    if (value is None and optional) or type(value) is kind:
+        return value
+    raise CheckpointError(f"{what} is not a {kind.__name__}: {value!r}")
+
+
+def _field(data: dict, key: str, what: str, kind: type, optional: bool = False):
+    return _typed(_require(data, key, what), kind, f"{what} {key!r}", optional)
+
+
+def _row(value, kinds: list, what: str) -> list:
+    """A list whose items are exactly of the given ``kinds``, in order."""
+    if type(value) is not list or [type(item) for item in value] != kinds:
+        raise CheckpointError(f"{what} is not a row of {kinds}: {value!r}")
+    return value
+
+
+def _ints(value, what: str, bound: int | None = None):
+    """A list of integers, each below ``bound``."""
+    items = _typed(value, list, what)
+    for item in items:
+        _typed(item, int, f"{what} entry")
+        if bound is not None and not 0 <= item < bound:
+            raise CheckpointError(f"{what} entry {item} out of range")
+    return items
+
+
+def _members(data: dict, key: str, what: str, bound: int) -> set[int]:
+    """A set of member indices, each below ``bound``."""
+    return set(_ints(_require(data, key, what), f"{what} {key!r}", bound=bound))
+
+
+def _hex(value, what: str, parse=bytes.fromhex):
+    try:
+        return parse(_typed(value, str, what))
+    except ValueError as exc:
+        raise CheckpointError(f"{what} is not hex: {exc}") from exc
+
+
+_HEX_INT = partial(int, base=16)
+
+
+def _from_wire(data: str | None, decode, what: str):
+    """Hex of wire bytes through ``decode`` (None stays None)."""
+    if data is None:
+        return None
+    try:
+        return decode(bytes.fromhex(data))
+    except _MALFORMED as exc:
+        raise CheckpointError(f"{what} rejected: {exc}") from exc
+
+
+def _by_number(value, what: str) -> dict:
+    """A JSON object keyed by round or member numbers, as ints, in order."""
+    try:
+        return {int(k): v for k, v in _typed(value, dict, what).items()}
+    except ValueError as exc:
+        raise CheckpointError(f"{what} has a non-numeric key: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +123,21 @@ def encode_rng_state(state) -> list:
 
 
 def decode_rng_state(data) -> tuple:
-    try:
-        version, internal, gauss_next = data
-        return (version, tuple(internal), gauss_next)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed RNG state: {exc}") from exc
+    if type(data) is not list or len(data) != 3:
+        raise CheckpointError(f"malformed RNG state: {data!r:.40}")
+    version, internal, gauss_next = data
+    return (
+        _typed(version, int, "RNG version"),
+        tuple(_typed(internal, list, "RNG state")),
+        _typed(gauss_next, float, "RNG gauss_next", optional=True),
+    )
 
 
 def restore_rng(rng: random.Random, data) -> None:
     try:
+        # setstate checks each of the 625 words is an unsigned 32-bit int.
         rng.setstate(decode_rng_state(data))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"RNG state rejected: {exc}") from exc
 
 
@@ -77,14 +150,15 @@ def encode_scheduler(scheduler: Scheduler) -> dict:
 
 
 def decode_scheduler(data: dict, policy: Policy) -> Scheduler:
-    scheduler = Scheduler(_require(data, "num_slots", "scheduler"), policy)
-    states = _require(data, "states", "scheduler")
-    if len(states) != scheduler.num_slots:
+    num_slots = _field(data, "num_slots", "scheduler", int)
+    states = _field(data, "states", "scheduler", list)
+    if num_slots < 1 or len(states) != num_slots:
         raise CheckpointError("scheduler state count does not match slot count")
+    scheduler = Scheduler(num_slots, policy)
     scheduler._states = tuple(
-        (int(capacity), int(idle)) for capacity, idle in states
+        tuple(_row(state, [int, int], "scheduler state")) for state in states
     )
-    scheduler.round_number = int(_require(data, "round_number", "scheduler"))
+    scheduler.round_number = _field(data, "round_number", "scheduler", int)
     return scheduler
 
 
@@ -104,12 +178,7 @@ def encode_round_output(group: Group, output: RoundOutput | None) -> str | None:
 def decode_round_output(group: Group, data: str | None) -> RoundOutput | None:
     from repro.net.wire import decode_round_output_body
 
-    if data is None:
-        return None
-    try:
-        return decode_round_output_body(group, bytes.fromhex(data))
-    except _MALFORMED as exc:
-        raise CheckpointError(f"round output rejected: {exc}") from exc
+    return _from_wire(data, partial(decode_round_output_body, group), "round output")
 
 
 def encode_certificate(group: Group, certificate) -> str | None:
@@ -122,12 +191,7 @@ def encode_certificate(group: Group, certificate) -> str | None:
 def decode_certificate(group: Group, data: str | None):
     from repro.consensus.certificate import RoundCertificate
 
-    if data is None:
-        return None
-    try:
-        return RoundCertificate.from_wire(group, bytes.fromhex(data))
-    except _MALFORMED as exc:
-        raise CheckpointError(f"round certificate rejected: {exc}") from exc
+    return _from_wire(data, partial(RoundCertificate.from_wire, group), "certificate")
 
 
 def encode_equivocation_proof(group: Group, proof) -> str | None:
@@ -140,12 +204,7 @@ def encode_equivocation_proof(group: Group, proof) -> str | None:
 def decode_equivocation_proof(group: Group, data: str | None):
     from repro.consensus.certificate import EquivocationProof
 
-    if data is None:
-        return None
-    try:
-        return EquivocationProof.from_wire(group, bytes.fromhex(data))
-    except _MALFORMED as exc:
-        raise CheckpointError(f"equivocation proof rejected: {exc}") from exc
+    return _from_wire(data, partial(EquivocationProof.from_wire, group), "proof")
 
 
 def encode_record(group: Group, record: RoundRecord) -> dict:
@@ -160,17 +219,18 @@ def encode_record(group: Group, record: RoundRecord) -> dict:
 
 
 def decode_record(group: Group, data: dict) -> RoundRecord:
+    what = "round record"
     try:
-        status = RoundStatus(_require(data, "status", "round record"))
+        status = RoundStatus(_field(data, "status", what, str))
     except ValueError as exc:
         raise CheckpointError(f"unknown round status: {exc}") from exc
     return RoundRecord(
-        round_number=int(_require(data, "round_number", "round record")),
+        round_number=_field(data, "round_number", what, int),
         status=status,
-        participation=int(_require(data, "participation", "round record")),
-        output=decode_round_output(group, data.get("output")),
-        shuffle_requested=bool(data.get("shuffle_requested", False)),
-        certificate=decode_certificate(group, data.get("certificate")),
+        participation=_field(data, "participation", what, int),
+        output=decode_round_output(group, _require(data, "output", what)),
+        shuffle_requested=_field(data, "shuffle_requested", what, bool),
+        certificate=decode_certificate(group, _require(data, "certificate", what)),
     )
 
 
@@ -198,35 +258,33 @@ def encode_archive(group: Group, archive: RoundArchive) -> dict:
 def decode_archive(group: Group, data: dict) -> RoundArchive:
     from repro.net.wire import decode_envelope
 
-    layout_data = _require(data, "layout", "round archive")
-    layout = RoundLayout(
-        num_slots=int(_require(layout_data, "num_slots", "archive layout")),
-        capacities=tuple(
-            int(c) for c in _require(layout_data, "capacities", "archive layout")
-        ),
+    what = "round archive"
+    layout_data = _require(data, "layout", what)
+    num_slots = _field(layout_data, "num_slots", "archive layout", int)
+    capacities = tuple(
+        _ints(_require(layout_data, "capacities", "archive layout"), "capacities")
     )
-    try:
-        received = {
-            int(k): decode_envelope(group, bytes.fromhex(v))
-            for k, v in _require(data, "received_envelopes", "round archive").items()
-        }
-    except _MALFORMED as exc:
-        raise CheckpointError(f"archived envelope rejected: {exc}") from exc
+    if len(capacities) != num_slots:
+        raise CheckpointError("archive layout does not match its slot count")
+    envelopes = _by_number(_require(data, "received_envelopes", what), what)
+    decode = partial(decode_envelope, group)
+    received = {
+        k: _from_wire(_typed(v, str, "envelope"), decode, "archived envelope")
+        for k, v in envelopes.items()
+    }
+    assignment = _by_number(_require(data, "assignment", what), what)
     return RoundArchive(
-        round_number=int(_require(data, "round_number", "round archive")),
-        layout=layout,
-        final_list=tuple(int(i) for i in _require(data, "final_list", "round archive")),
-        assignment={
-            int(k): int(v)
-            for k, v in _require(data, "assignment", "round archive").items()
-        },
+        round_number=_field(data, "round_number", what, int),
+        layout=RoundLayout(num_slots, capacities),
+        final_list=tuple(_ints(_require(data, "final_list", what), "final list")),
+        assignment={k: _typed(v, int, "assignment") for k, v in assignment.items()},
         received_envelopes=received,
         server_ciphertexts=[
-            bytes.fromhex(blob)
-            for blob in _require(data, "server_ciphertexts", "round archive")
+            _hex(blob, "server ciphertext")
+            for blob in _field(data, "server_ciphertexts", what, list)
         ],
-        cleartext=bytes.fromhex(_require(data, "cleartext", "round archive")),
-        participation=int(_require(data, "participation", "round archive")),
+        cleartext=_hex(_require(data, "cleartext", what), "archived cleartext"),
+        participation=_field(data, "participation", what, int),
     )
 
 
@@ -250,21 +308,29 @@ def encode_sent_records(records: dict) -> dict:
 
 
 def decode_sent_records(data: dict) -> dict:
+    what = "sent record"
     return {
-        int(r): None
+        r: None
         if record is None
         else _SentRecord(
-            slot_bytes=bytes.fromhex(record["slot_bytes"]),
-            slot_bit_start=int(record["slot_bit_start"]),
-            payload_messages=[bytes.fromhex(m) for m in record["payload_messages"]],
+            slot_bytes=_hex(_require(record, "slot_bytes", what), "slot bytes"),
+            slot_bit_start=_field(record, "slot_bit_start", what, int),
+            payload_messages=[
+                _hex(m, "sent message")
+                for m in _field(record, "payload_messages", what, list)
+            ],
         )
-        for r, record in data.items()
+        for r, record in _by_number(data, "sent records").items()
     }
 
 
 def encode_client_state(client: DissentClient) -> dict:
-    """Full durable client state (identity key excluded, pseudonym included)."""
-    return {
+    """Full durable client state (identity key excluded, pseudonym included).
+
+    A hybrid-mode client's state also holds its sent history, the evidence
+    a replay of an archived round needs; an XOR client keeps none.
+    """
+    state = {
         "index": client.index,
         "pseudonym_x": format(client.pseudonym.x, "x") if client.pseudonym else None,
         "slot": client.slot,
@@ -288,54 +354,71 @@ def encode_client_state(client: DissentClient) -> dict:
         "disruption_detected": client.disruption_detected,
         "rng_state": encode_rng_state(client.rng.getstate()),
     }
+    if client.policy.dcnet_mode == "hybrid":
+        state["sent_history"] = encode_sent_records(client.sent_history)
+    return state
 
 
 def decode_client_state(client: DissentClient, data: dict) -> None:
     """Apply an encoded client state to a freshly-built client in place."""
     from repro.core.accusation import Accusation
 
-    if data.get("index", client.index) != client.index:
+    what = "client"
+    group = client.group
+    if _field(data, "index", what, int) != client.index:
         raise CheckpointError(
-            f"client checkpoint is for index {data.get('index')}, "
-            f"not {client.index}"
+            f"client checkpoint is for index {data['index']}, not {client.index}"
         )
-    pseudonym_x = data.get("pseudonym_x")
+    pseudonym_x = _require(data, "pseudonym_x", what)
     client.pseudonym = (
-        PrivateKey(client.group, int(pseudonym_x, 16))
+        PrivateKey(group, _hex(pseudonym_x, "pseudonym key", _HEX_INT))
         if pseudonym_x is not None
         else None
     )
-    client.slot = data.get("slot")
-    client.slot_keys = [
-        client.group.element_from_bytes(bytes.fromhex(h))
-        for h in _require(data, "slot_keys", "client")
-    ]
+    client.slot = _field(data, "slot", what, int, optional=True)
+    client.slot_keys = _decode_elements(group, _require(data, "slot_keys", what))
     client.scheduler = decode_scheduler(
-        _require(data, "scheduler", "client"), client.policy
+        _require(data, "scheduler", what), client.policy
     )
     client.outbox = deque(
-        bytes.fromhex(h) for h in _require(data, "outbox", "client")
+        _hex(h, "queued message") for h in _field(data, "outbox", what, list)
     )
     client.received = [
-        (int(r), int(slot), bytes.fromhex(h))
-        for r, slot, h in _require(data, "received", "client")
+        (r, slot, _hex(h, "received message"))
+        for r, slot, h in (
+            _row(entry, [int, int, str], "received message")
+            for entry in _field(data, "received", what, list)
+        )
     ]
-    client.last_participation = data.get("last_participation")
-    client._request_attempted = bool(data.get("request_attempted", False))
-    client._sent = decode_sent_records(_require(data, "sent", "client"))
-    accusation_hex = data.get("pending_accusation")
-    if accusation_hex is not None:
-        try:
-            client.pending_accusation = Accusation.from_bytes(
-                client.group, bytes.fromhex(accusation_hex)
-            )
-        except _MALFORMED as exc:
-            raise CheckpointError(f"archived accusation rejected: {exc}") from exc
-    else:
-        client.pending_accusation = None
-    client._accusation_submitted = bool(data.get("accusation_submitted", False))
-    client.disruption_detected = bool(data.get("disruption_detected", False))
-    restore_rng(client.rng, _require(data, "rng_state", "client"))
+    client.last_participation = _field(
+        data, "last_participation", what, int, optional=True
+    )
+    client._request_attempted = _field(data, "request_attempted", what, bool)
+    client._sent = decode_sent_records(_require(data, "sent", what))
+    client.sent_history = (
+        decode_sent_records(_require(data, "sent_history", what))
+        if client.policy.dcnet_mode == "hybrid"
+        else {}
+    )
+    client.pending_accusation = _from_wire(
+        _require(data, "pending_accusation", what),
+        partial(Accusation.from_bytes, group),
+        "archived accusation",
+    )
+    client._accusation_submitted = _field(data, "accusation_submitted", what, bool)
+    client.disruption_detected = _field(data, "disruption_detected", what, bool)
+    restore_rng(client.rng, _require(data, "rng_state", what))
+
+
+def _decode_elements(group: Group, data) -> list[int]:
+    """A slot schedule: group elements in their wire encoding, as hex."""
+    try:
+        return [
+            group.element_from_bytes(_hex(h, "slot key"))
+            for h in _typed(data, list, "slot keys")
+        ]
+    except DissentError as exc:
+        raise CheckpointError(f"slot key rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +446,26 @@ def encode_server_state(server: DissentServer) -> dict:
 
 def decode_server_state(server: DissentServer, data: dict) -> None:
     """Apply an encoded server state to a freshly-built server in place."""
-    if data.get("index", server.index) != server.index:
+    what = "server"
+    if _field(data, "index", what, int) != server.index:
         raise CheckpointError(
-            f"server checkpoint is for index {data.get('index')}, "
-            f"not {server.index}"
+            f"server checkpoint is for index {data['index']}, not {server.index}"
         )
     server.scheduler = decode_scheduler(
-        _require(data, "scheduler", "server"), server.policy
+        _require(data, "scheduler", what), server.policy
     )
-    server.slot_keys = [
-        server.group.element_from_bytes(bytes.fromhex(h))
-        for h in _require(data, "slot_keys", "server")
-    ]
-    server.expelled = {int(i) for i in _require(data, "expelled", "server")}
+    server.slot_keys = _decode_elements(server.group, _require(data, "slot_keys", what))
+    server.expelled = _members(data, "expelled", what, server.definition.num_clients)
     # Archives finish in round order; sorting the keys preserves the
     # insertion-order eviction invariant of ``_trim_archive``.
+    archive = _by_number(_require(data, "archive", what), "server archive")
     server.archive = {
-        r: decode_archive(server.group, _require(data, "archive", "server")[str(r)])
-        for r in sorted(
-            int(k) for k in _require(data, "archive", "server")
-        )
+        r: decode_archive(server.group, archive[r]) for r in sorted(archive)
     }
-    server.last_participation = data.get("last_participation")
-    restore_rng(server.rng, _require(data, "rng_state", "server"))
+    server.last_participation = _field(
+        data, "last_participation", what, int, optional=True
+    )
+    restore_rng(server.rng, _require(data, "rng_state", what))
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +497,26 @@ def encode_coordinator_state(coordinator) -> dict:
 
 def decode_coordinator_state(coordinator, data: dict) -> None:
     """Apply an encoded coordinator state to a freshly-built driver in place."""
-    group = coordinator.definition.group
+    definition = coordinator.definition
+    group = definition.group
     what = "coordinator"
-    coordinator.round_number = int(_require(data, "round_number", what))
+    coordinator.round_number = _field(data, "round_number", what, int)
     coordinator.records = [
-        decode_record(group, record) for record in _require(data, "records", what)
+        decode_record(group, record) for record in _field(data, "records", what, list)
     ]
-    coordinator.expelled = {int(i) for i in _require(data, "expelled", what)}
-    coordinator.convicted_servers = {
-        int(i) for i in _require(data, "convicted_servers", what)
-    }
+    coordinator.expelled = _members(data, "expelled", what, definition.num_clients)
+    coordinator.convicted_servers = _members(
+        data, "convicted_servers", what, definition.num_servers
+    )
     coordinator.equivocation_proofs = [
-        decode_equivocation_proof(group, blob)
-        for blob in _require(data, "equivocation_proofs", what)
+        decode_equivocation_proof(group, _typed(blob, str, "equivocation proof"))
+        for blob in _field(data, "equivocation_proofs", what, list)
     ]
-    coordinator.scheduled = bool(_require(data, "scheduled", what))
-    try:
-        coordinator.slot_elements = [
-            int(value, 16) for value in _require(data, "slot_elements", what)
-        ]
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed slot schedule: {exc}") from exc
+    coordinator.scheduled = _field(data, "scheduled", what, bool)
+    coordinator.slot_elements = [
+        _hex(value, "slot schedule", _HEX_INT)
+        for value in _field(data, "slot_elements", what, list)
+    ]
     restore_rng(coordinator.rng, _require(data, "rng_state", what))
 
 
@@ -452,8 +531,8 @@ def encode_session_state(session) -> dict:
 
 def decode_session_state(session, data: dict) -> None:
     """Apply an encoded session state to a freshly-built session in place."""
-    server_states = _require(data, "servers", "session")
-    client_states = _require(data, "clients", "session")
+    server_states = _field(data, "servers", "session", list)
+    client_states = _field(data, "clients", "session", list)
     if len(server_states) != len(session.servers) or len(client_states) != len(
         session.clients
     ):

@@ -4,16 +4,18 @@ Two operating modes layered on the existing crypto stack:
 
 * :class:`~repro.verdict.session.VerdictSession` — every ciphertext is
   proven well-formed before combining; disruptors are named in-round.
-* :class:`~repro.verdict.hybrid.HybridSession` — the XOR fast path runs
-  untouched; a corrupted round is replayed in verifiable mode to name the
-  disruptor without the §3.9 accusation shuffle.
+* hybrid mode (:mod:`repro.verdict.hybrid`) — a
+  :class:`~repro.core.session.DissentSession` whose policy says
+  ``dcnet_mode="hybrid"``: the XOR fast path runs untouched, and a
+  corrupted round is replayed in verifiable mode to name the disruptor
+  without the §3.9 accusation shuffle.
 
 Both modes open a slot through one function,
 :func:`~repro.verdict.session.verifiable_round`: every
 :class:`~repro.verdict.session.VerdictServer` checks every client proof
 and every decryption share before the product opens.  Work is counted
 on metrics registries: ``verdict.*`` on each node's (merged by
-:meth:`VerdictSession.metrics`), ``hybrid.*`` on the hybrid session's.
+:meth:`VerdictSession.metrics`), ``hybrid.*`` on a hybrid session's.
 
 See *Proactively Accountable Anonymous Messaging in Verdict*
 (Corrigan-Gibbs, Wolinsky, Ford) in PAPERS.md.
@@ -35,12 +37,7 @@ from repro.verdict.session import (
     VerdictServer,
     VerdictSession,
 )
-from repro.verdict.hybrid import (
-    HybridBlameRecord,
-    HybridClient,
-    HybridDisruptorClient,
-    HybridSession,
-)
+from repro.verdict.hybrid import HybridBlameRecord
 
 __all__ = [
     "VerdictClientCiphertext",
@@ -56,7 +53,4 @@ __all__ = [
     "VerdictServer",
     "VerdictSession",
     "HybridBlameRecord",
-    "HybridClient",
-    "HybridDisruptorClient",
-    "HybridSession",
 ]

@@ -1,6 +1,6 @@
 """Smoke tests: the example scripts stay runnable.
 
-Every example exposes ``main(argv) -> int``; the two cheap ones run end to
+Every example exposes ``main(argv) -> int``; the cheap ones run end to
 end here with reduced parameters, the rest are import-checked so a broken
 import or signature regression fails fast without paying their multi-minute
 runtimes.
@@ -71,3 +71,11 @@ def test_verdict_demo_runs_reduced(capsys):
     out = capsys.readouterr().out
     assert "rejected clients" in out
     assert "accusation shuffles: 0" in out
+
+
+def test_microblog_churn_runs_reduced_over_hybrid(capsys):
+    module = load_example("microblog_churn")
+    assert module.main(["--mode", "hybrid", "--clients", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "dcnet mode: hybrid" in out
+    assert "use the paper maps from the library" in out

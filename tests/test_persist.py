@@ -8,6 +8,7 @@ group backends (satellite requirement), including scheduler and PRNG
 state.
 """
 
+import contextlib
 import json
 import os
 import random
@@ -15,11 +16,12 @@ import random
 import pytest
 
 from repro.consensus.certificate import EquivocationProof, RoundCertificate
-from repro.core import DissentSession
+from repro.core import DissentSession, Policy
 from repro.core.accusation import Accusation
 from repro.errors import CheckpointError
 from repro.net import wire
 from repro.persist import (
+    CHECKPOINT_VERSION,
     AuditLog,
     codec,
     read_audit_log,
@@ -275,6 +277,76 @@ class TestDecodersNameTheirErrors:
             decode(session, "00")
 
 
+_DROP = object()
+
+
+def _leaf_paths(node, path=()):
+    """Every path into a snapshot.  A list is entered at its first and last
+    item only: its items share one decoder, and the 625-word RNG states
+    would otherwise be most of the walk."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, node[i]) for i in sorted({0, len(node) - 1}) if node]
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _leaf_paths(child, path + (key,))
+
+
+@contextlib.contextmanager
+def _mutated(snapshot, path, value):
+    """``snapshot`` with one field dropped or replaced, put back on exit."""
+    parent = snapshot
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    original = parent[key]
+    if value is _DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    try:
+        yield snapshot
+    finally:
+        if value is _DROP and isinstance(parent, list):
+            parent.insert(key, original)
+        else:
+            parent[key] = original
+
+
+class TestMutatedCheckpoints:
+    def test_every_malformed_field_is_a_checkpoint_error(self):
+        """Decoding is total.  Each field of a small hybrid checkpoint
+        (sent history included) is dropped or set to ``"zz"``, None or 7;
+        the restore either refuses it with a CheckpointError or takes it
+        as a well-typed value, which then re-encodes to exactly the
+        mutated snapshot — never a bare TypeError, never a coerced field."""
+        session = DissentSession.build(
+            "test-256", 2, 3, Policy(dcnet_mode="hybrid"), seed=5
+        )
+        session.setup()
+        session.post(0, b"a post")
+        session.post(1, b"another")
+        session.run_rounds(3)
+        snapshot = session.snapshot_state()
+        assert any(c["sent_history"] for c in snapshot["clients"])
+        refused = 0
+        for path in list(_leaf_paths(snapshot)):
+            for value in (_DROP, "zz", None, 7):
+                with _mutated(snapshot, path, value) as mutated:
+                    try:
+                        session.restore_state(mutated)
+                    except CheckpointError:
+                        refused += 1
+                        continue
+                    assert session.snapshot_state() == mutated, (path, value)
+        assert refused > 800
+        session.restore_state(snapshot)
+        assert session.snapshot_state() == snapshot
+
+
 @pytest.mark.parametrize("group_name", BACKENDS)
 class TestSessionRoundTrip:
     def test_restored_session_is_bit_identical(self, tmp_path, group_name):
@@ -310,6 +382,25 @@ class TestSessionRoundTrip:
         assert len(payload["clients"]) == 3
 
 
+class TestCheckpointVersion:
+    def test_an_xor_payload_is_unchanged_but_for_the_version(self, tmp_path):
+        """Version 8 moved only hybrid state into the client sections: an
+        XOR session writes the payload version 7 wrote, byte for byte (the
+        digest below is of a version-7 build's payload)."""
+        path = tmp_path / "xor.ckpt"
+        session = built_session()
+        session.post(0, b"before the barrier")
+        session.post(2, b"queued across it")
+        session.run_rounds(2)
+        save_session(session, path)
+        document = json.loads(path.read_text())
+        assert document["version"] == CHECKPOINT_VERSION == 8
+        assert document["sha256"] == (
+            "f9c1cdd3a7cdfd7809b9a21dc18e4b2ce1b60494d5a6c5ca64bbb9b7f6643db7"
+        )
+        assert all("sent_history" not in c for c in document["payload"]["clients"])
+
+
 class TestHybridRoundTrip:
     """Verdict's hybrid mode keeps blame evidence the XOR path does not —
     each client's sent history — and reads its slot layout off a
@@ -317,7 +408,7 @@ class TestHybridRoundTrip:
 
     @pytest.mark.parametrize("group_name", BACKENDS)
     def test_restored_hybrid_session_runs_on(self, tmp_path, group_name):
-        from repro.core import Policy, build_session
+        from repro.core import build_session
 
         def build():
             session = build_session(
@@ -347,7 +438,7 @@ class TestHybridRoundTrip:
         assert fresh.delivered_messages(0)[-1][2] == b"queued across the barrier"
 
     def test_blame_after_a_restore_matches_the_uninterrupted_run(self, tmp_path):
-        from repro.verdict.hybrid import build_hybrid_with_disruptor
+        from repro.verdict.hybrid import build_hybrid_with_disruptor, replay_blame
 
         def drive(session, rounds):
             # The round after the expulsion falls below the alpha floor
@@ -379,7 +470,7 @@ class TestHybridRoundTrip:
         assert restored.delivered_messages(0) == whole.delivered_messages(0)
         # Round 2 ran before the checkpoint: replaying it now needs the
         # archived round and the victim's own sent record.
-        assert restored.replay_blame(2, slot) == whole.blames[1]
+        assert replay_blame(restored, 2, slot) == whole.blames[1]
 
 
 class TestModpWideBackend:

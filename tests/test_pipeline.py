@@ -23,7 +23,7 @@ from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.crypto import prng
 from repro.errors import ProtocolError
-from repro.verdict.hybrid import HybridSession, build_hybrid_with_disruptor
+from repro.verdict.hybrid import build_hybrid_with_disruptor
 from repro.verdict.session import VerdictSession
 
 WINDOWS = (1, 2, 4, 8)
@@ -37,13 +37,12 @@ def _clean_session(
     messages=4,
     stalling=None,
     telemetry=False,
-    session_cls=DissentSession,
 ):
     def server_factory(definition, index, key, rng):
         cls = StallingLeader if index == stalling else DissentServer
         return cls(definition, index, key, rng)
 
-    session = session_cls.build(
+    session = DissentSession.build(
         num_servers=num_servers,
         num_clients=num_clients,
         seed=seed,
@@ -147,13 +146,11 @@ class TestBitIdenticalOutputs:
 
 
 class TestPadWork:
-    @pytest.mark.parametrize("session_cls", (DissentSession, HybridSession))
+    @pytest.mark.parametrize("mode", ("xor", "hybrid"))
     @pytest.mark.parametrize(
         "window", (None, *WINDOWS), ids=("lockstep", *(f"W{w}" for w in WINDOWS))
     )
-    def test_every_endpoint_squeezes_its_own_pads(
-        self, window, session_cls, monkeypatch
-    ):
+    def test_every_endpoint_squeezes_its_own_pads(self, window, mode, monkeypatch):
         """2·N·M pair pads a round on every driver and in both modes: each
         client derives its M pads and each server its N, as on separate
         machines; a window overlaps rounds, it never shares one endpoint's
@@ -164,7 +161,7 @@ class TestPadWork:
             num_servers=num_servers,
             messages=0,
             telemetry=True,
-            session_cls=session_cls,
+            policy=Policy(dcnet_mode=mode),
         )
         squeezes = collections.Counter()
         pair_stream = prng.pair_stream
@@ -392,10 +389,8 @@ class TestArchiveBounds:
     def test_hybrid_evidence_covers_the_archive(self, window):
         """Hybrid blame can replay any archived round, so every client keeps
         its sent record of each; a window's speculative builds evict none."""
-        policy = Policy(archive_rounds=4)
-        session = _clean_session(
-            seed=63, policy=policy, messages=6, session_cls=HybridSession
-        )
+        policy = Policy(archive_rounds=4, dcnet_mode="hybrid")
+        session = _clean_session(seed=63, policy=policy, messages=6)
         covered = []
         after_output = session.after_output
 

@@ -9,6 +9,8 @@ from functools import partial
 import pytest
 
 from repro.core import DissentSession
+from repro.core.adversary import DisruptorClient
+from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
 from repro.core.server import DissentServer
 from repro.core.session import build_session
@@ -30,7 +32,7 @@ from repro.verdict.ciphertext import (
     verify_client_ciphertext,
     verify_server_share,
 )
-from repro.verdict.hybrid import HybridSession, build_hybrid_with_disruptor
+from repro.verdict.hybrid import build_hybrid_with_disruptor
 from repro.verdict.session import (
     DisruptingVerdictClient,
     VerdictSession,
@@ -255,10 +257,35 @@ class TestVerdictSession:
 # ---------------------------------------------------------------------------
 
 
+def _plain_hybrid_disruptor(seed, disruptor_index, victim_index, flips_per_round):
+    """A hybrid group built by hand: a plain DissentSession with a plain
+    DisruptorClient, and nothing but the policy naming the mode."""
+
+    def client_factory(definition, index, key, rng):
+        cls = DisruptorClient if index == disruptor_index else DissentClient
+        return cls(definition, index, key, rng)
+
+    session = DissentSession.build(
+        "test-256",
+        3,
+        6,
+        Policy(dcnet_mode="hybrid"),
+        seed,
+        client_factory=client_factory,
+    )
+    session.setup()
+    disruptor = session.clients[disruptor_index]
+    disruptor.target_slot = session.clients[victim_index].slot
+    disruptor.flips_per_round = flips_per_round
+    return session, disruptor.target_slot
+
+
 class TestHybridMode:
     def test_clean_rounds_match_xor_fast_path_bit_for_bit(self):
         xor = DissentSession.build(num_servers=3, num_clients=6, seed=5)
-        hybrid = HybridSession.build(num_servers=3, num_clients=6, seed=5)
+        hybrid = DissentSession.build(
+            num_servers=3, num_clients=6, seed=5, policy=Policy(dcnet_mode="hybrid")
+        )
         xor.setup()
         hybrid.setup()
         xor.post(2, b"clean round message")
@@ -272,8 +299,13 @@ class TestHybridMode:
             assert a.participation == b.participation
         assert not hybrid.blames
 
-    def test_disruptor_named_without_accusation_shuffle(self):
-        session, _ = build_hybrid_with_disruptor(
+    @pytest.mark.parametrize(
+        "build",
+        (build_hybrid_with_disruptor, _plain_hybrid_disruptor),
+        ids=("helper", "plain-classes"),
+    )
+    def test_disruptor_named_without_accusation_shuffle(self, build):
+        session, _ = build(
             seed=33, disruptor_index=4, victim_index=1, flips_per_round=3
         )
         session.enable_telemetry()
@@ -284,7 +316,7 @@ class TestHybridMode:
                 break
         blame = session.blames[-1]
         assert blame.client_culprits == (4,)
-        assert 4 in session.expelled
+        assert session.expelled == {4}  # the disruptor, and no honest client
         # The whole point: zero accusation shuffles ran.
         assert _count(session, "session.accusation_phases") == 0
         # The replay reconstructed the victim's true slot bytes: the
@@ -320,16 +352,46 @@ class TestHybridMode:
         assert blame.verdicts and blame.verdicts[0].culprit_kind == "client"
 
     def test_hybrid_archives_stay_bounded(self):
-        session = HybridSession.build(num_servers=2, num_clients=3, seed=12)
+        session = DissentSession.build(
+            num_servers=2, num_clients=3, seed=12, policy=Policy(dcnet_mode="hybrid")
+        )
         session.setup()
         keep = session.definition.policy.archive_rounds
         for _ in range(3 * keep):
             session.run_round()
         for client in session.clients:
-            assert len(client.sent_history) <= keep
+            assert 0 < len(client.sent_history) <= keep
+
+    @pytest.mark.parametrize("window", (None, 4), ids=("lockstep", "W4"))
+    def test_xor_clients_keep_no_sent_history(self, window):
+        """Only hybrid blame replays old rounds: an XOR client's sent
+        history stays empty however long the session runs."""
+        from repro.core import PipelinedSession
+
+        session = DissentSession.build(num_servers=2, num_clients=3, seed=12)
+        session.setup()
+        rounds = 3 * session.definition.policy.archive_rounds
+        for n in range(rounds):
+            session.post(n % 3, f"post {n}".encode())
+        seen = []
+        after_output = session.after_output
+
+        def checked(record):
+            after_output(record)
+            seen.append([client.sent_history for client in session.clients])
+
+        session.after_output = checked
+        if window is None:
+            session.run_rounds(rounds)
+        else:
+            PipelinedSession(session, window=window).run_rounds(rounds)
+        assert seen == [[{}, {}, {}]] * rounds
+        assert session.delivered_messages(0)
 
     def test_accusation_phase_is_refused(self):
-        session = HybridSession.build(num_servers=2, num_clients=3, seed=3)
+        session = DissentSession.build(
+            num_servers=2, num_clients=3, seed=3, policy=Policy(dcnet_mode="hybrid")
+        )
         session.enable_telemetry()
         session.setup()
         with pytest.raises(ProtocolError):
@@ -427,9 +489,12 @@ class TestFaultyUpstreamServer:
             cls = _WrongSecretServer if index == 1 else DissentServer
             return cls(definition, index, key, rng)
 
-        cls = HybridSession if mode == "hybrid" else DissentSession
-        session = cls.build(
-            num_servers=3, num_clients=6, seed=5, server_factory=server_factory
+        session = DissentSession.build(
+            num_servers=3,
+            num_clients=6,
+            seed=5,
+            policy=Policy(dcnet_mode=mode),
+            server_factory=server_factory,
         )
         session.setup()
         assert session.definition.upstream_server(1) == 1
@@ -447,15 +512,23 @@ class TestFaultyUpstreamServer:
 
 class TestModePolicy:
     def test_build_session_dispatches_on_mode(self):
+        """XOR and hybrid groups are one session class that reads the mode
+        off the policy: each runs the blame path its mode names."""
         xor = build_session(num_clients=3, num_servers=2, seed=1)
-        assert type(xor) is DissentSession
+        assert xor.definition.policy.dcnet_mode == "xor"
         hybrid = build_session(
             num_clients=3,
             num_servers=2,
             seed=1,
             policy=Policy(dcnet_mode="hybrid"),
         )
-        assert isinstance(hybrid, HybridSession)
+        assert hybrid.definition.policy.dcnet_mode == "hybrid"
+        for session in (xor, hybrid):
+            assert type(session) is DissentSession
+            session.setup()
+        assert xor.run_accusation_phase() == []
+        with pytest.raises(ProtocolError, match="verifiable replay"):
+            hybrid.run_accusation_phase()
         verifiable = build_session(
             num_clients=3,
             num_servers=2,
@@ -477,6 +550,26 @@ class TestModePolicy:
         legacy = policy.to_dict()
         del legacy["dcnet_mode"]
         assert Policy.from_dict(legacy).dcnet_mode == "xor"
+
+    def test_in_process_drivers_refuse_verifiable_mode(self):
+        """A DissentSession runs XOR rounds, with or without hybrid blame, so
+        a verifiable group is refused — by ``build``, by the constructor,
+        and so under the pipeline — instead of running XOR under its name."""
+        from repro.core import PipelinedSession
+
+        policy = Policy(dcnet_mode="verifiable")
+        with pytest.raises(ConfigError, match="verifiable"):
+            DissentSession.build(num_servers=2, num_clients=3, seed=1, policy=policy)
+        with pytest.raises(ConfigError, match="verifiable"):
+            PipelinedSession(
+                DissentSession.build(
+                    num_servers=2, num_clients=3, seed=1, policy=policy
+                )
+            )
+        xor = DissentSession.build(num_servers=2, num_clients=3, seed=1)
+        verifiable = dataclasses.replace(xor.definition, policy=policy)
+        with pytest.raises(ConfigError, match="verifiable"):
+            DissentSession(verifiable, xor.servers, xor.clients)
 
     @pytest.mark.parametrize("mode", ["hybrid", "verifiable"])
     def test_wire_path_refuses_modes_it_does_not_run(self, mode, tmp_path):
@@ -731,7 +824,7 @@ class TestHybridEverywhere:
             seed=7,
             policy=Policy(alpha=0.5, dcnet_mode="hybrid"),
         )
-        assert isinstance(session, HybridSession)
+        assert session.definition.policy.dcnet_mode == "hybrid"
         session.enable_telemetry()
         session.setup()
         feed = MicroblogFeed(session)
@@ -757,7 +850,7 @@ class TestHybridEverywhere:
             seed=9,
             policy=Policy(dcnet_mode="hybrid"),
         )
-        assert isinstance(session, HybridSession)
+        assert session.definition.policy.dcnet_mode == "hybrid"
         session.enable_telemetry()
         session.setup()
         app = FileSharingApp(session, chunk_payload=200)
