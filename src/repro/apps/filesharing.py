@@ -90,7 +90,8 @@ class FileSharingApp:
         self.session = session
         self.chunk_payload = chunk_payload
         self.receivers = [FileReceiver() for _ in session.clients]
-        self._fed: list[int] = [0] * len(session.clients)
+        #: How much of the session's delivery log the receivers were fed.
+        self._fed = 0
 
     def share(self, client_index: int, data: bytes) -> bytes:
         """Queue a file for anonymous publication; returns its id."""
@@ -111,10 +112,11 @@ class FileSharingApp:
 
     def _pump(self) -> None:
         """Feed newly delivered messages into every member's receiver."""
-        for i, client in enumerate(self.session.clients):
-            for _, _, message in client.received[self._fed[i]:]:
-                self.receivers[i].feed(message)
-            self._fed[i] = len(client.received)
+        delivered = self.session.delivered
+        fresh, self._fed = delivered[self._fed :], len(delivered)
+        for _, _, message in fresh:
+            for receiver in self.receivers:
+                receiver.feed(message)
 
 
 def file_digest(data: bytes) -> bytes:

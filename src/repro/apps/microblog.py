@@ -41,7 +41,8 @@ class MicroblogFeed:
 
     session: DissentSession
     max_post_bytes: int = 128
-    _seen: set[tuple[int, int, bytes]] = field(default_factory=set)
+    #: How much of the session's delivery log is folded into the feed.
+    _read: int = 0
     posts: list[Post] = field(default_factory=list)
 
     def post(self, client_index: int, text: str) -> None:
@@ -61,13 +62,10 @@ class MicroblogFeed:
         self.refresh()
 
     def refresh(self) -> None:
-        """Pull newly delivered messages from an observer client."""
-        observer = self.session.clients[0]
-        for round_number, slot_index, message in observer.received:
-            key = (round_number, slot_index, message)
-            if key in self._seen:
-                continue
-            self._seen.add(key)
+        """Fold newly delivered messages from the session's log into the feed."""
+        delivered = self.session.delivered
+        fresh, self._read = delivered[self._read :], len(delivered)
+        for round_number, slot_index, message in fresh:
             try:
                 text = message.decode("utf-8")
             except UnicodeDecodeError:

@@ -95,14 +95,14 @@ class TunnelEntry:
 
     def poll(self) -> None:
         """Collect downstream records addressed to our flows."""
-        client = self.session.clients[self.client_index]
-        for _, _, message in client.received[self._responses_seen:]:
+        delivered = self.session.delivered
+        fresh, self._responses_seen = delivered[self._responses_seen :], len(delivered)
+        for _, _, message in fresh:
             record = TunnelRecord.decode(message)
             if record is None or record.direction != DOWNSTREAM:
                 continue
             if record.flow_id in self.flows and record.kind == KIND_DATA:
                 self.flows[record.flow_id].append(record.payload)
-        self._responses_seen = len(client.received)
 
     def response(self, flow_id: bytes) -> bytes:
         """Response bytes received so far for one flow."""
@@ -131,9 +131,10 @@ class TunnelExit:
 
     def pump(self) -> int:
         """Process newly delivered upstream records; returns count handled."""
-        client = self.session.clients[self.client_index]
+        delivered = self.session.delivered
+        fresh, self._seen = delivered[self._seen :], len(delivered)
         handled = 0
-        for _, _, message in client.received[self._seen:]:
+        for _, _, message in fresh:
             record = TunnelRecord.decode(message)
             if record is None or record.direction != UPSTREAM:
                 continue
@@ -150,7 +151,6 @@ class TunnelExit:
             self.session.post(self.client_index, reply.encode())
             self.handled_flows.add(record.flow_id)
             handled += 1
-        self._seen = len(client.received)
         return handled
 
 

@@ -13,6 +13,13 @@ A client's life cycle:
    every open slot, detect disruption of its own slot, and evolve the slot
    schedule exactly as every other node does.
 
+A client keeps no delivery history.  Every client applies every certified
+output, so what was delivered is a function of the certified records: the
+session keeps that log once
+(:attr:`repro.core.coordinator.Coordinator.delivered`), and a client keeps
+only the state its next round needs — its slot schedule, its outbox and
+its own sent records.
+
 The client also implements the two anti-DoS behaviours of §3.8-3.9:
 randomized request-bit retry when an adversary cancels its slot-open
 request, and the shuffle-request trigger plus signed accusation once a
@@ -142,7 +149,6 @@ class DissentClient:
         self.slot: int | None = None
         self.slot_keys: list[int] = []
         self.outbox: deque[bytes] = deque()
-        self.received: list[tuple[int, int, bytes]] = []  # (round, slot, message)
         self.last_participation: int | None = None
         # request-bit retry state (§3.8)
         self._request_attempted = False
@@ -170,10 +176,6 @@ class DissentClient:
         return {
             "scheduler": self.scheduler.clone(),
             "outbox": tuple(self.outbox),
-            # ``received`` is append-only and a rollback only ever rewinds,
-            # so the checkpoint is its length — copying the whole history
-            # would make per-round snapshots quadratic over session life.
-            "received_len": len(self.received),
             "last_participation": self.last_participation,
             "_request_attempted": self._request_attempted,
             "_sent": dict(self._sent),
@@ -189,7 +191,6 @@ class DissentClient:
         a snapshot must not be restored twice)."""
         self.scheduler = snapshot["scheduler"]
         self.outbox = deque(snapshot["outbox"])
-        del self.received[snapshot["received_len"]:]
         self.last_participation = snapshot["last_participation"]
         self._request_attempted = snapshot["_request_attempted"]
         self._sent = snapshot["_sent"]
@@ -439,19 +440,15 @@ class DissentClient:
             raise InvalidSignature("server signature on round output invalid")
 
     def handle_output(self, output: RoundOutput) -> list[SlotContent]:
-        """Digest a certified round output; returns decoded slot contents."""
+        """Digest a certified round output; returns decoded slot contents.
+
+        The contents are returned, not kept: the messages in them are the
+        session's delivery log, which every client would hold identically.
+        """
         self.verify_output(output)
         self.last_participation = output.participation
         self._check_own_slot(output)
-        contents = self.scheduler.advance(output.cleartext)
-        for content in contents:
-            if content.payload is None:
-                continue
-            for message in unframe_messages(content.payload):
-                self.received.append(
-                    (output.round_number, content.slot_index, message)
-                )
-        return contents
+        return self.scheduler.advance(output.cleartext)
 
     def handle_output_envelope(self, envelope: SignedEnvelope) -> list[SlotContent]:
         """Envelope entry point for the output phase (networked mode).

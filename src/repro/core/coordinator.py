@@ -15,6 +15,13 @@ draw from ``rng`` happens here (per shuffle: one mix key per server in
 server order, then the cascade), so the drivers cannot drift apart.  Like
 :mod:`repro.core.engine` this module opens no socket, reads no clock and
 knows no event loop.
+
+The coordinator also keeps the session's one delivery log.  A round's
+output is a broadcast that every client applies, so the messages a
+client has been delivered are a function of the certified records: each
+filed completed record steps the coordinator's own slot schedule, and the
+messages it decodes are appended to :attr:`Coordinator.delivered`.  No
+client keeps a copy.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.core.accusation import (
     run_trace,
     trace_accusation,
 )
+from repro.core.client import unframe_messages
 from repro.core.config import GroupDefinition
 from repro.core.engine import InventoryStatus, RoundDone
 from repro.core.keyshuffle import (
@@ -45,6 +53,7 @@ from repro.core.keyshuffle import (
     verify_session_keys,
 )
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
+from repro.core.schedule import Scheduler
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import message_vector_width
 from repro.errors import AccusationError, ProtocolError, TraceInconclusive
@@ -88,12 +97,18 @@ class Coordinator:
     ) -> None:
         self.definition = definition
         self._server_keys = list(server_keys)
-        # The eight mutable fields from here to ``rng`` are the whole of the
+        # The ten mutable fields from here to ``rng`` are the whole of the
         # coordinator's state: :func:`repro.persist.codec.encode_coordinator_state`
         # is the one snapshot of them, the same section in an in-process
         # and a networked checkpoint.
         self.round_number = 0
         self.records: list[RoundRecord] = []
+        #: The slot schedule as every member steps it, fed the completed
+        #: records; it decodes :attr:`delivered`.
+        self.delivery_schedule = Scheduler(definition.num_clients, definition.policy)
+        #: Every delivered message as ``(round, slot, message)``, in
+        #: delivery order: what each client applying the outputs observes.
+        self.delivered: list[tuple[int, int, bytes]] = []
         self.expelled: set[int] = set()
         self.convicted_servers: set[int] = set()
         #: Transferable equivocation proofs from the round reports; part of
@@ -238,9 +253,27 @@ class Coordinator:
 
     def _file(self, record: RoundRecord) -> RoundRecord:
         self.records.append(record)
+        if record.completed:
+            r = record.round_number
+            for content in self.delivery_schedule.advance(record.output.cleartext):
+                if content.payload is not None:
+                    self.delivered.extend(
+                        (r, content.slot_index, message)
+                        for message in unframe_messages(content.payload)
+                    )
         outcome = "completed" if record.completed else "failed"
         self.registry.counter(f"session.rounds_{outcome}").inc()
         return record
+
+    def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
+        """(round, slot, message) triples as observed by one client.
+
+        Every client observes the same log, so this is :attr:`delivered`
+        for any valid index — answered here, even for a client that is
+        offline or dark.
+        """
+        self.definition.client_name(client_index)  # validates the index
+        return list(self.delivered)
 
     def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
         """Run several rounds; accusation shuffles fire automatically."""

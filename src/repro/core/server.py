@@ -24,9 +24,10 @@ and the order of the steps is the engine's script.  The steps still
 check everything a peer sends (type, round, one per server, length,
 signature, commitment); they do not check that the caller ran them in
 order.  What a server keeps is long-lived: the scheduler, the roster, the
-RNG and a bounded archive of past rounds (signed client submissions,
-inventories, server ciphertexts, layout geometry) so the accusation
-process can reopen any recent round.
+RNG and a bounded archive of the last ``archive_rounds`` rounds (signed
+client submissions, server ciphertexts, layout geometry; no cleartext,
+which those ciphertexts determine) so the accusation process can reopen
+any recent round.
 """
 
 from __future__ import annotations
@@ -68,7 +69,13 @@ from repro.util.serialization import pack_fields, unpack_fields
 
 @dataclass
 class RoundArchive:
-    """Everything retained for accusation tracing of one past round."""
+    """Everything retained for accusation tracing of one past round.
+
+    It holds what cannot be derived — the signed client submissions and
+    the M server ciphertexts — and no cleartext: the round's cleartext is
+    the XOR of the server ciphertexts, recomputed by :attr:`cleartext`
+    for the rare reader (blame evidence, hybrid replay).
+    """
 
     round_number: int
     layout: RoundLayout
@@ -76,8 +83,13 @@ class RoundArchive:
     assignment: dict[int, int]
     received_envelopes: dict[int, SignedEnvelope]
     server_ciphertexts: list[bytes]
-    cleartext: bytes
     participation: int
+
+    @property
+    def cleartext(self) -> bytes:
+        """The round's combined cleartext, as :meth:`DissentServer.receive_reveals`
+        formed it from the same ciphertexts."""
+        return xor_many(self.server_ciphertexts, length=self.layout.total_bytes)
 
     def to_evidence(self) -> RoundEvidence:
         """Repackage for the accusation module's verifier interface."""
@@ -618,7 +630,6 @@ class DissentServer:
             server_ciphertexts=[
                 state.reveals[j] for j in range(self.definition.num_servers)
             ],
-            cleartext=output.cleartext,
             participation=output.participation,
         )
         self._trim_archive()

@@ -460,7 +460,3 @@ class DissentSession(Coordinator):
     def post(self, client_index: int, message: bytes) -> None:
         """Queue an anonymous message from one client."""
         self.clients[client_index].queue_message(message)
-
-    def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
-        """(round, slot, message) triples as observed by one client."""
-        return list(self.clients[client_index].received)

@@ -20,7 +20,11 @@ behind an inbound frame dispatch loop, so the protocol runs by
 The dispatch loop **never crashes on adversarial input**: malformed
 frames, unknown message types, and protocol-state violations are
 reported to the coordinator as typed ``node-error`` frames and the loop
-keeps serving.
+keeps serving.  Nor does it keep what it served: each frame is received,
+decoded and dispatched inside one call, so a node waiting for its next
+frame holds none of the last.  A client node keeps no delivery history
+either; the coordinator reads deliveries off the certified records and
+never asks a client for them.
 
 Run ``python -m repro.net.node CONFIG.json`` to start one node as a real
 operating-system process that dials the session hub over TCP — this is
@@ -124,7 +128,6 @@ K_ROUND_APPLIED = "round-applied"
 K_EXPEL = "expel"
 K_POST = "post"
 K_STATUS_REQUEST = "status-request"
-K_DELIVERED_REQUEST = "delivered-request"
 K_ACC_REQUEST = "acc-request"
 K_ACC_OUTCOME = "acc-outcome"
 K_EVIDENCE_REQUEST = "evidence-request"
@@ -342,30 +345,38 @@ class NodeRuntime:
         only an exhausted retry budget (or torn framing) ends the loop.
         """
         await self._hello()
-        while not self._stopped:
-            try:
-                payload = await self.transport.recv()
-            except ConnectionClosed:
-                self._trigger("link_loss")
-                if await self._try_reconnect():
-                    continue
-                break
-            except (FrameTooLarge, FrameTruncated) as exc:
-                # The stream position is gone; nothing to salvage.
-                await self._report(exc)
-                break
-            # Count the frame *before* dispatch: the hub's replay contract
-            # is "frames beyond the high-water mark were never seen", and
-            # a frame that crashes its handler was still seen.
-            self.recv_count += 1
-            try:
-                frame = decode_routed(payload)
-            except WireDecodeError as exc:
-                self.registry.counter("net.decode_errors").inc()
-                await self._report(exc)
-                continue
-            await self._dispatch(frame)
+        while not self._stopped and await self._serve_one():
+            pass
         await self.transport.aclose()
+
+    async def _serve_one(self) -> bool:
+        """Receive and dispatch one frame; False once the loop must end.
+
+        The frame lives in this call only, so a node waiting for its next
+        frame holds none of the last one (a bulk round's frames are
+        ~500 KiB each).
+        """
+        try:
+            payload = await self.transport.recv()
+        except ConnectionClosed:
+            self._trigger("link_loss")
+            return await self._try_reconnect()
+        except (FrameTooLarge, FrameTruncated) as exc:
+            # The stream position is gone; nothing to salvage.
+            await self._report(exc)
+            return False
+        # Count the frame *before* dispatch: the hub's replay contract
+        # is "frames beyond the high-water mark were never seen", and
+        # a frame that crashes its handler was still seen.
+        self.recv_count += 1
+        try:
+            frame = decode_routed(payload)
+        except WireDecodeError as exc:
+            self.registry.counter("net.decode_errors").inc()
+            await self._report(exc)
+            return True
+        await self._dispatch(frame)
+        return True
 
     async def _dispatch(self, frame) -> None:
         # Dispatch is strictly sequential per node, so a single slot for
@@ -975,13 +986,6 @@ class ClientNode(NodeRuntime):
                 1 if self.client.has_pending_traffic else 0,
                 1 if self.client.pending_accusation is not None else 0,
             )
-        if kind == K_DELIVERED_REQUEST:
-            (since,) = _unpack_typed(body, "i", "delivered-request")
-            items = [
-                pack_fields(round_number, slot, message)
-                for round_number, slot, message in self.client.received[since:]
-            ]
-            return pack_fields(*items) if items else b""
         if kind == K_ACC_REQUEST:
             try:
                 fields = unpack_fields(body)
@@ -1018,7 +1022,7 @@ class ClientNode(NodeRuntime):
             )
         if envelope.round_number < self.rounds_done:
             # A duplicated frame or a resume replay of a round this client
-            # already applied; reapplying would corrupt delivery history.
+            # already applied; reapplying would step its schedule twice.
             self.registry.counter("net.stragglers_dropped").inc()
             return
         self.client.handle_output_envelope(envelope)

@@ -70,7 +70,6 @@ from repro.net.node import (
     K_ACC_OUTCOME,
     K_ACC_REQUEST,
     K_COMMIT_GO,
-    K_DELIVERED_REQUEST,
     K_DISCLOSURE_REQUEST,
     K_EVIDENCE_REQUEST,
     K_EXPEL,
@@ -335,16 +334,36 @@ class _Hub:
         return True
 
     async def attach(self, transport) -> None:
-        """Serve one connection: handshake (fresh or resume), then route."""
+        """Serve one connection: handshake (fresh or resume), then route.
+
+        Each frame is received and routed inside :meth:`_route_one`, so a
+        link waiting for its next frame holds none of the last one.
+        """
+        joined = await self._join(transport)
+        if joined is None:
+            return
+        name, link, transport = joined
+        try:
+            while True:
+                await self._route_one(name, link, transport)
+        except (ConnectionClosed, WireError, OSError):
+            pass
+        finally:
+            self._mark_dark(name, transport)
+            await transport.aclose()
+
+    async def _join(self, transport):
+        """The hello handshake: ``(name, link, transport)`` for a node that
+        may take its link, or None once the connection is refused."""
         try:
             frame = decode_routed(await transport.recv())
         except (WireError, ConnectionClosed):
             await transport.aclose()
-            return
+            return None
         announced = self._parse_hello(frame.body) if frame.kind == K_HELLO else None
         if announced is None or not frame.sender:
             await transport.aclose()
-            return
+            return None
         if self._backend is not None and announced[:2] != self._backend:
             self._fail(
                 GroupBackendMismatch(
@@ -355,11 +374,11 @@ class _Hub:
                 )
             )
             await transport.aclose()
-            return
+            return None
         name = frame.sender
         if name == COORDINATOR:
             await transport.aclose()
-            return
+            return None
         schedule = self._faults.get(name)
         if schedule is not None:
             wrapped = FaultyTransport(transport, schedule)
@@ -374,49 +393,46 @@ class _Hub:
             # hijack attempt and is refused exactly as before.
             if not self._session_id or announced[2] != self._session_id:
                 await transport.aclose()
-                return
+                return None
             if not await self._resume(link, transport, announced[4]):
-                return
+                return None
         else:
             link = _PeerLink(name, self._outbox_limit)
             link.transport = transport
             self.links[name] = link
             self.transports[name] = transport
         self._check_ready()
+        return name, link, transport
+
+    async def _route_one(self, name: str, link: _PeerLink, transport) -> None:
+        """Receive one frame from ``name``'s link and route it."""
+        payload = await transport.recv()
         try:
-            while True:
-                payload = await transport.recv()
-                try:
-                    routed = decode_routed(payload)
-                except WireError as exc:
-                    await self._report(name, type(exc).__name__, str(exc))
-                    continue
-                if routed.sender != name:
-                    # A node speaks only under the name it said hello
-                    # with; anything else is a forgery and goes no further.
-                    await self._report(
-                        name,
-                        "ProtocolError",
-                        f"{name} sent a {routed.kind!r} frame as {routed.sender!r}",
-                    )
-                    continue
-                link.acknowledge(routed.ack)
-                if routed.to == COORDINATOR:
-                    await self.inbox.put(routed)
-                    continue
-                if routed.to not in self.links:
-                    await self._report(name, "WireError", f"no route to {routed.to!r}")
-                    continue
-                # Forward the payload bytes untouched: the hub relays
-                # signed envelopes, it never reconstructs them — and for
-                # an envelope frame ``decode_routed`` left the body a view,
-                # so routing a 500 KiB frame copied none of it.
-                await self.deliver(routed.to, payload)
-        except (ConnectionClosed, WireError, OSError):
-            pass
-        finally:
-            self._mark_dark(name, transport)
-            await transport.aclose()
+            routed = decode_routed(payload)
+        except WireError as exc:
+            await self._report(name, type(exc).__name__, str(exc))
+            return
+        if routed.sender != name:
+            # A node speaks only under the name it said hello
+            # with; anything else is a forgery and goes no further.
+            await self._report(
+                name,
+                "ProtocolError",
+                f"{name} sent a {routed.kind!r} frame as {routed.sender!r}",
+            )
+            return
+        link.acknowledge(routed.ack)
+        if routed.to == COORDINATOR:
+            await self.inbox.put(routed)
+            return
+        if routed.to not in self.links:
+            await self._report(name, "WireError", f"no route to {routed.to!r}")
+            return
+        # Forward the payload bytes untouched: the hub relays
+        # signed envelopes, it never reconstructs them — and for
+        # an envelope frame ``decode_routed`` left the body a view,
+        # so routing a 500 KiB frame copied none of it.
+        await self.deliver(routed.to, payload)
 
     def spawn_attach(self, transport) -> None:
         self._tasks.append(asyncio.create_task(self.attach(transport)))
@@ -949,40 +965,45 @@ class NetworkedSession(Coordinator):
     # ------------------------------------------------------------------
 
     async def _pump(self) -> None:
-        """Demultiplex coordinator-bound frames: replies and statuses."""
+        """Demultiplex coordinator-bound frames: replies and statuses.
+
+        Each frame is handed off inside the call that takes it, so the
+        pump waiting for the next frame holds none of the last one.
+        """
         assert self._hub is not None
         while True:
-            frame = await self._hub.inbox.get()
-            if frame.kind in (K_REPLY, K_REPLY_ERROR):
-                asked, future = self._pending.get(frame.seq, (None, None))
-                if asked != frame.sender:
-                    continue  # only the node asked may answer
-                del self._pending[frame.seq]
-                if not future.done():
-                    if frame.kind == K_REPLY:
-                        future.set_result(frame.body)
-                    else:
-                        try:
-                            _raise_remote(frame.body)
-                        except DissentError as exc:
-                            future.set_exception(exc)
-                continue
-            if frame.kind == K_NODE_ERROR:
-                try:
-                    name, message = unpack_fields(frame.body)
-                except ValueError:
-                    name, message = "WireError", repr(frame.body)
-                self._node_errors.append(f"{frame.sender}: {name}: {message}")
-                continue
+            self._take(await self._hub.inbox.get())
+
+    def _take(self, frame) -> None:
+        """Resolve a reply's future, log a node error, or bucket a status."""
+        if frame.kind in (K_REPLY, K_REPLY_ERROR):
+            asked, future = self._pending.get(frame.seq, (None, None))
+            if asked != frame.sender:
+                return  # only the node asked may answer
+            del self._pending[frame.seq]
+            if not future.done():
+                if frame.kind == K_REPLY:
+                    future.set_result(frame.body)
+                else:
+                    try:
+                        _raise_remote(frame.body)
+                    except DissentError as exc:
+                        future.set_exception(exc)
+            return
+        if frame.kind == K_NODE_ERROR:
             try:
-                fields = unpack_fields(frame.body)
-                round_number = fields[0] if fields and isinstance(fields[0], int) else -1
+                name, message = unpack_fields(frame.body)
             except ValueError:
-                round_number = -1
-            bucket = self._buckets.setdefault(
-                (frame.kind, round_number), asyncio.Queue()
-            )
-            bucket.put_nowait(frame)
+                name, message = "WireError", repr(frame.body)
+            self._node_errors.append(f"{frame.sender}: {name}: {message}")
+            return
+        try:
+            fields = unpack_fields(frame.body)
+            round_number = fields[0] if fields and isinstance(fields[0], int) else -1
+        except ValueError:
+            round_number = -1
+        bucket = self._buckets.setdefault((frame.kind, round_number), asyncio.Queue())
+        bucket.put_nowait(frame)
 
     async def _send(
         self, to: str, kind: str, seq: int, body: bytes, trace: bytes = b""
@@ -1588,11 +1609,3 @@ class NetworkedSession(Coordinator):
         """Queue an anonymous message from one client."""
         self._ask(self._client_names([client_index]), K_POST, pack_fields(message))
 
-    def delivered_messages(self, client_index: int = 0) -> list[tuple[int, int, bytes]]:
-        """(round, slot, message) triples as observed by one client."""
-        [blob] = self._ask(
-            self._client_names([client_index]), K_DELIVERED_REQUEST, pack_fields(0)
-        )
-        if not blob:
-            return []
-        return [tuple(unpack_fields(item)) for item in unpack_fields(blob)]

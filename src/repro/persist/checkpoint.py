@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 8, "kind": "...", "sha256": "<hex>", "payload": {...}}
+    {"version": 9, "kind": "...", "sha256": "<hex>", "payload": {...}}
 
 The checksum covers the canonical encoding of the payload, so silent
 corruption (truncated write, bit rot, concurrent editor) surfaces as a
@@ -39,7 +39,10 @@ from repro.util.serialization import canonical_json
 # history; its per-round pad commitments are gone.
 # 8: a hybrid client's sent history rides in its own client section; the
 # session-level ``hybrid`` section is gone, and every field is required.
-CHECKPOINT_VERSION = 8
+# 9: clients keep no delivery history and archives no cleartext; the
+# ``coordinator`` section holds the one delivery log (``delivered``) and the
+# slot schedule that decodes it (``delivery_schedule``).
+CHECKPOINT_VERSION = 9
 
 
 def _payload_digest(payload: dict) -> str:

@@ -250,7 +250,6 @@ def encode_archive(group: Group, archive: RoundArchive) -> dict:
             for k, env in archive.received_envelopes.items()
         },
         "server_ciphertexts": [blob.hex() for blob in archive.server_ciphertexts],
-        "cleartext": archive.cleartext.hex(),
         "participation": archive.participation,
     }
 
@@ -283,7 +282,6 @@ def decode_archive(group: Group, data: dict) -> RoundArchive:
             _hex(blob, "server ciphertext")
             for blob in _field(data, "server_ciphertexts", what, list)
         ],
-        cleartext=_hex(_require(data, "cleartext", what), "archived cleartext"),
         participation=_field(data, "participation", what, int),
     )
 
@@ -339,9 +337,6 @@ def encode_client_state(client: DissentClient) -> dict:
         ],
         "scheduler": encode_scheduler(client.scheduler),
         "outbox": [message.hex() for message in client.outbox],
-        "received": [
-            [r, slot, message.hex()] for r, slot, message in client.received
-        ],
         "last_participation": client.last_participation,
         "request_attempted": client._request_attempted,
         "sent": encode_sent_records(client._sent),
@@ -383,13 +378,6 @@ def decode_client_state(client: DissentClient, data: dict) -> None:
     client.outbox = deque(
         _hex(h, "queued message") for h in _field(data, "outbox", what, list)
     )
-    client.received = [
-        (r, slot, _hex(h, "received message"))
-        for r, slot, h in (
-            _row(entry, [int, int, str], "received message")
-            for entry in _field(data, "received", what, list)
-        )
-    ]
     client.last_participation = _field(
         data, "last_participation", what, int, optional=True
     )
@@ -483,6 +471,10 @@ def encode_coordinator_state(coordinator) -> dict:
     return {
         "round_number": coordinator.round_number,
         "records": [encode_record(group, record) for record in coordinator.records],
+        "delivery_schedule": encode_scheduler(coordinator.delivery_schedule),
+        "delivered": [
+            [r, slot, message.hex()] for r, slot, message in coordinator.delivered
+        ],
         "expelled": sorted(coordinator.expelled),
         "convicted_servers": sorted(coordinator.convicted_servers),
         "equivocation_proofs": [
@@ -503,6 +495,16 @@ def decode_coordinator_state(coordinator, data: dict) -> None:
     coordinator.round_number = _field(data, "round_number", what, int)
     coordinator.records = [
         decode_record(group, record) for record in _field(data, "records", what, list)
+    ]
+    coordinator.delivery_schedule = decode_scheduler(
+        _require(data, "delivery_schedule", what), definition.policy
+    )
+    coordinator.delivered = [
+        (r, slot, _hex(h, "delivered message"))
+        for r, slot, h in (
+            _row(entry, [int, int, str], "delivered message")
+            for entry in _field(data, "delivered", what, list)
+        )
     ]
     coordinator.expelled = _members(data, "expelled", what, definition.num_clients)
     coordinator.convicted_servers = _members(

@@ -15,6 +15,13 @@ def fresh_session(num_servers=3, num_clients=5, seed=7, policy=None):
     return session
 
 
+def assert_schedules_agree(session, clients):
+    """Each client has stepped the slot schedule exactly as the session's
+    delivery log did, so that log is what the client observed."""
+    for client in clients:
+        assert client.scheduler == session.delivery_schedule, client.name
+
+
 @contextlib.contextmanager
 def global_counters(prefix):
     """Record the ``{prefix}.*`` counters of the block; yields ``read(name)``.

@@ -61,7 +61,7 @@ class TestDisruptorClient:
         for _ in range(4):
             session.run_round()
         assert b"the dissident message" in [
-            m for (_, _, m) in session.clients[0].received
+            m for (_, _, m) in session.delivered_messages(0)
         ]
 
     def test_victim_detects_disruption(self):
@@ -101,7 +101,7 @@ class TestRequestJammer:
             if not session.clients[3].has_pending_traffic:
                 break
         assert b"gets through eventually" in [
-            m for (_, _, m) in session.clients[0].received
+            m for (_, _, m) in session.delivered_messages(0)
         ]
 
 

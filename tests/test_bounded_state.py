@@ -1,0 +1,175 @@
+"""Bounded state per member: what a long-lived group keeps between rounds.
+
+A round's output is a broadcast every client applies, so no member needs
+a round's bytes once the protocol is done with them.  These tests pin
+that down without reading RSS:
+
+* :class:`TestRetainedBytesPlateau` walks the bytes each member still
+  references after every round of a steady workload — a client's whole
+  state, a server's whole state with its archive — and asserts that
+  round 12 holds what round 4 held.  The one log that grows is the
+  session's delivery log, and it grows by exactly the bytes delivered.
+  (The hub's outboxes have their own plateau test,
+  ``tests/test_net_transport.py::TestOutboxPlateau``.)
+* :class:`TestNoLoopHoldsAFrame` looks into the suspended receive loops
+  of a networked session — every node's ``run``, the hub's ``attach`` per
+  link and the coordinator's ``_pump`` — and asserts that none still
+  binds the frame it last handled while it waits for the next one.
+"""
+
+import asyncio
+import types
+from collections import deque
+
+import pytest
+
+from repro.core import Policy
+from repro.net.runner import NetworkedSession
+from repro.net.wire import RoutedFrame
+
+_ATOMS = (
+    int,
+    float,
+    str,
+    bool,
+    type(None),
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.MethodType,
+    types.BuiltinFunctionType,
+)
+
+
+def retained_bytes(root) -> int:
+    """Bytes of every distinct bytes-like object reachable from ``root``
+    through containers and instance attributes (each object counted once)."""
+    seen: set[int] = set()
+    total = 0
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _ATOMS) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray)):
+            total += len(obj)
+        elif isinstance(obj, memoryview):
+            total += obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
+    return total
+
+
+def _members(session):
+    """The live client and server objects behind a loopback session."""
+    node = session._node_objects
+    return (
+        [node[session.node_name("client", i)].client for i in range(4)],
+        [node[session.node_name("server", j)].server for j in range(3)],
+    )
+
+
+class TestRetainedBytesPlateau:
+    def test_members_hold_the_same_at_round_12_as_at_round_4(self):
+        """4 clients each post 2,000 bytes every round.  Slots reach their
+        steady size by round 2, and with ``archive_rounds`` = 2 every
+        archived round from round 4 on is a steady one; from then on no
+        client or server holds a byte more, and the session log is the
+        only thing that grows."""
+        policy = Policy(archive_rounds=2)
+        with NetworkedSession.build(
+            num_servers=3,
+            num_clients=4,
+            seed=11,
+            mode="loopback",
+            group_name="test-256",
+            policy=policy,
+        ) as session:
+            session.setup()
+            clients, servers = _members(session)
+            held = {}
+            log_bytes = retained_bytes(session.delivered)
+            for round_index in range(1, 13):
+                for i in range(4):
+                    session.post(i, bytes([64 + round_index]) * 2000)
+                record = session.run_round()
+                assert record.certificate is not None
+                for server in servers:
+                    assert len(server.archive) <= policy.archive_rounds
+                held[round_index] = (
+                    [retained_bytes(client) for client in clients],
+                    [retained_bytes(server) for server in servers],
+                )
+                delivered = [
+                    message
+                    for r, _, message in session.delivered
+                    if r == record.round_number
+                ]
+                grown = retained_bytes(session.delivered) - log_bytes
+                assert grown == sum(map(len, delivered))
+                log_bytes += grown
+                if round_index >= 4:
+                    assert len(delivered) == 4  # one post per client a round
+        assert held[12] == held[4]
+
+
+#: The receive loops and the module each lives in.
+_LOOPS = {("run", "node.py"), ("attach", "runner.py"), ("_pump", "runner.py")}
+
+
+def _loop_frames():
+    """Every suspended receive-loop frame among the loop's tasks."""
+    frames = []
+    for task in asyncio.all_tasks():
+        coroutine = task.get_coro()
+        while coroutine is not None and hasattr(coroutine, "cr_frame"):
+            frame = coroutine.cr_frame
+            if frame is not None:
+                where = frame.f_code.co_filename.rsplit("/", 1)[-1]
+                if (frame.f_code.co_name, where) in _LOOPS:
+                    frames.append(frame)
+            coroutine = coroutine.cr_await
+    return frames
+
+
+class TestNoLoopHoldsAFrame:
+    @pytest.mark.parametrize("mode", ["loopback", "tcp"])
+    def test_waiting_loops_bind_no_handled_frame(self, mode):
+        """A frame lives only in the call that handles it.  A loop that
+        kept its last ``payload`` or decoded frame in a local would pin
+        one frame per link until the next one arrived — on bulk rounds,
+        ~500 KiB each."""
+        # No group named: DISSENT_GROUP_BACKEND picks it (CI's chaos job
+        # runs this under modp1536 and ec25519).
+        with NetworkedSession.build(
+            num_servers=3, num_clients=4, seed=11, mode=mode
+        ) as session:
+            session.setup()
+            for i in range(4):
+                session.post(i, b"x" * 2000)
+            for _ in range(3):
+                assert session.run_round().certificate is not None
+
+            async def inspect():
+                return [
+                    (frame.f_code.co_name, name, type(value).__name__)
+                    for frame in _loop_frames()
+                    for name, value in frame.f_locals.items()
+                    if isinstance(value, (bytes, bytearray, memoryview, RoutedFrame))
+                ], sorted(frame.f_code.co_name for frame in _loop_frames())
+
+            held, loops = session._call(inspect())
+        assert held == []
+        # Every loop was looked at: 7 nodes (a server's run awaits the
+        # shared one), one attach per link, one pump.
+        assert loops == sorted(["_pump"] + ["attach"] * 7 + ["run"] * 10)

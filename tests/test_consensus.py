@@ -308,9 +308,10 @@ class TestInProcessConsensus:
     def test_schedule_work_of_a_certified_round(
         self, monkeypatch, driver, num_clients
     ):
-        """Every one of the N + M members steps the slot schedule over the
-        round's output; the process takes that step once and unmasks each
-        open slot's padding once, not N + M times."""
+        """Every one of the N + M members, and the coordinator decoding the
+        session's delivery log, steps the slot schedule over the round's
+        output; the process takes that step once and unmasks each open
+        slot's padding once, not N + M + 1 times."""
         build = DissentSession.build if driver == "inprocess" else NetworkedSession.build
         session = build(
             num_servers=N_SERVERS,
@@ -327,7 +328,7 @@ class TestInProcessConsensus:
                 record = session.run_round()
             assert record.certificate.is_full(N_SERVERS)
             assert count("steps") == 1
-            assert count("step_hits") == num_clients + N_SERVERS - 1
+            assert count("step_hits") == num_clients + N_SERVERS
             assert decoded[None] == num_clients
         finally:
             if driver != "inprocess":

@@ -350,7 +350,7 @@ class TestVersionRefusal:
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_checkpoint_refused_by_version(self, tmp_path, old):
         # 1: v1 signatures; 2: control-plane state outside the shared
         # ``coordinator`` section; 3: archived rounds masked with SHAKE-256
@@ -358,11 +358,13 @@ class TestVersionRefusal:
         # and 5: a version-1 or version-2 group definition, whose policy
         # carries knobs this build's policy no longer has; 6: a hybrid
         # section carrying pad commitments; 7: a hybrid section beside the
-        # clients, whose sections now hold their sent history.
+        # clients, whose sections now hold their sent history; 8: clients
+        # holding their delivery history and archives their cleartext,
+        # where the coordinator now holds the session's one delivery log.
         path = tmp_path / "old.ckpt"
         write_checkpoint(path, {"round": 3}, kind="session")
         document = json.loads(path.read_text())
-        assert document["version"] == 8
+        assert document["version"] == 9
         document["version"] = old
         path.write_text(json.dumps(document))
         with pytest.raises(CheckpointError, match=f"version {old}"):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core import DissentSession
+from repro.core import DissentSession, Policy
 from repro.core.adversary import (
     DisruptingServer,
     DisruptorClient,
@@ -99,9 +99,10 @@ def drive_blame(session, victim=2, rounds=14):
         sorted(session.convicted_servers),
         outcome,
         session.delivered_messages(0),
-        # All eight fields of the coordinator's state as a checkpoint would
-        # hold them: round counter, records with their certificates,
-        # membership, convictions, proofs, slot schedule and the RNG.
+        # All ten fields of the coordinator's state as a checkpoint would
+        # hold them: round counter, records with their certificates, the
+        # delivery log and its schedule, membership, convictions, proofs,
+        # slot schedule and the RNG.
         canonical_json(encode_coordinator_state(session)),
     )
 
@@ -295,6 +296,33 @@ class TestSurface:
             assert record.status is RoundStatus.FAILED
             assert record.participation == expected.participation == 3
             assert [r.round_number for r in session.records] == [0, 1]
+
+    def test_a_dark_clients_deliveries_answer_locally(self):
+        """The coordinator keeps the session's delivery log, so asking what
+        a dark client was delivered needs no frame to it: the answer is the
+        log, at once, and it keeps growing while the client is away."""
+        with NetworkedSession.build(
+            num_servers=2,
+            num_clients=4,
+            seed=4,
+            mode="loopback",
+            timeout=2.0,
+            policy=Policy(alpha=0.0),
+        ) as session:
+            session.setup()
+            session.post(1, b"before the dark")
+            session.run_rounds(2)
+            session.kill_node("client", 3)
+            session.wait_dark(session.node_name("client", 3), timeout=10.0)
+            session.post(0, b"while client 3 is dark")
+            records = session.run_rounds(3, online={0, 1, 2})
+            assert all(record.completed for record in records)
+            delivered = session.delivered_messages(3)
+            assert [m for _, _, m in delivered] == [
+                b"before the dark",
+                b"while client 3 is dark",
+            ]
+            assert delivered == session.delivered_messages(0)
 
     def test_close_is_idempotent(self):
         session = NetworkedSession.build(

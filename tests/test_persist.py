@@ -8,6 +8,7 @@ group backends (satellite requirement), including scheduler and PRNG
 state.
 """
 
+import collections
 import contextlib
 import json
 import os
@@ -332,17 +333,24 @@ class TestMutatedCheckpoints:
         session.run_rounds(3)
         snapshot = session.snapshot_state()
         assert any(c["sent_history"] for c in snapshot["clients"])
-        refused = 0
+        # The walk reaches the session's one delivery log and its schedule.
+        assert snapshot["coordinator"]["delivered"]
+        assert snapshot["coordinator"]["delivery_schedule"]["round_number"] == 3
+        refused = collections.Counter()
         for path in list(_leaf_paths(snapshot)):
             for value in (_DROP, "zz", None, 7):
                 with _mutated(snapshot, path, value) as mutated:
                     try:
                         session.restore_state(mutated)
                     except CheckpointError:
-                        refused += 1
+                        refused[path[:2]] += 1
                         continue
                     assert session.snapshot_state() == mutated, (path, value)
-        assert refused > 800
+        assert sum(refused.values()) > 800
+        # Both new fields are decoded as strictly as the rest: the list, its
+        # rows and their three fields; the schedule and its three fields.
+        assert refused["coordinator", "delivered"] >= 20
+        assert refused["coordinator", "delivery_schedule"] >= 12
         session.restore_state(snapshot)
         assert session.snapshot_state() == snapshot
 
@@ -383,10 +391,12 @@ class TestSessionRoundTrip:
 
 
 class TestCheckpointVersion:
-    def test_an_xor_payload_is_unchanged_but_for_the_version(self, tmp_path):
-        """Version 8 moved only hybrid state into the client sections: an
-        XOR session writes the payload version 7 wrote, byte for byte (the
-        digest below is of a version-7 build's payload)."""
+    def test_the_version_9_payload_is_pinned(self, tmp_path):
+        """Version 9 keeps one delivery log per session: no client section
+        holds a delivery history and no archive a cleartext; the
+        coordinator section holds the log and the schedule that decodes it.
+        The payload is pinned byte for byte, and a version-8 file is
+        refused."""
         path = tmp_path / "xor.ckpt"
         session = built_session()
         session.post(0, b"before the barrier")
@@ -394,11 +404,30 @@ class TestCheckpointVersion:
         session.run_rounds(2)
         save_session(session, path)
         document = json.loads(path.read_text())
-        assert document["version"] == CHECKPOINT_VERSION == 8
-        assert document["sha256"] == (
-            "f9c1cdd3a7cdfd7809b9a21dc18e4b2ce1b60494d5a6c5ca64bbb9b7f6643db7"
+        assert document["version"] == CHECKPOINT_VERSION == 9
+        payload = document["payload"]
+        assert all(
+            "received" not in c and "sent_history" not in c
+            for c in payload["clients"]
         )
-        assert all("sent_history" not in c for c in document["payload"]["clients"])
+        archives = [a for s in payload["servers"] for a in s["archive"].values()]
+        assert archives and all("cleartext" not in a for a in archives)
+        coordinator = payload["coordinator"]
+        # One round delivers both posts, in slot order.
+        assert coordinator["delivered"] == sorted(
+            [1, session.clients[i].slot, message.hex()]
+            for i, message in ((0, b"before the barrier"), (2, b"queued across it"))
+        )
+        assert coordinator["delivery_schedule"] == encode_scheduler(
+            session.clients[0].scheduler
+        )
+        assert document["sha256"] == (
+            "97068f80510754bf2382e88b54353f0efcc212eb3d014c9a1e04c45e441de900"
+        )
+        document["version"] = 8
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint(path)
 
 
 class TestHybridRoundTrip:

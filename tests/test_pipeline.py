@@ -25,6 +25,7 @@ from repro.crypto import prng
 from repro.errors import ProtocolError
 from repro.verdict.hybrid import build_hybrid_with_disruptor
 from repro.verdict.session import VerdictSession
+from tests.helpers import assert_schedules_agree
 
 WINDOWS = (1, 2, 4, 8)
 
@@ -110,8 +111,13 @@ def _assert_identical(lock, lock_records, pipe_session, pipe_records):
     assert pipe_session.records == lock.records
     assert lock.expelled == pipe_session.expelled
     assert lock.convicted_servers == pipe_session.convicted_servers
+    # One delivery log per session, and every client stepped the schedule
+    # that decodes it: each client observed exactly the log.
+    assert pipe_session.delivered == lock.delivered
+    assert pipe_session.delivery_schedule == lock.delivery_schedule
+    assert_schedules_agree(lock, lock.clients)
+    assert_schedules_agree(pipe_session, pipe_session.clients)
     for lc, pc in zip(lock.clients, pipe_session.clients):
-        assert lc.received == pc.received
         assert list(lc.outbox) == list(pc.outbox)
         assert lc.last_participation == pc.last_participation
 

@@ -313,8 +313,9 @@ class TestCoordinatorRestore:
     def test_coordinator_section_is_the_in_process_one(self, tmp_path):
         """A networked and an in-process checkpoint cut at the same barrier
         hold byte-equal ``coordinator`` sections — round counter, records
-        and certificates, membership, convictions, proofs, slot schedule,
-        RNG — and still do one round after both are restored."""
+        and certificates, the delivery log and its schedule, membership,
+        convictions, proofs, slot schedule, RNG — and still do one round
+        after both are restored."""
         inproc = build_matched_inprocess(GROUP, 2, 3, seed=31)
         drive(inproc, 2)
         save_session(inproc, tmp_path / "inproc.ckpt")
@@ -328,7 +329,7 @@ class TestCoordinatorRestore:
 
         shared = section("net.ckpt", "net-session")
         assert shared == section("inproc.ckpt", "session")
-        assert len(json.loads(shared)) == 8
+        assert len(json.loads(shared)) == 10
 
         fresh = build_matched_inprocess(GROUP, 2, 3, seed=31)
         restore_session(fresh, tmp_path / "inproc.ckpt")

@@ -2,9 +2,10 @@
 
 import pytest
 
-from tests.helpers import fresh_session
-from repro.core import DissentSession, Policy, RoundStatus
-from repro.errors import ProtocolError
+from tests.helpers import assert_schedules_agree, fresh_session
+from repro.core import DissentSession, PipelinedSession, Policy, RoundStatus
+from repro.errors import ConfigError, ProtocolError
+from repro.net.runner import NetworkedSession
 
 
 class TestSetup:
@@ -32,15 +33,19 @@ class TestMessaging:
         session = fresh_session(seed=42)
         session.post(2, b"anonymous hello")
         session.run_until_quiet()
-        for client in session.clients:
-            assert b"anonymous hello" in [m for (_, _, m) in client.received]
+        for i in range(len(session.clients)):
+            assert b"anonymous hello" in [
+                m for (_, _, m) in session.delivered_messages(i)
+            ]
 
     def test_message_attributed_to_slot_not_client(self):
         session = fresh_session(seed=43)
         session.post(2, b"whoami")
         session.run_until_quiet()
         deliveries = [
-            (slot, m) for (_, slot, m) in session.clients[0].received if m == b"whoami"
+            (slot, m)
+            for (_, slot, m) in session.delivered_messages(0)
+            if m == b"whoami"
         ]
         assert len(deliveries) == 1
         assert deliveries[0][0] == session.clients[2].slot
@@ -50,7 +55,7 @@ class TestMessaging:
         for i in range(5):
             session.post(i, f"msg-{i}".encode())
         session.run_until_quiet()
-        got = {m for (_, _, m) in session.clients[3].received}
+        got = {m for (_, _, m) in session.delivered_messages(3)}
         assert got == {f"msg-{i}".encode() for i in range(5)}
 
     def test_multiple_messages_one_sender_in_order(self):
@@ -61,7 +66,7 @@ class TestMessaging:
         session.run_until_quiet()
         ours = [
             m
-            for (_, slot, m) in session.clients[0].received
+            for (_, slot, m) in session.delivered_messages(0)
             if slot == session.clients[1].slot
         ]
         assert ours == [b"first", b"second", b"third"]
@@ -71,15 +76,24 @@ class TestMessaging:
         big = bytes(range(256)) * 8  # 2 KB > initial 128 B slot
         session.post(0, big)
         session.run_until_quiet()
-        assert big in [m for (_, _, m) in session.clients[4].received]
+        assert big in [m for (_, _, m) in session.delivered_messages(4)]
 
     def test_all_clients_see_identical_stream(self):
+        """A client's stream is the outputs decoded under its schedule, so
+        every client whose schedule is the session's sees the session's
+        log — checked after every round, not only at the end."""
         session = fresh_session(seed=47)
         session.post(0, b"a")
         session.post(3, b"b")
-        session.run_until_quiet()
-        streams = {tuple(c.received) for c in session.clients}
-        assert len(streams) == 1
+        session.post(1, b"c" * 300)  # grows its slot past the initial 128 B
+        for _ in range(6):
+            session.run_round()
+            assert_schedules_agree(session, session.clients)
+        assert {m for (_, _, m) in session.delivered_messages(2)} == {
+            b"a",
+            b"b",
+            b"c" * 300,
+        }
 
 
 class TestChurn:
@@ -96,7 +110,7 @@ class TestChurn:
         assert session.clients[4].has_pending_traffic
         session.run_round()  # request bit
         session.run_round()  # send
-        assert b"delayed" in [m for (_, _, m) in session.clients[0].received]
+        assert b"delayed" in [m for (_, _, m) in session.delivered_messages(0)]
 
     def test_alpha_floor_fails_round(self):
         session = fresh_session(seed=52, policy=Policy(alpha=0.9))
@@ -122,17 +136,17 @@ class TestChurn:
         session.run_round()  # all back online: resend
         session.run_round()
         assert b"survives failure" in [
-            m for (_, _, m) in session.clients[1].received
+            m for (_, _, m) in session.delivered_messages(1)
         ]
 
     def test_offline_client_rejoins_consistently(self):
         session = fresh_session(seed=55, policy=Policy(alpha=0.0))
         session.post(1, b"while away")
-        session.run_round(online={0, 1, 2, 3})
-        session.run_round(online={0, 1, 2, 3})
-        session.run_round()  # client 4 returns
-        streams = {tuple(c.received) for c in session.clients}
-        assert len(streams) == 1
+        for online in ({0, 1, 2, 3}, {0, 1, 2, 3}, None):  # client 4 returns
+            session.run_round(online=online)
+            # An offline client still applies the certified output.
+            assert_schedules_agree(session, session.clients)
+        assert b"while away" in [m for (_, _, m) in session.delivered_messages(4)]
 
 
 class TestParticipationMetrics:
@@ -153,3 +167,61 @@ class TestParticipationMetrics:
         session.run_round()
         session.run_round()
         assert not session.clients[0].has_pending_traffic
+
+
+class TestSchedulesAgree:
+    """The session keeps the one delivery log; it is every client's only
+    if every client steps the slot schedule as the session does.  Checked
+    after every round of the pipelined and networked drivers, with posts
+    that open, grow and close slots (lockstep: ``TestMessaging`` and
+    ``TestChurn`` above)."""
+
+    POSTS = {0: b"a" * 300, 2: b"b", 3: b"c" * 40}
+
+    def _post(self, session):
+        for i, message in self.POSTS.items():
+            session.post(i, message)
+
+    def _assert_delivered(self, session):
+        assert {m for (_, _, m) in session.delivered_messages(1)} == set(
+            self.POSTS.values()
+        )
+
+    def test_pipelined_window_4(self):
+        session = fresh_session(seed=48)
+        self._post(session)
+        checked = []
+        after_output = session.after_output
+
+        def check_then_continue(record):
+            # Clients have applied this round's outcome (drained or not).
+            assert_schedules_agree(session, session.clients)
+            checked.append(record.round_number)
+            after_output(record)
+
+        session.after_output = check_then_continue
+        PipelinedSession(session, window=4).run_rounds(6)
+        assert checked == list(range(6))
+        self._assert_delivered(session)
+
+    def test_networked(self):
+        with NetworkedSession.build(
+            num_servers=3, num_clients=5, seed=48, mode="loopback"
+        ) as session:
+            session.setup()
+            self._post(session)
+            clients = [
+                session._node_objects[session.node_name("client", i)].client
+                for i in range(5)
+            ]
+            for _ in range(6):
+                session.run_round()
+                assert_schedules_agree(session, clients)
+            self._assert_delivered(session)
+
+    def test_index_is_validated(self):
+        session = fresh_session(seed=48)
+        with pytest.raises(ConfigError):
+            session.delivered_messages(5)
+        with pytest.raises(ConfigError):
+            session.delivered_messages(-1)
