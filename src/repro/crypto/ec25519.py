@@ -25,14 +25,16 @@ blame verify shuffle links by the hundreds):
 
 * **fixed bases** (the generator, roster keys, combined shuffle keys)
   walk a cached signed fixed-window table (:class:`_Comb`) held in
-  *cached-affine* form ``(y+x, y-x, 2dxy)`` — three field elements an
-  entry, one 7-multiplication :func:`_madd` a row, a negative digit being
-  the stored entry with two coordinates swapped and one negated.  The
-  generator's table is 9 bits wide (29 additions an exponentiation,
-  7,424 entries, built once per process in ~60 ms), every other base's 6
-  (43 additions, 1,376 entries, ~10 ms to build — about eight ladder
-  exponentiations); which one a base gets follows from whether it is the
-  generator, nothing a caller chooses;
+  *cached-affine* form ``(y+x, y-x, 2dxy)`` — three field elements packed
+  into one 768-bit int an entry, one 7-multiplication :func:`_madd` a
+  row, a negative digit being the stored entry with two fields swapped
+  and one negated.  The generator's table is 9 bits wide (29 additions an
+  exponentiation, 7,424 entries, 987 KiB, built once per process in
+  ~60 ms), every other base's 6 (43 additions, 1,376 entries, 185 KiB,
+  ~10 ms to build — about eight ladder exponentiations); which one a base
+  gets follows from whether it is the generator, nothing a caller
+  chooses.  A process keeps one table per roster key, so their bytes are
+  a per-member cost;
 * a product made **only of table walks** — ``exp_fixed``, so every
   signature's commitment, and any ``multiexp`` without a transient base —
   and the single ladder of ``exp`` raise to *half* of each exponent and
@@ -185,7 +187,7 @@ def _neg(p1):
     return ((P - x1) % P, y1, z1, (P - t1) % P)
 
 
-def _madd(p1, n2):
+def _madd(p1, y_plus_x, y_minus_x, t2d):
     """Mixed addition: extended point + cached-affine ``(y+x, y-x, 2dxy)``.
 
     The table-entry form drops Z (it is 1) and carries the products the
@@ -193,7 +195,6 @@ def _madd(p1, n2):
     multiplications instead of :func:`_add`'s 9 (madd-2008-hwcd-3).
     """
     x1, y1, z1, t1 = p1
-    y_plus_x, y_minus_x, t2d = n2
     a = (y1 - x1) * y_minus_x % P
     b = (y1 + x1) * y_plus_x % P
     c = t1 * t2d % P
@@ -228,16 +229,22 @@ def _cached_affine(points):
     return entries
 
 
+#: One 256-bit field of a packed table entry (:class:`_Comb`).
+_FIELD_MASK = (1 << 256) - 1
+
+
 class _Comb:
     """Signed fixed-window table of one base: a mixed addition a row.
 
     Row ``i`` holds ``d * 2**(w*i) * base`` for ``d`` in ``1..2**(w-1)``
-    as cached-affine ``(y+x, y-x, 2dxy)`` triples (one inversion
-    normalises the whole table).  Adding ``offset`` — ``2**(w-1)`` in every
-    window — to an exponent turns each window into ``digit + 2**(w-1)``
-    with no carries between windows, so the digits lie in
-    ``-2**(w-1) .. 2**(w-1)-1`` and a negative one is the stored entry with
-    its first two coordinates swapped and the third negated: half the
+    in cached-affine form (one inversion normalises the whole table), each
+    entry one int ``(y+x) | (y-x) << 256 | 2dxy << 512``: a 768-bit int is
+    128 bytes, a tuple of three field elements about 280, and the walk
+    unpacks it with two shifts and two masks.  Adding ``offset`` —
+    ``2**(w-1)`` in every window — to an exponent turns each window into
+    ``digit + 2**(w-1)`` with no carries between windows, so the digits lie
+    in ``-2**(w-1) .. 2**(w-1)-1`` and a negative one is the stored entry
+    with its first two fields swapped and the third negated: half the
     entries of an unsigned table of the same width.
     """
 
@@ -254,7 +261,10 @@ class _Comb:
                 multiple = _add(multiple, point)
                 multiples.append(multiple)
             point = _dbl(multiple)  # 2 * 2**(w-1): the next row's base
-        entries = _cached_affine(multiples)
+        entries = [
+            y_plus_x | y_minus_x << 256 | t2d << 512
+            for y_plus_x, y_minus_x, t2d in _cached_affine(multiples)
+        ]
         self.width = width
         self.offset = sum(half << (width * i) for i in range(count))
         self.rows = tuple(
@@ -272,10 +282,15 @@ class _Comb:
         for row in self.rows:
             digit = (e & mask) - half
             if digit > 0:
-                acc = _madd(acc, row[digit - 1])
+                entry = row[digit - 1]
+                high = entry >> 256
+                acc = _madd(acc, entry & _FIELD_MASK, high & _FIELD_MASK, high >> 256)
             elif digit:
-                y_plus_x, y_minus_x, t2d = row[-digit - 1]
-                acc = _madd(acc, (y_minus_x, y_plus_x, -t2d))
+                entry = row[-digit - 1]
+                high = entry >> 256
+                acc = _madd(
+                    acc, high & _FIELD_MASK, entry & _FIELD_MASK, -(high >> 256)
+                )
             e >>= width
         return acc
 
@@ -458,9 +473,9 @@ class RistrettoGroup(Group):
     DECODE_CACHE = 4096
 
     #: Fixed-base table cache entries (matches the modp LRU bound).  A
-    #: key's table is 43 rows x 32 cached-affine entries of 3 ints — about
-    #: 0.35 MB — and the generator's 29 x 256, 1.9 MB, so a full cache
-    #: stays under 36 MB.
+    #: key's table is 43 rows x 32 packed cached-affine entries — 185 KiB
+    #: by ``sys.getsizeof`` over rows and entries — and the generator's
+    #: 29 x 256, 987 KiB, so a full cache stays under 19 MiB.
     TABLE_CACHE = 96
 
     def __init__(self) -> None:

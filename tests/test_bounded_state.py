@@ -15,6 +15,9 @@ that down without reading RSS:
   of a networked session — every node's ``run``, the hub's ``attach`` per
   link and the coordinator's ``_pump`` — and asserts that none still
   binds the frame it last handled while it waits for the next one.
+* :class:`TestTableCensus` lists the fixed-base tables an ec25519 process
+  keeps (one per roster key, ``tests/test_ec_kernels.py::TestTableResidency``
+  sizes each) and asserts that rounds add none.
 """
 
 import asyncio
@@ -23,7 +26,8 @@ from collections import deque
 
 import pytest
 
-from repro.core import Policy
+from repro.core import DissentSession, Policy
+from repro.crypto.ec25519 import ec_group
 from repro.net.runner import NetworkedSession
 from repro.net.wire import RoutedFrame
 
@@ -173,3 +177,26 @@ class TestNoLoopHoldsAFrame:
         # Every loop was looked at: 7 nodes (a server's run awaits the
         # shared one), one attach per link, one pump.
         assert loops == sorted(["_pump"] + ["attach"] * 7 + ["run"] * 10)
+
+
+class TestTableCensus:
+    def test_set_up_tables_every_roster_key_and_rounds_table_none(self):
+        """Every server checks every client's signature every round, so
+        each roster key earns a fixed-base table at set-up; after that a
+        round walks tables it already has.  The table cache belongs to the
+        process, so the census compares its key set before and after."""
+        group = ec_group()
+        session = DissentSession.build(
+            "ec25519", num_servers=3, num_clients=4, seed=41
+        )
+        session.setup()
+        tabled = set(group._tables._data)
+        definition = session.definition
+        roster = [key.y for key in (*definition.server_keys, *definition.client_keys)]
+        assert {group.g, *roster} <= tabled
+        for round_index in range(8):
+            for i in range(4):
+                session.post(i, b"census %d" % round_index)
+            session.run_round()
+        assert len(session.delivered) == 32
+        assert set(group._tables._data) - tabled == set()

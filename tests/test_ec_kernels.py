@@ -23,6 +23,7 @@ Four contracts:
 import dataclasses
 import random
 import secrets
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -122,13 +123,23 @@ class TestScalarKernels:
         # The generator takes the wide table, everything else one no larger
         # than the 51 x 31 = 1,581 entries of an unsigned 5-bit table.
         (roster,) = _elements(1, 9)
+        rng = random.Random(9)
         for base, width, rows in ((GROUP.g, 9, 29), (roster, 6, 43)):
             comb = GROUP._comb(base)
             assert comb.width == width
             assert len(comb.rows) == rows == -(-L.bit_length() // width)
             assert all(len(row) == 1 << (width - 1) for row in comb.rows)
-            assert all(len(entry) == 3 for row in comb.rows for entry in row)
+            for row in comb.rows:
+                for entry in row:
+                    assert all(field < ec.P for field in _unpack(entry))
             assert L + comb.offset < 1 << (width * rows)
+            point = GROUP._point(base)  # the coset member the table holds
+            for i, d in [(0, 1), (rows - 1, 1 << (width - 1))] + [
+                (rng.randrange(rows), rng.randrange(1, 1 << (width - 1)))
+                for _ in range(6)
+            ]:
+                (expected,) = ec._cached_affine([_ref_mul(point, d << (width * i))])
+                assert _unpack(comb.rows[i][d - 1]) == expected
         assert 43 * 32 <= 1581
 
     def test_cached_affine_matches_pointwise_normalisation(self):
@@ -142,9 +153,40 @@ class TestScalarKernels:
             x, y = x * z_inv % ec.P, y * z_inv % ec.P
             assert (y_plus_x, y_minus_x) == ((y + x) % ec.P, (y - x) % ec.P)
             assert t2d == 2 * ec.D * x * y % ec.P
-            assert ec._encode(ec._madd(points[0], (y_plus_x, y_minus_x, t2d))) == (
+            assert ec._encode(ec._madd(points[0], y_plus_x, y_minus_x, t2d)) == (
                 ec._encode(ec._add(points[0], point))
             )
+
+
+def _unpack(entry: int) -> tuple[int, int, int]:
+    """A packed table entry's ``(y+x, y-x, 2dxy)``."""
+    mask = (1 << 256) - 1
+    return entry & mask, entry >> 256 & mask, entry >> 512
+
+
+def _table_bytes(comb) -> int:
+    """``sys.getsizeof`` of a table's row tuples and of every entry in them."""
+    total = sys.getsizeof(comb.rows)
+    for row in comb.rows:
+        total += sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    return total
+
+
+class TestTableResidency:
+    """Every process holds one table per roster key, so a table's bytes
+    are a per-member cost: one packed int an entry (185 and 987 KiB); a
+    tuple of three ints an entry, counted with its ints, is 341 and
+    1,828 KiB."""
+
+    def test_a_roster_key_table_fits_200_kib(self):
+        comb = GROUP._comb(_elements(1, 23)[0])
+        assert all(type(entry) is int for row in comb.rows for entry in row)
+        assert _table_bytes(comb) <= 200 * 1024
+
+    def test_the_generator_table_fits_1_05_mib(self):
+        comb = GROUP._comb(GROUP.g)
+        assert all(type(entry) is int for row in comb.rows for entry in row)
+        assert _table_bytes(comb) <= 1.05 * 1024 * 1024
 
 
 # -- the fixed-base kernels against the references ----------------------------
