@@ -30,7 +30,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.crypto import schnorr
-from repro.crypto.groups import hot_bases_within_budget
 from repro.errors import InvalidProof, InvalidSignature, ProtocolError
 from repro.net.message import (
     LEADER_PROPOSE,
@@ -130,10 +129,9 @@ def _invalid_vote_positions(
         )
         for index, signature in votes
     ]
-    hot = hot_bases_within_budget(key.y for key in definition.server_keys)
-    if schnorr.batch_verify(items, hot_bases=hot):
+    if schnorr.batch_verify(items):
         return ()
-    return schnorr.find_invalid(items, hot_bases=hot, known_failed=True)
+    return schnorr.find_invalid(items, known_failed=True)
 
 
 def find_invalid_votes(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.crypto import dh, prng
-from repro.crypto.groups import Group, hot_bases_within_budget
+from repro.crypto.groups import Group
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.proofs import DleqProof, prove_dleq, verify_dleq
 from repro.crypto.schnorr import Signature, sign as schnorr_sign, verify as schnorr_verify
@@ -286,9 +286,7 @@ def run_trace(
                 continue
             items.append((envelope, client_publics[i]))
             item_positions.append(position)
-        invalid = batch_verify_envelopes(
-            items, hot_bases=hot_bases_within_budget(key.y for _, key in items)
-        )
+        invalid = batch_verify_envelopes(items)
         bad_positions.extend(item_positions[idx] for idx in invalid)
         if bad_positions:
             i = assigned[min(bad_positions)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ from repro.core.schedule import (
     encode_slot,
 )
 from repro.crypto import dh, prng, shuffle
-from repro.crypto.groups import hot_bases_within_budget
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto import schnorr
 from repro.crypto.shuffle import CipherVector
@@ -140,10 +140,15 @@ class DissentClient:
         self.group = definition.group
         self.group_id = definition.group_id()
         self.policy = definition.policy
+        # A client walks the M server keys every round (output signatures)
+        # and once each for its DH secrets, which come after the pin.
+        self._pin = self.group.pin(key.y for key in definition.server_keys)
         self.secrets = [
             dh.shared_secret(key, server_key)
             for server_key in definition.server_keys
         ]
+        # The pin dies with the client; its pad states go with it.
+        weakref.finalize(self, prng.forget_pair_states, tuple(self.secrets))
         self.scheduler = Scheduler(definition.num_clients, definition.policy)
         self.pseudonym: PrivateKey | None = None
         self.slot: int | None = None
@@ -412,9 +417,9 @@ class DissentClient:
         """Check all M server signatures before trusting a round output.
 
         Algorithm 1 step 3, once per client.  The server keys are this
-        client's hottest recurring bases, so the set goes through
-        :func:`repro.crypto.schnorr.batch_verify` on their fixed-base
-        tables: M equations one at a time up to the backend's
+        client's hottest recurring bases, pinned at construction, so the
+        set goes through :func:`repro.crypto.schnorr.batch_verify` on their
+        fixed-base tables: M equations one at a time up to the backend's
         ``hot_batch_max`` servers (3 on modp, any number on ec25519), one
         multi-exponentiation above.  The first client a process hosts
         pays for that; the clients beside it submit the same M signatures
@@ -432,10 +437,7 @@ class DissentClient:
                 for server_key, signature in zip(
                     self.definition.server_keys, output.signatures
                 )
-            ],
-            hot_bases=hot_bases_within_budget(
-                key.y for key in self.definition.server_keys
-            ),
+            ]
         ):
             raise InvalidSignature("server signature on round output invalid")
 

@@ -55,7 +55,7 @@ from repro.core.keyshuffle import (
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.schedule import Scheduler
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.shuffle import message_vector_width
+from repro.crypto.shuffle import cascade_bases, message_vector_width
 from repro.errors import AccusationError, ProtocolError, TraceInconclusive
 from repro.obs import NULL_REGISTRY, NULL_TRACER
 
@@ -97,6 +97,8 @@ class Coordinator:
     ) -> None:
         self.definition = definition
         self._server_keys = list(server_keys)
+        # Every round's certificate is checked under the M server keys.
+        self._pin = definition.group.pin(key.y for key in definition.server_keys)
         # The ten mutable fields from here to ``rng`` are the whole of the
         # coordinator's state: :func:`repro.persist.codec.encode_coordinator_state`
         # is the one snapshot of them, the same section in an in-process
@@ -147,18 +149,22 @@ class Coordinator:
             raise ProtocolError("session already scheduled")
         purpose = b"dissent.key-shuffle|" + self.definition.group_id()
         privates, publics = self._session_keys(purpose)
-        # Clients sign their onion-encrypted submissions (bound to this
-        # run's ephemeral mix keys, so they cannot be replayed into a
-        # later session); one batched multi-exponentiation authenticates
-        # the whole set before the cascade spends any mixing work on it.
-        submissions = open_shuffle_submissions(
-            self.definition,
-            self._scheduling_submissions(purpose, publics),
-            shuffle_run_id(purpose, publics),
-        )
-        result = run_key_shuffle(
-            self.definition, privates, submissions, context=purpose, rng=self.rng
-        )
+        # The mix keys' tables serve this shuffle only: released at its
+        # end, they are the first a later pin evicts.
+        with self.definition.group.pin(cascade_bases(publics)):
+            # Clients sign their onion-encrypted submissions (bound to this
+            # run's ephemeral mix keys, so they cannot be replayed into a
+            # later session); one batched multi-exponentiation
+            # authenticates the whole set before the cascade spends any
+            # mixing work on it.
+            submissions = open_shuffle_submissions(
+                self.definition,
+                self._scheduling_submissions(purpose, publics),
+                shuffle_run_id(purpose, publics),
+            )
+            result = run_key_shuffle(
+                self.definition, privates, submissions, context=purpose, rng=self.rng
+            )
         self.slot_elements = list(result.slot_elements)
         self._learn_schedule(self.slot_elements)
         self.scheduled = True
@@ -318,13 +324,14 @@ class Coordinator:
                 definition.group, accusation_max_bytes(definition.group)
             )
             participants = self.submitters(None)
-            result = run_message_shuffle(
-                definition,
-                privates,
-                self._accusation_submissions(participants, publics, width),
-                context=purpose,
-                rng=self.rng,
-            )
+            with definition.group.pin(cascade_bases(publics)):
+                result = run_message_shuffle(
+                    definition,
+                    privates,
+                    self._accusation_submissions(participants, publics, width),
+                    context=purpose,
+                    rng=self.rng,
+                )
             verdicts: list[TraceVerdict] = []
             for message in result.messages:
                 if not message:

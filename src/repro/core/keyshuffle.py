@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from repro.core.config import GroupDefinition
 from repro.crypto import schnorr, shuffle
 from repro.crypto.elgamal import Ciphertext
-from repro.crypto.groups import Group, hot_bases_within_budget
+from repro.crypto.groups import Group
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.schnorr import Signature, sign as schnorr_sign
 from repro.crypto.shuffle import CipherVector, ShuffleTranscript
@@ -75,7 +75,7 @@ def verify_session_keys(
     """Validate every server's signed ephemeral key; returns them in order.
 
     All M signatures are folded into one multi-exponentiation (the
-    long-term server keys are hot fixed-base tables); a failing batch
+    long-term server keys walk the tables members pin); a failing batch
     bisects to the exact forger, so the verdict matches per-key checks.
     """
     if len(session_keys) != definition.num_servers:
@@ -91,9 +91,8 @@ def verify_session_keys(
         )
         for j, session_key in enumerate(session_keys)
     ]
-    hot = hot_bases_within_budget(key.y for key in definition.server_keys)
-    if not schnorr.batch_verify(items, hot_bases=hot):
-        culprit = schnorr.find_invalid(items, hot_bases=hot, known_failed=True)[0]
+    if not schnorr.batch_verify(items):
+        culprit = schnorr.find_invalid(items, known_failed=True)[0]
         raise ShuffleError(f"server {culprit} shuffle key signature invalid")
     return [session_key.public for session_key in session_keys]
 
@@ -177,7 +176,7 @@ def open_shuffle_submissions(
     """Screen, batch-verify, and decode all signed shuffle submissions.
 
     One multi-exponentiation covers every client's envelope signature
-    (client long-term keys ride the hot fixed-base tables when they fit);
+    (client long-term keys walk the tables their servers pin);
     a failing batch bisects to the exact forged submissions and raises
     naming them.  Returns the decoded cipher vectors in client order.
     """
@@ -198,12 +197,7 @@ def open_shuffle_submissions(
         (envelope, definition.client_keys[i])
         for i, envelope in enumerate(envelopes)
     ]
-    invalid = batch_verify_envelopes(
-        items,
-        hot_bases=hot_bases_within_budget(
-            key.y for key in definition.client_keys
-        ),
-    )
+    invalid = batch_verify_envelopes(items)
     if invalid:
         culprits = ", ".join(envelopes[i].sender for i in invalid)
         raise ShuffleError(f"shuffle submission signature invalid: {culprits}")

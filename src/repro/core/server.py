@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from repro.core.accusation import RoundEvidence, TraceDisclosure
@@ -41,7 +42,6 @@ from repro.core.config import GroupDefinition
 from repro.core.rounds import RoundOutput, output_digest
 from repro.core.schedule import RoundLayout, Scheduler, SlotContent
 from repro.crypto import dh, prng
-from repro.crypto.groups import hot_bases_within_budget
 from repro.crypto.hashing import commit as hash_commit, verify_commit
 from repro.crypto.keys import PrivateKey
 from repro.crypto import schnorr
@@ -153,10 +153,23 @@ class DissentServer:
         self.group = definition.group
         self.group_id = definition.group_id()
         self.policy = definition.policy
+        # What this server walks every round: its upstream clients' keys
+        # (their ciphertexts) and every server's (peer envelopes, output
+        # signatures).  Pinned before the DH secrets, which walk them too.
+        self._pin = self.group.pin(
+            [key.y for key in definition.server_keys]
+            + [
+                key.y
+                for i, key in enumerate(definition.client_keys)
+                if definition.upstream_server(i) == index
+            ]
+        )
         self.secrets = {
             i: dh.shared_secret(key, client_key)
             for i, client_key in enumerate(definition.client_keys)
         }
+        # The pin dies with the server; its pad states go with it.
+        weakref.finalize(self, prng.forget_pair_states, tuple(self.secrets.values()))
         self.scheduler = Scheduler(definition.num_clients, definition.policy)
         self.slot_keys: list[int] = []
         self.expelled: set[int] = set()
@@ -197,10 +210,11 @@ class DissentServer:
         Structural screening (type, round, group id, sender, body length)
         is per envelope and costs no crypto; the surviving
         signatures are then checked with **one** multi-exponentiation
-        (:func:`repro.net.message.batch_verify_envelopes`), with the
-        clients' long-term keys as hot fixed-base tables.  A failing batch
-        bisects to the exact forged envelopes, so the accept/reject vector
-        is bit-identical to verifying each submission individually.
+        (:func:`repro.net.message.batch_verify_envelopes`), walking the
+        tables this server pinned for its clients' long-term keys.  A
+        failing batch bisects to the exact forged envelopes, so the
+        accept/reject vector is bit-identical to verifying each submission
+        individually.
         """
         verdicts = [False] * len(envelopes)
         # (envelope position, client)
@@ -222,12 +236,7 @@ class DissentServer:
             (envelopes[position], self.definition.client_keys[client_index])
             for position, client_index in candidates
         ]
-        invalid = set(
-            batch_verify_envelopes(
-                items,
-                hot_bases=hot_bases_within_budget(key.y for _, key in items),
-            )
-        )
+        invalid = set(batch_verify_envelopes(items))
         for slot, (position, client_index) in enumerate(candidates):
             if slot in invalid:
                 continue
@@ -309,18 +318,16 @@ class DissentServer:
     ) -> None:
         """Check all peer-server signatures in one batch.
 
-        Peer long-term keys recur every round, so they ride the cached
-        fixed-base tables.  A failing batch bisects to the forging peers
-        and raises naming them — identical verdicts to per-envelope checks.
+        Peer long-term keys recur every round, so they walk the tables
+        pinned at construction.  A failing batch bisects to the forging
+        peers and raises naming them — identical verdicts to per-envelope
+        checks.
         """
         require_envelopes_valid(
             [
                 (envelope, self.definition.server_keys[j])
                 for envelope, j in zip(envelopes, indices)
-            ],
-            hot_bases=hot_bases_within_budget(
-                key.y for key in self.definition.server_keys
-            ),
+            ]
         )
 
     def participation_ok(self, state: RoundState) -> bool:
@@ -602,10 +609,7 @@ class DissentServer:
                 for server_key, signature in zip(
                     self.definition.server_keys, signatures
                 )
-            ],
-            hot_bases=hot_bases_within_budget(
-                key.y for key in self.definition.server_keys
-            ),
+            ]
         ):
             raise ProtocolError("peer server signature on output invalid")
         return RoundOutput(
@@ -656,6 +660,7 @@ class DissentServer:
         if not 0 <= client_index < self.definition.num_clients:
             raise ProtocolError(f"client index {client_index} out of range")
         self.expelled.add(client_index)
+        self._pin.release(self.definition.client_keys[client_index].y)
 
     def trace_disclosure(self, round_number: int, bit_index: int) -> TraceDisclosure:
         """Reveal our pair-stream bits and held evidence for a witness bit.

@@ -23,8 +23,9 @@ Kernels, sized for what the protocol issues (a steady-state round is
 ~50 batches of 3-11 signatures plus as many single checks; set-up and
 blame verify shuffle links by the hundreds):
 
-* **fixed bases** (the generator, roster keys, combined shuffle keys)
-  walk a cached signed fixed-window table (:class:`_Comb`) held in
+* **fixed bases** (the generator, and the roster and shuffle keys
+  members pin: :class:`repro.crypto.groups.TableResidency`) walk a
+  signed fixed-window table (:class:`_Comb`) held in
   *cached-affine* form ``(y+x, y-x, 2dxy)`` — three field elements packed
   into one 768-bit int an entry, one 7-multiplication :func:`_madd` a
   row, a negative digit being the stored entry with two fields swapped
@@ -33,14 +34,14 @@ blame verify shuffle links by the hundreds):
   ~60 ms), every other base's 6 (43 additions, 1,376 entries, 185 KiB,
   ~10 ms to build — about eight ladder exponentiations); which one a base
   gets follows from whether it is the generator, nothing a caller
-  chooses.  A process keeps one table per roster key, so their bytes are
+  chooses.  A process keeps one table per pinned key, so their bytes are
   a per-member cost;
-* a product made **only of table walks** — ``exp_fixed``, so every
-  signature's commitment, and any ``multiexp`` without a transient base —
-  and the single ladder of ``exp`` raise to *half* of each exponent and
-  encode the *double* of what they accumulate (:func:`_encode_double`):
-  the same canonical 32 bytes for one field inversion (~9 us) where the
-  encoding of a general point takes an inverse square root (~120 us).
+* ``exp`` — a walk or the single ladder — and a ``multiexp`` made **only
+  of table walks** (so every signature's commitment) raise to *half* of
+  each exponent and encode the *double* of what they accumulate
+  (:func:`_encode_double`): the same canonical 32 bytes for one field
+  inversion (~9 us) where the encoding of a general point takes an
+  inverse square root (~120 us).
   Halving costs a walk nothing and a full-width ladder nothing; it would
   widen a 128-bit batch coefficient or a bare factor to 252 bits, so a
   product with a transient base keeps its exponents and :func:`_encode`;
@@ -55,9 +56,9 @@ blame verify shuffle links by the hundreds):
   ``0`` without the field exponentiation an encode costs.
 
 With these a warm ``schnorr.sign`` is 29 mixed additions, one doubling
-and one inversion, and a warm hot-key ``verify`` 70 point operations and
-no field exponentiation at all (``tests/test_ec_kernels.py`` holds both
-to their counts).
+and one inversion, and a warm ``verify`` under a pinned key 70 point
+operations and no field exponentiation at all
+(``tests/test_ec_kernels.py`` holds both to their counts).
 
 Message embedding uses try-and-increment over a trailing counter byte:
 a framed message is placed in the high bytes of a candidate encoding and
@@ -71,10 +72,10 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from functools import lru_cache
 
-from repro.crypto.groups import Group, _multiexp_window
+from repro.crypto.groups import Group, TableResidency, _multiexp_window
 from repro.crypto.hashing import sha256
 from repro.errors import CryptoError
 
@@ -421,7 +422,7 @@ def _basepoint():
 
 
 class _LRU:
-    """Minimal bounded map: enough for the decode and table caches."""
+    """Minimal bounded map: enough for the decode cache."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
@@ -458,10 +459,10 @@ class RistrettoGroup(Group):
     name = "ec25519"
     is_toy = False
 
-    #: A hot-key signature costs the same walks either way (29 generator
-    #: rows + 43 key rows one at a time; 43 key rows + ~30 additions to
-    #: raise the commitment to its coefficient in a product) and the
-    #: product adds a 128-doubling ladder on top.  Counted warm in point
+    #: A signature under a tabled key costs the same walks either way (29
+    #: generator rows + 43 key rows one at a time; 43 key rows + ~30
+    #: additions to raise the commitment to its coefficient in a product)
+    #: and the product adds a 128-doubling ladder on top.  Counted warm in point
     #: operations, one at a time / one product: 209 / 369 at three
     #: signatures, 766 / 935 at eleven, 2,875 / 3,086 at 41.
     hot_batch_max = math.inf
@@ -472,15 +473,17 @@ class RistrettoGroup(Group):
     #: extended coordinates) to a few megabytes.
     DECODE_CACHE = 4096
 
-    #: Fixed-base table cache entries (matches the modp LRU bound).  A
-    #: key's table is 43 rows x 32 packed cached-affine entries — 185 KiB
-    #: by ``sys.getsizeof`` over rows and entries — and the generator's
-    #: 29 x 256, 987 KiB, so a full cache stays under 19 MiB.
-    TABLE_CACHE = 96
+    #: Most tables besides the generator's.  A key's table is 43 rows x 32
+    #: packed cached-affine entries — 185 KiB by ``sys.getsizeof`` over
+    #: rows and entries — so a full residency is 46 MiB (the generator's
+    #: is 29 x 256, 987 KiB).  A process hosting a whole group pins its
+    #: N + M roster keys and, during a shuffle, 2M + 1 shuffle keys: at
+    #: three servers everything has a table up to N = 246.
+    TABLE_CAPACITY = 256
 
     def __init__(self) -> None:
         self._decoded = _LRU(self.DECODE_CACHE)
-        self._tables = _LRU(self.TABLE_CACHE)
+        self._residency = TableResidency(self.TABLE_CAPACITY)
         self._base_point = _basepoint()
         self._g_int = _encode(self._base_point)
         self._decoded.put(self._g_int, self._base_point)
@@ -548,21 +551,17 @@ class RistrettoGroup(Group):
 
     def exp(self, base: int, e: int) -> int:
         # Every caller's exponent is a key, a nonce or a challenge: full
-        # width already, so its half costs the ladder nothing more.
+        # width already, so its half costs a walk or the ladder nothing more.
         half = e * _HALF % L
-        return self._encode_double_cached(self._straus(((self._point(base), half),)))
-
-    def exp_fixed(self, base: int, e: int) -> int:
+        table = self._table(base)
+        if table is None:
+            return self._encode_double_cached(
+                self._straus(((self._point(base), half),))
+            )
         self._count_fixed_base()
-        return self._encode_double_cached(
-            self._comb(base).walk(_IDENTITY, e * _HALF % L)
-        )
+        return self._encode_double_cached(table.walk(_IDENTITY, half))
 
-    def multiexp(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        hot_bases: Collection[int] = (),
-    ) -> int:
+    def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         merged: dict[int, int] = {}
         for base, exponent in pairs:
             exponent %= L
@@ -572,14 +571,14 @@ class RistrettoGroup(Group):
 
         self._count_multiexp(len(merged))
 
-        fixed: list[tuple[int, int]] = []
+        fixed: list[tuple[_Comb, int]] = []
         transient: list[tuple[tuple, int]] = []
-        hot = set(hot_bases)
         for base, exponent in merged.items():
             if exponent == 0:
                 continue
-            if base == self._g_int or base in hot:
-                fixed.append((base, exponent))
+            table = self._table(base)
+            if table is not None:
+                fixed.append((table, exponent))
             elif exponent == L - 1:
                 # A bare inverse (the b/b' quotient of a strip check) is a
                 # sign flip, not a full-width ladder.
@@ -597,13 +596,13 @@ class RistrettoGroup(Group):
             # exponent: walk half of each and encode the double.  With a
             # transient base this would widen a 128-bit batch coefficient
             # or a bare factor to a full ladder.
-            fixed = [(base, exponent * _HALF % L) for base, exponent in fixed]
+            fixed = [(table, exponent * _HALF % L) for table, exponent in fixed]
             acc = _IDENTITY
         else:
             return 0
-        for base, exponent in fixed:
+        for table, exponent in fixed:
             self._count_fixed_base()
-            acc = self._comb(base).walk(acc, exponent)
+            acc = table.walk(acc, exponent)
         if not transient:
             return self._encode_double_cached(acc)
         # RFC 9496 §4.5 equality against the neutral element: the identity
@@ -624,24 +623,16 @@ class RistrettoGroup(Group):
 
     # -- scalar multiplication kernels ------------------------------------
 
-    def _comb(self, base: int) -> _Comb:
-        """The signed fixed-window table of ``base``, LRU-cached.
+    def _build_table(self, base: int) -> _Comb:
+        """The signed fixed-window table of ``base``.
 
         The width follows from what the base is: the generator serves
         every signature and commitment of the process and takes the wide
         table; any other base takes the one that is cheap to build.
         """
-        comb = self._tables.get(base)
-        if comb is None:
-            self._count_table_build()
-            width = (
-                GENERATOR_COMB_WIDTH
-                if base == self._g_int
-                else FIXED_BASE_COMB_WIDTH
-            )
-            comb = _Comb(self._point(base), width)
-            self._tables.put(base, comb)
-        return comb
+        self._count_table_build()
+        width = GENERATOR_COMB_WIDTH if base == self._g_int else FIXED_BASE_COMB_WIDTH
+        return _Comb(self._point(base), width)
 
     @staticmethod
     def _straus(transient):

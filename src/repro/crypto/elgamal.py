@@ -64,13 +64,10 @@ def encrypt(key: PublicKey, message_element: int, r: int | None = None) -> Ciphe
     group.require_element(message_element, "plaintext element")
     if r is None:
         r = group.random_scalar()
-    # Both bases recur: the generator always, and the key because every
-    # caller encrypts under a roster or combined server key that the
-    # shuffle then re-randomizes and verifies under many times.  The
-    # second component is one product, so the EC backend encodes it once.
+    # The key walks its table when a shuffle pinned it.  The second
+    # component is one product, so the EC backend encodes it once.
     return Ciphertext(
-        group.exp_g(r),
-        group.multiexp(((message_element, 1), (key.y, r)), hot_bases=(key.y,)),
+        group.exp_g(r), group.multiexp(((message_element, 1), (key.y, r)))
     )
 
 
@@ -121,8 +118,8 @@ def rerandomize(
     proof is built from it).
 
     Both exponentiated bases recur — the generator always, the key across
-    every ciphertext of a shuffle step — so each component is a bare
-    factor plus one fixed-base table walk.
+    every ciphertext of a shuffle step, which pins it — so each component
+    is a bare factor plus one fixed-base table walk.
     """
     group = key.group
     ct.validate(group)
@@ -131,7 +128,7 @@ def rerandomize(
     return (
         Ciphertext(
             group.multiexp(((ct.a, 1), (group.g, r))),
-            group.multiexp(((ct.b, 1), (key.y, r)), hot_bases=(key.y,)),
+            group.multiexp(((ct.b, 1), (key.y, r))),
         ),
         r,
     )

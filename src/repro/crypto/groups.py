@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import os
 import secrets
-from collections.abc import Collection, Iterable
+import threading
+import weakref
+from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto import constants
 from repro.crypto.hashing import challenge_scalar
@@ -49,17 +52,6 @@ from repro.obs import metrics as _metrics
 #: backend sizes its own signed tables: :mod:`repro.crypto.ec25519`.)
 FIXED_BASE_WINDOW = 5
 
-#: Most distinct bases one batched verification should mark hot.  The
-#: fixed-base table LRU below holds 96 entries; a caller routing more
-#: recurring keys than this through :meth:`Group.exp_fixed` would
-#: build-and-evict tables (measured: 7.5 plain exponentiations each on
-#: modp1536 and modp2048, 8 on ec25519) instead of amortizing them,
-#: ending up slower than the shared ladder.
-#: The budget must leave room for one full client batch *plus* the
-#: generator and a paper-scale peer-key set (up to 32 servers) to stay
-#: resident together: 48 + 32 + 1 <= 96, with headroom to spare.
-HOT_BASE_BUDGET = 48
-
 #: Environment variable naming the backend session builders default to.
 BACKEND_ENV = "DISSENT_GROUP_BACKEND"
 
@@ -68,16 +60,102 @@ BACKEND_ENV = "DISSENT_GROUP_BACKEND"
 DEFAULT_GROUP_NAME = "test-256"
 
 
-def hot_bases_within_budget(bases: Iterable[int]) -> tuple[int, ...]:
-    """``bases`` when they fit the table cache, else none.
+class Pin:
+    """One holder's claim on the tables of some bases.
 
-    Batch-verification call sites pass every recurring sender key through
-    this guard: under the budget the keys win fixed-base table speed;
-    over it they stay on the transient multi-exponentiation path, which
-    beats thrashing the LRU.
+    :meth:`release` gives them up (all, or one base); so does dropping
+    the pin, which is how a member's pins end with the member.  Usable
+    as a context manager for a claim that spans one call.
     """
-    bases = tuple(bases)
-    return bases if len(bases) <= HOT_BASE_BUDGET else ()
+
+    __slots__ = ("_residency", "_bases", "_finalizer", "__weakref__")
+
+    def __init__(self, residency: "TableResidency", bases: list[int]) -> None:
+        self._residency = residency
+        self._bases = bases
+        self._finalizer = weakref.finalize(self, residency.release, bases)
+
+    def release(self, base: int | None = None) -> None:
+        """Give up every base of this pin, or only ``base``."""
+        if base is None:
+            self._finalizer()
+            self._bases.clear()
+        elif base in self._bases:
+            self._bases.remove(base)
+            self._residency.release((base,))
+
+    def __enter__(self) -> "Pin":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+class TableResidency:
+    """Which bases of one group have a fixed-base table, and for whom.
+
+    The one table policy of a backend.  A member *pins* the bases it walks
+    every round when it is built; a pin builds a table only while fewer
+    than :attr:`capacity` are resident, making room by dropping the table
+    whose base was released longest ago, and a pinned table never leaves.
+    A released base (an expelled client, a member torn down, the end of a
+    shuffle) keeps its table until a new pin needs the room.  Nothing else
+    builds: exponentiation walks a resident table and takes the ladder
+    for every other base, so no access pattern costs a table build, and a
+    base pinned past capacity is only slower.  The generator's table is
+    the backend's own and outside the count.
+
+    Releases queue (a finalizer may run inside a pin, on any thread) and
+    take effect at the next pin or census.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        #: Resident tables by base: what exponentiation walks.
+        self.tables: dict = {}
+        self._pins: dict[int, int] = {}
+        self._released: OrderedDict[int, None] = OrderedDict()
+        self._queued: list = []
+        self._lock = threading.Lock()
+
+    def pin(self, bases: Iterable[int], build) -> Pin:
+        """Claim ``bases``; ``build(base)`` makes a table that fits."""
+        held = list(dict.fromkeys(bases))
+        with self._lock:
+            self._settle()
+            for base in held:
+                self._pins[base] = self._pins.get(base, 0) + 1
+                if base in self.tables:
+                    self._released.pop(base, None)
+                    continue
+                if len(self.tables) >= self.capacity:
+                    if not self._released:
+                        continue
+                    evicted, _ = self._released.popitem(last=False)
+                    del self.tables[evicted]
+                self.tables[base] = build(base)
+        return Pin(self, held)
+
+    def release(self, bases: Iterable[int]) -> None:
+        """Give up one claim on each of ``bases`` (at the next pin)."""
+        self._queued.append(tuple(bases))
+
+    def pinned(self) -> dict[int, int]:
+        """Every pinned base and how many claims hold it."""
+        with self._lock:
+            self._settle()
+            return dict(self._pins)
+
+    def _settle(self) -> None:
+        while self._queued:
+            for base in self._queued.pop(0):
+                count = self._pins.get(base, 0) - 1
+                if count > 0:
+                    self._pins[base] = count
+                    continue
+                self._pins.pop(base, None)
+                if base in self.tables:
+                    self._released[base] = None
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -126,14 +204,17 @@ class Group:
       ``message_bytes`` — sizes and public constants;
     * :meth:`is_element` — full membership/canonical-encoding validation
       (Legendre subgroup check for modp, point decoding for EC);
-    * :meth:`mul` / :meth:`exp` / :meth:`exp_fixed` / :meth:`multiexp` /
-      :meth:`inv` / :meth:`identity` — the group operation and the
-      batching machinery (duplicate-base merging, Pippenger buckets,
-      fixed-base hot-key tables) batched verification is built on;
+    * :meth:`mul` / :meth:`exp` / :meth:`multiexp` / :meth:`inv` /
+      :meth:`identity` — the group operation and the batching machinery
+      (duplicate-base merging, Pippenger buckets, fixed-base tables)
+      batched verification is built on;
+    * :meth:`pin` / :meth:`has_table` — the table residency
+      (:class:`TableResidency`): which bases exponentiation walks a table
+      for, decided here and nowhere else;
     * :meth:`encode_message` / :meth:`decode_message` — invertible
       embedding of short byte strings into elements; :meth:`hash_to_element`
       — an element nobody knows the discrete log of;
-    * ``hot_batch_max`` — the largest batch of signatures under fixed-base
+    * ``hot_batch_max`` — the largest batch of signatures under tabled
       keys that costs no more checked one equation at a time than as one
       random-linear-combination product (``math.inf``: every size).  A
       counted fact about the backend's kernels, read by
@@ -193,25 +274,15 @@ class Group:
         raise NotImplementedError
 
     def exp(self, base: int, e: int) -> int:
-        """``base**e`` (exponent reduced mod q)."""
-        raise NotImplementedError
+        """``base**e`` (exponent reduced mod q).
 
-    def exp_fixed(self, base: int, e: int) -> int:
-        """Fixed-base exponentiation through a cached window table.
-
-        Several times faster than :meth:`exp` once the table for ``base``
-        is built (5x on modp1536, 7x on ec25519), but the build itself
-        costs about eight plain exponentiations — only use this for
-        bases that recur (the generator, server public keys, combined
-        shuffle keys), not for per-proof transient values.
+        A walk of ``base``'s table when it has one (the generator, or a
+        pinned base: 5x faster on modp1536, 5.6x on ec25519), a ladder
+        otherwise; the same element either way.
         """
         raise NotImplementedError
 
-    def multiexp(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        hot_bases: Collection[int] = (),
-    ) -> int:
+    def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Simultaneous multi-exponentiation: ``prod base**exp``.
 
         The workhorse of batched proof verification.  Every backend
@@ -220,9 +291,8 @@ class Group:
         * duplicate bases are merged by summing their exponents mod q, so a
           base shared by every proof in a round (a slot key, a combined
           ciphertext component) costs one exponentiation total;
-        * the generator and any base listed in ``hot_bases`` go through the
-          cached fixed-base window tables (callers pass long-lived keys —
-          the combined server key, server publics);
+        * the generator and every base with a resident table (see
+          :meth:`pin`) walk it;
         * the remaining transient bases share one squaring ladder —
           essential when most exponents are the short random-linear-
           combination coefficients of a batched verification, which only
@@ -270,8 +340,42 @@ class Group:
         return x
 
     def exp_g(self, e: int) -> int:
-        """``g**e`` via the cached generator table (the hottest base)."""
-        return self.exp_fixed(self.g, e)
+        """``g**e``: a walk of the generator's table (the hottest base)."""
+        return self.exp(self.g, e)
+
+    # -- fixed-base tables -------------------------------------------------
+
+    def pin(self, bases: Iterable[int]) -> Pin:
+        """Hold tables for ``bases`` while the returned pin lives.
+
+        Members pin, at construction, the bases they walk every round; a
+        shuffle pins its keys for the shuffle.  Tables are built here, and
+        only while the residency has room (:class:`TableResidency`).  The
+        generator always has its own and is never pinned.
+        """
+        g = self.g
+        return self._residency.pin(
+            (base for base in bases if base != g), self._build_table
+        )
+
+    def has_table(self, base: int) -> bool:
+        """Whether exponentiating ``base`` walks a table."""
+        return base == self.g or base in self._residency.tables
+
+    def _table(self, base: int):
+        """``base``'s table, or None: the ladder's."""
+        if base == self.g:
+            return self._generator_table
+        return self._residency.tables.get(base)
+
+    @cached_property
+    def _generator_table(self):
+        """The generator's table: built on first use, never evicted."""
+        return self._build_table(self.g)
+
+    def _build_table(self, base: int):
+        """A fixed-base table of ``base`` (backend contract)."""
+        raise NotImplementedError
 
     def hash_to_scalar(self, *parts: bytes) -> int:
         """Fiat-Shamir hash of ``parts`` to a scalar mod q.
@@ -328,39 +432,6 @@ class Group:
             ).observe(size)
 
 
-@lru_cache(maxsize=96)
-def _fixed_base_table(
-    p: int, q: int, base: int, name: str = ""
-) -> tuple[tuple[int, ...], ...]:
-    """Precomputed window table: ``table[i][d] = base**(d * 2**(w*i)) mod p``.
-
-    Cached per (modulus, base), so long-lived bases — the generator,
-    server/combined public keys, and the long-term client keys a server
-    re-verifies every round in batched signature checks — pay the build
-    cost once per process.  A 2048-bit table is ~3.5 MB (1536-bit ~1.9 MB),
-    so the LRU bound caps worst-case residency near 350 MB while letting a
-    full round's hot-key working set (tens of keys) stay resident; callers
-    must only route *recurring* bases through :meth:`SchnorrGroup.exp_fixed`.
-    """
-    # Only cache misses reach this body; exp_fixed counts every call, so
-    # table hits = crypto.fixed_base.exps - crypto.fixed_base.table_builds.
-    if _metrics.GLOBAL.enabled:
-        _metrics.GLOBAL.counter("crypto.fixed_base.table_builds").inc()
-        if name:
-            _metrics.GLOBAL.counter(f"crypto.fixed_base.table_builds.{name}").inc()
-    w = FIXED_BASE_WINDOW
-    blocks = (q.bit_length() + w - 1) // w
-    table = []
-    b = base % p
-    for _ in range(blocks):
-        row = [1] * (1 << w)
-        for d in range(1, 1 << w):
-            row[d] = row[d - 1] * b % p
-        table.append(tuple(row))
-        b = pow(b, 1 << w, p)
-    return tuple(table)
-
-
 @dataclass(frozen=True)
 class SchnorrGroup(Group):
     """The modp backend: a prime-order subgroup of Z_p* for a safe prime.
@@ -390,9 +461,15 @@ class SchnorrGroup(Group):
     #: follows from the kernels below, no caller sets it.
     hot_batch_max = 3
 
+    #: Most tables besides the generator's (:class:`TableResidency`).  A
+    #: 2048-bit table is ~3.5 MB, so a full residency is ~340 MB on
+    #: modp2048 (~180 MB on modp1536).
+    TABLE_CAPACITY = 96
+
     def __post_init__(self) -> None:
         if not self.name:
             object.__setattr__(self, "name", f"modp{self.p.bit_length()}")
+        object.__setattr__(self, "_residency", TableResidency(self.TABLE_CAPACITY))
 
     @property
     def q(self) -> int:
@@ -422,13 +499,35 @@ class SchnorrGroup(Group):
         return a * b % self.p
 
     def exp(self, base: int, e: int) -> int:
-        """Modular exponentiation ``base**e mod p`` (exponent mod q)."""
-        return pow(base, e % self.q, self.p)
+        table = self._table(base)
+        if table is None:
+            return pow(base, e % self.q, self.p)
+        return self._walk(table, e % self.q)
 
-    def exp_fixed(self, base: int, e: int) -> int:
+    # -- fixed-base tables -------------------------------------------------
+
+    def _build_table(self, base: int) -> tuple[tuple[int, ...], ...]:
+        """Window table: ``table[i][d] = base**(d * 2**(w*i)) mod p``.
+
+        About 7.5 plain exponentiations to build; a 2048-bit table is
+        ~3.5 MB (1536-bit ~1.9 MB).
+        """
+        self._count_table_build()
+        w = FIXED_BASE_WINDOW
+        blocks = (self.q.bit_length() + w - 1) // w
+        table = []
+        b = base % self.p
+        for _ in range(blocks):
+            row = [1] * (1 << w)
+            for d in range(1, 1 << w):
+                row[d] = row[d - 1] * b % self.p
+            table.append(tuple(row))
+            b = pow(b, 1 << w, self.p)
+        return tuple(table)
+
+    def _walk(self, table, e: int) -> int:
+        """``base**e`` for ``0 <= e < q`` from ``base``'s table."""
         self._count_fixed_base()
-        table = _fixed_base_table(self.p, self.q, base, self.name)
-        e %= self.q
         acc = 1
         i = 0
         w = FIXED_BASE_WINDOW
@@ -442,11 +541,7 @@ class SchnorrGroup(Group):
             i += 1
         return acc
 
-    def multiexp(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        hot_bases: Collection[int] = (),
-    ) -> int:
+    def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         p, q = self.p, self.q
         merged: dict[int, int] = {}
         for base, exponent in pairs:
@@ -460,14 +555,12 @@ class SchnorrGroup(Group):
 
         acc = 1
         transient: list[tuple[int, int]] = []
-        hot = set(hot_bases)
         for base, exponent in merged.items():
             if exponent == 0:
                 continue
-            if base == self.g:
-                acc = acc * self.exp_g(exponent) % p
-            elif base in hot:
-                acc = acc * self.exp_fixed(base, exponent) % p
+            table = self._table(base)
+            if table is not None:
+                acc = acc * self._walk(table, exponent) % p
             elif exponent == 1:
                 # A bare factor (the commitment of a scalar signature
                 # check) must not drag the rest onto the bucket ladder.

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Iterable
 
 _DOMAIN_PAIR = b"dissent.pair-stream.v2"
 _DOMAIN_SEED = b"dissent.seed-stream.v1"
@@ -45,31 +46,41 @@ _DOMAIN_SEED = b"dissent.seed-stream.v1"
 #:
 #: Deliberate tradeoff: cached secrets (keys and absorbed states) stay
 #: reachable in process memory until evicted — longer than the old
-#: absorb-and-drop derivation kept them.  A node retiring a session's DH
-#: secrets should call :func:`clear_pair_state_cache` so they cannot be
+#: absorb-and-drop derivation kept them.  A client or server that is torn
+#: down drops its own with :func:`forget_pair_states`, so they cannot be
 #: recovered from a later heap disclosure.
 _PAIR_STATE_CACHE_MAX = 4096
 _pair_states: OrderedDict[bytes, "hashlib._Hash"] = OrderedDict()
 
 
 def clear_pair_state_cache() -> None:
-    """Drop every cached pair-secret state (session teardown hygiene)."""
+    """Drop every cached pair-secret state in the process."""
     _pair_states.clear()
+
+
+def forget_pair_states(shared_secrets: Iterable[bytes]) -> None:
+    """Drop the cached states of ``shared_secrets`` (a member's teardown).
+
+    Other secrets' states stay, so a session co-hosted beside the one
+    retiring keeps its own.
+    """
+    for shared_secret in shared_secrets:
+        _pair_states.pop(shared_secret, None)
 
 
 def _pair_state(shared_secret: bytes):
     """The SHAKE state with domain, length prefix, and secret absorbed."""
-    state = _pair_states.get(shared_secret)
+    # Pop and re-insert, not move_to_end: a teardown's forget may run
+    # between any two steps here (it is a finalizer).
+    state = _pair_states.pop(shared_secret, None)
     if state is None:
         state = hashlib.shake_128()
         state.update(_DOMAIN_PAIR)
         state.update(len(shared_secret).to_bytes(4, "big"))
         state.update(shared_secret)
-        _pair_states[shared_secret] = state
-        if len(_pair_states) > _PAIR_STATE_CACHE_MAX:
-            _pair_states.popitem(last=False)
-    else:
-        _pair_states.move_to_end(shared_secret)
+    _pair_states[shared_secret] = state
+    if len(_pair_states) > _PAIR_STATE_CACHE_MAX:
+        _pair_states.popitem(last=False)
     return state
 
 

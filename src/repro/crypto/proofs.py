@@ -372,23 +372,16 @@ DleqItem = tuple[int, int, int, DleqProof, bytes]
 DleqOrItem = tuple[tuple[DleqStatement, DleqStatement], DleqOrProof, bytes]
 
 
-def batch_verify_dleq(
-    group: Group,
-    items: Sequence[DleqItem],
-    hot_bases: Sequence[int] = (),
-    rng=None,
-) -> bool:
+def batch_verify_dleq(group: Group, items: Sequence[DleqItem], rng=None) -> bool:
     """Check many DLEQ proofs with one multi-exponentiation.
 
     Each proof's two equations are raised to independent short random
     coefficients and multiplied into a single product that must equal the
     identity.  Accepts iff (with overwhelming probability) every proof
     would pass :func:`verify_dleq` individually; on ``False`` use
-    :func:`find_invalid_dleq` to name exact culprits.
-
-    Args:
-        hot_bases: long-lived bases (server public keys, combined keys)
-            routed through the cached fixed-base tables.
+    :func:`find_invalid_dleq` to name exact culprits.  Long-lived bases
+    (server public keys, combined keys) walk their tables when a member
+    pinned them.
     """
     pairs: list[tuple[int, int]] = []
     g_exponent = 0
@@ -406,15 +399,10 @@ def batch_verify_dleq(
         pairs.append((v, -beta * c))
         pairs.append((proof.t2, -beta))
     pairs.append((group.g, g_exponent))
-    return group.multiexp(pairs, hot_bases=hot_bases) == group.identity()
+    return group.multiexp(pairs) == group.identity()
 
 
-def batch_verify_dleq_or(
-    group: Group,
-    items: Sequence[DleqOrItem],
-    hot_bases: Sequence[int] = (),
-    rng=None,
-) -> bool:
+def batch_verify_dleq_or(group: Group, items: Sequence[DleqOrItem], rng=None) -> bool:
     """Check many disjunctive proofs with one multi-exponentiation.
 
     The four equations of each OR transcript get independent coefficients;
@@ -440,7 +428,7 @@ def batch_verify_dleq_or(
             pairs.append((v, -beta * c))
             pairs.append((t2, -beta))
     pairs.append((group.g, g_exponent))
-    return group.multiexp(pairs, hot_bases=hot_bases) == group.identity()
+    return group.multiexp(pairs) == group.identity()
 
 
 def _bisect_invalid(
@@ -472,7 +460,6 @@ def _bisect_invalid(
 def find_invalid_dleq(
     group: Group,
     items: Sequence[DleqItem],
-    hot_bases: Sequence[int] = (),
     rng=None,
     known_failed: bool = False,
 ) -> tuple[int, ...]:
@@ -487,9 +474,7 @@ def find_invalid_dleq(
     return tuple(
         _bisect_invalid(
             list(range(len(items))),
-            lambda idx: batch_verify_dleq(
-                group, [items[i] for i in idx], hot_bases, rng
-            ),
+            lambda idx: batch_verify_dleq(group, [items[i] for i in idx], rng),
             lambda i: verify_dleq(group, *items[i][:3], items[i][3], items[i][4]),
             known_failed,
         )
@@ -499,7 +484,6 @@ def find_invalid_dleq(
 def find_invalid_dleq_or(
     group: Group,
     items: Sequence[DleqOrItem],
-    hot_bases: Sequence[int] = (),
     rng=None,
     known_failed: bool = False,
 ) -> tuple[int, ...]:
@@ -512,9 +496,7 @@ def find_invalid_dleq_or(
     return tuple(
         _bisect_invalid(
             list(range(len(items))),
-            lambda idx: batch_verify_dleq_or(
-                group, [items[i] for i in idx], hot_bases, rng
-            ),
+            lambda idx: batch_verify_dleq_or(group, [items[i] for i in idx], rng),
             lambda i: verify_dleq_or(group, items[i][0], items[i][1], items[i][2]),
             known_failed,
         )

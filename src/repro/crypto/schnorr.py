@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import PrivateKey, PublicKey
@@ -211,21 +211,14 @@ def _count(name: str, amount: int) -> None:
         _metrics.GLOBAL.counter(f"crypto.schnorr.{name}").inc(amount)
 
 
-def verify(
-    key: PublicKey,
-    message: bytes,
-    signature: Signature,
-    hot_bases: Collection[int] = (),
-) -> bool:
+def verify(key: PublicKey, message: bytes, signature: Signature) -> bool:
     """True iff ``signature`` is valid for ``message`` under ``key``.
 
     The one-item case of the equation :func:`batch_verify` checks:
     ``t * y**c * g**(-s)`` must be the identity, evaluated as a single
     multi-exponentiation (no coefficient — there is nothing to combine).
-    With ``key.y`` in ``hot_bases`` (pass it for long-lived roster keys
-    only: a table build costs about eight exponentiations, measured 7.5
-    on modp1536 and 8.1 on ec25519) both full-width exponents are
-    fixed-base table walks.
+    When ``key.y`` has a table (a roster key some member pinned) both
+    full-width exponents are fixed-base table walks.
 
     A signature this process has already accepted — the same group, key,
     message, ``t`` and ``s`` — is accepted again without evaluating
@@ -239,10 +232,7 @@ def verify(
     if not _structural_ok(key, signature):
         return False
     c = _challenge(group, key.y, signature.t, message)
-    product = group.multiexp(
-        ((signature.t, 1), (key.y, c), (group.g, -signature.s)),
-        hot_bases=hot_bases,
-    )
+    product = group.multiexp(((signature.t, 1), (key.y, c), (group.g, -signature.s)))
     _count("checks", 1)
     if product != group.identity():
         return False
@@ -250,14 +240,9 @@ def verify(
     return True
 
 
-def require_valid(
-    key: PublicKey,
-    message: bytes,
-    signature: Signature,
-    hot_bases: Collection[int] = (),
-) -> None:
+def require_valid(key: PublicKey, message: bytes, signature: Signature) -> None:
     """Raise :class:`InvalidSignature` unless the signature verifies."""
-    if not verify(key, message, signature, hot_bases):
+    if not verify(key, message, signature):
         raise InvalidSignature("Schnorr signature verification failed")
 
 
@@ -269,11 +254,7 @@ def require_valid(
 BatchItem = tuple[PublicKey, bytes, Signature]
 
 
-def batch_verify(
-    items: Sequence[BatchItem],
-    hot_bases: Collection[int] = (),
-    rng=None,
-) -> bool:
+def batch_verify(items: Sequence[BatchItem], rng=None) -> bool:
     """Check many signatures, evaluating only those not accepted before.
 
     Items the process has already accepted (see :func:`verify`) are
@@ -288,17 +269,13 @@ def batch_verify(
     Nothing is remembered from a batch that fails.
 
     Empty batches accept.  A single pending item, or at most
-    ``group.hot_batch_max`` pending items whose keys are all in
-    ``hot_bases``, goes through :func:`verify` one at a time: with every
-    full-width exponent on a table there is no ladder to share, and the
-    coefficients would only add one.
+    ``group.hot_batch_max`` pending items whose keys all have tables
+    (:meth:`~repro.crypto.groups.Group.has_table`), goes through
+    :func:`verify` one at a time: with every full-width exponent on a
+    table there is no ladder to share, and the coefficients would only
+    add one.
 
     Args:
-        hot_bases: long-lived public-key elements routed through the
-            cached fixed-base window tables — pass the long-term keys the
-            caller verifies every round (servers' peers, a server's
-            attached clients) so each full-width ``y**c`` costs a table
-            walk instead of a fresh exponentiation.
         rng: source of the batch coefficients (tests seed it); one is
             drawn per signature that enters the product.
     """
@@ -318,9 +295,9 @@ def batch_verify(
     _count("memo_hits", len(items) - len(pending))
     if len(pending) == 1 or (
         len(pending) <= group.hot_batch_max
-        and all(key.y in hot_bases for _, (key, _, _) in pending)
+        and all(group.has_table(key.y) for _, (key, _, _) in pending)
     ):
-        return all(verify(*item, hot_bases) for _, item in pending)
+        return all(verify(*item) for _, item in pending)
     pairs: list[tuple[int, int]] = []
     g_exponent = 0
     for _, (key, message, signature) in pending:
@@ -339,7 +316,7 @@ def batch_verify(
     # canonical encoding of the product (ristretto: two field
     # exponentiations saved per valid batch).
     pairs.append((group.g, -g_exponent))
-    product = group.multiexp(pairs, hot_bases=hot_bases)
+    product = group.multiexp(pairs)
     _count("checks", len(pending))
     if product != group.identity():
         return False
@@ -349,7 +326,6 @@ def batch_verify(
 
 def find_invalid(
     items: Sequence[BatchItem],
-    hot_bases: Collection[int] = (),
     rng=None,
     known_failed: bool = False,
 ) -> tuple[int, ...]:
@@ -368,8 +344,8 @@ def find_invalid(
     return tuple(
         _bisect_invalid(
             list(range(len(items))),
-            lambda idx: batch_verify([items[i] for i in idx], hot_bases, rng),
-            lambda i: verify(*items[i], hot_bases),
+            lambda idx: batch_verify([items[i] for i in idx], rng),
+            lambda i: verify(*items[i]),
             known_failed,
         )
     )

@@ -239,11 +239,11 @@ def _prove(
         # t_hat_i = g**omega_hat_i * ĉ_(i-1)**omega'_i
         g_part = omega_hat[i] + omega_prime[i] * big_r
         t_hat.append(
-            group.multiexp(((g, g_part), (h0, omega_prime[i] * big_u)), hot_bases=(h0,))
+            group.multiexp(((g, g_part), (h0, omega_prime[i] * big_u)))
         )
         big_r = (r_hat[i] + u_out[i] * big_r) % q
         big_u = big_u * u_out[i] % q
-        chain.append(group.multiexp(((g, big_r), (h0, big_u)), hot_bases=(h0,)))
+        chain.append(group.multiexp(((g, big_r), (h0, big_u))))
 
     omega1, omega2, omega3, *omega4 = scalars(3 + width)
     t3 = group.multiexp(((g, omega3), *zip(h[1:], omega_prime)))
@@ -253,8 +253,7 @@ def _prove(
                 ((g, -o), *((row[w].a, x) for row, x in zip(outputs, omega_prime)))
             ),
             group.multiexp(
-                ((key.y, -o), *((row[w].b, x) for row, x in zip(outputs, omega_prime))),
-                hot_bases=(key.y,),
+                ((key.y, -o), *((row[w].b, x) for row, x in zip(outputs, omega_prime)))
             ),
         )
         for w, o in enumerate(omega4)
@@ -411,7 +410,7 @@ def _verify_proof(
         pairs += [(t_hat, delta), (link, c * delta), (previous, -delta * s_prime)]
         previous = link
     pairs += [(g, g_exponent), (key.y, key_exponent)]
-    return group.multiexp(pairs, hot_bases=(key.y,)) == group.identity()
+    return group.multiexp(pairs) == group.identity()
 
 
 def verify_step(
@@ -481,7 +480,7 @@ def verify_step(
                 return False
             quotient = group.multiexp(((ct.b, 1), (out.b, -1)))
             items.append((server_public.y, ct.a, quotient, dleq, context + b"|strip"))
-    return batch_verify_dleq(group, items, hot_bases=(server_public.y,))
+    return batch_verify_dleq(group, items)
 
 
 def run_cascade(
@@ -498,14 +497,16 @@ def run_cascade(
     if not server_keys:
         raise ShuffleError("cascade needs at least one server")
     _vector_width(inputs)
-    generators = _generators(server_keys[0].group, len(inputs) + 1)
+    group = server_keys[0].group
+    generators = _generators(group, len(inputs) + 1)
     publics = [key.public for key in server_keys]
     current: Sequence[CipherVector] = tuple(inputs)
     steps: list[ShuffleStep] = []
-    for j, key in enumerate(server_keys):
-        step = shuffle_step(key, publics[j:], current, j, context, rng, generators)
-        steps.append(step)
-        current = step.stripped
+    with group.pin(cascade_bases(publics)):
+        for j, key in enumerate(server_keys):
+            step = shuffle_step(key, publics[j:], current, j, context, rng, generators)
+            steps.append(step)
+            current = step.stripped
     return ShuffleTranscript(inputs=tuple(inputs), steps=tuple(steps))
 
 
@@ -519,17 +520,39 @@ def verify_transcript(
         return False
     if len(transcript.steps) != len(server_publics):
         return False
-    generators = _generators(server_publics[0].group, len(transcript.inputs) + 1)
+    group = server_publics[0].group
+    generators = _generators(group, len(transcript.inputs) + 1)
     current: Sequence[CipherVector] = transcript.inputs
-    for j, (public, step) in enumerate(zip(server_publics, transcript.steps)):
-        if step.server_index != j:
-            return False
-        if not verify_step(
-            public, server_publics[j:], current, step, context, generators
-        ):
-            return False
-        current = step.stripped
+    with group.pin(cascade_bases(server_publics)):
+        for j, (public, step) in enumerate(zip(server_publics, transcript.steps)):
+            if step.server_index != j:
+                return False
+            if not verify_step(
+                public, server_publics[j:], current, step, context, generators
+            ):
+                return False
+            current = step.stripped
     return True
+
+
+def cascade_bases(server_publics: Sequence[PublicKey]) -> list[int]:
+    """The long-lived bases a cascade under ``server_publics`` walks.
+
+    ``h_0`` (every link of every step's commitment chain), each step's
+    combined key (every input's encryption and re-randomization) and each
+    server's own key (its strip proofs).  :func:`run_cascade`,
+    :func:`verify_transcript` and the coordinator pin them for one shuffle
+    and release them when it ends.
+    """
+    group = server_publics[0].group
+    return [
+        _generators(group, 1)[0],
+        *(
+            elgamal.combined_key(server_publics[j:]).y
+            for j in range(len(server_publics))
+        ),
+        *(public.y for public in server_publics),
+    ]
 
 
 # --- client-side input preparation ---------------------------------------

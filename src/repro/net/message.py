@@ -148,20 +148,13 @@ class SignedEnvelope:
         """Raise :class:`InvalidSignature` if the envelope is not authentic.
 
         ``sender_key`` is a roster key the verifier meets every round, so
-        it goes through the fixed-base tables like the batched checks.
+        it walks the table its pin holds, like the batched checks.
         """
-        require_valid(
-            sender_key,
-            self.signed_payload(),
-            self.signature,
-            hot_bases=(sender_key.y,),
-        )
+        require_valid(sender_key, self.signed_payload(), self.signature)
 
 
 def batch_verify_envelopes(
-    items: Sequence[tuple[SignedEnvelope, PublicKey]],
-    hot_bases: Sequence[int] = (),
-    rng=None,
+    items: Sequence[tuple[SignedEnvelope, PublicKey]], rng=None
 ) -> tuple[int, ...]:
     """Indices of envelopes whose signatures fail, batched.
 
@@ -170,7 +163,7 @@ def batch_verify_envelopes(
     checking M output signatures) passes all of them here.  When
     everything is authentic — the common case — the envelopes this
     process has not accepted before cost one random-linear-combination
-    multi-exponentiation (or, for a handful of roster keys, one
+    multi-exponentiation (or, for a handful of tabled roster keys, one
     fixed-base equation each; see :func:`repro.crypto.schnorr.batch_verify`)
     and the ones it has cost nothing: three co-hosted servers each
     handed the same three inventories evaluate them once.  A failing
@@ -181,30 +174,21 @@ def batch_verify_envelopes(
     Callers screen structural fields (type, round, group id, body length)
     *before* batching: a stale or mistyped envelope must be rejected by
     its metadata without spending signature work on it.
-
-    Args:
-        hot_bases: long-term key elements worth routing through the cached
-            fixed-base tables (the sender keys this verifier sees every
-            round).
     """
     sig_items = [
         (sender_key, envelope.signed_payload(), envelope.signature)
         for envelope, sender_key in items
     ]
-    if schnorr.batch_verify(sig_items, hot_bases=hot_bases, rng=rng):
+    if schnorr.batch_verify(sig_items, rng=rng):
         return ()
-    return schnorr.find_invalid(
-        sig_items, hot_bases=hot_bases, rng=rng, known_failed=True
-    )
+    return schnorr.find_invalid(sig_items, rng=rng, known_failed=True)
 
 
 def require_envelopes_valid(
-    items: Sequence[tuple[SignedEnvelope, PublicKey]],
-    hot_bases: Sequence[int] = (),
-    rng=None,
+    items: Sequence[tuple[SignedEnvelope, PublicKey]], rng=None
 ) -> None:
     """Raise :class:`InvalidSignature` naming every forged sender."""
-    invalid = batch_verify_envelopes(items, hot_bases=hot_bases, rng=rng)
+    invalid = batch_verify_envelopes(items, rng=rng)
     if invalid:
         senders = ", ".join(items[i][0].sender for i in invalid)
         raise InvalidSignature(f"envelope signature invalid from: {senders}")

@@ -167,12 +167,9 @@ def make_client_ciphertext(
         element = group.encode_message(chunk) if owner else group.identity()
         r = group.random_scalar(rng)
         # The combined server key is fixed for the whole session and every
-        # member encrypts under it each round — the textbook case for the
-        # cached fixed-base table (elgamal.encrypt stays conservative for
-        # transient keys).
+        # member encrypts under it each round: members pin its table.
         ct = Ciphertext(
-            group.exp_g(r),
-            group.mul(element, group.exp_fixed(combined_key.y, r)),
+            group.exp_g(r), group.mul(element, group.exp(combined_key.y, r))
         )
         identity_branch = (ct.a, combined_key.y, ct.b)
         context = submission_context(
@@ -290,11 +287,8 @@ def batch_verify_client_ciphertexts(
         )
         items.extend(chunk_items)
         owners.extend([submission.client_index] * len(chunk_items))
-    hot = (combined_key.y,)
-    if items and not batch_verify_dleq_or(group, items, hot_bases=hot, rng=rng):
-        invalid = find_invalid_dleq_or(
-            group, items, hot_bases=hot, rng=rng, known_failed=True
-        )
+    if items and not batch_verify_dleq_or(group, items, rng=rng):
+        invalid = find_invalid_dleq_or(group, items, rng=rng, known_failed=True)
         for index in invalid:
             rejected.add(owners[index])
     return rejected
@@ -403,7 +397,6 @@ def batch_verify_server_shares(
     blamed: set[int] = set()
     items: list[DleqItem] = []
     owners: list[int] = []
-    hot = [public.y for public in server_publics]
     for share in shares:
         if len(share.shares) != len(a_parts) or len(share.proofs) != len(a_parts):
             blamed.add(share.server_index)
@@ -418,10 +411,8 @@ def batch_verify_server_shares(
             )
             items.append((public.y, a, value, proof, context))
             owners.append(share.server_index)
-    if items and not batch_verify_dleq(group, items, hot_bases=hot, rng=rng):
-        invalid = find_invalid_dleq(
-            group, items, hot_bases=hot, rng=rng, known_failed=True
-        )
+    if items and not batch_verify_dleq(group, items, rng=rng):
+        invalid = find_invalid_dleq(group, items, rng=rng, known_failed=True)
         for index in invalid:
             blamed.add(owners[index])
     return blamed

@@ -292,11 +292,13 @@ def build_hybrid_with_disruptor(
     seed: int = 33,
     policy=None,
     flips_per_round: int = 1,
+    group: str = "test-256",
 ) -> tuple[DissentSession, int]:
     """A scheduled hybrid session with one disruptor aimed at one victim.
 
     Shared by tests, benchmarks, and the demo.  ``policy`` (default
-    :class:`Policy`) is run in hybrid mode whatever its ``dcnet_mode``.
+    :class:`Policy`) is run in hybrid mode whatever its ``dcnet_mode``, on
+    the backend ``group`` names.
     Returns the session and the victim's slot index; the disruptor starts
     jamming as soon as that slot opens.
     """
@@ -306,7 +308,7 @@ def build_hybrid_with_disruptor(
         return cls(definition, index, key, rng)
 
     session = DissentSession.build(
-        "test-256",
+        group,
         num_servers,
         num_clients,
         replace(policy or Policy(), dcnet_mode="hybrid"),

@@ -73,6 +73,8 @@ class VerdictClient:
         self.slot_private = slot_private
         self.slot_keys = slot_keys
         self.combined_key = combined_key
+        # Every round encrypts under the combined key.
+        self._pin = group.pin((combined_key.y,))
         self.session_id = session_id
         self.rng = rng if rng is not None else random.Random()
         self.outbox: deque[bytes] = deque()
@@ -181,6 +183,11 @@ class VerdictServer:
         self.server_publics = server_publics
         self.slot_keys = slot_keys
         self.combined_key = combined_key
+        # Every round checks client proofs under the combined key and
+        # every server's share proofs under its key.
+        self._pin = group.pin(
+            [combined_key.y, *(public.y for public in server_publics)]
+        )
         self.session_id = session_id
         self.registry = MetricsRegistry()
 

@@ -1,8 +1,10 @@
 """Shared test helpers importable as ``tests.helpers``."""
 
 import contextlib
+import dataclasses
 
 from repro.core import DissentSession
+from repro.crypto.ec25519 import RistrettoGroup
 from repro.obs import metrics
 
 
@@ -41,3 +43,12 @@ def global_counters(prefix):
 def crypto_counters():
     """:func:`global_counters` of the ``crypto.*`` layer."""
     return global_counters("crypto")
+
+
+def untabled(group):
+    """A new instance of ``group``: no table but the generator's, no pin."""
+    if isinstance(group, RistrettoGroup):
+        fresh = RistrettoGroup()
+        fresh._generator_table = group._generator_table  # no 60 ms rebuild
+        return fresh
+    return dataclasses.replace(group)

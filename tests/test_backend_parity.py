@@ -26,7 +26,7 @@ import pytest
 from repro.core.config import GroupDefinition, Policy, make_group_definition
 from repro.core.session import DissentSession, build_session
 from repro.crypto import elgamal, proofs, schnorr, shuffle
-from repro.crypto.ec25519 import ec_group
+from repro.crypto.ec25519 import _HALF, ec_group
 from repro.crypto.groups import (
     BACKEND_ENV,
     GROUP_FACTORIES,
@@ -171,18 +171,23 @@ class TestRistrettoVectors:
         # ladder and in a product of walks.
         ec = ec_group()
         two = ec.exp_g(2)
+        assert not ec.has_table(two)
         for k, expected in enumerate(RFC9496_GENERATOR_MULTIPLES):
             for element in (
                 ec.exp_g(k),
-                ec.exp_fixed(ec.g, k),
-                ec.exp(ec.g, k),
-                ec.multiexp([(ec.g, k % 2), (two, k // 2)], hot_bases=(two,)),
+                ec.multiexp([(ec.g, k)]),
+                ec.exp(two, k * _HALF),  # the ladder
+                ec.multiexp([(ec.g, k % 2), (two, k // 2)]),
             ):
                 assert ec.element_to_bytes(element).hex() == expected
-        for k in range(0, 16, 2):
-            assert ec.element_to_bytes(ec.exp_fixed(two, k // 2)).hex() == (
-                RFC9496_GENERATOR_MULTIPLES[k]
-            )
+        with ec.pin((two,)):
+            for k, expected in enumerate(RFC9496_GENERATOR_MULTIPLES):
+                element = ec.multiexp([(ec.g, k % 2), (two, k // 2)])
+                assert ec.element_to_bytes(element).hex() == expected
+            for k in range(0, 16, 2):
+                assert ec.element_to_bytes(ec.exp(two, k // 2)).hex() == (
+                    RFC9496_GENERATOR_MULTIPLES[k]
+                )
 
     def test_basepoint_encoding(self):
         ec = ec_group()
@@ -231,7 +236,9 @@ class TestGroupContract:
         assert g.mul(x, g.inv(x)) == g.identity()
         assert g.exp(x, 0) == g.identity()
         assert g.exp(x, -1) == g.inv(x)
-        assert g.exp_fixed(x, b) == g.exp(x, b)
+        laddered = g.exp(x, b)
+        with g.pin((x,)):
+            assert g.exp(x, b) == laddered
 
     def test_multiexp_matches_naive_product(self, bgroup, brng):
         g = bgroup
@@ -245,7 +252,8 @@ class TestGroupContract:
         for base, exponent in pairs:
             expected = g.mul(expected, g.exp(base, exponent))
         assert g.multiexp(pairs) == expected
-        assert g.multiexp(pairs, hot_bases=[pairs[0][0]]) == expected
+        with g.pin((pairs[0][0],)):
+            assert g.multiexp(pairs) == expected
         assert g.multiexp([]) == g.identity()
 
     def test_multiexp_bare_factor_and_bare_inverse(self, bgroup, brng):
@@ -260,7 +268,8 @@ class TestGroupContract:
         assert g.multiexp(((b, -1),)) == g.inv(b)
         assert g.multiexp(((a, 1), (b, -1), (c, e))) == g.mul(quotient, g.exp(c, e))
         assert g.multiexp(((a, 1), (g.g, -1))) == g.mul(a, g.inv(g.g))
-        assert g.multiexp(((a, 1), (b, -1)), hot_bases=(b,)) == quotient
+        with g.pin((b,)):
+            assert g.multiexp(((a, 1), (b, -1))) == quotient
         assert g.multiexp(((a, 1), (a, -1))) == g.identity()
 
     def test_element_bytes_roundtrip(self, bgroup, brng):

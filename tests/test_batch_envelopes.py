@@ -14,7 +14,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.helpers import crypto_counters, fresh_session
+from tests.helpers import crypto_counters, fresh_session, untabled
 from repro.crypto import schnorr
 from repro.crypto.groups import default_group_name, group_by_name
 from repro.crypto.keys import PrivateKey, PublicKey
@@ -32,9 +32,9 @@ def session_group():
     return group_by_name(default_group_name())
 
 
-def _envelope_batch(count, seed=5):
+def _envelope_batch(count, seed=5, group=None):
     """``count`` well-signed client envelopes under distinct keys."""
-    group = session_group()
+    group = group or session_group()
     rng = random.Random(seed)
     keys = [PrivateKey.generate(group, rng) for _ in range(count)]
     items = []
@@ -136,6 +136,16 @@ class TestAcceptedMemo:
     def batch(self):
         return _envelope_batch(self.ITEMS, seed=23)
 
+    @pytest.fixture(scope="class")
+    def tabled_batch(self):
+        """The same envelopes, on a group instance that holds their keys'
+        tables (pinning on the shared instance would leak into the tests
+        that count coefficients)."""
+        group = untabled(session_group())
+        items = _envelope_batch(self.ITEMS, seed=23, group=group)
+        with group.pin(key.y for _, key in items):
+            yield items
+
     @settings(max_examples=30, deadline=None)
     @given(
         seen=st.sets(st.integers(0, ITEMS - 1)),
@@ -143,14 +153,13 @@ class TestAcceptedMemo:
         hot=st.booleans(),
     )
     def test_culprits_are_the_scalar_culprits_whatever_was_seen_before(
-        self, batch, seen, bad, hot
+        self, batch, tabled_batch, seen, bad, hot
     ):
         items = [
             (dataclasses.replace(envelope, round_number=9), key) if i in bad
             else (envelope, key)
-            for i, (envelope, key) in enumerate(batch)
+            for i, (envelope, key) in enumerate(tabled_batch if hot else batch)
         ]  # fmt: skip
-        hot_bases = tuple(key.y for _, key in items) if hot else ()
         schnorr.forget_accepted()
         scalar = tuple(
             i
@@ -164,8 +173,8 @@ class TestAcceptedMemo:
             assert schnorr.verify(
                 key, envelope.signed_payload(), envelope.signature
             ) == (i not in bad)
-        assert batch_verify_envelopes(items, hot_bases=hot_bases) == scalar
-        assert batch_verify_envelopes(items, hot_bases=hot_bases) == scalar
+        assert batch_verify_envelopes(items) == scalar
+        assert batch_verify_envelopes(items) == scalar
 
     def test_nothing_but_the_exact_tuple_is_remembered(self, batch):
         (envelope, key), (_, other_key) = batch[:2]
@@ -287,25 +296,30 @@ class TestAcceptedMemo:
         assert rng.draws == 5
 
     def test_small_hot_batches_draw_no_coefficient_at_all(self, batch):
-        """Up to the backend's ``hot_batch_max`` pending hot-key items are
-        checked one equation at a time; one more (where the backend has a
-        limit at all), or one cold key, and it is a product."""
-        limit = min(batch[0][1].group.hot_batch_max, self.ITEMS - 1)
-        sig_items = _signature_checks(batch[: limit + 1])
+        """Up to the backend's ``hot_batch_max`` pending items under tabled
+        keys are checked one equation at a time; one more (where the
+        backend has a limit at all), or one untabled key, and it is a
+        product."""
+        group = untabled(session_group())
+        limit = min(group.hot_batch_max, self.ITEMS - 1)
+        sig_items = _signature_checks(_envelope_batch(limit + 1, 23, group))
         hot = tuple(key.y for key, _, _ in sig_items)
-        cases = [(limit, hot, 0), (limit, hot[1:], limit)]
+        # The untabled case first: a released table stays resident.
+        cases = [(limit, hot[1:], limit), (limit, hot, 0)]
         if limit < self.ITEMS - 1:
             cases.append((limit + 1, hot, limit + 1))
-        for size, hot_bases, draws in cases:
+        for size, tabled, draws in cases:
             schnorr.forget_accepted()
             rng = CountingRandom(5)
-            assert schnorr.batch_verify(sig_items[:size], hot_bases=hot_bases, rng=rng)
+            with group.pin(tabled):
+                assert schnorr.batch_verify(sig_items[:size], rng=rng)
             assert rng.draws == draws
         # What matters is how many are pending, not how many were handed in.
         rng = CountingRandom(5)
         schnorr.forget_accepted()
         assert schnorr.verify(*sig_items[0])
-        assert schnorr.batch_verify(sig_items, hot_bases=hot, rng=rng)
+        with group.pin(hot):
+            assert schnorr.batch_verify(sig_items, rng=rng)
         assert rng.draws == 0
 
 

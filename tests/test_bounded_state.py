@@ -15,21 +15,28 @@ that down without reading RSS:
   of a networked session — every node's ``run``, the hub's ``attach`` per
   link and the coordinator's ``_pump`` — and asserts that none still
   binds the frame it last handled while it waits for the next one.
-* :class:`TestTableCensus` lists the fixed-base tables an ec25519 process
-  keeps (one per roster key, ``tests/test_ec_kernels.py::TestTableResidency``
-  sizes each) and asserts that rounds add none.
+* :class:`TestTableCensus` lists the fixed-base tables a process pins
+  (what each member walks every round, ``tests/test_ec_kernels.py::TestTableResidency``
+  sizes each), asserts that rounds, a second build and a second set-up
+  of one seed build none, and that a dropped or expelled member's pins
+  are released; :class:`TestPairStatesAtTeardown`, that a dropped
+  member's pad states go with it.
 """
 
 import asyncio
+import gc
 import types
 from collections import deque
 
 import pytest
 
 from repro.core import DissentSession, Policy
+from repro.crypto import prng
 from repro.crypto.ec25519 import ec_group
+from repro.crypto.groups import group_by_name
 from repro.net.runner import NetworkedSession
 from repro.net.wire import RoutedFrame
+from tests.helpers import crypto_counters
 
 _ATOMS = (
     int,
@@ -179,24 +186,135 @@ class TestNoLoopHoldsAFrame:
         assert loops == sorted(["_pump"] + ["attach"] * 7 + ["run"] * 10)
 
 
+def _added_pins(group, baseline):
+    """Claims on each base beyond ``baseline`` (other live sessions' pins)."""
+    pinned = group._residency.pinned()
+    return {
+        base: count - baseline.get(base, 0)
+        for base, count in pinned.items()
+        if count > baseline.get(base, 0)
+    }
+
+
 class TestTableCensus:
     def test_set_up_tables_every_roster_key_and_rounds_table_none(self):
-        """Every server checks every client's signature every round, so
-        each roster key earns a fixed-base table at set-up; after that a
-        round walks tables it already has.  The table cache belongs to the
-        process, so the census compares its key set before and after."""
+        """A server pins its upstream clients' keys and every server's; a
+        client and the coordinator every server's.  Set-up's six shuffle keys are pinned for
+        the key shuffle only: afterwards no shuffle key is pinned, and
+        their tables are the first a new pin may evict.  Rounds walk the
+        tables the pins hold and build none."""
+        gc.collect()
         group = ec_group()
+        baseline = group._residency.pinned()
         session = DissentSession.build(
             "ec25519", num_servers=3, num_clients=4, seed=41
         )
         session.setup()
-        tabled = set(group._tables._data)
         definition = session.definition
-        roster = [key.y for key in (*definition.server_keys, *definition.client_keys)]
-        assert {group.g, *roster} <= tabled
-        for round_index in range(8):
-            for i in range(4):
-                session.post(i, b"census %d" % round_index)
-            session.run_round()
+        servers = [key.y for key in definition.server_keys]
+        clients = [key.y for key in definition.client_keys]
+        # Each server key: three servers, four clients and the
+        # coordinator; each client key: its upstream server.
+        assert _added_pins(group, baseline) == {
+            **dict.fromkeys(servers, 8),
+            **dict.fromkeys(clients, 1),
+        }
+        tabled = set(group._residency.tables)
+        assert {*servers, *clients} <= tabled
+        with crypto_counters() as read:
+            for round_index in range(8):
+                for i in range(4):
+                    session.post(i, b"census %d" % round_index)
+                session.run_round()
+            assert read("fixed_base.table_builds") == 0
         assert len(session.delivered) == 32
-        assert set(group._tables._data) - tabled == set()
+        assert set(group._residency.tables) - tabled == set()
+
+    @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
+    def test_a_second_build_of_one_seed_walks_every_dh_secret(self, backend):
+        """While the first session lives its members' pins hold every
+        roster key's table, so the second builds none, and each of its
+        2·N·M DH secrets is a walk of its peer key's table."""
+        gc.collect()
+        servers, clients = 3, 6
+        first = DissentSession.build(backend, servers, clients, seed=43)
+        with crypto_counters() as read:
+            second = DissentSession.build(backend, servers, clients, seed=43)
+            assert read("fixed_base.table_builds") == 0
+            # Key generation walks the generator's table once per key.
+            keys = servers + clients
+            assert read("fixed_base.exps") == 2 * servers * clients + keys
+        assert second.definition == first.definition
+
+    @pytest.mark.parametrize("mode", ["inproc", "tcp"])
+    def test_a_second_set_up_of_one_seed_builds_no_table(self, mode):
+        """The same seed draws the same mix keys, whose released tables
+        are still resident."""
+        gc.collect()
+
+        def build():
+            if mode == "tcp":
+                return NetworkedSession.build(
+                    "ec25519", num_servers=3, num_clients=4, seed=47, mode="tcp"
+                )
+            return DissentSession.build(
+                "ec25519", num_servers=3, num_clients=4, seed=47
+            )
+
+        first = build()
+        first.setup()
+        with crypto_counters() as read:
+            second = build()
+            second.setup()
+            assert read("fixed_base.table_builds") == 0
+        for session in (first, second):
+            getattr(session, "close", lambda: None)()
+
+    @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
+    def test_dropped_sessions_release_their_pins(self, backend):
+        """Dead sessions cannot fill the capacity: each member's pin dies
+        with it."""
+        gc.collect()
+        group = group_by_name(backend)
+        baseline = group._residency.pinned()
+        for seed in range(3):
+            session = DissentSession.build(backend, 2, 4, seed=60 + seed)
+            session.setup()
+            assert _added_pins(group, baseline)
+            del session
+            gc.collect()
+            assert group._residency.pinned() == baseline
+
+    def test_an_expelled_client_key_is_released(self):
+        gc.collect()
+        group = ec_group()
+        baseline = group._residency.pinned()
+        session = DissentSession.build("ec25519", 3, 4, seed=49)
+        expelled = session.definition.client_keys[1].y
+        assert _added_pins(group, baseline)[expelled] == 1
+        session.expel(1)
+        assert expelled not in _added_pins(group, baseline)
+        assert group.has_table(expelled)  # until a new pin needs the room
+
+
+class TestPairStatesAtTeardown:
+    def test_a_dropped_session_forgets_its_pad_states_and_no_other(self):
+        gc.collect()
+        kept = DissentSession.build("test-256", 2, 3, seed=51)
+        dropped = DissentSession.build("test-256", 2, 3, seed=52)
+        for built in (kept, dropped):
+            built.setup()
+            built.run_round()
+        del built
+
+        def secrets(session):
+            return {s for client in session.clients for s in client.secrets}
+
+        ours, theirs = secrets(kept), secrets(dropped)
+        assert not ours & theirs
+        assert (ours | theirs) <= set(prng._pair_states)
+        del dropped
+        gc.collect()
+        assert not theirs & set(prng._pair_states)
+        assert ours <= set(prng._pair_states)
+        kept.run_round()

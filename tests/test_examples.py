@@ -33,6 +33,7 @@ def load_example(name: str):
         "microblog_churn",
         "networked_demo",
         "scaling_study",
+        "table_probe",
     ],
 )
 def test_example_exposes_main(name):

@@ -1,9 +1,17 @@
 """Unit tests for Schnorr group arithmetic and message embedding."""
 
+import dataclasses
+import gc
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.crypto import groups as G
+from repro.crypto.ec25519 import RistrettoGroup
 from repro.errors import CryptoError
+from tests.helpers import crypto_counters
 
 
 class TestGroupStructure:
@@ -123,26 +131,32 @@ class TestFixedBaseExponentiation:
         for _ in range(16):
             base = group.random_element(rng)
             e = rng.randrange(0, 2 * group.q)  # includes >q (reduced) cases
-            assert group.exp_fixed(base, e) == group.exp(base, e)
+            laddered = group.exp(base, e)
+            with group.pin((base,)):
+                assert group.has_table(base)
+                assert group.exp(base, e) == laddered
 
     def test_generator_shortcut(self, group, rng):
         e = group.random_scalar(rng)
         assert group.exp_g(e) == group.exp(group.g, e)
 
     def test_edge_exponents(self, group):
-        assert group.exp_fixed(group.g, 0) == 1
-        assert group.exp_fixed(group.g, 1) == group.g
-        assert group.exp_fixed(group.g, group.q) == 1
-        assert group.exp_fixed(group.g, group.q + 3) == group.exp(group.g, 3)
+        assert group.exp_g(0) == 1
+        assert group.exp_g(1) == group.g
+        assert group.exp_g(group.q) == 1
+        assert group.exp_g(group.q + 3) == pow(group.g, 3, group.p)
 
-    def test_table_is_cached_per_base(self, group):
-        t1 = G._fixed_base_table(group.p, group.q, group.g)
-        t2 = G._fixed_base_table(group.p, group.q, group.g)
-        assert t1 is t2
+    def test_table_is_cached_per_base(self, group, rng):
+        base = group.random_element(rng)
+        with group.pin((base,)):
+            table = group._residency.tables[base]
+            with group.pin((base,)):
+                assert group._residency.tables[base] is table
+        assert group._generator_table is group._generator_table
 
     def test_tiny_group_full_sweep(self, tiny):
         for e in range(0, 50):
-            assert tiny.exp_fixed(tiny.g, e) == tiny.exp(tiny.g, e)
+            assert tiny.exp_g(e) == pow(tiny.g, e, tiny.p)
 
 
 class TestMembershipViaLegendre:
@@ -204,7 +218,9 @@ class TestMultiexp:
         hot = group.random_element(rng)
         pairs = [(hot, group.random_scalar(rng)) for _ in range(3)]
         pairs += self._pairs(group, rng, 5)
-        assert group.multiexp(pairs, hot_bases=(hot,)) == self._naive(group, pairs)
+        expected = self._naive(group, pairs)
+        with group.pin((hot,)):
+            assert group.multiexp(pairs) == expected
 
     def test_identity_base_and_zero_exponent_skipped(self, group, rng):
         pairs = [(1, 12345), (group.random_element(rng), 0)]
@@ -219,17 +235,126 @@ class TestMultiexp:
             assert tiny.multiexp(pairs) == self._naive(tiny, pairs)
 
 
-class TestHotBaseBudget:
-    def test_within_budget_passes_through(self):
-        bases = tuple(range(2, 2 + G.HOT_BASE_BUDGET))
-        assert G.hot_bases_within_budget(bases) == bases
+def _fresh(name: str, capacity: int) -> G.Group:
+    """A group with no table but its generator's, holding at most ``capacity``."""
+    if name == "ec25519":
+        group = RistrettoGroup()
+    else:
+        group = dataclasses.replace(G.group_by_name(name))
+    group._residency.capacity = capacity
+    return group
 
-    def test_over_budget_returns_empty(self):
-        # Over the table-cache budget, marking bases hot would thrash the
-        # LRU (build-and-evict per use); the guard falls back to the
-        # transient multiexp path.
-        bases = range(2, 3 + G.HOT_BASE_BUDGET)
-        assert G.hot_bases_within_budget(bases) == ()
 
-    def test_accepts_generators(self):
-        assert G.hot_bases_within_budget(iter([5, 7])) == (5, 7)
+@pytest.fixture
+def builds():
+    """``builds()``: fixed-base tables built so far in the test."""
+    with crypto_counters() as read:
+        yield lambda: read("fixed_base.table_builds")
+
+
+@pytest.mark.parametrize("name", ["test-256", "ec25519"])
+class TestTableResidency:
+    """Tables are built by pins alone, at most ``capacity`` of them at a
+    time; exponentiation walks what is resident and never builds."""
+
+    CAPACITY = 4
+
+    def _bases(self, group, count):
+        rng = random.Random(41)
+        return [group.exp_g(group.random_scalar(rng)) for _ in range(count)]
+
+    def test_a_cyclic_scan_builds_at_most_capacity_tables(self, name, builds):
+        group = _fresh(name, self.CAPACITY)
+        group.exp_g(1)  # the generator's table, outside the capacity
+        bases = self._bases(group, self.CAPACITY + 3)
+        before = builds()
+        pin = group.pin(bases)
+        assert builds() - before == self.CAPACITY
+        assert [group.has_table(base) for base in bases] == [True] * 4 + [False] * 3
+        expected = [group.exp(base, 12345 + i) for i, base in enumerate(bases)]
+        for _ in range(3):
+            for i, base in enumerate(bases):
+                assert group.exp(base, 12345 + i) == expected[i]
+                assert group.multiexp([(base, 12345 + i), (group.g, 7)]) == (
+                    group.mul(expected[i], group.exp_g(7))
+                )
+            assert group.multiexp((b, 3) for b in bases) == group.multiexp(
+                (b, 3) for b in reversed(bases)
+            )
+        assert builds() - before == self.CAPACITY
+        pin.release()
+
+    def test_a_scan_of_unpinned_bases_builds_nothing(self, name, builds):
+        group = _fresh(name, self.CAPACITY)
+        group.exp_g(1)
+        bases = self._bases(group, self.CAPACITY + 3)
+        before = builds()
+        for _ in range(2):
+            for base in bases:
+                group.exp(base, 99)
+            group.multiexp((base, 5) for base in bases)
+        assert builds() == before
+        assert not any(group.has_table(base) for base in bases)
+
+    def test_a_released_table_stays_until_a_pin_needs_the_room(self, name, builds):
+        group = _fresh(name, self.CAPACITY)
+        bases = self._bases(group, self.CAPACITY + 1)
+        first = group.pin(bases[:2])
+        second = group.pin(bases[2:4])
+        first.release()
+        assert group._residency.pinned() == {base: 1 for base in bases[2:4]}
+        assert all(group.has_table(base) for base in bases[:4])
+        before = builds()
+        with group.pin(bases[:1]):  # resident: no build, pinned again
+            assert builds() == before
+            group.pin(bases[4:]).release()  # evicts bases[1], the only released
+        assert builds() == before + 1
+        assert not group.has_table(bases[1])
+        assert all(group.has_table(base) for base in (bases[0], *bases[2:]))
+        second.release(bases[2])
+        assert group._residency.pinned() == {bases[3]: 1}
+
+    def test_a_dropped_pin_is_released(self, name):
+        group = _fresh(name, self.CAPACITY)
+        bases = self._bases(group, 2)
+        group.pin(bases)  # dropped at once
+        gc.collect()
+        assert group._residency.pinned() == {}
+        assert all(group.has_table(base) for base in bases)
+
+
+def test_pins_and_walks_from_many_threads_keep_the_residency_consistent():
+    """A tcp session pins and walks on its loop thread while the caller's
+    thread does too: claims and tables stay consistent under contention."""
+    group = _fresh("test-256", 6)
+    bases = [group.exp_g(k) for k in range(2, 18)]
+    expected = {base: pow(base, 12345, group.p) for base in bases}
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            held = rng.sample(bases, 3)
+            pin = group.pin(held)
+            for base in held:
+                if group.exp(base, 12345) != expected[base]:
+                    wrong.append(base)
+            if rng.random() < 0.5:
+                pin.release(held[0])
+            del pin  # the rest go with the dropped pin
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    gc.collect()
+    assert wrong == []
+    assert group._residency.pinned() == {}
+    assert len(group._residency.tables) <= 6

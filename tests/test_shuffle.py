@@ -472,8 +472,9 @@ def _exponents(q):
 class TestOneProductElGamal:
     """``rerandomize``/``strip_layer``/``decrypt`` are folds of mul/exp/inv.
 
-    Duplicate-base merging, the generator and hot-key tables, bare factors
-    and bare inverses inside ``multiexp`` must not change the element.
+    Duplicate-base merging, the generator's and a pinned key's tables,
+    bare factors and bare inverses inside ``multiexp`` must not change the
+    element.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -498,6 +499,8 @@ class TestOneProductElGamal:
             group.mul(ct.b, group.exp(key.y, r)),
         )
         assert elgamal.rerandomize(key, ct, r) == (textbook, r)
+        with group.pin((key.y,)):
+            assert elgamal.rerandomize(key, ct, r) == (textbook, r)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -301,8 +301,12 @@ class TestHybridMode:
 
     @pytest.mark.parametrize(
         "build",
-        (build_hybrid_with_disruptor, _plain_hybrid_disruptor),
-        ids=("helper", "plain-classes"),
+        (
+            build_hybrid_with_disruptor,
+            partial(build_hybrid_with_disruptor, group="ec25519"),
+            _plain_hybrid_disruptor,
+        ),
+        ids=("helper", "helper-ec25519", "plain-classes"),
     )
     def test_disruptor_named_without_accusation_shuffle(self, build):
         session, _ = build(
