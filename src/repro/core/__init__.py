@@ -7,24 +7,23 @@ Public surface:
 * :class:`~repro.core.client.DissentClient` — Algorithm 1.
 * :class:`~repro.core.server.DissentServer` — Algorithm 2.
 * :class:`~repro.core.session.DissentSession` — in-process real-crypto
-  driver for a whole group.
+  driver for a whole group, with up to W rounds in flight
+  (``run_rounds(n, window=W)``) and outputs bit-identical at every W; it
+  drains to a barrier on failure/blame/schedule/membership events.  The
+  overlap a window buys a deployment is modelled in :mod:`repro.sim`
+  (``RoundSimConfig.pipeline_depth``), not timed here.
 * :mod:`~repro.core.schedule` — slot scheduling S(r, pi(i), H) (§3.8).
 * :mod:`~repro.core.policy` — window-closure and participation policies
   (§3.7, §5.1).
 * :mod:`~repro.core.keyshuffle` — scheduling via verifiable shuffles (§3.10).
 * :mod:`~repro.core.accusation` — the blame protocol (§3.9).
 * :mod:`~repro.core.adversary` — byzantine node models for tests and demos.
-* :class:`~repro.core.pipeline.PipelinedSession` — W rounds in flight with
-  bit-identical outputs; drains to a barrier on failure/blame/schedule/
-  membership events.  The overlap it buys a deployment is modelled in
-  :mod:`repro.sim` (``RoundSimConfig.pipeline_depth``), not timed here.
 """
 
 from repro.core.config import GroupDefinition, Policy, make_group_definition
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import DissentSession, build_keys, build_session
-from repro.core.pipeline import PipelinedSession
 from repro.core.rounds import QuietOutcome, RoundOutput, RoundRecord, RoundStatus
 from repro.core.policy import (
     FractionMultiplierPolicy,
@@ -43,7 +42,6 @@ __all__ = [
     "DissentSession",
     "build_keys",
     "build_session",
-    "PipelinedSession",
     "QuietOutcome",
     "RoundOutput",
     "RoundRecord",

@@ -106,6 +106,15 @@ class _SentRecord:
     slot_bit_start: int
     payload_messages: list[bytes]
 
+    def observed(self, cleartext: bytes) -> bytes:
+        """Our slot's bytes as they came out in a round's cleartext."""
+        start = self.slot_bit_start // 8
+        return cleartext[start : start + len(self.slot_bytes)]
+
+    def arrived(self, output: RoundOutput) -> bool:
+        """Whether a round's output carries our slot bytes intact."""
+        return self.observed(output.cleartext) == self.slot_bytes
+
 
 class DissentClient:
     """One client node (Algorithm 1).
@@ -478,28 +487,19 @@ class DissentClient:
         return self.handle_output(output)
 
     def speculate_delivery(self, round_number: int) -> _SentRecord | None:
-        """Optimistically confirm an in-flight round's own-slot delivery.
+        """Confirm an in-flight round's own-slot delivery ahead of its output.
 
-        The pipelined engine builds round ``r+1`` before round ``r``'s
-        output exists, so it applies the *confirmed-delivery* branch of
-        :meth:`_check_own_slot` ahead of time: pop the sent record, drop
-        the confirmed messages from the queue, clear a submitted
-        accusation.  The driver keeps the returned record and validates it
-        against the real output when the round completes; on a mismatch it
-        drains, restores a pre-build snapshot, and replays the lockstep
-        path — so observable behaviour is bit-identical either way.
-        Once speculated, a later :meth:`handle_output` for the same round
-        finds no sent record and skips confirmation, exactly as intended.
+        The round loop builds round ``r+1`` before round ``r``'s output
+        exists, so it takes the confirmed-delivery branch of
+        :meth:`_check_own_slot` early and returns the sent record; the
+        loop checks it against the real output (:meth:`_SentRecord.arrived`)
+        and, on a mismatch, restores the snapshot it took before this
+        call.  A later :meth:`handle_output` for the round finds no sent
+        record and confirms nothing twice.
         """
         record = self._sent.pop(round_number, None)
-        if record is None:
-            return None
-        for message in record.payload_messages:
-            if self.outbox and self.outbox[0] == message:
-                self.outbox.popleft()
-        if self._accusation_submitted:
-            self.pending_accusation = None
-            self._accusation_submitted = False
+        if record is not None:
+            self._confirm_delivery(record)
         return record
 
     def handle_round_failure(self, round_number: int, participation: int) -> None:
@@ -515,21 +515,12 @@ class DissentClient:
         record = self._sent.pop(output.round_number, None)
         if record is None:
             return
-        start = record.slot_bit_start // 8
-        observed = output.cleartext[start : start + len(record.slot_bytes)]
-        if observed == record.slot_bytes:
-            # Delivered intact: drop the confirmed messages from the queue.
-            for message in record.payload_messages:
-                if self.outbox and self.outbox[0] == message:
-                    self.outbox.popleft()
-            if self._accusation_submitted:
-                # Our accusation request went through undisturbed.
-                self.pending_accusation = None
-                self._accusation_submitted = False
+        if record.arrived(output):
+            self._confirm_delivery(record)
             return
         # Slot corrupted: always retransmit the affected messages.
         self.disruption_detected = True
-        witness = self._find_witness_bit(record, observed)
+        witness = self._find_witness_bit(record, record.observed(output.cleartext))
         if witness is not None and self.pending_accusation is None:
             assert self.pseudonym is not None and self.slot is not None
             self.pending_accusation = make_accusation(
@@ -539,6 +530,16 @@ class DissentClient:
                 slot_index=self.slot,
                 bit_index=witness,
             )
+
+    def _confirm_delivery(self, record: _SentRecord) -> None:
+        """Our slot arrived intact: drop the confirmed messages from the
+        queue; an accusation request it carried went through."""
+        for message in record.payload_messages:
+            if self.outbox and self.outbox[0] == message:
+                self.outbox.popleft()
+        if self._accusation_submitted:
+            self.pending_accusation = None
+            self._accusation_submitted = False
 
     @staticmethod
     def _find_witness_bit(record: _SentRecord, observed: bytes) -> int | None:

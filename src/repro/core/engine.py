@@ -11,11 +11,10 @@ the peer servers, the inventory status for the coordinator, a view timer
 to arm, a phase boundary for telemetry, a conviction, the
 finished round — and nothing else leaves the engine: it opens no socket,
 reads no clock and knows no event loop, so the same object runs under a
-synchronous router (:class:`~repro.core.session.DissentSession`), a
-windowed one that holds up to W rounds per engine
-(:class:`~repro.core.pipeline.PipelinedSession`) and a message-driven
+synchronous router that holds up to W rounds per engine
+(:class:`~repro.core.session.DissentSession`) and a message-driven
 daemon (:class:`repro.net.node.ServerNode`, one round at a time), and
-behaves identically under all three.
+behaves identically under both.
 
 The engine's per-round record is the only record of an in-flight round:
 it holds the :class:`~repro.core.server.RoundState` the server's

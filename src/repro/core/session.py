@@ -12,6 +12,26 @@ Algorithms 1 and 2 prescribe.  Every signature, commitment, PRNG stream,
 shuffle proof, and trace step executes for real — this is the object the
 integration tests, property tests, and examples drive.
 
+**The round loop.**  :meth:`DissentSession.run_schedule` is the one
+in-process round loop: build, submit, route the engines to a record,
+apply the outcome, :meth:`~DissentSession.after_output`, and the
+accusation shuffle after a round that asks for it.  ``window=W`` keeps up
+to W rounds in flight: clients build and submit rounds ``r+1 .. r+W-1``
+while round ``r`` is still in its server exchanges (each engine holds one
+record per begun round).  Round ``r+1``'s cleartexts depend on round
+``r``'s outcome in five ways — the slot layout, the client's own slot
+arriving intact, the §3.7 ``min_participation`` side, a shuffle request,
+and in hybrid mode a replayed slot — so building ``r+1`` early assumes
+all five unchanged: only then, when a younger round is built while ``r``
+is in flight, are the clients snapshotted and ``r``'s own-slot deliveries
+confirmed ahead of its output.  Rounds complete strictly in order, each
+through :meth:`~DissentSession.complete_round`; if ``r``'s outcome breaks
+an assumption, the loop **drains to a barrier**: the younger rounds are
+discarded, the clients restored and the outcome applied as lockstep
+applies it, and the window refills.  Records, certificates, blame and
+client state are bit-identical at every W (``tests/test_pipeline.py``);
+at ``window=1`` nothing is speculated and the loop is lockstep.
+
 Timing is intentionally absent here; the discrete-event simulator in
 :mod:`repro.sim` models latency, bandwidth, and churn for the paper's
 performance figures.
@@ -21,10 +41,10 @@ from __future__ import annotations
 
 import collections
 import random
-from dataclasses import dataclass
-from collections.abc import Sequence
+from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 
-from repro.core.client import DissentClient
+from repro.core.client import DissentClient, _SentRecord
 from repro.core.config import GroupDefinition, Policy
 from repro.core.coordinator import Coordinator
 from repro.core.engine import (
@@ -129,6 +149,28 @@ def build_session(
             seed=seed,
         )
     return DissentSession.build(group_name, num_servers, num_clients, policy, seed)
+
+
+@dataclass
+class _InFlight:
+    """One built and submitted round that has not completed yet."""
+
+    round_number: int
+    submitters: list[int]
+    #: The round's trace span, open until its outcome reached the clients.
+    span: object
+    #: Engine effects held at the submit boundary (the inventories): a
+    #: round's §3.7 floor compares with the participation the round before
+    #: it published, so they are routed only when this round completes.
+    pending: list
+    #: The slot layout it was built on, when an older round was in flight.
+    layout: RoundLayout | None = None
+    #: Set once a younger round is built while this one is in flight:
+    #: every client's state before :meth:`DissentSession._speculate`, the
+    #: records applied since, and the sent records confirmed ahead of time.
+    snapshots: list[dict] | None = None
+    applied: list[RoundRecord] = field(default_factory=list)
+    confirmed: dict[int, _SentRecord] = field(default_factory=dict)
 
 
 class DissentSession(Coordinator):
@@ -296,57 +338,194 @@ class DissentSession(Coordinator):
     # ------------------------------------------------------------------
 
     def run_round(self, online: set[int] | None = None) -> RoundRecord:
-        """Execute one complete round.
+        """Execute one complete round: one turn of :meth:`run_schedule`.
 
         Args:
             online: client indices that submit this round (None = all).
                 Offline clients still receive the certified output, as a
                 reconnecting client would fetch it from its server.
+
+        A round that requests an accusation shuffle returns before it;
+        the caller runs :meth:`run_accusation_phase`.
         """
-        if not self.scheduled:
-            raise ProtocolError("setup() must run before rounds")
-        r = self.round_number
-        self.round_number += 1
-        submitters = self.submitters(online)
-        # The same trace-id scheme the networked runner uses, so local and
-        # distributed runs of one group/round land under one trace name.
-        span_attrs = {"round": r, "node": "local"}
-        if self.tracer.enabled:
-            span_attrs["trace_id"] = round_trace_id(
-                self.definition.group_id(), r
-            )
-        with self.tracer.span("round", **span_attrs) as round_span:
-            with round_span.child("phase", name="build"):
-                envelopes = {
-                    i: self.clients[i].produce_ciphertext(r) for i in submitters
-                }
-            with round_span.child("phase", name="submit"):
-                pending = self.submit(r, envelopes)
-            record = self.complete_round(r, pending, round_span)
-            if record.completed:
-                with round_span.child("phase", name="output"):
-                    for client in self.clients:
-                        client.handle_output(record.output)
-            else:
-                # §3.7 hard timeout: publish the fresh count.
-                for client in self.clients:
-                    client.handle_round_failure(r, record.participation)
-            self.after_output(record)
+        (record,) = self._round_loop([online], window=1)
         return record
 
-    def replayed_slots(self, output: RoundOutput, layout: RoundLayout) -> list[int]:
+    def run_rounds(
+        self, count: int, online: set[int] | None = None, window: int = 1
+    ) -> list[RoundRecord]:
+        """Run ``count`` rounds, up to ``window`` in flight; accusation
+        shuffles fire automatically."""
+        return self.run_schedule([online] * count, window)
+
+    def run_schedule(
+        self, online_sets: Sequence[set[int] | None], window: int = 1
+    ) -> list[RoundRecord]:
+        """Run one round per planned online set, up to ``window`` in flight.
+
+        Every window gives the records, certificates and client state
+        lockstep (``window=1``) gives.  The plan is known ahead of time
+        (its length bounds the run), so a client going offline at round
+        ``r+2`` is already excluded when ``r+2`` is built early.  The
+        accusation shuffle runs right after the round that requests it,
+        with no younger round in flight.
+        """
+        records = []
+        for record in self._round_loop(online_sets, window):
+            records.append(record)
+            if record.shuffle_requested:
+                self.run_accusation_phase()
+        return records
+
+    def _round_loop(
+        self, online_sets: Sequence[set[int] | None], window: int
+    ) -> Iterator[RoundRecord]:
+        """The one in-process round loop: yields each round's record once
+        its outcome reached the clients, with no younger round in flight
+        when the record asks for a barrier (failure, blame, replay)."""
+        if window < 1:
+            raise ProtocolError("the round window must be at least 1")
+        if not self.scheduled:
+            raise ProtocolError("setup() must run before rounds")
+        plan = list(online_sets)
+        done = 0
+        inflight: collections.deque[_InFlight] = collections.deque()
+        # Round spans of discarded builds, reused when the round is rebuilt.
+        spans: dict = {}
+        while done < len(plan):
+            while len(inflight) < window and done + len(inflight) < len(plan):
+                online = plan[done + len(inflight)]
+                inflight.append(self._issue(online, inflight, spans))
+            entry = inflight.popleft()
+            with entry.span:
+                record = self.complete_round(
+                    entry.round_number, entry.pending, entry.span
+                )
+                if inflight and not self._speculation_holds(entry, record, inflight[0]):
+                    self._drain(entry, inflight, spans)
+                if record.completed:
+                    with entry.span.child("phase", name="output"):
+                        self._apply(record)
+                else:
+                    self._apply(record)
+                for younger in inflight:
+                    if younger.snapshots is not None:
+                        younger.applied.append(record)
+                self.after_output(record)
+            done += 1
+            yield record
+
+    def _issue(
+        self, online: set[int] | None, inflight: collections.deque, spans: dict
+    ) -> _InFlight:
+        """Build and submit the next round; the round still in flight
+        before it is speculated on first."""
+        r = self.round_number
+        self.round_number += 1
+        layout = None
+        if inflight:
+            self._speculate(inflight[-1])
+            layout = self.servers[0].scheduler.current_layout()
+        span = spans.pop(r, None) or self._round_span(r)
+        submitters = self.submitters(online)
+        with span.child("phase", name="build"):
+            envelopes = {i: self.clients[i].produce_ciphertext(r) for i in submitters}
+        with span.child("phase", name="submit"):
+            pending = self.submit(r, envelopes)
+        return _InFlight(r, submitters, span, pending, layout)
+
+    def _round_span(self, r: int):
+        # The same trace-id scheme the networked runner uses, so local and
+        # distributed runs of one group/round land under one trace name.
+        attrs = {"round": r, "node": "local"}
+        if self.tracer.enabled:
+            attrs["trace_id"] = round_trace_id(self.definition.group_id(), r)
+        return self.tracer.span("round", **attrs)
+
+    def _speculate(self, entry: _InFlight) -> None:
+        """Assume round ``entry`` delivers every own slot intact, so the
+        round built next does not resend its messages; keep what undoes it."""
+        entry.snapshots = [client.snapshot_state() for client in self.clients]
+        for i in entry.submitters:
+            sent = self.clients[i].speculate_delivery(entry.round_number)
+            if sent is not None:
+                entry.confirmed[i] = sent
+
+    def _speculation_holds(
+        self, entry: _InFlight, record: RoundRecord, younger: _InFlight
+    ) -> bool:
+        """Whether the rounds built past ``entry`` assumed its outcome right.
+
+        They assumed the round completes, every own slot arrives intact,
+        no slot is replayed or shuffle requested, no client's §3.7
+        ``min_participation`` side flips, and the slot layout stays.
+        """
+        if not record.completed:
+            # Lockstep re-queues the failed round's traffic, which the
+            # speculative confirmation dropped.
+            return False
+        output = record.output
+        if not all(sent.arrived(output) for sent in entry.confirmed.values()):
+            return False
+        if self.replayed_slots(output) or record.shuffle_requested:
+            # Blame may expel a member before the next round.
+            return False
+        for client in self.clients:
+            if client.min_participation <= 0:
+                continue
+            before = client.last_participation
+            was_passive = before is not None and before < client.min_participation
+            if was_passive != (output.participation < client.min_participation):
+                return False
+        return self.servers[0].scheduler.current_layout() == younger.layout
+
+    def _drain(self, entry: _InFlight, inflight: collections.deque, spans: dict) -> None:
+        """Discard the younger rounds and take every client back to where
+        lockstep stands before round ``entry``'s outcome: the snapshot
+        taken before its speculation, plus the outcomes applied since.
+
+        Client randomness is drawn only by builds and by replays, which
+        run with nothing younger in flight, and signatures use
+        deterministic nonces, so the rebuilt rounds are byte-identical
+        to the lockstep ones.
+        """
+        self.registry.counter("pipeline.drains").inc()
+        self.registry.counter("pipeline.rounds_discarded").inc(len(inflight))
+        for stale in inflight:
+            for engine in self.engines:
+                engine.discard(stale.round_number)
+            spans[stale.round_number] = stale.span
+        inflight.clear()
+        self.round_number = entry.round_number + 1
+        for client, snapshot in zip(self.clients, entry.snapshots):
+            client.restore_state(snapshot)
+        for record in entry.applied:
+            self._apply(record)
+
+    def _apply(self, record: RoundRecord) -> None:
+        """Hand a round's outcome to every client."""
+        if record.completed:
+            for client in self.clients:
+                client.handle_output(record.output)
+        else:
+            # §3.7 hard timeout: publish the fresh count.
+            for client in self.clients:
+                client.handle_round_failure(record.round_number, record.participation)
+
+    def replayed_slots(self, output: RoundOutput) -> list[int]:
         """The slots of a certified round that :meth:`after_output` blames.
 
-        In hybrid mode, the open slots whose padding check fails: everyone
-        decoding the output sees the corruption, so no accusation is
-        needed to say so.  None in XOR mode, whose blame starts with a
-        shuffle request in a later round (§3.9).  The pipelined driver
-        drains to a barrier before a round that has any, as blame may
-        expel a member.
+        In hybrid mode, the open slots of the round's archived layout whose
+        padding check fails: everyone decoding the output sees the
+        corruption, so no accusation is needed to say so.  None in XOR
+        mode, whose blame starts with a shuffle request in a later round
+        (§3.9).  The round loop drains to a barrier at a round that has
+        any, as blame may expel a member.
         """
         policy = self.definition.policy
         if policy.dcnet_mode != "hybrid":
             return []
+        layout = self.servers[0].archive[output.round_number].layout
         return [
             slot
             for slot in range(layout.num_slots)
@@ -357,7 +536,7 @@ class DissentSession(Coordinator):
     def after_output(self, record: RoundRecord) -> None:
         """The step that runs once a round's outcome reached the clients.
 
-        Both in-process drivers call it, lockstep and pipelined.  XOR mode
+        The round loop calls it at every window.  XOR mode
         has nothing to do here; hybrid mode replays each corrupted slot
         (:func:`repro.verdict.hybrid.replay_corrupted_slots`).
         """

@@ -208,9 +208,9 @@ class CostModel:
         in flight the steady-state period collapses to the *slowest
         phase*; a shallow window is issue-limited at ``sum / depth``.
         This is the repository's one model of overlap: the in-process
-        :class:`repro.core.pipeline.PipelinedSession` keeps the window and
-        its drain semantics but runs every phase in one process, so it
-        measures no overlap of its own.
+        round loop (``DissentSession.run_rounds(n, window=W)``) keeps the
+        window and its drain semantics but runs every phase in one
+        process, so it measures no overlap of its own.
         """
         phases = list(phase_times)
         if depth < 1:

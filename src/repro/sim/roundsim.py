@@ -109,7 +109,8 @@ class RoundSimConfig:
     #: clients); colocated processes contend for the CPU, slowing each
     #: client's per-round compute proportionally.  None = one per machine.
     client_machines: int | None = None
-    #: Rounds kept in flight, as :mod:`repro.core.pipeline` keeps them.
+    #: Rounds kept in flight, as ``DissentSession.run_rounds(n, window)``
+    #: keeps them.
     #: 1 = lockstep; with W > 1 the steady-state round period is the
     #: pipeline period (max of the phase times once the window is deep
     #: enough), with each server deriving its own N pads for round r+1

@@ -8,7 +8,7 @@ expensive machinery for the (rare) disrupted round:
 * **Fast path** — a hybrid group is a
   :class:`repro.core.session.DissentSession` whose policy says
   ``dcnet_mode="hybrid"``: its rounds are the *unmodified* XOR round,
-  driven in lockstep or by :class:`repro.core.pipeline.PipelinedSession`,
+  driven by its round loop at any window,
   with any client and server classes — no extra message and no extra
   pad.  Nothing is committed beside a submission; a pair pad is
   one both its endpoints derive from their shared secret, and the
@@ -116,8 +116,7 @@ def replay_corrupted_slots(session: DissentSession, record: RoundRecord) -> None
     r = record.round_number
     if record.completed:
         session.registry.counter("hybrid.fast_rounds").inc()
-        layout = session.servers[0].archive[r].layout
-        slots = session.replayed_slots(record.output, layout)
+        slots = session.replayed_slots(record.output)
         for slot in slots:
             session.registry.counter("hybrid.corrupted_rounds").inc()
             blame = replay_blame(session, r, slot)

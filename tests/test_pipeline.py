@@ -1,8 +1,9 @@
-"""Property tests: the pipelined engine is bit-identical to lockstep.
+"""Property tests: the round loop is bit-identical to lockstep at every window.
 
 Every test builds two sessions from the same seed, drives one with
-:meth:`DissentSession.run_rounds` (lockstep) and the other with
-:class:`PipelinedSession` at various window sizes, and asserts that every
+:meth:`DissentSession.run_rounds` in lockstep (``window=1``, which
+speculates nothing) and the other with ``run_rounds(n, window=W)`` or
+``run_schedule(plan, window=W)`` at various window sizes, and asserts that every
 observable — certified outputs byte for byte, signatures, round records,
 delivered messages, accusation verdicts, expulsions, client queues — is
 identical, quorum certificates included.  Drains (schedule changes, disruption, §3.7 failures,
@@ -16,15 +17,16 @@ import random
 
 import pytest
 
-from repro.core import DissentSession, PipelinedSession, Policy
+from repro.core import DissentSession, Policy
 from repro.core.adversary import DisruptorClient, StallingLeader
 from repro.core.client import DissentClient
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.crypto import prng
 from repro.errors import ProtocolError
+from repro.obs import round_trace_id
+from repro.obs.critical import assemble_traces
 from repro.verdict.hybrid import build_hybrid_with_disruptor
-from repro.verdict.session import VerdictSession
 from tests.helpers import assert_schedules_agree
 
 WINDOWS = (1, 2, 4, 8)
@@ -128,8 +130,7 @@ class TestBitIdenticalOutputs:
         lock = _clean_session()
         lock_records = lock.run_rounds(10)
         pipe_session = _clean_session(telemetry=True)
-        pipe = PipelinedSession(pipe_session, window=window)
-        pipe_records = pipe.run_rounds(10)
+        pipe_records = pipe_session.run_rounds(10, window=window)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         # Slots open at round 1 and drain when queues empty: the window
         # sizes above must have seen at least one schedule-change drain.
@@ -144,7 +145,7 @@ class TestBitIdenticalOutputs:
         views = [r.certificate.view for r in lock_records]
         assert 1 in views and 0 in views
         pipe_session = _clean_session(stalling=1)
-        pipe_records = PipelinedSession(pipe_session, window=4).run_rounds(8)
+        pipe_records = pipe_session.run_rounds(8, window=4)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         for record in pipe_records:
             record.certificate.verify(pipe_session.definition)
@@ -181,10 +182,62 @@ class TestPadWork:
         if window is None:
             session.run_rounds(8)
         else:
-            PipelinedSession(session, window=window).run_rounds(8)
+            session.run_rounds(8, window=window)
         assert _count(session, "pipeline.drains") == 0
         per_round = 2 * num_clients * num_servers
         assert squeezes == {r: per_round for r in range(first, first + 8)}
+
+
+class TestLockstepSpeculatesNothing:
+    @pytest.mark.parametrize("mode", ("xor", "hybrid"))
+    def test_window_one_takes_no_snapshot_and_confirms_nothing_early(
+        self, mode, monkeypatch
+    ):
+        """At W = 1 no round is in flight when the next is built, so the
+        loop does lockstep's work: no client snapshot, no speculative
+        delivery confirmation."""
+        calls = collections.Counter()
+        for name in ("snapshot_state", "speculate_delivery"):
+            original = getattr(DissentClient, name)
+
+            def counted(self, *args, name=name, original=original):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(DissentClient, name, counted)
+        session = _clean_session(policy=Policy(dcnet_mode=mode))
+        records = session.run_rounds(8)
+        assert len(records) == 8 and all(r.completed for r in records)
+        assert calls == {}
+        # The same counters see a window's speculation.
+        session.run_rounds(4, window=4)
+        assert calls["snapshot_state"] > 0 and calls["speculate_delivery"] > 0
+
+
+class TestOneTracePerRound:
+    @pytest.mark.parametrize("window", (1, 4))
+    def test_every_round_span_lands_in_its_rounds_trace(self, window):
+        """Each round is one ``round`` span under the networked runner's
+        trace id, and its build, submit, engine-phase and output spans are
+        its children, also when rounds overlap."""
+        session = _clean_session(
+            seed=5, num_servers=3, num_clients=6, messages=2, telemetry=True
+        )
+        first = len(session.tracer.events)
+        records = session.run_rounds(4, window=window)
+        events = [event.as_dict() for event in list(session.tracer.events)[first:]]
+        traces = assemble_traces(events)
+        group_id = session.definition.group_id()
+        assert set(traces) == {
+            round_trace_id(group_id, record.round_number) for record in records
+        }
+        assert sum(len(spans) for spans in traces.values()) == len(events)
+        for record in records:
+            spans = traces[round_trace_id(group_id, record.round_number)]
+            roots = [s for s in spans if s["name"] == "round"]
+            assert len(roots) == 1 and roots[0]["parent"] is None
+            phases = {s["phase"] for s in spans if s["name"] == "phase"}
+            assert {"build", "submit", "output"} <= phases
 
 
 class TestDisruptionMidPipeline:
@@ -200,11 +253,11 @@ class TestDisruptionMidPipeline:
         assert lock.expelled == {4}  # the lockstep baseline convicts
 
         pipe_session = build(telemetry=True)
-        pipe = PipelinedSession(pipe_session, window=window)
-        pipe_records = pipe.run_rounds(12)
+        pipe_records = pipe_session.run_rounds(12, window=window)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         assert getattr(lock, "blames", None) == getattr(pipe_session, "blames", None)
-        assert _count(pipe_session, "pipeline.drains") >= 1
+        # W = 1 builds no round early, so it has nothing to drain.
+        assert (_count(pipe_session, "pipeline.drains") >= 1) == (window > 1)
         # Disruption detection state must match too (the victim saw it).
         for lc, pc in zip(lock.clients, pipe_session.clients):
             assert lc.disruption_detected == pc.disruption_detected
@@ -239,14 +292,14 @@ class TestDisruptionMidPipeline:
         assert 1 not in lock.servers[0].archive[lock.blames[0].round_number].final_list
 
         pipe_session = build(telemetry=True)
-        pipe_records = PipelinedSession(pipe_session, window=window).run_schedule(plan)
+        pipe_records = pipe_session.run_schedule(plan, window=window)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         assert pipe_session.blames == lock.blames
-        assert _count(pipe_session, "pipeline.drains") >= 1
+        assert (_count(pipe_session, "pipeline.drains") >= 1) == (window > 1)
 
     def test_speculative_rounds_discarded_on_drain(self):
         pipe_session = _disruptor_session(telemetry=True)
-        PipelinedSession(pipe_session, window=4).run_rounds(12)
+        pipe_session.run_rounds(12, window=4)
         assert _count(pipe_session, "pipeline.rounds_discarded") >= 1
 
 
@@ -275,8 +328,7 @@ class TestChurnAndFailure:
         pipe_session = _clean_session(
             seed=21, num_clients=8, policy=policy, messages=1, telemetry=True
         )
-        pipe = PipelinedSession(pipe_session, window=window)
-        pipe_records = pipe.run_schedule(plan)
+        pipe_records = pipe_session.run_schedule(plan, window=window)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
         assert _count(pipe_session, "session.rounds_failed") == sum(
             1 for r in lock_records if not r.completed
@@ -309,27 +361,20 @@ class TestChurnAndFailure:
         pipe_session = _clean_session(
             seed=41, num_clients=num_clients, policy=policy
         )
-        pipe = PipelinedSession(pipe_session, window=window)
-        pipe_records = pipe.run_schedule(plan)
+        pipe_records = pipe_session.run_schedule(plan, window=window)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
 
 
 class TestEngineGuards:
-    def test_verdict_sessions_rejected(self):
-        session = VerdictSession.build(num_servers=2, num_clients=3, seed=5)
-        with pytest.raises(ProtocolError):
-            PipelinedSession(session)
-
     def test_window_must_be_positive(self):
         session = _clean_session(seed=53)
         with pytest.raises(ProtocolError):
-            PipelinedSession(session, window=0)
+            session.run_rounds(1, window=0)
 
     def test_requires_setup(self):
         session = DissentSession.build(num_servers=2, num_clients=3, seed=6)
-        pipe = PipelinedSession(session, window=2)
         with pytest.raises(ProtocolError):
-            pipe.run_rounds(1)
+            session.run_rounds(1, window=2)
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_no_engine_holds_more_rounds_than_the_window(self, window):
@@ -345,7 +390,7 @@ class TestEngineGuards:
                 return effects
 
             engine.begin_round = begin_round
-        PipelinedSession(session, window=window).run_rounds(8)
+        session.run_rounds(8, window=window)
         assert max(held) == window
         assert not any(engine.rounds for engine in session.engines)
 
@@ -353,7 +398,7 @@ class TestEngineGuards:
         lock = _clean_session(seed=55)
         lock_records = lock.run_rounds(5)
         pipe_session = _clean_session(seed=55)
-        pipe_records = PipelinedSession(pipe_session, window=4).run_rounds(3)
+        pipe_records = pipe_session.run_rounds(3, window=4)
         pipe_records += pipe_session.run_rounds(2)
         _assert_identical(lock, lock_records, pipe_session, pipe_records)
 
@@ -385,7 +430,7 @@ class TestArchiveBounds:
         lock = _clean_session(seed=62, policy=policy)
         lock.run_rounds(7)
         pipe_session = _clean_session(seed=62, policy=policy)
-        PipelinedSession(pipe_session, window=window).run_rounds(7)
+        pipe_session.run_rounds(7, window=window)
         for ls, ps in zip(lock.servers, pipe_session.servers):
             assert list(ls.archive) == list(ps.archive)
             for r in ls.archive:
@@ -408,7 +453,7 @@ class TestArchiveBounds:
             )
 
         session.after_output = checked
-        PipelinedSession(session, window=window).run_rounds(16)
+        session.run_rounds(16, window=window)
         assert covered == [True] * 16
         archived = list(session.servers[0].archive)
         assert len(archived) == policy.archive_rounds

@@ -3,7 +3,7 @@
 import pytest
 
 from tests.helpers import assert_schedules_agree, fresh_session
-from repro.core import DissentSession, PipelinedSession, Policy, RoundStatus
+from repro.core import DissentSession, Policy, RoundStatus
 from repro.errors import ConfigError, ProtocolError
 from repro.net.runner import NetworkedSession
 
@@ -200,7 +200,7 @@ class TestSchedulesAgree:
             after_output(record)
 
         session.after_output = check_then_continue
-        PipelinedSession(session, window=4).run_rounds(6)
+        session.run_rounds(6, window=4)
         assert checked == list(range(6))
         self._assert_delivered(session)
 

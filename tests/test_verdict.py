@@ -370,8 +370,6 @@ class TestHybridMode:
     def test_xor_clients_keep_no_sent_history(self, window):
         """Only hybrid blame replays old rounds: an XOR client's sent
         history stays empty however long the session runs."""
-        from repro.core import PipelinedSession
-
         session = DissentSession.build(num_servers=2, num_clients=3, seed=12)
         session.setup()
         rounds = 3 * session.definition.policy.archive_rounds
@@ -388,7 +386,7 @@ class TestHybridMode:
         if window is None:
             session.run_rounds(rounds)
         else:
-            PipelinedSession(session, window=window).run_rounds(rounds)
+            session.run_rounds(rounds, window=window)
         assert seen == [[{}, {}, {}]] * rounds
         assert session.delivered_messages(0)
 
@@ -557,19 +555,11 @@ class TestModePolicy:
 
     def test_in_process_drivers_refuse_verifiable_mode(self):
         """A DissentSession runs XOR rounds, with or without hybrid blame, so
-        a verifiable group is refused — by ``build``, by the constructor,
-        and so under the pipeline — instead of running XOR under its name."""
-        from repro.core import PipelinedSession
-
+        a verifiable group is refused — by ``build`` and by the constructor,
+        at any window — instead of running XOR under its name."""
         policy = Policy(dcnet_mode="verifiable")
         with pytest.raises(ConfigError, match="verifiable"):
             DissentSession.build(num_servers=2, num_clients=3, seed=1, policy=policy)
-        with pytest.raises(ConfigError, match="verifiable"):
-            PipelinedSession(
-                DissentSession.build(
-                    num_servers=2, num_clients=3, seed=1, policy=policy
-                )
-            )
         xor = DissentSession.build(num_servers=2, num_clients=3, seed=1)
         verifiable = dataclasses.replace(xor.definition, policy=policy)
         with pytest.raises(ConfigError, match="verifiable"):
