@@ -54,6 +54,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="write the tail of each node's event log as NDJSON into DIR",
     )
+    parser.add_argument(
+        "--checkpoint-out",
+        metavar="PATH",
+        help=(
+            "checkpoint the session after the last round (feed to "
+            "repro.obs.report --checkpoint)"
+        ),
+    )
     args = parser.parse_args(argv)
 
     mode = "subprocess" if args.processes else "tcp"
@@ -131,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
                     handle.write(dump)
                 written.append(path)
             print(f"flight rings written: {len(written)} files in {args.flight_out}")
+        if args.checkpoint_out:
+            written = session.checkpoint(args.checkpoint_out)
+            print(f"checkpoint ({written} bytes) written to {args.checkpoint_out}")
     return 0
 
 

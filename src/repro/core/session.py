@@ -228,20 +228,17 @@ class DissentSession(Coordinator):
         """Snapshot of everything recorded (empty when disabled)."""
         return self.registry.snapshot()
 
-    def snapshot_state(self) -> dict:
-        """Capture all mutable session state at a round barrier.
-
-        The coordinator's state plus every node's, in the JSON-native form
-        :func:`repro.persist.save_session` writes to disk; long-lived
+    def snapshot_state(self) -> bytes:
+        """All mutable session state at a round barrier: the ``session``
+        payload :func:`repro.persist.save_session` writes.  Long-lived
         identity (keys, definition) is excluded — a restore re-attaches
-        state to freshly-built nodes holding the same keys.
-        """
+        state to freshly-built nodes holding the same keys."""
         from repro.persist.codec import encode_session_state
 
         return encode_session_state(self)
 
-    def restore_state(self, snapshot: dict) -> None:
-        """Adopt a snapshot taken by :meth:`snapshot_state`."""
+    def restore_state(self, snapshot: bytes) -> None:
+        """Adopt a payload taken by :meth:`snapshot_state`."""
         from repro.persist.codec import decode_session_state
 
         decode_session_state(self, snapshot)

@@ -92,19 +92,15 @@ from repro.net.wire import (
     encode_routed,
     encode_routed_envelope,
     encode_telemetry_body,
+    unpack_typed,
 )
 from repro.obs import metrics as _obs
 from repro.obs.export import flight_ndjson, write_flight_dump
 from repro.obs.propagate import TraceContext
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.persist.codec import (
-    decode_client_state,
-    decode_server_state,
-    encode_client_state,
-    encode_server_state,
-)
-from repro.util.serialization import canonical_json, pack_fields, unpack_fields
+from repro.persist.codec import decode_node_state, encode_node_state
+from repro.util.serialization import canonical_json, pack_fields
 
 #: The hub/orchestrator's reserved routing name.
 COORDINATOR = "coord"
@@ -145,23 +141,6 @@ K_SHUTDOWN = "shutdown"
 #: out-of-order arrival is legitimate (a fast peer), unbounded buffering
 #: of unopened rounds is a memory hole.
 _MAX_EARLY_ENVELOPES = 1024
-
-
-def _unpack_typed(body: bytes, spec: str, what: str) -> list:
-    """Unpack a control body against a type spec ('i'=int, 'b'=bytes)."""
-    try:
-        fields = unpack_fields(body)
-    except ValueError as exc:
-        raise WireDecodeError(f"malformed {what}: {exc}") from exc
-    if len(fields) != len(spec):
-        raise WireDecodeError(
-            f"{what}: expected {len(spec)} fields, got {len(fields)}"
-        )
-    for position, (value, code) in enumerate(zip(fields, spec)):
-        expected = int if code == "i" else bytes
-        if not isinstance(value, expected):
-            raise WireDecodeError(f"{what}: field {position} has the wrong type")
-    return fields
 
 
 class NodeRuntime:
@@ -433,16 +412,12 @@ class NodeRuntime:
         if kind == K_HEALTH:
             return canonical_json(self.health_snapshot())
         if kind == K_SNAPSHOT:
-            return canonical_json(self._snapshot_payload())
+            return encode_node_state(self)
         if kind == K_RESTORE:
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise WireDecodeError(f"malformed restore payload: {exc}") from exc
             # The pushed state comes from another session's hub; frames
             # processed on this one stay this hub's resume position.
             recv_count = self.recv_count
-            self._restore_payload(payload)
+            self._restore(body)
             self.recv_count = recv_count
             return b""
         if kind == K_ENVELOPE:
@@ -507,11 +482,13 @@ class NodeRuntime:
 
     # -- durable state --------------------------------------------------
 
-    def _snapshot_payload(self) -> dict:
-        raise ProtocolError(f"{self.name}: node kind cannot snapshot")
-
-    def _restore_payload(self, payload: dict) -> None:
-        raise ProtocolError(f"{self.name}: node kind cannot restore")
+    def _restore(self, data: bytes) -> None:
+        """Adopt a node checkpoint.  Each restore starts a new telemetry
+        generation: the restored process re-accumulates its registry from
+        zero, and the bumped generation tells the coordinator which
+        snapshot supersedes which."""
+        decode_node_state(self, data)
+        self.generation += 1
 
     def _mark_round_done(self, round_number: int) -> None:
         self.rounds_done = max(self.rounds_done, round_number + 1)
@@ -520,16 +497,18 @@ class NodeRuntime:
         """Durably record this node's state at a round barrier."""
         if self.checkpoint_path is None:
             return
-        payload = self._snapshot_payload()
         write_checkpoint(
-            self.checkpoint_path, payload, kind="node", registry=self.registry
+            self.checkpoint_path,
+            encode_node_state(self),
+            kind="node",
+            registry=self.registry,
         )
-        self._durable_count = payload["recv_count"]
+        self._durable_count = self.recv_count
 
     def resume_from(self, path: str) -> None:
         """Rebuild the state the node checkpoint at ``path`` holds; what it
         covers is durable again."""
-        self._restore_payload(read_checkpoint(path, kind="node"))
+        self._restore(read_checkpoint(path, kind="node"))
         self._durable_count = self.recv_count
 
 
@@ -602,26 +581,26 @@ class ServerNode(NodeRuntime):
             self.server.learn_schedule(list(decode_int_list(body)))
             return b""
         if kind == K_ROUND_BEGIN:
-            round_number, packed = _unpack_typed(body, "ib", "round-begin")
+            round_number, packed = unpack_typed(body, "ib", "round-begin")
             await self._begin_round(round_number, decode_int_list(packed))
             return None
         if kind == K_COMMIT_GO:
-            (round_number,) = _unpack_typed(body, "i", "commit-go")
+            (round_number,) = unpack_typed(body, "i", "commit-go")
             await self._apply(self.engine.commit_go(round_number))
             return None
         if kind == K_ROUND_ABANDON:
-            (round_number,) = _unpack_typed(body, "i", "round-abandon")
+            (round_number,) = unpack_typed(body, "i", "round-abandon")
             self.engine.abandon(round_number)
             self._close_round(round_number, "abandoned")
             self._trigger("abandon", round=round_number)
             self._maybe_checkpoint()
             return b""
         if kind == K_EXPEL:
-            (client_index,) = _unpack_typed(body, "i", "expel")
+            (client_index,) = unpack_typed(body, "i", "expel")
             self.server.expel_client(client_index)
             return b""
         if kind == K_EVIDENCE_REQUEST:
-            (round_number,) = _unpack_typed(body, "i", "evidence-request")
+            (round_number,) = unpack_typed(body, "i", "evidence-request")
             archive = self.server.archive.get(round_number)
             if archive is None:
                 raise AccusationError(
@@ -629,7 +608,7 @@ class ServerNode(NodeRuntime):
                 )
             return encode_evidence(archive.to_evidence())
         if kind == K_DISCLOSURE_REQUEST:
-            round_number, bit_index = _unpack_typed(body, "ii", "disclosure-request")
+            round_number, bit_index = unpack_typed(body, "ii", "disclosure-request")
             envelope = self.server.disclosure_envelope(round_number, bit_index)
             return encode_envelope(self.group, envelope)
         return await super().handle(kind, body)
@@ -739,35 +718,12 @@ class ServerNode(NodeRuntime):
         )
         await self._apply(self.engine.deliver(envelope))
 
-    def _snapshot_payload(self) -> dict:
-        return {
-            "role": "server",
-            "index": self.index,
-            "rounds_done": self.rounds_done,
-            "recv_count": self.recv_count,
-            "generation": self.generation,
-            "convicted": sorted(self.engine.convicted),
-            "state": encode_server_state(self.server),
-        }
-
-    def _restore_payload(self, payload: dict) -> None:
-        if payload.get("role") != "server" or payload.get("index") != self.index:
-            raise ProtocolError(
-                f"{self.name}: checkpoint is for "
-                f"{payload.get('role')}-{payload.get('index')}"
-            )
-        decode_server_state(self.server, payload["state"])
-        self.rounds_done = int(payload.get("rounds_done", 0))
-        self.recv_count = int(payload.get("recv_count", 0))
-        # Each restore starts a new telemetry generation: the restored
-        # process re-accumulates its registry from zero, and the bumped
-        # generation tells the coordinator which snapshot supersedes which.
-        self.generation = int(payload.get("generation", 0)) + 1
+    def _restore(self, data: bytes) -> None:
+        super()._restore(data)
         # Checkpoints are cut at round barriers: anything at or below the
         # restored round count already finished, so replayed stragglers
         # for those rounds must drop instead of reopening state.
         self.engine.rounds.clear()
-        self.engine.convicted = {int(i) for i in payload.get("convicted", ())}
         for clock in self._clocks.values():
             clock.cancel_timer()
         self._clocks = {}
@@ -922,22 +878,17 @@ class ClientNode(NodeRuntime):
 
     async def handle(self, kind: str, body: bytes) -> bytes | None:
         if kind == K_SCHED_REQUEST:
-            try:
-                fields = unpack_fields(body)
-            except ValueError as exc:
-                raise WireDecodeError(f"malformed sched-request: {exc}") from exc
-            if len(fields) < 2 or not all(isinstance(f, bytes) for f in fields):
+            purpose, *keys = unpack_typed(body, "bb*", "sched-request")
+            if not keys:
                 raise WireDecodeError("sched-request needs purpose + public keys")
-            purpose, publics = fields[0], [
-                PublicKey.from_bytes(self.group, data) for data in fields[1:]
-            ]
+            publics = [PublicKey.from_bytes(self.group, data) for data in keys]
             envelope = self.client.signed_scheduling_submission(publics, purpose)
             return encode_envelope(self.group, envelope)
         if kind == K_SCHEDULE:
             slot = self.client.learn_schedule(list(decode_int_list(body)))
             return pack_fields(slot)
         if kind == K_ROUND_BEGIN:
-            round_number, packed = _unpack_typed(body, "ib", "round-begin")
+            round_number, packed = unpack_typed(body, "ib", "round-begin")
             if self.index in decode_int_list(packed):
                 context = (
                     TraceContext.from_bytes(self._inbound_trace)
@@ -967,7 +918,7 @@ class ClientNode(NodeRuntime):
                 )
             return None
         if kind == K_ROUND_FAILED:
-            round_number, participation = _unpack_typed(body, "ii", "round-failed")
+            round_number, participation = unpack_typed(body, "ii", "round-failed")
             self.client.handle_round_failure(round_number, participation)
             self._mark_round_done(round_number)
             self._trigger(
@@ -978,7 +929,7 @@ class ClientNode(NodeRuntime):
             self._maybe_checkpoint()
             return b""
         if kind == K_POST:
-            (message,) = _unpack_typed(body, "b", "post")
+            (message,) = unpack_typed(body, "b", "post")
             self.client.queue_message(message)
             return b""
         if kind == K_STATUS_REQUEST:
@@ -987,27 +938,18 @@ class ClientNode(NodeRuntime):
                 1 if self.client.pending_accusation is not None else 0,
             )
         if kind == K_ACC_REQUEST:
-            try:
-                fields = unpack_fields(body)
-            except ValueError as exc:
-                raise WireDecodeError(f"malformed acc-request: {exc}") from exc
-            if (
-                len(fields) < 2
-                or not isinstance(fields[0], int)
-                or not all(isinstance(f, bytes) for f in fields[1:])
-            ):
+            width, *keys = unpack_typed(body, "ib*", "acc-request")
+            if not keys:
                 raise WireDecodeError("acc-request needs width + public keys")
-            width, publics = fields[0], [
-                PublicKey.from_bytes(self.group, data) for data in fields[1:]
-            ]
+            publics = [PublicKey.from_bytes(self.group, data) for data in keys]
             vector = self.client.accusation_submission(publics, width)
             return pack_cipher_vector(self.group, vector)
         if kind == K_ACC_OUTCOME:
-            (handled,) = _unpack_typed(body, "i", "acc-outcome")
+            (handled,) = unpack_typed(body, "i", "acc-outcome")
             self.client.accusation_outcome(bool(handled))
             return b""
         if kind == K_REBUT_REQUEST:
-            round_number, bit_index, packed = _unpack_typed(
+            round_number, bit_index, packed = unpack_typed(
                 body, "iib", "rebut-request"
             )
             claimed = decode_int_pairs(packed)
@@ -1032,26 +974,6 @@ class ClientNode(NodeRuntime):
             COORDINATOR, K_ROUND_APPLIED, 0, pack_fields(envelope.round_number)
         )
 
-    def _snapshot_payload(self) -> dict:
-        return {
-            "role": "client",
-            "index": self.index,
-            "rounds_done": self.rounds_done,
-            "recv_count": self.recv_count,
-            "generation": self.generation,
-            "state": encode_client_state(self.client),
-        }
-
-    def _restore_payload(self, payload: dict) -> None:
-        if payload.get("role") != "client" or payload.get("index") != self.index:
-            raise ProtocolError(
-                f"{self.name}: checkpoint is for "
-                f"{payload.get('role')}-{payload.get('index')}"
-            )
-        decode_client_state(self.client, payload["state"])
-        self.rounds_done = int(payload.get("rounds_done", 0))
-        self.recv_count = int(payload.get("recv_count", 0))
-        self.generation = int(payload.get("generation", 0)) + 1
 
 
 # ---------------------------------------------------------------------------

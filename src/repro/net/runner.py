@@ -53,6 +53,7 @@ from repro.core.session import build_keys
 from repro.crypto.keys import PrivateKey
 from repro.errors import (
     AccusationError,
+    CheckpointError,
     ConfigError,
     ConnectionClosed,
     DissentError,
@@ -125,10 +126,10 @@ from repro.obs import (
 )
 from repro.obs.export import flight_ndjson, write_flight_dump
 from repro.obs.propagate import TraceContext, round_trace_id, span_ref
+from repro.persist import codec
 from repro.persist.audit import AuditLog
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.persist.codec import decode_coordinator_state, encode_coordinator_state
-from repro.util.serialization import canonical_json, pack_fields, unpack_fields
+from repro.util.serialization import pack_fields, unpack_fields
 
 MODES = ("loopback", "tcp", "subprocess")
 
@@ -579,8 +580,8 @@ class NetworkedSession(Coordinator):
         self.checkpoint_dir = checkpoint_dir
         self.audit = AuditLog(audit_path) if audit_path else None
         self.retry = definition.policy.retry_policy()
-        #: Node state blobs a restored coordinator pushes after start.
-        self._resume_payloads: dict[str, dict] | None = None
+        #: Node sections a restored coordinator pushes after start.
+        self._resume_payloads: dict[str, bytes] | None = None
         #: In-process node run-tasks by name (chaos kill/restart targets).
         self._node_tasks_by_name: dict[str, asyncio.Task] = {}
         self._node_objects: dict[str, object] = {}
@@ -729,8 +730,8 @@ class NetworkedSession(Coordinator):
             # the phase-machine state it held at the checkpoint barrier.
             await asyncio.gather(
                 *[
-                    self._request(name, K_RESTORE, canonical_json(payload))
-                    for name, payload in self._resume_payloads.items()
+                    self._request(name, K_RESTORE, section)
+                    for name, section in self._resume_payloads.items()
                 ]
             )
             self._resume_payloads = None
@@ -1372,22 +1373,21 @@ class NetworkedSession(Coordinator):
         """
         path = os.fspath(path)
         names = self._node_names()
-        blobs = self._ask(names, K_SNAPSHOT, b"")
-        payload = {
-            "definition": self.definition.canonical_bytes().hex(),
-            "mode": self.mode,
-            "server_keys": [format(key.x, "x") for key in self._server_keys],
-            "client_keys": [format(key.x, "x") for key in self._client_keys],
-            "server_seeds": list(self._server_seeds),
-            "client_seeds": list(self._client_seeds),
-            "coordinator": encode_coordinator_state(self),
-            "nodes": {
-                name: json.loads(blob.decode("utf-8"))
-                for name, blob in zip(names, blobs)
-            },
-        }
+        state = codec.NetSession(
+            self.definition,
+            self.mode,
+            self._server_keys,
+            self._client_keys,
+            self._server_seeds,
+            self._client_seeds,
+            codec.encode_coordinator_state(self),
+            dict(zip(names, self._ask(names, K_SNAPSHOT, b""))),
+        )
         written = write_checkpoint(
-            path, payload, kind="net-session", registry=self.registry
+            path,
+            codec.encode_net_session(state),
+            kind="net-session",
+            registry=self.registry,
         )
         self._event("checkpoint", path=path, round=self.round_number, bytes=written)
         return written
@@ -1410,25 +1410,17 @@ class NetworkedSession(Coordinator):
         they held at the checkpoint barrier over ``restore`` control
         frames, so the session continues with no round-record gaps.
         """
-        payload = read_checkpoint(os.fspath(path), kind="net-session")
-        definition = GroupDefinition.from_canonical_bytes(
-            bytes.fromhex(payload["definition"])
-        )
-        group = definition.group
-        server_keys = [
-            PrivateKey(group, int(value, 16)) for value in payload["server_keys"]
-        ]
-        client_keys = [
-            PrivateKey(group, int(value, 16)) for value in payload["client_keys"]
-        ]
+        state = codec.decode_net_session(read_checkpoint(path, kind="net-session"))
+        if state.mode not in MODES:
+            raise CheckpointError(f"checkpoint of unknown mode {state.mode!r}")
         session = cls(
-            definition,
-            server_keys,
-            client_keys,
+            state.definition,
+            state.server_keys,
+            state.client_keys,
             random.Random(),
-            mode=mode if mode is not None else payload["mode"],
-            server_seeds=payload["server_seeds"],
-            client_seeds=payload["client_seeds"],
+            mode=mode if mode is not None else state.mode,
+            server_seeds=state.server_seeds,
+            client_seeds=state.client_seeds,
             timeout=timeout,
             telemetry=telemetry,
             faults=faults,
@@ -1436,8 +1428,8 @@ class NetworkedSession(Coordinator):
             audit_path=audit_path,
             flight_dir=flight_dir,
         )
-        decode_coordinator_state(session, payload["coordinator"])
-        session._resume_payloads = dict(payload["nodes"])
+        codec.decode_coordinator_state(session, state.coordinator)
+        session._resume_payloads = state.nodes
         session._event("resume", node=COORDINATOR, round=session.round_number)
         return session
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache, partial
 
 from repro.core.accusation import Accusation, Rebuttal, RoundEvidence, TraceDisclosure
 from repro.core.rounds import RoundOutput
@@ -178,23 +179,58 @@ def iter_frames(data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> Iterator
 # ---------------------------------------------------------------------------
 
 
-def _unpack(data: bytes | memoryview, what: str) -> list:
+_TYPES = {"i": int, "b": bytes, "s": str, "n": int}
+
+
+@cache  # keyed by the specs written in the code: a bounded set
+def _kinds(spec: str) -> tuple[tuple[type, ...], type | None]:
+    """The field types ``spec`` names, and the repeated one (None: none)."""
+    if spec[-1] == "*":
+        return tuple(_TYPES[code] for code in spec[:-2]), _TYPES[spec[-2]]
+    return tuple(_TYPES[code] for code in spec), None
+
+
+def check_types(fields: list, spec: str, what: str) -> list:
+    """Check unpacked ``fields`` against ``spec``, one code per field: ``i``
+    an int, ``b`` bytes, ``s`` a str, ``n`` an int or ``b""`` (read as
+    None, in place).  A spec ending in ``*`` repeats its last code any
+    number of times, none included."""
+    kinds, repeated = _kinds(spec)
+    fixed = len(kinds)
+    if len(fields) < fixed or (repeated is None and len(fields) > fixed):
+        bound = "exactly" if repeated is None else "at least"
+        raise WireDecodeError(
+            f"{what} needs {bound} {fixed} fields, got {len(fields)}"
+        )
+    found = tuple(map(type, fields))
+    if found == kinds if repeated is None else (
+        found[:fixed] == kinds and found[fixed:].count(repeated) == len(found) - fixed
+    ):
+        return fields
+    for position, value in enumerate(fields):
+        code = spec[position] if position < fixed else spec[-2]
+        if code == "n" and value == b"":
+            fields[position] = None
+        elif type(value) is not _TYPES[code]:
+            raise WireDecodeError(
+                f"{what}: field {position} is {type(value).__name__}, "
+                f"expected {_TYPES[code].__name__}"
+            )
+    return fields
+
+
+def unpack_typed(data: bytes | memoryview, spec: str, what: str) -> list:
+    """:func:`unpack_fields` checked against a :func:`check_types` spec: the
+    one typed unpack for wire bodies, control frames and checkpoints.
+
+    Raises:
+        WireDecodeError: malformed bytes, a wrong field count or type.
+    """
     try:
-        return unpack_fields(data)
+        fields = unpack_fields(data)
     except ValueError as exc:
         raise WireDecodeError(f"malformed {what}: {exc}") from exc
-
-
-def _take(fields: list, index: int, kind: type, what: str):
-    if index >= len(fields):
-        raise WireDecodeError(f"{what}: missing field {index}")
-    value = fields[index]
-    if not isinstance(value, kind):
-        raise WireDecodeError(
-            f"{what}: field {index} is {type(value).__name__}, "
-            f"expected {kind.__name__}"
-        )
-    return value
+    return check_types(fields, spec, what)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +274,13 @@ def decode_envelope(group: Group, data: bytes | memoryview) -> SignedEnvelope:
             must not be able to inject unvalidated tags into dispatch.
         WireDecodeError: any other malformation.
     """
-    fields = _unpack(data, "envelope")
-    if len(fields) != 7:
-        raise WireDecodeError(f"envelope has {len(fields)} fields, expected 7")
-    magic = _take(fields, 0, str, "envelope")
+    magic, msg_type, sender, group_id, round_number, body, sig_bytes = (
+        unpack_typed(data, "sssbibb", "envelope")
+    )
     if magic != _ENVELOPE_MAGIC:
         raise WireDecodeError(f"envelope magic {magic!r} unsupported")
-    msg_type = _take(fields, 1, str, "envelope")
     if not is_known_type(msg_type):
         raise UnknownMessageType(f"unknown message type {msg_type!r}")
-    sender = _take(fields, 2, str, "envelope")
-    group_id = _take(fields, 3, bytes, "envelope")
-    round_number = _take(fields, 4, int, "envelope")
-    body = _take(fields, 5, bytes, "envelope")
-    sig_bytes = _take(fields, 6, bytes, "envelope")
     try:
         signature = Signature.from_bytes(group, sig_bytes)
     except InvalidSignature as exc:
@@ -360,12 +389,8 @@ def decode_routed(data: bytes) -> RoutedFrame:
         raise WireDecodeError(
             f"routed frame has {7 + len(rest)} fields, expected 7 or 8"
         )
-    to = _take(fields, 1, str, what)
-    sender = _take(fields, 2, str, what)
-    ack = _take(fields, 3, int, what)
-    kind = _take(fields, 4, str, what)
-    seq = _take(fields, 5, int, what)
-    trace = _take(rest, 0, bytes, what) if rest else b""
+    _, to, sender, ack, kind, seq = check_types(fields, "sssisi", what)
+    (trace,) = check_types(list(rest), "b", what) if rest else (b"",)
     if kind == ENVELOPE_KIND:
         body = memoryview(data)[start:end]
     else:
@@ -385,17 +410,7 @@ def encode_inventory_body(client_indices: Sequence[int]) -> bytes:
 
 
 def decode_inventory_body(body: bytes) -> tuple[int, ...]:
-    if not body:
-        return ()
-    fields = _unpack(body, "inventory body")
-    indices = []
-    for position, value in enumerate(fields):
-        if not isinstance(value, int):
-            raise WireDecodeError(
-                f"inventory body: field {position} is not an integer"
-            )
-        indices.append(value)
-    return tuple(indices)
+    return tuple(unpack_typed(body, "i*", "inventory body"))
 
 
 def encode_signature_body(group: Group, signature: Signature) -> bytes:
@@ -421,19 +436,15 @@ def encode_round_output_body(group: Group, output: RoundOutput) -> bytes:
 
 
 def decode_round_output_body(group: Group, body: bytes) -> RoundOutput:
-    fields = _unpack(body, "round output")
-    if len(fields) < 4:
+    round_number, cleartext, participation, *signed = unpack_typed(
+        body, "ibib*", "round output"
+    )
+    if not signed:
         raise WireDecodeError("round output needs at least one signature")
-    round_number = _take(fields, 0, int, "round output")
-    cleartext = _take(fields, 1, bytes, "round output")
-    participation = _take(fields, 2, int, "round output")
-    signatures = []
-    for position in range(3, len(fields)):
-        sig_bytes = _take(fields, position, bytes, "round output")
-        try:
-            signatures.append(Signature.from_bytes(group, sig_bytes))
-        except InvalidSignature as exc:
-            raise WireDecodeError(f"round output signature: {exc}") from exc
+    try:
+        signatures = [Signature.from_bytes(group, sig) for sig in signed]
+    except InvalidSignature as exc:
+        raise WireDecodeError(f"round output signature: {exc}") from exc
     return RoundOutput(
         round_number=round_number,
         cleartext=cleartext,
@@ -460,13 +471,8 @@ def encode_view_change_body(new_view: int, reason: str) -> bytes:
 
 
 def decode_view_change_body(body: bytes) -> tuple[int, str]:
-    fields = _unpack(body, "view change body")
-    if len(fields) != 2:
-        raise WireDecodeError("view change body needs exactly 2 fields")
-    return (
-        _take(fields, 0, int, "view change body"),
-        _take(fields, 1, str, "view change body"),
-    )
+    new_view, reason = unpack_typed(body, "is", "view change body")
+    return new_view, reason
 
 
 def encode_certificate_body(group: Group, certificate) -> bytes:
@@ -516,17 +522,15 @@ def encode_round_done_body(group: Group, done) -> bytes:
 def decode_round_done_body(group: Group, body: bytes) -> tuple:
     """The fields of a :class:`repro.core.engine.RoundDone`, in its order:
     ``(round_number, output, certificate, proof or None, shuffle_requested)``."""
-    what = "round-done"
-    fields = _unpack(body, what)
-    if len(fields) != 5:
-        raise WireDecodeError(f"{what} needs exactly 5 fields, got {len(fields)}")
-    proof = _take(fields, 4, bytes, what)
+    round_number, shuffle, output, certificate, proof = unpack_typed(
+        body, "iibbb", "round-done"
+    )
     return (
-        _take(fields, 0, int, what),
-        decode_round_output_body(group, _take(fields, 2, bytes, what)),
-        decode_certificate_body(group, _take(fields, 3, bytes, what)),
+        round_number,
+        decode_round_output_body(group, output),
+        decode_certificate_body(group, certificate),
         decode_equivocation_proof_body(group, proof) if proof else None,
-        bool(_take(fields, 1, int, what)),
+        bool(shuffle),
     )
 
 
@@ -544,11 +548,7 @@ def decode_shuffle_submission_body(group: Group, body: bytes):
     from repro.core.keyshuffle import unpack_cipher_vector
     from repro.errors import ShuffleError
 
-    fields = _unpack(body, "shuffle submission")
-    if len(fields) != 2:
-        raise WireDecodeError("shuffle submission body needs exactly 2 fields")
-    run_id = _take(fields, 0, bytes, "shuffle submission")
-    packed = _take(fields, 1, bytes, "shuffle submission")
+    run_id, packed = unpack_typed(body, "bb", "shuffle submission")
     try:
         return run_id, unpack_cipher_vector(group, packed)
     except (ShuffleError, ValueError) as exc:
@@ -562,58 +562,22 @@ def encode_disclosure_body(group: Group, disclosure: TraceDisclosure) -> bytes:
     server that later denies its disclosed pair bits is contradicted by
     its own signature.
     """
-    client_items: list[bytes] = []
-    for client_index in sorted(disclosure.client_envelopes):
-        client_items.append(
-            pack_fields(
-                client_index,
-                encode_envelope(group, disclosure.client_envelopes[client_index]),
-            )
-        )
-    bit_items = [
-        pack_fields(client_index, disclosure.pair_bits[client_index] & 1)
-        for client_index in sorted(disclosure.pair_bits)
-    ]
+    bits = {i: bit & 1 for i, bit in disclosure.pair_bits.items()}
     return pack_fields(
         disclosure.server_index,
-        pack_fields(*client_items) if client_items else b"",
-        pack_fields(*bit_items) if bit_items else b"",
+        encode_keyed(disclosure.client_envelopes, partial(encode_envelope, group)),
+        encode_int_pairs(bits),
     )
 
 
 def decode_disclosure_body(group: Group, body: bytes) -> TraceDisclosure:
-    fields = _unpack(body, "trace disclosure")
-    if len(fields) != 3:
-        raise WireDecodeError("trace disclosure body needs exactly 3 fields")
-    server_index = _take(fields, 0, int, "trace disclosure")
-    packed_envelopes = _take(fields, 1, bytes, "trace disclosure")
-    packed_bits = _take(fields, 2, bytes, "trace disclosure")
-    client_envelopes: dict[int, SignedEnvelope] = {}
-    if packed_envelopes:
-        for item in _unpack(packed_envelopes, "trace disclosure envelopes"):
-            if not isinstance(item, bytes):
-                raise WireDecodeError("trace disclosure envelope item not bytes")
-            pair = _unpack(item, "trace disclosure envelope item")
-            if len(pair) != 2:
-                raise WireDecodeError("trace disclosure envelope item malformed")
-            index = _take(pair, 0, int, "trace disclosure envelope item")
-            client_envelopes[index] = decode_envelope(
-                group, _take(pair, 1, bytes, "trace disclosure envelope item")
-            )
-    pair_bits: dict[int, int] = {}
-    if packed_bits:
-        for item in _unpack(packed_bits, "trace disclosure bits"):
-            if not isinstance(item, bytes):
-                raise WireDecodeError("trace disclosure bit item not bytes")
-            pair = _unpack(item, "trace disclosure bit item")
-            if len(pair) != 2:
-                raise WireDecodeError("trace disclosure bit item malformed")
-            index = _take(pair, 0, int, "trace disclosure bit item")
-            pair_bits[index] = _take(pair, 1, int, "trace disclosure bit item") & 1
+    server_index, envelopes, bits = unpack_typed(body, "ibb", "trace disclosure")
     return TraceDisclosure(
         server_index=server_index,
-        client_envelopes=client_envelopes,
-        pair_bits=pair_bits,
+        client_envelopes=decode_keyed(
+            envelopes, "b", "disclosed envelopes", partial(decode_envelope, group)
+        ),
+        pair_bits={i: bit & 1 for i, bit in decode_int_pairs(bits).items()},
     )
 
 
@@ -632,14 +596,8 @@ def encode_accusation_reveal_body(
 def decode_accusation_reveal_body(
     group: Group, body: bytes
 ) -> tuple[int, TraceDisclosure]:
-    fields = _unpack(body, "accusation reveal")
-    if len(fields) != 2:
-        raise WireDecodeError("accusation reveal body needs exactly 2 fields")
-    bit_index = _take(fields, 0, int, "accusation reveal")
-    disclosure = decode_disclosure_body(
-        group, _take(fields, 1, bytes, "accusation reveal")
-    )
-    return bit_index, disclosure
+    bit_index, disclosure = unpack_typed(body, "ib", "accusation reveal")
+    return bit_index, decode_disclosure_body(group, disclosure)
 
 
 # ---------------------------------------------------------------------------
@@ -660,71 +618,36 @@ def decode_accusation(group: Group, data: bytes) -> Accusation:
 
 def encode_evidence(evidence: RoundEvidence) -> bytes:
     """One server's archived view of an accused round (trace input)."""
-    assignment_items = [
-        pack_fields(i, evidence.assignment[i]) for i in sorted(evidence.assignment)
-    ]
     range_items = [
         pack_fields(slot, *evidence.slot_bit_ranges[slot])
         for slot in sorted(evidence.slot_bit_ranges)
     ]
     return pack_fields(
         evidence.round_number,
-        pack_fields(*[int(i) for i in evidence.final_list])
-        if evidence.final_list
-        else b"",
-        pack_fields(*assignment_items) if assignment_items else b"",
-        pack_fields(*list(evidence.server_ciphertexts)),
+        encode_int_list(evidence.final_list),
+        encode_int_pairs(evidence.assignment),
+        pack_fields(*evidence.server_ciphertexts),
         evidence.cleartext,
         evidence.total_bytes,
-        pack_fields(*range_items) if range_items else b"",
+        pack_fields(*range_items),
     )
 
 
 def decode_evidence(data: bytes) -> RoundEvidence:
-    fields = _unpack(data, "round evidence")
-    if len(fields) != 7:
-        raise WireDecodeError("round evidence needs exactly 7 fields")
-    round_number = _take(fields, 0, int, "round evidence")
-    packed_list = _take(fields, 1, bytes, "round evidence")
-    packed_assignment = _take(fields, 2, bytes, "round evidence")
-    packed_ciphertexts = _take(fields, 3, bytes, "round evidence")
-    cleartext = _take(fields, 4, bytes, "round evidence")
-    total_bytes = _take(fields, 5, int, "round evidence")
-    packed_ranges = _take(fields, 6, bytes, "round evidence")
-    final_list = decode_inventory_body(packed_list)
-    assignment: dict[int, int] = {}
-    if packed_assignment:
-        for item in _unpack(packed_assignment, "evidence assignment"):
-            if not isinstance(item, bytes):
-                raise WireDecodeError("evidence assignment item not bytes")
-            pair = _unpack(item, "evidence assignment item")
-            if len(pair) != 2:
-                raise WireDecodeError("evidence assignment item malformed")
-            assignment[_take(pair, 0, int, "assignment")] = _take(
-                pair, 1, int, "assignment"
-            )
-    ciphertexts: list[bytes] = []
-    for item in _unpack(packed_ciphertexts, "evidence ciphertexts"):
-        if not isinstance(item, bytes):
-            raise WireDecodeError("evidence ciphertext item not bytes")
-        ciphertexts.append(item)
+    what = "round evidence"
+    (
+        round_number, packed_list, packed_assignment, packed_ciphertexts,
+        cleartext, total_bytes, packed_ranges,
+    ) = unpack_typed(data, "ibbbbib", what)  # fmt: skip
     slot_bit_ranges: dict[int, tuple[int, int]] = {}
-    if packed_ranges:
-        for item in _unpack(packed_ranges, "evidence slot ranges"):
-            if not isinstance(item, bytes):
-                raise WireDecodeError("evidence slot range item not bytes")
-            triple = _unpack(item, "evidence slot range item")
-            if len(triple) != 3:
-                raise WireDecodeError("evidence slot range item malformed")
-            slot_bit_ranges[_take(triple, 0, int, "slot range")] = (
-                _take(triple, 1, int, "slot range"),
-                _take(triple, 2, int, "slot range"),
-            )
+    for item in unpack_typed(packed_ranges, "b*", what):
+        slot, start, end = unpack_typed(item, "iii", "evidence slot range")
+        slot_bit_ranges[slot] = (start, end)
     return RoundEvidence(
         round_number=round_number,
-        final_list=final_list,
-        assignment=assignment,
-        server_ciphertexts=ciphertexts,
+        final_list=decode_int_list(packed_list),
+        assignment=decode_int_pairs(packed_assignment),
+        server_ciphertexts=unpack_typed(packed_ciphertexts, "b*", what),
         cleartext=cleartext,
         total_bytes=total_bytes,
         slot_bit_ranges=slot_bit_ranges,
@@ -747,11 +670,7 @@ def encode_rebuttal(group: Group, rebuttal: Rebuttal | None) -> bytes:
 def decode_rebuttal(group: Group, data: bytes) -> Rebuttal | None:
     if not data:
         return None
-    fields = _unpack(data, "rebuttal")
-    if len(fields) != 5:
-        raise WireDecodeError("rebuttal needs exactly 5 fields")
-    server_index = _take(fields, 0, int, "rebuttal")
-    element_bytes = _take(fields, 1, bytes, "rebuttal")
+    server_index, element_bytes, t1, t2, s = unpack_typed(data, "ibiii", "rebuttal")
     try:
         dh_element = group.element_from_bytes(element_bytes)
     except CryptoError as exc:
@@ -759,41 +678,48 @@ def decode_rebuttal(group: Group, data: bytes) -> Rebuttal | None:
     return Rebuttal(
         server_index=server_index,
         dh_element=dh_element,
-        proof=DleqProof(
-            t1=_take(fields, 2, int, "rebuttal"),
-            t2=_take(fields, 3, int, "rebuttal"),
-            s=_take(fields, 4, int, "rebuttal"),
-        ),
+        proof=DleqProof(t1=t1, t2=t2, s=s),
     )
 
 
 def encode_int_list(values: Sequence[int]) -> bytes:
     """Helper for control frames carrying bare index lists."""
-    return pack_fields(*[int(v) for v in values]) if values else b""
+    return pack_fields(*[int(v) for v in values])
 
 
 def decode_int_list(data: bytes) -> tuple[int, ...]:
     return decode_inventory_body(data)
 
 
+def encode_keyed(mapping: Mapping[int, object], encode=None) -> bytes:
+    """An int-keyed map: one packed ``(key, value)`` item per entry, in key
+    order, each value through ``encode`` when given."""
+    return pack_fields(
+        *[
+            pack_fields(k, mapping[k] if encode is None else encode(mapping[k]))
+            for k in sorted(mapping)
+        ]
+    )
+
+
+def decode_keyed(data: bytes, code: str, what: str, decode=None) -> dict:
+    """Invert :func:`encode_keyed`; ``code`` types the values.  Keys must
+    strictly increase, so one map has one encoding."""
+    items = unpack_typed(data, "b*", what)
+    items = [unpack_typed(item, "i" + code, what) for item in items]
+    keys = [key for key, _ in items]
+    if keys != sorted(set(keys)):
+        raise WireDecodeError(f"{what}: keys repeat or are out of order")
+    return {key: value if decode is None else decode(value) for key, value in items}
+
+
 def encode_int_pairs(pairs: Mapping[int, int]) -> bytes:
     """Helper for control frames carrying small int->int maps."""
-    items = [pack_fields(k, pairs[k]) for k in sorted(pairs)]
-    return pack_fields(*items) if items else b""
+    return encode_keyed(pairs)
 
 
 def decode_int_pairs(data: bytes) -> dict[int, int]:
-    result: dict[int, int] = {}
-    if not data:
-        return result
-    for item in _unpack(data, "int pairs"):
-        if not isinstance(item, bytes):
-            raise WireDecodeError("int pair item not bytes")
-        pair = _unpack(item, "int pair item")
-        if len(pair) != 2:
-            raise WireDecodeError("int pair item malformed")
-        result[_take(pair, 0, int, "int pair")] = _take(pair, 1, int, "int pair")
-    return result
+    return decode_keyed(data, "i", "int pairs")
 
 
 def encode_telemetry_body(snapshot: Mapping) -> bytes:

@@ -5,6 +5,7 @@ Usage::
     PYTHONPATH=src python -m repro.obs.report [METRICS_demo.json] [--full]
         [--audit AUDIT.ndjson] [--trace TRACE.json]
         [--health HEALTH.json] [--flight DUMP.ndjson ...]
+        [--checkpoint FILE]
 
 Reads a JSON registry snapshot (as written by ``snapshot_json`` or the
 networked demo's ``--metrics-out``) and prints the per-phase latency
@@ -20,8 +21,11 @@ each round's stitched critical path plus the per-node phase breakdown.
 ``--health`` reads a JSON list of per-node health snapshots and prints
 the merged deployment view.  ``--flight`` reads one or more flight
 dumps (a header line, then the tail of a process's span log as NDJSON)
-and renders their records.  Any of the three may be used without a
-metrics snapshot.  Malformed input exits 1 with ``error: ...``.
+and renders their records.  ``--checkpoint`` reads any checkpoint
+file (``session``, ``net-session`` or ``node``), checks its digest and
+prints its kind, version and sections as the checkpoint decoders split
+them.  Any of these may be used without a metrics snapshot.  Malformed
+input exits 1 with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from __future__ import annotations
 import json
 import sys
 
+from repro.errors import CheckpointError
+
 from .export import flight_table, parse_flight_dump, phase_table, render_table
 
 USAGE = (
     "usage: python -m repro.obs.report [SNAPSHOT.json] [--full] "
     "[--audit AUDIT.ndjson] [--trace TRACE.json] [--health HEALTH.json] "
-    "[--flight DUMP.ndjson ...]"
+    "[--flight DUMP.ndjson ...] [--checkpoint FILE]"
 )
 
 
@@ -120,13 +126,16 @@ def main(argv: list[str] | None = None) -> int:
         audit_path = _take_flag(argv, "--audit")
         trace_path = _take_flag(argv, "--trace")
         health_path = _take_flag(argv, "--health")
+        checkpoint_path = _take_flag(argv, "--checkpoint")
         flight_paths = []
         while "--flight" in argv:
             flight_paths.append(_take_flag(argv, "--flight"))
     except ValueError:
         print(USAGE, file=sys.stderr)
         return 2
-    has_extras = bool(trace_path or health_path or flight_paths or audit_path)
+    has_extras = bool(
+        trace_path or health_path or flight_paths or audit_path or checkpoint_path
+    )
     if len(argv) > 1 or (len(argv) == 0 and not has_extras):
         print(USAGE, file=sys.stderr)
         return 2
@@ -164,23 +173,22 @@ def main(argv: list[str] | None = None) -> int:
                 with open(path, "r", encoding="utf-8") as fh:
                     dumps.append(parse_flight_dump(fh.read()))
             sections.append("flight dumps\n" + flight_table(dumps))
+        if audit_path is not None:
+            from repro.persist.audit import read_audit_log
+
+            entries = read_audit_log(audit_path)
+            sections.append("audit log (hash chain verified)\n" + audit_table(entries))
+        if checkpoint_path is not None:
+            from repro.persist.codec import describe
+
+            with open(checkpoint_path, "rb") as fh:
+                sections.append(describe(fh.read()))
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if audit_path is not None:
-        from repro.errors import CheckpointError
-        from repro.persist.audit import read_audit_log
-
-        try:
-            entries = read_audit_log(audit_path)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        sections.append("audit log (hash chain verified)\n" + audit_table(entries))
 
     print("\n\n".join(sections))
     return 0

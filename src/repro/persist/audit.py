@@ -90,8 +90,8 @@ def read_audit_log(path: str | os.PathLike) -> list[dict]:
     """Load and verify a log's hash chain; returns the entries in order.
 
     A trailing partial line (torn final write) is ignored; any other
-    malformation — bad JSON mid-file, an index gap, a broken hash link —
-    raises :class:`CheckpointError`.
+    malformation — bad JSON mid-file, a line that is not an object, an
+    index gap, a broken hash link — raises :class:`CheckpointError`.
     """
     path = os.fspath(path)
     try:
@@ -111,6 +111,10 @@ def read_audit_log(path: str | os.PathLike) -> list[dict]:
             raise CheckpointError(
                 f"audit log {path} line {position + 1} is not valid JSON: {exc}"
             ) from exc
+        if not isinstance(entry, dict):
+            raise CheckpointError(
+                f"audit log {path} line {position + 1} is not an object"
+            )
         expected_prev = entries[-1]["hash"] if entries else _GENESIS
         if entry.get("index") != len(entries):
             raise CheckpointError(

@@ -1,546 +1,662 @@
-"""JSON codecs for durable session state.
+"""The checkpoint format: the one module that knows what a checkpoint holds.
 
-Everything a crash-recovery checkpoint stores round-trips through plain
-JSON here: RNG state, scheduler state, round records and archives, and
-the full mutable state of clients, servers, and sessions.  The encoders
-produce only JSON-native values (dicts, lists, strings, numbers, bools,
-None); binary payloads are hex strings and group elements/scalars reuse
-the canonical wire encodings, so a checkpoint written under one process
-restores bit-identically in another.
+A checkpoint is nested :func:`~repro.util.serialization.pack_fields`
+fields, no JSON and no hex.  Each section below is declared once — its
+fields in order, each a :func:`repro.net.wire.check_types` code and, when
+not stored as is, an encoder and a decoder — and that declaration encodes
+it, decodes it and prints it (:func:`describe`).  Round outputs,
+certificates, equivocation proofs, envelopes, accusations, int lists and
+int-keyed maps keep their wire codecs (:mod:`repro.net.wire`), and an RNG
+state is one field of 625 words.  The coordinator section is the same
+bytes under both drivers; a node file, a node's ``snapshot``/``restore``
+frame and a ``net-session`` node entry are the same bytes.
 
-Decoders take the live object (or enough constructor context) because
-long-lived identity — private keys, the group definition — is *not*
-checkpointed: a restore attaches durable state to freshly-built nodes
-that already hold their keys.  The one exception is the client's
-pseudonym key, which is generated during the key shuffle and cannot be
-re-derived, so it rides in the client state.
+Long-lived identity — private keys, the group definition — is not in a
+``session`` checkpoint: a restore attaches state to freshly-built members
+that already hold their keys.  The client's pseudonym key, made in the key
+shuffle, rides in its section.
 
-Decoding is total: every field is required and checked for its JSON
-type (a bool is no integer), so a malformed checkpoint raises
-:class:`~repro.errors.CheckpointError` and never a bare ``TypeError``
-or a half-typed restore (``tests/test_persist.py::TestMutatedCheckpoints``).
+Decoding is total and canonical: a section is parsed whole before any of
+it is applied, a malformed field raises
+:class:`~repro.errors.CheckpointError` (never a bare ``TypeError``, never a
+coerced value), and a field that decodes re-encodes to exactly its bytes
+(``tests/test_persist.py::TestMutatedCheckpoints``).
 """
 
 from __future__ import annotations
 
-import random
+import functools
+import hashlib
+import struct
 from collections import deque
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
-from repro.core.client import DissentClient, _SentRecord
-from repro.core.config import Policy
-from repro.core.rounds import RoundOutput, RoundRecord, RoundStatus
+from repro.core.accusation import Accusation
+from repro.core.client import _SentRecord
+from repro.core.config import GroupDefinition
+from repro.core.rounds import RoundRecord, RoundStatus
 from repro.core.schedule import RoundLayout, Scheduler
-from repro.core.server import DissentServer, RoundArchive
-from repro.crypto.groups import Group
+from repro.core.server import RoundArchive
 from repro.crypto.keys import PrivateKey
 from repro.errors import CheckpointError, DissentError
+from repro.net.wire import (
+    decode_certificate_body,
+    decode_envelope,
+    decode_equivocation_proof_body,
+    decode_int_list,
+    decode_int_pairs,
+    decode_keyed,
+    decode_round_output_body,
+    encode_certificate_body,
+    encode_envelope,
+    encode_equivocation_proof_body,
+    encode_int_list,
+    encode_int_pairs,
+    encode_keyed,
+    encode_round_output_body,
+    unpack_typed,
+)
+from repro.util.serialization import pack_fields
 
-#: What a malformed field raises: the typed error of the decoder it feeds,
-#: or the ``ValueError`` / ``TypeError`` of ``bytes.fromhex`` on a non-hex
-#: or non-string value.  Anything else is a bug and propagates.
-_MALFORMED = (DissentError, ValueError, TypeError)
+# 2: v2 envelope signatures (over sha256(body)).  3: one ``coordinator``
+# section shared by ``session`` and ``net-session``.  4: SHAKE-128 pair pads;
+# an older file's rounds would not trace and could blame an honest member.
+# 5 and 6: group definitions of version 2 and 3, whose policies lost the
+# shuffle soundness knob, then six fields no member agrees on.  7: no hybrid
+# pad commitments.  8: a hybrid client's sent history in its own section,
+# every field required.  9: the coordinator holds the one delivery log;
+# clients keep no delivery history, archives no cleartext.  10: nested
+# packed fields in place of JSON; the digest covers the payload as read.
+CHECKPOINT_VERSION = 10
 
+_MAGIC = "dissent.checkpoint"
 
-def _require(data: dict, key: str, what: str):
-    if type(data) is not dict:
-        raise CheckpointError(f"{what} checkpoint is not an object")
-    if key not in data:
-        raise CheckpointError(f"{what} checkpoint is missing {key!r}")
-    return data[key]
-
-
-def _typed(value, kind: type, what: str, optional: bool = False):
-    """``value`` if it is exactly a ``kind`` (or None, when ``optional``)."""
-    if (value is None and optional) or type(value) is kind:
-        return value
-    raise CheckpointError(f"{what} is not a {kind.__name__}: {value!r}")
-
-
-def _field(data: dict, key: str, what: str, kind: type, optional: bool = False):
-    return _typed(_require(data, key, what), kind, f"{what} {key!r}", optional)
-
-
-def _row(value, kinds: list, what: str) -> list:
-    """A list whose items are exactly of the given ``kinds``, in order."""
-    if type(value) is not list or [type(item) for item in value] != kinds:
-        raise CheckpointError(f"{what} is not a row of {kinds}: {value!r}")
-    return value
-
-
-def _ints(value, what: str, bound: int | None = None):
-    """A list of integers, each below ``bound``."""
-    items = _typed(value, list, what)
-    for item in items:
-        _typed(item, int, f"{what} entry")
-        if bound is not None and not 0 <= item < bound:
-            raise CheckpointError(f"{what} entry {item} out of range")
-    return items
+#: Python's Mersenne Twister state: 624 words and a position.
+_RNG_WORDS = struct.Struct("<625I")
 
 
-def _members(data: dict, key: str, what: str, bound: int) -> set[int]:
-    """A set of member indices, each below ``bound``."""
-    return set(_ints(_require(data, key, what), f"{what} {key!r}", bound=bound))
+def _total(decode):
+    """A decoder's typed failures — malformed bytes, a rejected certificate
+    or element — are a CheckpointError; a bug underneath propagates."""
+
+    @functools.wraps(decode)
+    def wrapper(*args, **kwargs):
+        try:
+            return decode(*args, **kwargs)
+        except CheckpointError:
+            raise
+        except DissentError as exc:
+            raise CheckpointError(f"{decode.__name__}: {exc}") from exc
+
+    return wrapper
 
 
-def _hex(value, what: str, parse=bytes.fromhex):
-    try:
-        return parse(_typed(value, str, what))
-    except ValueError as exc:
-        raise CheckpointError(f"{what} is not hex: {exc}") from exc
+def _list(data: bytes, what: str) -> list[bytes]:
+    return unpack_typed(data, "b*", what)
 
 
-_HEX_INT = partial(int, base=16)
+class _Section:
+    """Named fields stored in order.  A field is a check_types code (stored
+    as is; an ``n`` field's None as ``b""``) or ``(code, encode, decode)``,
+    called as ``encode(ctx, value)`` and ``decode(ctx, data)`` — the wire
+    codecs' order — where ``ctx`` is the group for records and archives and
+    the group definition elsewhere."""
+
+    def __init__(self, name: str, **fields) -> None:
+        self.name = name
+        self.fields = {
+            field: (codec, None, None) if isinstance(codec, str) else codec
+            for field, codec in fields.items()
+        }
+        self.spec = "".join(code for code, _, _ in self.fields.values())
+
+    def encode(self, source, ctx) -> bytes:
+        values = []
+        for field, (_, encode, _) in self.fields.items():
+            value = getattr(source, field)
+            values.append(encode(ctx, value) if encode else _stored(value))
+        return pack_fields(*values)
+
+    def parse(self, data: bytes, ctx=None) -> dict:
+        values = unpack_typed(data, self.spec, self.name)
+        return {
+            field: decode(ctx, value) if decode else value
+            for (field, (_, _, decode)), value in zip(self.fields.items(), values)
+        }
 
 
-def _from_wire(data: str | None, decode, what: str):
-    """Hex of wire bytes through ``decode`` (None stays None)."""
-    if data is None:
-        return None
-    try:
-        return decode(bytes.fromhex(data))
-    except _MALFORMED as exc:
-        raise CheckpointError(f"{what} rejected: {exc}") from exc
+def _stored(value):
+    return b"" if value is None else value
 
 
-def _by_number(value, what: str) -> dict:
-    """A JSON object keyed by round or member numbers, as ints, in order."""
-    try:
-        return {int(k): v for k, v in _typed(value, dict, what).items()}
-    except ValueError as exc:
-        raise CheckpointError(f"{what} has a non-numeric key: {exc}") from exc
+def _apply(target, state: dict) -> None:
+    """Set a parsed member or coordinator section on a freshly-built one."""
+    index = state.pop("index", None)
+    if index is not None and index != target.index:
+        raise CheckpointError(f"checkpoint is for index {index}, not {target.index}")
+    target.rng.setstate(state.pop("rng"))
+    for field, value in state.items():
+        setattr(target, field, value)
 
 
 # ---------------------------------------------------------------------------
-# RNG and scheduler state
+# Field codecs
 # ---------------------------------------------------------------------------
 
 
-def encode_rng_state(state) -> list:
-    """``random.Random.getstate()`` → JSON (nested tuples become lists)."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+def encode_rng_state(state) -> bytes:
+    """``random.Random.getstate()`` as one field of 625 little-endian words."""
+    version, words, gauss_next = state
+    if version != 3 or gauss_next is not None:
+        # No member draws Gaussians; a cached one would be lost here.
+        raise CheckpointError("RNG state holds more than the twister words")
+    return _RNG_WORDS.pack(*words)
 
 
-def decode_rng_state(data) -> tuple:
-    if type(data) is not list or len(data) != 3:
-        raise CheckpointError(f"malformed RNG state: {data!r:.40}")
-    version, internal, gauss_next = data
+def decode_rng_state(data: bytes) -> tuple:
+    if len(data) != _RNG_WORDS.size:
+        raise CheckpointError(f"RNG state is {len(data)} bytes, not {_RNG_WORDS.size}")
+    words = _RNG_WORDS.unpack(data)
+    if words[-1] >= len(words):
+        raise CheckpointError(f"RNG position {words[-1]} out of range")
+    return (3, words, None)
+
+
+def _bool(value: int) -> bool:
+    if value not in (0, 1):
+        raise CheckpointError(f"a flag is {value}, not 0 or 1")
+    return bool(value)
+
+
+def _status(value: str) -> RoundStatus:
+    try:
+        return RoundStatus(value)
+    except ValueError as exc:
+        raise CheckpointError(f"unknown round status: {exc}") from exc
+
+
+def _plain(encode, decode, code: str = "b"):
+    """A field whose codecs need no ``ctx``."""
+    return code, lambda ctx, value: encode(value), lambda ctx, data: decode(data)
+
+
+def _optional(encode, decode):
+    """A ``bytes`` field whose ``b""`` is None."""
     return (
-        _typed(version, int, "RNG version"),
-        tuple(_typed(internal, list, "RNG state")),
-        _typed(gauss_next, float, "RNG gauss_next", optional=True),
+        "b",
+        lambda ctx, value: b"" if value is None else encode(ctx, value),
+        lambda ctx, data: decode(ctx, data) if data else None,
     )
 
 
-def restore_rng(rng: random.Random, data) -> None:
+def _listed(encode, decode):
+    """A list, one ``bytes`` field per item."""
+    return (
+        "b",
+        lambda ctx, items: pack_fields(*[encode(ctx, item) for item in items]),
+        lambda ctx, data: [decode(ctx, item) for item in _list(data, "list")],
+    )
+
+
+def _member_set(data: bytes, bound: int) -> set[int]:
+    """Member indices, once each, in order, below ``bound``."""
+    items = decode_int_list(data)
+    if list(items) != sorted(set(items)) or (items and items[-1] >= bound):
+        raise CheckpointError(f"members {list(items)} out of order or range")
+    return set(items)
+
+
+def _members(bound: str):
+    """A set of member indices below ``ctx.<bound>``."""
+    return (
+        "b",
+        lambda ctx, members: encode_int_list(sorted(members)),
+        lambda ctx, data: _member_set(data, getattr(ctx, bound)),
+    )
+
+
+def _pseudonym(ctx, x: int | None) -> PrivateKey | None:
     try:
-        # setstate checks each of the 625 words is an unsigned 32-bit int.
-        rng.setstate(decode_rng_state(data))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"RNG state rejected: {exc}") from exc
+        return None if x is None else PrivateKey(ctx.group, x)
+    except ValueError as exc:
+        raise CheckpointError(f"pseudonym key: {exc}") from exc
 
 
-def encode_scheduler(scheduler: Scheduler) -> dict:
-    return {
-        "num_slots": scheduler.num_slots,
-        "round_number": scheduler.round_number,
-        "states": [list(state) for state in scheduler._states],
-    }
+def _layout(data: bytes) -> RoundLayout:
+    capacities = decode_int_list(data)
+    return RoundLayout(len(capacities), capacities)
 
 
-def decode_scheduler(data: dict, policy: Policy) -> Scheduler:
-    num_slots = _field(data, "num_slots", "scheduler", int)
-    states = _field(data, "states", "scheduler", list)
-    if num_slots < 1 or len(states) != num_slots:
-        raise CheckpointError("scheduler state count does not match slot count")
-    scheduler = Scheduler(num_slots, policy)
-    scheduler._states = tuple(
-        tuple(_row(state, [int, int], "scheduler state")) for state in states
-    )
-    scheduler.round_number = _field(data, "round_number", "scheduler", int)
+def _archives(ctx, data: bytes) -> dict[int, RoundArchive]:
+    archives = [decode_archive(ctx.group, item) for item in _list(data, "archive")]
+    rounds = [archive.round_number for archive in archives]
+    if rounds != sorted(set(rounds)):
+        # Archives finish in round order: ``_trim_archive`` evicts the first.
+        raise CheckpointError(f"archived rounds {rounds} out of order")
+    return dict(zip(rounds, archives))
+
+
+def _encode_sent(ctx, record: _SentRecord | None) -> bytes:
+    return b"" if record is None else _SENT.encode(record, ctx)
+
+
+def _decode_sent(data: bytes) -> _SentRecord | None:
+    return _SentRecord(**_SENT.parse(data)) if data else None
+
+
+_INTS = _plain(encode_int_list, decode_int_list)
+_BYTES = _plain(lambda items: pack_fields(*items), partial(_list, what="list"))
+_BOOL = _plain(int, _bool, "i")
+_RNG = _plain(lambda rng: encode_rng_state(rng.getstate()), decode_rng_state)
+_SCHEDULE = (
+    "b",
+    lambda ctx, scheduler: encode_scheduler(scheduler),
+    lambda ctx, data: decode_scheduler(data, ctx.policy),
+)
+_ELEMENTS = _listed(
+    lambda ctx, element: ctx.group.element_to_bytes(element),
+    lambda ctx, data: ctx.group.element_from_bytes(data),
+)
+_SCHEDULER = _Section("scheduler", round_number="i", states=_INTS)
+
+
+def encode_scheduler(scheduler: Scheduler) -> bytes:
+    states = encode_int_list(chain.from_iterable(scheduler._states))
+    return pack_fields(scheduler.round_number, states)
+
+
+@_total
+def decode_scheduler(data: bytes, policy) -> Scheduler:
+    fields = _SCHEDULER.parse(data)
+    flat = fields["states"]
+    if not flat or len(flat) % 2:
+        raise CheckpointError("scheduler states are not one pair per slot")
+    scheduler = Scheduler(len(flat) // 2, policy)
+    scheduler._states = tuple(zip(flat[::2], flat[1::2]))
+    scheduler.round_number = fields["round_number"]
     return scheduler
 
 
 # ---------------------------------------------------------------------------
-# Round outputs, records, archives
+# Sections
 # ---------------------------------------------------------------------------
 
+_RECORD = _Section(
+    "record",
+    round_number="i",
+    status=_plain(lambda status: status.value, _status, "s"),
+    participation="i",
+    output=_optional(encode_round_output_body, decode_round_output_body),
+    shuffle_requested=_BOOL,
+    certificate=_optional(encode_certificate_body, decode_certificate_body),
+)
 
-def encode_round_output(group: Group, output: RoundOutput | None) -> str | None:
-    from repro.net.wire import encode_round_output_body
-
-    if output is None:
-        return None
-    return encode_round_output_body(group, output).hex()
-
-
-def decode_round_output(group: Group, data: str | None) -> RoundOutput | None:
-    from repro.net.wire import decode_round_output_body
-
-    return _from_wire(data, partial(decode_round_output_body, group), "round output")
-
-
-def encode_certificate(group: Group, certificate) -> str | None:
-    """A round certificate as hex of its canonical wire bytes."""
-    if certificate is None:
-        return None
-    return certificate.to_wire(group).hex()
-
-
-def decode_certificate(group: Group, data: str | None):
-    from repro.consensus.certificate import RoundCertificate
-
-    return _from_wire(data, partial(RoundCertificate.from_wire, group), "certificate")
-
-
-def encode_equivocation_proof(group: Group, proof) -> str | None:
-    """A transferable equivocation proof as hex of its wire bytes."""
-    if proof is None:
-        return None
-    return proof.to_wire(group).hex()
-
-
-def decode_equivocation_proof(group: Group, data: str | None):
-    from repro.consensus.certificate import EquivocationProof
-
-    return _from_wire(data, partial(EquivocationProof.from_wire, group), "proof")
-
-
-def encode_record(group: Group, record: RoundRecord) -> dict:
-    return {
-        "round_number": record.round_number,
-        "status": record.status.value,
-        "participation": record.participation,
-        "output": encode_round_output(group, record.output),
-        "shuffle_requested": record.shuffle_requested,
-        "certificate": encode_certificate(group, record.certificate),
-    }
-
-
-def decode_record(group: Group, data: dict) -> RoundRecord:
-    what = "round record"
-    try:
-        status = RoundStatus(_field(data, "status", what, str))
-    except ValueError as exc:
-        raise CheckpointError(f"unknown round status: {exc}") from exc
-    return RoundRecord(
-        round_number=_field(data, "round_number", what, int),
-        status=status,
-        participation=_field(data, "participation", what, int),
-        output=decode_round_output(group, _require(data, "output", what)),
-        shuffle_requested=_field(data, "shuffle_requested", what, bool),
-        certificate=decode_certificate(group, _require(data, "certificate", what)),
-    )
-
-
-def encode_archive(group: Group, archive: RoundArchive) -> dict:
-    from repro.net.wire import encode_envelope
-
-    return {
-        "round_number": archive.round_number,
-        "layout": {
-            "num_slots": archive.layout.num_slots,
-            "capacities": list(archive.layout.capacities),
-        },
-        "final_list": list(archive.final_list),
-        "assignment": {str(k): v for k, v in archive.assignment.items()},
-        "received_envelopes": {
-            str(k): encode_envelope(group, env).hex()
-            for k, env in archive.received_envelopes.items()
-        },
-        "server_ciphertexts": [blob.hex() for blob in archive.server_ciphertexts],
-        "participation": archive.participation,
-    }
-
-
-def decode_archive(group: Group, data: dict) -> RoundArchive:
-    from repro.net.wire import decode_envelope
-
-    what = "round archive"
-    layout_data = _require(data, "layout", what)
-    num_slots = _field(layout_data, "num_slots", "archive layout", int)
-    capacities = tuple(
-        _ints(_require(layout_data, "capacities", "archive layout"), "capacities")
-    )
-    if len(capacities) != num_slots:
-        raise CheckpointError("archive layout does not match its slot count")
-    envelopes = _by_number(_require(data, "received_envelopes", what), what)
-    decode = partial(decode_envelope, group)
-    received = {
-        k: _from_wire(_typed(v, str, "envelope"), decode, "archived envelope")
-        for k, v in envelopes.items()
-    }
-    assignment = _by_number(_require(data, "assignment", what), what)
-    return RoundArchive(
-        round_number=_field(data, "round_number", what, int),
-        layout=RoundLayout(num_slots, capacities),
-        final_list=tuple(_ints(_require(data, "final_list", what), "final list")),
-        assignment={k: _typed(v, int, "assignment") for k, v in assignment.items()},
-        received_envelopes=received,
-        server_ciphertexts=[
-            _hex(blob, "server ciphertext")
-            for blob in _field(data, "server_ciphertexts", what, list)
-        ],
-        participation=_field(data, "participation", what, int),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Client state
-# ---------------------------------------------------------------------------
-
-
-def encode_sent_records(records: dict) -> dict:
-    """round -> what a client put in its slot (None: it sent nothing)."""
-    return {
-        str(r): None
-        if record is None
-        else {
-            "slot_bytes": record.slot_bytes.hex(),
-            "slot_bit_start": record.slot_bit_start,
-            "payload_messages": [m.hex() for m in record.payload_messages],
-        }
-        for r, record in records.items()
-    }
-
-
-def decode_sent_records(data: dict) -> dict:
-    what = "sent record"
-    return {
-        r: None
-        if record is None
-        else _SentRecord(
-            slot_bytes=_hex(_require(record, "slot_bytes", what), "slot bytes"),
-            slot_bit_start=_field(record, "slot_bit_start", what, int),
-            payload_messages=[
-                _hex(m, "sent message")
-                for m in _field(record, "payload_messages", what, list)
-            ],
-        )
-        for r, record in _by_number(data, "sent records").items()
-    }
-
-
-def encode_client_state(client: DissentClient) -> dict:
-    """Full durable client state (identity key excluded, pseudonym included).
-
-    A hybrid-mode client's state also holds its sent history, the evidence
-    a replay of an archived round needs; an XOR client keeps none.
-    """
-    state = {
-        "index": client.index,
-        "pseudonym_x": format(client.pseudonym.x, "x") if client.pseudonym else None,
-        "slot": client.slot,
-        "slot_keys": [
-            client.group.element_to_bytes(y).hex() for y in client.slot_keys
-        ],
-        "scheduler": encode_scheduler(client.scheduler),
-        "outbox": [message.hex() for message in client.outbox],
-        "last_participation": client.last_participation,
-        "request_attempted": client._request_attempted,
-        "sent": encode_sent_records(client._sent),
-        "pending_accusation": (
-            client.pending_accusation.to_bytes(client.group).hex()
-            if client.pending_accusation is not None
-            else None
+_ARCHIVE = _Section(
+    "archive",
+    round_number="i",
+    layout=_plain(lambda layout: encode_int_list(layout.capacities), _layout),
+    final_list=_INTS,
+    assignment=_plain(encode_int_pairs, decode_int_pairs),
+    received_envelopes=(
+        "b",
+        lambda group, received: encode_keyed(received, partial(encode_envelope, group)),
+        lambda group, data: decode_keyed(
+            data, "b", "envelopes", partial(decode_envelope, group)
         ),
-        "accusation_submitted": client._accusation_submitted,
-        "disruption_detected": client.disruption_detected,
-        "rng_state": encode_rng_state(client.rng.getstate()),
-    }
-    if client.policy.dcnet_mode == "hybrid":
-        state["sent_history"] = encode_sent_records(client.sent_history)
-    return state
+    ),
+    server_ciphertexts=_BYTES,
+    participation="i",
+)
+
+_SENT = _Section(
+    "sent record", slot_bytes="b", slot_bit_start="i", payload_messages=_BYTES
+)
+#: round -> what a client put in its slot (None: it sent nothing).
+_SENT_RECORDS = (
+    "b",
+    lambda ctx, records: encode_keyed(records, partial(_encode_sent, ctx)),
+    lambda ctx, data: decode_keyed(data, "b", "sent records", _decode_sent),
+)
+
+#: A client's durable state (identity key excluded, pseudonym included);
+#: the sent history is what a hybrid-mode replay needs (empty under XOR).
+_CLIENT = _Section(
+    "client",
+    index="i",
+    pseudonym=("n", lambda ctx, key: _stored(key and key.x), _pseudonym),
+    slot="n",
+    slot_keys=_ELEMENTS,
+    scheduler=_SCHEDULE,
+    outbox=_plain(
+        lambda outbox: pack_fields(*outbox), lambda data: deque(_list(data, "outbox"))
+    ),
+    last_participation="n",
+    _request_attempted=_BOOL,
+    _sent=_SENT_RECORDS,
+    pending_accusation=_optional(
+        lambda ctx, accusation: accusation.to_bytes(ctx.group),
+        lambda ctx, data: Accusation.from_bytes(ctx.group, data),
+    ),
+    _accusation_submitted=_BOOL,
+    disruption_detected=_BOOL,
+    rng=_RNG,
+    sent_history=_SENT_RECORDS,
+)
+
+#: A server's durable state at a round barrier (no round in flight).
+_SERVER = _Section(
+    "server",
+    index="i",
+    scheduler=_SCHEDULE,
+    slot_keys=_ELEMENTS,
+    expelled=_members("num_clients"),
+    archive=(
+        "b",
+        lambda ctx, archive: pack_fields(
+            *[encode_archive(ctx.group, entry) for entry in archive.values()]
+        ),
+        _archives,
+    ),
+    last_participation="n",
+    rng=_RNG,
+)
+
+#: The :class:`~repro.core.coordinator.Coordinator`'s whole mutable state.
+_COORDINATOR = _Section(
+    "coordinator",
+    round_number="i",
+    records=_listed(
+        lambda ctx, record: encode_record(ctx.group, record),
+        lambda ctx, data: decode_record(ctx.group, data),
+    ),
+    delivery_schedule=_SCHEDULE,
+    delivered=_listed(
+        lambda ctx, entry: pack_fields(*entry),
+        lambda ctx, data: tuple(unpack_typed(data, "iib", "delivered message")),
+    ),
+    expelled=_members("num_clients"),
+    convicted_servers=_members("num_servers"),
+    equivocation_proofs=_listed(
+        lambda ctx, proof: encode_equivocation_proof_body(ctx.group, proof),
+        lambda ctx, data: decode_equivocation_proof_body(ctx.group, data),
+    ),
+    scheduled=_BOOL,
+    slot_elements=_INTS,
+    rng=_RNG,
+)
 
 
-def decode_client_state(client: DissentClient, data: dict) -> None:
+@dataclass
+class NetSession:
+    """A ``net-session`` payload: what a networked coordinator restarts from."""
+
+    definition: GroupDefinition
+    mode: str
+    server_keys: Sequence[PrivateKey]
+    client_keys: Sequence[PrivateKey]
+    server_seeds: Sequence[int]
+    client_seeds: Sequence[int]
+    #: The coordinator section, applied by :func:`decode_coordinator_state`.
+    coordinator: bytes
+    #: Node name -> node section, servers first, each checked whole.
+    nodes: dict[str, bytes]
+
+
+_KEYS = _plain(lambda keys: encode_int_list([key.x for key in keys]), decode_int_list)
+_NET_SESSION = _Section(
+    "net-session",
+    definition=_plain(
+        lambda definition: definition.canonical_bytes(),
+        GroupDefinition.from_canonical_bytes,
+    ),
+    mode="s",
+    server_keys=_KEYS,
+    client_keys=_KEYS,
+    server_seeds=_INTS,
+    client_seeds=_INTS,
+    coordinator="b",
+    nodes=_plain(
+        lambda nodes: pack_fields(*nodes.values()), partial(_list, what="nodes")
+    ),
+)
+_SESSION = _Section("session", coordinator="b", servers="b", clients="b")
+_NODE = _Section(
+    "node", role="s", rounds_done="i", recv_count="i", generation="i",
+    convicted="b", state="b",
+)  # fmt: skip
+_FILE = _Section("file", magic="s", version="i", kind="s", sha256="b", payload="b")
+
+#: Every section by name, for :func:`describe` and its readers.
+SECTIONS = {
+    section.name: section
+    for section in (
+        _FILE, _SESSION, _NET_SESSION, _NODE, _COORDINATOR, _SERVER, _CLIENT,
+        _SCHEDULER, _RECORD, _ARCHIVE, _SENT,
+    )
+}  # fmt: skip
+
+# ---------------------------------------------------------------------------
+# Encoders and decoders
+# ---------------------------------------------------------------------------
+
+
+def encode_record(group, record: RoundRecord) -> bytes:
+    return _RECORD.encode(record, group)
+
+
+@_total
+def decode_record(group, data: bytes) -> RoundRecord:
+    return RoundRecord(**_RECORD.parse(data, group))
+
+
+def encode_archive(group, archive: RoundArchive) -> bytes:
+    return _ARCHIVE.encode(archive, group)
+
+
+@_total
+def decode_archive(group, data: bytes) -> RoundArchive:
+    return RoundArchive(**_ARCHIVE.parse(data, group))
+
+
+def encode_client_state(client) -> bytes:
+    return _CLIENT.encode(client, client.definition)
+
+
+@_total
+def decode_client_state(client, data: bytes) -> None:
     """Apply an encoded client state to a freshly-built client in place."""
-    from repro.core.accusation import Accusation
-
-    what = "client"
-    group = client.group
-    if _field(data, "index", what, int) != client.index:
-        raise CheckpointError(
-            f"client checkpoint is for index {data['index']}, not {client.index}"
-        )
-    pseudonym_x = _require(data, "pseudonym_x", what)
-    client.pseudonym = (
-        PrivateKey(group, _hex(pseudonym_x, "pseudonym key", _HEX_INT))
-        if pseudonym_x is not None
-        else None
-    )
-    client.slot = _field(data, "slot", what, int, optional=True)
-    client.slot_keys = _decode_elements(group, _require(data, "slot_keys", what))
-    client.scheduler = decode_scheduler(
-        _require(data, "scheduler", what), client.policy
-    )
-    client.outbox = deque(
-        _hex(h, "queued message") for h in _field(data, "outbox", what, list)
-    )
-    client.last_participation = _field(
-        data, "last_participation", what, int, optional=True
-    )
-    client._request_attempted = _field(data, "request_attempted", what, bool)
-    client._sent = decode_sent_records(_require(data, "sent", what))
-    client.sent_history = (
-        decode_sent_records(_require(data, "sent_history", what))
-        if client.policy.dcnet_mode == "hybrid"
-        else {}
-    )
-    client.pending_accusation = _from_wire(
-        _require(data, "pending_accusation", what),
-        partial(Accusation.from_bytes, group),
-        "archived accusation",
-    )
-    client._accusation_submitted = _field(data, "accusation_submitted", what, bool)
-    client.disruption_detected = _field(data, "disruption_detected", what, bool)
-    restore_rng(client.rng, _require(data, "rng_state", what))
+    _apply(client, _CLIENT.parse(data, client.definition))
 
 
-def _decode_elements(group: Group, data) -> list[int]:
-    """A slot schedule: group elements in their wire encoding, as hex."""
-    try:
-        return [
-            group.element_from_bytes(_hex(h, "slot key"))
-            for h in _typed(data, list, "slot keys")
-        ]
-    except DissentError as exc:
-        raise CheckpointError(f"slot key rejected: {exc}") from exc
+def encode_server_state(server) -> bytes:
+    return _SERVER.encode(server, server.definition)
 
 
-# ---------------------------------------------------------------------------
-# Server state
-# ---------------------------------------------------------------------------
-
-
-def encode_server_state(server: DissentServer) -> dict:
-    """Durable server state at a round barrier (in-flight rounds excluded)."""
-    return {
-        "index": server.index,
-        "scheduler": encode_scheduler(server.scheduler),
-        "slot_keys": [
-            server.group.element_to_bytes(y).hex() for y in server.slot_keys
-        ],
-        "expelled": sorted(server.expelled),
-        "archive": {
-            str(r): encode_archive(server.group, archive)
-            for r, archive in server.archive.items()
-        },
-        "last_participation": server.last_participation,
-        "rng_state": encode_rng_state(server.rng.getstate()),
-    }
-
-
-def decode_server_state(server: DissentServer, data: dict) -> None:
+@_total
+def decode_server_state(server, data: bytes) -> None:
     """Apply an encoded server state to a freshly-built server in place."""
-    what = "server"
-    if _field(data, "index", what, int) != server.index:
-        raise CheckpointError(
-            f"server checkpoint is for index {data['index']}, not {server.index}"
-        )
-    server.scheduler = decode_scheduler(
-        _require(data, "scheduler", what), server.policy
-    )
-    server.slot_keys = _decode_elements(server.group, _require(data, "slot_keys", what))
-    server.expelled = _members(data, "expelled", what, server.definition.num_clients)
-    # Archives finish in round order; sorting the keys preserves the
-    # insertion-order eviction invariant of ``_trim_archive``.
-    archive = _by_number(_require(data, "archive", what), "server archive")
-    server.archive = {
-        r: decode_archive(server.group, archive[r]) for r in sorted(archive)
-    }
-    server.last_participation = _field(
-        data, "last_participation", what, int, optional=True
-    )
-    restore_rng(server.rng, _require(data, "rng_state", what))
+    _apply(server, _SERVER.parse(data, server.definition))
 
 
-# ---------------------------------------------------------------------------
-# Whole-session state
-# ---------------------------------------------------------------------------
+def encode_coordinator_state(coordinator) -> bytes:
+    """The section a ``session`` and a ``net-session`` checkpoint share."""
+    return _COORDINATOR.encode(coordinator, coordinator.definition)
 
 
-def encode_coordinator_state(coordinator) -> dict:
-    """The :class:`~repro.core.coordinator.Coordinator`'s whole mutable state.
-
-    The one section an in-process ``session`` checkpoint and a networked
-    ``net-session`` checkpoint share, byte for byte.
-    """
-    group = coordinator.definition.group
-    return {
-        "round_number": coordinator.round_number,
-        "records": [encode_record(group, record) for record in coordinator.records],
-        "delivery_schedule": encode_scheduler(coordinator.delivery_schedule),
-        "delivered": [
-            [r, slot, message.hex()] for r, slot, message in coordinator.delivered
-        ],
-        "expelled": sorted(coordinator.expelled),
-        "convicted_servers": sorted(coordinator.convicted_servers),
-        "equivocation_proofs": [
-            encode_equivocation_proof(group, proof)
-            for proof in coordinator.equivocation_proofs
-        ],
-        "scheduled": coordinator.scheduled,
-        "slot_elements": [format(y, "x") for y in coordinator.slot_elements],
-        "rng_state": encode_rng_state(coordinator.rng.getstate()),
-    }
-
-
-def decode_coordinator_state(coordinator, data: dict) -> None:
+@_total
+def decode_coordinator_state(coordinator, data: bytes) -> None:
     """Apply an encoded coordinator state to a freshly-built driver in place."""
-    definition = coordinator.definition
-    group = definition.group
-    what = "coordinator"
-    coordinator.round_number = _field(data, "round_number", what, int)
-    coordinator.records = [
-        decode_record(group, record) for record in _field(data, "records", what, list)
-    ]
-    coordinator.delivery_schedule = decode_scheduler(
-        _require(data, "delivery_schedule", what), definition.policy
+    _apply(coordinator, _COORDINATOR.parse(data, coordinator.definition))
+
+
+def encode_session_state(session) -> bytes:
+    """What :meth:`DissentSession.snapshot_state` returns: a ``session`` payload."""
+    return pack_fields(
+        encode_coordinator_state(session),
+        pack_fields(*[encode_server_state(server) for server in session.servers]),
+        pack_fields(*[encode_client_state(client) for client in session.clients]),
     )
-    coordinator.delivered = [
-        (r, slot, _hex(h, "delivered message"))
-        for r, slot, h in (
-            _row(entry, [int, int, str], "delivered message")
-            for entry in _field(data, "delivered", what, list)
+
+
+@_total
+def decode_session_state(session, data: bytes) -> None:
+    """Apply a ``session`` payload to a freshly-built session in place."""
+    sections = _SESSION.parse(data)
+    definition = session.definition
+    members = session.servers + session.clients
+    servers, clients = _list(sections["servers"], "servers"), sections["clients"]
+    parsed = [_SERVER.parse(server, definition) for server in servers]
+    parsed += [_CLIENT.parse(c, definition) for c in _list(clients, "clients")]
+    if [state["index"] for state in parsed] != [member.index for member in members]:
+        raise CheckpointError("session checkpoint does not match the group")
+    decode_coordinator_state(session, sections["coordinator"])
+    for member, state in zip(members, parsed):
+        _apply(member, state)
+
+
+def encode_node_state(node) -> bytes:
+    """A networked node's checkpoint: its counters around its member section."""
+    if node.role == "server":
+        convicted, member = node.engine.convicted, encode_server_state(node.server)
+    else:
+        convicted, member = (), encode_client_state(node.client)
+    return pack_fields(
+        node.role,
+        node.rounds_done,
+        node.recv_count,
+        node.generation,
+        encode_int_list(sorted(convicted)),
+        member,
+    )
+
+
+def _parse_node(definition, data: bytes) -> tuple[str, dict, dict]:
+    """A node section's role, counters and parsed member section."""
+    node = _NODE.parse(data)
+    role, state, convicted = node.pop("role"), node.pop("state"), node.pop("convicted")
+    if role == "server":
+        node["convicted"] = _member_set(convicted, definition.num_servers)
+        return role, node, _SERVER.parse(state, definition)
+    if role == "client" and not convicted:
+        return role, node, _CLIENT.parse(state, definition)
+    raise CheckpointError(f"node checkpoint of role {role!r}")
+
+
+@_total
+def decode_node_state(node, data: bytes) -> None:
+    """Apply a node checkpoint to a freshly-built node in place (its
+    generation as written: the node starts the next one itself)."""
+    role, counters, member = _parse_node(node.definition, data)
+    if role != node.role:
+        raise CheckpointError(f"{node.name}: checkpoint is for a {role}")
+    _apply(node.server if role == "server" else node.client, member)
+    if role == "server":
+        node.engine.convicted = counters.pop("convicted")
+    for field, value in counters.items():
+        setattr(node, field, value)
+
+
+def encode_net_session(state: NetSession) -> bytes:
+    return _NET_SESSION.encode(state, None)
+
+
+def _private_keys(definition, values, role: str) -> list[PrivateKey]:
+    public = getattr(definition, f"{role}_keys")
+    try:
+        keys = [PrivateKey(definition.group, x) for x in values]
+    except ValueError as exc:
+        raise CheckpointError(f"{role} key: {exc}") from exc
+    if [key.y for key in keys] != [key.y for key in public]:
+        raise CheckpointError(f"{role} keys do not match the group definition")
+    return keys
+
+
+@_total
+def decode_net_session(data: bytes) -> NetSession:
+    """A ``net-session`` payload, every field checked and each node
+    section parsed whole."""
+    state = _NET_SESSION.parse(data)
+    definition = state["definition"]
+    names = [definition.server_name(j) for j in range(definition.num_servers)]
+    names += [definition.client_name(i) for i in range(definition.num_clients)]
+    counts = [len(state[f]) for f in ("server_seeds", "client_seeds", "nodes")]
+    if counts != [definition.num_servers, definition.num_clients, len(names)]:
+        raise CheckpointError("net-session checkpoint does not match its group")
+    for name, node in zip(names, state["nodes"]):
+        role, _, member = _parse_node(definition, node)
+        owner = definition.server_name if role == "server" else definition.client_name
+        if owner(member["index"]) != name:
+            raise CheckpointError(f"the node section for {name} is another node's")
+    for role in ("server", "client"):
+        state[f"{role}_keys"] = _private_keys(definition, state[f"{role}_keys"], role)
+    state["nodes"] = dict(zip(names, state["nodes"]))
+    return NetSession(**state)
+
+
+def encode_file(kind: str, payload: bytes) -> bytes:
+    digest = hashlib.sha256(payload).digest()
+    return pack_fields(_MAGIC, CHECKPOINT_VERSION, kind, digest, payload)
+
+
+def decode_file(data: bytes, what: str = "checkpoint") -> tuple[str, bytes]:
+    """``(kind, payload)`` of a checkpoint file of this version whose digest
+    holds; the digest covers the payload bytes as read."""
+    try:
+        fields = _FILE.parse(data)
+    except DissentError as exc:
+        raise CheckpointError(
+            f"{what} is not a version-{CHECKPOINT_VERSION} checkpoint: {exc}"
+        ) from exc
+    if fields["magic"] != _MAGIC:
+        raise CheckpointError(f"{what} is not a checkpoint: magic {fields['magic']!r}")
+    if fields["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{what} has version {fields['version']}; this build reads version "
+            f"{CHECKPOINT_VERSION}"
         )
-    ]
-    coordinator.expelled = _members(data, "expelled", what, definition.num_clients)
-    coordinator.convicted_servers = _members(
-        data, "convicted_servers", what, definition.num_servers
-    )
-    coordinator.equivocation_proofs = [
-        decode_equivocation_proof(group, _typed(blob, str, "equivocation proof"))
-        for blob in _field(data, "equivocation_proofs", what, list)
-    ]
-    coordinator.scheduled = _field(data, "scheduled", what, bool)
-    coordinator.slot_elements = [
-        _hex(value, "slot schedule", _HEX_INT)
-        for value in _field(data, "slot_elements", what, list)
-    ]
-    restore_rng(coordinator.rng, _require(data, "rng_state", what))
+    if hashlib.sha256(fields["payload"]).digest() != fields["sha256"]:
+        raise CheckpointError(f"{what} failed its checksum — corrupt or tampered")
+    return fields["kind"], fields["payload"]
 
 
-def encode_session_state(session) -> dict:
-    """What :meth:`DissentSession.snapshot_state` returns (JSON-native)."""
-    return {
-        "coordinator": encode_coordinator_state(session),
-        "servers": [encode_server_state(server) for server in session.servers],
-        "clients": [encode_client_state(client) for client in session.clients],
-    }
+#: Fields holding one nested section, by the section's name.
+_NESTED = {
+    "coordinator": "coordinator", "scheduler": "scheduler",
+    "delivery_schedule": "scheduler",
+}  # fmt: skip
 
 
-def decode_session_state(session, data: dict) -> None:
-    """Apply an encoded session state to a freshly-built session in place."""
-    server_states = _field(data, "servers", "session", list)
-    client_states = _field(data, "clients", "session", list)
-    if len(server_states) != len(session.servers) or len(client_states) != len(
-        session.clients
-    ):
-        raise CheckpointError("session checkpoint does not match the group size")
-    decode_coordinator_state(session, _require(data, "coordinator", "session"))
-    for server, state in zip(session.servers, server_states):
-        decode_server_state(server, state)
-    for client, state in zip(session.clients, client_states):
-        decode_client_state(client, state)
+@_total
+def describe(data: bytes) -> str:
+    """A checkpoint file's kind, version and sections, one line per field,
+    split by the declarations that decode them (``python -m
+    repro.obs.report --checkpoint``).  Members are listed in full, records
+    and archives counted; a pseudonym key is not printed."""
+    kind, payload = decode_file(data)
+    lines = [f"checkpoint {kind}, version {CHECKPOINT_VERSION} (digest verified)"]
+
+    def show(name: str, data: bytes, indent: str) -> None:
+        if name not in SECTIONS:
+            raise CheckpointError(f"no checkpoint section is called {name!r}")
+        values = unpack_typed(data, SECTIONS[name].spec, name)
+        for field, value in zip(SECTIONS[name].fields, values):
+            if type(value) is not bytes:
+                secret = field == "pseudonym" and value is not None
+                lines.append(f"{indent}{field}: {'(private key)' if secret else value}")
+                continue
+            lines.append(f"{indent}{field}: {len(value)} bytes")
+            if field in ("servers", "clients", "nodes"):
+                for position, item in enumerate(_list(value, field)):
+                    lines.append(f"{indent}  [{position}]")
+                    show(field[:-1], item, indent + "    ")
+            elif field in ("records", "archive"):
+                lines[-1] += f", {len(_list(value, field))} entries"
+            elif field == "state" or field in _NESTED:
+                inner = values[0] if field == "state" else _NESTED[field]
+                show(inner, value, indent + "  ")
+
+    show(kind, payload, "")
+    return "\n".join(lines)

@@ -123,7 +123,8 @@ def unpack_prefix(data: bytes | memoryview, count: int) -> tuple[list[Field], in
     object).
 
     Raises:
-        ValueError: truncated header or body, unknown tag, invalid UTF-8.
+        ValueError: truncated header or body, unknown tag, invalid UTF-8,
+            an integer with leading zero bytes.
     """
     fields: list[Field] = []
     offset = 0
@@ -140,6 +141,10 @@ def unpack_prefix(data: bytes | memoryview, count: int) -> tuple[list[Field], in
         if tag == _BYTES:
             fields.append(bytes(body))
         elif tag == _INT:
+            if not body or (body[0] == 0 and end - start > 1):
+                # pack_fields writes the one minimal form; any other would
+                # give a second encoding of the same field sequence.
+                raise ValueError("integer is not in its minimal encoding")
             fields.append(int.from_bytes(body, "big"))
         elif tag == _STR:
             fields.append(str(body, "utf-8"))

@@ -35,6 +35,7 @@ from repro.core.adversary import (
     VoteWithholdingServer,
 )
 from repro.core.config import Policy
+from repro.core.rounds import RoundRecord, RoundStatus
 from repro.core.session import DissentSession, build_keys
 from repro.crypto import padding, schnorr
 from repro.crypto.groups import group_by_name
@@ -42,14 +43,13 @@ from repro.crypto.keys import PrivateKey
 from repro.errors import ConfigError, InvalidProof, InvalidSignature, ProtocolError
 from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, make_envelope
 from repro.net.runner import NetworkedSession
-from repro.net.wire import encode_consensus_body
-from repro.persist import read_audit_log
-from repro.persist.codec import (
-    decode_certificate,
-    decode_equivocation_proof,
-    encode_certificate,
-    encode_equivocation_proof,
+from repro.net.wire import (
+    decode_equivocation_proof_body,
+    encode_consensus_body,
+    encode_equivocation_proof_body,
 )
+from repro.persist import read_audit_log
+from repro.persist.codec import decode_record, encode_record
 from repro.util.serialization import pack_fields
 from tests.helpers import crypto_counters, global_counters
 from tests.test_networked_session import build_matched_inprocess
@@ -454,12 +454,14 @@ class TestCertificateCodec:
     def test_checkpoint_codec_round_trip(self, certified):
         definition, cert = certified
         group = definition.group
-        encoded = encode_certificate(group, cert)
-        assert isinstance(encoded, str)
-        decoded = decode_certificate(group, encoded)
+        # A checkpointed record carries its certificate in wire bytes.
+        record = RoundRecord(0, RoundStatus.COMPLETED, 4, None, certificate=cert)
+        encoded = encode_record(group, record)
+        assert cert.to_wire(group) in encoded
+        decoded = decode_record(group, encoded).certificate
         assert decoded.to_wire(group) == cert.to_wire(group)
-        assert encode_certificate(group, None) is None
-        assert decode_certificate(group, None) is None
+        failed = RoundRecord(1, RoundStatus.FAILED, 1, None)
+        assert decode_record(group, encode_record(group, failed)).certificate is None
 
     def test_tampering_is_rejected(self, certified):
         definition, cert = certified
@@ -541,8 +543,8 @@ class TestEquivocationProof:
     def test_checkpoint_codec_round_trip(self, convicted):
         definition, proof = convicted
         group = definition.group
-        decoded = decode_equivocation_proof(
-            group, encode_equivocation_proof(group, proof)
+        decoded = decode_equivocation_proof_body(
+            group, encode_equivocation_proof_body(group, proof)
         )
         decoded.verify(definition)
         assert decoded.to_wire(group) == proof.to_wire(group)

@@ -34,6 +34,7 @@ from repro.consensus.certificate import (
     output_body_digest,
 )
 from repro.core.client import DissentClient
+from repro.core.rounds import RoundRecord, RoundStatus
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.crypto import prng, schnorr
@@ -61,7 +62,7 @@ from repro.net.transport import loopback_pair
 from repro.persist import codec as persist_codec
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.util import bytesops
-from repro.util.serialization import pack_fields
+from repro.util.serialization import pack_fields, unpack_fields
 
 BACKENDS = ("test-256", "ec25519")
 _CACHE = "_body_digest"
@@ -254,7 +255,7 @@ class TestPayloadCache:
         for envelope in archive.received_envelopes.values():
             envelope.signed_payload()
         encoded = persist_codec.encode_archive(group, archive)
-        assert _CACHE not in json.dumps(encoded)
+        assert _CACHE.encode() not in encoded
         restored = persist_codec.decode_archive(group, encoded)
         assert restored.received_envelopes == archive.received_envelopes
         for index, envelope in restored.received_envelopes.items():
@@ -272,7 +273,8 @@ class TestPayloadCache:
         cold = wire.decode_round_output_body(group, body)
         assert _CACHE not in cold.__dict__
         assert cold == output and repr(cold) == repr(output)
-        assert persist_codec.encode_round_output(group, cold) == body.hex()
+        record = RoundRecord(0, RoundStatus.COMPLETED, cold.participation, cold)
+        assert body in persist_codec.encode_record(group, record)
         changed = dataclasses.replace(output, participation=output.participation - 1)
         assert _CACHE not in changed.__dict__
         assert output_body_digest(group, changed) != digest
@@ -350,7 +352,7 @@ class TestVersionRefusal:
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_old_checkpoint_refused_by_version(self, tmp_path, old):
         # 1: v1 signatures; 2: control-plane state outside the shared
         # ``coordinator`` section; 3: archived rounds masked with SHAKE-256
@@ -360,13 +362,18 @@ class TestVersionRefusal:
         # section carrying pad commitments; 7: a hybrid section beside the
         # clients, whose sections now hold their sent history; 8: clients
         # holding their delivery history and archives their cleartext,
-        # where the coordinator now holds the session's one delivery log.
+        # where the coordinator now holds the session's one delivery log;
+        # 9: a JSON document, with wire bytes as hex inside it.
         path = tmp_path / "old.ckpt"
-        write_checkpoint(path, {"round": 3}, kind="session")
-        document = json.loads(path.read_text())
-        assert document["version"] == 9
-        document["version"] = old
+        document = {"version": old, "kind": "session", "sha256": "", "payload": {}}
         path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="not a version-10 checkpoint"):
+            read_checkpoint(path)
+        # A header of this format naming an older version is refused by it.
+        write_checkpoint(path, b"", kind="session")
+        magic, version, kind, digest, payload = unpack_fields(path.read_bytes())
+        assert version == 10
+        path.write_bytes(pack_fields(magic, old, kind, digest, payload))
         with pytest.raises(CheckpointError, match=f"version {old}"):
             read_checkpoint(path)
 

@@ -49,12 +49,22 @@ def test_quickstart_runs_reduced(capsys):
     assert "meet at the fountain at noon" in out
 
 
-def test_networked_demo_runs_reduced(capsys):
+def test_networked_demo_runs_reduced(capsys, tmp_path):
+    from repro.obs import report
+
     module = load_example("networked_demo")
-    assert module.main(["--clients", "5", "--servers", "2", "--rounds", "3"]) == 0
+    checkpoint = str(tmp_path / "session.ckpt")
+    argv = ["--clients", "5", "--servers", "2", "--rounds", "3"]
+    assert module.main(argv + ["--checkpoint-out", checkpoint]) == 0
     out = capsys.readouterr().out
     assert "asyncio TCP nodes" in out
     assert "meet at the fountain at noon" in out
+    # The checkpoint it wrote reads back through the report's decoders.
+    assert report.main(["--checkpoint", checkpoint]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("checkpoint net-session, version 10 (digest verified)")
+    # Two servers and five clients, each node with its member section.
+    assert "\n  [6]\n    role: client\n" in out and "\n  [7]" not in out
 
 
 def test_consensus_demo_runs_reduced(capsys):

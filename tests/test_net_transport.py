@@ -50,6 +50,7 @@ from repro.net.transport import (
 )
 from repro.crypto.schnorr import Signature
 from repro.persist.checkpoint import read_checkpoint
+from repro.persist.codec import encode_node_state
 from repro.util.serialization import pack_fields, unpack_fields
 
 
@@ -410,11 +411,11 @@ class TestServerNodeRecord:
                 ),
                 node_side,
             )
-            barrier = node._snapshot_payload()
+            barrier = encode_node_state(node)
             await node._begin_round(0, [])
             node._arm_timer(0, 0)
             timer = node._clocks[0].timer
-            node._restore_payload(barrier)
+            node._restore(barrier)
             return node, timer
 
         node, timer = asyncio.run(scenario())
@@ -608,7 +609,8 @@ class TestNodeAcks:
 
         acks, processed, hello = asyncio.run(scenario())
         assert processed == 3
-        assert read_checkpoint(path, kind="node")["recv_count"] == 1
+        # The node section's third field is its recv_count.
+        assert unpack_fields(read_checkpoint(path, kind="node"))[2] == 1
         assert acks == [0, 0, 1, 1]
         # The restarted node resumes from, and acks, that same mark.
         assert hello.kind == K_HELLO and hello.ack == 1

@@ -292,6 +292,9 @@ class TestReportCli:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
         assert report_cli.main([str(bad)]) == 1
+        # A file that is no checkpoint of this version is refused, typed.
+        assert report_cli.main(["--checkpoint", str(bad)]) == 1
+        assert report_cli.main(["--checkpoint", str(tmp_path / "gone.ckpt")]) == 1
         capsys.readouterr()
 
 

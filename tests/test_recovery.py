@@ -12,7 +12,6 @@ leaning on the mode-parity invariant the networked-session suite pins.
 """
 
 import asyncio
-import json
 import socket
 import time
 
@@ -25,13 +24,14 @@ from repro.errors import PeerUnreachable, SessionTimeout
 from repro.net.runner import NetworkedSession
 from repro.net.transport import FaultSchedule, RetryPolicy, connect_tcp
 from repro.persist import (
+    codec,
     encode_coordinator_state,
     read_audit_log,
     read_checkpoint,
     restore_session,
     save_session,
 )
-from repro.util.serialization import canonical_json
+from repro.util.serialization import unpack_fields
 from tests.test_networked_session import build_matched_inprocess
 
 #: Sessions here leave ``group_name`` unset, so ``DISSENT_GROUP_BACKEND``
@@ -299,16 +299,15 @@ class TestCoordinatorRestore:
         assert events.count("checkpoint") == 1
         assert "resume" in events
 
-    def test_checkpoint_is_portable_json(self, tmp_path):
+    def test_checkpoint_file_is_portable(self, tmp_path):
         path = tmp_path / "session.ckpt"
         with chaos_session(seed=31, mode="loopback") as session:
             drive(session, 1)
             session.checkpoint(path)
-        document = json.loads(path.read_text())
-        assert document["kind"] == "net-session"
-        payload = document["payload"]
-        assert payload["coordinator"]["round_number"] == 1
-        assert len(payload["nodes"]) == 5  # 2 servers + 3 clients
+        # Decoded with no session at all: keys, definition and node sections.
+        state = codec.decode_net_session(read_checkpoint(path, kind="net-session"))
+        assert unpack_fields(state.coordinator)[0] == 1  # round_number
+        assert len(state.nodes) == 5  # 2 servers + 3 clients
 
     def test_coordinator_section_is_the_in_process_one(self, tmp_path):
         """A networked and an in-process checkpoint cut at the same barrier
@@ -324,19 +323,19 @@ class TestCoordinatorRestore:
             session.checkpoint(tmp_path / "net.ckpt")
 
         def section(name, kind):
-            payload = read_checkpoint(tmp_path / name, kind=kind)
-            return canonical_json(payload["coordinator"])
+            fields = unpack_fields(read_checkpoint(tmp_path / name, kind=kind))
+            return fields[list(codec.SECTIONS[kind].fields).index("coordinator")]
 
         shared = section("net.ckpt", "net-session")
         assert shared == section("inproc.ckpt", "session")
-        assert len(json.loads(shared)) == 10
+        assert len(unpack_fields(shared)) == 10
 
         fresh = build_matched_inprocess(GROUP, 2, 3, seed=31)
         restore_session(fresh, tmp_path / "inproc.ckpt")
         fresh.run_round()
         with NetworkedSession.restore(tmp_path / "net.ckpt") as restored:
             restored.run_round()
-            assert canonical_json(encode_coordinator_state(restored)) == (
-                canonical_json(encode_coordinator_state(fresh))
+            assert encode_coordinator_state(restored) == (
+                encode_coordinator_state(fresh)
             )
         assert fresh.round_number == 3

@@ -1,7 +1,6 @@
 """Verdict subsystem: verifiable rounds, in-round blame, hybrid mode."""
 
 import dataclasses
-import json
 import random
 import sys
 from functools import partial
@@ -11,14 +10,14 @@ import pytest
 from repro.core import DissentSession
 from repro.core.adversary import DisruptorClient
 from repro.core.client import DissentClient
-from repro.core.config import GroupDefinition, Policy
+from repro.core.config import Policy
 from repro.core.server import DissentServer
 from repro.core.session import build_session
 from repro.crypto import elgamal
 from repro.crypto.groups import testing_group as make_test_group
 from repro.crypto.keys import PrivateKey
 from repro.errors import ConfigError, ProtocolError
-from repro.persist import write_checkpoint
+from repro.persist import codec, read_checkpoint, write_checkpoint
 from repro.verdict.ciphertext import (
     VerdictClientCiphertext,
     batch_verify_server_shares,
@@ -579,16 +578,15 @@ class TestModePolicy:
             )
         with NetworkedSession.build(num_servers=2, num_clients=3, seed=1) as session:
             session.checkpoint(tmp_path / "xor.ckpt")
-        document = json.loads((tmp_path / "xor.ckpt").read_text())
-        definition = GroupDefinition.from_canonical_bytes(
-            bytes.fromhex(document["payload"]["definition"])
+        state = codec.decode_net_session(
+            read_checkpoint(tmp_path / "xor.ckpt", kind="net-session")
         )
-        other = dataclasses.replace(
-            definition, policy=dataclasses.replace(definition.policy, dcnet_mode=mode)
+        state.definition = dataclasses.replace(
+            state.definition,
+            policy=dataclasses.replace(state.definition.policy, dcnet_mode=mode),
         )
-        document["payload"]["definition"] = other.canonical_bytes().hex()
         write_checkpoint(
-            tmp_path / "other.ckpt", document["payload"], kind="net-session"
+            tmp_path / "other.ckpt", codec.encode_net_session(state), kind="net-session"
         )
         with pytest.raises(ConfigError, match="xor"):
             NetworkedSession.restore(tmp_path / "other.ckpt")
