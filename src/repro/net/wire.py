@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 from repro.core.accusation import Accusation, Rebuttal, RoundEvidence, TraceDisclosure
 from repro.core.rounds import RoundOutput
@@ -182,36 +182,25 @@ def iter_frames(data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> Iterator
 _TYPES = {"i": int, "b": bytes, "s": str, "n": int}
 
 
-@cache  # keyed by the specs written in the code: a bounded set
-def _kinds(spec: str) -> tuple[tuple[type, ...], type | None]:
-    """The field types ``spec`` names, and the repeated one (None: none)."""
-    if spec[-1] == "*":
-        return tuple(_TYPES[code] for code in spec[:-2]), _TYPES[spec[-2]]
-    return tuple(_TYPES[code] for code in spec), None
-
-
 def check_types(fields: list, spec: str, what: str) -> list:
     """Check unpacked ``fields`` against ``spec``, one code per field: ``i``
     an int, ``b`` bytes, ``s`` a str, ``n`` an int or ``b""`` (read as
     None, in place).  A spec ending in ``*`` repeats its last code any
     number of times, none included."""
-    kinds, repeated = _kinds(spec)
-    fixed = len(kinds)
-    if len(fields) < fixed or (repeated is None and len(fields) > fixed):
-        bound = "exactly" if repeated is None else "at least"
+    repeated = spec.endswith("*")
+    fixed = len(spec) - 2 if repeated else len(spec)
+    if len(fields) < fixed or (not repeated and len(fields) > fixed):
+        bound = "at least" if repeated else "exactly"
         raise WireDecodeError(
             f"{what} needs {bound} {fixed} fields, got {len(fields)}"
         )
-    found = tuple(map(type, fields))
-    if found == kinds if repeated is None else (
-        found[:fixed] == kinds and found[fixed:].count(repeated) == len(found) - fixed
-    ):
-        return fields
-    for position, value in enumerate(fields):
-        code = spec[position] if position < fixed else spec[-2]
+    codes = spec[:fixed] + spec[fixed] * (len(fields) - fixed) if repeated else spec
+    for position, (code, value) in enumerate(zip(codes, fields)):
+        if type(value) is _TYPES[code]:
+            continue
         if code == "n" and value == b"":
             fields[position] = None
-        elif type(value) is not _TYPES[code]:
+        else:
             raise WireDecodeError(
                 f"{what}: field {position} is {type(value).__name__}, "
                 f"expected {_TYPES[code].__name__}"

@@ -3,11 +3,11 @@
 A checkpoint is nested :func:`~repro.util.serialization.pack_fields`
 fields, no JSON and no hex.  Each section below is declared once — its
 fields in order, each a :func:`repro.net.wire.check_types` code and, when
-not stored as is, an encoder and a decoder — and that declaration encodes
-it, decodes it and prints it (:func:`describe`).  Round outputs,
-certificates, equivocation proofs, envelopes, accusations, int lists and
-int-keyed maps keep their wire codecs (:mod:`repro.net.wire`), and an RNG
-state is one field of 625 words.  The coordinator section is the same
+not stored as is, an encoder, a decoder and the section it nests — and
+that declaration encodes it, decodes it and prints it (:func:`describe`).
+Round outputs, certificates, equivocation proofs, envelopes, accusations,
+int lists and int-keyed maps keep their wire codecs (:mod:`repro.net.wire`),
+and an RNG state is one field of 625 words.  The coordinator section is the same
 bytes under both drivers; a node file, a node's ``snapshot``/``restore``
 frame and a ``net-session`` node entry are the same bytes.
 
@@ -100,23 +100,28 @@ def _list(data: bytes, what: str) -> list[bytes]:
 
 class _Section:
     """Named fields stored in order.  A field is a check_types code (stored
-    as is; an ``n`` field's None as ``b""``) or ``(code, encode, decode)``,
-    called as ``encode(ctx, value)`` and ``decode(ctx, data)`` — the wire
-    codecs' order — where ``ctx`` is the group for records and archives and
-    the group definition elsewhere."""
+    as is; an ``n`` field's None as ``b""``) or ``(code, encode, decode,
+    nested)``, the last one or two optional.  The codecs are called as
+    ``encode(ctx, value)`` and ``decode(ctx, data)`` — the wire codecs'
+    order — where ``ctx`` is the group for records and archives and the
+    group definition elsewhere.  ``nested`` names the section a ``bytes``
+    field holds, for :func:`describe`: a name, a name and ``*`` for a list
+    of them, or ``"counted"`` for a list shown by its length; ``{field}``
+    in it is that field's value (a node's ``state`` is its ``role``)."""
 
     def __init__(self, name: str, **fields) -> None:
         self.name = name
-        self.fields = {
-            field: (codec, None, None) if isinstance(codec, str) else codec
-            for field, codec in fields.items()
-        }
-        self.spec = "".join(code for code, _, _ in self.fields.values())
+        self.fields = {}
+        for field, codec in fields.items():
+            codec = (codec,) if isinstance(codec, str) else codec
+            self.fields[field] = codec + (None,) * (4 - len(codec))
+        self.spec = "".join(code for code, _, _, _ in self.fields.values())
 
-    def encode(self, source, ctx) -> bytes:
+    def encode(self, source, ctx, **given) -> bytes:
+        """The fields of ``source``, or those ``given`` by name, packed."""
         values = []
-        for field, (_, encode, _) in self.fields.items():
-            value = getattr(source, field)
+        for field, (_, encode, _, _) in self.fields.items():
+            value = given[field] if field in given else getattr(source, field)
             values.append(encode(ctx, value) if encode else _stored(value))
         return pack_fields(*values)
 
@@ -124,7 +129,7 @@ class _Section:
         values = unpack_typed(data, self.spec, self.name)
         return {
             field: decode(ctx, value) if decode else value
-            for (field, (_, _, decode)), value in zip(self.fields.items(), values)
+            for (field, (_, _, decode, _)), value in zip(self.fields.items(), values)
         }
 
 
@@ -178,9 +183,11 @@ def _status(value: str) -> RoundStatus:
         raise CheckpointError(f"unknown round status: {exc}") from exc
 
 
-def _plain(encode, decode, code: str = "b"):
+def _plain(encode, decode, code: str = "b", nested=None):
     """A field whose codecs need no ``ctx``."""
-    return code, lambda ctx, value: encode(value), lambda ctx, data: decode(data)
+    return (
+        code, lambda ctx, value: encode(value), lambda ctx, data: decode(data), nested
+    )  # fmt: skip
 
 
 def _optional(encode, decode):
@@ -192,30 +199,37 @@ def _optional(encode, decode):
     )
 
 
-def _listed(encode, decode):
+def _listed(encode, decode, nested=None):
     """A list, one ``bytes`` field per item."""
     return (
         "b",
         lambda ctx, items: pack_fields(*[encode(ctx, item) for item in items]),
         lambda ctx, data: [decode(ctx, item) for item in _list(data, "list")],
+        nested,
     )
 
 
-def _member_set(data: bytes, bound: int) -> set[int]:
-    """Member indices, once each, in order, below ``bound``."""
-    items = decode_int_list(data)
-    if list(items) != sorted(set(items)) or (items and items[-1] >= bound):
-        raise CheckpointError(f"members {list(items)} out of order or range")
-    return set(items)
+def _sections(section: _Section):
+    """A list of ``section``, each parsed, none applied."""
+    return _listed(
+        lambda ctx, source: section.encode(source, ctx),
+        lambda ctx, data: section.parse(data, ctx),
+        f"{section.name}*",
+    )
 
 
 def _members(bound: str):
-    """A set of member indices below ``ctx.<bound>``."""
-    return (
-        "b",
-        lambda ctx, members: encode_int_list(sorted(members)),
-        lambda ctx, data: _member_set(data, getattr(ctx, bound)),
-    )
+    """A set of member indices, once each, in order, below ``ctx.<bound>``."""
+
+    def decode(ctx, data: bytes) -> set[int]:
+        items = decode_int_list(data)
+        if list(items) != sorted(set(items)) or (
+            items and items[-1] >= getattr(ctx, bound)
+        ):
+            raise CheckpointError(f"members {list(items)} out of order or range")
+        return set(items)
+
+    return "b", lambda ctx, members: encode_int_list(sorted(members)), decode
 
 
 def _pseudonym(ctx, x: int | None) -> PrivateKey | None:
@@ -255,28 +269,40 @@ _SCHEDULE = (
     "b",
     lambda ctx, scheduler: encode_scheduler(scheduler),
     lambda ctx, data: decode_scheduler(data, ctx.policy),
+    "scheduler",
 )
 _ELEMENTS = _listed(
     lambda ctx, element: ctx.group.element_to_bytes(element),
     lambda ctx, data: ctx.group.element_from_bytes(data),
 )
-_SCHEDULER = _Section("scheduler", round_number="i", states=_INTS)
+
+
+def _slot_states(data: bytes) -> tuple:
+    flat = decode_int_list(data)
+    if not flat or len(flat) % 2:
+        raise CheckpointError("scheduler states are not one pair per slot")
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+_SCHEDULER = _Section(
+    "scheduler",
+    round_number="i",
+    _states=_plain(
+        lambda states: encode_int_list(chain.from_iterable(states)), _slot_states
+    ),
+)
 
 
 def encode_scheduler(scheduler: Scheduler) -> bytes:
-    states = encode_int_list(chain.from_iterable(scheduler._states))
-    return pack_fields(scheduler.round_number, states)
+    return _SCHEDULER.encode(scheduler, None)
 
 
 @_total
 def decode_scheduler(data: bytes, policy) -> Scheduler:
     fields = _SCHEDULER.parse(data)
-    flat = fields["states"]
-    if not flat or len(flat) % 2:
-        raise CheckpointError("scheduler states are not one pair per slot")
-    scheduler = Scheduler(len(flat) // 2, policy)
-    scheduler._states = tuple(zip(flat[::2], flat[1::2]))
-    scheduler.round_number = fields["round_number"]
+    scheduler = Scheduler(len(fields["_states"]), policy)
+    for field, value in fields.items():
+        setattr(scheduler, field, value)
     return scheduler
 
 
@@ -359,6 +385,7 @@ _SERVER = _Section(
             *[encode_archive(ctx.group, entry) for entry in archive.values()]
         ),
         _archives,
+        "counted",
     ),
     last_participation="n",
     rng=_RNG,
@@ -371,6 +398,7 @@ _COORDINATOR = _Section(
     records=_listed(
         lambda ctx, record: encode_record(ctx.group, record),
         lambda ctx, data: decode_record(ctx.group, data),
+        "counted",
     ),
     delivery_schedule=_SCHEDULE,
     delivered=_listed(
@@ -406,6 +434,8 @@ class NetSession:
 
 
 _KEYS = _plain(lambda keys: encode_int_list([key.x for key in keys]), decode_int_list)
+#: A coordinator section, encoded and applied by its own codec.
+_COORDINATOR_FIELD = ("b", None, None, "coordinator")
 _NET_SESSION = _Section(
     "net-session",
     definition=_plain(
@@ -417,15 +447,21 @@ _NET_SESSION = _Section(
     client_keys=_KEYS,
     server_seeds=_INTS,
     client_seeds=_INTS,
-    coordinator="b",
+    coordinator=_COORDINATOR_FIELD,
     nodes=_plain(
-        lambda nodes: pack_fields(*nodes.values()), partial(_list, what="nodes")
+        lambda nodes: pack_fields(*nodes.values()), partial(_list, what="nodes"),
+        nested="node*",
     ),
 )
-_SESSION = _Section("session", coordinator="b", servers="b", clients="b")
+_SESSION = _Section(
+    "session",
+    coordinator=_COORDINATOR_FIELD,
+    servers=_sections(_SERVER),
+    clients=_sections(_CLIENT),
+)
 _NODE = _Section(
     "node", role="s", rounds_done="i", recv_count="i", generation="i",
-    convicted="b", state="b",
+    convicted=_members("num_servers"), state=("b", None, None, "{role}"),
 )  # fmt: skip
 _FILE = _Section("file", magic="s", version="i", kind="s", sha256="b", payload="b")
 
@@ -494,22 +530,16 @@ def decode_coordinator_state(coordinator, data: bytes) -> None:
 
 def encode_session_state(session) -> bytes:
     """What :meth:`DissentSession.snapshot_state` returns: a ``session`` payload."""
-    return pack_fields(
-        encode_coordinator_state(session),
-        pack_fields(*[encode_server_state(server) for server in session.servers]),
-        pack_fields(*[encode_client_state(client) for client in session.clients]),
-    )
+    coordinator = encode_coordinator_state(session)
+    return _SESSION.encode(session, session.definition, coordinator=coordinator)
 
 
 @_total
 def decode_session_state(session, data: bytes) -> None:
     """Apply a ``session`` payload to a freshly-built session in place."""
-    sections = _SESSION.parse(data)
-    definition = session.definition
+    sections = _SESSION.parse(data, session.definition)
     members = session.servers + session.clients
-    servers, clients = _list(sections["servers"], "servers"), sections["clients"]
-    parsed = [_SERVER.parse(server, definition) for server in servers]
-    parsed += [_CLIENT.parse(c, definition) for c in _list(clients, "clients")]
+    parsed = sections["servers"] + sections["clients"]
     if [state["index"] for state in parsed] != [member.index for member in members]:
         raise CheckpointError("session checkpoint does not match the group")
     decode_coordinator_state(session, sections["coordinator"])
@@ -523,24 +553,16 @@ def encode_node_state(node) -> bytes:
         convicted, member = node.engine.convicted, encode_server_state(node.server)
     else:
         convicted, member = (), encode_client_state(node.client)
-    return pack_fields(
-        node.role,
-        node.rounds_done,
-        node.recv_count,
-        node.generation,
-        encode_int_list(sorted(convicted)),
-        member,
-    )
+    return _NODE.encode(node, node.definition, convicted=convicted, state=member)
 
 
 def _parse_node(definition, data: bytes) -> tuple[str, dict, dict]:
     """A node section's role, counters and parsed member section."""
-    node = _NODE.parse(data)
-    role, state, convicted = node.pop("role"), node.pop("state"), node.pop("convicted")
+    node = _NODE.parse(data, definition)
+    role, state = node.pop("role"), node.pop("state")
     if role == "server":
-        node["convicted"] = _member_set(convicted, definition.num_servers)
         return role, node, _SERVER.parse(state, definition)
-    if role == "client" and not convicted:
+    if role == "client" and not node.pop("convicted"):
         return role, node, _CLIENT.parse(state, definition)
     raise CheckpointError(f"node checkpoint of role {role!r}")
 
@@ -598,7 +620,10 @@ def decode_net_session(data: bytes) -> NetSession:
 
 def encode_file(kind: str, payload: bytes) -> bytes:
     digest = hashlib.sha256(payload).digest()
-    return pack_fields(_MAGIC, CHECKPOINT_VERSION, kind, digest, payload)
+    return _FILE.encode(
+        None, None, magic=_MAGIC, version=CHECKPOINT_VERSION, kind=kind,
+        sha256=digest, payload=payload,
+    )  # fmt: skip
 
 
 def decode_file(data: bytes, what: str = "checkpoint") -> tuple[str, bytes]:
@@ -622,13 +647,6 @@ def decode_file(data: bytes, what: str = "checkpoint") -> tuple[str, bytes]:
     return fields["kind"], fields["payload"]
 
 
-#: Fields holding one nested section, by the section's name.
-_NESTED = {
-    "coordinator": "coordinator", "scheduler": "scheduler",
-    "delivery_schedule": "scheduler",
-}  # fmt: skip
-
-
 @_total
 def describe(data: bytes) -> str:
     """A checkpoint file's kind, version and sections, one line per field,
@@ -641,22 +659,23 @@ def describe(data: bytes) -> str:
     def show(name: str, data: bytes, indent: str) -> None:
         if name not in SECTIONS:
             raise CheckpointError(f"no checkpoint section is called {name!r}")
-        values = unpack_typed(data, SECTIONS[name].spec, name)
-        for field, value in zip(SECTIONS[name].fields, values):
+        section = SECTIONS[name]
+        values = dict(zip(section.fields, unpack_typed(data, section.spec, name)))
+        for field, value in values.items():
             if type(value) is not bytes:
                 secret = field == "pseudonym" and value is not None
                 lines.append(f"{indent}{field}: {'(private key)' if secret else value}")
                 continue
             lines.append(f"{indent}{field}: {len(value)} bytes")
-            if field in ("servers", "clients", "nodes"):
+            nested = section.fields[field][3]
+            if nested == "counted":
+                lines[-1] += f", {len(_list(value, field))} entries"
+            elif nested and nested.endswith("*"):
                 for position, item in enumerate(_list(value, field)):
                     lines.append(f"{indent}  [{position}]")
-                    show(field[:-1], item, indent + "    ")
-            elif field in ("records", "archive"):
-                lines[-1] += f", {len(_list(value, field))} entries"
-            elif field == "state" or field in _NESTED:
-                inner = values[0] if field == "state" else _NESTED[field]
-                show(inner, value, indent + "  ")
+                    show(nested[:-1], item, indent + "    ")
+            elif nested:
+                show(nested.format_map(values), value, indent + "  ")
 
     show(kind, payload, "")
     return "\n".join(lines)
