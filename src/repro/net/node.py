@@ -80,19 +80,47 @@ from repro.net.message import (
 )
 from repro.net.transport import RetryPolicy, Transport, connect_tcp
 from repro.net.wire import (
-    ENVELOPE_KIND,
+    K_ACC_OUTCOME,
+    K_ACC_REQUEST,
+    K_COMMIT_GO,
+    K_DISCLOSURE_REQUEST,
+    K_ENVELOPE,
+    K_EVIDENCE_REQUEST,
+    K_EXPEL,
+    K_FLIGHT,
+    K_HEALTH,
+    K_HELLO,
+    K_INVENTORY_STATUS,
+    K_NODE_ERROR,
+    K_POST,
+    K_REBUT_REQUEST,
+    K_REPLY,
+    K_REPLY_ERROR,
+    K_RESTORE,
+    K_ROUND_ABANDON,
+    K_ROUND_APPLIED,
+    K_ROUND_BEGIN,
+    K_ROUND_DONE,
+    K_ROUND_FAILED,
+    K_SCHED_REQUEST,
+    K_SCHEDULE,
+    K_SHUTDOWN,
+    K_SNAPSHOT,
+    K_STATUS_REQUEST,
+    K_TELEMETRY,
+    K_TRACE,
+    decode_control,
     decode_envelope,
     decode_int_list,
     decode_int_pairs,
     decode_routed,
+    encode_control,
     encode_envelope,
     encode_evidence,
     encode_rebuttal,
     encode_round_done_body,
     encode_routed,
     encode_routed_envelope,
-    encode_telemetry_body,
-    unpack_typed,
 )
 from repro.obs import metrics as _obs
 from repro.obs.export import flight_ndjson, write_flight_dump
@@ -100,42 +128,10 @@ from repro.obs.propagate import TraceContext
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.persist.codec import decode_node_state, encode_node_state
-from repro.util.serialization import canonical_json, pack_fields
+from repro.util.serialization import canonical_json
 
 #: The hub/orchestrator's reserved routing name.
 COORDINATOR = "coord"
-
-# Control-frame kinds (coordinator <-> node plumbing; protocol content
-# always travels as signed envelopes inside ``K_ENVELOPE`` frames).
-K_HELLO = "hello"
-K_ENVELOPE = ENVELOPE_KIND
-K_REPLY = "reply"
-K_REPLY_ERROR = "reply-error"
-K_NODE_ERROR = "node-error"
-K_SCHEDULE = "schedule"
-K_SCHED_REQUEST = "sched-request"
-K_ROUND_BEGIN = "round-begin"
-K_COMMIT_GO = "commit-go"
-K_ROUND_ABANDON = "round-abandon"
-K_ROUND_FAILED = "round-failed"
-K_INVENTORY_STATUS = "inventory-status"
-K_ROUND_DONE = "round-done"
-K_ROUND_APPLIED = "round-applied"
-K_EXPEL = "expel"
-K_POST = "post"
-K_STATUS_REQUEST = "status-request"
-K_ACC_REQUEST = "acc-request"
-K_ACC_OUTCOME = "acc-outcome"
-K_EVIDENCE_REQUEST = "evidence-request"
-K_DISCLOSURE_REQUEST = "disclosure-request"
-K_REBUT_REQUEST = "rebut-request"
-K_TELEMETRY = "telemetry"
-K_TRACE = "trace"
-K_FLIGHT = "flight"
-K_HEALTH = "health"
-K_SNAPSHOT = "snapshot"
-K_RESTORE = "restore"
-K_SHUTDOWN = "shutdown"
 
 #: Bound on envelopes buffered for rounds a node has not opened yet —
 #: out-of-order arrival is legitimate (a fast peer), unbounded buffering
@@ -251,14 +247,19 @@ class NodeRuntime:
             )
         )
 
-    async def _report(self, exc: Exception) -> None:
-        """Tell the coordinator something went wrong; never raises."""
+    async def _tell(self, kind: str, *fields) -> None:
+        """Send the coordinator an unasked ``kind`` frame of ``fields``."""
+        await self._send(COORDINATOR, kind, 0, encode_control(kind, *fields))
+
+    async def _report(
+        self, exc: Exception, to: str = COORDINATOR, seq: int = 0
+    ) -> None:
+        """Tell ``to`` something went wrong: a node error, or the reply to
+        its request ``seq`` if there is one; never raises."""
+        kind = K_REPLY_ERROR if seq else K_NODE_ERROR
         try:
             await self._send(
-                COORDINATOR,
-                K_NODE_ERROR,
-                0,
-                pack_fields(type(exc).__name__, str(exc)),
+                to, kind, seq, encode_control(kind, type(exc).__name__, str(exc))
             )
         except Exception:
             pass
@@ -266,27 +267,16 @@ class NodeRuntime:
     # -- the dispatch loop ---------------------------------------------
 
     async def _hello(self) -> None:
-        """Announce backend and resume position to the hub.
-
-        The first two fields (backend name, element width) are the
-        original hello contract — the hub refuses mismatched peers with a
-        typed error instead of letting differently-sized elements rot
-        into garbage decodes.  The trailing three are the resume
-        handshake: session id, rounds applied, and the inbound-frame
-        high-water mark, from which the hub replays exactly the frames
-        this node never processed.
-        """
-        await self._send(
-            COORDINATOR,
+        """Announce backend and resume position to the hub: the hub
+        refuses a mismatched backend with a typed error, and replays the
+        frames past the announced high-water mark on a resume."""
+        await self._tell(
             K_HELLO,
-            0,
-            pack_fields(
-                self.group.name,
-                self.group.element_bytes,
-                self.definition.group_id(),
-                self.rounds_done,
-                self.recv_count,
-            ),
+            self.group.name,
+            self.group.element_bytes,
+            self.definition.group_id(),
+            self.rounds_done,
+            self.recv_count,
         )
 
     async def _try_reconnect(self) -> bool:
@@ -373,15 +363,9 @@ class NodeRuntime:
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
             if isinstance(exc, WireDecodeError):
                 self.registry.counter("net.decode_errors").inc()
-            if frame.seq:
-                await self._send(
-                    frame.sender,
-                    K_REPLY_ERROR,
-                    frame.seq,
-                    pack_fields(type(exc).__name__, str(exc)),
-                )
-            else:
-                await self._report(exc)
+            await self._report(
+                exc, frame.sender if frame.seq else COORDINATOR, frame.seq
+            )
             return
         if frame.seq:
             await self._send(frame.sender, K_REPLY, frame.seq, result or b"")
@@ -396,7 +380,7 @@ class NodeRuntime:
             # re-shipped across reconnects deduplicate instead of
             # double-counting; a disabled registry snapshots to ``{}``
             # and merges as a no-op.
-            return encode_telemetry_body(
+            return canonical_json(
                 {
                     "node": self.name,
                     "generation": self.generation,
@@ -578,29 +562,29 @@ class ServerNode(NodeRuntime):
 
     async def handle(self, kind: str, body: bytes) -> bytes | None:
         if kind == K_SCHEDULE:
-            self.server.learn_schedule(list(decode_int_list(body)))
+            self.server.learn_schedule(decode_control(K_SCHEDULE, body))
             return b""
         if kind == K_ROUND_BEGIN:
-            round_number, packed = unpack_typed(body, "ib", "round-begin")
+            round_number, packed = decode_control(K_ROUND_BEGIN, body)
             await self._begin_round(round_number, decode_int_list(packed))
             return None
         if kind == K_COMMIT_GO:
-            (round_number,) = unpack_typed(body, "i", "commit-go")
+            (round_number,) = decode_control(K_COMMIT_GO, body)
             await self._apply(self.engine.commit_go(round_number))
             return None
         if kind == K_ROUND_ABANDON:
-            (round_number,) = unpack_typed(body, "i", "round-abandon")
+            (round_number,) = decode_control(K_ROUND_ABANDON, body)
             self.engine.abandon(round_number)
             self._close_round(round_number, "abandoned")
             self._trigger("abandon", round=round_number)
             self._maybe_checkpoint()
             return b""
         if kind == K_EXPEL:
-            (client_index,) = unpack_typed(body, "i", "expel")
+            (client_index,) = decode_control(K_EXPEL, body)
             self.server.expel_client(client_index)
             return b""
         if kind == K_EVIDENCE_REQUEST:
-            (round_number,) = unpack_typed(body, "i", "evidence-request")
+            (round_number,) = decode_control(K_EVIDENCE_REQUEST, body)
             archive = self.server.archive.get(round_number)
             if archive is None:
                 raise AccusationError(
@@ -608,7 +592,7 @@ class ServerNode(NodeRuntime):
                 )
             return encode_evidence(archive.to_evidence())
         if kind == K_DISCLOSURE_REQUEST:
-            round_number, bit_index = unpack_typed(body, "ii", "disclosure-request")
+            round_number, bit_index = decode_control(K_DISCLOSURE_REQUEST, body)
             envelope = self.server.disclosure_envelope(round_number, bit_index)
             return encode_envelope(self.group, envelope)
         return await super().handle(kind, body)
@@ -789,11 +773,8 @@ class ServerNode(NodeRuntime):
                     self._mark_phase(round_number, phase)
                 case InventoryStatus(round_number, participation, ok):
                     self._last_participation = participation
-                    await self._send(
-                        COORDINATOR,
-                        K_INVENTORY_STATUS,
-                        0,
-                        pack_fields(round_number, participation, 1 if ok else 0),
+                    await self._tell(
+                        K_INVENTORY_STATUS, round_number, participation, int(ok)
                     )
                 case ArmTimer(round_number, view):
                     self._arm_timer(round_number, view)
@@ -878,17 +859,15 @@ class ClientNode(NodeRuntime):
 
     async def handle(self, kind: str, body: bytes) -> bytes | None:
         if kind == K_SCHED_REQUEST:
-            purpose, *keys = unpack_typed(body, "bb*", "sched-request")
-            if not keys:
-                raise WireDecodeError("sched-request needs purpose + public keys")
+            purpose, *keys = decode_control(K_SCHED_REQUEST, body)
             publics = [PublicKey.from_bytes(self.group, data) for data in keys]
             envelope = self.client.signed_scheduling_submission(publics, purpose)
             return encode_envelope(self.group, envelope)
         if kind == K_SCHEDULE:
-            slot = self.client.learn_schedule(list(decode_int_list(body)))
-            return pack_fields(slot)
+            slot = self.client.learn_schedule(decode_control(K_SCHEDULE, body))
+            return encode_control(K_SCHEDULE, slot)
         if kind == K_ROUND_BEGIN:
-            round_number, packed = unpack_typed(body, "ib", "round-begin")
+            round_number, packed = decode_control(K_ROUND_BEGIN, body)
             if self.index in decode_int_list(packed):
                 context = (
                     TraceContext.from_bytes(self._inbound_trace)
@@ -918,7 +897,7 @@ class ClientNode(NodeRuntime):
                 )
             return None
         if kind == K_ROUND_FAILED:
-            round_number, participation = unpack_typed(body, "ii", "round-failed")
+            round_number, participation = decode_control(K_ROUND_FAILED, body)
             self.client.handle_round_failure(round_number, participation)
             self._mark_round_done(round_number)
             self._trigger(
@@ -929,29 +908,26 @@ class ClientNode(NodeRuntime):
             self._maybe_checkpoint()
             return b""
         if kind == K_POST:
-            (message,) = unpack_typed(body, "b", "post")
+            (message,) = decode_control(K_POST, body)
             self.client.queue_message(message)
             return b""
         if kind == K_STATUS_REQUEST:
-            return pack_fields(
-                1 if self.client.has_pending_traffic else 0,
-                1 if self.client.pending_accusation is not None else 0,
+            return encode_control(
+                K_STATUS_REQUEST,
+                int(self.client.has_pending_traffic),
+                int(self.client.pending_accusation is not None),
             )
         if kind == K_ACC_REQUEST:
-            width, *keys = unpack_typed(body, "ib*", "acc-request")
-            if not keys:
-                raise WireDecodeError("acc-request needs width + public keys")
+            width, *keys = decode_control(K_ACC_REQUEST, body)
             publics = [PublicKey.from_bytes(self.group, data) for data in keys]
             vector = self.client.accusation_submission(publics, width)
             return pack_cipher_vector(self.group, vector)
         if kind == K_ACC_OUTCOME:
-            (handled,) = unpack_typed(body, "i", "acc-outcome")
+            (handled,) = decode_control(K_ACC_OUTCOME, body)
             self.client.accusation_outcome(bool(handled))
             return b""
         if kind == K_REBUT_REQUEST:
-            round_number, bit_index, packed = unpack_typed(
-                body, "iib", "rebut-request"
-            )
+            round_number, bit_index, packed = decode_control(K_REBUT_REQUEST, body)
             claimed = decode_int_pairs(packed)
             rebuttal = self.client.rebut(round_number, bit_index, claimed)
             return encode_rebuttal(self.group, rebuttal)
@@ -970,9 +946,7 @@ class ClientNode(NodeRuntime):
         self.client.handle_output_envelope(envelope)
         self._mark_round_done(envelope.round_number)
         self._maybe_checkpoint()
-        await self._send(
-            COORDINATOR, K_ROUND_APPLIED, 0, pack_fields(envelope.round_number)
-        )
+        await self._tell(K_ROUND_APPLIED, envelope.round_number)
 
 
 
@@ -1009,32 +983,21 @@ def node_from_config(config: dict, transport: Transport):
         "checkpoint_path": config.get("checkpoint_path"),
         "retry": definition.policy.retry_policy(seed=index),
     }
-    if config["role"] == "server":
-        factory = (
-            _resolve_class(config["node_class"])
-            if config.get("node_class")
-            else DissentServer
-        )
-        node = ServerNode(
-            factory(definition, index, key, rng, **kwargs),
-            transport,
-            registry,
-            **runtime_kwargs,
-        )
-    elif config["role"] == "client":
-        factory = (
-            _resolve_class(config["node_class"])
-            if config.get("node_class")
-            else DissentClient
-        )
-        node = ClientNode(
-            factory(definition, index, key, rng, **kwargs),
-            transport,
-            registry,
-            **runtime_kwargs,
-        )
-    else:
+    roles = {
+        "server": (ServerNode, DissentServer),
+        "client": (ClientNode, DissentClient),
+    }
+    if config["role"] not in roles:
         raise ValueError(f"unknown node role {config['role']!r}")
+    node_class, factory = roles[config["role"]]
+    if config.get("node_class"):
+        factory = _resolve_class(config["node_class"])
+    node = node_class(
+        factory(definition, index, key, rng, **kwargs),
+        transport,
+        registry,
+        **runtime_kwargs,
+    )
     if config.get("flight_dir"):
         node.flight_dir = config["flight_dir"]
     if config.get("resume_from"):

@@ -61,43 +61,12 @@ from repro.errors import (
     PeerUnreachable,
     ProtocolError,
     SessionTimeout,
+    WireDecodeError,
     WireError,
 )
 import repro.errors as _errors_module
 from repro.net import node as nodemod
-from repro.net.node import (
-    COORDINATOR,
-    ClientNode,
-    K_ACC_OUTCOME,
-    K_ACC_REQUEST,
-    K_COMMIT_GO,
-    K_DISCLOSURE_REQUEST,
-    K_EVIDENCE_REQUEST,
-    K_EXPEL,
-    K_HELLO,
-    K_INVENTORY_STATUS,
-    K_NODE_ERROR,
-    K_POST,
-    K_REBUT_REQUEST,
-    K_REPLY,
-    K_REPLY_ERROR,
-    K_ROUND_APPLIED,
-    K_ROUND_BEGIN,
-    K_ROUND_DONE,
-    K_ROUND_FAILED,
-    K_ROUND_ABANDON,
-    K_RESTORE,
-    K_SCHED_REQUEST,
-    K_SCHEDULE,
-    K_SHUTDOWN,
-    K_SNAPSHOT,
-    K_STATUS_REQUEST,
-    K_TELEMETRY,
-    K_TRACE,
-    K_FLIGHT,
-    K_HEALTH,
-    ServerNode,
-)
+from repro.net.node import COORDINATOR, ClientNode, ServerNode
 from repro.net.transport import (
     FaultSchedule,
     FaultyTransport,
@@ -106,14 +75,44 @@ from repro.net.transport import (
     serve_tcp,
 )
 from repro.net.wire import (
+    K_ACC_OUTCOME,
+    K_ACC_REQUEST,
+    K_COMMIT_GO,
+    K_DISCLOSURE_REQUEST,
+    K_EVIDENCE_REQUEST,
+    K_EXPEL,
+    K_FLIGHT,
+    K_HEALTH,
+    K_HELLO,
+    K_INVENTORY_STATUS,
+    K_NODE_ERROR,
+    K_POST,
+    K_REBUT_REQUEST,
+    K_REPLY,
+    K_REPLY_ERROR,
+    K_RESTORE,
+    K_ROUND_ABANDON,
+    K_ROUND_APPLIED,
+    K_ROUND_BEGIN,
+    K_ROUND_DONE,
+    K_ROUND_FAILED,
+    K_SCHED_REQUEST,
+    K_SCHEDULE,
+    K_SHUTDOWN,
+    K_SNAPSHOT,
+    K_STATUS_REQUEST,
+    K_TELEMETRY,
+    K_TRACE,
     RoutedFrame,
     decode_accusation_reveal_body,
+    decode_control,
     decode_envelope,
     decode_evidence,
+    decode_json_reply,
     decode_rebuttal,
     decode_round_done_body,
     decode_routed,
-    decode_telemetry_body,
+    encode_control,
     encode_int_list,
     encode_int_pairs,
     encode_routed,
@@ -129,7 +128,6 @@ from repro.obs.propagate import TraceContext, round_trace_id, span_ref
 from repro.persist import codec
 from repro.persist.audit import AuditLog
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.util.serialization import pack_fields, unpack_fields
 
 MODES = ("loopback", "tcp", "subprocess")
 
@@ -223,21 +221,6 @@ class _Hub:
         self._fatal = exc
         self._ready.set()
 
-    @staticmethod
-    def _parse_hello(body: bytes):
-        """(backend, width, session id, rounds done, high water) or None.
-
-        Exactly the five fields :meth:`repro.net.node.NodeRuntime._hello`
-        sends; any other body is not a hello.
-        """
-        try:
-            fields = unpack_fields(body)
-        except ValueError:
-            return None
-        if tuple(map(type, fields)) != (str, int, bytes, int, int):
-            return None
-        return tuple(fields)
-
     def _check_ready(self) -> None:
         if self._expected and self._expected <= set(self.transports):
             self._ready.set()
@@ -287,15 +270,8 @@ class _Hub:
 
     async def _report(self, name: str, error: str, message: str) -> None:
         """File a ``node-error`` against ``name`` with the coordinator."""
-        await self.inbox.put(
-            RoutedFrame(
-                to=COORDINATOR,
-                sender=name,
-                kind=K_NODE_ERROR,
-                seq=0,
-                body=pack_fields(error, message),
-            )
-        )
+        body = encode_control(K_NODE_ERROR, error, message)
+        await self.inbox.put(RoutedFrame(COORDINATOR, name, K_NODE_ERROR, 0, body))
 
     async def _resume(self, link: _PeerLink, transport, high_water: int) -> bool:
         """Adopt a reconnecting peer's transport and replay its gap."""
@@ -358,14 +334,14 @@ class _Hub:
         may take its link, or None once the connection is refused."""
         try:
             frame = decode_routed(await transport.recv())
+            announced = decode_control(K_HELLO, frame.body)
         except (WireError, ConnectionClosed):
             await transport.aclose()
             return None
-        announced = self._parse_hello(frame.body) if frame.kind == K_HELLO else None
-        if announced is None or not frame.sender:
+        if frame.kind != K_HELLO or not frame.sender:
             await transport.aclose()
             return None
-        if self._backend is not None and announced[:2] != self._backend:
+        if self._backend is not None and tuple(announced[:2]) != self._backend:
             self._fail(
                 GroupBackendMismatch(
                     f"node {frame.sender!r} runs group backend "
@@ -477,13 +453,10 @@ def dedupe_telemetry_replies(decoded: list[dict]) -> list[dict]:
 
 
 def _raise_remote(body: bytes) -> None:
-    try:
-        name, message = unpack_fields(body)
-    except ValueError:
-        raise ProtocolError(f"unparseable remote error: {body!r}") from None
-    exc_type = getattr(_errors_module, str(name), None)
+    name, message = decode_control(K_REPLY_ERROR, body)
+    exc_type = getattr(_errors_module, name, None)
     if isinstance(exc_type, type) and issubclass(exc_type, DissentError):
-        raise exc_type(str(message))
+        raise exc_type(message)
     raise ProtocolError(f"remote {name}: {message}")
 
 
@@ -670,10 +643,12 @@ class NetworkedSession(Coordinator):
             timeout if timeout is not None else 6 * self.timeout + 30
         )
 
-    def _ask(self, names: Sequence[str], kind: str, body: bytes) -> list[bytes]:
-        """One barrier from the caller's thread: the same request to every
-        named node at once, their replies in ``names`` order."""
+    def _ask(self, names: Sequence[str], kind: str, *fields) -> list[bytes]:
+        """One barrier from the caller's thread: the same request, ``fields``
+        as its control body (none: an empty body), to every named node at
+        once, their replies in ``names`` order."""
         self._ensure_started()
+        body = encode_control(kind, *fields) if fields else b""
 
         async def barrier() -> list[bytes]:
             return await asyncio.gather(
@@ -820,10 +795,9 @@ class NetworkedSession(Coordinator):
         }
         if role == "server":
             node = ServerNode(self._make_server(index), transport, **kwargs)
-            name = self.definition.server_name(index)
         else:
             node = ClientNode(self._make_client(index), transport, **kwargs)
-            name = self.definition.client_name(index)
+        name = self.node_name(role, index)
         if resume_from is not None:
             node.resume_from(resume_from)
         node.flight_dir = self.flight_dir
@@ -893,12 +867,7 @@ class NetworkedSession(Coordinator):
                 stdout=asyncio.subprocess.DEVNULL,
                 stderr=stderr_handle,
             )
-        name = (
-            self.definition.server_name(index)
-            if role == "server"
-            else self.definition.client_name(index)
-        )
-        self._processes[name] = process
+        self._processes[self.node_name(role, index)] = process
         return process
 
     async def _spawn_processes(self) -> None:
@@ -976,7 +945,9 @@ class NetworkedSession(Coordinator):
             self._take(await self._hub.inbox.get())
 
     def _take(self, frame) -> None:
-        """Resolve a reply's future, log a node error, or bucket a status."""
+        """Resolve a reply's future, log a node error, or decode a barrier
+        frame once and bucket it if its round is begun; drop anything else.
+        A body that does not decode is its sender's node error."""
         if frame.kind in (K_REPLY, K_REPLY_ERROR):
             asked, future = self._pending.get(frame.seq, (None, None))
             if asked != frame.sender:
@@ -991,20 +962,30 @@ class NetworkedSession(Coordinator):
                     except DissentError as exc:
                         future.set_exception(exc)
             return
-        if frame.kind == K_NODE_ERROR:
-            try:
-                name, message = unpack_fields(frame.body)
-            except ValueError:
-                name, message = "WireError", repr(frame.body)
-            self._node_errors.append(f"{frame.sender}: {name}: {message}")
-            return
         try:
-            fields = unpack_fields(frame.body)
-            round_number = fields[0] if fields and isinstance(fields[0], int) else -1
-        except ValueError:
-            round_number = -1
-        bucket = self._buckets.setdefault((frame.kind, round_number), asyncio.Queue())
-        bucket.put_nowait(frame)
+            if frame.kind == K_NODE_ERROR:
+                name, message = decode_control(K_NODE_ERROR, frame.body)
+                self._node_errors.append(f"{frame.sender}: {name}: {message}")
+                return
+            if frame.kind == K_ROUND_DONE:
+                value = RoundDone(
+                    *decode_round_done_body(self.definition.group, frame.body)
+                )
+                round_number = value.round_number
+            elif frame.kind == K_INVENTORY_STATUS:
+                value = InventoryStatus(*decode_control(frame.kind, frame.body))
+                round_number = value.round_number
+            elif frame.kind == K_ROUND_APPLIED:
+                (value,) = decode_control(frame.kind, frame.body)
+                round_number = value
+            else:
+                return
+        except WireDecodeError as exc:
+            self._node_errors.append(f"{frame.sender}: WireDecodeError: {exc}")
+            return
+        bucket = self._buckets.get((frame.kind, round_number))
+        if bucket is not None:
+            bucket.put_nowait((frame.sender, value))
 
     async def _send(
         self, to: str, kind: str, seq: int, body: bytes, trace: bytes = b""
@@ -1049,10 +1030,11 @@ class NetworkedSession(Coordinator):
 
     async def _gather(
         self, kind: str, round_number: int, count: int, senders: Sequence[str]
-    ) -> list:
-        """Collect ``count`` unsolicited frames of one kind for one round,
-        one from each of ``count`` distinct ``senders``; a frame from any
-        other node, or a second from the same one, is dropped.
+    ) -> dict:
+        """Collect ``count`` decoded barrier frames of one kind for the
+        begun round, one from each of ``count`` distinct ``senders``, as
+        ``{sender: value}``; a frame from any other node, or a second from
+        the same one, is dropped.
 
         Node errors reported *before* this barrier started are diagnostics
         only (error isolation: a node that survived a hostile frame keeps
@@ -1060,35 +1042,32 @@ class NetworkedSession(Coordinator):
         arriving while we are blocked abort the wait early, since they
         usually explain why the expected frame will never come.
         """
-        bucket = self._buckets.setdefault((kind, round_number), asyncio.Queue())
-        frames: dict[str, RoutedFrame] = {}
+        bucket = self._buckets[kind, round_number]
+        values: dict = {}
         errors_before = len(self._node_errors)
         deadline = asyncio.get_running_loop().time() + self.timeout
-        while len(frames) < count:
+        while len(values) < count:
             try:
-                frame = bucket.get_nowait()
+                sender, value = bucket.get_nowait()
             except asyncio.QueueEmpty:
                 remaining = deadline - asyncio.get_running_loop().time()
                 if remaining <= 0 or len(self._node_errors) > errors_before:
                     raise SessionTimeout(
                         f"waiting for {count} {kind} frames of round "
-                        f"{round_number}, got {len(frames)}; node errors: "
+                        f"{round_number}, got {len(values)}; node errors: "
                         f"{self._node_errors[errors_before:] or self._node_errors}",
                         kind=kind,
                         deadline=self.timeout,
                     )
                 try:
-                    frame = await asyncio.wait_for(bucket.get(), min(remaining, 0.25))
+                    sender, value = await asyncio.wait_for(
+                        bucket.get(), min(remaining, 0.25)
+                    )
                 except asyncio.TimeoutError:
                     continue
-            if frame.sender in senders:
-                frames.setdefault(frame.sender, frame)
-        if bucket.empty():
-            # A round's barrier keys are never gathered again; dropping the
-            # drained queue keeps _buckets from growing one entry per round
-            # for the session's lifetime.
-            self._buckets.pop((kind, round_number), None)
-        return list(frames.values())
+            if sender in senders:
+                values.setdefault(sender, value)
+        return values
 
     async def _broadcast(
         self, names: Sequence[str], kind: str, body: bytes, trace: bytes = b""
@@ -1112,39 +1091,32 @@ class NetworkedSession(Coordinator):
     # ------------------------------------------------------------------
 
     def _scheduling_submissions(self, purpose, publics):
-        body = pack_fields(purpose, *[public.to_bytes() for public in publics])
-        replies = self._ask(self._client_names(), K_SCHED_REQUEST, body)
+        keys = [public.to_bytes() for public in publics]
+        replies = self._ask(self._client_names(), K_SCHED_REQUEST, purpose, *keys)
         return [decode_envelope(self.definition.group, reply) for reply in replies]
 
     def _learn_schedule(self, elements):
-        self._ask(self._node_names(), K_SCHEDULE, encode_int_list(elements))
+        self._ask(self._node_names(), K_SCHEDULE, *elements)
 
     def _accusation_submissions(self, participants, publics, width):
-        body = pack_fields(width, *[public.to_bytes() for public in publics])
-        replies = self._ask(self._client_names(participants), K_ACC_REQUEST, body)
+        keys = [public.to_bytes() for public in publics]
+        names = self._client_names(participants)
+        replies = self._ask(names, K_ACC_REQUEST, width, *keys)
         return [unpack_cipher_vector(self.definition.group, reply) for reply in replies]
 
     def _accusation_outcome(self, participants, handled):
-        self._ask(
-            self._client_names(participants),
-            K_ACC_OUTCOME,
-            pack_fields(1 if handled else 0),
-        )
+        self._ask(self._client_names(participants), K_ACC_OUTCOME, int(handled))
 
     def _trace_evidence(self, verifier, round_number, bit_index):
         definition = self.definition
         group = definition.group
         [evidence] = self._ask(
-            [definition.server_name(verifier)],
-            K_EVIDENCE_REQUEST,
-            pack_fields(round_number),
+            [definition.server_name(verifier)], K_EVIDENCE_REQUEST, round_number
         )
         disclosures = []
         for j, reply in enumerate(
             self._ask(
-                self._server_names(),
-                K_DISCLOSURE_REQUEST,
-                pack_fields(round_number, bit_index),
+                self._server_names(), K_DISCLOSURE_REQUEST, round_number, bit_index
             )
         ):
             envelope = decode_envelope(group, reply)
@@ -1164,18 +1136,18 @@ class NetworkedSession(Coordinator):
         [reply] = self._ask(
             self._client_names([client_index]),
             K_REBUT_REQUEST,
-            pack_fields(round_number, bit_index, encode_int_pairs(dict(claimed))),
+            round_number,
+            bit_index,
+            encode_int_pairs(dict(claimed)),
         )
         return decode_rebuttal(self.definition.group, reply)
 
     def _expel_member(self, client_index):
-        self._ask(self._server_names(), K_EXPEL, pack_fields(client_index))
+        self._ask(self._server_names(), K_EXPEL, client_index)
 
     def _pending_traffic(self):
-        replies = self._ask(
-            self._client_names(self.submitters(None)), K_STATUS_REQUEST, b""
-        )
-        return any(any(unpack_fields(reply)) for reply in replies)
+        replies = self._ask(self._client_names(self.submitters(None)), K_STATUS_REQUEST)
+        return any(any(decode_control(K_STATUS_REQUEST, r)) for r in replies)
 
     # ------------------------------------------------------------------
     # One DC-net round, message-driven
@@ -1200,92 +1172,98 @@ class NetworkedSession(Coordinator):
         definition = self.definition
         r = self.round_number
         self.round_number += 1
-        begin_body = pack_fields(r, encode_int_list(self.submitters(online)))
+        begin_body = encode_control(
+            K_ROUND_BEGIN, r, encode_int_list(self.submitters(online))
+        )
         trace_id = (
             round_trace_id(definition.group_id(), r) if self.telemetry else None
         )
         span_attrs = {"round": r, "node": COORDINATOR}
         if trace_id is not None:
             span_attrs["trace_id"] = trace_id
-        with self.tracer.span("round", **span_attrs) as round_span:
-            # The round-begin frames carry the trace context (trace id +
-            # this span as parent) so every node's spans stitch under one
-            # causal trace.  Pure metadata: empty when telemetry is off,
-            # and receivers ignore it for all protocol decisions.
-            trace = (
-                TraceContext(
-                    trace_id, span_ref(COORDINATOR, round_span.span_id), r
-                ).to_bytes()
-                if trace_id is not None
-                else b""
-            )
-            # Servers first so their round state opens before ciphertexts
-            # land (late arrivals would only be buffered, but why make
-            # them late).
-            await self._broadcast(
-                self._server_names(), K_ROUND_BEGIN, begin_body, trace
-            )
-            await self._broadcast(
-                self._client_names(), K_ROUND_BEGIN, begin_body, trace
-            )
-
-            try:
-                statuses = await self._gather(
-                    K_INVENTORY_STATUS,
-                    r,
-                    definition.num_servers,
-                    self._server_names(),
+        # Barrier frames are kept only for the begun round, until it is over.
+        self._buckets = {
+            (kind, r): asyncio.Queue()
+            for kind in (K_INVENTORY_STATUS, K_ROUND_DONE, K_ROUND_APPLIED)
+        }
+        try:
+            with self.tracer.span("round", **span_attrs) as round_span:
+                # The round-begin frames carry the trace context (trace id +
+                # this span as parent) so every node's spans stitch under one
+                # causal trace.  Pure metadata: empty when telemetry is off,
+                # and receivers ignore it for all protocol decisions.
+                trace = (
+                    TraceContext(
+                        trace_id, span_ref(COORDINATOR, round_span.span_id), r
+                    ).to_bytes()
+                    if trace_id is not None
+                    else b""
                 )
-            except SessionTimeout as exc:
-                # A submitter (or server) stayed dark through the whole
-                # barrier: abandon the round rather than hang the group,
-                # publishing how many clients are still reachable.
-                live = sum(
+                # Servers first so their round state opens before ciphertexts
+                # land (late arrivals would only be buffered, but why make
+                # them late).
+                await self._broadcast(
+                    self._server_names(), K_ROUND_BEGIN, begin_body, trace
+                )
+                await self._broadcast(
+                    self._client_names(), K_ROUND_BEGIN, begin_body, trace
+                )
+
+                try:
+                    statuses = await self._gather(
+                        K_INVENTORY_STATUS,
+                        r,
+                        definition.num_servers,
+                        self._server_names(),
+                    )
+                except SessionTimeout as exc:
+                    # A submitter (or server) stayed dark through the whole
+                    # barrier: abandon the round rather than hang the group,
+                    # publishing how many clients are still reachable.
+                    live = sum(
+                        1
+                        for i in self.submitters(None)
+                        if not self._hub.is_dark(definition.client_name(i))
+                    )
+                    return await self._abandon_round_async(r, live, str(exc))
+                participation, go = self.inventory_decision(list(statuses.values()))
+                if not go:
+                    # §3.7 hard timeout: abandon, publish the fresh count.
+                    return await self._abandon_round_async(r, participation)
+
+                await self._broadcast(
+                    self._server_names(), K_COMMIT_GO, encode_control(K_COMMIT_GO, r)
+                )
+                dones = await self._gather(
+                    K_ROUND_DONE, r, definition.num_servers, self._server_names()
+                )
+                # The output-applied barrier only waits on clients whose link
+                # is up: a dark client's output envelope sits in its replay
+                # queue and is applied on resume, so waiting for it would
+                # wedge a round that every live member already finished.
+                applied_expected = sum(
                     1
-                    for i in self.submitters(None)
+                    for i in range(definition.num_clients)
                     if not self._hub.is_dark(definition.client_name(i))
                 )
-                return await self._abandon_round_async(r, live, str(exc))
-            participation, go = self.inventory_decision(
-                [InventoryStatus(*unpack_fields(frame.body)) for frame in statuses]
-            )
-            if not go:
-                # §3.7 hard timeout: abandon, publish the fresh count.
-                return await self._abandon_round_async(r, participation)
-
-            await self._broadcast(
-                self._server_names(), K_COMMIT_GO, pack_fields(r)
-            )
-            dones = await self._gather(
-                K_ROUND_DONE, r, definition.num_servers, self._server_names()
-            )
-            # The output-applied barrier only waits on clients whose link
-            # is up: a dark client's output envelope sits in its replay
-            # queue and is applied on resume, so waiting for it would
-            # wedge a round that every live member already finished.
-            applied_expected = sum(
-                1
-                for i in range(definition.num_clients)
-                if not self._hub.is_dark(definition.client_name(i))
-            )
-            try:
-                await self._gather(
-                    K_ROUND_APPLIED, r, applied_expected, self._client_names()
-                )
-            except SessionTimeout:
-                # A client died inside the barrier; the round itself is
-                # certified (every server reported done), so the laggard
-                # catches up via replay rather than failing the round.
-                pass
-            record = self.certified_round(
-                r,
-                {
-                    definition.server_index_of(frame.sender): RoundDone(
-                        *decode_round_done_body(definition.group, frame.body)
+                try:
+                    await self._gather(
+                        K_ROUND_APPLIED, r, applied_expected, self._client_names()
                     )
-                    for frame in dones
-                },
-            )
+                except SessionTimeout:
+                    # A client died inside the barrier; the round itself is
+                    # certified (every server reported done), so the laggard
+                    # catches up via replay rather than failing the round.
+                    pass
+                record = self.certified_round(
+                    r,
+                    {
+                        definition.server_index_of(sender): done
+                        for sender, done in dones.items()
+                    },
+                )
+        finally:
+            self._buckets.clear()
         return record
 
     async def _abandon_round_async(
@@ -1313,20 +1291,12 @@ class NetworkedSession(Coordinator):
             except DissentError:
                 pass
 
-        abandon_body = pack_fields(r)
-        await asyncio.gather(
-            *[
-                tell(name, K_ROUND_ABANDON, abandon_body)
-                for name in self._server_names()
-            ]
-        )
-        failed_body = pack_fields(r, participation)
-        await asyncio.gather(
-            *[
-                tell(name, K_ROUND_FAILED, failed_body)
-                for name in self._client_names()
-            ]
-        )
+        for names, kind, fields in (
+            (self._server_names(), K_ROUND_ABANDON, (r,)),
+            (self._client_names(), K_ROUND_FAILED, (r, participation)),
+        ):
+            body = encode_control(kind, *fields)
+            await asyncio.gather(*[tell(name, kind, body) for name in names])
         if timeout is None:
             record = self.failed_round(r, participation)
             self._flight_event(
@@ -1381,7 +1351,7 @@ class NetworkedSession(Coordinator):
             self._server_seeds,
             self._client_seeds,
             codec.encode_coordinator_state(self),
-            dict(zip(names, self._ask(names, K_SNAPSHOT, b""))),
+            dict(zip(names, self._ask(names, K_SNAPSHOT))),
         )
         written = write_checkpoint(
             path,
@@ -1507,34 +1477,23 @@ class NetworkedSession(Coordinator):
 
     def wait_dark(self, name: str, timeout: float = 10.0) -> None:
         """Block until the hub notices a peer's link is gone."""
-        self._ensure_started()
-
-        async def wait() -> None:
-            deadline = asyncio.get_running_loop().time() + timeout
-            while not self._hub.is_dark(name):
-                if asyncio.get_running_loop().time() > deadline:
-                    raise SessionTimeout(
-                        f"{name} never went dark within {timeout}s",
-                        peer=name,
-                        kind="wait-dark",
-                        deadline=timeout,
-                    )
-                await asyncio.sleep(0.01)
-
-        self._call(wait())
+        self._wait(name, "dark", timeout, lambda: self._hub.is_dark(name))
 
     def wait_live(self, name: str, timeout: float = 10.0) -> None:
         """Block until a peer's link is (re)established."""
+        self._wait(name, "live", timeout, lambda: name in self._hub.transports)
+
+    def _wait(self, name: str, state: str, timeout: float, reached) -> None:
         self._ensure_started()
 
         async def wait() -> None:
             deadline = asyncio.get_running_loop().time() + timeout
-            while name not in self._hub.transports:
+            while not reached():
                 if asyncio.get_running_loop().time() > deadline:
                     raise SessionTimeout(
-                        f"{name} never came back within {timeout}s",
+                        f"{name} never went {state} within {timeout}s",
                         peer=name,
-                        kind="wait-live",
+                        kind=f"wait-{state}",
                         deadline=timeout,
                     )
                 await asyncio.sleep(0.01)
@@ -1550,7 +1509,7 @@ class NetworkedSession(Coordinator):
         dead process took its state with it); skipping them beats stalling."""
         self._ensure_started()
         live = [name for name in self._node_names() if not self._hub.is_dark(name)]
-        return self._ask(live, kind, b"")
+        return self._ask(live, kind)
 
     def metrics(self) -> dict:
         """Merged telemetry snapshot across the coordinator and all nodes.
@@ -1564,7 +1523,9 @@ class NetworkedSession(Coordinator):
         merged = MetricsRegistry()
         merged.merge_snapshot(self.registry.snapshot())
         if self.telemetry:
-            decoded = [decode_telemetry_body(r) for r in self._ask_live(K_TELEMETRY)]
+            decoded = [
+                decode_json_reply(K_TELEMETRY, r) for r in self._ask_live(K_TELEMETRY)
+            ]
             for snapshot in dedupe_telemetry_replies(decoded):
                 try:
                     merged.merge_snapshot(snapshot)
@@ -1583,12 +1544,12 @@ class NetworkedSession(Coordinator):
         events = [e.as_dict() for e in self.tracer.events]
         if self.telemetry:
             for reply in self._ask_live(K_TRACE):
-                events.extend(json.loads(reply.decode("utf-8")))
+                events.extend(decode_json_reply(K_TRACE, reply))
         return events
 
     def health(self) -> list[dict]:
         """One health snapshot per live node (servers and clients)."""
-        return [json.loads(r.decode("utf-8")) for r in self._ask_live(K_HEALTH)]
+        return [decode_json_reply(K_HEALTH, r) for r in self._ask_live(K_HEALTH)]
 
     def flight_dumps(self) -> list[str]:
         """The tail of every live process's event log, coordinator first,
@@ -1599,5 +1560,5 @@ class NetworkedSession(Coordinator):
 
     def post(self, client_index: int, message: bytes) -> None:
         """Queue an anonymous message from one client."""
-        self._ask(self._client_names([client_index]), K_POST, pack_fields(message))
+        self._ask(self._client_names([client_index]), K_POST, message)
 

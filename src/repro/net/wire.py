@@ -11,21 +11,57 @@ Every envelope body that crosses the wire has a canonical codec here, so
 ``decode(encode(x)) == x`` holds field for field — including the
 signature, which covers the exact bytes both sides reconstruct:
 
-================== ====================================================
+================== ==========================================================
 ``msg_type``        body codec
-================== ====================================================
+================== ==========================================================
 client-ciphertext   raw masked vector bytes (no structure)
 server-inventory    :func:`encode_inventory_body`
 server-commit       raw commitment hash bytes
 server-reveal       raw ciphertext bytes
 server-signature    :func:`encode_signature_body`
 round-output        :func:`encode_round_output_body`
-shuffle-submission  :func:`encode_shuffle_submission_body`
+shuffle-submission  ``keyshuffle.sign_shuffle_submission`` builds it and
+                    ``keyshuffle.open_shuffle_submissions`` reads it
 accusation-reveal   :func:`encode_disclosure_body`
 leader-propose      :func:`encode_consensus_body`
 server-vote         :func:`encode_consensus_body`
 view-change         :func:`encode_view_change_body`
-================== ====================================================
+================== ==========================================================
+
+Every other routed kind is a **control frame** between the coordinator
+and a node.  :data:`CONTROL_SPECS` declares each packed-field body once,
+and :func:`encode_control` (checks, then packs) and :func:`decode_control`
+(exactly the declared fields, or ``WireDecodeError``) are the only way
+either side builds or reads one:
+
+=================== =====================================================
+control kind        fields [a reply the coordinator reads as fields]
+=================== =====================================================
+hello               backend, element width, group id, rounds applied,
+                    frames received
+node-error          error name, message (``reply-error`` alike)
+schedule            slot elements (a client replies with its slot)
+round-begin         round, submitters (:func:`encode_int_list`)
+commit-go           round (``round-abandon``, ``round-applied`` and
+                    ``evidence-request`` alike)
+round-failed        round, participation
+inventory-status    round, participation, ok
+expel               client index
+post                message
+status-request      none [pending traffic, pending accusation]
+sched-request       purpose, one or more public keys
+acc-request         width, one or more public keys
+acc-outcome         handled
+disclosure-request  round, bit index
+rebut-request       round, bit index, claimed bits (:func:`encode_int_pairs`)
+=================== =====================================================
+
+``envelope``, ``round-done`` (:func:`encode_round_done_body`),
+``snapshot`` / ``restore`` (a node checkpoint) and ``flight`` (NDJSON)
+carry codecs of their own, and so do the other replies (an envelope,
+:func:`encode_evidence`, :func:`encode_rebuttal`, a cipher vector);
+``telemetry``, ``trace`` and ``health`` are answered in canonical JSON of
+the type :data:`JSON_REPLIES` declares (:func:`decode_json_reply`).
 
 Decoding raises typed errors (:class:`~repro.errors.WireDecodeError` and
 subclasses) — never bare ``ValueError``/``KeyError`` — so a node's
@@ -57,13 +93,12 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
-from repro.core.accusation import Accusation, Rebuttal, RoundEvidence, TraceDisclosure
+from repro.core.accusation import Rebuttal, RoundEvidence, TraceDisclosure
 from repro.core.rounds import RoundOutput
 from repro.crypto.groups import Group
 from repro.crypto.proofs import DleqProof
 from repro.crypto.schnorr import Signature
 from repro.errors import (
-    AccusationError,
     CryptoError,
     FrameTooLarge,
     FrameTruncated,
@@ -387,6 +422,90 @@ def decode_routed(data: bytes) -> RoutedFrame:
     return RoutedFrame(to, sender, kind, seq, body, trace, ack)
 
 
+# Control-frame kinds (coordinator <-> node plumbing; protocol content
+# always travels as signed envelopes inside ``K_ENVELOPE`` frames).
+K_HELLO = "hello"
+K_ENVELOPE = ENVELOPE_KIND
+K_REPLY = "reply"
+K_REPLY_ERROR = "reply-error"
+K_NODE_ERROR = "node-error"
+K_SCHEDULE = "schedule"
+K_SCHED_REQUEST = "sched-request"
+K_ROUND_BEGIN = "round-begin"
+K_COMMIT_GO = "commit-go"
+K_ROUND_ABANDON = "round-abandon"
+K_ROUND_FAILED = "round-failed"
+K_INVENTORY_STATUS = "inventory-status"
+K_ROUND_DONE = "round-done"
+K_ROUND_APPLIED = "round-applied"
+K_EXPEL = "expel"
+K_POST = "post"
+K_STATUS_REQUEST = "status-request"
+K_ACC_REQUEST = "acc-request"
+K_ACC_OUTCOME = "acc-outcome"
+K_EVIDENCE_REQUEST = "evidence-request"
+K_DISCLOSURE_REQUEST = "disclosure-request"
+K_REBUT_REQUEST = "rebut-request"
+K_TELEMETRY = "telemetry"
+K_TRACE = "trace"
+K_FLIGHT = "flight"
+K_HEALTH = "health"
+K_SNAPSHOT = "snapshot"
+K_RESTORE = "restore"
+K_SHUTDOWN = "shutdown"
+
+#: The :func:`check_types` spec of every packed-field control body (for
+#: ``status-request``, of the node's reply).
+CONTROL_SPECS = {
+    K_HELLO: "sibii",
+    K_NODE_ERROR: "ss",
+    K_REPLY_ERROR: "ss",
+    K_SCHEDULE: "i*",
+    K_ROUND_BEGIN: "ib",
+    K_COMMIT_GO: "i",
+    K_ROUND_ABANDON: "i",
+    K_ROUND_FAILED: "ii",
+    K_INVENTORY_STATUS: "iii",
+    K_ROUND_APPLIED: "i",
+    K_EXPEL: "i",
+    K_POST: "b",
+    K_STATUS_REQUEST: "ii",
+    K_SCHED_REQUEST: "bbb*",
+    K_ACC_REQUEST: "ibb*",
+    K_ACC_OUTCOME: "i",
+    K_EVIDENCE_REQUEST: "i",
+    K_DISCLOSURE_REQUEST: "ii",
+    K_REBUT_REQUEST: "iib",
+}
+
+#: Control replies that are canonical JSON, and the type each decodes to.
+JSON_REPLIES = {K_TELEMETRY: dict, K_TRACE: list, K_HEALTH: dict}
+
+
+def encode_control(kind: str, *fields) -> bytes:
+    """A ``kind`` control body: ``fields`` checked against the kind's
+    declared spec, then packed."""
+    return pack_fields(*check_types(list(fields), CONTROL_SPECS[kind], kind))
+
+
+def decode_control(kind: str, body: bytes) -> list:
+    """The fields of a ``kind`` control body; :class:`WireDecodeError` for
+    anything but exactly the declared ones."""
+    return unpack_typed(body, CONTROL_SPECS[kind], kind)
+
+
+def decode_json_reply(kind: str, body: bytes):
+    """A JSON control reply of the type :data:`JSON_REPLIES` declares;
+    :class:`WireDecodeError` for anything else."""
+    try:
+        value = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise WireDecodeError(f"{kind} reply is not JSON: {exc}") from exc
+    if type(value) is not JSON_REPLIES[kind]:
+        raise WireDecodeError(f"{kind} reply is a JSON {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Body codecs, one per envelope type that has structure
 # ---------------------------------------------------------------------------
@@ -523,27 +642,6 @@ def decode_round_done_body(group: Group, body: bytes) -> tuple:
     )
 
 
-def encode_shuffle_submission_body(
-    group: Group, run_id: bytes, vector
-) -> bytes:
-    """Body of a ``shuffle-submission`` envelope (run id + cipher vector)."""
-    from repro.core.keyshuffle import pack_cipher_vector
-
-    return pack_fields(run_id, pack_cipher_vector(group, vector))
-
-
-def decode_shuffle_submission_body(group: Group, body: bytes):
-    """Returns ``(run_id, cipher_vector)`` with every element validated."""
-    from repro.core.keyshuffle import unpack_cipher_vector
-    from repro.errors import ShuffleError
-
-    run_id, packed = unpack_typed(body, "bb", "shuffle submission")
-    try:
-        return run_id, unpack_cipher_vector(group, packed)
-    except (ShuffleError, ValueError) as exc:
-        raise WireDecodeError(f"shuffle submission vector: {exc}") from exc
-
-
 def encode_disclosure_body(group: Group, disclosure: TraceDisclosure) -> bytes:
     """Body of an ``accusation-reveal`` envelope: one server's trace reveal.
 
@@ -592,17 +690,6 @@ def decode_accusation_reveal_body(
 # ---------------------------------------------------------------------------
 # Accusation-process payloads carried inside control frames
 # ---------------------------------------------------------------------------
-
-
-def encode_accusation(group: Group, accusation: Accusation) -> bytes:
-    return accusation.to_bytes(group)
-
-
-def decode_accusation(group: Group, data: bytes) -> Accusation:
-    try:
-        return Accusation.from_bytes(group, data)
-    except AccusationError as exc:
-        raise WireDecodeError(f"accusation: {exc}") from exc
 
 
 def encode_evidence(evidence: RoundEvidence) -> bytes:
@@ -709,28 +796,3 @@ def encode_int_pairs(pairs: Mapping[int, int]) -> bytes:
 
 def decode_int_pairs(data: bytes) -> dict[int, int]:
     return decode_keyed(data, "i", "int pairs")
-
-
-def encode_telemetry_body(snapshot: Mapping) -> bytes:
-    """Body of the ``telemetry`` control reply: a registry snapshot.
-
-    Snapshots are nested dictionaries of counters, gauges, and histogram
-    states (:meth:`repro.obs.MetricsRegistry.snapshot`); canonical JSON
-    (sorted keys, no whitespace) keeps the encoding deterministic.
-    """
-    try:
-        return json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode()
-    except (TypeError, ValueError) as exc:
-        raise WireDecodeError(f"telemetry snapshot not JSON-encodable: {exc}")
-
-
-def decode_telemetry_body(body: bytes) -> dict:
-    try:
-        value = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise WireDecodeError(f"telemetry body is not valid JSON: {exc}")
-    if not isinstance(value, dict):
-        raise WireDecodeError(
-            f"telemetry body decodes to {type(value).__name__}, expected a dict"
-        )
-    return value

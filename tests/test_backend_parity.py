@@ -605,20 +605,16 @@ class TestEcWireFrames:
             make_rebuttal,
             verify_rebuttal,
         )
-        from repro.net.wire import (
-            decode_accusation,
-            decode_rebuttal,
-            encode_accusation,
-            encode_rebuttal,
-        )
+        from repro.core.accusation import Accusation
+        from repro.net.wire import decode_rebuttal, encode_rebuttal
 
         g = ec_group()
         pseudonym = PrivateKey.generate(g, brng)
         accusation = make_accusation(
             pseudonym, g, round_number=4, slot_index=1, bit_index=17
         )
-        data = encode_accusation(g, accusation)
-        assert decode_accusation(g, data) == accusation
+        data = accusation.to_bytes(g)
+        assert Accusation.from_bytes(g, data) == accusation
         assert len(data) <= accusation_max_bytes(g)
 
         client = PrivateKey.generate(g, brng)
@@ -689,19 +685,21 @@ class TestHelloBackendHandshake:
 
         asyncio.run(scenario())
 
-    def test_parse_hello_takes_exactly_the_node_form(self):
-        from repro.net.runner import _Hub
+    def test_hello_decodes_exactly_the_node_form(self):
+        from repro.errors import WireDecodeError
+        from repro.net.wire import K_HELLO, decode_control
         from repro.util.serialization import pack_fields
 
-        announced = ("ec25519", 32, b"sid", 3, 4)
-        assert _Hub._parse_hello(pack_fields(*announced)) == announced
+        announced = ["ec25519", 32, b"sid", 3, 4]
+        assert decode_control(K_HELLO, pack_fields(*announced)) == announced
         for fields in (
             announced[:2],
-            announced + (5,),
-            (32, "ec25519", b"sid", 3, 4),
-            ("ec25519", 32, "sid", 3, 4),
+            [*announced, 5],
+            [32, "ec25519", b"sid", 3, 4],
+            ["ec25519", 32, "sid", 3, 4],
         ):
-            assert _Hub._parse_hello(pack_fields(*fields)) is None
+            with pytest.raises(WireDecodeError):
+                decode_control(K_HELLO, pack_fields(*fields))
 
     @pytest.mark.parametrize(
         "body",

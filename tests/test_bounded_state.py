@@ -134,6 +134,39 @@ class TestRetainedBytesPlateau:
         assert held[12] == held[4]
 
 
+class TestBarrierBuckets:
+    def test_forged_barrier_frames_leave_no_bucket_between_rounds(self):
+        """The coordinator keeps a node's unasked frames only of the three
+        barrier kinds and only for the begun round, and drops them when
+        the round is over.  Client 1 sends 3 late ``round-applied`` frames
+        and one of an undeclared kind, client 2 200 ``round-applied``
+        frames for rounds 1000-1199; after the next honest round no bucket
+        is left.  When every frame was bucketed under its kind and first
+        field and only a drained bucket was dropped, this left 204."""
+        from repro.net.node import COORDINATOR, K_ROUND_APPLIED
+        from repro.util.serialization import pack_fields
+
+        with NetworkedSession.build(
+            num_servers=2, num_clients=4, seed=7, mode="loopback"
+        ) as session:
+            session.setup()
+            for _ in range(3):
+                assert session.run_round().certificate is not None
+            late, early = (session._node_objects[f"client-{i}"] for i in (1, 2))
+
+            async def forge():
+                for r in range(3):
+                    await late._send(COORDINATOR, K_ROUND_APPLIED, 0, pack_fields(r))
+                await late._send(COORDINATOR, "undeclared", 0, pack_fields(5))
+                for r in range(1000, 1200):
+                    await early._send(COORDINATOR, K_ROUND_APPLIED, 0, pack_fields(r))
+
+            session._call(forge())
+            assert session.run_round().certificate is not None
+            assert len(session._buckets) == 0
+            assert session._node_errors == []
+
+
 #: The receive loops and the module each lives in.
 _LOOPS = {("run", "node.py"), ("attach", "runner.py"), ("_pump", "runner.py")}
 

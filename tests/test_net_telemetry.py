@@ -10,8 +10,9 @@ import pytest
 
 from repro.errors import WireDecodeError
 from repro.net.runner import NetworkedSession
-from repro.net.wire import decode_telemetry_body, encode_telemetry_body
+from repro.net.wire import K_HEALTH, K_TELEMETRY, K_TRACE, decode_json_reply
 from repro.obs import MetricsRegistry
+from repro.util.serialization import canonical_json
 
 from tests.test_networked_session import build_matched_inprocess, drive_honest
 
@@ -28,28 +29,51 @@ class TestTelemetryCodec:
         registry.gauge("net.early.depth").set_max(3)
         registry.histogram("span.phase.commit", (0.001, 0.01)).observe(0.004)
         snapshot = registry.snapshot()
-        assert decode_telemetry_body(encode_telemetry_body(snapshot)) == snapshot
+        assert decode_json_reply(K_TELEMETRY, canonical_json(snapshot)) == snapshot
 
     def test_merged_after_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(5)
-        body = encode_telemetry_body(registry.snapshot())
+        body = canonical_json(registry.snapshot())
         merged = MetricsRegistry()
-        merged.merge_snapshot(decode_telemetry_body(body))
-        merged.merge_snapshot(decode_telemetry_body(body))
+        merged.merge_snapshot(decode_json_reply(K_TELEMETRY, body))
+        merged.merge_snapshot(decode_json_reply(K_TELEMETRY, body))
         assert merged.snapshot()["counters"]["c"] == 10
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(WireDecodeError):
-            decode_telemetry_body(b"\xff\xfe not json")
+            decode_json_reply(K_TELEMETRY, b"\xff\xfe not json")
         with pytest.raises(WireDecodeError):
-            decode_telemetry_body(b"[1, 2, 3]")
+            decode_json_reply(K_TELEMETRY, b"[1, 2, 3]")
         with pytest.raises(WireDecodeError):
-            decode_telemetry_body(b'"just a string"')
+            decode_json_reply(K_TELEMETRY, b'"just a string"')
+        with pytest.raises(WireDecodeError):
+            decode_json_reply(K_TRACE, b'{"a": 1}')
+        with pytest.raises(WireDecodeError):
+            decode_json_reply(K_HEALTH, b"[" * 100_000)
 
-    def test_encode_rejects_unserializable(self):
-        with pytest.raises(WireDecodeError):
-            encode_telemetry_body({"bad": object()})
+    @pytest.mark.parametrize(
+        "kind, read",
+        [(K_TELEMETRY, "metrics"), (K_TRACE, "trace_events"), (K_HEALTH, "health")],
+    )
+    def test_a_garbled_reply_is_a_wire_decode_error(self, kind, read):
+        """A node whose handler answers non-JSON fails the read typed,
+        where ``json.loads`` used to raise a bare decode error."""
+        with NetworkedSession.build(
+            num_servers=2, num_clients=3, seed=99, mode="loopback"
+        ) as session:
+            session._ensure_started()
+            node = session._node_objects["client-1"]
+            honest = node.handle
+
+            async def garbled(asked, body):
+                if asked == kind:
+                    return b"\xff\xfe not json"
+                return await honest(asked, body)
+
+            node.handle = garbled
+            with pytest.raises(WireDecodeError, match=kind):
+                getattr(session, read)()
 
 
 # ---------------------------------------------------------------------------

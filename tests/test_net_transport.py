@@ -17,6 +17,7 @@ from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.errors import (
     ConnectionClosed,
+    DissentError,
     FrameTooLarge,
     FrameTruncated,
     ProtocolError,
@@ -36,6 +37,7 @@ from repro.net.node import (
     K_REPLY,
     K_REPLY_ERROR,
     K_ROUND_APPLIED,
+    K_ROUND_DONE,
     K_STATUS_REQUEST,
     ServerNode,
 )
@@ -789,3 +791,233 @@ class TestSenderAuthentication:
             # Client 5's own answer: its post went out, nothing pending.
             assert reply == pack_fields(0, 0)
             assert reply != forged
+
+
+#: What a mutation does to a field's type.
+_RETYPED = {int: lambda v: str(v).encode(), bytes: len, str: str.encode}
+
+
+def _mutations(arity):
+    """Every one-field mutation of an ``arity``-field packed body, by name:
+    keep the first field alone, drop or retype one field, cut the last
+    byte, append a field.  Each maps the honest body to the forged one."""
+
+    def refield(change):
+        return lambda body: pack_fields(*change(unpack_fields(body)))
+
+    found = {}
+    if arity > 1:
+        found["first field alone"] = refield(lambda f: f[:1])
+    for i in range(arity):
+        found[f"drop {i}"] = refield(lambda f, i=i: f[:i] + f[i + 1 :])
+        found[f"retype {i}"] = refield(
+            lambda f, i=i: [*f[:i], _RETYPED[type(f[i])](f[i]), *f[i + 1 :]]
+        )
+    found["truncate"] = lambda body: body[:-1]
+    found["append"] = refield(lambda f: [*f, 0])
+    return found
+
+
+def _intercept(node, kind, forge):
+    """Hand ``node``'s next ``kind`` frame to ``forge(send, seq, body)``
+    instead of sending it; ``send(kind, seq, body)`` sends a frame to the
+    same peer down the node's own link."""
+    honest = node._send
+
+    async def send(to, sent, seq, body, trace=b""):
+        if sent != kind:
+            return await honest(to, sent, seq, body, trace)
+        del node._send  # one frame only
+        await forge(lambda k, s, b: honest(to, k, s, b, trace), seq, body)
+
+    node._send = send
+
+
+#: A node error or reply error as a node sends one.
+_ERROR_BODY = pack_fields("ProtocolError", "forged")
+
+
+class TestControlFrameMutations:
+    """A mutation walk over the control table: every kind a node sends the
+    coordinator, one field dropped, retyped, truncated or appended, sent
+    by a member of the right role for the begun round ahead of (for a
+    reply, instead of) its honest frame.  Nothing but a ``DissentError``
+    may leave the coordinator, and after a mutated inventory status the
+    next honest round completes with a certificate.  Before every barrier
+    frame was decoded once, in ``_take``, a one-field status from server-0
+    made ``run_round`` raise a bare ``TypeError`` with the round begun on
+    every server, and a truncated status reply a bare ``ValueError``."""
+
+    @staticmethod
+    def _walk(
+        arity, member, trigger, forge, after=None, drive=NetworkedSession.run_round
+    ):
+        """``drive`` the session once per mutation with ``member``'s next
+        ``trigger`` frame handed to ``forge(session, mutate)``; returns
+        each mutation's outcome (``"ok"`` or the error's class name)."""
+        with NetworkedSession.build(
+            num_servers=2, num_clients=4, seed=7, mode="loopback"
+        ) as session:
+            session.setup()
+            assert session.run_round().certificate is not None
+            node = session._node_objects[member]
+            outcomes = {}
+            for label, mutate in _mutations(arity).items():
+                filed = len(session._node_errors)
+                _intercept(node, trigger, forge(session, mutate))
+                try:
+                    drive(session)
+                    outcomes[label] = "ok"
+                except DissentError as exc:
+                    outcomes[label] = type(exc).__name__
+                if after is not None:
+                    after(session, label, session._node_errors[filed:])
+            return outcomes
+
+    @staticmethod
+    def _filed(member):
+        """Check that the forged frame was filed as ``member``'s error."""
+
+        def after(session, label, errors):
+            assert f"{member}: WireDecodeError" in "".join(errors), (label, errors)
+
+        return after
+
+    @pytest.mark.parametrize(
+        "kind, arity, member",
+        [
+            (K_INVENTORY_STATUS, 3, "server-0"),
+            (K_ROUND_DONE, 5, "server-1"),
+            (K_ROUND_APPLIED, 1, "client-2"),
+        ],
+    )
+    def test_barrier_frames(self, kind, arity, member):
+        def forge(session, mutate):
+            async def ahead(send, seq, body):
+                await send(kind, seq, mutate(body))
+                await send(kind, seq, body)
+
+            return ahead
+
+        filed = self._filed(member)
+
+        def after(session, label, errors):
+            filed(session, label, errors)
+            if kind == K_INVENTORY_STATUS:
+                assert session.run_round().certificate is not None, label
+
+        outcomes = self._walk(arity, member, kind, forge, after)
+        assert len(outcomes) == 2 * arity + 2 + (arity > 1)
+        assert set(outcomes.values()) <= {"ok", "SessionTimeout"}, outcomes
+
+    def test_node_errors(self):
+        def forge(session, mutate):
+            async def ahead(send, seq, body):
+                await send(K_NODE_ERROR, 0, mutate(_ERROR_BODY))
+                await send(K_INVENTORY_STATUS, seq, body)
+
+            return ahead
+
+        outcomes = self._walk(
+            2, "server-0", K_INVENTORY_STATUS, forge, self._filed("server-0")
+        )
+        assert set(outcomes.values()) == {"ok"}, outcomes
+
+    def test_hellos(self):
+        """A hello on a second link under a member's own name: the hub
+        refuses it and the member keeps the link it has."""
+        member = "client-1"
+
+        def forge(session, mutate):
+            async def ahead(send, seq, body):
+                group = session.definition.group
+                hello = pack_fields(
+                    group.name,
+                    group.element_bytes,
+                    session.definition.group_id(),
+                    session.round_number,
+                    0,
+                )
+                hub_side, node_side = loopback_pair()
+                session._hub.spawn_attach(hub_side)
+                await node_side.send(
+                    wire.encode_routed(COORDINATOR, member, K_HELLO, 0, mutate(hello))
+                )
+                await send(K_ROUND_APPLIED, seq, body)
+
+            return ahead
+
+        links = []
+
+        def after(session, label, errors):
+            links.append(session._hub.transports[member])
+            assert links[-1] is links[0], label
+
+        outcomes = self._walk(5, member, K_ROUND_APPLIED, forge, after)
+        assert set(outcomes.values()) == {"ok"}, outcomes
+
+    @pytest.mark.parametrize("kind", [K_REPLY, K_REPLY_ERROR])
+    def test_status_replies(self, kind):
+        """The status reply, the one reply read as fields, and a reply
+        error in its place, from the client asked."""
+
+        def forge(session, mutate):
+            async def instead(send, seq, body):
+                await send(kind, seq, mutate(body if kind == K_REPLY else _ERROR_BODY))
+
+            return instead
+
+        outcomes = self._walk(
+            2, "client-3", K_REPLY, forge, drive=NetworkedSession.run_until_quiet
+        )
+        assert set(outcomes.values()) == {"WireDecodeError"}, outcomes
+
+
+class TestControlTable:
+    """``wire.CONTROL_SPECS`` is the one declaration of every packed-field
+    control body; everything else a node handles has a codec of its own."""
+
+    #: Kinds whose body has its own codec (or none): an envelope, a
+    #: round-done report, a node checkpoint, flight NDJSON, a reply to
+    #: whatever was asked, a shutdown; the JSON replies are declared in
+    #: ``wire.JSON_REPLIES``.
+    OWN_CODEC = {
+        wire.K_ENVELOPE,
+        K_ROUND_DONE,
+        wire.K_SNAPSHOT,
+        wire.K_RESTORE,
+        wire.K_FLIGHT,
+        K_REPLY,
+        wire.K_SHUTDOWN,
+    }
+
+    def test_every_declared_kind_round_trips(self):
+        sample = {"i": 7, "b": b"\x00bytes", "s": "text"}
+        for kind, spec in wire.CONTROL_SPECS.items():
+            fields = [sample[code] for code in spec.rstrip("*")]
+            if spec.endswith("*"):
+                fields.append(fields[-1])
+            body = wire.encode_control(kind, *fields)
+            assert body == pack_fields(*fields)
+            assert wire.decode_control(kind, body) == fields
+            retyped = [_RETYPED[type(fields[0])](fields[0]), *fields[1:]]
+            with pytest.raises(WireDecodeError):
+                wire.encode_control(kind, *retyped)
+            with pytest.raises(WireDecodeError):
+                wire.decode_control(kind, pack_fields(*retyped))
+
+    def test_every_kind_a_node_handles_is_declared_or_has_its_own_codec(self):
+        import inspect
+        import re
+
+        from repro.net import node
+
+        handled = set(re.findall(r"kind == (K_[A-Z_]+)", inspect.getsource(node)))
+        assert len(handled) > 20
+        declared = wire.CONTROL_SPECS.keys() | wire.JSON_REPLIES.keys()
+        for name in handled:
+            kind = getattr(wire, name)
+            assert (kind in declared) != (kind in self.OWN_CODEC), name
+        every = {v for k, v in vars(wire).items() if k.startswith("K_")}
+        assert every == declared | self.OWN_CODEC
+

@@ -227,8 +227,9 @@ class TestSurface:
 
     def test_legacy_three_field_round_done_is_a_typed_error(self, monkeypatch):
         """No sender has packed a certificate-less ``round-done`` since the
-        round engine; the coordinator refuses one instead of defaulting."""
-        from repro.errors import WireDecodeError
+        round engine; the coordinator refuses one instead of defaulting,
+        filing it as its sender's node error, which ends the barrier."""
+        from repro.errors import SessionTimeout
         from repro.net import node
         from repro.util.serialization import pack_fields, unpack_fields
 
@@ -242,8 +243,9 @@ class TestSurface:
             num_servers=2, num_clients=3, seed=1, mode="loopback"
         ) as session:
             session.setup()
-            with pytest.raises(WireDecodeError, match="exactly 5 fields"):
+            with pytest.raises(SessionTimeout, match="WireDecodeError: round-done"):
                 session.run_round()
+        assert "exactly 5 fields" in str(session._node_errors)
 
     def test_two_verdicts_naming_one_client_expel_it_once(self, tmp_path):
         """Two victims of one disruptor mean two accusations and two

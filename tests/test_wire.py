@@ -65,9 +65,8 @@ def round_artifacts():
     shuffle_envelopes = [
         client.signed_scheduling_submission(publics, purpose) for client in clients
     ]
-    submissions = open_shuffle_submissions(
-        built.definition, shuffle_envelopes, shuffle_run_id(purpose, publics)
-    )
+    run_id = shuffle_run_id(purpose, publics)
+    submissions = open_shuffle_submissions(built.definition, shuffle_envelopes, run_id)
     result = run_key_shuffle(
         built.definition, privates, submissions, context=purpose, rng=rng
     )
@@ -130,6 +129,7 @@ def round_artifacts():
             ),
         },
         "output": outputs[0],
+        "shuffle": (shuffle_envelopes, run_id),
     }
 
 
@@ -253,11 +253,27 @@ class TestBodyCodecs:
             wire.decode_round_done_body(group, body[:-1])
 
     def test_shuffle_submission_roundtrip(self, round_artifacts):
-        group = round_artifacts["group"]
+        """The body's codec is the key shuffle's own: built by
+        ``sign_shuffle_submission``, read by ``open_shuffle_submissions``."""
+        from repro.core.keyshuffle import (
+            open_shuffle_submissions,
+            sign_shuffle_submission,
+        )
+
+        definition = round_artifacts["definition"]
+        envelopes, run_id = round_artifacts["shuffle"]
         envelope, _ = round_artifacts["envelopes"][SHUFFLE_SUBMISSION]
-        run_id, vector = wire.decode_shuffle_submission_body(group, envelope.body)
+        vector = open_shuffle_submissions(definition, envelopes, run_id)[2]
+        client = round_artifacts["clients"][2]
         assert (
-            wire.encode_shuffle_submission_body(group, run_id, vector)
+            sign_shuffle_submission(
+                client.key,
+                envelope.sender,
+                definition.group_id(),
+                definition.group,
+                vector,
+                run_id,
+            ).body
             == envelope.body
         )
 
