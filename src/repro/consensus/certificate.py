@@ -30,7 +30,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.crypto import schnorr
-from repro.errors import InvalidProof, InvalidSignature, ProtocolError
+from repro.errors import InvalidProof, InvalidSignature, ProtocolError, WireDecodeError
 from repro.net.message import (
     LEADER_PROPOSE,
     SERVER_VOTE,
@@ -38,7 +38,7 @@ from repro.net.message import (
     body_digest,
     envelope_signed_payload,
 )
-from repro.util.serialization import pack_fields, unpack_fields
+from repro.util.serialization import decode_value, pack_fields, unpack_typed
 
 _DIGEST_BYTES = 32
 
@@ -80,22 +80,19 @@ def proposal_view_digest(envelope: SignedEnvelope) -> tuple[int, bytes]:
     """Parse ``(view, digest)`` out of a proposal or vote body.
 
     The one decoder of :func:`repro.net.wire.encode_consensus_body`.
-    Structural validation only — the caller checks the signature; this
-    rejects malformed bodies from a Byzantine sender with a typed error
-    instead of an unpack crash.
+    Structural validation only — the caller checks the signature; a
+    malformed body from a Byzantine sender is a :class:`WireDecodeError`.
     """
-    try:
-        fields = unpack_fields(envelope.body)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed consensus body: {exc}") from exc
-    if len(fields) != 2 or not isinstance(fields[0], int) or not isinstance(fields[1], bytes):
-        raise ProtocolError("consensus body must be (view, digest)")
-    view, digest = fields
+    view, digest = unpack_typed(envelope.body, "ib", "consensus body")
+    return view, _checked_digest(digest, "consensus")
+
+
+def _checked_digest(digest: bytes, what: str) -> bytes:
     if len(digest) != _DIGEST_BYTES:
-        raise ProtocolError(
-            f"consensus digest must be {_DIGEST_BYTES} bytes, got {len(digest)}"
+        raise WireDecodeError(
+            f"{what} digest must be {_DIGEST_BYTES} bytes, got {len(digest)}"
         )
-    return view, digest
+    return digest
 
 
 def _vote_signed_payload(definition, server_index: int, round_number: int, body: bytes) -> bytes:
@@ -216,40 +213,23 @@ class RoundCertificate:
 
     @classmethod
     def from_wire(cls, group, data: bytes) -> "RoundCertificate":
-        try:
-            fields = unpack_fields(data)
-        except ValueError as exc:
-            raise InvalidProof(f"malformed certificate: {exc}") from exc
-        if len(fields) < 4:
-            raise InvalidProof("certificate needs round, view, leader, digest")
-        round_number, view, leader, digest = fields[:4]
-        if (
-            not isinstance(round_number, int)
-            or not isinstance(view, int)
-            or not isinstance(leader, int)
-            or not isinstance(digest, bytes)
-        ):
-            raise InvalidProof("certificate header fields have wrong types")
+        """Invert :meth:`to_wire`; :class:`WireDecodeError` if malformed
+        (:meth:`verify` judges what decodes)."""
+        round_number, view, leader, digest, *entries = unpack_typed(
+            data, "iiibb*", "certificate"
+        )
         votes = []
-        for blob in fields[4:]:
-            if not isinstance(blob, bytes):
-                raise InvalidProof("certificate vote entry must be bytes")
-            try:
-                entry = unpack_fields(blob)
-            except ValueError as exc:
-                raise InvalidProof(f"malformed certificate vote: {exc}") from exc
-            if (
-                len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], bytes)
-            ):
-                raise InvalidProof("certificate vote must be (index, signature)")
-            votes.append((entry[0], schnorr.Signature.from_bytes(group, entry[1])))
+        for entry in entries:
+            index, signature = unpack_typed(entry, "ib", "certificate vote")
+            signature = decode_value(
+                "vote", schnorr.Signature.from_bytes, group, signature
+            )
+            votes.append((index, signature))
         return cls(
             round_number=round_number,
             view=view,
             leader=leader,
-            digest=digest,
+            digest=_checked_digest(digest, "certificate"),
             votes=tuple(votes),
         )
 
@@ -309,29 +289,19 @@ class EquivocationProof:
 
     @classmethod
     def from_wire(cls, group, data: bytes) -> "EquivocationProof":
+        """Invert :meth:`to_wire`; :class:`WireDecodeError` if malformed
+        (:meth:`verify` judges what decodes)."""
         from repro.net.wire import decode_envelope
 
-        try:
-            fields = unpack_fields(data)
-        except ValueError as exc:
-            raise InvalidProof(f"malformed equivocation proof: {exc}") from exc
-        if (
-            len(fields) != 5
-            or not isinstance(fields[0], int)
-            or not isinstance(fields[1], int)
-            or not isinstance(fields[2], int)
-            or not isinstance(fields[3], bytes)
-            or not isinstance(fields[4], bytes)
-        ):
-            raise InvalidProof(
-                "equivocation proof must be (round, view, leader, first, second)"
-            )
+        round_number, view, leader, first, second = unpack_typed(
+            data, "iiibb", "equivocation proof"
+        )
         return cls(
-            round_number=fields[0],
-            view=fields[1],
-            leader=fields[2],
-            first=decode_envelope(group, fields[3]),
-            second=decode_envelope(group, fields[4]),
+            round_number=round_number,
+            view=view,
+            leader=leader,
+            first=decode_envelope(group, first),
+            second=decode_envelope(group, second),
         )
 
 

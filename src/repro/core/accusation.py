@@ -40,7 +40,7 @@ from repro.crypto.schnorr import Signature, sign as schnorr_sign, verify as schn
 from repro.errors import AccusationError, TraceInconclusive
 from repro.net.message import SignedEnvelope, batch_verify_envelopes
 from repro.util.bytesops import get_bit
-from repro.util.serialization import pack_fields, unpack_fields
+from repro.util.serialization import decode_value, pack_fields, unpack_typed
 
 _SIG_DOMAIN = "dissent.accusation.v1"
 _REBUTTAL_CONTEXT = b"dissent.rebuttal.v1"
@@ -70,21 +70,12 @@ class Accusation:
 
     @classmethod
     def from_bytes(cls, group: Group, data: bytes) -> "Accusation":
-        try:
-            fields = unpack_fields(data)
-            round_number, slot_index, bit_index, sig_bytes = fields
-        except (ValueError, TypeError) as exc:
-            raise AccusationError(f"malformed accusation: {exc}") from exc
-        if not (
-            isinstance(round_number, int)
-            and isinstance(slot_index, int)
-            and isinstance(bit_index, int)
-            and isinstance(sig_bytes, bytes)
-        ):
-            raise AccusationError("accusation field types invalid")
-        from repro.crypto.schnorr import Signature as Sig
-
-        return cls(round_number, slot_index, bit_index, Sig.from_bytes(group, sig_bytes))
+        """Invert :meth:`to_bytes`; :class:`WireDecodeError` if malformed."""
+        round_number, slot_index, bit_index, signature = unpack_typed(
+            data, "iiib", "accusation"
+        )
+        signature = decode_value("accusation", Signature.from_bytes, group, signature)
+        return cls(round_number, slot_index, bit_index, signature)
 
 
 def make_accusation(

@@ -56,7 +56,12 @@ from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
 from repro.core.schedule import Scheduler
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import cascade_bases, message_vector_width
-from repro.errors import AccusationError, ProtocolError, TraceInconclusive
+from repro.errors import (
+    AccusationError,
+    ProtocolError,
+    TraceInconclusive,
+    WireDecodeError,
+)
 from repro.obs import NULL_REGISTRY, NULL_TRACER
 
 
@@ -339,7 +344,7 @@ class Coordinator:
                 try:
                     accusation = Accusation.from_bytes(definition.group, message)
                     verdicts.extend(self.trace(accusation))
-                except (AccusationError, TraceInconclusive):
+                except (WireDecodeError, AccusationError, TraceInconclusive):
                     continue
             self.apply_verdicts(verdicts)
             self._accusation_outcome(participants, bool(verdicts))

@@ -25,14 +25,14 @@ from repro.crypto.groups import Group
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.schnorr import Signature, sign as schnorr_sign
 from repro.crypto.shuffle import CipherVector, ShuffleTranscript
-from repro.errors import CryptoError, DissentError, ShuffleError
+from repro.errors import CryptoError, ShuffleError, WireDecodeError
 from repro.net.message import (
     SHUFFLE_SUBMISSION,
     SignedEnvelope,
     batch_verify_envelopes,
     make_envelope,
 )
-from repro.util.serialization import pack_fields, unpack_fields
+from repro.util.serialization import decode_value, pack_fields, unpack_typed
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,12 @@ def pack_cipher_vector(group: Group, vector: CipherVector) -> bytes:
 
 
 def unpack_cipher_vector(group: Group, data: bytes) -> CipherVector:
-    """Invert :func:`pack_cipher_vector`, validating every element."""
-    fields = unpack_fields(data)
-    if not fields:
-        raise ShuffleError("shuffle submission carries no ciphertexts")
-    vector = []
-    for field_bytes in fields:
-        if not isinstance(field_bytes, bytes):
-            raise ShuffleError("malformed shuffle submission body")
-        vector.append(Ciphertext.from_bytes(group, field_bytes))
-    return tuple(vector)
+    """Invert :func:`pack_cipher_vector`, validating every element;
+    :class:`WireDecodeError` if malformed."""
+    return tuple(
+        decode_value("cipher vector element", Ciphertext.from_bytes, group, item)
+        for item in unpack_typed(data, "bb*", "cipher vector")
+    )
 
 
 def sign_shuffle_submission(
@@ -207,8 +203,11 @@ def open_shuffle_submissions(
     vectors: list[CipherVector] = []
     for envelope in envelopes:
         try:
-            embedded_run_id, body = unpack_fields(envelope.body)
-        except ValueError as exc:
+            embedded_run_id, body = unpack_typed(
+                envelope.body, "bb", "shuffle submission"
+            )
+            vector = unpack_cipher_vector(group, body)
+        except WireDecodeError as exc:
             raise ShuffleError(
                 f"malformed shuffle submission from {envelope.sender}: {exc}"
             ) from exc
@@ -217,12 +216,7 @@ def open_shuffle_submissions(
                 f"shuffle submission from {envelope.sender} is bound to a "
                 "different run (replay?)"
             )
-        try:
-            vectors.append(unpack_cipher_vector(group, body))
-        except (DissentError, ValueError, TypeError) as exc:
-            raise ShuffleError(
-                f"malformed shuffle submission from {envelope.sender}: {exc}"
-            ) from exc
+        vectors.append(vector)
     return vectors
 
 

@@ -64,7 +64,6 @@ from repro.net.message import (
     require_envelopes_valid,
 )
 from repro.util.bytesops import xor_many
-from repro.util.serialization import pack_fields, unpack_fields
 
 
 @dataclass
@@ -261,8 +260,9 @@ class DissentServer:
 
     def make_inventory(self, state: RoundState) -> SignedEnvelope:
         """Broadcast the sorted list of clients heard from."""
-        client_list = sorted(state.received)
-        body = pack_fields(*[int(i) for i in client_list]) if client_list else b""
+        from repro.net.wire import encode_int_list
+
+        body = encode_int_list(sorted(state.received))
         return make_envelope(
             self.key,
             SERVER_INVENTORY,
@@ -280,8 +280,11 @@ class DissentServer:
         Deduplication rule (deterministic on every server): a client that
         submitted to several servers is assigned to the lowest-indexed
         server that heard from it; only that server XORs the client's
-        ciphertext into its own.
+        ciphertext into its own.  An inventory lists client indices once
+        each, in ascending order, as :meth:`make_inventory` writes them.
         """
+        from repro.net.wire import decode_int_list
+
         if len(envelopes) != self.definition.num_servers:
             raise ProtocolError("need exactly one inventory per server")
         indices = []
@@ -293,11 +296,14 @@ class DissentServer:
             indices.append(self._server_index(envelope.sender))
         self._verify_peer_batch(envelopes, indices)
         for envelope, server_index in zip(envelopes, indices):
-            listed = (
-                tuple(int(x) for x in unpack_fields(envelope.body))
-                if envelope.body
-                else ()
-            )
+            listed = decode_int_list(envelope.body)
+            if list(listed) != sorted(set(listed)) or (
+                listed and listed[-1] >= self.definition.num_clients
+            ):
+                raise ProtocolError(
+                    f"inventory of server {server_index} lists clients "
+                    f"{list(listed)}: not once each, in order, in range"
+                )
             state.inventories[server_index] = listed
         assignment: dict[int, int] = {}
         for server_index in sorted(state.inventories):

@@ -108,6 +108,7 @@ from repro.net.wire import (
     decode_control,
     decode_envelope,
     decode_evidence,
+    decode_flight_reply,
     decode_json_reply,
     decode_rebuttal,
     decode_round_done_body,
@@ -130,6 +131,11 @@ from repro.persist.audit import AuditLog
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 
 MODES = ("loopback", "tcp", "subprocess")
+
+#: Node errors the coordinator keeps, newest last: any member can send
+#: them, so the log is a tail; ``NetworkedSession._node_error_count``
+#: counts every one filed.
+NODE_ERRORS_KEPT = 32
 
 #: Unacknowledged frames the hub keeps per peer for reconnect replay; a
 #: node that falls further behind (a dark link past this many frames) must
@@ -545,6 +551,7 @@ class NetworkedSession(Coordinator):
         self._pending: dict[int, tuple[str, asyncio.Future]] = {}
         self._buckets: dict[tuple[str, int], asyncio.Queue] = {}
         self._node_errors: list[str] = []
+        self._node_error_count = 0
         self._seq = 0
         self._started = False
         self._closed = False
@@ -965,7 +972,7 @@ class NetworkedSession(Coordinator):
         try:
             if frame.kind == K_NODE_ERROR:
                 name, message = decode_control(K_NODE_ERROR, frame.body)
-                self._node_errors.append(f"{frame.sender}: {name}: {message}")
+                self._file_node_error(f"{frame.sender}: {name}: {message}")
                 return
             if frame.kind == K_ROUND_DONE:
                 value = RoundDone(
@@ -981,11 +988,16 @@ class NetworkedSession(Coordinator):
             else:
                 return
         except WireDecodeError as exc:
-            self._node_errors.append(f"{frame.sender}: WireDecodeError: {exc}")
+            self._file_node_error(f"{frame.sender}: WireDecodeError: {exc}")
             return
         bucket = self._buckets.get((frame.kind, round_number))
         if bucket is not None:
             bucket.put_nowait((frame.sender, value))
+
+    def _file_node_error(self, error: str) -> None:
+        self._node_error_count += 1
+        self._node_errors.append(error)
+        del self._node_errors[:-NODE_ERRORS_KEPT]
 
     async def _send(
         self, to: str, kind: str, seq: int, body: bytes, trace: bytes = b""
@@ -1044,18 +1056,19 @@ class NetworkedSession(Coordinator):
         """
         bucket = self._buckets[kind, round_number]
         values: dict = {}
-        errors_before = len(self._node_errors)
+        errors_before = self._node_error_count
         deadline = asyncio.get_running_loop().time() + self.timeout
         while len(values) < count:
             try:
                 sender, value = bucket.get_nowait()
             except asyncio.QueueEmpty:
                 remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0 or len(self._node_errors) > errors_before:
+                fresh = self._node_error_count - errors_before
+                if remaining <= 0 or fresh:
                     raise SessionTimeout(
                         f"waiting for {count} {kind} frames of round "
                         f"{round_number}, got {len(values)}; node errors: "
-                        f"{self._node_errors[errors_before:] or self._node_errors}",
+                        f"{self._node_errors[-fresh:] if fresh else self._node_errors}",
                         kind=kind,
                         deadline=self.timeout,
                     )
@@ -1555,7 +1568,7 @@ class NetworkedSession(Coordinator):
         """The tail of every live process's event log, coordinator first,
         as flight-dump NDJSON."""
         return [flight_ndjson(COORDINATOR, "manual", self.tracer.events)] + [
-            r.decode("utf-8") for r in self._ask_live(K_FLIGHT)
+            decode_flight_reply(r) for r in self._ask_live(K_FLIGHT)
         ]
 
     def post(self, client_index: int, message: bytes) -> None:

@@ -7,26 +7,44 @@ buffer unbounded input.  Frame payloads are either routed control
 messages (:func:`encode_routed`) or serialized
 :class:`~repro.net.message.SignedEnvelope` objects.
 
-Every envelope body that crosses the wire has a canonical codec here, so
+Every envelope body that crosses the wire has one canonical codec, so
 ``decode(encode(x)) == x`` holds field for field — including the
-signature, which covers the exact bytes both sides reconstruct:
+signature, which covers the exact bytes both sides reconstruct.  A packed
+body is read by its owner through
+:func:`~repro.util.serialization.unpack_typed` against one spec (the
+:func:`~repro.util.serialization.check_types` codes), and a malformed one
+is a :class:`~repro.errors.WireDecodeError` from that owner:
 
-================== ==========================================================
-``msg_type``        body codec
-================== ==========================================================
-client-ciphertext   raw masked vector bytes (no structure)
-server-inventory    :func:`encode_inventory_body`
-server-commit       raw commitment hash bytes
-server-reveal       raw ciphertext bytes
-server-signature    :func:`encode_signature_body`
-round-output        :func:`encode_round_output_body`
-shuffle-submission  ``keyshuffle.sign_shuffle_submission`` builds it and
-                    ``keyshuffle.open_shuffle_submissions`` reads it
-accusation-reveal   :func:`encode_disclosure_body`
-leader-propose      :func:`encode_consensus_body`
-server-vote         :func:`encode_consensus_body`
-view-change         :func:`encode_view_change_body`
-================== ==========================================================
+================== ====================================================
+``msg_type``        spec: owner (encoder / decoder)
+================== ====================================================
+client-ciphertext   raw bytes: the masked vector
+server-inventory    ``i*``: :func:`encode_int_list` / :func:`decode_int_list`
+server-commit       raw bytes: the commitment hash
+server-reveal       raw bytes: the server ciphertext
+server-signature    raw bytes: :func:`encode_signature_body` /
+                    :func:`decode_signature_body`
+round-output        ``ibib*``: :func:`encode_round_output_body` /
+                    :func:`decode_round_output_body`
+shuffle-submission  ``bb``: ``keyshuffle.sign_shuffle_submission`` /
+                    ``keyshuffle.open_shuffle_submissions``; its vector
+                    ``bb*``: ``keyshuffle.unpack_cipher_vector``
+accusation-reveal   ``ib``: :func:`encode_accusation_reveal_body` /
+                    :func:`decode_accusation_reveal_body`; its
+                    disclosure ``ibb``: :func:`decode_disclosure_body`
+leader-propose      ``ib``: :func:`encode_consensus_body` /
+                    ``consensus.proposal_view_digest`` (32-byte digest)
+server-vote         ``ib``: as ``leader-propose``
+view-change         ``is``: :func:`encode_view_change_body` /
+                    :func:`decode_view_change_body`
+================== ====================================================
+
+Bodies that ride inside these or inside control frames have their owners
+too: ``RoundCertificate.to_wire``/``from_wire`` (``iiibb*``, each vote
+``ib``), ``EquivocationProof.to_wire``/``from_wire`` (``iiibb``),
+``Accusation.to_bytes``/``from_bytes`` (``iiib``) and, outside every
+signature, ``TraceContext.to_bytes``/``from_bytes`` (``sssi``; ``None``
+for anything else).
 
 Every other routed kind is a **control frame** between the coordinator
 and a node.  :data:`CONTROL_SPECS` declares each packed-field body once,
@@ -57,9 +75,10 @@ rebut-request       round, bit index, claimed bits (:func:`encode_int_pairs`)
 =================== =====================================================
 
 ``envelope``, ``round-done`` (:func:`encode_round_done_body`),
-``snapshot`` / ``restore`` (a node checkpoint) and ``flight`` (NDJSON)
-carry codecs of their own, and so do the other replies (an envelope,
-:func:`encode_evidence`, :func:`encode_rebuttal`, a cipher vector);
+``snapshot`` / ``restore`` (a node checkpoint) and ``flight`` (a flight
+dump's NDJSON, :func:`decode_flight_reply`) carry codecs of their own,
+and so do the other replies (an envelope, :func:`encode_evidence`,
+:func:`encode_rebuttal`, a cipher vector);
 ``telemetry``, ``trace`` and ``health`` are answered in canonical JSON of
 the type :data:`JSON_REPLIES` declares (:func:`decode_json_reply`).
 
@@ -93,26 +112,29 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
+from repro.consensus.certificate import EquivocationProof, RoundCertificate
 from repro.core.accusation import Rebuttal, RoundEvidence, TraceDisclosure
 from repro.core.rounds import RoundOutput
 from repro.crypto.groups import Group
 from repro.crypto.proofs import DleqProof
 from repro.crypto.schnorr import Signature
 from repro.errors import (
-    CryptoError,
     FrameTooLarge,
     FrameTruncated,
-    InvalidSignature,
     UnknownMessageType,
     WireDecodeError,
 )
 from repro.net.message import SignedEnvelope, is_known_type
+from repro.obs.export import parse_flight_dump
 from repro.util.serialization import (
     bytes_field_header,
     bytes_field_span,
+    check_types,
+    decode_value,
     pack_fields,
     unpack_fields,
     unpack_prefix,
+    unpack_typed,
 )
 
 #: Hard cap on one frame's payload.  Large enough for a full round vector
@@ -210,54 +232,6 @@ def iter_frames(data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> Iterator
 
 
 # ---------------------------------------------------------------------------
-# Typed unpack helpers (adversarial bytes must fail typed, not crash)
-# ---------------------------------------------------------------------------
-
-
-_TYPES = {"i": int, "b": bytes, "s": str, "n": int}
-
-
-def check_types(fields: list, spec: str, what: str) -> list:
-    """Check unpacked ``fields`` against ``spec``, one code per field: ``i``
-    an int, ``b`` bytes, ``s`` a str, ``n`` an int or ``b""`` (read as
-    None, in place).  A spec ending in ``*`` repeats its last code any
-    number of times, none included."""
-    repeated = spec.endswith("*")
-    fixed = len(spec) - 2 if repeated else len(spec)
-    if len(fields) < fixed or (not repeated and len(fields) > fixed):
-        bound = "at least" if repeated else "exactly"
-        raise WireDecodeError(
-            f"{what} needs {bound} {fixed} fields, got {len(fields)}"
-        )
-    codes = spec[:fixed] + spec[fixed] * (len(fields) - fixed) if repeated else spec
-    for position, (code, value) in enumerate(zip(codes, fields)):
-        if type(value) is _TYPES[code]:
-            continue
-        if code == "n" and value == b"":
-            fields[position] = None
-        else:
-            raise WireDecodeError(
-                f"{what}: field {position} is {type(value).__name__}, "
-                f"expected {_TYPES[code].__name__}"
-            )
-    return fields
-
-
-def unpack_typed(data: bytes | memoryview, spec: str, what: str) -> list:
-    """:func:`unpack_fields` checked against a :func:`check_types` spec: the
-    one typed unpack for wire bodies, control frames and checkpoints.
-
-    Raises:
-        WireDecodeError: malformed bytes, a wrong field count or type.
-    """
-    try:
-        fields = unpack_fields(data)
-    except ValueError as exc:
-        raise WireDecodeError(f"malformed {what}: {exc}") from exc
-    return check_types(fields, spec, what)
-
-
-# ---------------------------------------------------------------------------
 # Envelope codec
 # ---------------------------------------------------------------------------
 
@@ -305,17 +279,15 @@ def decode_envelope(group: Group, data: bytes | memoryview) -> SignedEnvelope:
         raise WireDecodeError(f"envelope magic {magic!r} unsupported")
     if not is_known_type(msg_type):
         raise UnknownMessageType(f"unknown message type {msg_type!r}")
-    try:
-        signature = Signature.from_bytes(group, sig_bytes)
-    except InvalidSignature as exc:
-        raise WireDecodeError(f"envelope signature encoding: {exc}") from exc
     return SignedEnvelope(
         msg_type=msg_type,
         sender=sender,
         group_id=group_id,
         round_number=round_number,
         body=body,
-        signature=signature,
+        signature=decode_value(
+            "envelope signature", Signature.from_bytes, group, sig_bytes
+        ),
     )
 
 
@@ -506,19 +478,21 @@ def decode_json_reply(kind: str, body: bytes):
     return value
 
 
+def decode_flight_reply(body: bytes) -> str:
+    """A ``flight`` reply: the text of a flight dump, as
+    :func:`~repro.obs.export.parse_flight_dump` reads one;
+    :class:`WireDecodeError` for anything else."""
+    try:
+        text = body.decode("utf-8")
+        parse_flight_dump(text)
+    except (ValueError, RecursionError) as exc:
+        raise WireDecodeError(f"{K_FLIGHT} reply is not a dump: {exc}") from exc
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Body codecs, one per envelope type that has structure
 # ---------------------------------------------------------------------------
-
-
-def encode_inventory_body(client_indices: Sequence[int]) -> bytes:
-    """The exact body :meth:`DissentServer.make_inventory` signs."""
-    indices = [int(i) for i in client_indices]
-    return pack_fields(*indices) if indices else b""
-
-
-def decode_inventory_body(body: bytes) -> tuple[int, ...]:
-    return tuple(unpack_typed(body, "i*", "inventory body"))
 
 
 def encode_signature_body(group: Group, signature: Signature) -> bytes:
@@ -527,10 +501,7 @@ def encode_signature_body(group: Group, signature: Signature) -> bytes:
 
 
 def decode_signature_body(group: Group, body: bytes) -> Signature:
-    try:
-        return Signature.from_bytes(group, body)
-    except InvalidSignature as exc:
-        raise WireDecodeError(f"signature body: {exc}") from exc
+    return decode_value("signature body", Signature.from_bytes, group, body)
 
 
 def encode_round_output_body(group: Group, output: RoundOutput) -> bytes:
@@ -549,15 +520,14 @@ def decode_round_output_body(group: Group, body: bytes) -> RoundOutput:
     )
     if not signed:
         raise WireDecodeError("round output needs at least one signature")
-    try:
-        signatures = [Signature.from_bytes(group, sig) for sig in signed]
-    except InvalidSignature as exc:
-        raise WireDecodeError(f"round output signature: {exc}") from exc
     return RoundOutput(
         round_number=round_number,
         cleartext=cleartext,
         participation=participation,
-        signatures=tuple(signatures),
+        signatures=tuple(
+            decode_value("round output signature", Signature.from_bytes, group, sig)
+            for sig in signed
+        ),
     )
 
 
@@ -583,36 +553,6 @@ def decode_view_change_body(body: bytes) -> tuple[int, str]:
     return new_view, reason
 
 
-def encode_certificate_body(group: Group, certificate) -> bytes:
-    """Canonical bytes of a :class:`repro.consensus.RoundCertificate`."""
-    return certificate.to_wire(group)
-
-
-def decode_certificate_body(group: Group, body: bytes):
-    from repro.consensus.certificate import RoundCertificate
-    from repro.errors import InvalidProof
-
-    try:
-        return RoundCertificate.from_wire(group, body)
-    except (InvalidProof, InvalidSignature) as exc:
-        raise WireDecodeError(f"round certificate: {exc}") from exc
-
-
-def encode_equivocation_proof_body(group: Group, proof) -> bytes:
-    """Canonical bytes of a :class:`repro.consensus.EquivocationProof`."""
-    return proof.to_wire(group)
-
-
-def decode_equivocation_proof_body(group: Group, body: bytes):
-    from repro.consensus.certificate import EquivocationProof
-    from repro.errors import InvalidProof
-
-    try:
-        return EquivocationProof.from_wire(group, body)
-    except (InvalidProof, InvalidSignature) as exc:
-        raise WireDecodeError(f"equivocation proof: {exc}") from exc
-
-
 def encode_round_done_body(group: Group, done) -> bytes:
     """Body of a ``round-done`` control frame: one server's report of a
     certified round (a :class:`repro.core.engine.RoundDone`)."""
@@ -620,10 +560,8 @@ def encode_round_done_body(group: Group, done) -> bytes:
         done.round_number,
         1 if done.shuffle_requested else 0,
         encode_round_output_body(group, done.output),
-        encode_certificate_body(group, done.certificate),
-        encode_equivocation_proof_body(group, done.proof)
-        if done.proof is not None
-        else b"",
+        done.certificate.to_wire(group),
+        done.proof.to_wire(group) if done.proof is not None else b"",
     )
 
 
@@ -636,8 +574,8 @@ def decode_round_done_body(group: Group, body: bytes) -> tuple:
     return (
         round_number,
         decode_round_output_body(group, output),
-        decode_certificate_body(group, certificate),
-        decode_equivocation_proof_body(group, proof) if proof else None,
+        RoundCertificate.from_wire(group, certificate),
+        EquivocationProof.from_wire(group, proof) if proof else None,
         bool(shuffle),
     )
 
@@ -747,24 +685,23 @@ def decode_rebuttal(group: Group, data: bytes) -> Rebuttal | None:
     if not data:
         return None
     server_index, element_bytes, t1, t2, s = unpack_typed(data, "ibiii", "rebuttal")
-    try:
-        dh_element = group.element_from_bytes(element_bytes)
-    except CryptoError as exc:
-        raise WireDecodeError(f"rebuttal DH element: {exc}") from exc
     return Rebuttal(
         server_index=server_index,
-        dh_element=dh_element,
+        dh_element=decode_value(
+            "rebuttal DH element", group.element_from_bytes, element_bytes
+        ),
         proof=DleqProof(t1=t1, t2=t2, s=s),
     )
 
 
 def encode_int_list(values: Sequence[int]) -> bytes:
-    """Helper for control frames carrying bare index lists."""
+    """A bare int list: an inventory body, a round's submitters, a
+    checkpoint's index lists (``b""`` when empty)."""
     return pack_fields(*[int(v) for v in values])
 
 
 def decode_int_list(data: bytes) -> tuple[int, ...]:
-    return decode_inventory_body(data)
+    return tuple(unpack_typed(data, "i*", "int list"))
 
 
 def encode_keyed(mapping: Mapping[int, object], encode=None) -> bytes:

@@ -1,8 +1,12 @@
 """Telemetry: metrics registry, span tracer, exporters, §6-style reports.
 
-Dependency-free (standard library only; imports nothing from the rest of
-``repro``), zero-cost when disabled (null variants), and deterministic
-(injectable clocks, no RNG) — recording can never perturb protocol bytes.
+Close to dependency-free: the standard library, plus
+:mod:`repro.util.serialization` and :mod:`repro.errors` in
+:mod:`~repro.obs.propagate` (the packed trace context and its typed
+reader) and :mod:`repro.errors` in the report CLI; nothing from
+``repro.net`` or ``repro.core``.  Zero-cost when disabled (null variants)
+and deterministic (injectable clocks, no RNG) — recording can never
+perturb protocol bytes.
 
 A process keeps one event log, its tracer's ring of span records
 (``Tracer.events``, the newest records kept); failure triggers are

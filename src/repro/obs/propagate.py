@@ -15,14 +15,19 @@ optionally ``parent_ref`` (a ``node/span_id`` string naming a span in
 *another* process).  :mod:`repro.obs.critical` assembles the merged
 event logs into per-round trees from exactly these three attributes.
 
-This module is dependency-free within ``repro.obs`` (imports nothing
-from ``repro.net``) so the wire layer can import it without cycles.
+Outside ``repro.obs`` this module imports only :mod:`repro.errors` and
+:mod:`repro.util.serialization` (the packed-field format and its typed
+reader), never ``repro.net``, so the wire layer can import it without
+cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+
+from repro.errors import WireDecodeError
+from repro.util.serialization import pack_fields, unpack_typed
 
 _MAGIC = "dissent.trace-context.v1"
 
@@ -54,8 +59,6 @@ class TraceContext:
     round_number: int
 
     def to_bytes(self) -> bytes:
-        from repro.util.serialization import pack_fields
-
         return pack_fields(_MAGIC, self.trace_id, self.span_ref, self.round_number)
 
     def child(self, node: str, span_id: int) -> "TraceContext":
@@ -72,21 +75,15 @@ class TraceContext:
         """
         if not data:
             return None
-        from repro.util.serialization import unpack_fields
-
         try:
-            fields = unpack_fields(data)
-        except ValueError:
+            magic, trace_id, ref, round_number = unpack_typed(
+                data, "sssi", "trace context"
+            )
+        except WireDecodeError:
             return None
-        if (
-            len(fields) != 4
-            or fields[0] != _MAGIC
-            or not isinstance(fields[1], str)
-            or not isinstance(fields[2], str)
-            or not isinstance(fields[3], int)
-        ):
+        if magic != _MAGIC:
             return None
-        return cls(trace_id=fields[1], span_ref=fields[2], round_number=fields[3])
+        return cls(trace_id=trace_id, span_ref=ref, round_number=round_number)
 
 
 def context_bytes(context: "TraceContext | None") -> bytes:

@@ -2,14 +2,16 @@
 
 A checkpoint is nested :func:`~repro.util.serialization.pack_fields`
 fields, no JSON and no hex.  Each section below is declared once — its
-fields in order, each a :func:`repro.net.wire.check_types` code and, when
-not stored as is, an encoder, a decoder and the section it nests — and
-that declaration encodes it, decodes it and prints it (:func:`describe`).
-Round outputs, certificates, equivocation proofs, envelopes, accusations,
-int lists and int-keyed maps keep their wire codecs (:mod:`repro.net.wire`),
-and an RNG state is one field of 625 words.  The coordinator section is the same
-bytes under both drivers; a node file, a node's ``snapshot``/``restore``
-frame and a ``net-session`` node entry are the same bytes.
+fields in order, each a :func:`repro.util.serialization.check_types` code
+and, when not stored as is, an encoder, a decoder and the section it nests
+— and that declaration encodes it, decodes it and prints it
+(:func:`describe`).  Round outputs, envelopes, int lists and int-keyed maps
+keep their wire codecs (:mod:`repro.net.wire`); certificates, equivocation
+proofs and accusations their owners' (``to_wire``/``from_wire``,
+``to_bytes``/``from_bytes``); and an RNG state is one field of 625
+words.  The coordinator section is the same bytes under both drivers; a
+node file, a node's ``snapshot``/``restore`` frame and a ``net-session``
+node entry are the same bytes.
 
 Long-lived identity — private keys, the group definition — is not in a
 ``session`` checkpoint: a restore attaches state to freshly-built members
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
+from repro.consensus import EquivocationProof, RoundCertificate
 from repro.core.accusation import Accusation
 from repro.core.client import _SentRecord
 from repro.core.config import GroupDefinition
@@ -43,23 +46,18 @@ from repro.core.server import RoundArchive
 from repro.crypto.keys import PrivateKey
 from repro.errors import CheckpointError, DissentError
 from repro.net.wire import (
-    decode_certificate_body,
     decode_envelope,
-    decode_equivocation_proof_body,
     decode_int_list,
     decode_int_pairs,
     decode_keyed,
     decode_round_output_body,
-    encode_certificate_body,
     encode_envelope,
-    encode_equivocation_proof_body,
     encode_int_list,
     encode_int_pairs,
     encode_keyed,
     encode_round_output_body,
-    unpack_typed,
 )
-from repro.util.serialization import pack_fields
+from repro.util.serialization import pack_fields, unpack_typed
 
 # 2: v2 envelope signatures (over sha256(body)).  3: one ``coordinator``
 # section shared by ``session`` and ``net-session``.  4: SHAKE-128 pair pads;
@@ -317,7 +315,10 @@ _RECORD = _Section(
     participation="i",
     output=_optional(encode_round_output_body, decode_round_output_body),
     shuffle_requested=_BOOL,
-    certificate=_optional(encode_certificate_body, decode_certificate_body),
+    certificate=_optional(
+        lambda group, certificate: certificate.to_wire(group),
+        lambda group, data: RoundCertificate.from_wire(group, data),
+    ),
 )
 
 _ARCHIVE = _Section(
@@ -408,8 +409,8 @@ _COORDINATOR = _Section(
     expelled=_members("num_clients"),
     convicted_servers=_members("num_servers"),
     equivocation_proofs=_listed(
-        lambda ctx, proof: encode_equivocation_proof_body(ctx.group, proof),
-        lambda ctx, data: decode_equivocation_proof_body(ctx.group, data),
+        lambda ctx, proof: proof.to_wire(ctx.group),
+        lambda ctx, data: EquivocationProof.from_wire(ctx.group, data),
     ),
     scheduled=_BOOL,
     slot_elements=_INTS,

@@ -11,6 +11,13 @@ identically on every node, so we define one small canonical encoding:
   ``bytes_field_header`` / ``bytes_field_span`` and ``unpack_prefix`` are
   the pieces the wire codec needs to nest and parse large bodies without
   copying them once per level (:mod:`repro.net.wire`).
+* ``unpack_typed``: the one reader of untrusted packed bytes — exactly the
+  fields a :func:`check_types` spec declares, or
+  :class:`~repro.errors.WireDecodeError`.  Every protocol body, control
+  frame and checkpoint section is decoded through it by the module that
+  owns its format; ``decode_value`` turns a field's own decoder's
+  ``CryptoError`` (a signature, element or ciphertext that does not
+  decode) into the same error.
 * ``canonical_json``: sorted-key, no-whitespace JSON for human-inspectable
   structures such as group definitions (whose SHA-256 becomes the group's
   self-certifying identifier, paper §3.2).
@@ -19,6 +26,8 @@ identically on every node, so we define one small canonical encoding:
 from __future__ import annotations
 
 import json
+
+from repro.errors import CryptoError, WireDecodeError
 
 _TAG_BYTES = b"B"
 _TAG_INT = b"I"
@@ -158,6 +167,59 @@ def unpack_prefix(data: bytes | memoryview, count: int) -> tuple[list[Field], in
 def unpack_fields(data: bytes | memoryview) -> list[Field]:
     """Invert :func:`pack_fields`."""
     return unpack_prefix(data, -1)[0]
+
+
+_TYPES = {"i": int, "b": bytes, "s": str, "n": int}
+
+
+def check_types(fields: list, spec: str, what: str) -> list:
+    """Check unpacked ``fields`` against ``spec``, one code per field: ``i``
+    an int, ``b`` bytes, ``s`` a str, ``n`` an int or ``b""`` (read as
+    None, in place).  A spec ending in ``*`` repeats its last code any
+    number of times, none included."""
+    repeated = spec.endswith("*")
+    fixed = len(spec) - 2 if repeated else len(spec)
+    if len(fields) < fixed or (not repeated and len(fields) > fixed):
+        bound = "at least" if repeated else "exactly"
+        raise WireDecodeError(
+            f"{what} needs {bound} {fixed} fields, got {len(fields)}"
+        )
+    codes = spec[:fixed] + spec[fixed] * (len(fields) - fixed) if repeated else spec
+    for position, (code, value) in enumerate(zip(codes, fields)):
+        if type(value) is _TYPES[code]:
+            continue
+        if code == "n" and value == b"":
+            fields[position] = None
+        else:
+            raise WireDecodeError(
+                f"{what}: field {position} is {type(value).__name__}, "
+                f"expected {_TYPES[code].__name__}"
+            )
+    return fields
+
+
+def unpack_typed(data: bytes | memoryview, spec: str, what: str) -> list:
+    """:func:`unpack_fields` checked against a :func:`check_types` spec: the
+    one typed unpack for protocol bodies, control frames and checkpoints.
+
+    Raises:
+        WireDecodeError: malformed bytes, a wrong field count or type.
+    """
+    try:
+        fields = unpack_fields(data)
+    except ValueError as exc:
+        raise WireDecodeError(f"malformed {what}: {exc}") from exc
+    return check_types(fields, spec, what)
+
+
+def decode_value(what: str, decode, *args):
+    """``decode(*args)``, one field's own decoder (a signature, a group
+    element, a ciphertext), with its ``CryptoError`` raised as the
+    :class:`WireDecodeError` of a malformed ``what``."""
+    try:
+        return decode(*args)
+    except CryptoError as exc:
+        raise WireDecodeError(f"{what}: {exc}") from exc
 
 
 def canonical_json(obj: object) -> bytes:

@@ -13,7 +13,7 @@ from repro.core.accusation import (
     verify_rebuttal,
 )
 from repro.crypto.keys import PrivateKey
-from repro.errors import AccusationError
+from repro.errors import AccusationError, WireDecodeError
 from repro.util.bytesops import set_bit
 
 
@@ -36,7 +36,7 @@ class TestAccusationRecord:
         assert parsed == accusation
 
     def test_malformed_bytes_rejected(self, group):
-        with pytest.raises(AccusationError):
+        with pytest.raises(WireDecodeError):
             Accusation.from_bytes(group, b"garbage")
 
     def test_max_bytes_bound_holds(self, group, rng):

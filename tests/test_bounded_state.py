@@ -167,6 +167,59 @@ class TestBarrierBuckets:
             assert session._node_errors == []
 
 
+class TestNodeErrorLog:
+    def test_junk_node_errors_keep_a_tail_and_a_fresh_one_still_ends_a_barrier(
+        self,
+    ):
+        """Any member can send node errors, so the coordinator keeps the
+        newest ``NODE_ERRORS_KEPT`` and counts every one.  500 junk frames
+        from client 1 left 500 entries when every error was kept.  A barrier
+        compares the count, so once the tail is full (its length no longer
+        grows) a fresh error still ends a waiting barrier early."""
+        from repro.errors import SessionTimeout
+        from repro.net.node import COORDINATOR, K_NODE_ERROR, K_ROUND_APPLIED
+        from repro.net.runner import NODE_ERRORS_KEPT
+        from repro.util.serialization import pack_fields
+
+        with NetworkedSession.build(
+            num_servers=2, num_clients=3, seed=7, mode="loopback", timeout=8.0
+        ) as session:
+            session.setup()
+            junk = session._node_objects["client-1"]
+
+            async def send_error(message):
+                body = pack_fields("ProtocolError", message)
+                await junk._send(COORDINATOR, K_NODE_ERROR, 0, body)
+
+            async def flood():
+                for n in range(500):
+                    await send_error(f"junk {n}")
+                while session._node_error_count < 500:
+                    await asyncio.sleep(0.01)
+
+            session._call(flood())
+            assert session._node_error_count == 500
+            assert len(session._node_errors) == NODE_ERRORS_KEPT
+            assert session._node_errors[-1].endswith("junk 499")
+
+            async def barrier():
+                loop = asyncio.get_running_loop()
+                session._buckets[K_ROUND_APPLIED, 999] = asyncio.Queue()
+                waiting = asyncio.ensure_future(
+                    session._gather(K_ROUND_APPLIED, 999, 1, ["client-0"])
+                )
+                await asyncio.sleep(0.1)
+                started = loop.time()
+                await send_error("fresh")
+                with pytest.raises(SessionTimeout, match="fresh"):
+                    await waiting
+                del session._buckets[K_ROUND_APPLIED, 999]
+                return loop.time() - started
+
+            assert session._call(barrier()) < session.timeout / 4
+            assert len(session._node_errors) == NODE_ERRORS_KEPT
+
+
 #: The receive loops and the module each lives in.
 _LOOPS = {("run", "node.py"), ("attach", "runner.py"), ("_pump", "runner.py")}
 

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import random
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -40,17 +41,28 @@ from repro.core.session import DissentSession, build_keys
 from repro.crypto import padding, schnorr
 from repro.crypto.groups import group_by_name
 from repro.crypto.keys import PrivateKey
-from repro.errors import ConfigError, InvalidProof, InvalidSignature, ProtocolError
+from repro.core.accusation import Accusation, make_accusation
+from repro.core.keyshuffle import (
+    open_shuffle_submissions,
+    shuffle_run_id,
+    unpack_cipher_vector,
+)
+from repro.errors import (
+    ConfigError,
+    DissentError,
+    InvalidProof,
+    InvalidSignature,
+    ProtocolError,
+    ShuffleError,
+    WireDecodeError,
+)
 from repro.net.message import LEADER_PROPOSE, SERVER_VOTE, make_envelope
 from repro.net.runner import NetworkedSession
-from repro.net.wire import (
-    decode_equivocation_proof_body,
-    encode_consensus_body,
-    encode_equivocation_proof_body,
-)
+from repro.net.wire import encode_consensus_body
 from repro.persist import read_audit_log
 from repro.persist.codec import decode_record, encode_record
-from repro.util.serialization import pack_fields
+from repro.obs.propagate import TraceContext
+from repro.util.serialization import pack_fields, unpack_fields
 from tests.helpers import crypto_counters, global_counters
 from tests.test_networked_session import build_matched_inprocess
 
@@ -477,7 +489,7 @@ class TestCertificateCodec:
             dataclasses.replace(cert, votes=tuple(reversed(cert.votes))).verify(
                 definition
             )
-        with pytest.raises(InvalidProof):
+        with pytest.raises(WireDecodeError):
             RoundCertificate.from_wire(definition.group, b"garbage")
 
 
@@ -543,9 +555,7 @@ class TestEquivocationProof:
     def test_checkpoint_codec_round_trip(self, convicted):
         definition, proof = convicted
         group = definition.group
-        decoded = decode_equivocation_proof_body(
-            group, encode_equivocation_proof_body(group, proof)
-        )
+        decoded = EquivocationProof.from_wire(group, proof.to_wire(group))
         decoded.verify(definition)
         assert decoded.to_wire(group) == proof.to_wire(group)
 
@@ -559,6 +569,151 @@ class TestEquivocationProof:
         other = (proof.leader + 1) % definition.num_servers
         with pytest.raises(InvalidProof):
             dataclasses.replace(proof, leader=other).verify(definition)
+
+
+#: What a mutation does to a field's type.
+_RETYPED = {int: lambda v: str(v).encode(), bytes: len, str: str.encode}
+
+
+def _field_mutations(data, items_from=None):
+    """Every one-field mutation of packed ``data``, by name: each field
+    dropped, retyped or (bytes) cut a byte short, the whole cut a byte
+    short, a field appended.  Fields from ``items_from`` on are a list's
+    items, and dropping one leaves a well-formed shorter list: not dropped."""
+    fields = unpack_fields(data)
+    found = {"truncate": data[:-1], "append": pack_fields(*fields, 0)}
+    for i, value in enumerate(fields):
+        head, tail = fields[:i], fields[i + 1 :]
+        if items_from is None or i < items_from:
+            found[f"drop {i}"] = pack_fields(*head, *tail)
+        found[f"retype {i}"] = pack_fields(*head, _RETYPED[type(value)](value), *tail)
+        if type(value) is bytes:
+            found[f"shorten {i}"] = pack_fields(*head, value[:-1], *tail)
+    return found
+
+
+def _outcome(decode, data) -> str:
+    """``"ok"`` or the class name of the ``DissentError`` decoding raised."""
+    try:
+        decode(data)
+    except DissentError as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+class TestOwnerDecoderMutations:
+    """Each packed protocol body is decoded by its owner through
+    ``unpack_typed`` against one spec, and a malformed one is the owner's
+    own ``WireDecodeError``: a field dropped, retyped or cut short, the
+    body cut short, a field appended — signature, element and envelope
+    bytes that do not decode included.  A mutated trace context reads as
+    None; a mutated shuffle submission is a ``ShuffleError`` naming its
+    sender."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        probe = build_matched_inprocess(num_clients=N_CLIENTS, seed=SEED)
+        leader = round0_leader(probe.definition)
+        session = build_matched_inprocess(
+            num_clients=N_CLIENTS,
+            seed=SEED,
+            server_factories={leader: (EquivocatingLeader, {})},
+        )
+        session.setup()
+        certificate = session.run_round().certificate
+        [proof] = session.equivocation_proofs
+        group = session.definition.group
+        purpose = b"dissent.accusation-shuffle|" + session.definition.group_id()
+        _, publics = session._session_keys(purpose)
+        submissions = [
+            client.signed_scheduling_submission(publics, purpose)
+            for client in session.clients
+        ]
+        pseudonym = PrivateKey.generate(group, random.Random(1))
+        return SimpleNamespace(
+            session=session,
+            run_id=shuffle_run_id(purpose, publics),
+            submissions=submissions,
+            owners={
+                # owner: (honest body, its decoder, where a list's items start)
+                "consensus body": (
+                    encode_consensus_body(2, bytes(32)),
+                    lambda data: proposal_view_digest(
+                        consensus_envelope(SERVER_VOTE, data)
+                    ),
+                    None,
+                ),
+                "certificate": (
+                    certificate.to_wire(group),
+                    partial(RoundCertificate.from_wire, group),
+                    4,
+                ),
+                "equivocation proof": (
+                    proof.to_wire(group),
+                    partial(EquivocationProof.from_wire, group),
+                    None,
+                ),
+                "accusation": (
+                    make_accusation(pseudonym, group, 3, 1, 77).to_bytes(group),
+                    partial(Accusation.from_bytes, group),
+                    None,
+                ),
+                "cipher vector": (
+                    unpack_fields(submissions[0].body)[1],
+                    partial(unpack_cipher_vector, group),
+                    0,
+                ),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "owner",
+        [
+            "consensus body",
+            "certificate",
+            "equivocation proof",
+            "accusation",
+            "cipher vector",
+        ],
+    )
+    def test_every_mutation_is_a_wire_decode_error(self, samples, owner):
+        honest, decode, items_from = samples.owners[owner]
+        decode(honest)
+        mutations = _field_mutations(honest, items_from)
+        if owner == "certificate":
+            fields = unpack_fields(honest)
+            for label, vote in _field_mutations(fields[4]).items():
+                mutations[f"vote {label}"] = pack_fields(*fields[:4], vote, *fields[5:])
+        outcomes = {label: _outcome(decode, data) for label, data in mutations.items()}
+        assert set(outcomes.values()) == {"WireDecodeError"}, outcomes
+
+    def test_a_mutated_trace_context_reads_as_none(self):
+        honest = TraceContext("0123456789abcdef", "server-0/3", 5).to_bytes()
+        assert TraceContext.from_bytes(honest) == TraceContext(
+            "0123456789abcdef", "server-0/3", 5
+        )
+        for label, data in _field_mutations(honest).items():
+            assert TraceContext.from_bytes(data) is None, label
+
+    def test_a_mutated_shuffle_submission_names_its_sender(self, samples):
+        definition = samples.session.definition
+        key = samples.session.clients[1].key
+        honest = samples.submissions[1]
+        assert open_shuffle_submissions(
+            definition, samples.submissions, samples.run_id
+        )
+        for label, body in _field_mutations(honest.body).items():
+            envelopes = list(samples.submissions)
+            envelopes[1] = make_envelope(
+                key,
+                honest.msg_type,
+                honest.sender,
+                honest.group_id,
+                honest.round_number,
+                body,
+            )
+            with pytest.raises(ShuffleError, match="client-1"):
+                open_shuffle_submissions(definition, envelopes, samples.run_id)
 
 
 class TestNetworkedFaults:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import WireDecodeError
 from repro.net.runner import NetworkedSession
-from repro.net.wire import K_HEALTH, K_TELEMETRY, K_TRACE, decode_json_reply
+from repro.net.wire import K_FLIGHT, K_HEALTH, K_TELEMETRY, K_TRACE, decode_json_reply
 from repro.obs import MetricsRegistry
 from repro.util.serialization import canonical_json
 
@@ -54,11 +54,17 @@ class TestTelemetryCodec:
 
     @pytest.mark.parametrize(
         "kind, read",
-        [(K_TELEMETRY, "metrics"), (K_TRACE, "trace_events"), (K_HEALTH, "health")],
+        [
+            (K_TELEMETRY, "metrics"),
+            (K_TRACE, "trace_events"),
+            (K_HEALTH, "health"),
+            (K_FLIGHT, "flight_dumps"),
+        ],
     )
     def test_a_garbled_reply_is_a_wire_decode_error(self, kind, read):
         """A node whose handler answers non-JSON fails the read typed,
-        where ``json.loads`` used to raise a bare decode error."""
+        where ``json.loads`` (for ``flight``, ``bytes.decode``) used to
+        raise a bare decode error."""
         with NetworkedSession.build(
             num_servers=2, num_clients=3, seed=99, mode="loopback"
         ) as session:

@@ -12,7 +12,9 @@ import time
 
 import pytest
 
+from repro.core.accusation import accusation_max_bytes
 from repro.core.client import DissentClient
+from repro.core.keyshuffle import open_shuffle_submissions, shuffle_run_id
 from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.errors import (
@@ -50,6 +52,9 @@ from repro.net.transport import (
     loopback_pair,
     serve_tcp,
 )
+from repro.crypto.groups import group_by_name, resolve_group_name
+from repro.crypto.prng import pair_stream_bit
+from repro.crypto.shuffle import message_vector_width
 from repro.crypto.schnorr import Signature
 from repro.persist.checkpoint import read_checkpoint
 from repro.persist.codec import encode_node_state
@@ -837,6 +842,40 @@ def _intercept(node, kind, forge):
 _ERROR_BODY = pack_fields("ProtocolError", "forged")
 
 
+def _scheduling_submissions(session):
+    """What ``setup`` asks the clients, and reads, before the cascade."""
+    purpose = b"dissent.key-shuffle|" + session.definition.group_id()
+    _, publics = session._session_keys(purpose)
+    return open_shuffle_submissions(
+        session.definition,
+        session._scheduling_submissions(purpose, publics),
+        shuffle_run_id(purpose, publics),
+    )
+
+
+def _rebuttal(session):
+    """Client 2 asked to rebut a false claim about server 0's pair bit."""
+    client = session._node_objects["client-2"].client
+    false_bit = 1 ^ pair_stream_bit(client.secrets[0], 0, 0)
+    rebuttal = session._rebuttal(2, 0, 0, {0: false_bit})
+    assert rebuttal is not None  # the honest reply rebuts
+
+
+#: Each reply body the coordinator decodes past the control table: the
+#: member of the right role that answers, and the call that asks.
+_REPLIES = {
+    wire.K_SCHED_REQUEST: ("client-1", _scheduling_submissions),
+    wire.K_ACC_REQUEST: ("client-1", NetworkedSession.run_accusation_phase),
+    wire.K_EVIDENCE_REQUEST: ("server-0", lambda session: session.trace_witness(0, 0)),
+    wire.K_DISCLOSURE_REQUEST: (
+        "server-1",
+        lambda session: session.trace_witness(0, 0),
+    ),
+    wire.K_REBUT_REQUEST: ("client-2", _rebuttal),
+    wire.K_FLIGHT: ("client-3", NetworkedSession.flight_dumps),
+}
+
+
 class TestControlFrameMutations:
     """A mutation walk over the control table: every kind a node sends the
     coordinator, one field dropped, retyped, truncated or appended, sent
@@ -850,7 +889,7 @@ class TestControlFrameMutations:
 
     @staticmethod
     def _walk(
-        arity, member, trigger, forge, after=None, drive=NetworkedSession.run_round
+        mutations, member, trigger, forge, after=None, drive=NetworkedSession.run_round
     ):
         """``drive`` the session once per mutation with ``member``'s next
         ``trigger`` frame handed to ``forge(session, mutate)``; returns
@@ -862,7 +901,7 @@ class TestControlFrameMutations:
             assert session.run_round().certificate is not None
             node = session._node_objects[member]
             outcomes = {}
-            for label, mutate in _mutations(arity).items():
+            for label, mutate in mutations.items():
                 filed = len(session._node_errors)
                 _intercept(node, trigger, forge(session, mutate))
                 try:
@@ -906,7 +945,7 @@ class TestControlFrameMutations:
             if kind == K_INVENTORY_STATUS:
                 assert session.run_round().certificate is not None, label
 
-        outcomes = self._walk(arity, member, kind, forge, after)
+        outcomes = self._walk(_mutations(arity), member, kind, forge, after)
         assert len(outcomes) == 2 * arity + 2 + (arity > 1)
         assert set(outcomes.values()) <= {"ok", "SessionTimeout"}, outcomes
 
@@ -918,8 +957,9 @@ class TestControlFrameMutations:
 
             return ahead
 
+        filed = self._filed("server-0")
         outcomes = self._walk(
-            2, "server-0", K_INVENTORY_STATUS, forge, self._filed("server-0")
+            _mutations(2), "server-0", K_INVENTORY_STATUS, forge, filed
         )
         assert set(outcomes.values()) == {"ok"}, outcomes
 
@@ -953,7 +993,7 @@ class TestControlFrameMutations:
             links.append(session._hub.transports[member])
             assert links[-1] is links[0], label
 
-        outcomes = self._walk(5, member, K_ROUND_APPLIED, forge, after)
+        outcomes = self._walk(_mutations(5), member, K_ROUND_APPLIED, forge, after)
         assert set(outcomes.values()) == {"ok"}, outcomes
 
     @pytest.mark.parametrize("kind", [K_REPLY, K_REPLY_ERROR])
@@ -968,9 +1008,55 @@ class TestControlFrameMutations:
             return instead
 
         outcomes = self._walk(
-            2, "client-3", K_REPLY, forge, drive=NetworkedSession.run_until_quiet
+            _mutations(2),
+            "client-3",
+            K_REPLY,
+            forge,
+            drive=NetworkedSession.run_until_quiet,
         )
         assert set(outcomes.values()) == {"WireDecodeError"}, outcomes
+
+    @pytest.mark.parametrize(
+        "asked, member", [(kind, member) for kind, (member, _) in _REPLIES.items()]
+    )
+    def test_reply_bodies(self, asked, member):
+        """Every other reply body the coordinator decodes, garbled, cut
+        short or appended to by the member asked, in place of its reply:
+        only a ``DissentError`` leaves the call that asked.  Before each
+        owner decoded through ``unpack_typed``, a truncated cipher vector
+        in reply to ``acc-request`` made ``run_accusation_phase`` raise a
+        bare ``ValueError``, and a garbled ``flight`` reply made
+        ``flight_dumps`` raise ``UnicodeDecodeError``."""
+        _, drive = _REPLIES[asked]
+
+        def forge(session, mutate):
+            async def instead(send, seq, body):
+                await send(K_REPLY, seq, mutate(body))
+
+            return instead
+
+        if asked == wire.K_FLIGHT:
+            mutations = {
+                "garble": lambda body: b"\xff\xfe" + body,
+                "truncate": lambda body: body[:-2],
+                "append": lambda body: body + b"{",
+            }
+        else:
+            group = group_by_name(resolve_group_name())
+            arity = {
+                # The vector's width: one ciphertext per field.
+                wire.K_ACC_REQUEST: message_vector_width(
+                    group, accusation_max_bytes(group)
+                ),
+                wire.K_REBUT_REQUEST: 5,
+            }.get(asked, 7)  # an envelope's seven fields
+            mutations = _mutations(arity)
+        outcomes = self._walk(mutations, member, K_REPLY, forge, drive=drive)
+        if asked == wire.K_ACC_REQUEST:
+            # A vector with elements dropped is well formed and too narrow.
+            assert set(outcomes.values()) <= {"WireDecodeError", "ShuffleError"}
+        else:
+            assert set(outcomes.values()) == {"WireDecodeError"}, outcomes
 
 
 class TestControlTable:

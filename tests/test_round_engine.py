@@ -39,8 +39,25 @@ from repro.core.server import DissentServer
 from repro.core.session import build_keys
 from repro.crypto.keys import PrivateKey
 from repro.crypto.shuffle import prepare_element_input, prepare_message_input
-from repro.errors import AccusationError, ProtocolError, TraceInconclusive
-from repro.net.message import SERVER_COMMIT, SERVER_REVEAL, SERVER_SIGNATURE
+from repro.errors import (
+    AccusationError,
+    ProtocolError,
+    TraceInconclusive,
+    WireDecodeError,
+)
+from repro.net.message import (
+    CLIENT_CIPHERTEXT,
+    LEADER_PROPOSE,
+    SERVER_COMMIT,
+    SERVER_INVENTORY,
+    SERVER_REVEAL,
+    SERVER_SIGNATURE,
+    SERVER_VOTE,
+    VIEW_CHANGE,
+    make_envelope,
+)
+from repro.net.wire import encode_consensus_body, encode_view_change_body
+from repro.util.serialization import pack_fields, unpack_fields
 
 M = 3
 COMMIT_GO = "commit-go"
@@ -209,6 +226,173 @@ def test_a_rejected_input_is_an_effect_and_leaves_the_round_usable():
     assert 0 in engine.rounds
     engine.abandon(0)
     assert not engine.rounds
+
+
+#: What a mutation does to a field's type.
+_RETYPED = {int: lambda v: str(v).encode(), bytes: len, str: str.encode}
+
+
+def _mutated_bodies(body: bytes, packed: bool = True, drops: bool = True) -> dict:
+    """Every one-field mutation of an envelope body, by name: each field
+    dropped (``drops``) or retyped, the body cut a byte short, a field (a
+    raw body: a byte) appended."""
+    found = {"truncate": body[:-1], "append": body + b"\x00"}
+    if packed:
+        fields = unpack_fields(body)
+        found["append"] = pack_fields(*fields, 0)
+        for i, value in enumerate(fields):
+            if drops:
+                found[f"drop {i}"] = pack_fields(*fields[:i], *fields[i + 1 :])
+            found[f"retype {i}"] = pack_fields(
+                *fields[:i], _RETYPED[type(value)](value), *fields[i + 1 :]
+            )
+    return found
+
+
+def _resigned(key, envelope, body):
+    """``envelope`` with ``body``, validly signed by ``key``'s member."""
+    return make_envelope(
+        key,
+        envelope.msg_type,
+        envelope.sender,
+        envelope.group_id,
+        envelope.round_number,
+        body,
+    )
+
+
+class ForgingNetwork(Network):
+    """:class:`Network` where ``forge`` swaps one member's envelope of
+    ``msg_type`` on its way to the peers (the member itself keeps its
+    honest one), and every Fault is kept instead of raised."""
+
+    def __init__(self, session, msg_type, forger, forge) -> None:
+        self.msg_type, self.forger, self.forge = msg_type, forger, forge
+        self.faults: list[tuple[int, Exception]] = []
+        super().__init__(session)
+        if msg_type == CLIENT_CIPHERTEXT:
+            self.bag = [
+                (k, forge(item) if item.sender == forger else item)
+                for k, item in self.bag
+            ]
+
+    def apply(self, j, effects) -> None:
+        kept = []
+        for effect in effects:
+            if isinstance(effect, Fault):
+                self.faults.append((j, effect.error))
+                continue
+            if (
+                isinstance(effect, Broadcast)
+                and effect.envelope.msg_type == self.msg_type
+                and effect.envelope.sender == self.forger
+            ):
+                effect = Broadcast(self.forge(effect.envelope))
+            kept.append(effect)
+        super().apply(j, kept)
+
+
+#: The data-plane envelopes an engine takes: who sends one, and whether its
+#: body is packed fields (an inventory) or raw bytes.
+DATA_PLANE = {
+    CLIENT_CIPHERTEXT: ("client-3", False),
+    SERVER_INVENTORY: ("server-0", True),
+    SERVER_COMMIT: ("server-1", False),
+    SERVER_REVEAL: ("server-2", False),
+    SERVER_SIGNATURE: ("server-0", False),
+}
+
+
+def _honest_body(msg_type, sender):
+    """The body ``sender`` sends of ``msg_type`` in the seeded round 0."""
+    network = Network(scheduled_session())
+    sent = [envelope for _, envelope in network.bag]
+    network.run()
+    sent += [
+        effect.envelope
+        for effects in network.effects.values()
+        for effect in effects
+        if isinstance(effect, Broadcast)
+    ]
+    [body] = {
+        envelope.body
+        for envelope in sent
+        if envelope.msg_type == msg_type and envelope.sender == sender
+    }
+    return body
+
+
+@pytest.mark.parametrize("msg_type", sorted(DATA_PLANE))
+def test_a_mutated_data_plane_body_is_a_fault_and_never_raises(msg_type):
+    """A body with a field retyped, cut short or appended, validly signed
+    by a member of the right role, in place of the honest one: every peer
+    that reads it returns a Fault, and ``deliver`` raises nothing.  A
+    client's ciphertext has no fields: one of the wrong length is refused
+    (its client is left out of the round).  A list that loses an element
+    is a well-formed shorter inventory, so the walk drops no field.  Before
+    each owner decoded through ``unpack_typed``, ``pack_fields(b"x")`` as
+    an inventory raised a bare ``ValueError`` out of ``deliver``, the
+    digit-bytes inventory (``retype 0``) was read as a list of clients,
+    and a client index past the roster raised a bare ``KeyError``."""
+    forger, packed = DATA_PLANE[msg_type]
+    honest = _honest_body(msg_type, forger)
+    forged = _mutated_bodies(honest, packed, drops=False)
+    if msg_type == SERVER_INVENTORY:
+        forged["one bytes field"] = pack_fields(b"x")
+        forged["a client out of range"] = pack_fields(
+            *unpack_fields(honest), DEFINITION.num_clients
+        )
+    for label, body in forged.items():
+        session = scheduled_session()
+        key = next(
+            member.key
+            for member in (*session.servers, *session.clients)
+            if member.name == forger
+        )
+        network = ForgingNetwork(
+            session,
+            msg_type,
+            forger,
+            lambda envelope: _resigned(key, envelope, body),
+        )
+        network.run()
+        if msg_type == CLIENT_CIPHERTEXT:
+            assert network.faults == [], label
+            assert sorted(network.dones) == list(range(M)), label
+            for done in network.dones.values():
+                assert done.output.participation == DEFINITION.num_clients - 1
+        else:
+            assert network.faults, label
+            assert not network.dones, label
+            for _, error in network.faults:
+                assert isinstance(error, ProtocolError), (label, error)
+
+
+def test_a_mutated_consensus_body_is_a_fault_and_leaves_the_round_usable():
+    """Propose, vote and view-change bodies, each mutated and validly
+    signed by a server, delivered to an engine waiting in view 0: each
+    ``deliver`` returns a Fault (the owner's ``WireDecodeError``) and
+    raises nothing, and the majority certificate still forms."""
+    network = Network(scheduled_session(withholder=1))
+    network.run()
+    sender = network.engines[0].server
+    digest = network.engines[2].rounds[0].digest
+    honest = {
+        LEADER_PROPOSE: encode_consensus_body(0, digest),
+        SERVER_VOTE: encode_consensus_body(0, digest),
+        VIEW_CHANGE: encode_view_change_body(1, "timeout"),
+    }
+    for msg_type, body in honest.items():
+        for label, forged in _mutated_bodies(body).items():
+            envelope = make_envelope(
+                sender.key, msg_type, sender.name, sender.group_id, 0, forged
+            )
+            [fault] = network.engines[2].deliver(envelope)
+            assert isinstance(fault, Fault), (msg_type, label)
+            assert isinstance(fault.error, WireDecodeError), (msg_type, label)
+    for j, engine in enumerate(network.engines):
+        network.apply(j, engine.view_timer_expired(0, 0))
+    assert sorted(network.dones) == list(range(M))
 
 
 def test_commit_phase_input_waits_for_the_inventories_and_commit_go():

@@ -181,15 +181,15 @@ class TestEnvelopeRoundTrip:
 class TestBodyCodecs:
     def test_inventory_body_matches_signed_format(self, round_artifacts):
         envelope, _ = round_artifacts["envelopes"][SERVER_INVENTORY]
-        indices = wire.decode_inventory_body(envelope.body)
+        indices = wire.decode_int_list(envelope.body)
         # The codec reproduces the exact bytes the server signed.
-        assert wire.encode_inventory_body(indices) == envelope.body
+        assert wire.encode_int_list(indices) == envelope.body
 
     @given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=20))
     def test_inventory_roundtrip(self, indices):
-        assert list(
-            wire.decode_inventory_body(wire.encode_inventory_body(indices))
-        ) == list(indices)
+        assert list(wire.decode_int_list(wire.encode_int_list(indices))) == list(
+            indices
+        )
 
     def test_signature_body_roundtrip(self, round_artifacts):
         group = round_artifacts["group"]
@@ -401,3 +401,50 @@ class TestFraming:
             offset += step
         decoder.finish()
         assert out == payloads
+
+
+class TestOneTypedReader:
+    """Untrusted packed bytes have one reader: ``unpack_typed`` (with
+    ``check_types``), next to the format in ``util/serialization.py``.
+    Every owner decodes its body through it; the control frames' table is
+    in ``tests/test_net_transport.py::TestControlTable``."""
+
+    def test_only_the_routed_header_parser_unpacks_untyped(self):
+        """Outside ``util/serialization.py`` the one caller of
+        ``unpack_fields``/``unpack_prefix`` is ``wire.decode_routed``, which
+        parses the routing header in place and type-checks it itself."""
+        import ast
+        from pathlib import Path
+
+        root = Path(wire.__file__).parents[1]
+        callers = set()
+
+        class Calls(ast.NodeVisitor):
+            def __init__(self, where):
+                self.where, self.scope = where, "<module>"
+
+            def visit_FunctionDef(self, node):
+                outer, self.scope = self.scope, node.name
+                self.generic_visit(node)
+                self.scope = outer
+
+            visit_AsyncFunctionDef = visit_FunctionDef
+
+            def visit_Call(self, node):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("unpack_fields", "unpack_prefix"):
+                    callers.add((self.where, self.scope))
+                self.generic_visit(node)
+
+        for path in root.rglob("*.py"):
+            where = path.relative_to(root).as_posix()
+            if where != "util/serialization.py":
+                Calls(where).visit(ast.parse(path.read_text()))
+        assert callers == {("net/wire.py", "decode_routed")}
+
+    def test_every_message_type_has_a_row_in_the_body_table(self):
+        from repro.net.message import _KNOWN_TYPES
+
+        rows = {line.split()[0] for line in wire.__doc__.splitlines() if line.strip()}
+        assert _KNOWN_TYPES <= rows, _KNOWN_TYPES - rows
