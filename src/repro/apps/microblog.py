@@ -56,9 +56,7 @@ class MicroblogFeed:
 
     def run_round(self, online: set[int] | None = None) -> None:
         """Advance the group one round and fold new posts into the feed."""
-        record = self.session.run_round(online)
-        if record.shuffle_requested:
-            self.session.run_accusation_phase()
+        self.session.run_schedule([online])
         self.refresh()
 
     def refresh(self) -> None:

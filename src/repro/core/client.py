@@ -503,11 +503,9 @@ class DissentClient:
         return record
 
     def handle_round_failure(self, round_number: int, participation: int) -> None:
-        """A round was abandoned (§3.7 hard timeout): resend, fresh basis."""
-        record = self._sent.pop(round_number, None)
-        if record is not None:
-            for message in reversed(record.payload_messages):
-                self.outbox.appendleft(message)
+        """A round was abandoned (§3.7 hard timeout): fresh basis.  Its
+        messages are resent, as they leave the outbox only once delivered."""
+        self._sent.pop(round_number, None)
         self.last_participation = participation
 
     def _check_own_slot(self, output: RoundOutput) -> None:

@@ -16,6 +16,15 @@ server order, then the cascade), so the drivers cannot drift apart.  Like
 :mod:`repro.core.engine` this module opens no socket, reads no clock and
 knows no event loop.
 
+**The round sequence.**  A round is one sans-IO machine in the engine's
+idiom: each event (round issued, the M inventory statuses, the M reports,
+a barrier expired, an error, and in process whether the rounds built past
+it speculated right) returns the effects a driver carries out.  It owns
+the round counter and the window of rounds in flight, and every failure
+abandons the round at every member, discards the younger rounds and files
+it FAILED.  :meth:`~Coordinator.run_schedule` is the one round loop; a
+driver only routes a round to its record (``_route_round``).
+
 The coordinator also keeps the session's one delivery log.  A round's
 output is a broadcast that every client applies, so the messages a
 client has been delivered are a function of the certified records: each
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 from repro.consensus import (
     EquivocationProof,
@@ -43,7 +53,7 @@ from repro.core.accusation import (
 )
 from repro.core.client import unframe_messages
 from repro.core.config import GroupDefinition
-from repro.core.engine import InventoryStatus, RoundDone
+from repro.core.engine import Effect, InventoryStatus, RoundDone
 from repro.core.keyshuffle import (
     make_session_key,
     open_shuffle_submissions,
@@ -53,7 +63,7 @@ from repro.core.keyshuffle import (
     verify_session_keys,
 )
 from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
-from repro.core.schedule import Scheduler
+from repro.core.schedule import RoundLayout, Scheduler
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import cascade_bases, message_vector_width
 from repro.errors import (
@@ -64,15 +74,75 @@ from repro.errors import (
 )
 from repro.obs import NULL_REGISTRY, NULL_TRACER
 
+#: The reason a round abandoned at the §3.7 participation floor is filed with.
+BELOW_FLOOR = "participation below floor"
+
+
+# ---------------------------------------------------------------------------
+# The round sequence's effects: what the coordinator asks a driver to do
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BeginRound(Effect):
+    """Open ``round_number`` at every member; ``submitters`` send."""
+
+    round_number: int
+    submitters: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CommitGo(Effect):
+    """Every inventory passed the §3.7 floor: the servers may commit."""
+
+    round_number: int
+
+
+@dataclass(frozen=True)
+class AbandonRound(Effect):
+    """Give the round up at every server that still holds it."""
+
+    round_number: int
+
+
+@dataclass(frozen=True)
+class ApplyRecord(Effect):
+    """Hand a filed record's outcome to the clients; the round is over."""
+
+    record: RoundRecord
+
+
+@dataclass(frozen=True)
+class DrainTo(Effect):
+    """Discard the rounds issued after ``round_number`` and take the
+    clients back to where lockstep stands before its outcome."""
+
+    round_number: int
+
+
+@dataclass
+class _Issued:
+    """A round issued and not yet filed: who submits, the slot layout it
+    was built on (when an older round was in flight), and the
+    participation its inventories published, once decided."""
+
+    submitters: tuple[int, ...]
+    layout: RoundLayout | None
+    participation: int | None = None
+
 
 class Coordinator:
     """One group's control plane and its state; a driver subclass answers it.
 
     ``server_keys`` are the servers' long-term keys in server order (the
     coordinator runs the mix cascades on their behalf); ``rng`` is the
-    session's randomness, consumed only by the shuffles.  A driver defines
-    :meth:`run_round` and the members' side of every exchange:
+    session's randomness, consumed only by the shuffles.  A driver answers
+    the members' side of every exchange:
 
+    ``_route_round(upcoming)``
+        issue the online sets of ``upcoming`` not yet in flight, then
+        route the oldest round to its record: carry out the effects of
+        the round sequence and feed it the members' answers;
     ``_scheduling_submissions(purpose, publics)``
         every client's signed key-shuffle submission, in client order;
     ``_learn_schedule(elements)``
@@ -125,6 +195,9 @@ class Coordinator:
         #: The key shuffle's output: slot s belongs to pseudonym key s.
         self.slot_elements: list[int] = []
         self.rng = rng
+        #: The round sequence's window: rounds issued and not yet filed,
+        #: oldest first.  Empty at every barrier, so no checkpoint holds it.
+        self.inflight: dict[int, _Issued] = {}
         # Null sinks until a driver attaches live ones.
         self.registry = NULL_REGISTRY
         self.tracer = NULL_TRACER
@@ -195,7 +268,7 @@ class Coordinator:
         return participations.pop(), all(status.ok for status in statuses)
 
     def failed_round(
-        self, r: int, participation: int, reason: str = "participation below floor"
+        self, r: int, participation: int, reason: str = BELOW_FLOOR
     ) -> RoundRecord:
         """File an abandoned round; its record publishes the fresh count."""
         self._event("abandon", round=r, reason=reason, participation=participation)
@@ -286,11 +359,114 @@ class Coordinator:
         self.definition.client_name(client_index)  # validates the index
         return list(self.delivered)
 
-    def run_rounds(self, count: int, online: set[int] | None = None) -> list[RoundRecord]:
-        """Run several rounds; accusation shuffles fire automatically."""
+    # ------------------------------------------------------------------
+    # The round sequence: one event in, the effects out
+    # ------------------------------------------------------------------
+
+    def issue_round(self, online: set[int] | None) -> list[Effect]:
+        """Take the next round number for a round ``online`` submit to."""
+        r = self.round_number
+        self.round_number += 1
+        submitters = tuple(self.submitters(online))
+        layout = self.delivery_schedule.current_layout() if self.inflight else None
+        self.inflight[r] = _Issued(submitters, layout)
+        return [BeginRound(r, submitters)]
+
+    def statuses_received(
+        self, r: int, statuses: Sequence[InventoryStatus]
+    ) -> list[Effect]:
+        """The M inventory statuses of round ``r``: commit, or abandon at
+        the §3.7 floor publishing the fresh count."""
+        participation, go = self.inventory_decision(statuses)
+        self.inflight[r].participation = participation
+        if go:
+            return [CommitGo(r)]
+        return self._give_up(r, participation, BELOW_FLOOR)
+
+    def dones_received(self, r: int, dones: Mapping[int, RoundDone]) -> list[Effect]:
+        """The M servers' reports of round ``r``: file its certified record."""
+        record = self.certified_round(r, dones)
+        del self.inflight[r]
+        return [ApplyRecord(record)]
+
+    def barrier_expired(self, r: int, live: int, reason: str) -> list[Effect]:
+        """A member stayed dark through the inventory barrier: abandon
+        rather than hang, publishing how many clients are ``live``."""
+        self.registry.counter("session.rounds_abandoned").inc()
+        return self._give_up(r, live, reason)
+
+    def round_raised(self, error: Exception) -> list[Effect]:
+        """Routing the oldest round in flight raised: give it up with the
+        count its inventories decided (else its submitters'); the driver
+        re-raises ``error``."""
+        if not self.inflight:
+            return []
+        r, issued = next(iter(self.inflight.items()))
+        participation = issued.participation
+        if participation is None:
+            participation = len(issued.submitters)
+        return self._give_up(r, participation, f"{type(error).__name__}: {error}")
+
+    def speculation_checked(self, r: int, held: bool) -> list[Effect]:
+        """In process, with rounds built past the filed round ``r``: they
+        assumed its members' side (``held``: own slots intact, nothing
+        replayed, no §3.7 ``min_participation`` side flipped), no shuffle
+        request and the same slot layout."""
+        younger = next(iter(self.inflight.values()))
+        if (
+            held
+            and not self.records[-1].shuffle_requested
+            and younger.layout == self.delivery_schedule.current_layout()
+        ):
+            return []
+        return self._discard_after(r)
+
+    def _give_up(self, r: int, participation: int, reason: str) -> list[Effect]:
+        record = self.failed_round(r, participation, reason)
+        del self.inflight[r]
+        # The rounds built past a failed round assumed it completes.
+        return [AbandonRound(r), *self._discard_after(r), ApplyRecord(record)]
+
+    def _discard_after(self, r: int) -> list[Effect]:
+        if not self.inflight:
+            return []
+        self.registry.counter("pipeline.drains").inc()
+        self.registry.counter("pipeline.rounds_discarded").inc(len(self.inflight))
+        self.inflight.clear()
+        self.round_number = r + 1
+        return [DrainTo(r)]
+
+    # ------------------------------------------------------------------
+    # The round loop
+    # ------------------------------------------------------------------
+
+    def run_round(self, online: set[int] | None = None) -> RoundRecord:
+        """Run one round; ``online`` clients submit (None: all), and the
+        offline ones still receive the outcome.  A round that requests an
+        accusation shuffle returns before it: the caller runs
+        :meth:`run_accusation_phase`."""
+        return next(self._rounds([online], 1))
+
+    def run_rounds(
+        self, count: int, online: set[int] | None = None, window: int = 1
+    ) -> list[RoundRecord]:
+        """Run ``count`` rounds: :meth:`run_schedule` with one online set."""
+        return self.run_schedule([online] * count, window)
+
+    def run_schedule(
+        self, online_sets: Sequence[set[int] | None], window: int = 1
+    ) -> list[RoundRecord]:
+        """Run one round per planned online set, up to ``window`` in flight.
+
+        Every window gives the records, certificates and client state
+        lockstep (``window=1``) gives.  The plan is known ahead of time
+        (its length bounds the run), so a client going offline at round
+        ``r+2`` is already excluded when ``r+2`` is built early.  The
+        accusation shuffle runs right after the round that requests it,
+        with no younger round in flight.
+        """
         records = []
-        for _ in range(count):
-            record = self.run_round(online)
+        for record in self._rounds(online_sets, window):
             records.append(record)
             if record.shuffle_requested:
                 self.run_accusation_phase()
@@ -306,9 +482,17 @@ class Coordinator:
         for used in range(max_rounds):
             if not self._pending_traffic():
                 return QuietOutcome(used, True)
-            if self.run_round().shuffle_requested:
-                self.run_accusation_phase()
+            self.run_schedule([None])
         return QuietOutcome(max_rounds, not self._pending_traffic())
+
+    def _rounds(self, online_sets, window: int):
+        if window < 1:
+            raise ProtocolError("the round window must be at least 1")
+        if not self.scheduled:
+            raise ProtocolError("setup() must run before rounds")
+        plan = list(online_sets)
+        for done in range(len(plan)):
+            yield self._route_round(plan[done : done + window])
 
     # ------------------------------------------------------------------
     # Accusation phase (§3.9)

@@ -12,25 +12,18 @@ Algorithms 1 and 2 prescribe.  Every signature, commitment, PRNG stream,
 shuffle proof, and trace step executes for real — this is the object the
 integration tests, property tests, and examples drive.
 
-**The round loop.**  :meth:`DissentSession.run_schedule` is the one
-in-process round loop: build, submit, route the engines to a record,
-apply the outcome, :meth:`~DissentSession.after_output`, and the
-accusation shuffle after a round that asks for it.  ``window=W`` keeps up
-to W rounds in flight: clients build and submit rounds ``r+1 .. r+W-1``
-while round ``r`` is still in its server exchanges (each engine holds one
-record per begun round).  Round ``r+1``'s cleartexts depend on round
-``r``'s outcome in five ways — the slot layout, the client's own slot
-arriving intact, the §3.7 ``min_participation`` side, a shuffle request,
-and in hybrid mode a replayed slot — so building ``r+1`` early assumes
-all five unchanged: only then, when a younger round is built while ``r``
-is in flight, are the clients snapshotted and ``r``'s own-slot deliveries
-confirmed ahead of its output.  Rounds complete strictly in order, each
-through :meth:`~DissentSession.complete_round`; if ``r``'s outcome breaks
-an assumption, the loop **drains to a barrier**: the younger rounds are
-discarded, the clients restored and the outcome applied as lockstep
-applies it, and the window refills.  Records, certificates, blame and
-client state are bit-identical at every W (``tests/test_pipeline.py``);
-at ``window=1`` nothing is speculated and the loop is lockstep.
+**Routing the round sequence.**  The round loop and the round machine
+are the coordinator's; this class carries out the machine's effects and
+feeds it the engines' answers.  ``window=W`` keeps up to W rounds in
+flight: clients build round ``r+1`` while ``r`` is in its server
+exchanges, assuming ``r``'s outcome changes nothing ``r+1`` was built on
+(slot layout, own slot intact, §3.7 ``min_participation`` side, shuffle
+request, a hybrid replay), so the clients are snapshotted and ``r``'s
+own-slot deliveries confirmed early.  If the assumption breaks, or ``r``
+fails, the window **drains to a barrier**: the younger rounds are
+discarded, the clients restored and ``r``'s outcome applied as lockstep
+applies it.  Every W is bit-identical to lockstep
+(``tests/test_pipeline.py``); at ``window=1`` nothing is speculated.
 
 Timing is intentionally absent here; the discrete-event simulator in
 :mod:`repro.sim` models latency, bandwidth, and churn for the paper's
@@ -42,11 +35,18 @@ from __future__ import annotations
 import collections
 import random
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.core.client import DissentClient, _SentRecord
 from repro.core.config import GroupDefinition, Policy
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import (
+    AbandonRound,
+    ApplyRecord,
+    BeginRound,
+    CommitGo,
+    Coordinator,
+    DrainTo,
+)
 from repro.core.engine import (
     ArmTimer,
     Broadcast,
@@ -57,7 +57,7 @@ from repro.core.engine import (
     RoundEngine,
 )
 from repro.core.rounds import RoundOutput, RoundRecord
-from repro.core.schedule import RoundLayout, decode_slot
+from repro.core.schedule import decode_slot
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey
 from repro.errors import AccusationError, ConfigError, ProtocolError
@@ -153,18 +153,16 @@ def build_session(
 
 @dataclass
 class _InFlight:
-    """One built and submitted round that has not completed yet."""
+    """The in-process side of a round the coordinator issued and has not
+    filed yet."""
 
-    round_number: int
-    submitters: list[int]
     #: The round's trace span, open until its outcome reached the clients.
     span: object
-    #: Engine effects held at the submit boundary (the inventories): a
-    #: round's §3.7 floor compares with the participation the round before
-    #: it published, so they are routed only when this round completes.
-    pending: list
-    #: The slot layout it was built on, when an older round was in flight.
-    layout: RoundLayout | None = None
+    #: Engine effects still to route, as ``(server, effect)``.  Those of
+    #: the submit (the inventories) wait here: a round's §3.7 floor
+    #: compares with the participation the round before it published, so
+    #: they are routed only when this round is the oldest in flight.
+    pending: collections.deque
     #: Set once a younger round is built while this one is in flight:
     #: every client's state before :meth:`DissentSession._speculate`, the
     #: records applied since, and the sent records confirmed ahead of time.
@@ -206,8 +204,12 @@ class DissentSession(Coordinator):
         self.servers = list(servers)
         self.clients = list(clients)
         #: One sans-IO round machine per server; this session only routes
-        #: their effects (see :meth:`complete_round`).
+        #: their effects (see :meth:`_route_engines`).
         self.engines = [RoundEngine(server) for server in self.servers]
+        #: The in-process side of each round in the coordinator's window.
+        self._flights: dict[int, _InFlight] = {}
+        #: Round spans of discarded builds, reused when the round is rebuilt.
+        self._spans: dict[int, object] = {}
         #: Hybrid mode's verifiable replays, in order (always empty in XOR).
         self.blames: list = []
 
@@ -243,8 +245,8 @@ class DissentSession(Coordinator):
 
         decode_session_state(self, snapshot)
         for engine in self.engines:
-            # Snapshots are cut at round barriers; submit() re-seeds the
-            # rotation from the restored proofs.
+            # Snapshots are cut at round barriers; the next round's begin
+            # re-seeds the rotation from the restored proofs.
             engine.rounds.clear()
             engine.convicted.clear()
         for index in self.expelled:
@@ -331,140 +333,90 @@ class DissentSession(Coordinator):
         )
 
     # ------------------------------------------------------------------
-    # One DC-net round: a synchronous router over the M round engines
+    # The round sequence, routed synchronously over the M round engines
     # ------------------------------------------------------------------
 
-    def run_round(self, online: set[int] | None = None) -> RoundRecord:
-        """Execute one complete round: one turn of :meth:`run_schedule`.
+    def _route_round(self, upcoming: Sequence[set[int] | None]) -> RoundRecord:
+        try:
+            for online in upcoming[len(self.inflight) :]:
+                self._carry(self.issue_round(online))
+            r = next(iter(self.inflight))
+            flight = self._flights[r]
+            with flight.span:
+                return self._route_engines(r, flight)
+        except Exception as exc:
+            self._carry(self.round_raised(exc))
+            raise
 
-        Args:
-            online: client indices that submit this round (None = all).
-                Offline clients still receive the certified output, as a
-                reconnecting client would fetch it from its server.
+    def _carry(self, effects: list) -> RoundRecord | None:
+        """Carry out the coordinator's effects; the record once applied."""
+        for effect in effects:
+            match effect:
+                case BeginRound(r, submitters):
+                    self._begin(r, submitters)
+                case CommitGo(r):
+                    self._flights[r].pending.extend(
+                        (j, e)
+                        for j, engine in enumerate(self.engines)
+                        for e in engine.commit_go(r)
+                    )
+                case AbandonRound(r):
+                    for engine in self.engines:
+                        if r in engine.rounds:
+                            engine.abandon(r)
+                case DrainTo(r):
+                    self._drain(r)
+                case ApplyRecord(record):
+                    return self._finish(record)
+        return None
 
-        A round that requests an accusation shuffle returns before it;
-        the caller runs :meth:`run_accusation_phase`.
-        """
-        (record,) = self._round_loop([online], window=1)
-        return record
-
-    def run_rounds(
-        self, count: int, online: set[int] | None = None, window: int = 1
-    ) -> list[RoundRecord]:
-        """Run ``count`` rounds, up to ``window`` in flight; accusation
-        shuffles fire automatically."""
-        return self.run_schedule([online] * count, window)
-
-    def run_schedule(
-        self, online_sets: Sequence[set[int] | None], window: int = 1
-    ) -> list[RoundRecord]:
-        """Run one round per planned online set, up to ``window`` in flight.
-
-        Every window gives the records, certificates and client state
-        lockstep (``window=1``) gives.  The plan is known ahead of time
-        (its length bounds the run), so a client going offline at round
-        ``r+2`` is already excluded when ``r+2`` is built early.  The
-        accusation shuffle runs right after the round that requests it,
-        with no younger round in flight.
-        """
-        records = []
-        for record in self._round_loop(online_sets, window):
-            records.append(record)
-            if record.shuffle_requested:
-                self.run_accusation_phase()
-        return records
-
-    def _round_loop(
-        self, online_sets: Sequence[set[int] | None], window: int
-    ) -> Iterator[RoundRecord]:
-        """The one in-process round loop: yields each round's record once
-        its outcome reached the clients, with no younger round in flight
-        when the record asks for a barrier (failure, blame, replay)."""
-        if window < 1:
-            raise ProtocolError("the round window must be at least 1")
-        if not self.scheduled:
-            raise ProtocolError("setup() must run before rounds")
-        plan = list(online_sets)
-        done = 0
-        inflight: collections.deque[_InFlight] = collections.deque()
-        # Round spans of discarded builds, reused when the round is rebuilt.
-        spans: dict = {}
-        while done < len(plan):
-            while len(inflight) < window and done + len(inflight) < len(plan):
-                online = plan[done + len(inflight)]
-                inflight.append(self._issue(online, inflight, spans))
-            entry = inflight.popleft()
-            with entry.span:
-                record = self.complete_round(
-                    entry.round_number, entry.pending, entry.span
-                )
-                if inflight and not self._speculation_holds(entry, record, inflight[0]):
-                    self._drain(entry, inflight, spans)
-                if record.completed:
-                    with entry.span.child("phase", name="output"):
-                        self._apply(record)
-                else:
-                    self._apply(record)
-                for younger in inflight:
-                    if younger.snapshots is not None:
-                        younger.applied.append(record)
-                self.after_output(record)
-            done += 1
-            yield record
-
-    def _issue(
-        self, online: set[int] | None, inflight: collections.deque, spans: dict
-    ) -> _InFlight:
-        """Build and submit the next round; the round still in flight
-        before it is speculated on first."""
-        r = self.round_number
-        self.round_number += 1
-        layout = None
-        if inflight:
-            self._speculate(inflight[-1])
-            layout = self.servers[0].scheduler.current_layout()
-        span = spans.pop(r, None) or self._round_span(r)
-        submitters = self.submitters(online)
-        with span.child("phase", name="build"):
-            envelopes = {i: self.clients[i].produce_ciphertext(r) for i in submitters}
-        with span.child("phase", name="submit"):
-            pending = self.submit(r, envelopes)
-        return _InFlight(r, submitters, span, pending, layout)
-
-    def _round_span(self, r: int):
+    def _begin(self, r: int, submitters: Sequence[int]) -> None:
+        """Build round ``r``, open it on every engine and hand each its
+        clients' ciphertexts (a server's last one in lets it batch-verify
+        and take inventory).  The round still in flight before it is
+        speculated on first."""
+        older = self._flights.get(r - 1)
+        if older is not None:
+            self._speculate(r - 1, older)
         # The same trace-id scheme the networked runner uses, so local and
         # distributed runs of one group/round land under one trace name.
         attrs = {"round": r, "node": "local"}
         if self.tracer.enabled:
             attrs["trace_id"] = round_trace_id(self.definition.group_id(), r)
-        return self.tracer.span("round", **attrs)
+        span = self._spans.pop(r, None) or self.tracer.span("round", **attrs)
+        flight = self._flights[r] = _InFlight(span, collections.deque())
+        with span.child("phase", name="build"):
+            envelopes = {i: self.clients[i].produce_ciphertext(r) for i in submitters}
+        # Engines convict from the proposals they see; a session restored
+        # from a checkpoint re-seeds their rotation from the archived proofs.
+        convicted = {proof.leader for proof in self.equivocation_proofs}
+        with span.child("phase", name="submit"):
+            for j, engine in enumerate(self.engines):
+                engine.convicted |= convicted
+                flight.pending.extend((j, e) for e in engine.begin_round(r, envelopes))
+            for i, envelope in envelopes.items():
+                j = self.definition.upstream_server(i)
+                flight.pending.extend((j, e) for e in self.engines[j].deliver(envelope))
 
-    def _speculate(self, entry: _InFlight) -> None:
-        """Assume round ``entry`` delivers every own slot intact, so the
-        round built next does not resend its messages; keep what undoes it."""
-        entry.snapshots = [client.snapshot_state() for client in self.clients]
-        for i in entry.submitters:
-            sent = self.clients[i].speculate_delivery(entry.round_number)
+    def _speculate(self, r: int, flight: _InFlight) -> None:
+        """Assume round ``r`` delivers every own slot intact, so the round
+        built next does not resend its messages; keep what undoes it."""
+        flight.snapshots = [client.snapshot_state() for client in self.clients]
+        for i in self.inflight[r].submitters:
+            sent = self.clients[i].speculate_delivery(r)
             if sent is not None:
-                entry.confirmed[i] = sent
+                flight.confirmed[i] = sent
 
-    def _speculation_holds(
-        self, entry: _InFlight, record: RoundRecord, younger: _InFlight
-    ) -> bool:
-        """Whether the rounds built past ``entry`` assumed its outcome right.
-
-        They assumed the round completes, every own slot arrives intact,
-        no slot is replayed or shuffle requested, no client's §3.7
-        ``min_participation`` side flips, and the slot layout stays.
+    def _speculation_holds(self, flight: _InFlight, record: RoundRecord) -> bool:
+        """Whether the members' side of what the rounds built past a
+        completed round assumed holds: every own slot arrives intact, no
+        slot is replayed, and no client's §3.7 ``min_participation`` side
+        flips (the coordinator checks the shuffle request and the layout).
         """
-        if not record.completed:
-            # Lockstep re-queues the failed round's traffic, which the
-            # speculative confirmation dropped.
-            return False
         output = record.output
-        if not all(sent.arrived(output) for sent in entry.confirmed.values()):
+        if not all(sent.arrived(output) for sent in flight.confirmed.values()):
             return False
-        if self.replayed_slots(output) or record.shuffle_requested:
+        if self.replayed_slots(output):
             # Blame may expel a member before the next round.
             return False
         for client in self.clients:
@@ -474,11 +426,11 @@ class DissentSession(Coordinator):
             was_passive = before is not None and before < client.min_participation
             if was_passive != (output.participation < client.min_participation):
                 return False
-        return self.servers[0].scheduler.current_layout() == younger.layout
+        return True
 
-    def _drain(self, entry: _InFlight, inflight: collections.deque, spans: dict) -> None:
-        """Discard the younger rounds and take every client back to where
-        lockstep stands before round ``entry``'s outcome: the snapshot
+    def _drain(self, r: int) -> None:
+        """Discard the rounds built past round ``r`` and take every client
+        back to where lockstep stands before its outcome: the snapshot
         taken before its speculation, plus the outcomes applied since.
 
         Client randomness is drawn only by builds and by replays, which
@@ -486,18 +438,37 @@ class DissentSession(Coordinator):
         deterministic nonces, so the rebuilt rounds are byte-identical
         to the lockstep ones.
         """
-        self.registry.counter("pipeline.drains").inc()
-        self.registry.counter("pipeline.rounds_discarded").inc(len(inflight))
-        for stale in inflight:
+        for stale in [s for s in self._flights if s > r]:
             for engine in self.engines:
-                engine.discard(stale.round_number)
-            spans[stale.round_number] = stale.span
-        inflight.clear()
-        self.round_number = entry.round_number + 1
-        for client, snapshot in zip(self.clients, entry.snapshots):
+                if stale in engine.rounds:
+                    engine.discard(stale)
+            self._spans[stale] = self._flights.pop(stale).span
+        flight = self._flights[r]
+        for client, snapshot in zip(self.clients, flight.snapshots):
             client.restore_state(snapshot)
-        for record in entry.applied:
+        for record in flight.applied:
             self._apply(record)
+
+    def _finish(self, record: RoundRecord) -> RoundRecord:
+        """Apply a filed round's outcome, after the rounds built past it
+        were checked (and drained if they assumed wrong)."""
+        r = record.round_number
+        flight = self._flights[r]
+        if self.inflight:
+            self._carry(
+                self.speculation_checked(r, self._speculation_holds(flight, record))
+            )
+        del self._flights[r]
+        if record.completed:
+            with flight.span.child("phase", name="output"):
+                self._apply(record)
+        else:
+            self._apply(record)
+        for younger in self._flights.values():
+            if younger.snapshots is not None:
+                younger.applied.append(record)
+        self.after_output(record)
+        return record
 
     def _apply(self, record: RoundRecord) -> None:
         """Hand a round's outcome to every client."""
@@ -516,8 +487,8 @@ class DissentSession(Coordinator):
         padding check fails: everyone decoding the output sees the
         corruption, so no accusation is needed to say so.  None in XOR
         mode, whose blame starts with a shuffle request in a later round
-        (§3.9).  The round loop drains to a barrier at a round that has
-        any, as blame may expel a member.
+        (§3.9).  A round that has any drains the window to a barrier, as
+        blame may expel a member.
         """
         policy = self.definition.policy
         if policy.dcnet_mode != "hybrid":
@@ -533,7 +504,7 @@ class DissentSession(Coordinator):
     def after_output(self, record: RoundRecord) -> None:
         """The step that runs once a round's outcome reached the clients.
 
-        The round loop calls it at every window.  XOR mode
+        It runs at every window.  XOR mode
         has nothing to do here; hybrid mode replays each corrupted slot
         (:func:`repro.verdict.hybrid.replay_corrupted_slots`).
         """
@@ -542,48 +513,27 @@ class DissentSession(Coordinator):
 
             replay_corrupted_slots(self, record)
 
-    def submit(self, r: int, envelopes: dict) -> list:
-        """Open round ``r`` on every engine and hand each its clients' ciphertexts.
-
-        ``envelopes`` maps each submitting client to its signed ciphertext;
-        a server's last one in lets it batch-verify and take inventory.
-        Returns the ``(server, effect)`` pairs :meth:`complete_round` routes.
-        """
-        # Engines convict from the proposals they see; a session restored
-        # from a checkpoint re-seeds their rotation from the archived proofs.
-        convicted = {proof.leader for proof in self.equivocation_proofs}
-        pending = []
-        for j, engine in enumerate(self.engines):
-            engine.convicted |= convicted
-            pending += [(j, e) for e in engine.begin_round(r, envelopes)]
-        for i, envelope in envelopes.items():
-            j = self.definition.upstream_server(i)
-            pending += [(j, e) for e in self.engines[j].deliver(envelope)]
-        return pending
-
-    def complete_round(self, r: int, pending: list, round_span) -> RoundRecord:
-        """Route effects between the engines until round ``r`` is decided.
+    def _route_engines(self, r: int, flight: _InFlight) -> RoundRecord:
+        """Route effects between the engines until round ``r`` is filed.
 
         The session plays the network: a broadcast is delivered to every
-        peer engine, the M inventory statuses are put to the coordinator's
-        :meth:`inventory_decision` (commit-go, or abandon the round at the
-        §3.7 floor), and the M ``RoundDone`` reports to its
-        :meth:`certified_round`.  Delivery is FIFO,
-        so phases complete in lockstep; when nothing is left to deliver
-        and servers still wait, the lowest-indexed armed view timer
-        expires — the only way time passes here.  Clients are not
-        touched: the caller applies the outcome.
+        peer engine, the M inventory statuses and then the M ``RoundDone``
+        reports go to the coordinator's round sequence, and what it
+        answers is carried out.  Delivery is FIFO, so phases complete in
+        lockstep; when nothing is left to deliver and servers still wait,
+        the lowest-indexed armed view timer expires — the only way time
+        passes here.
         """
         engines = self.engines
         num_servers = len(engines)
-        queue = collections.deque(pending)
+        queue = flight.pending
         statuses: dict[int, InventoryStatus] = {}
         dones: dict[int, RoundDone] = {}
         timers: dict[int, int] = {}
         passed: collections.Counter = collections.Counter()
         tracer = self.tracer
         mark = tracer.clock() if tracer.enabled else 0.0
-        while len(dones) < num_servers:
+        while True:
             if not queue:
                 if not timers:
                     raise ProtocolError(
@@ -601,33 +551,31 @@ class DissentSession(Coordinator):
                             queue.extend((k, e) for e in engine.deliver(envelope))
                 case InventoryStatus():
                     statuses[j] = effect
-                    if len(statuses) < num_servers:
-                        continue
-                    participation, go = self.inventory_decision(statuses.values())
-                    if not go:
-                        for engine in engines:
-                            engine.abandon(r)
-                        return self.failed_round(r, participation)
-                    for k, engine in enumerate(engines):
-                        queue.extend((k, e) for e in engine.commit_go(r))
+                    if len(statuses) == num_servers:
+                        record = self._carry(
+                            self.statuses_received(r, list(statuses.values()))
+                        )
+                        if record is not None:
+                            return record
                 case ArmTimer(view=view):
                     timers[j] = view
                 case PhaseBoundary(phase=phase) if phase != "submit":
                     # A phase ends for the session when its last server
-                    # passes it (the caller times build and submit itself).
+                    # passes it (build and submit are timed at the begin).
                     passed[phase] += 1
                     if passed[phase] == num_servers and tracer.enabled:
                         now = tracer.clock()
                         tracer.record(
-                            "phase", mark, now, parent_id=round_span.span_id, name=phase
+                            "phase", mark, now, parent_id=flight.span.span_id, name=phase
                         )
                         mark = now
                 case RoundDone():
                     dones[j] = effect
                     timers.pop(j, None)
+                    if len(dones) == num_servers:
+                        return self._carry(self.dones_received(r, dones))
                 case Fault(error=error):
                     raise error
-        return self.certified_round(r, dones)
 
     # ------------------------------------------------------------------
     # Convenience for applications and tests

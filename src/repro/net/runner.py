@@ -44,7 +44,14 @@ from collections.abc import Mapping, Sequence
 
 from repro.core.client import DissentClient
 from repro.core.config import GroupDefinition, Policy
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import (
+    BELOW_FLOOR,
+    AbandonRound,
+    ApplyRecord,
+    BeginRound,
+    CommitGo,
+    Coordinator,
+)
 from repro.core.engine import InventoryStatus, RoundDone
 from repro.core.keyshuffle import unpack_cipher_vector
 from repro.core.rounds import RoundRecord
@@ -719,12 +726,15 @@ class NetworkedSession(Coordinator):
             self._resume_payloads = None
 
     def _event(self, event: str, **fields) -> None:
-        """Chain a decision into the audit log; the control-plane ones are
-        flight-recorder triggers too."""
+        """Chain a decision into the audit log; the control-plane ones and
+        every failed round are flight-recorder triggers too."""
         if self.audit is not None:
             self.audit.append(event, **fields)
         if event in ("view_change", "equivocation"):
             self._flight_event(event, **fields)
+        elif event == "abandon":
+            below = fields["reason"] == BELOW_FLOOR
+            self._flight_event("round_failure" if below else event, **fields)
 
     def _note_resume(self, name: str, replayed: int) -> None:
         """Hub callback: one peer completed the resume handshake."""
@@ -1163,33 +1173,35 @@ class NetworkedSession(Coordinator):
         return any(any(decode_control(K_STATUS_REQUEST, r)) for r in replies)
 
     # ------------------------------------------------------------------
-    # One DC-net round, message-driven
+    # The round sequence, routed as frames
     # ------------------------------------------------------------------
 
-    def run_round(self, online: set[int] | None = None) -> RoundRecord:
-        """Execute one complete round purely by envelope exchange."""
-        if not self.scheduled:
-            raise ProtocolError("setup() must run before rounds")
+    def run_schedule(self, online_sets, window: int = 1) -> list[RoundRecord]:
+        if window > 1:
+            # Server nodes would have to hold a younger round's inventories
+            # until the older round closes, as the in-process router does.
+            raise ConfigError("NetworkedSession runs one round at a time (window=1)")
+        return super().run_schedule(online_sets, window)
+
+    def _route_round(self, upcoming: Sequence[set[int] | None]) -> RoundRecord:
         self._ensure_started()
         # Membership re-forms before the round: clients dark past the
         # retry budget are expelled (§3.7) instead of wedging every
         # subsequent round — and again after a failed one, before anything
         # else is asked of them.
         self._expel_dark()
-        record = self._call(self._run_round_async(online))
+        record = self._call(self._round_async(upcoming[0]))
         if not record.completed:
             self._expel_dark()
         return record
 
-    async def _run_round_async(self, online: set[int] | None) -> RoundRecord:
-        definition = self.definition
-        r = self.round_number
-        self.round_number += 1
-        begin_body = encode_control(
-            K_ROUND_BEGIN, r, encode_int_list(self.submitters(online))
-        )
+    async def _round_async(self, online: set[int] | None) -> RoundRecord:
+        """One round, on the loop thread: the coordinator's effects as
+        frames, each barrier's values fed back to it."""
+        effects = self.issue_round(online)
+        r = effects[0].round_number
         trace_id = (
-            round_trace_id(definition.group_id(), r) if self.telemetry else None
+            round_trace_id(self.definition.group_id(), r) if self.telemetry else None
         )
         span_attrs = {"round": r, "node": COORDINATOR}
         if trace_id is not None:
@@ -1212,90 +1224,79 @@ class NetworkedSession(Coordinator):
                     if trace_id is not None
                     else b""
                 )
-                # Servers first so their round state opens before ciphertexts
-                # land (late arrivals would only be buffered, but why make
-                # them late).
-                await self._broadcast(
-                    self._server_names(), K_ROUND_BEGIN, begin_body, trace
-                )
-                await self._broadcast(
-                    self._client_names(), K_ROUND_BEGIN, begin_body, trace
-                )
-
                 try:
-                    statuses = await self._gather(
-                        K_INVENTORY_STATUS,
-                        r,
-                        definition.num_servers,
-                        self._server_names(),
-                    )
-                except SessionTimeout as exc:
-                    # A submitter (or server) stayed dark through the whole
-                    # barrier: abandon the round rather than hang the group,
-                    # publishing how many clients are still reachable.
-                    live = sum(
-                        1
-                        for i in self.submitters(None)
-                        if not self._hub.is_dark(definition.client_name(i))
-                    )
-                    return await self._abandon_round_async(r, live, str(exc))
-                participation, go = self.inventory_decision(list(statuses.values()))
-                if not go:
-                    # §3.7 hard timeout: abandon, publish the fresh count.
-                    return await self._abandon_round_async(r, participation)
-
-                await self._broadcast(
-                    self._server_names(), K_COMMIT_GO, encode_control(K_COMMIT_GO, r)
-                )
-                dones = await self._gather(
-                    K_ROUND_DONE, r, definition.num_servers, self._server_names()
-                )
-                # The output-applied barrier only waits on clients whose link
-                # is up: a dark client's output envelope sits in its replay
-                # queue and is applied on resume, so waiting for it would
-                # wedge a round that every live member already finished.
-                applied_expected = sum(
-                    1
-                    for i in range(definition.num_clients)
-                    if not self._hub.is_dark(definition.client_name(i))
-                )
-                try:
-                    await self._gather(
-                        K_ROUND_APPLIED, r, applied_expected, self._client_names()
-                    )
-                except SessionTimeout:
-                    # A client died inside the barrier; the round itself is
-                    # certified (every server reported done), so the laggard
-                    # catches up via replay rather than failing the round.
-                    pass
-                record = self.certified_round(
-                    r,
-                    {
-                        definition.server_index_of(sender): done
-                        for sender, done in dones.items()
-                    },
-                )
+                    return await self._carry(effects, trace)
+                except Exception as exc:
+                    await self._carry(self.round_raised(exc), trace)
+                    raise
         finally:
             self._buckets.clear()
-        return record
 
-    async def _abandon_round_async(
-        self, r: int, participation: int, timeout: str | None = None
-    ) -> RoundRecord:
-        """File round ``r`` as failed and tell every member (§3.7).
+    async def _carry(self, effects: list, trace: bytes) -> RoundRecord | None:
+        """Carry out the coordinator's effects as frames, feeding it the
+        barrier that follows each; the record once applied."""
+        definition = self.definition
+        servers, clients = self._server_names(), self._client_names()
+        queue = collections.deque(effects)
+        while queue:
+            match queue.popleft():
+                case BeginRound(r, submitters):
+                    body = encode_control(K_ROUND_BEGIN, r, encode_int_list(submitters))
+                    # Servers first so their round state opens before
+                    # ciphertexts land (late arrivals would only be
+                    # buffered, but why make them late).
+                    await self._broadcast(servers, K_ROUND_BEGIN, body, trace)
+                    await self._broadcast(clients, K_ROUND_BEGIN, body, trace)
+                    try:
+                        statuses = await self._gather(
+                            K_INVENTORY_STATUS, r, len(servers), servers
+                        )
+                    except SessionTimeout as exc:
+                        # A submitter (or server) stayed dark through it.
+                        live = sum(
+                            not self._hub.is_dark(definition.client_name(i))
+                            for i in self.submitters(None)
+                        )
+                        queue.extend(self.barrier_expired(r, live, str(exc)))
+                    else:
+                        queue.extend(self.statuses_received(r, list(statuses.values())))
+                case CommitGo(r):
+                    await self._broadcast(
+                        servers, K_COMMIT_GO, encode_control(K_COMMIT_GO, r)
+                    )
+                    dones = await self._gather(K_ROUND_DONE, r, len(servers), servers)
+                    index = definition.server_index_of
+                    by_index = {index(sender): done for sender, done in dones.items()}
+                    queue.extend(self.dones_received(r, by_index))
+                case AbandonRound(r):
+                    await self._tell(servers, K_ROUND_ABANDON, r)
+                case ApplyRecord(record) if record.completed:
+                    # The output-applied barrier only waits on clients whose
+                    # link is up: a dark client's output envelope sits in
+                    # its replay queue and is applied on resume, as it is
+                    # by a client that dies inside the barrier.
+                    live = sum(not self._hub.is_dark(name) for name in clients)
+                    try:
+                        await self._gather(K_ROUND_APPLIED, record.round_number, live, clients)
+                    except SessionTimeout:
+                        pass
+                    return record
+                case ApplyRecord(record):
+                    # §3.7: every client learns the failure and the count.
+                    await self._tell(
+                        clients, K_ROUND_FAILED, record.round_number, record.participation
+                    )
+                    return record
+        return None
 
-        ``participation`` is the count the record publishes; ``timeout``
-        names the barrier that expired when the round is abandoned for a
-        dark peer rather than failed on the participation floor.  Live
-        servers roll the round back and live clients learn the failure,
-        expelled ones included (as in process); a dark member finds its
-        frame in the replay queue when (if) it resumes, and nobody waits
-        on it.  :meth:`run_round` then runs the membership check, so a
-        peer past its retry budget is expelled before the next round.
-        """
-        assert self._hub is not None
+    async def _tell(self, names: Sequence[str], kind: str, *fields) -> None:
+        """One control frame to every named member of a failed round: live
+        ones are waited on, their errors ignored (a server that closed the
+        round refuses to abandon it); a dark one finds its frame in the
+        replay queue if it resumes, and nobody waits on it."""
+        body = encode_control(kind, *fields)
 
-        async def tell(name: str, kind: str, body: bytes) -> None:
+        async def tell(name: str) -> None:
             if self._hub.is_dark(name):
                 await self._send(name, kind, 0, body)
                 return
@@ -1304,22 +1305,7 @@ class NetworkedSession(Coordinator):
             except DissentError:
                 pass
 
-        for names, kind, fields in (
-            (self._server_names(), K_ROUND_ABANDON, (r,)),
-            (self._client_names(), K_ROUND_FAILED, (r, participation)),
-        ):
-            body = encode_control(kind, *fields)
-            await asyncio.gather(*[tell(name, kind, body) for name in names])
-        if timeout is None:
-            record = self.failed_round(r, participation)
-            self._flight_event(
-                "round_failure", round=r, participation=participation
-            )
-            return record
-        record = self.failed_round(r, participation, timeout)
-        self.registry.counter("session.rounds_abandoned").inc()
-        self._flight_event("abandon", round=r, reason=timeout)
-        return record
+        await asyncio.gather(*[tell(name) for name in names])
 
     def _expel_dark(self) -> None:
         """Expel clients that stayed dark past the reconnect budget."""

@@ -24,7 +24,15 @@ from repro.core import (
 from repro.core.accusation import make_accusation
 from repro.core.adversary import VoteWithholdingServer
 from repro.core.client import DissentClient
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import (
+    BELOW_FLOOR,
+    AbandonRound,
+    ApplyRecord,
+    BeginRound,
+    CommitGo,
+    Coordinator,
+    DrainTo,
+)
 from repro.core.engine import (
     ArmTimer,
     Broadcast,
@@ -41,6 +49,7 @@ from repro.crypto.keys import PrivateKey
 from repro.crypto.shuffle import prepare_element_input, prepare_message_input
 from repro.errors import (
     AccusationError,
+    ConfigError,
     ProtocolError,
     TraceInconclusive,
     WireDecodeError,
@@ -56,7 +65,9 @@ from repro.net.message import (
     VIEW_CHANGE,
     make_envelope,
 )
+from repro.net.runner import NetworkedSession
 from repro.net.wire import encode_consensus_body, encode_view_change_body
+from repro.obs import MetricsRegistry
 from repro.util.serialization import pack_fields, unpack_fields
 
 M = 3
@@ -510,9 +521,10 @@ def test_sans_io_module_imports_nothing_that_does_io(module):
 
 
 def test_the_control_plane_has_one_copy_of_each_step():
-    """Set-up, blame and the round reduction are written once: under
-    ``src/repro`` each of these is called from exactly one place, the
-    coordinator (``run_trace`` also from ``trace_accusation``)."""
+    """Set-up, blame, the round's decisions and the round reduction are
+    written once: under ``src/repro`` each of these is called from exactly
+    one place, the coordinator (``run_trace`` also from
+    ``trace_accusation``)."""
     once = (
         "make_session_key",
         "verify_session_keys",
@@ -521,6 +533,9 @@ def test_the_control_plane_has_one_copy_of_each_step():
         "run_message_shuffle",
         "trace_accusation",
         "adopt_round_evidence",
+        "inventory_decision",
+        "certified_round",
+        "failed_round",
     )
     sites = {name: [] for name in (*once, "run_trace")}
     root = Path(coordinator_module.__file__).parents[1]
@@ -635,6 +650,91 @@ def test_setup_draws_one_mix_key_per_server_then_runs_the_cascade():
     assert sorted(members.slot_elements) == sorted(
         client.pseudonym.y for client in members.clients
     )
+
+
+def test_the_round_sequence_runs_with_no_driver():
+    """The coordinator's round machine, fed by hand: a certified round, a
+    §3.7 floor failure, an expired barrier, an error after and one before
+    the inventory, and at W = 2 a speculation that does not hold.  Each
+    event's effects come in order, each record is filed once, and the
+    session RNG is never drawn from."""
+    # The same seed and shape as ``scheduled_session``: the same keys, so
+    # the engines' round-0 reports certify under this coordinator.
+    members = ScriptedMembers(seed=77, num_servers=M, num_clients=4)
+    members.registry = MetricsRegistry()
+    rng_state = members.rng.getstate()
+    network = Network(scheduled_session())
+    network.run()
+    everyone = (0, 1, 2, 3)
+
+    # W = 2: round 1 is built while round 0 is in flight; round 0's
+    # members did not see the outcome they assumed, so round 1 is dropped.
+    assert members.issue_round(None) == [BeginRound(0, everyone)]
+    assert members.issue_round({0, 1, 2}) == [BeginRound(1, (0, 1, 2))]
+    assert members.statuses_received(0, list(network.statuses.values())) == [
+        CommitGo(0)
+    ]
+    [apply] = members.dones_received(0, network.dones)
+    certified = apply.record
+    assert certified.completed and certified.certificate is not None
+    assert members.speculation_checked(0, False) == [DrainTo(0)]
+    assert not members.inflight and members.round_number == 1
+
+    # The floor: the fresh count is published.
+    assert members.issue_round(None) == [BeginRound(1, everyone)]
+    below = [InventoryStatus(1, 2, j != 1) for j in range(M)]
+    assert members.statuses_received(1, below) == [
+        AbandonRound(1),
+        ApplyRecord(members.records[-1]),
+    ]
+    # A dark member through the inventory barrier: the live count.
+    members.issue_round(None)
+    assert members.barrier_expired(2, 3, "no inventory") == [
+        AbandonRound(2),
+        ApplyRecord(members.records[-1]),
+    ]
+    # An error after the inventory publishes its count; one before it,
+    # the round's submitters.
+    members.issue_round(None)
+    assert members.statuses_received(3, [InventoryStatus(3, 4, True)] * M) == [
+        CommitGo(3)
+    ]
+    assert members.round_raised(ProtocolError("bad commit")) == [
+        AbandonRound(3),
+        ApplyRecord(members.records[-1]),
+    ]
+    members.issue_round({0, 1})
+    members.issue_round(None)
+    assert members.round_raised(ProtocolError("bad build")) == [
+        AbandonRound(4),
+        DrainTo(4),
+        ApplyRecord(members.records[-1]),
+    ]
+    assert members.round_raised(ProtocolError("nothing in flight")) == []
+
+    assert [
+        (r.round_number, r.completed, r.participation) for r in members.records
+    ] == [(0, True, 4), (1, False, 2), (2, False, 3), (3, False, 4), (4, False, 2)]
+    assert members.records[0] is certified
+    assert [fields["reason"] for event, fields in members.events] == [
+        BELOW_FLOOR,
+        "no inventory",
+        "ProtocolError: bad commit",
+        "ProtocolError: bad build",
+    ]
+    counters = members.registry.snapshot()["counters"]
+    assert counters["session.rounds_completed"] == 1
+    assert counters["session.rounds_failed"] == 4
+    assert counters["session.rounds_abandoned"] == 1
+    assert counters["pipeline.drains"] == 2
+    assert not members.inflight and members.round_number == 5
+    assert members.rng.getstate() == rng_state
+
+
+def test_the_networked_driver_refuses_a_window():
+    with NetworkedSession.build(None, 2, 3, seed=5) as session:
+        with pytest.raises(ConfigError, match="one round at a time"):
+            session.run_rounds(2, window=2)
 
 
 def test_statuses_below_the_floor_abandon_with_the_published_count():

@@ -1,11 +1,16 @@
 """Integration tests: the full real-crypto protocol end to end."""
 
+import contextlib
+import dataclasses
+
 import pytest
 
 from tests.helpers import assert_schedules_agree, fresh_session
 from repro.core import DissentSession, Policy, RoundStatus
-from repro.errors import ConfigError, ProtocolError
+from repro.core.server import DissentServer
+from repro.errors import ConfigError, InvalidSignature, ProtocolError, SessionTimeout
 from repro.net.runner import NetworkedSession
+from repro.persist import encode_coordinator_state
 
 
 class TestSetup:
@@ -126,18 +131,34 @@ class TestChurn:
         record = session.run_round(online={0, 1})
         assert record.completed
 
-    def test_failed_round_message_retransmitted(self):
-        session = fresh_session(seed=54, policy=Policy(alpha=0.9))
-        session.run_round()
-        session.run_round()
-        session.post(0, b"survives failure")
-        session.run_round()  # request bit round (all online)
-        session.run_round(online={0})  # slot open but round fails
-        session.run_round()  # all back online: resend
-        session.run_round()
-        assert b"survives failure" in [
-            m for (_, _, m) in session.delivered_messages(1)
-        ]
+    @pytest.mark.parametrize("driver", ("lockstep", "window-4", "loopback"))
+    def test_failed_round_message_retransmitted(self, driver):
+        """A failed round's message stays queued and is delivered once,
+        under every driver of the coordinator's round sequence."""
+        policy = Policy(alpha=0.9)
+        window = 4 if driver == "window-4" else 1
+        with contextlib.ExitStack() as stack:
+            if driver == "loopback":
+                session = stack.enter_context(
+                    NetworkedSession.build(
+                        num_servers=3, num_clients=5, seed=54, policy=policy
+                    )
+                )
+                session.setup()
+            else:
+                session = fresh_session(seed=54, policy=policy)
+            session.run_rounds(2, window=window)
+            session.post(0, b"survives failure")
+            records = session.run_schedule(
+                # request bit (all online), slot open but the round fails,
+                # all back online: resend
+                [None, {0}, None, None],
+                window=window,
+            )
+            assert [record.completed for record in records] == [True, False, True, True]
+            assert [m for (_, _, m) in session.delivered_messages(1)] == [
+                b"survives failure"
+            ]
 
     def test_offline_client_rejoins_consistently(self):
         session = fresh_session(seed=55, policy=Policy(alpha=0.0))
@@ -225,3 +246,61 @@ class TestSchedulesAgree:
             session.delivered_messages(5)
         with pytest.raises(ConfigError):
             session.delivered_messages(-1)
+
+
+class CommitCorrupter(DissentServer):
+    """Flips the last byte of its signed commit body in round 1."""
+
+    def compute_ciphertext(self, state):
+        envelope = super().compute_ciphertext(state)
+        if state.round_number != 1:
+            return envelope
+        body = envelope.body[:-1] + bytes([envelope.body[-1] ^ 1])
+        return dataclasses.replace(envelope, body=body)
+
+
+class TestARoundThatRaises:
+    """A round that raises is abandoned at every member, its younger
+    rounds discarded and its speculated clients restored, and it is filed
+    FAILED before the error leaves ``run_rounds``: the next round is
+    certified, and the coordinator's whole state is the same in process
+    at two windows and over loopback."""
+
+    def _drive(self, session, window):
+        session.setup()
+        session.post(0, b"sent again after the failure")
+        assert session.run_round().completed
+        with pytest.raises((InvalidSignature, SessionTimeout)) as raised:
+            session.run_rounds(3, window=window)
+        assert "InvalidSignature" in f"{raised.type.__name__}: {raised.value}"
+        assert all(record.completed for record in session.run_rounds(3, window=window))
+        assert not session.inflight
+        assert [(r.round_number, r.completed) for r in session.records] == [
+            (0, True), (1, False), (2, True), (3, True), (4, True)
+        ]
+        assert [m for _, _, m in session.delivered_messages(0)] == [
+            b"sent again after the failure"
+        ]
+        return encode_coordinator_state(session)
+
+    def test_in_process_at_two_windows_and_over_loopback(self):
+        def server_factory(definition, index, key, rng):
+            cls = CommitCorrupter if index == 2 else DissentServer
+            return cls(definition, index, key, rng)
+
+        states = []
+        for window in (1, 3):
+            inproc = DissentSession.build(
+                num_servers=3, num_clients=4, seed=7, server_factory=server_factory
+            )
+            states.append(self._drive(inproc, window))
+            assert not any(engine.rounds for engine in inproc.engines)
+            assert_schedules_agree(inproc, inproc.clients)
+        with NetworkedSession.build(
+            num_servers=3,
+            num_clients=4,
+            seed=7,
+            server_factories={2: (CommitCorrupter, {})},
+        ) as session:
+            states.append(self._drive(session, 1))
+        assert states[0] == states[1] == states[2]
