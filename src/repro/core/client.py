@@ -150,14 +150,14 @@ class DissentClient:
         self.group_id = definition.group_id()
         self.policy = definition.policy
         # A client walks the M server keys every round (output signatures)
-        # and once each for its DH secrets, which come after the pin.
+        # and once each for its DH secrets at set-up, under the pin.
         self._pin = self.group.pin(key.y for key in definition.server_keys)
-        self.secrets = [
-            dh.shared_secret(key, server_key)
-            for server_key in definition.server_keys
-        ]
-        # The pin dies with the client; its pad states go with it.
-        weakref.finalize(self, prng.forget_pair_states, tuple(self.secrets))
+        # K_ij with each server, in server order: derived on first use
+        # (set-up's learn_schedule) or installed by a restore.  Filled in
+        # place, so the finalizer drops whatever this client ends up
+        # holding: the pin dies with the client, its pad states with it.
+        self._secrets: list[bytes] = []
+        weakref.finalize(self, prng.forget_pair_states, self._secrets)
         self.scheduler = Scheduler(definition.num_clients, definition.policy)
         self.pseudonym: PrivateKey | None = None
         self.slot: int | None = None
@@ -174,6 +174,16 @@ class DissentClient:
         self.pending_accusation: Accusation | None = None
         self._accusation_submitted = False
         self.disruption_detected = False
+
+    @property
+    def secrets(self) -> list[bytes]:
+        """The M pair secrets K_ij, in server order, derived on first use."""
+        if not self._secrets:
+            self._secrets[:] = [
+                dh.shared_secret(self.key, server_key)
+                for server_key in self.definition.server_keys
+            ]
+        return self._secrets
 
     def snapshot_state(self) -> dict:
         """Capture the mutable round state (pipeline checkpointing).
@@ -252,7 +262,11 @@ class DissentClient:
         )
 
     def learn_schedule(self, shuffled_elements: list[int]) -> int:
-        """Locate our pseudonym in the shuffled output; returns slot index."""
+        """Locate our pseudonym in the shuffled output; returns slot index.
+
+        Set-up's last step for a client, so it derives the pair secrets
+        here: a restore installs them instead and does no key agreement.
+        """
         if self.pseudonym is None:
             raise ProtocolError("learn_schedule before make_scheduling_submission")
         if len(shuffled_elements) != self.definition.num_clients:
@@ -264,6 +278,7 @@ class DissentClient:
                 "our pseudonym key is missing from the shuffled schedule"
             ) from None
         self.slot_keys = list(shuffled_elements)
+        self.secrets  # derived here, inside set-up
         return self.slot
 
     # ------------------------------------------------------------------

@@ -228,6 +228,26 @@ class KeyShuffleResult:
     transcript: ShuffleTranscript
 
 
+def _verified_cascade(
+    definition: GroupDefinition,
+    shuffle_privates: Sequence[PrivateKey],
+    submissions: Sequence[CipherVector],
+    context: bytes,
+    rng: random.Random | None,
+    what: str,
+) -> ShuffleTranscript:
+    """Run the cascade and verify its transcript, as an honest server
+    would, over one set of generators ``h_0 … h_N`` derived for both."""
+    generators = shuffle._generators(definition.group, len(submissions) + 1)
+    transcript = shuffle.run_cascade(
+        list(shuffle_privates), list(submissions), context, rng, generators
+    )
+    publics = [key.public for key in shuffle_privates]
+    if not shuffle.verify_transcript(publics, transcript, context, generators):
+        raise ShuffleError(f"{what} transcript failed verification")
+    return transcript
+
+
 def run_key_shuffle(
     definition: GroupDefinition,
     shuffle_privates: Sequence[PrivateKey],
@@ -243,12 +263,9 @@ def run_key_shuffle(
     """
     if len(submissions) == 0:
         raise ShuffleError("key shuffle needs at least one submission")
-    transcript = shuffle.run_cascade(
-        list(shuffle_privates), list(submissions), context=context, rng=rng
+    transcript = _verified_cascade(
+        definition, shuffle_privates, submissions, context, rng, "key shuffle"
     )
-    publics = [key.public for key in shuffle_privates]
-    if not shuffle.verify_transcript(publics, transcript, context=context):
-        raise ShuffleError("key shuffle transcript failed verification")
     elements = transcript.outputs(definition.group)
     return KeyShuffleResult(slot_elements=tuple(elements), transcript=transcript)
 
@@ -275,12 +292,9 @@ def run_message_shuffle(
     not suppress everyone else's accusations.  Only a decoding failure
     reads that way; any other exception is a bug and propagates.
     """
-    transcript = shuffle.run_cascade(
-        list(shuffle_privates), list(submissions), context=context, rng=rng
+    transcript = _verified_cascade(
+        definition, shuffle_privates, submissions, context, rng, "message shuffle"
     )
-    publics = [key.public for key in shuffle_privates]
-    if not shuffle.verify_transcript(publics, transcript, context=context):
-        raise ShuffleError("message shuffle transcript failed verification")
     group = definition.group
     messages: list[bytes] = []
     for vector in transcript.output_vectors(group):

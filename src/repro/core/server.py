@@ -154,7 +154,7 @@ class DissentServer:
         self.policy = definition.policy
         # What this server walks every round: its upstream clients' keys
         # (their ciphertexts) and every server's (peer envelopes, output
-        # signatures).  Pinned before the DH secrets, which walk them too.
+        # signatures).  The DH secrets, derived at set-up, walk them too.
         self._pin = self.group.pin(
             [key.y for key in definition.server_keys]
             + [
@@ -163,27 +163,42 @@ class DissentServer:
                 if definition.upstream_server(i) == index
             ]
         )
-        self.secrets = {
-            i: dh.shared_secret(key, client_key)
-            for i, client_key in enumerate(definition.client_keys)
-        }
-        # The pin dies with the server; its pad states go with it.
-        weakref.finalize(self, prng.forget_pair_states, tuple(self.secrets.values()))
+        # K_ij with each client, in client order: derived on first use
+        # (set-up's learn_schedule) or installed by a restore.  Filled in
+        # place, so the finalizer drops whatever this server ends up
+        # holding: the pin dies with the server, its pad states with it.
+        self._secrets: list[bytes] = []
+        weakref.finalize(self, prng.forget_pair_states, self._secrets)
         self.scheduler = Scheduler(definition.num_clients, definition.policy)
         self.slot_keys: list[int] = []
         self.expelled: set[int] = set()
         self.archive: dict[int, RoundArchive] = {}
         self.last_participation: int | None = None
 
+    @property
+    def secrets(self) -> list[bytes]:
+        """The N pair secrets K_ij, in client order, derived on first use."""
+        if not self._secrets:
+            self._secrets[:] = [
+                dh.shared_secret(self.key, client_key)
+                for client_key in self.definition.client_keys
+            ]
+        return self._secrets
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
     def learn_schedule(self, shuffled_elements: list[int]) -> None:
-        """Record the slot → pseudonym key mapping from the key shuffle."""
+        """Record the slot → pseudonym key mapping from the key shuffle.
+
+        Set-up's last step for a server, so it derives the pair secrets
+        here: a restore installs them instead and does no key agreement.
+        """
         if len(shuffled_elements) != self.definition.num_clients:
             raise ProtocolError("schedule length does not match client count")
         self.slot_keys = list(shuffled_elements)
+        self.secrets  # derived here, inside set-up
 
     # ------------------------------------------------------------------
     # Phase 1: submission collection
@@ -351,8 +366,9 @@ class DissentServer:
         length = state.layout.total_bytes
         # A generator: one pad alive at a time, not all N (N x 500 KiB on
         # a bulk round), as ``DissentClient.produce_ciphertext`` does.
+        secrets = self.secrets
         streams = (
-            prng.pair_stream(self.secrets[i], state.round_number, length)
+            prng.pair_stream(secrets[i], state.round_number, length)
             for i in state.final_list
         )
         own_blobs = (
@@ -677,8 +693,9 @@ class DissentServer:
         archive = self.archive.get(round_number)
         if archive is None:
             raise ProtocolError(f"round {round_number} not in archive")
+        secrets = self.secrets
         pair_bits = {
-            i: prng.pair_stream_bit(self.secrets[i], round_number, bit_index)
+            i: prng.pair_stream_bit(secrets[i], round_number, bit_index)
             for i in archive.final_list
         }
         own_envelopes = {

@@ -234,7 +234,13 @@ class DissentSession(Coordinator):
         """All mutable session state at a round barrier: the ``session``
         payload :func:`repro.persist.save_session` writes.  Long-lived
         identity (keys, definition) is excluded — a restore re-attaches
-        state to freshly-built nodes holding the same keys."""
+        state to freshly-built nodes holding the same keys.  What set-up
+        derived from those keys is included: each member's pair secrets
+        and each client's pseudonym key, whose public element the schedule
+        holds.  So a restart does no key agreement and no pseudonym
+        exponentiation (``tests/test_bounded_state.py::TestTableCensus::
+        test_a_restore_does_no_key_agreement``); the secrets are no more
+        sensitive than the pseudonym keys and RNG states beside them."""
         from repro.persist.codec import encode_session_state
 
         return encode_session_state(self)

@@ -6,6 +6,11 @@ are the edges of Dissent's client/server secret-sharing graph (§3.4): every
 client holds M of them, every server holds N, and the PRNG streams they
 seed are what make the DC-net work.
 
+A member derives its secrets once, at set-up (its ``learn_schedule``),
+and its checkpoint carries them: a restarted group does none of these
+2·N·M exponentiations again
+(``tests/test_bounded_state.py::TestTableCensus``).
+
 The raw group element is run through SHA-256 before use so that the PRNG
 key has a fixed width and no algebraic structure.
 """

@@ -31,6 +31,18 @@ class PrivateKey:
         """Fresh key pair with a uniform private scalar."""
         return cls(group, group.random_scalar(rng))
 
+    @classmethod
+    def with_public(cls, group: Group, x: int, y: int) -> "PrivateKey":
+        """The pair ``(x, y)`` when ``y = g**x`` is already established —
+        a restored pseudonym, found in the key shuffle's output: ``x`` is
+        range-checked and ``y`` taken as given, with no exponentiation."""
+        if not 1 <= x < group.q:
+            raise ValueError("private scalar out of range")
+        key = object.__new__(cls)
+        for name, value in (("group", group), ("x", x), ("y", y)):
+            object.__setattr__(key, name, value)
+        return key
+
     @property
     def public(self) -> "PublicKey":
         return PublicKey(self.group, self.y)

@@ -48,7 +48,11 @@ _DOMAIN_SEED = b"dissent.seed-stream.v1"
 #: reachable in process memory until evicted — longer than the old
 #: absorb-and-drop derivation kept them.  A client or server that is torn
 #: down drops its own with :func:`forget_pair_states`, so they cannot be
-#: recovered from a later heap disclosure.
+#: recovered from a later heap disclosure.  The secrets also persist
+#: outside the process: a member's checkpoint section carries them
+#: (:mod:`repro.persist.codec`), so a restart repeats no key agreement,
+#: and a checkpoint file is as sensitive as the pseudonym keys and RNG
+#: states it already held.
 _PAIR_STATE_CACHE_MAX = 4096
 _pair_states: OrderedDict[bytes, "hashlib._Hash"] = OrderedDict()
 

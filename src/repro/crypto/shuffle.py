@@ -32,8 +32,9 @@ A verifier folds every equation of the proof into one
 :meth:`Group.multiexp` with 128-bit random coefficients, and every strip
 proof into a second.  The generators ``h_0 … h_N`` come from
 :meth:`Group.hash_to_element` over a fixed domain and their index, so
-nobody knows a discrete log between them and ``g``; they are derived once
-per :func:`run_cascade` and once per :func:`verify_transcript`.
+nobody knows a discrete log between them and ``g``; a shuffle derives
+them once and hands the one set to :func:`run_cascade` and
+:func:`verify_transcript` (:mod:`repro.core.keyshuffle`).
 
 After the last server, the ``b`` components are bare plaintext elements.
 Anytrust holds: one honest server's unrevealed permutation unlinks inputs
@@ -488,21 +489,23 @@ def run_cascade(
     inputs: Sequence[CipherVector],
     context: bytes = b"",
     rng: random.Random | None = None,
+    generators: Sequence[int] | None = None,
 ) -> ShuffleTranscript:
     """Drive the full cascade through every server in order (trusted driver).
 
     Real deployments run each :func:`shuffle_step` on its own server; this
     helper wires the steps together for in-process sessions and tests.
+    ``generators``: ``h_0 … h_N``, when the caller already derived them.
     """
     if not server_keys:
         raise ShuffleError("cascade needs at least one server")
     _vector_width(inputs)
     group = server_keys[0].group
-    generators = _generators(group, len(inputs) + 1)
+    generators = generators or _generators(group, len(inputs) + 1)
     publics = [key.public for key in server_keys]
     current: Sequence[CipherVector] = tuple(inputs)
     steps: list[ShuffleStep] = []
-    with group.pin(cascade_bases(publics)):
+    with group.pin(cascade_bases(publics, generators[0])):
         for j, key in enumerate(server_keys):
             step = shuffle_step(key, publics[j:], current, j, context, rng, generators)
             steps.append(step)
@@ -514,16 +517,18 @@ def verify_transcript(
     server_publics: Sequence[PublicKey],
     transcript: ShuffleTranscript,
     context: bytes = b"",
+    generators: Sequence[int] | None = None,
 ) -> bool:
-    """Verify a full cascade transcript against the server public keys."""
+    """Verify a full cascade transcript against the server public keys.
+    ``generators``: ``h_0 … h_N``, when the caller already derived them."""
     if not server_publics or not transcript.inputs:
         return False
     if len(transcript.steps) != len(server_publics):
         return False
     group = server_publics[0].group
-    generators = _generators(group, len(transcript.inputs) + 1)
+    generators = generators or _generators(group, len(transcript.inputs) + 1)
     current: Sequence[CipherVector] = transcript.inputs
-    with group.pin(cascade_bases(server_publics)):
+    with group.pin(cascade_bases(server_publics, generators[0])):
         for j, (public, step) in enumerate(zip(server_publics, transcript.steps)):
             if step.server_index != j:
                 return False
@@ -535,18 +540,20 @@ def verify_transcript(
     return True
 
 
-def cascade_bases(server_publics: Sequence[PublicKey]) -> list[int]:
+def cascade_bases(
+    server_publics: Sequence[PublicKey], h_0: int | None = None
+) -> list[int]:
     """The long-lived bases a cascade under ``server_publics`` walks.
 
-    ``h_0`` (every link of every step's commitment chain), each step's
-    combined key (every input's encryption and re-randomization) and each
-    server's own key (its strip proofs).  :func:`run_cascade`,
-    :func:`verify_transcript` and the coordinator pin them for one shuffle
-    and release them when it ends.
+    ``h_0`` (every link of every step's commitment chain; derived here
+    unless the caller has it), each step's combined key (every input's
+    encryption and re-randomization) and each server's own key (its strip
+    proofs).  :func:`run_cascade`, :func:`verify_transcript` and the
+    coordinator pin them for one shuffle and release them when it ends.
     """
     group = server_publics[0].group
     return [
-        _generators(group, 1)[0],
+        _generators(group, 1)[0] if h_0 is None else h_0,
         *(
             elgamal.combined_key(server_publics[j:]).y
             for j in range(len(server_publics))

@@ -15,8 +15,11 @@ node entry are the same bytes.
 
 Long-lived identity — private keys, the group definition — is not in a
 ``session`` checkpoint: a restore attaches state to freshly-built members
-that already hold their keys.  The client's pseudonym key, made in the key
-shuffle, rides in its section.
+that already hold their keys.  What set-up derived from those keys rides
+in the member sections, so a restart repeats none of it: each member's
+pair secrets (the DH key agreement, 2·N·M exponentiations a group) and
+the client's pseudonym key, whose public element is read back from the
+schedule (``tests/test_bounded_state.py::TestTableCensus``).
 
 Decoding is total and canonical: a section is parsed whole before any of
 it is applied, a malformed field raises
@@ -68,12 +71,16 @@ from repro.util.serialization import pack_fields, unpack_typed
 # every field required.  9: the coordinator holds the one delivery log;
 # clients keep no delivery history, archives no cleartext.  10: nested
 # packed fields in place of JSON; the digest covers the payload as read.
-CHECKPOINT_VERSION = 10
+# 11: each member's pair secrets, so a restore does no key agreement.
+CHECKPOINT_VERSION = 11
 
 _MAGIC = "dissent.checkpoint"
 
 #: Python's Mersenne Twister state: 624 words and a position.
 _RNG_WORDS = struct.Struct("<625I")
+
+#: A pair secret K_ij is a SHA-256 digest (:func:`repro.crypto.dh.shared_secret`).
+_SECRET_BYTES = 32
 
 
 def _total(decode):
@@ -104,11 +111,15 @@ class _Section:
     order — where ``ctx`` is the group for records and archives and the
     group definition elsewhere.  ``nested`` names the section a ``bytes``
     field holds, for :func:`describe`: a name, a name and ``*`` for a list
-    of them, or ``"counted"`` for a list shown by its length; ``{field}``
-    in it is that field's value (a node's ``state`` is its ``role``)."""
+    of them, ``"counted"`` for a list shown by its length, or
+    ``"secrets"`` for pair secrets, shown by their count only; ``{field}``
+    in it is that field's value (a node's ``state`` is its ``role``).
+    ``finish(ctx, fields)``, when given, completes a parse with what
+    spans several fields."""
 
-    def __init__(self, name: str, **fields) -> None:
+    def __init__(self, name: str, finish=None, **fields) -> None:
         self.name = name
+        self.finish = finish
         self.fields = {}
         for field, codec in fields.items():
             codec = (codec,) if isinstance(codec, str) else codec
@@ -125,10 +136,11 @@ class _Section:
 
     def parse(self, data: bytes, ctx=None) -> dict:
         values = unpack_typed(data, self.spec, self.name)
-        return {
+        parsed = {
             field: decode(ctx, value) if decode else value
             for (field, (_, _, decode, _)), value in zip(self.fields.items(), values)
         }
+        return self.finish(ctx, parsed) if self.finish else parsed
 
 
 def _stored(value):
@@ -136,11 +148,15 @@ def _stored(value):
 
 
 def _apply(target, state: dict) -> None:
-    """Set a parsed member or coordinator section on a freshly-built one."""
+    """Set a parsed member or coordinator section on a freshly-built one.
+    A member's pair secrets are filled in place: its teardown finalizer
+    holds that list."""
     index = state.pop("index", None)
     if index is not None and index != target.index:
         raise CheckpointError(f"checkpoint is for index {index}, not {target.index}")
     target.rng.setstate(state.pop("rng"))
+    if "_secrets" in state:
+        target._secrets[:] = state.pop("_secrets")
     for field, value in state.items():
         setattr(target, field, value)
 
@@ -230,11 +246,40 @@ def _members(bound: str):
     return "b", lambda ctx, members: encode_int_list(sorted(members)), decode
 
 
-def _pseudonym(ctx, x: int | None) -> PrivateKey | None:
-    try:
-        return None if x is None else PrivateKey(ctx.group, x)
-    except ValueError as exc:
-        raise CheckpointError(f"pseudonym key: {exc}") from exc
+def _pair_secrets(peers: str):
+    """A member's pair secrets: none before set-up, else one K_ij per peer
+    (``ctx.<peers>`` of them), in peer order."""
+
+    def decode(ctx, data: bytes) -> list[bytes]:
+        secrets = _list(data, "pair secrets")
+        if secrets and len(secrets) != getattr(ctx, peers):
+            raise CheckpointError(
+                f"{len(secrets)} pair secrets, not one per peer ({getattr(ctx, peers)})"
+            )
+        if any(len(secret) != _SECRET_BYTES for secret in secrets):
+            raise CheckpointError(f"a pair secret is not {_SECRET_BYTES} bytes")
+        return secrets
+
+    return "b", lambda ctx, secrets: pack_fields(*secrets), decode, "secrets"
+
+
+def _client_pseudonym(ctx, state: dict) -> dict:
+    """The pseudonym key pair from its stored scalar.  Once the client
+    holds a slot, the public element is the schedule's at that slot, where
+    ``learn_schedule`` found it; only before that is it ``g**x``."""
+    x, slot, elements = state["pseudonym"], state["slot"], state["slot_keys"]
+    if slot is not None and slot >= len(elements):
+        raise CheckpointError(f"slot {slot} outside a schedule of {len(elements)}")
+    if x is not None:
+        try:
+            state["pseudonym"] = (
+                PrivateKey(ctx.group, x)
+                if slot is None
+                else PrivateKey.with_public(ctx.group, x, elements[slot])
+            )
+        except ValueError as exc:
+            raise CheckpointError(f"pseudonym key: {exc}") from exc
+    return state
 
 
 def _layout(data: bytes) -> RoundLayout:
@@ -348,12 +393,15 @@ _SENT_RECORDS = (
     lambda ctx, data: decode_keyed(data, "b", "sent records", _decode_sent),
 )
 
-#: A client's durable state (identity key excluded, pseudonym included);
-#: the sent history is what a hybrid-mode replay needs (empty under XOR).
+#: A client's durable state (identity key excluded; pseudonym and pair
+#: secrets included); the sent history is what a hybrid-mode replay needs
+#: (empty under XOR).  The M pair secrets are in server order, ``b""``
+#: before set-up: a restore installs them and derives none.
 _CLIENT = _Section(
     "client",
+    finish=_client_pseudonym,
     index="i",
-    pseudonym=("n", lambda ctx, key: _stored(key and key.x), _pseudonym),
+    pseudonym=("n", lambda ctx, key: _stored(key and key.x)),
     slot="n",
     slot_keys=_ELEMENTS,
     scheduler=_SCHEDULE,
@@ -371,9 +419,11 @@ _CLIENT = _Section(
     disruption_detected=_BOOL,
     rng=_RNG,
     sent_history=_SENT_RECORDS,
+    _secrets=_pair_secrets("num_servers"),
 )
 
-#: A server's durable state at a round barrier (no round in flight).
+#: A server's durable state at a round barrier (no round in flight); its
+#: N pair secrets in client order, ``b""`` before set-up.
 _SERVER = _Section(
     "server",
     index="i",
@@ -390,6 +440,7 @@ _SERVER = _Section(
     ),
     last_participation="n",
     rng=_RNG,
+    _secrets=_pair_secrets("num_clients"),
 )
 
 #: The :class:`~repro.core.coordinator.Coordinator`'s whole mutable state.
@@ -653,7 +704,8 @@ def describe(data: bytes) -> str:
     """A checkpoint file's kind, version and sections, one line per field,
     split by the declarations that decode them (``python -m
     repro.obs.report --checkpoint``).  Members are listed in full, records
-    and archives counted; a pseudonym key is not printed."""
+    and archives counted; a pseudonym key is not printed, and pair secrets
+    only counted."""
     kind, payload = decode_file(data)
     lines = [f"checkpoint {kind}, version {CHECKPOINT_VERSION} (digest verified)"]
 
@@ -667,8 +719,12 @@ def describe(data: bytes) -> str:
                 secret = field == "pseudonym" and value is not None
                 lines.append(f"{indent}{field}: {'(private key)' if secret else value}")
                 continue
-            lines.append(f"{indent}{field}: {len(value)} bytes")
             nested = section.fields[field][3]
+            if nested == "secrets":
+                count = len(_list(value, field))
+                lines.append(f"{indent}{field}: {count} pair secrets")
+                continue
+            lines.append(f"{indent}{field}: {len(value)} bytes")
             if nested == "counted":
                 lines[-1] += f", {len(_list(value, field))} entries"
             elif nested and nested.endswith("*"):

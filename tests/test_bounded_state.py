@@ -18,12 +18,14 @@ that down without reading RSS:
 * :class:`TestTableCensus` lists the fixed-base tables a process pins
   (what each member walks every round, ``tests/test_ec_kernels.py::TestTableResidency``
   sizes each), asserts that rounds, a second build and a second set-up
-  of one seed build none, and that a dropped or expelled member's pins
-  are released; :class:`TestPairStatesAtTeardown`, that a dropped
-  member's pad states go with it.
+  of one seed build none, that key agreement happens in set-up and a
+  restart from a checkpoint repeats none of it, and that a dropped or
+  expelled member's pins are released; :class:`TestPairStatesAtTeardown`,
+  that a dropped member's pad states go with it.
 """
 
 import asyncio
+import collections
 import gc
 import types
 from collections import deque
@@ -31,11 +33,12 @@ from collections import deque
 import pytest
 
 from repro.core import DissentSession, Policy
-from repro.crypto import prng
+from repro.crypto import dh, prng
 from repro.crypto.ec25519 import ec_group
 from repro.crypto.groups import group_by_name
 from repro.net.runner import NetworkedSession
 from repro.net.wire import RoutedFrame
+from repro.persist import restore_session, save_session
 from tests.helpers import crypto_counters
 
 _ATOMS = (
@@ -282,6 +285,23 @@ def _added_pins(group, baseline):
     }
 
 
+def _key_agreement(monkeypatch, read) -> collections.Counter:
+    """Count the DH secrets derived from here on and the fixed-base walks
+    they make (``read`` is :func:`crypto_counters`')."""
+    census = collections.Counter()
+    derive = dh.shared_secret
+
+    def counted(own, peer):
+        before = read("fixed_base.exps")
+        secret = derive(own, peer)
+        census["secrets"] += 1
+        census["walks"] += read("fixed_base.exps") - before
+        return secret
+
+    monkeypatch.setattr(dh, "shared_secret", counted)
+    return census
+
+
 class TestTableCensus:
     def test_set_up_tables_every_roster_key_and_rounds_table_none(self):
         """A server pins its upstream clients' keys and every server's; a
@@ -317,20 +337,78 @@ class TestTableCensus:
         assert set(group._residency.tables) - tabled == set()
 
     @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
-    def test_a_second_build_of_one_seed_walks_every_dh_secret(self, backend):
+    def test_a_second_build_of_one_seed_walks_every_dh_secret(
+        self, backend, monkeypatch
+    ):
         """While the first session lives its members' pins hold every
-        roster key's table, so the second builds none, and each of its
-        2·N·M DH secrets is a walk of its peer key's table."""
+        roster key's table, so the second builds none.  Its build only
+        generates keys; its set-up derives the 2·N·M DH secrets, each a
+        walk of its peer key's table."""
         gc.collect()
         servers, clients = 3, 6
         first = DissentSession.build(backend, servers, clients, seed=43)
         with crypto_counters() as read:
+            census = _key_agreement(monkeypatch, read)
             second = DissentSession.build(backend, servers, clients, seed=43)
             assert read("fixed_base.table_builds") == 0
             # Key generation walks the generator's table once per key.
-            keys = servers + clients
-            assert read("fixed_base.exps") == 2 * servers * clients + keys
+            assert read("fixed_base.exps") == servers + clients
+            assert not census
+            second.setup()
+            edges = 2 * servers * clients
+            assert census == {"secrets": edges, "walks": edges}
         assert second.definition == first.definition
+
+    @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
+    def test_a_restore_does_no_key_agreement(self, backend, monkeypatch, tmp_path):
+        """A restart repeats nothing set-up derived: building a session and
+        restoring a set-up session's checkpoint into it walks the
+        generator's table once per long-term key, builds no table, and
+        derives no DH secret and no pseudonym public key."""
+        gc.collect()
+        servers, clients = 3, 6
+        path = tmp_path / "session.ckpt"
+        session = DissentSession.build(backend, servers, clients, seed=43)
+        session.setup()
+        session.post(1, b"across the restart")
+        session.run_round()
+        save_session(session, path)
+        with crypto_counters() as read:
+            census = _key_agreement(monkeypatch, read)
+            fresh = DissentSession.build(backend, servers, clients, seed=43)
+            restore_session(fresh, path)
+            assert read("fixed_base.table_builds") == 0
+            assert read("fixed_base.exps") == servers + clients
+            assert not census
+        assert fresh.snapshot_state() == session.snapshot_state()
+        assert [c.pseudonym for c in fresh.clients] == [
+            c.pseudonym for c in session.clients
+        ]
+        restored, continued = fresh.run_round(), session.run_round()
+        assert restored.output.cleartext == continued.output.cleartext
+
+    def test_a_networked_restore_does_no_key_agreement(self, monkeypatch, tmp_path):
+        """Over loopback the nodes take the same member sections: reading
+        the checkpoint walks once per long-term key, and starting the nodes
+        and handing each its section walks nothing more."""
+        gc.collect()
+        servers, clients = 2, 3
+        path = tmp_path / "net.ckpt"
+        with NetworkedSession.build(
+            "test-256", servers, clients, seed=31, mode="loopback"
+        ) as session:
+            session.setup()
+            session.run_round()
+            session.checkpoint(path)
+            continued = session.run_round()
+        with crypto_counters() as read:
+            census = _key_agreement(monkeypatch, read)
+            with NetworkedSession.restore(path) as restored:
+                restored._ensure_started()
+                assert read("fixed_base.exps") == servers + clients
+                assert not census
+                record = restored.run_round()
+        assert record.output.cleartext == continued.output.cleartext
 
     @pytest.mark.parametrize("mode", ["inproc", "tcp"])
     def test_a_second_set_up_of_one_seed_builds_no_table(self, mode):

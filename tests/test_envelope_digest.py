@@ -60,7 +60,11 @@ from repro.net.node import COORDINATOR, K_HELLO, K_NODE_ERROR, ClientNode
 from repro.net.runner import NetworkedSession, _Hub
 from repro.net.transport import loopback_pair
 from repro.persist import codec as persist_codec
-from repro.persist.checkpoint import read_checkpoint, write_checkpoint
+from repro.persist.checkpoint import (
+    CHECKPOINT_VERSION,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.util import bytesops
 from repro.util.serialization import pack_fields, unpack_fields
 
@@ -352,7 +356,7 @@ class TestVersionRefusal:
         with pytest.raises(WireDecodeError, match="magic.*unsupported"):
             wire.decode_envelope(group, frame.body)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_old_checkpoint_refused_by_version(self, tmp_path, old):
         # 1: v1 signatures; 2: control-plane state outside the shared
         # ``coordinator`` section; 3: archived rounds masked with SHAKE-256
@@ -363,16 +367,20 @@ class TestVersionRefusal:
         # clients, whose sections now hold their sent history; 8: clients
         # holding their delivery history and archives their cleartext,
         # where the coordinator now holds the session's one delivery log;
-        # 9: a JSON document, with wire bytes as hex inside it.
+        # 9: a JSON document, with wire bytes as hex inside it; 10: member
+        # sections without their pair secrets, which a restore would
+        # have to derive again.
         path = tmp_path / "old.ckpt"
         document = {"version": old, "kind": "session", "sha256": "", "payload": {}}
         path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="not a version-10 checkpoint"):
+        with pytest.raises(
+            CheckpointError, match=f"not a version-{CHECKPOINT_VERSION} checkpoint"
+        ):
             read_checkpoint(path)
         # A header of this format naming an older version is refused by it.
         write_checkpoint(path, b"", kind="session")
         magic, version, kind, digest, payload = unpack_fields(path.read_bytes())
-        assert version == 10
+        assert version == CHECKPOINT_VERSION
         path.write_bytes(pack_fields(magic, old, kind, digest, payload))
         with pytest.raises(CheckpointError, match=f"version {old}"):
             read_checkpoint(path)

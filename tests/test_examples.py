@@ -11,6 +11,8 @@ import pathlib
 
 import pytest
 
+from repro.persist import CHECKPOINT_VERSION
+
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -62,7 +64,9 @@ def test_networked_demo_runs_reduced(capsys, tmp_path):
     # The checkpoint it wrote reads back through the report's decoders.
     assert report.main(["--checkpoint", checkpoint]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("checkpoint net-session, version 10 (digest verified)")
+    assert out.startswith(
+        f"checkpoint net-session, version {CHECKPOINT_VERSION} (digest verified)"
+    )
     # Two servers and five clients, each node with its member section.
     assert "\n  [6]\n    role: client\n" in out and "\n  [7]" not in out
 

@@ -94,7 +94,9 @@ class TestCheckpointStore:
         kept, and one is refused with a typed error."""
         path = tmp_path / "old.ckpt"
         path.write_text('{"kind":"session","payload":{},"sha256":"","version":9}')
-        with pytest.raises(CheckpointError, match="not a version-10 checkpoint"):
+        with pytest.raises(
+            CheckpointError, match=f"not a version-{CHECKPOINT_VERSION} checkpoint"
+        ):
             read_checkpoint(path)
 
     def test_atomic_replace_keeps_old_on_unencodable(self, tmp_path):
@@ -425,6 +427,35 @@ class TestMutatedCheckpoints:
         session.restore_state(snapshot)
         assert session.snapshot_state() == snapshot
 
+    @pytest.mark.parametrize(
+        "role, change",
+        [
+            ("clients", lambda secrets: secrets[:-1]),
+            ("servers", lambda secrets: secrets + secrets[:1]),
+            ("clients", lambda secrets: [secrets[0][:-1], *secrets[1:]]),
+        ],
+        ids=["a-client-short-of-one", "a-server-with-one-too-many", "31-bytes"],
+    )
+    def test_pair_secrets_are_one_per_peer_of_32_bytes(self, role, change):
+        """A member section holds no pair secret (before set-up) or one
+        32-byte secret per peer: M for a client, N for a server.  Another
+        count or width is refused, where the generic walk would take a
+        shortened list or secret as a well-typed value.  Nothing of a
+        refused checkpoint is applied."""
+        session = built_session()
+        snapshot = session.snapshot_state()
+        coordinator, servers, clients = unpack_fields(snapshot)
+        sections = {"servers": servers, "clients": clients}
+        members = unpack_fields(sections[role])
+        fields = unpack_fields(members[0])
+        fields[-1] = pack_fields(*change(unpack_fields(fields[-1])))  # _secrets
+        members[0] = pack_fields(*fields)
+        sections[role] = pack_fields(*members)
+        mutated = pack_fields(coordinator, sections["servers"], sections["clients"])
+        with pytest.raises(CheckpointError, match="pair secret"):
+            session.restore_state(mutated)
+        assert session.snapshot_state() == snapshot
+
     def test_flipped_bytes_and_truncated_files(self, tmp_path):
         """Any byte of the file flipped, or the file cut short: the reader
         raises CheckpointError or restores a session that re-encodes to
@@ -614,6 +645,25 @@ class TestSessionRoundTrip:
         ]
         assert fresh.delivered_messages(1) == session.delivered_messages(1)
 
+    def test_a_checkpoint_before_set_up_holds_no_pair_secrets(self, group_name):
+        """Members derive their pair secrets in set-up, so a checkpoint cut
+        before it carries none; the restored members derive them in their
+        own set-up, and it schedules and masks as the original's does."""
+        session = DissentSession.build(group_name, 2, 3, seed=7)
+        snapshot = session.snapshot_state()
+        _, servers, clients = unpack_fields(snapshot)
+        members = unpack_fields(servers) + unpack_fields(clients)
+        assert [unpack_fields(member)[-1] for member in members] == [b""] * 5
+        fresh = DissentSession.build(group_name, 2, 3, seed=7)
+        fresh.restore_state(snapshot)
+        for built in (session, fresh):
+            built.setup()
+            built.post(1, b"after set-up")
+        assert [c.secrets for c in fresh.clients] == [
+            c.secrets for c in session.clients
+        ]
+        assert fresh.run_round().output == session.run_round().output
+
     def test_checkpoint_file_is_portable(self, tmp_path, group_name):
         path = tmp_path / "session.ckpt"
         session = built_session(group_name=group_name)
@@ -626,11 +676,12 @@ class TestSessionRoundTrip:
 
 
 class TestCheckpointVersion:
-    def test_the_version_10_payload_is_pinned(self, tmp_path):
-        """Version 10 is nested packed fields: no client section holds a
+    def test_the_version_11_payload_is_pinned(self, tmp_path):
+        """Version 11 is nested packed fields: no client section holds a
         delivery history and no archive a cleartext; the coordinator
         section holds the one delivery log and the schedule that decodes
-        it.  The payload is pinned byte for byte."""
+        it; each member section ends with its pair secrets, one per peer.
+        The payload is pinned byte for byte."""
         path = tmp_path / "xor.ckpt"
         session = built_session()
         session.post(0, b"before the barrier")
@@ -639,9 +690,16 @@ class TestCheckpointVersion:
         save_session(session, path)
         magic, version, kind, digest, payload = unpack_fields(path.read_bytes())
         assert (magic, kind) == ("dissent.checkpoint", "session")
-        assert version == CHECKPOINT_VERSION == 10
+        assert version == CHECKPOINT_VERSION == 11
         clients = unpack_fields(_session_field(payload, "clients"))
-        assert all(len(unpack_fields(c)) == 14 for c in clients)
+        assert all(len(unpack_fields(c)) == 15 for c in clients)
+        servers = unpack_fields(_session_field(payload, "servers"))
+        assert all(len(unpack_fields(s)) == 8 for s in servers)
+        # The last field of a member section: its secrets, in peer order.
+        pairs = ((clients, session.clients), (servers, session.servers))
+        for sections, members in pairs:
+            for section, member in zip(sections, members):
+                assert unpack_fields(unpack_fields(section)[-1]) == member.secrets
         assert not any(_session_field(payload, "clients", i, "sent_history")
                        for i in range(3))  # fmt: skip
         archives = [
@@ -660,8 +718,32 @@ class TestCheckpointVersion:
             encode_scheduler(session.clients[0].scheduler)
         )
         assert digest.hex() == (
-            "b2922ba27aef7e2a38067ad7001a03690c5392efd0026935d41a3f279a792c1c"
+            "975bd332a0bc1e6dbf5f0fc52d03f4685355027dd160cef72ca070a24719c5e7"
         )
+
+
+class TestDescribe:
+    def test_keys_and_pair_secrets_are_not_printed(self, tmp_path, capsys):
+        """``report --checkpoint`` prints a pseudonym key as "(private
+        key)" and a member's pair secrets as their count: no scalar and no
+        secret byte reaches the output."""
+        from repro.obs import report
+
+        path = tmp_path / "session.ckpt"
+        session = built_session()
+        session.run_rounds(1)
+        save_session(session, path)
+        assert report.main(["--checkpoint", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("pseudonym: (private key)") == 3
+        # Two servers, three clients: M = 2 secrets a client, N = 3 a server.
+        assert out.count("_secrets: 2 pair secrets\n") == 3
+        assert out.count("_secrets: 3 pair secrets\n") == 2
+        for client in session.clients:
+            assert str(client.pseudonym.x) not in out
+        for member in (*session.clients, *session.servers):
+            for secret in member.secrets:
+                assert secret.hex() not in out and repr(secret) not in out
 
 
 class TestHybridRoundTrip:

@@ -85,6 +85,40 @@ class TestKeyShuffleCascade:
             shuffle.run_cascade([], inputs, b"", rng)
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_a_key_shuffle_derives_its_generators_once(monkeypatch, name):
+    """``h_0 … h_N`` are hashed into the group once per key shuffle: the
+    cascade and its verification share one set.  Set-up hashes ``h_0``
+    once more, for the pin around the whole shuffle."""
+    from repro.core import DissentSession
+    from repro.core import keyshuffle
+
+    clients = 8
+    session = DissentSession.build(name, num_servers=3, num_clients=clients, seed=21)
+    group_type = type(session.definition.group)
+    hash_to_element = group_type.hash_to_element
+    labels, per_shuffle = [], []
+
+    def counted(group, label):
+        labels.append(label)
+        return hash_to_element(group, label)
+
+    run_key_shuffle = keyshuffle.run_key_shuffle
+
+    def measured(*args, **kwargs):
+        before = len(labels)
+        result = run_key_shuffle(*args, **kwargs)
+        per_shuffle.append(len(labels) - before)
+        return result
+
+    monkeypatch.setattr(group_type, "hash_to_element", counted)
+    monkeypatch.setattr("repro.core.coordinator.run_key_shuffle", measured)
+    session.setup()
+    assert per_shuffle == [clients + 1]
+    assert len(labels) == clients + 2
+    assert len(set(labels)) == clients + 1
+
+
 class TestTamperDetection:
     def _make_transcript(self, cascade_env, n=3):
         group, rng, servers, publics = cascade_env
