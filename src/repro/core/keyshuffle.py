@@ -237,14 +237,18 @@ def _verified_cascade(
     what: str,
 ) -> ShuffleTranscript:
     """Run the cascade and verify its transcript, as an honest server
-    would, over one set of generators ``h_0 … h_N`` derived for both."""
+    would, over one set of generators ``h_0 … h_N`` derived for both.
+    A transcript that fails names the server whose step failed first."""
     generators = shuffle._generators(definition.group, len(submissions) + 1)
     transcript = shuffle.run_cascade(
         list(shuffle_privates), list(submissions), context, rng, generators
     )
     publics = [key.public for key in shuffle_privates]
-    if not shuffle.verify_transcript(publics, transcript, context, generators):
-        raise ShuffleError(f"{what} transcript failed verification")
+    failed = shuffle.failing_step(publics, transcript, context, generators)
+    if failed is not None:
+        raise ShuffleError(
+            f"{what} transcript failed verification at server {failed}'s step"
+        )
     return transcript
 
 

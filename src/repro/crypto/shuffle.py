@@ -24,13 +24,22 @@ We implement a mix cascade with per-server verifiability:
    a permutation and re-encryption of its inputs passes with probability
    about ``N * 2**-128`` (Schwartz–Zippel over the 128-bit ``u_j``) — the
    cut-and-choose argument this replaced allowed ``2**-16``.
-2. **Strip.**  Server j then removes its ElGamal layer position-wise,
-   attaching a Chaum-Pedersen DLEQ proof per ciphertext that the quotient
-   ``b/b'`` equals ``a**x_j`` for the server's published key.
+2. **Strip.**  Server j then removes its ElGamal layer position-wise and
+   proves the whole strip with one Chaum–Pedersen DLEQ proof,
+   ``log_g y_j == log_A V`` with ``A = Π a_i**e_i`` and
+   ``V = Π (b_i / b'_i)**e_i`` over every component i of the step, where
+   the ``e_i`` are 128-bit coefficients hashed from the context, ``y_j``
+   and every ``(a_i, b_i, b'_i)`` in order.  This is Bellare–Garay–Rabin
+   small-exponent batching, as in the verifiable decryption of Haenni et
+   al.: the ``e_i`` are fixed only after every component is, so a strip
+   wrong in any component still makes ``V == A**x_j`` hold with
+   probability about ``2**-128`` — inside the prime-order group, which
+   the verifier screens every component and commitment into first.
 
-A verifier folds every equation of the proof into one
-:meth:`Group.multiexp` with 128-bit random coefficients, and every strip
-proof into a second.  The generators ``h_0 … h_N`` come from
+A verifier folds every equation of both proofs into one
+:meth:`Group.multiexp` with 128-bit random coefficients; ``A`` and ``V``
+are never formed, their components enter the product directly.  The
+generators ``h_0 … h_N`` come from
 :meth:`Group.hash_to_element` over a fixed domain and their index, so
 nobody knows a discrete log between them and ``g``; a shuffle derives
 them once and hands the one set to :func:`run_cascade` and
@@ -45,8 +54,9 @@ longer than one group element can travel through the mix (the paper's
 "general message shuffle"; §3.10 notes such messages must be embedded in
 group elements, which is why key shuffles — width-1 vectors of bare key
 elements — are the cheap case).  Per server and N inputs of width W,
-proving is one re-randomization of the N·W inputs, O(N) fixed-base walks
-and 1 + 2W multi-exponentiations over N bases.
+proving is one re-randomization and one strip of the N·W inputs, O(N)
+fixed-base walks, 1 + 2W multi-exponentiations over N bases, one over the
+N·W ``a_i`` and one exponentiation; verifying is one multi-exponentiation.
 """
 
 from __future__ import annotations
@@ -61,17 +71,12 @@ from repro.crypto.elgamal import Ciphertext
 from repro.crypto.groups import Group
 from repro.crypto.hashing import challenge_scalar, sha256
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.proofs import (
-    BATCH_COEFF_BITS,
-    DleqProof,
-    _batch_coefficient,
-    batch_verify_dleq,
-    prove_dleq,
-)
+from repro.crypto.proofs import BATCH_COEFF_BITS, DleqProof, _batch_coefficient
 from repro.errors import ShuffleError
 
 _GENERATOR_DOMAIN = b"dissent.shuffle-generator.v1"
 _PROOF_DOMAIN = b"dissent.shuffle-proof.v1"
+_STRIP_DOMAIN = b"dissent.shuffle-strip.v1"
 
 #: One shuffle unit: a fixed-width tuple of ElGamal ciphertexts.
 CipherVector = tuple[Ciphertext, ...]
@@ -105,13 +110,17 @@ class ShuffleProof:
 
 @dataclass(frozen=True)
 class ShuffleStep:
-    """Everything one server publishes during its cascade turn."""
+    """Everything one server publishes during its cascade turn.
+
+    ``decryption_proof`` proves the whole strip, ``permuted`` to
+    ``stripped``, at once (see :func:`_prove_strip`).
+    """
 
     server_index: int
     permuted: tuple[CipherVector, ...]
     proof: ShuffleProof
     stripped: tuple[CipherVector, ...]
-    decryption_proofs: tuple[tuple[DleqProof, ...], ...]
+    decryption_proof: DleqProof
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,16 @@ def _hash_vectors(group: Group, vectors: Sequence[CipherVector]) -> bytes:
     return sha256(*(ct.to_bytes(group) for vector in vectors for ct in vector))
 
 
+def _coefficients(group: Group, digest: bytes, count: int) -> list[int]:
+    """``count`` coefficients hashed from ``digest``, clamped to
+    ``[1, 2**bits)`` exactly as a batch coefficient is."""
+    bound = (1 << min(BATCH_COEFF_BITS, group.q.bit_length() - 1)) - 1
+    return [
+        1 + challenge_scalar(bound, digest, index.to_bytes(4, "big"))
+        for index in range(count)
+    ]
+
+
 def _statement(
     group: Group,
     context: bytes,
@@ -171,8 +190,7 @@ def _statement(
     outputs: Sequence[CipherVector],
     commitments: Sequence[int],
 ) -> tuple[bytes, list[int]]:
-    """Digest of the statement and the ``u_j`` hashed from it, clamped to
-    ``[1, 2**bits)`` exactly as a batch coefficient is."""
+    """Digest of the statement and the ``u_j`` hashed from it."""
     digest = sha256(
         _PROOF_DOMAIN,
         sha256(context),
@@ -181,11 +199,7 @@ def _statement(
         _hash_vectors(group, outputs),
         sha256(*map(group.element_to_bytes, commitments)),
     )
-    bound = (1 << min(BATCH_COEFF_BITS, group.q.bit_length() - 1)) - 1
-    return digest, [
-        1 + challenge_scalar(bound, digest, j.to_bytes(4, "big"))
-        for j in range(len(inputs))
-    ]
+    return digest, _coefficients(group, digest, len(inputs))
 
 
 def _challenge(group: Group, digest: bytes, proof_elements: Iterable[int]) -> int:
@@ -193,6 +207,37 @@ def _challenge(group: Group, digest: bytes, proof_elements: Iterable[int]) -> in
     return group.hash_to_scalar(
         _PROOF_DOMAIN, digest, b"".join(map(group.element_to_bytes, proof_elements))
     )
+
+
+def _strip_statement(
+    group: Group,
+    context: bytes,
+    server_public: PublicKey,
+    permuted: Sequence[CipherVector],
+    stripped: Sequence[CipherVector],
+) -> tuple[bytes, list[int]]:
+    """Digest of a step's strip and the ``e_i`` hashed from it, one a
+    component in order: the coefficients of ``A`` and ``V``."""
+    digest = sha256(
+        _STRIP_DOMAIN,
+        sha256(context),
+        server_public.to_bytes(),
+        _hash_vectors(group, permuted),
+        _hash_vectors(group, stripped),
+    )
+    return digest, _coefficients(group, digest, len(permuted) * len(permuted[0]))
+
+
+def _strip_challenge(group: Group, digest: bytes, t1: int, t2: int) -> int:
+    """The strip proof's challenge: its statement (which binds ``y``), ``t1``
+    and ``t2``."""
+    return group.hash_to_scalar(
+        _STRIP_DOMAIN, digest, group.element_to_bytes(t1), group.element_to_bytes(t2)
+    )
+
+
+def _components(vectors: Sequence[CipherVector]) -> Iterable[Ciphertext]:
+    return (ct for vector in vectors for ct in vector)
 
 
 def _chain_and_ts(chain, t1, t2, t3, t4, t_hat) -> list[int]:
@@ -296,7 +341,8 @@ def shuffle_step(
         context: domain-separation bytes binding the run (group id, round,
             shuffle purpose) into the Fiat-Shamir challenges.
         rng: deterministic randomness for tests — the permutation, the
-            re-randomization and the proof's nonces; None uses the OS CSPRNG.
+            re-randomization and the proof of shuffle's nonces; None uses
+            the OS CSPRNG (which the strip proof's nonce always comes from).
         generators: ``h_0 … h_N`` for ``N = len(inputs)``, when the caller
             already derived them.
     """
@@ -328,23 +374,37 @@ def shuffle_step(
     )  # fmt: skip
 
     # Step 2: position-preserving verifiable decryption of our own layer.
-    # ``a**x`` is both the stripped ``b``'s divisor and the proof's ``v``.
-    stripped, proofs = [], []
-    for vector in permuted:
-        shares = [group.exp(ct.a, server_key.x) for ct in vector]
-        stripped.append(
-            tuple(
-                Ciphertext(ct.a, group.multiexp(((ct.b, 1), (v, -1))))
-                for ct, v in zip(vector, shares)
-            )
+    x = server_key.x
+    stripped = tuple(
+        tuple(
+            Ciphertext(ct.a, group.multiexp(((ct.b, 1), (group.exp(ct.a, x), -1))))
+            for ct in vector
         )
-        proofs.append(
-            tuple(
-                prove_dleq(group, server_key.x, ct.a, context + b"|strip", v=v)
-                for ct, v in zip(vector, shares)
-            )
-        )
-    return ShuffleStep(server_index, permuted, proof, tuple(stripped), tuple(proofs))
+        for vector in permuted
+    )
+    strip_proof = _prove_strip(server_key, permuted, stripped, context)
+    return ShuffleStep(server_index, permuted, proof, stripped, strip_proof)
+
+
+def _prove_strip(
+    server_key: PrivateKey,
+    permuted: Sequence[CipherVector],
+    stripped: Sequence[CipherVector],
+    context: bytes,
+) -> DleqProof:
+    """The one DLEQ proof of a step's strip: ``log_g y == log_A V`` with
+    ``A = Π a_i**e_i``.  ``V`` is never formed — the challenge hashes the
+    statement the ``e_i`` come from instead.  The nonce comes from the OS
+    CSPRNG, as :func:`repro.crypto.proofs.prove_dleq`'s does, so a caller's
+    seeded ``rng`` (a session checkpoints its state) draws the same values
+    whatever the strip."""
+    group = server_key.group
+    digest, e = _strip_statement(group, context, server_key.public, permuted, stripped)
+    a_combined = group.multiexp([*zip((ct.a for ct in _components(permuted)), e)])
+    k = group.random_scalar()
+    t1, t2 = group.exp_g(k), group.exp(a_combined, k)
+    c = _strip_challenge(group, digest, t1, t2)
+    return DleqProof(t1, t2, (k + c * server_key.x) % group.q)
 
 
 def _all_elements(group: Group, values: Iterable[int]) -> bool:
@@ -362,7 +422,7 @@ def _all_elements(group: Group, values: Iterable[int]) -> bool:
     return True
 
 
-def _verify_proof(
+def _shuffle_terms(
     group: Group,
     key: PublicKey,
     h: Sequence[int],
@@ -371,8 +431,8 @@ def _verify_proof(
     proof: ShuffleProof,
     proof_elements: Sequence[int],
     context: bytes,
-) -> bool:
-    """CheckShuffleProof, every equation folded into one multi-exponentiation.
+) -> list[tuple[int, int]]:
+    """CheckShuffleProof as ``(base, exponent)`` terms of one product.
 
     Each equation ``t == t'`` is raised to its own short random coefficient
     — kept by ``t``, negated on everything else — so the product is the
@@ -381,7 +441,7 @@ def _verify_proof(
     subgroup, small-order components could cancel a random combination.
     """
     q, g, h0 = group.q, group.g, h[0]
-    n, width = len(inputs), len(inputs[0])
+    n = len(inputs)
     digest, u = _statement(group, context, key, inputs, outputs, proof.commitments)
     c = _challenge(group, digest, proof_elements[n:])
     alpha1, alpha2, alpha3 = (_batch_coefficient(group) for _ in range(3))
@@ -411,7 +471,39 @@ def _verify_proof(
         pairs += [(t_hat, delta), (link, c * delta), (previous, -delta * s_prime)]
         previous = link
     pairs += [(g, g_exponent), (key.y, key_exponent)]
-    return group.multiexp(pairs) == group.identity()
+    return pairs
+
+
+def _strip_terms(
+    group: Group,
+    server_public: PublicKey,
+    permuted: Sequence[CipherVector],
+    stripped: Sequence[CipherVector],
+    proof: DleqProof,
+    context: bytes,
+) -> list[tuple[int, int]]:
+    """The strip proof's ``g**s == t1 * y**c`` and ``A**s == t2 * V**c`` as
+    terms of the same product, each under its own batch coefficient.
+
+    ``A`` and ``V`` are expanded over the components, so ``a_i``, ``b_i``
+    and ``b'_i`` enter with ``-beta*s*e_i``, ``beta*c*e_i`` and
+    ``-beta*c*e_i`` — the first two merge with the proof of shuffle's terms
+    on the same outputs.  Same screening precondition as
+    :func:`_shuffle_terms`.
+    """
+    digest, e = _strip_statement(group, context, server_public, permuted, stripped)
+    c = _strip_challenge(group, digest, proof.t1, proof.t2)
+    alpha, beta = _batch_coefficient(group), _batch_coefficient(group)
+    pairs = [
+        (proof.t1, alpha),
+        (server_public.y, alpha * c),
+        (group.g, -alpha * proof.s),
+        (proof.t2, beta),
+    ]
+    beta_s, beta_c = beta * proof.s, beta * c
+    for e_i, ct, out in zip(e, _components(permuted), _components(stripped)):
+        pairs += [(ct.a, -beta_s * e_i), (ct.b, beta_c * e_i), (out.b, -beta_c * e_i)]
+    return pairs
 
 
 def verify_step(
@@ -424,28 +516,36 @@ def verify_step(
 ) -> bool:
     """Verify one server's published cascade step.
 
-    Checks the proof of shuffle and every decryption proof: two
-    multi-exponentiations, one for each.  Culprit granularity is the step
-    itself (one server published it), so plain accept/reject suffices and
-    the verdict matches checking every equation and proof individually.
-    A malformed step — wrong lengths, a non-element, a scalar out of range
-    — is a rejection, never an exception.
+    Checks the proof of shuffle and the strip proof with one
+    multi-exponentiation.  Culprit granularity is the step itself (one
+    server published it), so plain accept/reject suffices and the verdict
+    matches checking every equation individually.  A malformed step —
+    wrong lengths, a non-element, a scalar out of range — is a rejection,
+    never an exception.
     """
     group = server_public.group
-    proof = step.proof
+    proof, strip_proof = step.proof, step.decryption_proof
     n, width = len(inputs), len(inputs[0]) if inputs else 0
     # Every published sequence has the length the statement fixes.
     expected = (
-        (n, (step.permuted, step.stripped, step.decryption_proofs, proof.commitments)),
+        (n, (step.permuted, step.stripped, proof.commitments)),
         (n, (proof.chain, proof.t_hat, proof.s_hat, proof.s_prime)),
         (width, (proof.t4, proof.s4, *inputs, *step.permuted, *step.stripped)),
-        (width, step.decryption_proofs),
         (2, proof.t4),
     )
     if not n or any(len(row) != size for size, rows in expected for row in rows):
         return False
-    scalars = (proof.s1, proof.s2, proof.s3, *proof.s4, *proof.s_hat, *proof.s_prime)
+    scalars = (
+        proof.s1, proof.s2, proof.s3, *proof.s4, *proof.s_hat, *proof.s_prime,
+        strip_proof.s,
+    )  # fmt: skip
     if not all(0 <= s < group.q for s in scalars):
+        return False
+    # Stripping keeps every ``a``.
+    if any(
+        out.a != ct.a
+        for ct, out in zip(_components(step.permuted), _components(step.stripped))
+    ):
         return False
     # Everything below hashes and does group algebra on published values;
     # a non-element anywhere must be a rejection, not an exception.
@@ -458,30 +558,22 @@ def verify_step(
     components = (
         value
         for rows in (inputs, step.permuted, step.stripped)
-        for row in rows
-        for ct in row
+        for ct in _components(rows)
         for value in (ct.a, ct.b)
     )
-    if not _all_elements(group, (*components, *proof_elements)):
+    if not _all_elements(
+        group, (*components, *proof_elements, strip_proof.t1, strip_proof.t2)
+    ):
         return False
     key = elgamal.combined_key(remaining_keys)
     h = generators or _generators(group, n + 1)
-    if not _verify_proof(
+    pairs = _shuffle_terms(
         group, key, h, inputs, step.permuted, proof, proof_elements, context
-    ):
-        return False
-
-    # Verifiable decryption: componentwise b/b' == a**x_j, a unchanged.
-    items = []
-    for vector, out_vector, proof_vector in zip(
-        step.permuted, step.stripped, step.decryption_proofs
-    ):
-        for ct, out, dleq in zip(vector, out_vector, proof_vector):
-            if out.a != ct.a:
-                return False
-            quotient = group.multiexp(((ct.b, 1), (out.b, -1)))
-            items.append((server_public.y, ct.a, quotient, dleq, context + b"|strip"))
-    return batch_verify_dleq(group, items)
+    )
+    pairs += _strip_terms(
+        group, server_public, step.permuted, step.stripped, strip_proof, context
+    )
+    return group.multiexp(pairs) == group.identity()
 
 
 def run_cascade(
@@ -521,23 +613,38 @@ def verify_transcript(
 ) -> bool:
     """Verify a full cascade transcript against the server public keys.
     ``generators``: ``h_0 … h_N``, when the caller already derived them."""
+    return failing_step(server_publics, transcript, context, generators) is None
+
+
+def failing_step(
+    server_publics: Sequence[PublicKey],
+    transcript: ShuffleTranscript,
+    context: bytes = b"",
+    generators: Sequence[int] | None = None,
+) -> int | None:
+    """The cascade position of the first step that does not verify, or
+    ``None`` when every step does: the server to blame.
+
+    Steps are checked in order and checking stops at the first failure.
+    A step missing from a short transcript fails at its server's position,
+    a step past the last server at ``len(server_publics)``, and a
+    transcript with no servers or no inputs at 0.
+    """
     if not server_publics or not transcript.inputs:
-        return False
-    if len(transcript.steps) != len(server_publics):
-        return False
+        return 0
     group = server_publics[0].group
     generators = generators or _generators(group, len(transcript.inputs) + 1)
     current: Sequence[CipherVector] = transcript.inputs
     with group.pin(cascade_bases(server_publics, generators[0])):
         for j, (public, step) in enumerate(zip(server_publics, transcript.steps)):
-            if step.server_index != j:
-                return False
-            if not verify_step(
+            if step.server_index != j or not verify_step(
                 public, server_publics[j:], current, step, context, generators
             ):
-                return False
+                return j
             current = step.stripped
-    return True
+    if len(transcript.steps) != len(server_publics):
+        return min(len(transcript.steps), len(server_publics))
+    return None
 
 
 def cascade_bases(
@@ -548,7 +655,7 @@ def cascade_bases(
     ``h_0`` (every link of every step's commitment chain; derived here
     unless the caller has it), each step's combined key (every input's
     encryption and re-randomization) and each server's own key (its strip
-    proofs).  :func:`run_cascade`, :func:`verify_transcript` and the
+    proof's check).  :func:`run_cascade`, :func:`verify_transcript` and the
     coordinator pin them for one shuffle and release them when it ends.
     """
     group = server_publics[0].group

@@ -761,67 +761,80 @@ class TestWorkBudget:
             assert work.counts["inv"] == before["inv"]
 
     def test_shuffle_step_and_its_verification(self, monkeypatch):
-        """Measured: 9,277 point operations + 38 field exponentiations + 50
-        inversions to mix, 5,225 + 11 + 0 to verify (under the cut-and-choose
-        argument with 16 bridges 17,198 + 283 + 32 and 10,473 + 13 + 0).
+        """Measured at 8 inputs: 7,109 point operations + 39 field
+        exponentiations + 28 inversions to mix, 4,086 + 3 + 0 to verify; at
+        32, 24,379 + 135 + 100 and 14,422 + 3 + 0.  With one strip proof a
+        component the same steps cost 9,277 + 38 + 50 and 5,225 + 11 + 0 at
+        8 inputs and 34,436 + 134 + 194 and 18,605 + 35 + 0 at 32 (the
+        cut-and-choose argument with 16 bridges, at 8: 17,198 + 283 + 32 and
+        10,473 + 13 + 0).
 
         Every input is re-randomized once: two fixed-base walks and two
         square-root encodes.  Each link of the proof's commitment chain and
         its ``t_hat`` are walks on the generator's and ``h_0``'s tables —
         the prover knows both exponents — encoded with an inversion, which
         is where the extra inversions come from.  What is left of the
-        doublings is the strip proofs' transient ``a**x`` (once a
-        component: it is both the stripped divisor and the proof's ``v``)
-        and ``a**k``, and the verifier's one multi-exponentiation.  The
-        generators are derived once, outside the step, as
+        doublings is the strip's transient ``a**x`` (once a component), the
+        strip proof's one product ``A`` over every ``a`` with 128-bit
+        coefficients and its one ``A**k``, and the verifier's one
+        multi-exponentiation, where the strip adds one base a component
+        (``b'``) and no quotient: its 3 field exponentiations are the key's.
+        The generators are derived once, outside the step, as
         :func:`repro.crypto.shuffle.run_cascade` does.
         """
         group = ec.RistrettoGroup()
-        rng = random.Random(13)
-        servers = [PrivateKey.generate(group, rng) for _ in range(3)]
-        publics = [key.public for key in servers]
-        inputs = [
-            shuffle.prepare_element_input(publics, group.random_element(rng), rng)
-            for _ in range(8)
-        ]
-        generators = shuffle._generators(group, len(inputs) + 1)
-        pin = group.pin(shuffle.cascade_bases(publics))  # h_0 and key tables
-        steps = []
-
-        def mix():
-            # Strip-proof nonces and batch coefficients come from the OS;
-            # seeded here so the counts repeat exactly.
-            monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
-            rng = random.Random(5)
-            steps.append(
-                shuffle.shuffle_step(
-                    servers[0], publics, inputs, 0, b"work", rng, generators
-                )
-            )
-            return True
-
-        def check():
-            monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
-            return shuffle.verify_step(
-                publics[0], publics, inputs, steps[0], b"work", generators
-            )
-
-        assert mix() and check()  # builds the generator's table
         work = _Work(monkeypatch)
+        #: inputs: the most (operations, exponentiations, inversions) to
+        #: mix, and to verify.
+        budgets = {
+            8: ((7_200, 40, 30), (4_200, 3, 0)),
+            32: ((24_500, 136, 100), (14_500, 3, 0)),
+        }
+        for count, (mixing, checking) in budgets.items():
+            rng = random.Random(13)
+            servers = [PrivateKey.generate(group, rng) for _ in range(3)]
+            publics = [key.public for key in servers]
+            inputs = [
+                shuffle.prepare_element_input(publics, group.random_element(rng), rng)
+                for _ in range(count)
+            ]
+            generators = shuffle._generators(group, len(inputs) + 1)
+            pin = group.pin(shuffle.cascade_bases(publics))  # h_0 and key tables
+            steps = []
 
-        spent = operations, exponentiations, inversions = work.measure(mix)
-        assert 0 < operations <= 9_500
-        assert 0 < exponentiations <= 40
-        assert 0 < inversions <= 50
-        assert work.measure(mix) == spent
-        assert steps[1] == steps[2] == steps[0]
+            def mix():
+                # The strip proof's nonce and batch coefficients come from
+                # the OS; seeded here so the counts repeat exactly.
+                monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
+                rng = random.Random(5)
+                steps.append(
+                    shuffle.shuffle_step(
+                        servers[0], publics, inputs, 0, b"work", rng, generators
+                    )
+                )
+                return True
 
-        spent = operations, exponentiations, inversions = work.measure(check)
-        assert 0 < operations <= 5_500
-        assert exponentiations <= 11  # a quotient's encode each, 3 for the key
-        assert inversions == 0
-        assert work.measure(check) == spent
-        pin.release()
+            def check():
+                monkeypatch.setattr(secrets, "randbelow", random.Random(7).randrange)
+                return shuffle.verify_step(
+                    publics[0], publics, inputs, steps[0], b"work", generators
+                )
+
+            assert mix() and check()  # builds the generator's table
+            spent = operations, exponentiations, inversions = work.measure(mix)
+            assert 0 < operations <= mixing[0]
+            assert 0 < exponentiations <= mixing[1]
+            assert 0 < inversions <= mixing[2]
+            assert work.measure(mix) == spent
+            assert steps[1] == steps[2] == steps[0]
+
+            spent = operations, exponentiations, inversions = work.measure(check)
+            assert 0 < operations <= checking[0]
+            # The key's encodes only: the strip has no quotient to encode.
+            assert exponentiations <= checking[1]
+            assert inversions == checking[2]
+            assert work.measure(check) == spent
+            pin.release()
 
     @staticmethod
     def _batch_saves(monkeypatch, one_at_a_time, batched, tabled, factor, budget):

@@ -13,6 +13,7 @@ from repro.crypto import elgamal, shuffle
 from repro.crypto.elgamal import Ciphertext
 from repro.crypto.groups import group_by_name
 from repro.crypto.keys import PrivateKey, PublicKey
+from repro.crypto.proofs import DleqProof
 from repro.errors import ShuffleError
 
 #: The fast modp representative and the ristretto255 backend.
@@ -209,13 +210,15 @@ class TestMessageShuffle:
 # -- every published byte is pinned ------------------------------------------
 
 #: SHA-256 over everything a seeded cascade publishes, generated when the
-#: Terelius–Wikström proof replaced the cut-and-choose argument: an
-#: optimisation may change how an element is computed, never which element.
+#: Terelius–Wikström proof replaced the cut-and-choose argument and again
+#: when one batched proof replaced the per-component strip proofs (every
+#: other byte unchanged): an optimisation may change how an element is
+#: computed, never which element.
 PINNED_TRANSCRIPTS = {
-    ("ec25519", 1, 8): "4e01826563579fc0b0c19045f72658e6482445baace48c79146c9c28c1615f49",
-    ("ec25519", 3, 4): "b9867e41cd90ac13d11726735547d542520d46f88afc137b406dafdc3db2a444",
-    ("test-256", 1, 8): "66553cc01879a452d2fb3c19fb135a6f6909105dfe3a64082bd1cf7a98559e28",
-    ("test-256", 3, 4): "b3d9c507643989aa0f18d5d635c5b457f4aecd28caf0bd865cfb3752b2684e16",
+    ("ec25519", 1, 8): "6845c213ab403926036eee6f18e644b5ca367be0109d2a98f98a2adb3eaf958d",
+    ("ec25519", 3, 4): "0d407aabb124c1ea5405560a498a9668f0197246bd2757f1bd5f6cfcd43723f4",
+    ("test-256", 1, 8): "451cdf3104157d6cc8f1b8ec78cf8d9a3c9fbb504049f19aac87d154ef137002",
+    ("test-256", 3, 4): "2f1fd6cf27e75d6f81f05b39783e099b6bbd396d5973e60f851b99fe0ce4930d",
 }
 
 
@@ -238,11 +241,10 @@ def _transcript_digest(group, transcript) -> str:
             for number in _flatten(value):
                 h.update(number.to_bytes(width, "big"))
         vectors(step.stripped)
-        for row in step.decryption_proofs:
-            for proof in row:
-                h.update(group.element_to_bytes(proof.t1))
-                h.update(group.element_to_bytes(proof.t2))
-                h.update(proof.s.to_bytes(group.scalar_bytes, "big"))
+        strip = step.decryption_proof
+        h.update(group.element_to_bytes(strip.t1))
+        h.update(group.element_to_bytes(strip.t2))
+        h.update(strip.s.to_bytes(group.scalar_bytes, "big"))
     return h.hexdigest()
 
 
@@ -275,7 +277,7 @@ class TestPinnedTranscripts:
                 )
                 for i in range(count)
             ]
-        # The strip proofs draw their nonces from the OS; seed that too.
+        # The strip proof draws its nonce from the OS; seed that too.
         with monkeypatch.context() as patch:
             patch.setattr(secrets, "randbelow", random.Random(1210).randrange)
             transcript = shuffle.run_cascade(servers, inputs, b"pinned", rng)
@@ -293,17 +295,21 @@ class TestPinnedTranscripts:
 PROOF_RUNS = [(name, width) for name in BACKENDS for width in (1, 3)]
 
 PROOF_FIELDS = [field.name for field in dataclasses.fields(shuffle.ShuffleProof)]
+STRIP_FIELDS = [field.name for field in dataclasses.fields(DleqProof)]
 
 #: Every published sequence whose length the statement fixes.
 LENGTH_FIELDS = [
     "commitments", "chain", "t4", "t_hat", "s4", "s_hat", "s_prime",
-    "permuted", "stripped", "decryption_proofs",
+    "permuted", "stripped",
 ]  # fmt: skip
 
 
 @pytest.fixture(scope="module", params=PROOF_RUNS, ids=lambda run: "%s-w%d" % run)
 def proof_run(request):
-    name, width = request.param
+    return _proof_run(*request.param)
+
+
+def _proof_run(name, width):
     group = group_by_name(name)
     rng = random.Random(28)
     servers = [PrivateKey.generate(group, rng) for _ in range(2)]
@@ -375,6 +381,18 @@ class TestProofOfShuffle:
     def test_replayed_under_another_context(self, proof_run, context):
         assert not _verifies(proof_run, proof_run[3].steps[0], context=context)
 
+    @pytest.mark.parametrize("field", STRIP_FIELDS)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_each_strip_proof_field_is_bound(self, proof_run, field, data):
+        group, _, _, transcript = proof_run
+        index = data.draw(st.integers(0, 1), label="step")
+        step = transcript.steps[index]
+        tweaked = _tweak(group, field, getattr(step.decryption_proof, field), data)
+        proof = dataclasses.replace(step.decryption_proof, **{field: tweaked})
+        tampered = dataclasses.replace(step, decryption_proof=proof)
+        assert not _verifies(proof_run, tampered, index)
+
     def test_moved_onto_another_steps_outputs(self, proof_run):
         first, second = proof_run[3].steps
         moved_down = dataclasses.replace(second, proof=first.proof)
@@ -430,6 +448,98 @@ class TestProofOfShuffle:
             publics[0], publics[:1], transcript.inputs, step, b"tamper"
         )
         assert not _verifies(proof_run, step)
+
+
+# -- one batched proof covers every component of a strip --------------------
+
+
+def _restripped(proof_run, index, change, context=b"tamper"):
+    """Step ``index`` with ``change`` applied to its flat list of stripped
+    ``b`` components, its strip proof re-proven with the server's key over
+    the changed statement: a rejection then comes from the batch, not from
+    a stale proof."""
+    group, servers, _, transcript = proof_run
+    step = transcript.steps[index]
+    flat = [ct.b for vector in step.stripped for ct in vector]
+    change(group, flat)
+    remaining = iter(flat)
+    stripped = tuple(
+        tuple(dataclasses.replace(ct, b=next(remaining)) for ct in vector)
+        for vector in step.stripped
+    )
+    proof = shuffle._prove_strip(servers[index], step.permuted, stripped, context)
+    return dataclasses.replace(step, stripped=stripped, decryption_proof=proof)
+
+
+def _times_g(group, flat):
+    flat[0] = group.mul(flat[0], group.g)
+
+
+def _cancelling(group, flat):
+    # Unweighted, prod(b / b') would not move.
+    flat[0] = group.mul(flat[0], group.g)
+    flat[-1] = group.mul(flat[-1], group.inv(group.g))
+
+
+def _swapped(group, flat):
+    flat[0], flat[-1] = flat[-1], flat[0]
+
+
+class TestBatchedStrip:
+    """A strip that is wrong in any component, or in two that cancel in an
+    unweighted product, fails the one strip proof however it is re-proven."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_a_fresh_proof_of_an_honest_strip_verifies(self, proof_run, index):
+        honest = _restripped(proof_run, index, lambda *_: None)
+        assert _verifies(proof_run, honest, index)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize(
+        "change", [_times_g, _cancelling, _swapped], ids=lambda f: f.__name__
+    )
+    def test_a_wrong_strip_is_rejected(self, proof_run, change, index):
+        assert not _verifies(proof_run, _restripped(proof_run, index, change), index)
+
+    def test_a_stripped_a_that_changed(self, proof_run):
+        # The strip keeps every ``a``; the next mix shuffles what it is given.
+        group, servers, _, transcript = proof_run
+        step = transcript.steps[0]
+        first = step.stripped[0][0]
+        moved = dataclasses.replace(first, a=group.mul(first.a, group.g))
+        stripped = ((moved, *step.stripped[0][1:]), *step.stripped[1:])
+        proof = shuffle._prove_strip(servers[0], step.permuted, stripped, b"tamper")
+        tampered = dataclasses.replace(step, stripped=stripped, decryption_proof=proof)
+        assert not _verifies(proof_run, tampered)
+
+    def test_a_proof_moved_onto_another_step(self, proof_run):
+        first, second = proof_run[3].steps
+        moved_down = dataclasses.replace(
+            second, decryption_proof=first.decryption_proof
+        )
+        moved_up = dataclasses.replace(first, decryption_proof=second.decryption_proof)
+        assert not _verifies(proof_run, moved_down, 1)
+        assert not _verifies(proof_run, moved_up, 0)
+
+    def test_a_proof_made_under_another_context(self, proof_run):
+        step = _restripped(proof_run, 0, lambda *_: None, context=b"other")
+        assert not _verifies(proof_run, step)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("positions", [(0,), (0, -1)])
+    def test_a_component_outside_the_subgroup(self, width, positions):
+        # On modp, times p - 1 (order 2) leaves the order-q subgroup, where
+        # a small-exponent batch is unsound: two such factors cancel in any
+        # combination whose coefficients sum to an even number.  The
+        # membership screen rejects them before anything is folded.
+        # (ristretto255 encodes no element outside its group.)
+        run = _proof_run("test-256", width)
+
+        def negated(group, flat):
+            for i in positions:
+                flat[i] = flat[i] * (group.p - 1) % group.p
+
+        assert not _verifies(run, _restripped(run, 0, negated))
 
 
 # -- the accusation shuffle decodes what it can ------------------------------
@@ -629,11 +739,22 @@ class TestVerifyStepIsTotal:
 
     @pytest.mark.parametrize("field", PROOF_FIELDS)
     def test_malformed_proof_fields_are_rejected_not_raised(self, honest_run, field):
+        self._assert_malformed_field_rejected(honest_run, "proof", field)
+
+    @pytest.mark.parametrize("field", STRIP_FIELDS)
+    def test_malformed_strip_proof_fields_are_rejected_not_raised(
+        self, honest_run, field
+    ):
+        self._assert_malformed_field_rejected(honest_run, "decryption_proof", field)
+
+    @staticmethod
+    def _assert_malformed_field_rejected(honest_run, owner, field):
         # Elements get non-elements; a scalar gets a value outside [0, q) of
         # the same residue, which only the range check tells apart.
         group, publics, transcript = honest_run
         step = transcript.steps[0]
-        value = getattr(step.proof, field)
+        proof = getattr(step, owner)
+        value = getattr(proof, field)
         if field.startswith("s"):
             last, q = value[-1] if isinstance(value, tuple) else value, group.q
             malformed = {
@@ -650,8 +771,8 @@ class TestVerifyStepIsTotal:
                 changed = (*value[:-1], bad)
             else:
                 changed = bad
-            proof = dataclasses.replace(step.proof, **{field: changed})
-            bad_step = dataclasses.replace(step, proof=proof)
+            bad_proof = dataclasses.replace(proof, **{field: changed})
+            bad_step = dataclasses.replace(step, **{owner: bad_proof})
             _assert_rejected(publics, transcript, transcript.inputs, bad_step, label)
 
     @pytest.mark.parametrize("where", ["permuted", "stripped"])
@@ -693,3 +814,46 @@ class TestVerifyStepIsTotal:
         session = DissentSession.build(name, num_servers=2, num_clients=3, seed=15)
         with pytest.raises(ShuffleError):
             session.setup()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_key_shuffle_names_the_failing_mix(self, monkeypatch, name):
+        # Server 1 publishes server 0's strip proof: set-up fails naming
+        # server 1, not just "the transcript".
+        from repro.core import DissentSession
+
+        honest_cascade = shuffle.run_cascade
+
+        def dishonest_cascade(*args, **kwargs):
+            transcript = honest_cascade(*args, **kwargs)
+            first, second, *rest = transcript.steps
+            bad = dataclasses.replace(second, decryption_proof=first.decryption_proof)
+            return dataclasses.replace(transcript, steps=(first, bad, *rest))
+
+        monkeypatch.setattr(shuffle, "run_cascade", dishonest_cascade)
+        session = DissentSession.build(name, num_servers=3, num_clients=3, seed=15)
+        with pytest.raises(ShuffleError, match="at server 1's step"):
+            session.setup()
+
+
+class TestFailingStep:
+    """:func:`shuffle.failing_step` is the first position that fails."""
+
+    def test_an_honest_transcript_has_none(self, honest_run):
+        _, publics, transcript = honest_run
+        assert shuffle.failing_step(publics, transcript, b"total") is None
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_the_first_bad_step_is_named(self, honest_run, index):
+        _, publics, transcript = honest_run
+        steps = list(transcript.steps)
+        steps[index] = dataclasses.replace(
+            steps[index], decryption_proof=steps[1 - index].decryption_proof
+        )
+        bad = dataclasses.replace(transcript, steps=tuple(steps))
+        assert shuffle.failing_step(publics, bad, b"total") == index
+        assert shuffle.failing_step(publics, transcript, b"other") == 0
+
+    def test_a_missing_step_is_named(self, honest_run):
+        _, publics, transcript = honest_run
+        short = dataclasses.replace(transcript, steps=transcript.steps[:1])
+        assert shuffle.failing_step(publics, short, b"total") == 1
