@@ -3,7 +3,7 @@
 
 Part 1 — fully verifiable mode: every ciphertext carries a disjunctive
 proof of well-formedness; a disruptor's garbage fails verification and
-names its sender in the same round, with no accusation machinery.
+expels its sender in the same round, with no accusation machinery.
 
 Part 2 — hybrid mode: rounds run on the cheap XOR fast path; a corrupted
 round is detected publicly (the padding check fails for everyone), then
@@ -13,25 +13,33 @@ shuffle entirely.
 """
 
 import argparse
-from functools import partial
 
 
 def verifiable_demo(num_servers: int, num_clients: int) -> None:
-    from repro.verdict.session import DisruptingVerdictClient, VerdictSession
+    from repro.core import DissentSession, Policy
+    from repro.core.adversary import DisruptingVerdictClient
+    from repro.core.client import DissentClient
 
     print("--- fully verifiable mode: disruptor named in-round ---")
     disruptor_index = num_clients - 1
-    session = VerdictSession.build(
+
+    def client_factory(definition, index, key, rng):
+        cls = DisruptingVerdictClient if index == disruptor_index else DissentClient
+        return cls(definition, index, key, rng)
+
+    session = DissentSession.build(
         num_servers=num_servers,
         num_clients=num_clients,
         seed=42,
-        slot_payload=48,
-        client_factories={disruptor_index: partial(DisruptingVerdictClient)},
+        policy=Policy(dcnet_mode="verifiable", initial_slot_payload=48),
+        client_factory=client_factory,
+        telemetry=True,  # the verdict.* counters
     )
+    session.setup()  # the key shuffle gives every client its slot
     session.post(1, b"a message worth jamming")
     record = session.run_round()
     print(f"round {record.round_number}: rejected clients "
-          f"{list(record.rejected_clients)} (proof verification failed)")
+          f"{sorted(session.expelled)} (proof verification failed)")
     outcome = session.run_until_quiet()
     assert outcome.drained
     for round_number, slot, message in session.delivered_messages(0):

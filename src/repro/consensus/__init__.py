@@ -31,9 +31,12 @@ A deliberate simplification keeps view changes safe without a PBFT-style
 new-view certificate: votes are only ever cast for a digest that matches
 the voter's *own* locally assembled output, so no leader — however it
 came to power — can steer the certified value.  Leadership only affects
-liveness, never the output, which is why adopting a higher view on a
-single validly-signed ``VIEW_CHANGE`` message (or one's own timer) is
-sound here.
+liveness, never the output, so adopting a higher view on a single
+validly-signed ``VIEW_CHANGE`` message (or one's own timer) is safe.  It
+is not live: a server that signs a proposal for a far view it leads in
+rotation pulls every engine there, and the round raises
+``ViewChangeTimeout`` with nobody convicted.  Bounding the jump (a
+quorum of view-change announcements, at most 2M + 1 views) is open work.
 """
 
 from repro.consensus.certificate import (
@@ -44,11 +47,10 @@ from repro.consensus.certificate import (
     proposal_view_digest,
     quorum_size,
 )
-from repro.consensus.rotation import LeaderSchedule, leader_index, rotation_base
+from repro.consensus.rotation import leader_index, rotation_base
 
 __all__ = [
     "EquivocationProof",
-    "LeaderSchedule",
     "RoundCertificate",
     "adopt_round_evidence",
     "leader_index",

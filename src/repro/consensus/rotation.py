@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Collection
-from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
 from repro.util.serialization import pack_fields
@@ -58,39 +57,3 @@ def leader_index(
         raise ProtocolError("leader rotation has no eligible servers left")
     base = rotation_base(group_id, epoch)
     return eligible[(base + round_number + view) % len(eligible)]
-
-
-@dataclass(frozen=True)
-class LeaderSchedule:
-    """A bound rotation: group id + roster size + conviction state.
-
-    Convenience wrapper for engines that track convictions incrementally;
-    :meth:`excluding` returns a new schedule with the epoch bumped the
-    way the protocol does at a conviction barrier (epoch = number of
-    convicted servers).
-    """
-
-    group_id: bytes
-    num_servers: int
-    excluded: frozenset[int] = field(default_factory=frozenset)
-
-    @property
-    def epoch(self) -> int:
-        return len(self.excluded)
-
-    def leader(self, round_number: int, view: int = 0) -> int:
-        return leader_index(
-            self.group_id,
-            self.epoch,
-            round_number,
-            view,
-            self.num_servers,
-            self.excluded,
-        )
-
-    def excluding(self, *indices: int) -> "LeaderSchedule":
-        return LeaderSchedule(
-            group_id=self.group_id,
-            num_servers=self.num_servers,
-            excluded=self.excluded | frozenset(indices),
-        )

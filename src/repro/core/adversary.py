@@ -8,6 +8,8 @@ sessions and asserts that tracing convicts exactly the guilty party:
   (the classic anonymous jamming attack DC-nets are vulnerable to).
 * :class:`RequestJammerClient` — sets a victim's request bit to cancel
   slot-open requests (§3.8's attack).
+* :class:`DisruptingVerdictClient` — multiplies garbage into its
+  verifiable-mode contribution (rejected and expelled in-round).
 * :class:`DisruptingServer` — flips bits of its server ciphertext after
   committing (caught by trace case (b)).
 * :class:`EquivocatingServer` — lies about a client's pair-stream bit
@@ -108,6 +110,37 @@ class RequestJammerClient(DissentClient):
             self.group_id,
             round_number,
             body,
+        )
+
+
+class DisruptingVerdictClient(DissentClient):
+    """A verifiable-mode disruptor: garbles its contribution to a slot.
+
+    In the XOR pipeline this attack corrupts the victim's slot and costs a
+    full accusation shuffle to trace.  Here the forged contribution cannot
+    carry a valid disjunctive proof (the disruptor knows neither the
+    identity-encryption randomness consistent with its garbage nor the slot
+    key), so servers reject it and expel the sender before combining.
+
+    Attributes:
+        target_slot: slot index to disrupt; None disrupts every slot.
+    """
+
+    def __init__(self, *args, target_slot: int | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.target_slot = target_slot
+
+    def verifiable_submission(self, round_number, slot_index, *args):
+        honest = super().verifiable_submission(round_number, slot_index, *args)
+        if self.target_slot is not None and slot_index != self.target_slot:
+            return honest
+        # Multiply garbage into the first chunk; keep the honest proof, which
+        # no longer matches — the best a proof-less disruptor can do.
+        first = honest.ciphertexts[0]
+        noise = self.group.random_element(self.rng)
+        garbled = dataclasses.replace(first, b=self.group.mul(first.b, noise))
+        return dataclasses.replace(
+            honest, ciphertexts=(garbled, *honest.ciphertexts[1:])
         )
 
 

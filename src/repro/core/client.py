@@ -188,8 +188,9 @@ class DissentClient:
     def snapshot_state(self) -> dict:
         """Capture the mutable round state (pipeline checkpointing).
 
-        The pipelined engine rolls a client back to a pre-build checkpoint
-        when a drain invalidates speculative rounds.  Containers are
+        The windowed :class:`~repro.core.session.DissentSession` rolls a
+        client back to a pre-build checkpoint when a drain invalidates
+        speculative rounds.  Containers are
         copied shallowly — their elements (bytes, tuples,
         :class:`_SentRecord` instances) are never mutated in place, only
         replaced — and the RNG state is captured so a replayed build draws
@@ -289,19 +290,29 @@ class DissentClient:
         """Queue an anonymous message for transmission in our slot."""
         if not message:
             raise ProtocolError("cannot queue an empty message")
-        # A message travels in one slot, so the slot must be requestable:
-        # admitting more would wedge the outbox (every later round fails
-        # to encode the capacity wish and the message never leaves).
-        limit = (
-            min(self.policy.max_slot_payload, _MAX_REQUESTABLE_CAPACITY)
-            - _FRAME_LEN_BYTES
-        )
+        if self.policy.dcnet_mode == "verifiable":
+            from repro.verdict.session import slot_width
+
+            # A verifiable round carries one message, unframed.
+            limit = slot_width(self.definition) * self.group.message_bytes
+            why = "a verifiable slot's chunks"
+        else:
+            # A message travels in one slot, so the slot must be
+            # requestable: admitting more would wedge the outbox (every
+            # later round fails to encode the capacity wish and the
+            # message never leaves).
+            limit = (
+                min(self.policy.max_slot_payload, _MAX_REQUESTABLE_CAPACITY)
+                - _FRAME_LEN_BYTES
+            )
+            why = (
+                f"slot payload cap {self.policy.max_slot_payload}, "
+                f"{LENGTH_FIELD_BYTES}-byte slot length field"
+            )
         if len(message) > limit:
             raise ProtocolError(
                 f"message of {len(message)} bytes exceeds the largest "
-                f"encodable message ({limit} bytes: slot payload cap "
-                f"{self.policy.max_slot_payload}, {LENGTH_FIELD_BYTES}-byte "
-                f"slot length field)"
+                f"encodable message ({limit} bytes: {why})"
             )
         self.outbox.append(message)
 
@@ -608,6 +619,40 @@ class DissentClient:
         self.pending_accusation = None
         self._accusation_submitted = False
 
+    def verifiable_submission(
+        self,
+        round_number: int,
+        slot_index: int,
+        slot_key_element: int,
+        width: int,
+        session_id: bytes,
+        combined_key: PublicKey,
+    ):
+        """Our proven contribution to a verifiable round serving
+        ``slot_index`` (:mod:`repro.verdict.session`): the outbox head in
+        our own slot, which :meth:`queue_message` keeps within ``width``
+        chunks, and cover in every other."""
+        payload = None
+        if slot_index == self.slot and self.outbox:
+            payload = self.outbox[0]
+        return self._proven_contribution(
+            round_number,
+            slot_index,
+            slot_key_element,
+            width,
+            session_id,
+            combined_key,
+            payload,
+        )
+
+    def verifiable_delivery(self, slot_index: int, output: RoundOutput) -> None:
+        """A verifiable round's signed output opened ``slot_index``: if that
+        is our slot and it carries our outbox head, it was delivered."""
+        self.verify_output(output)
+        own = slot_index == self.slot and self.outbox
+        if own and output.cleartext == self.outbox[0]:
+            self.outbox.popleft()
+
     def replay_submission(
         self,
         round_number: int,
@@ -627,17 +672,39 @@ class DissentClient:
         corrupted slot chunk by chunk and stops at the first witness, so
         most replays never cover the whole slot.
         """
-        from repro.verdict.ciphertext import make_client_ciphertext
-
         payload = None
-        slot_private = None
         record = self.sent_history.get(round_number)
         if slot_index == self.slot and record is not None:
             size = self.group.message_bytes
             payload = record.slot_bytes[
                 chunk_start * size : (chunk_start + width) * size
             ]
-            slot_private = self.pseudonym
+        return self._proven_contribution(
+            round_number,
+            slot_index,
+            slot_key_element,
+            width,
+            session_id,
+            combined_key,
+            payload,
+            chunk_start,
+        )
+
+    def _proven_contribution(
+        self,
+        round_number: int,
+        slot_index: int,
+        slot_key_element: int,
+        width: int,
+        session_id: bytes,
+        combined_key: PublicKey,
+        payload: bytes | None,
+        chunk_start: int = 0,
+    ):
+        """ElGamal chunks of ``payload``, proven under our pseudonym, or of
+        cover (``payload`` None), proven as encrypting the identity."""
+        from repro.verdict.ciphertext import make_client_ciphertext
+
         return make_client_ciphertext(
             self.group,
             combined_key,
@@ -648,7 +715,7 @@ class DissentClient:
             slot_index,
             width,
             payload=payload,
-            slot_private=slot_private,
+            slot_private=None if payload is None else self.pseudonym,
             rng=self.rng,
             chunk_start=chunk_start,
         )

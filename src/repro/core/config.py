@@ -30,9 +30,8 @@ from repro.crypto.keys import PublicKey
 from repro.errors import ConfigError, CryptoError
 from repro.util.serialization import canonical_json
 
-#: Backend/group registry — one shared table in :mod:`repro.crypto.groups`;
-#: this alias keeps the historic import path working for consumers that
-#: resolve groups lazily (``verdict.session``, ``core.session``).
+#: Backend/group registry — one shared table in :mod:`repro.crypto.groups`,
+#: under the name this module's definition checks read.
 _GROUP_NAMES = GROUP_FACTORIES
 
 #: Values ``Policy.group_backend`` accepts: any registered backend name,
@@ -264,8 +263,8 @@ class GroupDefinition:
         """Which server a client submits its ciphertexts to.
 
         The single source of truth for the client → upstream-server
-        topology: the real session driver, the pipelined engine, the
-        network nodes and the timing simulator all route
+        topology: ``DissentSession`` at any round window, the network
+        nodes and the timing simulator all route
         through here (or :func:`upstream_server` where no definition
         exists), so an alternative assignment changes every layer at once
         instead of skewing them silently.

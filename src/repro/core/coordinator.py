@@ -18,8 +18,9 @@ knows no event loop.
 
 **The round sequence.**  A round is one sans-IO machine in the engine's
 idiom: each event (round issued, the M inventory statuses, the M reports,
-a barrier expired, an error, and in process whether the rounds built past
-it speculated right) returns the effects a driver carries out.  It owns
+a barrier expired, an error, in process whether the rounds built past
+it speculated right, and in verifiable mode the slot a proven round
+opened) returns the effects a driver carries out.  It owns
 the round counter and the window of rounds in flight, and every failure
 abandons the round at every member, discards the younger rounds and files
 it FAILED.  :meth:`~Coordinator.run_schedule` is the one round loop; a
@@ -27,10 +28,10 @@ driver only routes a round to its record (``_route_round``).
 
 The coordinator also keeps the session's one delivery log.  A round's
 output is a broadcast that every client applies, so the messages a
-client has been delivered are a function of the certified records: each
-filed completed record steps the coordinator's own slot schedule, and the
-messages it decodes are appended to :attr:`Coordinator.delivered`.  No
-client keeps a copy.
+client has been delivered are a function of the filed records: each
+filed completed record steps the coordinator's own slot schedule (in
+verifiable mode it opens slot r mod N), and the messages it decodes are
+appended to :attr:`Coordinator.delivered`.  No client keeps a copy.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.core.keyshuffle import (
     shuffle_run_id,
     verify_session_keys,
 )
-from repro.core.rounds import QuietOutcome, RoundRecord, RoundStatus
+from repro.core.rounds import QuietOutcome, RoundOutput, RoundRecord, RoundStatus
 from repro.core.schedule import RoundLayout, Scheduler
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.shuffle import cascade_bases, message_vector_width
@@ -76,6 +77,8 @@ from repro.obs import NULL_REGISTRY, NULL_TRACER
 
 #: The reason a round abandoned at the §3.7 participation floor is filed with.
 BELOW_FLOOR = "participation below floor"
+#: The reason a verifiable round a blamed decryption share kept shut is filed with.
+BLAMED_SHARE = "decryption share blamed"
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +341,19 @@ class Coordinator:
     def _file(self, record: RoundRecord) -> RoundRecord:
         self.records.append(record)
         if record.completed:
-            r = record.round_number
-            for content in self.delivery_schedule.advance(record.output.cleartext):
-                if content.payload is not None:
-                    self.delivered.extend(
-                        (r, content.slot_index, message)
-                        for message in unframe_messages(content.payload)
-                    )
+            r, cleartext = record.round_number, record.output.cleartext
+            if self.definition.policy.dcnet_mode == "verifiable":
+                # A verifiable round opens slot r mod N to the message sent.
+                if cleartext:
+                    slot = r % self.definition.num_clients
+                    self.delivered.append((r, slot, cleartext))
+            else:
+                for content in self.delivery_schedule.advance(cleartext):
+                    if content.payload is not None:
+                        self.delivered.extend(
+                            (r, content.slot_index, message)
+                            for message in unframe_messages(content.payload)
+                        )
         outcome = "completed" if record.completed else "failed"
         self.registry.counter(f"session.rounds_{outcome}").inc()
         return record
@@ -388,6 +397,18 @@ class Coordinator:
         record = self.certified_round(r, dones)
         del self.inflight[r]
         return [ApplyRecord(record)]
+
+    def round_opened(
+        self, r: int, participation: int, output: RoundOutput | None
+    ) -> list[Effect]:
+        """Verifiable round ``r`` opened its slot with ``participation``
+        proven submissions: file its signed ``output``, or the round FAILED
+        when a blamed share kept the slot shut (``output`` None)."""
+        if output is None:
+            return self._give_up(r, participation, BLAMED_SHARE)
+        del self.inflight[r]
+        record = RoundRecord(r, RoundStatus.COMPLETED, participation, output)
+        return [ApplyRecord(self._file(record))]
 
     def barrier_expired(self, r: int, live: int, reason: str) -> list[Effect]:
         """A member stayed dark through the inventory barrier: abandon
@@ -501,9 +522,10 @@ class Coordinator:
     def run_accusation_phase(self) -> list[TraceVerdict]:
         """Run an accusation shuffle, trace valid accusations, expel."""
         definition = self.definition
-        if definition.policy.dcnet_mode == "hybrid":
+        if definition.policy.dcnet_mode != "xor":
             raise ProtocolError(
-                "hybrid mode handles disruption by verifiable replay; "
+                "hybrid mode handles disruption by verifiable replay and "
+                "verifiable mode by in-round proofs; "
                 "the accusation shuffle should never be invoked"
             )
         with self.tracer.span("phase", name="blame"):

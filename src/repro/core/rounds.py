@@ -77,8 +77,9 @@ class RoundRecord:
     participation: int
     output: RoundOutput | None
     shuffle_requested: bool = False
-    #: Quorum certificate from the server control plane (None only for
-    #: failed rounds: every driver certifies every completed round).
+    #: Quorum certificate from the server control plane (None for failed
+    #: rounds and for verifiable ones, whose proofs and M output
+    #: signatures stand in for it).
     #: Excluded from equality: two records describe the same round outcome
     #: whether or not a certificate was archived alongside it.
     certificate: object | None = field(compare=False, default=None)

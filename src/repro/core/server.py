@@ -207,10 +207,10 @@ class DissentServer:
     def open_round(self, round_number: int) -> RoundState:
         """Begin collecting ciphertexts for a new round; returns its state.
 
-        The round's layout is the scheduler's current one.  A pipelined
-        driver opens rounds ``r+1 .. r+W-1`` before round ``r`` finishes,
-        so it validates that assumption when earlier rounds complete and
-        drains if the schedule actually changed.
+        The round's layout is the scheduler's current one.  The windowed
+        ``DissentSession`` opens rounds ``r+1 .. r+W-1`` before round ``r``
+        finishes, so it validates that assumption when earlier rounds
+        complete and drains if the schedule actually changed.
         """
         return RoundState(
             round_number=round_number, layout=self.scheduler.current_layout()

@@ -23,7 +23,10 @@ own-slot deliveries confirmed early.  If the assumption breaks, or ``r``
 fails, the window **drains to a barrier**: the younger rounds are
 discarded, the clients restored and ``r``'s outcome applied as lockstep
 applies it.  Every W is bit-identical to lockstep
-(``tests/test_pipeline.py``); at ``window=1`` nothing is speculated.
+(``tests/test_pipeline.py``); at ``window=1`` nothing is speculated.  In
+verifiable mode a round is routed by
+:func:`repro.verdict.session.route_verifiable_round` and filed before the
+next is built, so any window runs lockstep.
 
 Timing is intentionally absent here; the discrete-event simulator in
 :mod:`repro.sim` models latency, bandwidth, and churn for the paper's
@@ -60,7 +63,7 @@ from repro.core.rounds import RoundOutput, RoundRecord
 from repro.core.schedule import decode_slot
 from repro.core.server import DissentServer
 from repro.crypto.keys import PrivateKey
-from repro.errors import AccusationError, ConfigError, ProtocolError
+from repro.errors import AccusationError, ProtocolError
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -100,14 +103,14 @@ def build_keys(
     rounds instead of finding the first group's answers.
     """
     from repro.core import schedule
-    from repro.core.config import make_group_definition, _GROUP_NAMES
+    from repro.core.config import make_group_definition
     from repro.crypto import schnorr
-    from repro.crypto.groups import resolve_group_name
+    from repro.crypto.groups import group_by_name, resolve_group_name
 
     schnorr.forget_accepted()
     schedule.forget_steps()
     group_name = resolve_group_name(group_name, policy)
-    group = _GROUP_NAMES[group_name]()
+    group = group_by_name(group_name)
     server_keys = [PrivateKey.generate(group, rng) for _ in range(num_servers)]
     client_keys = [PrivateKey.generate(group, rng) for _ in range(num_clients)]
     definition = make_group_definition(
@@ -125,29 +128,14 @@ def build_session(
     num_clients: int = 8,
     policy: Policy | None = None,
     seed: int | None = None,
-):
-    """Build a session that runs the policy's ``dcnet_mode``.
+) -> "DissentSession":
+    """Build a :class:`DissentSession` that runs the policy's ``dcnet_mode``.
 
-    ``"xor"`` and ``"hybrid"`` are both a :class:`DissentSession`, which
-    reads the mode off the policy (hybrid blames a corrupted slot by
-    verifiable replay, :mod:`repro.verdict.hybrid`); ``"verifiable"`` is a
-    :class:`repro.verdict.session.VerdictSession` (proactive per-round
-    proofs — a different, slot-per-round surface).
+    The session reads the mode off the policy: ``"xor"`` blames by the
+    §3.9 accusation shuffle, ``"hybrid"`` by verifiable replay of a
+    corrupted slot (:mod:`repro.verdict.hybrid`), and ``"verifiable"``
+    proves every contribution each round (:mod:`repro.verdict.session`).
     """
-    from repro.crypto.groups import resolve_group_name
-
-    policy = policy or Policy()
-    group_name = resolve_group_name(group_name, policy)
-    if policy.dcnet_mode == "verifiable":
-        from repro.verdict.session import VerdictSession
-
-        return VerdictSession.build(
-            num_servers=num_servers,
-            num_clients=num_clients,
-            group_name=group_name,
-            slot_payload=policy.initial_slot_payload,
-            seed=seed,
-        )
     return DissentSession.build(group_name, num_servers, num_clients, policy, seed)
 
 
@@ -174,7 +162,9 @@ class _InFlight:
 class DissentSession(Coordinator):
     """Drives one Dissent group end to end, in process.
 
-    Runs the policy's ``dcnet_mode``, ``"xor"`` or ``"hybrid"``.
+    Runs the policy's ``dcnet_mode``: ``"xor"``, ``"hybrid"`` or
+    ``"verifiable"`` (its rounds routed by
+    :func:`repro.verdict.session.route_verifiable_round`).
 
     Args:
         definition: the static group definition.
@@ -190,8 +180,6 @@ class DissentSession(Coordinator):
         clients: Sequence[DissentClient],
         rng: random.Random | None = None,
     ) -> None:
-        if definition.policy.dcnet_mode == "verifiable":
-            raise ConfigError("a 'verifiable' group runs as a VerdictSession")
         if len(servers) != definition.num_servers:
             raise ProtocolError("server list does not match the definition")
         if len(clients) != definition.num_clients:
@@ -212,6 +200,9 @@ class DissentSession(Coordinator):
         self._spans: dict[int, object] = {}
         #: Hybrid mode's verifiable replays, in order (always empty in XOR).
         self.blames: list = []
+        #: Verifiable mode's :class:`~repro.verdict.session.VerdictServer`s,
+        #: built on its first round (always empty in the other modes).
+        self.verifiers: list = []
 
     def enable_telemetry(self, clock=None) -> MetricsRegistry:
         """Attach a live metrics registry and span tracer to this session.
@@ -343,6 +334,10 @@ class DissentSession(Coordinator):
     # ------------------------------------------------------------------
 
     def _route_round(self, upcoming: Sequence[set[int] | None]) -> RoundRecord:
+        if self.definition.policy.dcnet_mode == "verifiable":
+            from repro.verdict.session import route_verifiable_round
+
+            return route_verifiable_round(self, upcoming[0])
         try:
             for online in upcoming[len(self.inflight) :]:
                 self._carry(self.issue_round(online))

@@ -653,10 +653,12 @@ def cascade_bases(
     """The long-lived bases a cascade under ``server_publics`` walks.
 
     ``h_0`` (every link of every step's commitment chain; derived here
-    unless the caller has it), each step's combined key (every input's
-    encryption and re-randomization) and each server's own key (its strip
-    proof's check).  :func:`run_cascade`, :func:`verify_transcript` and the
-    coordinator pin them for one shuffle and release them when it ends.
+    unless the caller has it) and each step's combined key (every input's
+    encryption and re-randomization).  :func:`run_cascade`,
+    :func:`verify_transcript` and the coordinator pin them for one shuffle
+    and release them when it ends.  A server's own key is not among them:
+    it is one term of its step's one verification product and is never
+    used while mixing, so a table for it would serve one walk.
     """
     group = server_publics[0].group
     return [
@@ -665,7 +667,6 @@ def cascade_bases(
             elgamal.combined_key(server_publics[j:]).y
             for j in range(len(server_publics))
         ),
-        *(public.y for public in server_publics),
     ]
 
 

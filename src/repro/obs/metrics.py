@@ -1,7 +1,8 @@
 """Metrics registry: named counters, gauges, and mergeable histograms.
 
-The runtime's single quantitative surface.  Every layer — sessions, the
-pipelined engine, crypto hot paths, and the ``repro.net`` daemons —
+The runtime's single quantitative surface.  Every layer — sessions (the
+windowed ``DissentSession`` included), crypto hot paths, and the
+``repro.net`` daemons —
 records into a :class:`MetricsRegistry` instead of growing bespoke
 attributes, so one snapshot covers the whole process and snapshots from
 *different* processes merge into one cross-process view (this is how

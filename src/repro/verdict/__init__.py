@@ -1,21 +1,22 @@
 """Verdict-style verifiable DC-nets (proactive accountability).
 
-Two operating modes layered on the existing crypto stack:
+Two operating modes, both a :class:`~repro.core.session.DissentSession`
+whose policy names the mode, on the slots of the coordinator's key
+shuffle:
 
-* :class:`~repro.verdict.session.VerdictSession` — every ciphertext is
-  proven well-formed before combining; disruptors are named in-round.
-* hybrid mode (:mod:`repro.verdict.hybrid`) — a
-  :class:`~repro.core.session.DissentSession` whose policy says
-  ``dcnet_mode="hybrid"``: the XOR fast path runs untouched, and a
-  corrupted round is replayed in verifiable mode to name the disruptor
-  without the §3.9 accusation shuffle.
+* ``dcnet_mode="verifiable"`` (:mod:`repro.verdict.session`) — every
+  ciphertext is proven well-formed before combining; a disruptor is
+  expelled in the round it misbehaves.
+* ``dcnet_mode="hybrid"`` (:mod:`repro.verdict.hybrid`) — the XOR fast
+  path runs untouched, and a corrupted round is replayed in verifiable
+  mode to name the disruptor without the §3.9 accusation shuffle.
 
 Both modes open a slot through one function,
 :func:`~repro.verdict.session.verifiable_round`: every
 :class:`~repro.verdict.session.VerdictServer` checks every client proof
-and every decryption share before the product opens.  Work is counted
-on metrics registries: ``verdict.*`` on each node's (merged by
-:meth:`VerdictSession.metrics`), ``hybrid.*`` on a hybrid session's.
+and every decryption share before the product opens.  Work is counted on
+the session's registry (:meth:`DissentSession.enable_telemetry`):
+``verdict.*`` in verifiable mode, ``hybrid.*`` in hybrid mode.
 
 See *Proactively Accountable Anonymous Messaging in Verdict*
 (Corrigan-Gibbs, Wolinsky, Ford) in PAPERS.md.
@@ -30,13 +31,7 @@ from repro.verdict.ciphertext import (
     make_client_ciphertext,
     verify_client_ciphertext,
 )
-from repro.verdict.session import (
-    DisruptingVerdictClient,
-    VerdictClient,
-    VerdictRoundResult,
-    VerdictServer,
-    VerdictSession,
-)
+from repro.verdict.session import VerdictServer, verifiable_round
 from repro.verdict.hybrid import HybridBlameRecord
 
 __all__ = [
@@ -47,10 +42,7 @@ __all__ = [
     "chunk_count",
     "make_client_ciphertext",
     "verify_client_ciphertext",
-    "DisruptingVerdictClient",
-    "VerdictClient",
-    "VerdictRoundResult",
     "VerdictServer",
-    "VerdictSession",
+    "verifiable_round",
     "HybridBlameRecord",
 ]

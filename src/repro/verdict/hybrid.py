@@ -1,6 +1,6 @@
 """Verdict's hybrid mode: fast XOR rounds, verifiable retroactive blame.
 
-Fully verifiable rounds (:mod:`repro.verdict.session`) pay public-key
+Verifiable mode's rounds (:mod:`repro.verdict.session`) pay public-key
 crypto per chunk per member; the XOR pipeline pays hash-speed PRNG per
 byte.  Verdict's hybrid mode keeps the cheap path hot and reserves the
 expensive machinery for the (rare) disrupted round:
@@ -62,12 +62,11 @@ from repro.core.client import DissentClient
 from repro.core.config import Policy
 from repro.core.rounds import RoundRecord
 from repro.core.session import DissentSession
-from repro.crypto import elgamal
 from repro.crypto.hashing import sha256
 from repro.errors import ProtocolError
 from repro.util.bytesops import get_bit
 from repro.verdict.ciphertext import chunk_count
-from repro.verdict.session import VerdictServer, verifiable_round
+from repro.verdict.session import verdict_servers, verifiable_round
 
 _REPLAY_DOMAIN = b"dissent.verdict.hybrid-replay.v1"
 
@@ -161,21 +160,9 @@ def replay_blame(
     start, end = archive.layout.slot_byte_range(slot_index)
     slot_len = end - start
     total_chunks = chunk_count(group, slot_len)
-    server_publics = list(session.definition.server_keys)
-    combined = elgamal.combined_key(server_publics)
     session_id = sha256(_REPLAY_DOMAIN, session.definition.group_id())
-    verifiers = [
-        VerdictServer(
-            group,
-            j,
-            server.key,
-            server_publics,
-            server.slot_keys,
-            combined,
-            session_id,
-        )
-        for j, server in enumerate(session.servers)
-    ]
+    verifiers = verdict_servers(session, session_id)
+    combined = verifiers[0].combined_key
     slot_key_element = verifiers[0].slot_keys[slot_index]
 
     participants = [

@@ -541,15 +541,14 @@ class TestSessionParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_verdict_session_round(self, backend):
-        from repro.verdict.session import VerdictSession
-
-        session = VerdictSession.build(
+        session = DissentSession.build(
+            backend,
             num_servers=2,
             num_clients=3,
-            group_name=backend,
+            policy=Policy(dcnet_mode="verifiable", initial_slot_payload=24),
             seed=9,
-            slot_payload=24,
         )
+        session.setup()
         session.post(0, b"proved")
         session.run_until_quiet()
         delivered = {m for _, _, m in session.delivered_messages(0)}

@@ -305,8 +305,9 @@ def _key_agreement(monkeypatch, read) -> collections.Counter:
 class TestTableCensus:
     def test_set_up_tables_every_roster_key_and_rounds_table_none(self):
         """A server pins its upstream clients' keys and every server's; a
-        client and the coordinator every server's.  Set-up's six shuffle keys are pinned for
-        the key shuffle only: afterwards no shuffle key is pinned, and
+        client and the coordinator every server's.  Set-up's shuffle bases
+        (``h_0`` and each step's combined key) are pinned for the key
+        shuffle only: afterwards no shuffle key is pinned, and
         their tables are the first a new pin may evict.  Rounds walk the
         tables the pins hold and build none."""
         gc.collect()
@@ -335,6 +336,22 @@ class TestTableCensus:
             assert read("fixed_base.table_builds") == 0
         assert len(session.delivered) == 32
         assert set(group._residency.tables) - tabled == set()
+
+    @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
+    def test_a_set_up_tables_each_step_key_and_no_server_key(self, backend):
+        """A key shuffle pins ``h_0`` and each mix step's combined key.  A
+        server's own shuffle key is one term of its step's one
+        verification product and is never used while mixing, so it gets
+        no table: with ``h_0`` resident, a 3-server set-up with fresh mix
+        keys builds M = 3 tables (2M - 1 = 5 with every own key pinned;
+        the last step's combined key is the last server's own)."""
+        gc.collect()
+        servers = 3
+        DissentSession.build(backend, servers, 4, seed=53).setup()  # tables h_0
+        session = DissentSession.build(backend, servers, 4, seed=54)
+        with crypto_counters() as read:
+            session.setup()
+            assert read("fixed_base.table_builds") == servers
 
     @pytest.mark.parametrize("backend", ["test-256", "ec25519"])
     def test_a_second_build_of_one_seed_walks_every_dh_secret(

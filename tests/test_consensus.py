@@ -21,7 +21,6 @@ import pytest
 
 from repro.consensus import (
     EquivocationProof,
-    LeaderSchedule,
     RoundCertificate,
     leader_index,
     output_body_digest,
@@ -215,14 +214,6 @@ class TestRotation:
             assert leader_index(self.GID, 2, r, 0, 5, excluded) not in excluded
         with pytest.raises(ProtocolError):
             leader_index(self.GID, 3, 0, 0, 3, {0, 1, 2})
-
-    def test_schedule_wrapper_matches_free_function(self):
-        schedule = LeaderSchedule(group_id=self.GID, num_servers=4)
-        assert schedule.epoch == 0
-        assert schedule.leader(7, view=2) == leader_index(self.GID, 0, 7, 2, 4)
-        bumped = schedule.excluding(2)
-        assert bumped.epoch == 1
-        assert bumped.leader(0) == leader_index(self.GID, 1, 0, 0, 4, {2})
 
 
 def count_calls(monkeypatch, target, key=lambda *args: None):

@@ -762,9 +762,11 @@ class TestWorkBudget:
 
     def test_shuffle_step_and_its_verification(self, monkeypatch):
         """Measured at 8 inputs: 7,109 point operations + 39 field
-        exponentiations + 28 inversions to mix, 4,086 + 3 + 0 to verify; at
-        32, 24,379 + 135 + 100 and 14,422 + 3 + 0.  With one strip proof a
-        component the same steps cost 9,277 + 38 + 50 and 5,225 + 11 + 0 at
+        exponentiations + 28 inversions to mix, 4,096 + 3 + 0 to verify; at
+        32, 24,379 + 135 + 100 and 14,422 + 3 + 0.  The mixing server's own
+        key is a transient base of the verification product, as
+        :func:`repro.crypto.shuffle.cascade_bases` pins no server's own
+        key.  With one strip proof a component the same steps cost 9,277 + 38 + 50 and 5,225 + 11 + 0 at
         8 inputs and 34,436 + 134 + 194 and 18,605 + 35 + 0 at 32 (the
         cut-and-choose argument with 16 bridges, at 8: 17,198 + 283 + 32 and
         10,473 + 13 + 0).

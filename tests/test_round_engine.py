@@ -555,6 +555,42 @@ def test_the_control_plane_has_one_copy_of_each_step():
     ]
 
 
+def test_verifiable_mode_has_no_driver_of_its_own():
+    """Verifiable mode is a ``DissentSession`` policy: ``repro.verdict``
+    routes a round and defines no round loop, no record list, no slot
+    permutation and no client class — the coordinator's loop, records and
+    key shuffle and the one client class serve it."""
+    import importlib
+    import pkgutil
+
+    import repro.verdict
+
+    loops = {"run_round", "run_rounds", "run_schedule", "run_until_quiet"}
+    kept = {"records", "received", "outbox", "expelled"}
+    found = []
+    for info in pkgutil.iter_modules(repro.verdict.__path__):
+        name = f"repro.verdict.{info.name}"
+        module = importlib.import_module(name)
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in loops:
+                found.append((name, node.name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr in kept:
+                    found.append((name, node.attr))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") in {
+                "shuffle",
+                "sample",
+            }:
+                found.append((name, node.func.attr))
+            elif isinstance(node, ast.Name) and "permutation" in node.id:
+                found.append((name, node.id))
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == name:
+                if issubclass(value, DissentClient) or hasattr(value, "queue_message"):
+                    found.append((name, value.__name__))
+    assert not found
+
+
 # ---------------------------------------------------------------------------
 # The coordinator with a scripted member port: no session, no sockets
 # ---------------------------------------------------------------------------

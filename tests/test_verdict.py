@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from repro.core import DissentSession
-from repro.core.adversary import DisruptorClient
+from repro.core.adversary import DisruptingVerdictClient, DisruptorClient
 from repro.core.client import DissentClient
 from repro.core.config import Policy
 from repro.core.server import DissentServer
@@ -32,15 +32,49 @@ from repro.verdict.ciphertext import (
     verify_server_share,
 )
 from repro.verdict.hybrid import build_hybrid_with_disruptor
-from repro.verdict.session import (
-    DisruptingVerdictClient,
-    VerdictSession,
-)
+from repro.verdict.session import session_verifiers, slot_width
 
 
 def _count(session, name):
     """A counter from the session's registry (0 if never bumped)."""
     return session.metrics()["counters"].get(name, 0)
+
+
+def _verifiable(num_servers=3, num_clients=4, seed=42, slot_payload=48, disruptors=()):
+    """A scheduled verifiable-mode DissentSession with telemetry on; the
+    clients in ``disruptors`` are :class:`DisruptingVerdictClient`s."""
+
+    def client_factory(definition, index, key, rng):
+        cls = DisruptingVerdictClient if index in disruptors else DissentClient
+        return cls(definition, index, key, rng)
+
+    session = DissentSession.build(
+        None,
+        num_servers,
+        num_clients,
+        Policy(dcnet_mode="verifiable", initial_slot_payload=slot_payload),
+        seed,
+        client_factory=client_factory,
+        telemetry=True,
+    )
+    session.setup()
+    return session
+
+
+def _submissions(session, round_number, slot_index):
+    """Every client's verifiable contribution to one round, unrouted."""
+    lead = session_verifiers(session)[0]
+    return [
+        client.verifiable_submission(
+            round_number,
+            slot_index,
+            lead.slot_keys[slot_index],
+            slot_width(session.definition),
+            lead.session_id,
+            lead.combined_key,
+        )
+        for client in session.clients
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +200,15 @@ class TestVerdictCiphertext:
 
 
 # ---------------------------------------------------------------------------
-# Verifiable session: acceptance (a) and (b)
+# Verifiable mode: a DissentSession policy, acceptance (a) and (b)
 # ---------------------------------------------------------------------------
 
 
 class TestVerdictSession:
+    """Verdict's session: a DissentSession whose policy is verifiable."""
+
     def test_well_formed_round_decodes(self):
-        session = VerdictSession.build(
-            num_servers=3, num_clients=4, seed=42, slot_payload=48
-        )
+        session = _verifiable(num_servers=3, num_clients=4, seed=42, slot_payload=48)
         session.post(1, b"hello verifiable world")
         session.run_until_quiet()
         delivered = {m for _, _, m in session.delivered_messages(0)}
@@ -183,22 +217,35 @@ class TestVerdictSession:
         for i in range(1, 4):
             assert {m for _, _, m in session.delivered_messages(i)} == delivered
 
+    def test_slots_come_from_the_key_shuffle(self):
+        """Slot s belongs to ``slot_elements[s]``, the pseudonym key the
+        coordinator's key shuffle placed there: the servers check each
+        round's proofs under it and its owner proves with that pseudonym."""
+        session = _verifiable(num_servers=2, num_clients=4, seed=5, slot_payload=24)
+        elements = session.slot_elements
+        assert len(set(elements)) == 4
+        for verifier in session_verifiers(session):
+            assert verifier.slot_keys == elements
+        for client in session.clients:
+            assert client.slot_keys == elements
+            assert elements[client.slot] == client.pseudonym.y
+        # Round r serves slot r mod N, so the owner of slot 2 speaks in round 2.
+        owner = next(c.index for c in session.clients if c.slot == 2)
+        session.post(owner, b"by the shuffle's slot")
+        session.run_rounds(3)
+        assert session.delivered == [(2, 2, b"by the shuffle's slot")]
+
     def test_malformed_ciphertext_rejected_and_sender_named(self):
-        session = VerdictSession.build(
-            num_servers=3,
-            num_clients=4,
-            seed=42,
-            slot_payload=48,
-            client_factories={2: partial(DisruptingVerdictClient)},
+        session = _verifiable(
+            num_servers=3, num_clients=4, seed=42, slot_payload=48, disruptors={2}
         )
         session.post(1, b"important message")
         record = session.run_round()
         # Named in the very round it misbehaved — no accusation machinery.
-        assert record.rejected_clients == (2,)
-        assert 2 in session.expelled
+        assert session.expelled == {2}
         # The round itself still completed for everyone else, and traffic
         # flows once the disruptor is out.
-        assert not record.blamed_servers
+        assert record.completed and not session.convicted_servers
         session.run_until_quiet()
         assert any(
             m == b"important message" for _, _, m in session.delivered_messages(0)
@@ -206,49 +253,49 @@ class TestVerdictSession:
         assert session.metrics()["counters"]["verdict.rejected_submissions"] >= 1
 
     def test_oversized_message_rejected_at_post(self):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=1, slot_payload=24
-        )
-        too_big = b"x" * (session.slot_capacity + 1)
+        session = _verifiable(num_servers=2, num_clients=3, seed=1, slot_payload=24)
+        group = session.definition.group
+        capacity = slot_width(session.definition) * group.message_bytes
+        too_big = b"x" * (capacity + 1)
         with pytest.raises(ProtocolError):
             session.post(0, too_big)
         # Capacity-sized traffic still flows.
-        session.post(0, b"y" * session.slot_capacity)
+        session.post(0, b"y" * capacity)
         session.run_until_quiet()
         assert any(
-            m == b"y" * session.slot_capacity
-            for _, _, m in session.delivered_messages(1)
+            m == b"y" * capacity for _, _, m in session.delivered_messages(1)
         )
 
     def test_unknown_group_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown group"):
-            VerdictSession.build(group_name="nope")
-
-    @pytest.mark.parametrize("slot_index", (-1, 3, 99))
-    def test_slot_outside_the_schedule_rejected(self, slot_index):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=1, slot_payload=24
-        )
-        with pytest.raises(ProtocolError, match="slot"):
-            session.run_round(slot_index)
-        # The refused call used no round; the last real slot still runs.
-        assert session.round_number == 0 and not session.records
-        assert session.run_round(2).round_number == 0
+            DissentSession.build("nope", policy=Policy(dcnet_mode="verifiable"))
 
     def test_honest_servers_agree_on_rejection(self):
-        session = VerdictSession.build(
-            num_servers=2,
-            num_clients=3,
-            seed=9,
-            slot_payload=24,
-            client_factories={0: partial(DisruptingVerdictClient)},
+        session = _verifiable(
+            num_servers=2, num_clients=3, seed=9, slot_payload=24, disruptors={0}
         )
         session.run_round()
-        counts = {
-            s.registry.snapshot()["counters"]["verdict.rejected_submissions"]
-            for s in session.servers
-        }
-        assert counts == {1}
+        # Each of the two servers rejected the one forged submission.
+        assert session.metrics()["counters"]["verdict.rejected_submissions"] == 2
+        assert session.expelled == {0}
+
+    def test_every_window_gives_lockstep_records(self):
+        """A verifiable round is filed before the next one is built, so W = 4
+        gives W = 1's records, expulsions and deliveries."""
+
+        def run(window):
+            session = _verifiable(
+                num_servers=2, num_clients=4, seed=17, slot_payload=24, disruptors={3}
+            )
+            for i in range(3):
+                session.post(i, b"window %d" % i)
+            session.run_rounds(6, window=window)
+            return session.records, session.expelled, session.delivered_messages(0)
+
+        lockstep = run(1)
+        assert lockstep[1] == {3}
+        assert len(lockstep[2]) == 3
+        assert run(4) == lockstep
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +560,9 @@ class TestFaultyUpstreamServer:
 
 class TestModePolicy:
     def test_build_session_dispatches_on_mode(self):
-        """XOR and hybrid groups are one session class that reads the mode
-        off the policy: each runs the blame path its mode names."""
+        """XOR, hybrid and verifiable groups are one session class that
+        reads the mode off the policy: each runs the blame path its mode
+        names."""
         xor = build_session(num_clients=3, num_servers=2, seed=1)
         assert xor.definition.policy.dcnet_mode == "xor"
         hybrid = build_session(
@@ -524,19 +572,20 @@ class TestModePolicy:
             policy=Policy(dcnet_mode="hybrid"),
         )
         assert hybrid.definition.policy.dcnet_mode == "hybrid"
-        for session in (xor, hybrid):
-            assert type(session) is DissentSession
-            session.setup()
-        assert xor.run_accusation_phase() == []
-        with pytest.raises(ProtocolError, match="verifiable replay"):
-            hybrid.run_accusation_phase()
         verifiable = build_session(
             num_clients=3,
             num_servers=2,
             seed=1,
             policy=Policy(dcnet_mode="verifiable", initial_slot_payload=24),
         )
-        assert isinstance(verifiable, VerdictSession)
+        for session in (xor, hybrid, verifiable):
+            assert type(session) is DissentSession
+            session.setup()
+        assert xor.run_accusation_phase() == []
+        with pytest.raises(ProtocolError, match="verifiable replay"):
+            hybrid.run_accusation_phase()
+        with pytest.raises(ProtocolError, match="in-round proofs"):
+            verifiable.run_accusation_phase()
 
     def test_invalid_mode_rejected(self):
         from repro.errors import ConfigError
@@ -552,17 +601,43 @@ class TestModePolicy:
         del legacy["dcnet_mode"]
         assert Policy.from_dict(legacy).dcnet_mode == "xor"
 
-    def test_in_process_drivers_refuse_verifiable_mode(self):
-        """A DissentSession runs XOR rounds, with or without hybrid blame, so
-        a verifiable group is refused — by ``build`` and by the constructor,
-        at any window — instead of running XOR under its name."""
-        policy = Policy(dcnet_mode="verifiable")
-        with pytest.raises(ConfigError, match="verifiable"):
-            DissentSession.build(num_servers=2, num_clients=3, seed=1, policy=policy)
-        xor = DissentSession.build(num_servers=2, num_clients=3, seed=1)
-        verifiable = dataclasses.replace(xor.definition, policy=policy)
-        with pytest.raises(ConfigError, match="verifiable"):
-            DissentSession(verifiable, xor.servers, xor.clients)
+    def test_in_process_driver_runs_verifiable_mode(self):
+        """A DissentSession runs a verifiable group — built by ``build`` or
+        by the constructor — with proven rounds, not XOR under its name."""
+        policy = Policy(dcnet_mode="verifiable", initial_slot_payload=24)
+        built = DissentSession.build(None, 2, 3, policy, seed=1)
+        parts = DissentSession.build(None, 2, 3, policy, seed=2)
+        constructed = DissentSession(
+            parts.definition, parts.servers, parts.clients, random.Random(2)
+        )
+        for session in (built, constructed):
+            session.setup()
+            session.enable_telemetry()
+            session.post(0, b"proven")
+            session.run_until_quiet()
+            assert b"proven" in {m for _, _, m in session.delivered_messages(0)}
+            assert _count(session, "verdict.client_proofs_checked") > 0
+            # Every server signs each opened slot, and every client checked.
+            assert all(len(record.output.signatures) == 2 for record in session.records)
+
+    def test_verifiable_checkpoint_continues_bit_identically(self, tmp_path):
+        """A verifiable session's records are signed outputs like any other,
+        so its checkpoint restores and the rounds after it match."""
+        from repro.persist import restore_session, save_session
+
+        session = _verifiable(num_servers=2, num_clients=3, seed=21, slot_payload=24)
+        session.post(0, b"before")
+        session.post(1, b"after")
+        session.run_round()
+        save_session(session, tmp_path / "verifiable.ckpt")
+        fresh = DissentSession.build(
+            None, 2, 3, session.definition.policy, 21, telemetry=True
+        )
+        restore_session(fresh, tmp_path / "verifiable.ckpt")
+        assert fresh.snapshot_state() == session.snapshot_state()
+        assert fresh.run_rounds(3) == session.run_rounds(3)
+        assert fresh.delivered == session.delivered
+        assert {m for _, _, m in fresh.delivered} == {b"before", b"after"}
 
     @pytest.mark.parametrize("mode", ["hybrid", "verifiable"])
     def test_wire_path_refuses_modes_it_does_not_run(self, mode, tmp_path):
@@ -602,68 +677,61 @@ class TestBatchedVerdictPaths:
         """Batched rejection equals per-proof rejection, disruptors and all."""
         from repro.verdict.ciphertext import batch_verify_client_ciphertexts
 
-        session = VerdictSession.build(
-            num_servers=2,
-            num_clients=5,
-            seed=6,
-            slot_payload=48,
-            client_factories={
-                1: partial(DisruptingVerdictClient),
-                3: partial(DisruptingVerdictClient),
-            },
+        session = _verifiable(
+            num_servers=2, num_clients=5, seed=6, slot_payload=48, disruptors={1, 3}
         )
         slot_index = 0
-        submissions = [c.submit(0, slot_index, session.width) for c in session.clients]
-        server = session.servers[0]
+        width = slot_width(session.definition)
+        group = session.definition.group
+        submissions = _submissions(session, 0, slot_index)
+        server = session_verifiers(session)[0]
         per_proof = {
             s.client_index
             for s in submissions
             if not verify_client_ciphertext(
-                session.group,
+                group,
                 server.combined_key,
                 server.slot_keys[slot_index],
                 server.session_id,
                 0,
                 slot_index,
-                session.width,
+                width,
                 s,
             )
         }
         batched = batch_verify_client_ciphertexts(
-            session.group,
+            group,
             server.combined_key,
             server.slot_keys[slot_index],
             server.session_id,
             0,
             slot_index,
-            session.width,
+            width,
             submissions,
         )
         assert per_proof == {1, 3}
         assert batched == per_proof
 
     def test_width_mismatch_rejected_in_batch(self):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=2, slot_payload=48
-        )
-        submissions = [c.submit(0, 0, session.width) for c in session.clients]
+        session = _verifiable(num_servers=2, num_clients=3, seed=2, slot_payload=48)
+        width = slot_width(session.definition)
+        submissions = _submissions(session, 0, 0)
         truncated = VerdictClientCiphertext(
             submissions[1].client_index,
             submissions[1].ciphertexts[:-1],
             submissions[1].proofs[:-1],
         )
         submissions[1] = truncated
-        rejected = session.servers[0].verify_submissions(0, 0, session.width, submissions)
+        server = session_verifiers(session)[0]
+        rejected = server.verify_submissions(0, 0, width, submissions)
         assert rejected == {1}
 
     def test_bad_share_named_by_every_honest_server(self):
         """A lying server is blamed by all verifiers, not a designated one."""
         from repro.verdict.ciphertext import VerdictServerShare
 
-        session = VerdictSession.build(
-            num_servers=3, num_clients=4, seed=5, slot_payload=24
-        )
-        liar = session.servers[1]
+        session = _verifiable(num_servers=3, num_clients=4, seed=5, slot_payload=24)
+        liar = session_verifiers(session)[1]
         honest_make = liar.make_share
 
         def lying_make(*args):
@@ -676,44 +744,36 @@ class TestBatchedVerdictPaths:
         liar.make_share = lying_make
         session.post(0, b"x")
         record = session.run_round()
-        assert record.blamed_servers == (1,)
+        assert session.convicted_servers == {1}
         assert not record.completed
-        # Every server independently reached the same verdict (the session
+        # Every server independently reached the same verdict (the round
         # cross-checks agreement; disagreement raises ProtocolError) and
-        # did the share-checking work.
-        for server in session.servers:
-            checked = server.registry.snapshot()["counters"]
-            assert checked["verdict.share_proofs_checked"] == 3 * session.width
+        # did the share-checking work: three servers, three shares each.
+        width = slot_width(session.definition)
+        assert _count(session, "verdict.share_proofs_checked") == 3 * 3 * width
 
     def test_share_vote_agreement_is_per_server(self):
         """Each server's verify_shares names the same culprit directly."""
         from repro.verdict.ciphertext import VerdictServerShare
 
-        session = VerdictSession.build(
-            num_servers=3, num_clients=3, seed=8, slot_payload=24
-        )
-        submissions = [c.submit(0, 0, session.width) for c in session.clients]
-        from repro.verdict.ciphertext import combine_client_ciphertexts
-
+        session = _verifiable(num_servers=3, num_clients=3, seed=8, slot_payload=24)
+        group = session.definition.group
+        verifiers = session_verifiers(session)
+        submissions = _submissions(session, 0, 0)
         a_parts, _ = combine_client_ciphertexts(
-            session.group, submissions, session.width
+            group, submissions, slot_width(session.definition)
         )
-        shares = [s.make_share(0, 0, a_parts) for s in session.servers]
-        garbled = tuple(
-            session.group.mul(x, session.group.g) for x in shares[2].shares
-        )
+        shares = [s.make_share(0, 0, a_parts) for s in verifiers]
+        garbled = tuple(group.mul(x, group.g) for x in shares[2].shares)
         shares[2] = VerdictServerShare(2, garbled, shares[2].proofs)
-        votes = [
-            server.verify_shares(0, 0, a_parts, shares)
-            for server in session.servers
-        ]
+        votes = [server.verify_shares(0, 0, a_parts, shares) for server in verifiers]
         assert votes == [(2,), (2,), (2,)]
 
 
 class TestOneVerifiableRound:
     def test_every_server_checks_every_replayed_chunk(self, monkeypatch):
         """The hybrid replay opens each chunk through the same verifiable
-        round as VerdictSession: all M servers check the chunk's shares,
+        round as verifiable mode: all M servers check the chunk's shares,
         each bound to the chunk's absolute position."""
         real = batch_verify_server_shares
         calls = []
@@ -749,25 +809,22 @@ class TestOneVerifiableRound:
 
 class TestVerdictCounters:
     def test_client_proofs_made_wired_and_summed(self):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=4, slot_payload=24
-        )
+        session = _verifiable(num_servers=2, num_clients=3, seed=4, slot_payload=24)
+        width = slot_width(session.definition)
         session.post(0, b"count me")
         session.run_round()
         total = session.metrics()["counters"]
-        assert total["verdict.client_proofs_made"] == 3 * session.width
+        assert total["verdict.client_proofs_made"] == 3 * width
         # Both servers checked every made proof.
-        assert total["verdict.client_proofs_checked"] == 2 * 3 * session.width
+        assert total["verdict.client_proofs_checked"] == 2 * 3 * width
         session.run_round()
         total = session.metrics()["counters"]
-        assert total["verdict.client_proofs_made"] == 6 * session.width
+        assert total["verdict.client_proofs_made"] == 6 * width
 
 
 class TestRunUntilQuietOutcome:
     def test_drained_on_final_round_distinguished(self):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=11, slot_payload=24
-        )
+        session = _verifiable(num_servers=2, num_clients=3, seed=11, slot_payload=24)
         sender = 0
         slot = session.clients[sender].slot
         session.post(sender, b"tight budget")
@@ -779,9 +836,7 @@ class TestRunUntilQuietOutcome:
         assert bool(outcome)
 
     def test_undrained_budget_reported(self):
-        session = VerdictSession.build(
-            num_servers=2, num_clients=3, seed=11, slot_payload=24
-        )
+        session = _verifiable(num_servers=2, num_clients=3, seed=11, slot_payload=24)
         session.post(0, b"never sent")
         outcome = session.run_until_quiet(max_rounds=0)
         assert not outcome.drained
