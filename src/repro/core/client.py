@@ -631,9 +631,10 @@ class DissentClient:
         """Our proven contribution to a verifiable round serving
         ``slot_index`` (:mod:`repro.verdict.session`): the outbox head in
         our own slot, which :meth:`queue_message` keeps within ``width``
-        chunks, and cover in every other."""
+        chunks, and cover in every other — in our own too while
+        participation is below our §3.7 floor."""
         payload = None
-        if slot_index == self.slot and self.outbox:
+        if slot_index == self.slot and self._wants_slot_open():
             payload = self.outbox[0]
         return self._proven_contribution(
             round_number,
@@ -649,6 +650,7 @@ class DissentClient:
         """A verifiable round's signed output opened ``slot_index``: if that
         is our slot and it carries our outbox head, it was delivered."""
         self.verify_output(output)
+        self.last_participation = output.participation
         own = slot_index == self.slot and self.outbox
         if own and output.cleartext == self.outbox[0]:
             self.outbox.popleft()

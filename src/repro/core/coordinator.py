@@ -31,7 +31,8 @@ output is a broadcast that every client applies, so the messages a
 client has been delivered are a function of the filed records: each
 filed completed record steps the coordinator's own slot schedule (in
 verifiable mode it opens slot r mod N), and the messages it decodes are
-appended to :attr:`Coordinator.delivered`.  No client keeps a copy.
+filed with it, one entry of :attr:`Coordinator.history`
+(:mod:`repro.core.history`).  No client keeps a copy.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from repro.core.accusation import (
 from repro.core.client import unframe_messages
 from repro.core.config import GroupDefinition
 from repro.core.engine import Effect, InventoryStatus, RoundDone
+from repro.core.history import Delivered, History, Records
 from repro.core.keyshuffle import (
     make_session_key,
     open_shuffle_submissions,
@@ -165,6 +167,13 @@ class Coordinator:
         remove a client from every server's roster;
     ``_pending_traffic()``
         whether any member still has a message or accusation queued.
+
+    :attr:`records` and :attr:`delivered` are read-only views of
+    :attr:`history`, the append-only log of filed rounds.  Never saved,
+    it holds the objects filed; a checkpoint carries each entry as the
+    bytes the first save encoded, and a restored entry is decoded when
+    it is read — only the last record at once, the one the round
+    sequence reads.
     """
 
     def __init__(
@@ -177,18 +186,17 @@ class Coordinator:
         self._server_keys = list(server_keys)
         # Every round's certificate is checked under the M server keys.
         self._pin = definition.group.pin(key.y for key in definition.server_keys)
-        # The ten mutable fields from here to ``rng`` are the whole of the
+        # The nine mutable fields from here to ``rng`` are the whole of the
         # coordinator's state: :func:`repro.persist.codec.encode_coordinator_state`
         # is the one snapshot of them, the same section in an in-process
         # and a networked checkpoint.
         self.round_number = 0
-        self.records: list[RoundRecord] = []
+        #: The filed records and the messages they delivered
+        #: (:attr:`records`, :attr:`delivered`).
+        self.history = History()
         #: The slot schedule as every member steps it, fed the completed
         #: records; it decodes :attr:`delivered`.
         self.delivery_schedule = Scheduler(definition.num_clients, definition.policy)
-        #: Every delivered message as ``(round, slot, message)``, in
-        #: delivery order: what each client applying the outputs observes.
-        self.delivered: list[tuple[int, int, bytes]] = []
         self.expelled: set[int] = set()
         self.convicted_servers: set[int] = set()
         #: Transferable equivocation proofs from the round reports; part of
@@ -204,6 +212,18 @@ class Coordinator:
         # Null sinks until a driver attaches live ones.
         self.registry = NULL_REGISTRY
         self.tracer = NULL_TRACER
+
+    @property
+    def records(self) -> Records:
+        """Every filed :class:`RoundRecord`, in filing order (read-only)."""
+        return self.history.records
+
+    @property
+    def delivered(self) -> Delivered:
+        """Every delivered message as ``(round, slot, message)``, in
+        delivery order: what each client applying the outputs observes
+        (read-only)."""
+        return self.history.delivered
 
     def _event(self, event: str, **fields) -> None:
         """A membership, blame or view decision was taken; a driver with an
@@ -339,21 +359,21 @@ class Coordinator:
         )
 
     def _file(self, record: RoundRecord) -> RoundRecord:
-        self.records.append(record)
+        rows = []
         if record.completed:
             r, cleartext = record.round_number, record.output.cleartext
             if self.definition.policy.dcnet_mode == "verifiable":
                 # A verifiable round opens slot r mod N to the message sent.
                 if cleartext:
-                    slot = r % self.definition.num_clients
-                    self.delivered.append((r, slot, cleartext))
+                    rows.append((r, r % self.definition.num_clients, cleartext))
             else:
                 for content in self.delivery_schedule.advance(cleartext):
                     if content.payload is not None:
-                        self.delivered.extend(
+                        rows.extend(
                             (r, content.slot_index, message)
                             for message in unframe_messages(content.payload)
                         )
+        self.history.append(record, rows)
         outcome = "completed" if record.completed else "failed"
         self.registry.counter(f"session.rounds_{outcome}").inc()
         return record
@@ -403,9 +423,14 @@ class Coordinator:
     ) -> list[Effect]:
         """Verifiable round ``r`` opened its slot with ``participation``
         proven submissions: file its signed ``output``, or the round FAILED
-        when a blamed share kept the slot shut (``output`` None)."""
+        when a blamed share kept the slot shut (``output`` None) or, as an
+        XOR round's inventories decide, below the §3.7 floor of ``alpha``
+        times the count the previous round published."""
         if output is None:
             return self._give_up(r, participation, BLAMED_SHARE)
+        alpha, records = self.definition.policy.alpha, self.records
+        if records and participation < alpha * records[-1].participation:
+            return self._give_up(r, participation, BELOW_FLOOR)
         del self.inflight[r]
         record = RoundRecord(r, RoundStatus.COMPLETED, participation, output)
         return [ApplyRecord(self._file(record))]

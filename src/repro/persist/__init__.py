@@ -2,6 +2,11 @@
 
 * :mod:`repro.persist.codec` — the checkpoint format: nested packed
   fields, section by section, reusing the wire codecs (no JSON, no hex).
+  The coordinator's filed rounds ride as one history of entries and its
+  SHA-256 head (:mod:`repro.core.history`): a save encodes only the
+  rounds filed since the previous one, a restore checks the head and
+  decodes the last record, and the other entries are decoded when
+  ``session.records`` or ``session.delivered`` reads them.
 * :mod:`repro.persist.checkpoint` — checksummed, atomically replaced files.
 * :mod:`repro.persist.audit` — the append-only hash-chained audit log of
   expulsions, abandoned rounds, and blame verdicts.

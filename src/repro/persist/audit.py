@@ -9,8 +9,9 @@ entry breaks every later link.
 
 On disk the log is newline-delimited canonical JSON (one entry per
 line), appended with ``O_APPEND`` semantics — a crash can lose at most
-the final partial line, which :func:`read_audit_log` tolerates and
-reports.
+the final partial line.  :func:`read_audit_log` skips such a torn tail,
+and :class:`AuditLog` cuts it off when it opens the file, so the next
+entry starts a line of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class AuditLog:
 
     The constructor reads any existing log so appends continue the hash
     chain across process restarts — the property that makes the log
-    useful for crash recovery at all.
+    useful for crash recovery at all — and truncates a torn final line.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -58,7 +59,11 @@ class AuditLog:
         # expulsions, checkpoints) and its event loop's (rounds, resumes).
         self._lock = threading.Lock()
         if os.path.exists(self.path):
-            self.entries = read_audit_log(self.path)
+            raw = _read(self.path)
+            self.entries = _parse(raw, self.path)
+            complete = raw.rfind(b"\n") + 1
+            if complete < len(raw):
+                os.truncate(self.path, complete)
 
     @property
     def head(self) -> str:
@@ -94,11 +99,18 @@ def read_audit_log(path: str | os.PathLike) -> list[dict]:
     index gap, a broken hash link — raises :class:`CheckpointError`.
     """
     path = os.fspath(path)
+    return _parse(_read(path), path)
+
+
+def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            return handle.read()
     except FileNotFoundError as exc:
         raise CheckpointError(f"no audit log at {path}") from exc
+
+
+def _parse(raw: bytes, path: str) -> list[dict]:
     entries: list[dict] = []
     lines = raw.split(b"\n")
     complete = lines[:-1]  # the file always ends each entry with \n

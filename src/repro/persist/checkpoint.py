@@ -13,6 +13,7 @@ see a complete old file or a complete new one.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -30,6 +31,10 @@ def write_checkpoint(
 ) -> int:
     """Atomically persist ``payload``; returns the bytes written.
 
+    A failed write (a full disk, a failing ``fsync``) removes its temp
+    file, leaves the previous checkpoint as it was and raises
+    :class:`CheckpointError`.
+
     ``registry`` (a :class:`repro.obs.MetricsRegistry`) records
     ``session.checkpoint.bytes`` / ``session.checkpoint.seconds``
     counters and a ``span.phase.checkpoint`` histogram so checkpoint
@@ -41,14 +46,20 @@ def write_checkpoint(
         raise CheckpointError(f"checkpoint payload is {type(payload).__name__}")
     data = encode_file(kind, payload)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except OSError as exc:
+        # The previous checkpoint stays whole; leave no half-written temp.
+        with contextlib.suppress(OSError):
+            os.remove(tmp_path)
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
     if registry is not None:
         elapsed = time.perf_counter() - started
         registry.counter("session.checkpoint.bytes").inc(len(data))

@@ -13,6 +13,17 @@ words.  The coordinator section is the same bytes under both drivers; a
 node file, a node's ``snapshot``/``restore`` frame and a ``net-session``
 node entry are the same bytes.
 
+The coordinator's filed rounds are one *history*
+(:mod:`repro.core.history`): a list of entries, each a record and the
+``(round, slot, message)`` rows it delivered (:func:`encode_entry`), and
+its *head*, the SHA-256 of that list's bytes.  An entry is encoded once,
+by the first save that holds it, and a later save copies the bytes it
+holds; a restore checks the whole history against the head with one hash
+and decodes only the last record, and every other entry is decoded when
+``Coordinator.records`` or ``Coordinator.delivered`` reads it.  So save
+and restore do not grow with the session's age beyond one copy and one
+hash of its history.
+
 Long-lived identity — private keys, the group definition — is not in a
 ``session`` checkpoint: a restore attaches state to freshly-built members
 that already hold their keys.  What set-up derived from those keys rides
@@ -25,7 +36,9 @@ Decoding is total and canonical: a section is parsed whole before any of
 it is applied, a malformed field raises
 :class:`~repro.errors.CheckpointError` (never a bare ``TypeError``, never a
 coerced value), and a field that decodes re-encodes to exactly its bytes
-(``tests/test_persist.py::TestMutatedCheckpoints``).
+(``tests/test_persist.py::TestMutatedCheckpoints``).  A changed byte of the
+history fails its head at restore; a history crafted with a matching head
+raises ``CheckpointError`` when the bad entry is read.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from repro.consensus import EquivocationProof, RoundCertificate
 from repro.core.accusation import Accusation
 from repro.core.client import _SentRecord
 from repro.core.config import GroupDefinition
+from repro.core.history import History
 from repro.core.rounds import RoundRecord, RoundStatus
 from repro.core.schedule import RoundLayout, Scheduler
 from repro.core.server import RoundArchive
@@ -72,7 +86,9 @@ from repro.util.serialization import pack_fields, unpack_typed
 # clients keep no delivery history, archives no cleartext.  10: nested
 # packed fields in place of JSON; the digest covers the payload as read.
 # 11: each member's pair secrets, so a restore does no key agreement.
-CHECKPOINT_VERSION = 11
+# 12: the coordinator's records and delivered rows as one history of
+# entries, carried verbatim with its head.
+CHECKPOINT_VERSION = 12
 
 _MAGIC = "dissent.checkpoint"
 
@@ -111,9 +127,10 @@ class _Section:
     order — where ``ctx`` is the group for records and archives and the
     group definition elsewhere.  ``nested`` names the section a ``bytes``
     field holds, for :func:`describe`: a name, a name and ``*`` for a list
-    of them, ``"counted"`` for a list shown by its length, or
-    ``"secrets"`` for pair secrets, shown by their count only; ``{field}``
-    in it is that field's value (a node's ``state`` is its ``role``).
+    of them, ``"counted"`` for a list shown by its length, ``"hex"`` for
+    a digest shown in hex, or ``"secrets"`` for pair secrets, shown by
+    their count only; ``{field}`` in it is that field's value (a node's
+    ``state`` is its ``role``).
     ``finish(ctx, fields)``, when given, completes a parse with what
     spans several fields."""
 
@@ -443,20 +460,29 @@ _SERVER = _Section(
     _secrets=_pair_secrets("num_clients"),
 )
 
+
+def _history(ctx, state: dict) -> dict:
+    """The coordinator's history from its field, checked against its head;
+    only the last record is decoded (:meth:`History.restored`)."""
+    state["history"] = History.restored(
+        state["history"],
+        state.pop("head"),
+        partial(decode_entry_record, ctx.group),
+        decode_entry_rows,
+    )
+    return state
+
+
 #: The :class:`~repro.core.coordinator.Coordinator`'s whole mutable state.
+#: ``history`` is its filed rounds, one entry each (:func:`encode_entry`)
+#: as the first save encoded it, and ``head`` the SHA-256 of that field.
 _COORDINATOR = _Section(
     "coordinator",
+    finish=_history,
     round_number="i",
-    records=_listed(
-        lambda ctx, record: encode_record(ctx.group, record),
-        lambda ctx, data: decode_record(ctx.group, data),
-        "counted",
-    ),
+    history=("b", None, None, "counted"),
+    head=("b", None, None, "hex"),
     delivery_schedule=_SCHEDULE,
-    delivered=_listed(
-        lambda ctx, entry: pack_fields(*entry),
-        lambda ctx, data: tuple(unpack_typed(data, "iib", "delivered message")),
-    ),
     expelled=_members("num_clients"),
     convicted_servers=_members("num_servers"),
     equivocation_proofs=_listed(
@@ -540,6 +566,29 @@ def decode_record(group, data: bytes) -> RoundRecord:
     return RoundRecord(**_RECORD.parse(data, group))
 
 
+def encode_entry(group, record: RoundRecord, rows) -> bytes:
+    """One history entry: a filed record and the ``(round, slot,
+    message)`` rows it delivered."""
+    return pack_fields(
+        encode_record(group, record), pack_fields(*[pack_fields(*row) for row in rows])
+    )
+
+
+@_total
+def decode_entry_record(group, data: bytes) -> RoundRecord:
+    record, _ = unpack_typed(data, "bb", "history entry")
+    return decode_record(group, record)
+
+
+@_total
+def decode_entry_rows(data: bytes) -> list[tuple[int, int, bytes]]:
+    _, rows = unpack_typed(data, "bb", "history entry")
+    return [
+        tuple(unpack_typed(row, "iib", "delivered message"))
+        for row in _list(rows, "delivered")
+    ]
+
+
 def encode_archive(group, archive: RoundArchive) -> bytes:
     return _ARCHIVE.encode(archive, group)
 
@@ -570,8 +619,14 @@ def decode_server_state(server, data: bytes) -> None:
 
 
 def encode_coordinator_state(coordinator) -> bytes:
-    """The section a ``session`` and a ``net-session`` checkpoint share."""
-    return _COORDINATOR.encode(coordinator, coordinator.definition)
+    """The section a ``session`` and a ``net-session`` checkpoint share.
+    Only the rounds filed since the previous save are encoded."""
+    history, head = coordinator.history.encoded(
+        partial(encode_entry, coordinator.definition.group)
+    )
+    return _COORDINATOR.encode(
+        coordinator, coordinator.definition, history=history, head=head
+    )
 
 
 @_total
@@ -703,9 +758,10 @@ def decode_file(data: bytes, what: str = "checkpoint") -> tuple[str, bytes]:
 def describe(data: bytes) -> str:
     """A checkpoint file's kind, version and sections, one line per field,
     split by the declarations that decode them (``python -m
-    repro.obs.report --checkpoint``).  Members are listed in full, records
-    and archives counted; a pseudonym key is not printed, and pair secrets
-    only counted."""
+    repro.obs.report --checkpoint``).  Members are listed in full; the
+    history is its entry count and head, none of it decoded, and archives
+    are counted; a pseudonym key is not printed, and pair secrets only
+    counted."""
     kind, payload = decode_file(data)
     lines = [f"checkpoint {kind}, version {CHECKPOINT_VERSION} (digest verified)"]
 
@@ -720,6 +776,9 @@ def describe(data: bytes) -> str:
                 lines.append(f"{indent}{field}: {'(private key)' if secret else value}")
                 continue
             nested = section.fields[field][3]
+            if nested == "hex":
+                lines.append(f"{indent}{field}: {value.hex()}")
+                continue
             if nested == "secrets":
                 count = len(_list(value, field))
                 lines.append(f"{indent}{field}: {count} pair secrets")

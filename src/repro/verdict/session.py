@@ -276,7 +276,9 @@ def route_verifiable_round(session, online: set[int] | None) -> RoundRecord:
     coordinator: a rejected submission expels its sender by
     :meth:`~repro.core.coordinator.Coordinator.apply_verdicts` and the
     round opens without it; a blamed share convicts its server and the
-    round is filed FAILED.
+    round is filed FAILED, as is a round whose proven submissions fall
+    below the §3.7 floor.  Every client learns the published count, so
+    an owner under its own ``min_participation`` sends cover only.
     """
     (begin,) = session.issue_round(online)
     r = begin.round_number
@@ -327,7 +329,9 @@ def route_verifiable_round(session, online: set[int] | None) -> RoundRecord:
         session.round_raised(exc)
         raise
     record = effects[-1].record
-    if record.completed:
-        for client in session.clients:
+    for client in session.clients:
+        if record.completed:
             client.verifiable_delivery(slot, record.output)
+        else:
+            client.handle_round_failure(r, record.participation)
     return record

@@ -8,6 +8,7 @@ group backends, including scheduler and PRNG state.
 """
 
 import collections
+import hashlib
 import random
 
 import pytest
@@ -107,6 +108,21 @@ class TestCheckpointStore:
         # The original checkpoint survives an aborted overwrite.
         assert read_checkpoint(path) == pack_fields(1)
 
+    def test_a_failed_write_leaves_the_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, pack_fields(1), kind="session")
+
+        def failing_fsync(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.persist.checkpoint.os.fsync", failing_fsync)
+        with pytest.raises(CheckpointError, match="No space left"):
+            write_checkpoint(path, pack_fields(2), kind="session")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+        assert read_checkpoint(path) == pack_fields(1)
+
     def test_checkpoint_metrics(self, tmp_path):
         from repro.obs import MetricsRegistry
 
@@ -191,6 +207,23 @@ class TestAuditLog:
         with open(path, "ab") as handle:
             handle.write(b'{"index": 1, "event": "abandon"')  # no newline
         assert len(read_audit_log(path)) == 1
+
+    def test_a_reopened_log_cuts_a_torn_line_and_appends_after_it(self, tmp_path):
+        """A crash tore the last line: reopening the log drops it, so the
+        next entry starts its own line and the whole chain still reads."""
+        path = tmp_path / "audit.ndjson"
+        log = AuditLog(path)
+        log.append("abandon", round=0)
+        log.append("abandon", round=1)
+        whole = path.read_bytes()
+        with open(path, "ab") as handle:
+            handle.write(b'{"index": 2, "event": "abandon"')  # no newline
+        reopened = AuditLog(path)
+        assert path.read_bytes() == whole
+        reopened.append("expulsion", client=3)
+        entries = read_audit_log(path)
+        assert [e["event"] for e in entries] == ["abandon", "abandon", "expulsion"]
+        assert entries == reopened.entries
 
     @pytest.mark.parametrize("line", [b"[1,2]", b"7", b'"entry"', b"null"])
     def test_a_line_that_is_no_object_is_a_checkpoint_error(self, tmp_path, line):
@@ -387,7 +420,7 @@ def _session_field(payload: bytes, *names) -> bytes:
             continue
         value = unpack_fields(value)[list(section.fields).index(name)]
         nested = section.fields[name][3]
-        if nested and nested != "counted":
+        if nested and nested.rstrip("*") in codec.SECTIONS:
             section = codec.SECTIONS[nested.rstrip("*")]
     return value
 
@@ -405,8 +438,9 @@ class TestMutatedCheckpoints:
         assert any(
             _session_field(snapshot, "clients", i, "sent_history") for i in range(3)
         )
-        # The walk reaches the session's one delivery log and its schedule.
-        assert _session_field(snapshot, "coordinator", "delivered")
+        # The walk reaches the history's delivered rows and the schedule.
+        history = _session_field(snapshot, "coordinator", "history")
+        assert any(unpack_fields(entry)[1] for entry in unpack_fields(history))
         refused, accepted = collections.Counter(), collections.Counter()
         for path, mutated in _mutations(snapshot):
             try:
@@ -415,15 +449,19 @@ class TestMutatedCheckpoints:
                 refused[path[:2]] += 1
                 continue
             accepted[path[-1]] += 1
+            # The history (coordinator field 1) and its head (field 2) are
+            # checked whole: no change to either is taken.
+            assert path[:2] not in ((0, 1), (0, 2)), path
             assert session.snapshot_state() == mutated, path
         assert sum(refused.values()) > 800
         # Drops from lists and truncated payload bytes are well-typed
         # values; the walk sees both kinds of answer.
         assert accepted["drop"] and accepted["truncate"]
-        # The delivery log (coordinator field 3: the field and each of its
-        # two rows' three fields) and its schedule (field 2) are decoded as
-        # strictly as the rest; the walk is seeded, so these are its counts.
-        assert refused[0, 3] >= 23 and refused[0, 2] >= 27
+        # Every field of the history, at every depth (its entries, their
+        # records and delivered rows), and of its head is refused, and the
+        # delivery schedule (field 3) is decoded as strictly as the rest;
+        # the walk is seeded, so these are its counts.
+        assert refused[0, 1] >= 241 and refused[0, 2] >= 3 and refused[0, 3] >= 27
         session.restore_state(snapshot)
         assert session.snapshot_state() == snapshot
 
@@ -623,6 +661,130 @@ class TestCheckpointSize:
         assert fresh.snapshot_state() == session.snapshot_state()
 
 
+def _posting_session(rounds: int):
+    """A test-256 session, 2 servers and 3 clients, after ``rounds``
+    rounds; every fourth round one client posts."""
+    session = built_session()
+    for r in range(rounds):
+        if r % 4 == 0:
+            session.post(r % 3, b"post %d" % r)
+        session.run_round()
+    return session
+
+
+def _with_history(snapshot: bytes, entries) -> bytes:
+    """``snapshot`` with its history replaced by ``entries`` and the head
+    recomputed to match them."""
+    coordinator, servers, clients = unpack_fields(snapshot)
+    fields = unpack_fields(coordinator)
+    fields[1] = pack_fields(*entries)  # history
+    fields[2] = hashlib.sha256(fields[1]).digest()  # head
+    return pack_fields(pack_fields(*fields), servers, clients)
+
+
+class TestHistory:
+    @pytest.mark.parametrize("filed", [80, 800])
+    def test_save_and_restore_do_not_grow_with_the_history(self, filed, monkeypatch):
+        """A save encodes only the records filed since the previous save,
+        none on an immediate re-save, and a restore decodes the last record
+        and no delivered row: the same counts at 80 and at 800 records.
+        Read afterwards, the restored history equals the original's."""
+        session = _posting_session(filed)
+        counts = collections.Counter()
+        for name in ("encode_record", "decode_record", "decode_entry_rows"):
+
+            def counting(*args, _real=getattr(codec, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(codec, name, counting)
+        session.snapshot_state()
+        assert counts == {"encode_record": filed}
+        counts.clear()
+        session.run_rounds(2)
+        session.snapshot_state()
+        assert counts == {"encode_record": 2}
+        counts.clear()
+        snapshot = session.snapshot_state()
+        assert not counts
+        fresh = built_session()
+        fresh.restore_state(snapshot)
+        assert counts == {"decode_record": 1}
+        counts.clear()
+        assert fresh.snapshot_state() == snapshot
+        fresh.run_round()
+        session.run_round()
+        assert fresh.snapshot_state() == session.snapshot_state()
+        assert counts == {"encode_record": 2}
+        assert len(fresh.records) == filed + 3
+        assert fresh.records == session.records
+        assert fresh.delivered == session.delivered
+        assert counts["decode_record"] == filed + 1
+        assert counts["decode_entry_rows"] == filed + 2
+
+    def test_the_views_read_as_lists(self):
+        """``records`` and ``delivered`` index, slice and iterate as the
+        lists they replace, restored or not, and cannot be changed."""
+        session = _posting_session(13)
+        fresh = built_session()
+        fresh.restore_state(session.snapshot_state())
+        for built in (session, fresh):
+            records, delivered = list(built.records), list(built.delivered)
+            assert len(delivered) == 3 and len(built.delivered) == 3
+            for index in range(-3, 3):
+                assert built.delivered[index] == delivered[index]
+            for start in (None, -3, 0, 1, 2, 4, 9):
+                for stop in (None, -1, 0, 2, 3, 7):
+                    span = slice(start, stop)
+                    assert built.delivered[span] == delivered[span]
+                    assert built.records[span] == records[span]
+            assert built.delivered[::2] == delivered[::2]
+            assert built.records[-1] is built.records[12] == records[-1]
+            assert built.records == records and records == built.records
+            assert built.records != records[:-1]
+            with pytest.raises(IndexError):
+                built.delivered[3]
+            with pytest.raises(TypeError):
+                built.records[0] = records[0]
+            with pytest.raises(AttributeError):
+                built.records.append(records[0])
+
+    @pytest.mark.parametrize(
+        "craft, unreadable",
+        [
+            (lambda record, rows: b"zz", ("records", "delivered")),
+            (lambda record, rows: pack_fields(record), ("records", "delivered")),
+            (lambda record, rows: pack_fields(b"zz", rows), ("records",)),
+            (lambda record, rows: pack_fields(record, b"zz"), ("delivered",)),
+            (
+                lambda record, rows: pack_fields(record, pack_fields(pack_fields(1, 2))),
+                ("delivered",),
+            ),
+        ],
+        ids=["not-fields", "no-rows", "record", "rows", "short-row"],
+    )
+    def test_a_crafted_entry_is_refused_when_it_is_read(self, craft, unreadable):
+        """A history whose head was recomputed over a bad entry restores,
+        since only the last record is decoded; reading the bad entry raises
+        CheckpointError, never a bare error.  As the last entry, it is
+        refused at restore."""
+        session = _posting_session(6)
+        snapshot = session.snapshot_state()
+        entries = unpack_fields(_session_field(snapshot, "coordinator", "history"))
+        bad = craft(*unpack_fields(entries[0]))
+        fresh = built_session()
+        fresh.restore_state(_with_history(snapshot, [bad, *entries[1:]]))
+        for name in ("records", "delivered"):
+            if name in unreadable:
+                with pytest.raises(CheckpointError):
+                    list(getattr(fresh, name))
+            else:
+                assert getattr(fresh, name) == getattr(session, name)
+        if "records" in unreadable:
+            with pytest.raises(CheckpointError):
+                fresh.restore_state(_with_history(snapshot, [*entries[:-1], bad]))
+
+
 @pytest.mark.parametrize("group_name", BACKENDS)
 class TestSessionRoundTrip:
     def test_restored_session_is_bit_identical(self, tmp_path, group_name):
@@ -676,12 +838,13 @@ class TestSessionRoundTrip:
 
 
 class TestCheckpointVersion:
-    def test_the_version_11_payload_is_pinned(self, tmp_path):
-        """Version 11 is nested packed fields: no client section holds a
+    def test_the_version_12_payload_is_pinned(self, tmp_path):
+        """Version 12 is nested packed fields: no client section holds a
         delivery history and no archive a cleartext; the coordinator
-        section holds the one delivery log and the schedule that decodes
-        it; each member section ends with its pair secrets, one per peer.
-        The payload is pinned byte for byte."""
+        section holds the one history, an entry per filed round (its
+        record and the messages it delivered) and the SHA-256 of them, and
+        the schedule that decodes them; each member section ends with its
+        pair secrets, one per peer.  The payload is pinned byte for byte."""
         path = tmp_path / "xor.ckpt"
         session = built_session()
         session.post(0, b"before the barrier")
@@ -690,7 +853,7 @@ class TestCheckpointVersion:
         save_session(session, path)
         magic, version, kind, digest, payload = unpack_fields(path.read_bytes())
         assert (magic, kind) == ("dissent.checkpoint", "session")
-        assert version == CHECKPOINT_VERSION == 11
+        assert version == CHECKPOINT_VERSION == 12
         clients = unpack_fields(_session_field(payload, "clients"))
         assert all(len(unpack_fields(c)) == 15 for c in clients)
         servers = unpack_fields(_session_field(payload, "servers"))
@@ -708,17 +871,24 @@ class TestCheckpointVersion:
             for archive in unpack_fields(_session_field(payload, "servers", i, "archive"))
         ]
         assert archives and all(len(unpack_fields(a)) == 7 for a in archives)
-        # One round delivers both posts, in slot order.
-        delivered = _session_field(payload, "coordinator", "delivered")
-        assert [tuple(unpack_fields(e)) for e in unpack_fields(delivered)] == sorted(
+        # One entry a round, its record then its rows; round 1 delivers
+        # both posts, in slot order.
+        history = _session_field(payload, "coordinator", "history")
+        entries = [unpack_fields(entry) for entry in unpack_fields(history)]
+        assert [unpack_fields(record)[0] for record, _ in entries] == [0, 1]
+        assert [
+            tuple(unpack_fields(row)) for _, rows in entries for row in unpack_fields(rows)
+        ] == sorted(
             (1, session.clients[i].slot, message)
             for i, message in ((0, b"before the barrier"), (2, b"queued across it"))
         )
+        head = _session_field(payload, "coordinator", "head")
+        assert head == hashlib.sha256(history).digest()
         assert _session_field(payload, "coordinator", "delivery_schedule") == (
             encode_scheduler(session.clients[0].scheduler)
         )
         assert digest.hex() == (
-            "975bd332a0bc1e6dbf5f0fc52d03f4685355027dd160cef72ca070a24719c5e7"
+            "0a7037a82d29c1ae069c01b3af17c4202d0ceafe388ceab75a5113f1bf43deb0"
         )
 
 

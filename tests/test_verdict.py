@@ -11,6 +11,7 @@ from repro.core import DissentSession
 from repro.core.adversary import DisruptingVerdictClient, DisruptorClient
 from repro.core.client import DissentClient
 from repro.core.config import Policy
+from repro.core.rounds import RoundStatus
 from repro.core.server import DissentServer
 from repro.core.session import build_session
 from repro.crypto import elgamal
@@ -296,6 +297,39 @@ class TestVerdictSession:
         assert lockstep[1] == {3}
         assert len(lockstep[2]) == 3
         assert run(4) == lockstep
+
+
+class TestParticipationFloor:
+    """§3.7 holds in verifiable mode as in XOR: a round below ``alpha``
+    times the count the previous round published is filed FAILED, and a
+    client under its own ``min_participation`` does not send."""
+
+    @pytest.mark.parametrize("mode", ["xor", "verifiable"])
+    def test_a_round_below_alpha_is_filed_failed(self, mode):
+        policy = Policy(dcnet_mode=mode, alpha=0.9, initial_slot_payload=24)
+        session = DissentSession.build(None, 2, 4, policy, 3)
+        session.setup()
+        assert session.run_round().participation == 4
+        record = session.run_round(online={0})
+        assert record.status is RoundStatus.FAILED and record.participation == 1
+        # The failed round published the fresh basis: one client is enough.
+        assert session.run_round(online={0}).completed
+        assert [c.last_participation for c in session.clients] == [1] * 4
+
+    def test_a_verifiable_owner_withholds_under_its_own_floor(self):
+        policy = Policy(dcnet_mode="verifiable", alpha=0.0, initial_slot_payload=24)
+        session = DissentSession.build(None, 2, 4, policy, 5)
+        session.setup()
+        # Slot 1 is served in round 1, after round 0 published its count.
+        owner = next(c for c in session.clients if c.slot == 1)
+        owner.min_participation = 4
+        session.post(owner.index, b"only among four")
+        online = {owner.index, *[i for i in range(4) if i != owner.index][:2]}
+        session.run_rounds(4, online=online)
+        assert owner.has_pending_traffic and not session.delivered
+        session.run_rounds(4)
+        assert session.delivered == [(5, 1, b"only among four")]
+        assert not owner.has_pending_traffic
 
 
 # ---------------------------------------------------------------------------
